@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimates import (collect_sup_samples, cutoff_profile, eps_scan,
-                        sup_quantities, verify_estimate)
+from .estimates import cutoff_profile, estimate_matrix, scope_suprema, sup_quantities
 from .geometry import Cylinder, extract_bounds
 from .harnack import log_integral_margin, sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
-                         harnack_evolution_residual, inequality_margin,
+                         harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual,
                          variant_label)
 from .params import ParamError
@@ -81,14 +80,13 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
     payload = {"scenario": sc.name, "command": "solve", "meta": result.meta}
     if result.meta.get("clamp_warning"):
         lines.append("WARNING: clamp fraction above threshold")
-    if sc.oracle_u is not None:
-        rr, tt = grid.mesh()
-        exact = sc.oracle_u(rr, tt)
-        interior = grid.r <= 0.8 * grid.r_max
-        err = float(np.max(np.abs(result.u.values[interior] - exact[interior])))
-        lines.append(f"interior max error vs oracle: {err:.6e}")
-        payload["oracle_interior_error"] = err
-    if sc.pde is not None and sc.pde.outer_boundary == "neumann-zero" and sc.nonlinearity.form == "zero":
+    rr, tt = grid.mesh()
+    exact = sc.oracle_u(rr, tt)
+    interior = grid.r <= 0.8 * grid.r_max
+    err = float(np.max(np.abs(result.u.values[interior] - exact[interior])))
+    lines.append(f"interior max error vs oracle: {err:.6e}")
+    payload["oracle_interior_error"] = err
+    if sc.pde.outer_boundary == "neumann-zero" and sc.nonlinearity.form == "zero":
         m0 = weighted_mass(result.u.values[:, 0], sc.geom, grid, grid.t[0])
         m1 = weighted_mass(result.u.values[:, -1], sc.geom, grid, grid.t[-1])
         drift = abs(m1 - m0) / max(abs(m0), 1e-300)
@@ -128,23 +126,20 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
     residual_row("operator-quotient-rule",
                  quotient_rule_residual(f, g, sc.v_profile, geom, params.p, r, t))
 
+    # one term table serves the identity and every inequality stage
     resid, table = harnack_evolution_residual(sol, geom, params, nl, r=r, t=t)
-    residual_row("harnack-evolution-identity", resid,
-                 scale=max(1.0, float(np.max(np.abs(table.LpvF)))))
+    lpv_scale = max(1.0, float(np.max(np.abs(table.LpvF))))
+    residual_row("harnack-evolution-identity", resid, scale=lpv_scale)
 
-    margin_rows = []
-    bounds = extract_bounds(geom, Cylinder(1e18, sc.t0, sc.t_hi))
-    for stage in ("pointwise", "quadratic", "bounded"):
-        marg, tab = inequality_margin(stage, sol, geom, params, nl,
-                                      bounds=bounds, r=r, t=t)
-        mscale = max(1.0, float(np.max(np.abs(tab.LpvF))))
-        margin_rows.append((f"evolution-inequality[{stage}]", float(np.min(marg)), mscale, -1e-6))
+    bounds = extract_bounds(geom, Cylinder.whole_domain(sc.t0, sc.t_hi))
+    stages = [(f"evolution-inequality[{stage}]", stage, False)
+              for stage in ("pointwise", "quadratic", "bounded")]
     if geom.metric_static:
-        marg, tab = inequality_margin("pointwise", sol, geom, params, nl,
-                                      bounds=bounds, r=r, t=t, sharper_static=True)
-        mscale = max(1.0, float(np.max(np.abs(tab.LpvF))))
-        margin_rows.append(("evolution-inequality[pointwise,sharp-static]",
-                            float(np.min(marg)), mscale, -1e-6))
+        stages.append(("evolution-inequality[pointwise,sharp-static]", "pointwise", True))
+    margin_rows = []
+    for name, stage, sharp in stages:
+        marg = inequality_rhs(stage, table, bounds=bounds, sharper_static=sharp) - table.LpvF
+        margin_rows.append((name, float(np.min(marg)), lpv_scale, -1e-6))
 
     residual_row("weighted-bochner", bochner_residual(sc.v_profile, geom, r, t))
 
@@ -204,28 +199,8 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
 
 def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    sol = sc.solution_handle()
-    geom, params, nl = sc.geom, sc.params, sc.nonlinearity
     ver = sc.verification
-    cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
-    cutoff = cutoff_profile()
-    rhs_scale = 0.5 if negative_control else 1.0
-    tau_probe = np.linspace(sc.duration / 256, sc.duration, 64)
-
-    reports = []
-    for variant in ver["variants"]:
-        family = "second" if "second" in variant else "first"
-        if variant.startswith("static"):
-            eps_values = [None]
-        else:
-            eps_values = eps_scan(params, tau_probe, family, ver["eps_fractions"])
-        for eps in eps_values:
-            rep = verify_estimate(
-                sol, geom, params, nl, variant, cyl, sc.t0, cutoff=cutoff,
-                eps=eps, density=ver["sup_density"], eval_density=ver["eval_density"],
-                tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale,
-            )
-            reports.append(rep)
+    reports = estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0)
 
     rows = []
     for rep in reports:
@@ -272,13 +247,11 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
     if not params.coeffs.alpha.time_independent:
         raise ConfigError("harnack.alpha", "the integrated inequality needs constant alpha")
     ver = sc.verification
-    full = Cylinder(1e18, sc.t0, sc.t_hi)
-    bounds = extract_bounds(geom, full, grid_density=ver["sup_density"])
-    samples = collect_sup_samples(sol, geom, params, nl, full, sc.t0,
-                                  density=ver["sup_density"])
+    _, bounds, samples = scope_suprema(sol, geom, params, nl,
+                                       Cylinder.whole_domain(sc.t0, sc.t_hi), sc.t0,
+                                       "global", ver["sup_density"])
     v_inf = float(np.min(samples.v))
     cutoff = cutoff_profile()
-    tau_probe = np.linspace(sc.duration / 256, sc.duration, 64)
     rng = np.random.default_rng(sc.seed)
     pairs = sample_pairs(rng, ver["pairs"], geom.r_max,
                          sc.duration / 64, sc.duration)
@@ -290,7 +263,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
     rows = []
     violations = 0
     for family in ("first", "second"):
-        eps = 0.5 * params.eps_ceiling(tau_probe, family)
+        eps = 0.5 * params.eps_ceiling(sc.tau_probe, family)
         q = sup_quantities(samples, bounds, params, geom.n, ver["radius"], cutoff,
                            eps, family=family, scope="global")
         rep = verify_harnack(sol, geom, params, nl, q, pairs, sc.t0, v_inf,
@@ -366,25 +339,9 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
         for name, value in zip(names, combo):
             _set_path(doc, name, value)
         started = time.time()
-        sc = parse_scenario(doc)
-        sol = sc.solution_handle()
-        ver = sc.verification
-        cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
-        tau_probe = np.linspace(sc.duration / 256, sc.duration, 64)
-        min_margin = np.inf
-        violations = 0
-        for variant in ver["variants"]:
-            family = "second" if "second" in variant else "first"
-            eps_values = ([None] if variant.startswith("static")
-                          else eps_scan(sc.params, tau_probe, family, ver["eps_fractions"]))
-            for eps in eps_values:
-                rep = verify_estimate(sol, sc.geom, sc.params, sc.nonlinearity,
-                                      variant, cyl, sc.t0, eps=eps,
-                                      density=ver["sup_density"],
-                                      eval_density=ver["eval_density"],
-                                      tolerance_factor=ver["tolerance_factor"])
-                min_margin = min(min_margin, rep.min_margin)
-                violations += len(rep.violations)
+        reports = estimate_matrix(parse_scenario(doc))
+        min_margin = min((rep.min_margin for rep in reports), default=np.inf)
+        violations = sum(len(rep.violations) for rep in reports)
         return combo, min_margin, violations, time.time() - started
 
     results = []
@@ -438,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", required=True, help="scenario JSON path")
         cp.add_argument("--out", required=True, help="output directory")
         cp.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        cp.add_argument("--workers", type=int, default=1)
+        if name == "sweep":
+            cp.add_argument("--workers", type=int, default=1)
         if name == "check-estimate":
             cp.add_argument("--negative-control", action="store_true",
                             help="scale right-hand sides by 0.5; the check must fail")

@@ -291,12 +291,24 @@ def _localization_term(params: HarnackParams, al, v_sup, radius, k, m, cutoff):
             * (c2 + (m - 1) * c1 * (1.0 + radius * math.sqrt(k)) + 2.0 * c1**2))
 
 
-def rhs_bound(variant: str, samples: SupSamples, bounds: GeometryBounds,
-              params: HarnackParams, n_dim: int, radius: float,
-              cutoff: CutoffProfile, eps, tau):
-    """Estimate right-hand side at clock times tau > 0."""
+def variant_kind(variant: str) -> tuple[str, str]:
+    """(family, scope) of an estimate variant."""
+    return ("second" if "second" in variant else "first",
+            "global" if variant.endswith("global") else "local")
+
+
+def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds,
+              params: HarnackParams, radius: float, cutoff: CutoffProfile, tau):
+    """Estimate right-hand side at clock times tau > 0.
+
+    ``q`` holds the :func:`sup_quantities` of the variant's family and scope;
+    the static forms read only the samples and the bounds.
+    """
     if variant not in VARIANTS:
         raise EstimateError(f"unknown estimate variant {variant!r}")
+    if (q["family"], q["scope"]) != variant_kind(variant):
+        raise EstimateError(f"sup quantities of the {q['family']} family on the "
+                            f"{q['scope']} scope do not bound {variant!r}")
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise EstimateError("the estimate right side requires tau > 0")
@@ -307,15 +319,11 @@ def rhs_bound(variant: str, samples: SupSamples, bounds: GeometryBounds,
     v_sup = samples.v_sup
     k = bounds.k
 
-    if variant in ("first-local", "first-global", "second-local", "second-global"):
-        family = "first" if variant.startswith("first") else "second"
-        scope = "local" if variant.endswith("local") else "global"
-        q = sup_quantities(samples, bounds, params, n_dim, radius, cutoff, eps,
-                           family=family, scope=scope)
+    if not variant.startswith("static"):
         agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
-        root = np.sqrt(b) if family == "first" else np.sqrt(b * al)
+        root = np.sqrt(b) if q["family"] == "first" else np.sqrt(b * al)
         rhs = base + b * al * q["q1"] + root * np.sqrt(agg)
-        if scope == "local":
+        if q["scope"] == "local":
             rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
         return rhs
 
@@ -437,31 +445,52 @@ def estimate_lhs(solution, geom, params, nl, r, t_abs, tau, mask=None):
     return v_r**2 / (a2 * al * v) - v_t / v + G / v - be / al
 
 
-def verify_estimate(solution, geom: WarpedGeometry, params: HarnackParams,
-                    nl: Nonlinearity, variant: str, cyl: Cylinder,
-                    t0_clock: float, cutoff: CutoffProfile | None = None,
-                    eps=None, density=(129, 65), eval_density=(65, 33),
-                    tolerance_factor: float = 1e-6, rhs_scale: float = 1.0,
-                    floor: float = 0.0) -> VerificationReport:
-    """Check the estimate pointwise on Q_R; margins = rhs - lhs >= -tol.
+@dataclass
+class EstimateScope:
+    """What every report on one scope shares, whatever its family and eps.
 
-    ``rhs_scale`` != 1 is the negative-control hook: scaling the right side
-    down must produce violations on honest scenarios.
+    The local scope samples its constants on Q_2R and checks the nodes of
+    Q_R; the global scope does both on the whole domain.
     """
-    cutoff = cutoff or cutoff_profile()
-    scope = "global" if variant.endswith("global") else "local"
-    flags = []
+
+    name: str
+    geom: WarpedGeometry
+    params: HarnackParams
+    cyl: Cylinder
+    t0_clock: float
+    density: tuple
+    bounds: GeometryBounds
+    samples: SupSamples
+    r: np.ndarray
+    t_abs: np.ndarray
+    tau: np.ndarray
+    lhs: np.ndarray
+
+
+def scope_suprema(solution, geom: WarpedGeometry, params: HarnackParams,
+                  nl: Nonlinearity, cyl: Cylinder, t0_clock: float, scope: str,
+                  density=(129, 65)):
+    """The sup cylinder of ``scope`` around ``cyl``, with the geometric bounds
+    and the sampled data on it."""
     if scope == "local":
         cyl.require_inside(geom, factor=2.0)
         sup_cyl = cyl.scaled(2.0)
+    elif scope == "global":
+        sup_cyl = Cylinder.whole_domain(cyl.t_lo, cyl.t_hi)
     else:
-        sup_cyl = Cylinder(1e18, cyl.t_lo, cyl.t_hi)
-        flags.append("truncated-global")
+        raise EstimateError(f"unknown scope {scope!r}")
     bounds = extract_bounds(geom, sup_cyl, grid_density=density)
     samples = collect_sup_samples(solution, geom, params, nl, sup_cyl, t0_clock,
                                   density=density)
+    return sup_cyl, bounds, samples
 
-    # evaluation nodes on Q_R (global scope: whole domain)
+
+def estimate_scope(solution, geom: WarpedGeometry, params: HarnackParams,
+                   nl: Nonlinearity, cyl: Cylinder, t0_clock: float, scope: str,
+                   density=(129, 65), eval_density=(65, 33)) -> EstimateScope:
+    """Constants, verification nodes and left-hand side of one scope."""
+    sup_cyl, bounds, samples = scope_suprema(solution, geom, params, nl, cyl,
+                                             t0_clock, scope, density)
     eval_cyl = cyl if scope == "local" else sup_cyl
     if solution.grid_mode:
         grid = solution.field.grid
@@ -478,10 +507,30 @@ def verify_estimate(solution, geom: WarpedGeometry, params: HarnackParams,
     if not np.any(mask):
         raise EstimateError("no verification nodes with positive clock time")
     r_in, t_in, tau_in = rr[mask], tt[mask], tau_all[mask]
-
     lhs = estimate_lhs(solution, geom, params, nl, r_in, t_in, tau_in, mask=mask)
-    rhs = rhs_bound(variant, samples, bounds, params, geom.n, cyl.radius,
-                    cutoff, eps, tau_in) * rhs_scale
+    return EstimateScope(name=scope, geom=geom, params=params, cyl=cyl,
+                         t0_clock=t0_clock, density=density, bounds=bounds,
+                         samples=samples, r=r_in, t_abs=t_in, tau=tau_in, lhs=lhs)
+
+
+def verify_estimate(scope: EstimateScope, variant: str, eps=None,
+                    cutoff: CutoffProfile | None = None,
+                    tolerance_factor: float = 1e-6,
+                    rhs_scale: float = 1.0) -> VerificationReport:
+    """Check one variant at one eps on its scope; margins = rhs - lhs >= -tol.
+
+    ``rhs_scale`` != 1 is the negative-control hook: scaling the right side
+    down must produce violations on honest scenarios.
+    """
+    cutoff = cutoff or cutoff_profile()
+    family, _ = variant_kind(variant)
+    params, cyl, bounds, samples = scope.params, scope.cyl, scope.bounds, scope.samples
+    r_in, t_in, tau_in, lhs = scope.r, scope.t_abs, scope.tau, scope.lhs
+    # rhs_bound refuses quantities of a scope the variant is not checked on
+    quantities = sup_quantities(samples, bounds, params, scope.geom.n, cyl.radius,
+                                cutoff, eps, family=family, scope=scope.name)
+    rhs = rhs_bound(variant, quantities, samples, bounds, params, cyl.radius,
+                    cutoff, tau_in) * rhs_scale
     margin = rhs - lhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
     tol = tolerance_factor * scale
@@ -492,28 +541,26 @@ def verify_estimate(solution, geom: WarpedGeometry, params: HarnackParams,
         for i in np.nonzero(bad)[0][:200]
     ]
     imin = int(np.argmin(margin))
-    quantities = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff,
-                                eps, family="second" if "second" in variant else "first",
-                                scope=scope)
     v_inf = float(np.min(samples.v))
+    density = scope.density
     constants = {
         "b": params.b,
         "eps": None if eps is None else float(eps),
-        "k": bounds.k, "k_lo": bounds.k_lo, "k_hi": bounds.k_hi,
-        "k2": bounds.k2, "l1": bounds.l1, "l2": bounds.l2,
+        **bounds.as_dict(),
         "c1": cutoff.c1, "c2": cutoff.c2,
         "v_sup": samples.v_sup,
         "q0": quantities["q0"], "q1": quantities["q1"], "q2": quantities["q2"],
         "q3": quantities["q3"], "q4": quantities["q4"],
-        "sup_cylinder": f"radius={'domain' if scope == 'global' else 2 * cyl.radius}, "
+        "sup_cylinder": f"radius={'domain' if scope.name == 'global' else 2 * cyl.radius}, "
                         f"t=[{cyl.t_lo:g},{cyl.t_hi:g}]",
         "sup_density": f"{density[0]}x{density[1]}",
     }
+    flags = ["truncated-global"] if scope.name == "global" else []
     if rhs_scale != 1.0:
         flags.append(f"negative-control(rhs_scale={rhs_scale:g})")
     return VerificationReport(
         variant=variant, eps=eps, radius=cyl.radius,
-        clock=f"t0={t0_clock:g}",
+        clock=f"t0={scope.t0_clock:g}",
         r=r_in, t_abs=t_in, tau=tau_in, lhs=lhs, rhs=rhs, margin=margin,
         tolerance=tol, scale=scale, violations=violations,
         min_margin=float(margin[imin]),
@@ -521,6 +568,36 @@ def verify_estimate(solution, geom: WarpedGeometry, params: HarnackParams,
         constants=constants, v_sup=samples.v_sup, v_inf=v_inf,
         flags=tuple(flags),
     )
+
+
+def estimate_matrix(sc, rhs_scale: float = 1.0) -> list[VerificationReport]:
+    """One report per configured variant and eps of a scenario, in config order.
+
+    Static variants take the vanishing-eps limit; the others scan the eps
+    fractions of their family's ceiling.  Each scope is built on first use,
+    so errors surface in the order a report-by-report check would raise them.
+    """
+    ver = sc.verification
+    sol = sc.solution_handle()
+    cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
+    cutoff = cutoff_profile()
+    scopes = {}
+    reports = []
+    for variant in ver["variants"]:
+        family, scope = variant_kind(variant)
+        if variant.startswith("static"):
+            eps_values = [None]
+        else:
+            eps_values = eps_scan(sc.params, sc.tau_probe, family, ver["eps_fractions"])
+        for eps in eps_values:
+            if scope not in scopes:
+                scopes[scope] = estimate_scope(
+                    sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, scope,
+                    density=ver["sup_density"], eval_density=ver["eval_density"])
+            reports.append(verify_estimate(
+                scopes[scope], variant, eps=eps, cutoff=cutoff,
+                tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale))
+    return reports
 
 
 def eps_scan(params: HarnackParams, tau, family: str, fractions=(0.1, 0.5, 0.9)):

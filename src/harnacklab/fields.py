@@ -59,17 +59,6 @@ class Grid:
     def mesh(self):
         return np.meshgrid(self.r, self.t, indexing="ij")
 
-    def refined(self, factor_r: int = 2, factor_t: int = 2) -> "Grid":
-        """Halve spacings (node counts 2N-1) so nodes nest."""
-        return Grid(
-            n_r=factor_r * (self.n_r - 1) + 1,
-            n_t=factor_t * (self.n_t - 1) + 1,
-            r_max=self.r_max,
-            t0=self.t0,
-            duration=self.duration,
-            pole=self.pole,
-        )
-
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -99,11 +99,6 @@ class WarpedGeometry:
                 raise GeometryError("annulus mode requires psi bounded below by a positive constant")
 
     # -- symbolic building blocks -------------------------------------------
-    def drift_expr(self) -> sp.Expr:
-        """Coordinate drift D with Delta_phi w = a^-2 (w_rr + D w_r)."""
-        psi = self.warp.expr
-        return (self.n - 1) * sp.diff(psi, R) / psi - sp.diff(self.potential.expr, R)
-
     def phi_laplacian_profile(self, w: Profile, name: str = "", tidy: bool = True) -> Profile:
         """Closed-form weighted Laplacian of a radial profile.
 
@@ -139,9 +134,6 @@ def _check_domain(geom, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > geom.r_max * (1 + 1e-12)):
         raise GeometryError("radius outside [0, r_max]")
-    if geom.mode == "annulus" and np.any(r == 0):
-        # annulus still has a coordinate r = 0 shell; all formulas are regular there
-        pass
     return r
 
 
@@ -287,6 +279,11 @@ class Cylinder:
             raise GeometryError("cylinder radius must be positive")
         if self.t_hi < self.t_lo:
             raise GeometryError("cylinder time window is empty")
+
+    @classmethod
+    def whole_domain(cls, t_lo: float, t_hi: float) -> "Cylinder":
+        """A cylinder wider than any domain: its mask keeps every radius."""
+        return cls(1e18, t_lo, t_hi)
 
     def scaled(self, factor: float) -> "Cylinder":
         return Cylinder(self.radius * factor, self.t_lo, self.t_hi)

@@ -28,8 +28,6 @@ from .params import HarnackParams
 from .solver import Nonlinearity
 from .symfun import Profile, R, T
 
-_angular_product = angular_drift_product
-
 
 class IdentityError(ValueError):
     pass
@@ -147,7 +145,7 @@ class TermTable:
         self.grad2 = self.v_r**2 / self.a2
         self.grad_norm = np.abs(self.v_r) / self.a
 
-        ang_v = _angular_product(geom, rr, tt, self.v_r, self.v_rr)
+        ang_v = angular_drift_product(geom, rr, tt, self.v_r, self.v_rr)
         self.lap_plain = (self.v_rr + (n - 1) * ang_v) / self.a2
 
         phi_r = potential_radial_slope(geom, rr, tt)
@@ -241,7 +239,7 @@ class TermTable:
     def _finish_lap_F(self, F_rr):
         geom = self.geom
         rr, tt = self.r, self.t
-        ang_F = _angular_product(geom, rr, tt, self.F_r, F_rr)
+        ang_F = angular_drift_product(geom, rr, tt, self.F_r, F_rr)
         phi_r = potential_radial_slope(geom, rr, tt)
         self.lap_F = (F_rr + (geom.n - 1) * ang_F - phi_r * self.F_r) / self.a2
 
@@ -406,7 +404,7 @@ def commutator_residual(v: Profile, geom: WarpedGeometry, r, t, variants=None):
     a2 = a**2
     v_r = v.at(1, 0, rr, tt)
     v_rr = v.at(2, 0, rr, tt)
-    ang_v = _angular_product(geom, rr, tt, v_r, v_rr)
+    ang_v = angular_drift_product(geom, rr, tt, v_r, v_rr)
     lap_plain = (v_rr + (n - 1) * ang_v) / a2
     phi_r = potential_radial_slope(geom, rr, tt)
     phi_rt = potential_radial_slope(geom, rr, tt, order_t=1)
@@ -467,7 +465,7 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
     w_r = w.at(1, 0, rr, tt)
     w_rr = w.at(2, 0, rr, tt)
     pair = w_r * lap_w_prof.at(1, 0, rr, tt) / a2
-    ang_w = _angular_product(geom, rr, tt, w_r, w_rr)
+    ang_w = angular_drift_product(geom, rr, tt, w_r, w_rr)
     hess2 = (w_rr**2 + (n - 1) * ang_w**2) / a2**2
 
     ric_rad, _ = curvature_eigs(geom, rr, tt)

@@ -156,8 +156,6 @@ class HarnackParams:
     p: float
     m: float
     coeffs: AlphaBeta
-    eps: float | None = None
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.p <= 1:

@@ -199,9 +199,9 @@ class Scenario:
     nonlinearity: Nonlinearity
     grid: Grid
     solution_kind: str            # "barenblatt" | "manufactured" | "numeric"
-    v_profile: Profile | None     # closed form of the pressure (if any)
-    oracle_u: object              # u(r, t) callable or None
-    pde: PdeParams | None
+    v_profile: Profile            # closed form of the pressure
+    oracle_u: object              # u(r, t) callable
+    pde: PdeParams
     verification: dict
     t0: float
     duration: float
@@ -212,17 +212,17 @@ class Scenario:
     def t_hi(self) -> float:
         return self.t0 + self.duration
 
+    @property
+    def tau_probe(self) -> np.ndarray:
+        """Clock times on which alpha's admissibility and the eps ceilings are probed."""
+        return np.linspace(self.duration / 256, self.duration, 64)
+
     def analytic_handle(self) -> AnalyticSolution:
-        if self.v_profile is None:
-            raise ConfigError("solution", "scenario has no closed-form pressure field")
         return AnalyticSolution(self.v_profile)
 
     def run_solver(self) -> SolveResult:
-        if self.pde is None:
-            raise ConfigError("solution", "scenario is not configured for a numeric solve")
         if self._solve_cache is None:
-            initial = lambda r, t: self.oracle_u(r, t)
-            self._solve_cache = solve(initial, self.geom, self.pde, self.grid)
+            self._solve_cache = solve(self.oracle_u, self.geom, self.pde, self.grid)
         return self._solve_cache
 
     def solution_handle(self):
@@ -282,33 +282,13 @@ def parse_scenario(doc: dict) -> Scenario:
     _check_keys(sol_doc, {"kind", "mass_const", "expr", "catalog", "base"}, "solution")
     kind = _require(sol_doc, "kind", "solution")
 
-    v_profile = None
-    oracle_u = None
-    pde = None
-    numeric_base = ""
-    nl: Nonlinearity
-
-    def _manufactured_profile(src_doc, path):
-        if "expr" in src_doc:
-            expr = _expr(src_doc["expr"], f"{path}.expr")
-        else:
-            key = src_doc.get("catalog", "bump")
-            if key not in MANUFACTURED_CATALOG:
-                raise ConfigError(f"{path}.catalog",
-                                  f"unknown catalog entry; choose from {sorted(MANUFACTURED_CATALOG)}")
-            expr = _expr(MANUFACTURED_CATALOG[key], f"{path}.catalog")
-        return Profile(expr, "manufactured_pressure")
-
-    def _require_flat_static(path):
-        flat = geom.is_static and geom.warp.expr == R and geom.potential.is_constant()
-        if not flat:
-            raise ConfigError(path, "the self-similar oracle needs static euclidean geometry")
-
-    if kind == "barenblatt":
+    def _barenblatt():
         if form != "zero":
             raise ConfigError("pde.nonlinearity",
                               "the self-similar oracle requires zero forcing")
-        _require_flat_static("solution")
+        flat = geom.is_static and geom.warp.expr == R and geom.potential.is_constant()
+        if not flat:
+            raise ConfigError("solution", "the self-similar oracle needs static euclidean geometry")
         C = float(sol_doc.get("mass_const", 1.0))
         if t0 <= 0:
             raise ConfigError("time.t0", "the self-similar oracle requires t0 > 0")
@@ -319,62 +299,48 @@ def parse_scenario(doc: dict) -> Scenario:
         resid = validate_barenblatt(geom.n, p, C)
         if resid > 1e-9:
             raise ConfigError("solution", f"oracle failed the substitution check ({resid:.3e})")
-        v_profile = barenblatt_pressure_profile(geom.n, p, C)
-        oracle_u = lambda r, t: barenblatt_oracle(geom.n, p, C, r, t)
-        nl = Nonlinearity()
-        kind_out = "barenblatt"
-    elif kind == "manufactured":
-        v_profile = _manufactured_profile(sol_doc, "solution")
+        oracle = lambda r, t: barenblatt_oracle(geom.n, p, C, r, t)
+        return barenblatt_pressure_profile(geom.n, p, C), oracle, Nonlinearity()
+
+    def _manufactured():
+        # the closure forcing makes the profile an exact solution
+        if "expr" in sol_doc:
+            expr = _expr(sol_doc["expr"], "solution.expr")
+        else:
+            key = sol_doc.get("catalog", "bump")
+            if key not in MANUFACTURED_CATALOG:
+                raise ConfigError("solution.catalog",
+                                  f"unknown catalog entry; choose from {sorted(MANUFACTURED_CATALOG)}")
+            expr = _expr(MANUFACTURED_CATALOG[key], "solution.catalog")
+        profile = Profile(expr, "manufactured_pressure")
         if power is None:
-            nl = manufactured_forcing(v_profile, geom, p)
+            forcing = manufactured_forcing(profile, geom, p)
         else:
-            nl = power_sum_with_closure(power, v_profile, geom, p)
-        oracle_u = _oracle_from_profile(v_profile, p)
-        kind_out = "manufactured"
-    elif kind == "numeric":
-        base = sol_doc.get("base", "manufactured")
-        numeric_base = base
-        if base == "barenblatt":
-            C = float(sol_doc.get("mass_const", 1.0))
-            if form != "zero":
-                raise ConfigError("pde.nonlinearity", "self-similar base requires zero forcing")
-            _require_flat_static("solution")
-            if t0 <= 0:
-                raise ConfigError("time.t0", "the self-similar oracle requires t0 > 0")
-            support = barenblatt_support_radius(geom.n, p, C, t0)
-            if support <= geom.r_max:
-                raise ConfigError("solution.mass_const",
-                                  f"support radius {support:.4g} at t0 must exceed r_max")
-            resid = validate_barenblatt(geom.n, p, C)
-            if resid > 1e-9:
-                raise ConfigError("solution", f"oracle failed the substitution check ({resid:.3e})")
-            v_profile = barenblatt_pressure_profile(geom.n, p, C)
-            oracle_u = lambda r, t: barenblatt_oracle(geom.n, p, C, r, t)
-            nl = Nonlinearity()
-        elif base == "manufactured":
-            v_profile = _manufactured_profile(sol_doc, "solution")
-            if power is None:
-                nl = manufactured_forcing(v_profile, geom, p)
-            else:
-                nl = power_sum_with_closure(power, v_profile, geom, p)
-            oracle_u = _oracle_from_profile(v_profile, p)
-        else:
-            raise ConfigError("solution.base", f"unknown numeric base {base!r}")
-        kind_out = "numeric"
+            forcing = power_sum_with_closure(power, profile, geom, p)
+        return profile, _oracle_from_profile(profile, p), forcing
+
+    setups = {"barenblatt": _barenblatt, "manufactured": _manufactured}
+    numeric_base = ""
+    if kind == "numeric":
+        numeric_base = sol_doc.get("base", "manufactured")
+        if numeric_base not in setups:
+            raise ConfigError("solution.base", f"unknown numeric base {numeric_base!r}")
+        v_profile, oracle_u, nl = setups[numeric_base]()
+    elif kind in setups:
+        v_profile, oracle_u, nl = setups[kind]()
     else:
         raise ConfigError("solution.kind", f"unknown kind {kind!r}")
 
-    if kind_out == "numeric" or oracle_u is not None:
-        floor_frac = float(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]))
-        u0 = oracle_u(grid.r, t0)
-        floor = max(floor_frac * float(np.max(u0)), 1e-300)
-        boundary = pde_doc.get("boundary", "dirichlet-oracle")
-        try:
-            pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
-                            outer_boundary=boundary, oracle=oracle_u,
-                            substeps=int(pde_doc.get("substeps", 1)))
-        except Exception as exc:
-            raise ConfigError("pde", str(exc))
+    floor_frac = float(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]))
+    u0 = oracle_u(grid.r, t0)
+    floor = max(floor_frac * float(np.max(u0)), 1e-300)
+    boundary = pde_doc.get("boundary", "dirichlet-oracle")
+    try:
+        pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
+                        outer_boundary=boundary, oracle=oracle_u,
+                        substeps=int(pde_doc.get("substeps", 1)))
+    except Exception as exc:
+        raise ConfigError("pde", str(exc))
 
     ver_doc = doc.get("verification", {})
     _check_keys(ver_doc, {"variants", "radius", "tolerance_factor", "pairs",
@@ -401,14 +367,14 @@ def parse_scenario(doc: dict) -> Scenario:
     }
 
     geom.validate_on(t0, t0 + duration)
-    coeffs.check_admissible(np.linspace(duration / 256, duration, 64))
-
-    return Scenario(
+    sc = Scenario(
         name=name, seed=seed, geom=geom, params=params, nonlinearity=nl,
-        grid=grid, solution_kind=kind_out, v_profile=v_profile, oracle_u=oracle_u,
+        grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u,
         pde=pde, verification=verification, t0=t0, duration=duration,
         numeric_base=numeric_base,
     )
+    coeffs.check_admissible(sc.tau_probe)
+    return sc
 
 
 def _oracle_from_profile(v_profile: Profile, p: float):

@@ -45,10 +45,6 @@ def pressure_inverse(v, p: float):
     return ((p - 1) * v / p) ** (1.0 / (p - 1))
 
 
-def pressure_field(u: ScalarField, p: float) -> ScalarField:
-    return ScalarField(pressure(u.values, p), u.grid, parity=u.parity, positive=True)
-
-
 def rescale_nonlinearity(source, p: float, t, r, v):
     """Map a source-form N(t, x, u) evaluator to the pressure-form value."""
     v = np.asarray(v, dtype=float)
@@ -62,38 +58,20 @@ class Nonlinearity:
     """Zero forcing; base class fixing the pressure-form interface.
 
     ``G(t, r, v)`` is the rescaled forcing entering the pressure equation
-    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G.  ``G_x`` and ``G_xv`` are
-    coordinate r-partials at frozen v (callers convert to metric norms), and
-    ``lap_phi_Gx`` is the weighted Laplacian of the frozen-v spatial slice.
+    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G, and ``G_v``, ``G_vv`` are
+    its v-partials.  ``G_x``, ``G_xv`` and ``G_xx`` are coordinate r-partials
+    at frozen v (callers convert to metric norms), ``G_t`` is the explicit time
+    partial at frozen (x, v), and ``lap_phi_Gx`` is the weighted Laplacian of
+    the frozen-v spatial slice.  Here all of them vanish; subclasses override
+    the ones their forcing excites.
     """
 
     form = "zero"
 
-    def G(self, t, r, v):
+    def _zero(self, t, r, v):
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
 
-    def G_v(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def G_vv(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def G_x(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def G_xv(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def G_t(self, t, r, v):
-        """Explicit time partial at frozen (x, v)."""
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def G_xx(self, t, r, v):
-        """Second coordinate r-partial at frozen v."""
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    def lap_phi_Gx(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
+    G = G_v = G_vv = G_x = G_xv = G_t = G_xx = lap_phi_Gx = _zero
 
     def source(self, t, r, u, p: float):
         """Source form N(t, x, u) = G * u^(2-p) / p."""
@@ -104,9 +82,6 @@ class Nonlinearity:
     def composed_expr(self, v_expr):
         """Symbolic G(t, x, v(x,t)) for a closed-form pressure field."""
         return sp.sympify(0)
-
-    def describe(self) -> str:
-        return self.form
 
 
 class PowerSumNonlinearity(Nonlinearity):
@@ -152,10 +127,6 @@ class PowerSumNonlinearity(Nonlinearity):
             out += sp.Float(coef) * v_expr ** sp.Float(ex)
         return out
 
-    def describe(self) -> str:
-        return (f"power-sum(A={self.A.tolist()}, a={self.a.tolist()}, "
-                f"B={self.B.tolist()}, b={self.bexp.tolist()})")
-
 
 class ForcingNonlinearity(Nonlinearity):
     """Purely x-dependent forcing G(t, x); v-partials vanish identically."""
@@ -186,9 +157,6 @@ class ForcingNonlinearity(Nonlinearity):
     def composed_expr(self, v_expr):
         return self.profile.expr
 
-    def describe(self) -> str:
-        return f"separable-x({self.profile.name or self.profile.expr})"
-
 
 class CompositeNonlinearity(Nonlinearity):
     """Sum of a v-dependent power-sum part and an x-dependent forcing part."""
@@ -211,9 +179,6 @@ class CompositeNonlinearity(Nonlinearity):
     def G_x(self, t, r, v):
         return self.forcing.G_x(t, r, v)
 
-    def G_xv(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
     def G_t(self, t, r, v):
         return self.forcing.G_t(t, r, v)
 
@@ -225,9 +190,6 @@ class CompositeNonlinearity(Nonlinearity):
 
     def composed_expr(self, v_expr):
         return self.power.composed_expr(v_expr) + self.forcing.composed_expr(v_expr)
-
-    def describe(self) -> str:
-        return f"{self.power.describe()} + {self.forcing.describe()}"
 
 
 def _closure_expr(v_exact: Profile, geom: WarpedGeometry, p: float) -> sp.Expr:

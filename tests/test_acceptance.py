@@ -13,7 +13,8 @@ import sympy as sp
 
 from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
 from harnacklab.estimates import (collect_sup_samples, cutoff_profile, eps_scan,
-                                  sup_quantities, verify_estimate, aggregate_M,
+                                  estimate_scope, sup_quantities, variant_kind,
+                                  verify_estimate, aggregate_M,
                                   aggregate_constants, rhs_bound)
 from harnacklab.fields import Grid, convergence_order
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
@@ -210,9 +211,9 @@ def test_criterion_4_estimate_matrix():
         for variant in ("first-local", "first-global", "second-local", "second-global"):
             family = "second" if "second" in variant else "first"
             for eps in eps_scan(sc.params, tau_probe, family, (0.1, 0.5, 0.9)):
-                rep = verify_estimate(sol, sc.geom, sc.params, sc.nonlinearity,
-                                      variant, cyl, sc.t0, eps=eps,
-                                      tolerance_factor=1e-6)
+                scope = estimate_scope(sol, sc.geom, sc.params, sc.nonlinearity, cyl,
+                                       sc.t0, variant_kind(variant)[1])
+                rep = verify_estimate(scope, variant, eps=eps, tolerance_factor=1e-6)
                 n_checks += 1
                 worst = min(worst, rep.min_margin)
                 assert rep.passed, (doc["name"], variant, eps, rep.min_margin)
@@ -261,8 +262,11 @@ def test_criterion_5_static_consistency():
         radius = rng.uniform(0.5, 2.0)
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
         for evolving, static in pairs:
-            a = rhs_bound(evolving, samples, bounds, params, 2, radius, cut, None, tau_eval)
-            b = rhs_bound(static, samples, bounds, params, 2, radius, cut, None, tau_eval)
+            family, scope = variant_kind(evolving)
+            q = sup_quantities(samples, bounds, params, 2, radius, cut, None,
+                               family=family, scope=scope)
+            a = rhs_bound(evolving, q, samples, bounds, params, radius, cut, tau_eval)
+            b = rhs_bound(static, q, samples, bounds, params, radius, cut, tau_eval)
             worst = max(worst, abs(a[0] - b[0]) / max(1.0, abs(b[0])))
     report(5, worst <= 1e-9,
            f"vanishing-eps limits match the static forms at 100 random points "

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from harnacklab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main)
+from harnacklab import estimates, identities
+from harnacklab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, cmd_check_estimate,
+                            cmd_check_identities, main)
+from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import ConfigError, parse_scenario
 
 
@@ -81,9 +85,92 @@ def test_parse_manufactured_catalog():
     assert sc.nonlinearity.form == "separable-x"
 
 
+BARENBLATT_SOLUTIONS = [
+    {"kind": "barenblatt", "mass_const": 1.0},
+    {"kind": "numeric", "base": "barenblatt", "mass_const": 1.0},
+]
+
+
+@pytest.mark.parametrize("solution", BARENBLATT_SOLUTIONS, ids=lambda s: s["kind"])
+@pytest.mark.parametrize("change, path", [
+    ({"pde": {"p": 2.0, "nonlinearity": {"form": "power-sum", "B": [-0.5], "b": [1.0]}}},
+     "pde.nonlinearity"),
+    ({"solution": {"mass_const": 0.01}}, "solution.mass_const"),
+    ({"time": {"t0": 0, "duration": 1.0}}, "time.t0"),
+])
+def test_parse_barenblatt_oracle_rejections(solution, change, path):
+    doc = barenblatt_doc(**{**change, "solution": {**solution, **change.get("solution", {})}})
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("solution", BARENBLATT_SOLUTIONS, ids=lambda s: s["kind"])
+def test_parse_barenblatt_oracle_kinds(solution):
+    sc = parse_scenario(barenblatt_doc(solution=dict(solution)))
+    assert sc.solution_kind == solution["kind"]
+    assert sc.numeric_base == solution.get("base", "")
+    assert sc.v_profile is not None and sc.pde is not None
+    assert sc.nonlinearity.form == "zero"
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 # ---------------------------------------------------------------------------
+
+def test_workers_flag_only_on_sweep(tmp_path):
+    cfg = write_config(tmp_path, barenblatt_doc())
+    with pytest.raises(SystemExit) as err:
+        main(["check-estimate", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--workers", "2"])
+    assert err.value.code == 2
+
+
+def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
+    # bounds and samples depend only on the scope (2 of them by default),
+    # the sup-quantities on the report (4 variants x 3 eps)
+    calls = {"extract_bounds": 0, "collect_sup_samples": 0, "sup_quantities": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(estimates, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(estimates, name, counted)
+    reports = []
+
+    def recorded(*args, _fn=estimates.verify_estimate, **kwargs):
+        reports.append(_fn(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(estimates, "verify_estimate", recorded)
+    sc = parse_scenario(barenblatt_doc())
+    assert cmd_check_estimate(sc, tmp_path / "out") == EXIT_OK
+    assert calls == {"extract_bounds": 2, "collect_sup_samples": 2, "sup_quantities": 12}
+    assert len(reports) == 12
+
+    monkeypatch.undo()
+    ver = sc.verification
+    cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
+    for rep in reports:
+        scope = estimates.estimate_scope(
+            sc.solution_handle(), sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0,
+            estimates.variant_kind(rep.variant)[1], density=ver["sup_density"],
+            eval_density=ver["eval_density"])
+        alone = estimates.verify_estimate(scope, rep.variant, eps=rep.eps,
+                                          tolerance_factor=ver["tolerance_factor"])
+        assert np.array_equal(rep.margin, alone.margin), (rep.variant, rep.eps)
+
+
+def test_check_identities_builds_one_term_table(tmp_path, monkeypatch):
+    builds = []
+
+    def counted(self, *args, _init=identities.TermTable.__init__, **kwargs):
+        builds.append(1)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(identities.TermTable, "__init__", counted)
+    assert cmd_check_identities(parse_scenario(barenblatt_doc()), tmp_path / "out") == EXIT_OK
+    assert len(builds) == 1
+
 
 def test_cli_config_error_exit(tmp_path):
     doc = barenblatt_doc(harnack={"m": 2.0, "alpha": 0.5})

@@ -7,8 +7,9 @@ import sympy as sp
 from harnacklab.estimates import (EstimateError, aggregate_M,
                                   aggregate_constants, collect_sup_samples,
                                   cutoff_profile, eps_scan, estimate_lhs,
-                                  localized_diagnostic, nonlinearity_conditions,
-                                  rhs_bound, sup_quantities, verify_estimate)
+                                  estimate_scope, localized_diagnostic,
+                                  nonlinearity_conditions, rhs_bound,
+                                  sup_quantities, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
@@ -177,12 +178,16 @@ def test_sup_quantities_nonnegative_and_monotone_in_radius():
 def test_global_rhs_collapses_to_leading_term():
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
     tau = np.array([0.25, 0.5, 1.0])
-    out = rhs_bound("first-global", samples, bounds, params, geom.n, cyl.radius,
-                    cutoff_profile(), 0.25, tau)
+    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
+                       0.25, family="first", scope="global")
+    out = rhs_bound("first-global", q, samples, bounds, params, cyl.radius,
+                    cutoff_profile(), tau)
     b, al = params.b, 2.0
     assert np.allclose(out, b * al / tau, rtol=1e-14)
-    out2 = rhs_bound("second-global", samples, bounds, params, geom.n, cyl.radius,
-                     cutoff_profile(), 0.1, tau)
+    q2 = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
+                        0.1, family="second", scope="global")
+    out2 = rhs_bound("second-global", q2, samples, bounds, params, cyl.radius,
+                     cutoff_profile(), tau)
     assert np.allclose(out2, b * al / tau, rtol=1e-14)
 
 
@@ -191,8 +196,9 @@ def test_local_rhs_finite_for_each_admissible_eps():
     tau = np.array([0.5])
     values = []
     for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), "first"):
-        out = rhs_bound("first-local", samples, bounds, params, geom.n, 0.9,
-                        cutoff_profile(), eps, tau)
+        q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(), eps)
+        out = rhs_bound("first-local", q, samples, bounds, params, 0.9,
+                        cutoff_profile(), tau)
         assert np.isfinite(out).all()
         values.append(float(out[0]))
     assert len(set(values)) >= 1  # eps sensitivity recorded by the caller
@@ -207,8 +213,8 @@ def test_static_rhs_formula_cross_check():
     v_sup = samples.v_sup
     radius = 0.9
     k = bounds.k
-    out = rhs_bound("static-first-local", samples, bounds, params, geom.n, radius,
-                    cut, None, tau)
+    q = sup_quantities(samples, bounds, params, geom.n, radius, cut, None)
+    out = rhs_bound("static-first-local", q, samples, bounds, params, radius, cut, tau)
     c1, c2 = cut.c1, cut.c2
     sup_first = max(0.0, b * al**2 * p**2 * v_sup * c1**2 / (2 * (al - 1) * radius**2))
     sup_last = max(0.0, float(np.max(
@@ -254,18 +260,14 @@ def test_static_consistency_vanishing_eps():
         )
         radius = rng.uniform(0.5, 2.0)
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
-        a = rhs_bound("first-local", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        b_ = rhs_bound("static-first-local", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        assert a[0] == pytest.approx(b_[0], rel=1e-9)
-        a2 = rhs_bound("second-local", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        s2 = rhs_bound("static-second-local", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        assert a2[0] == pytest.approx(s2[0], rel=1e-9)
-        g1 = rhs_bound("first-global", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        sg1 = rhs_bound("static-first-global", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        assert g1[0] == pytest.approx(sg1[0], rel=1e-9)
-        g2 = rhs_bound("second-global", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        sg2 = rhs_bound("static-second-global", samples, bounds, params, 2, radius, cut, None, tau_eval)
-        assert g2[0] == pytest.approx(sg2[0], rel=1e-9)
+        for variant in ("first-local", "second-local", "first-global", "second-global"):
+            family, scope = variant_kind(variant)
+            q = sup_quantities(samples, bounds, params, 2, radius, cut, None,
+                               family=family, scope=scope)
+            evolving = rhs_bound(variant, q, samples, bounds, params, radius, cut, tau_eval)
+            static = rhs_bound("static-" + variant, q, samples, bounds, params, radius,
+                               cut, tau_eval)
+            assert evolving[0] == pytest.approx(static[0], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +283,9 @@ def test_verify_estimate_barenblatt_all_variants():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), family):
-            rep = verify_estimate(sol, geom, params, Nonlinearity(), variant, cyl, 1.0,
-                                  eps=eps)
+            scope = estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0,
+                                   variant_kind(variant)[1])
+            rep = verify_estimate(scope, variant, eps=eps)
             assert rep.passed
             assert rep.min_margin > 0
 
@@ -294,10 +297,10 @@ def test_verify_estimate_negative_control():
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 1.0, 10.0)
     eps = 0.5 * params.eps_ceiling(np.linspace(0.05, 9.0, 64), "first")
-    honest = verify_estimate(sol, geom, params, Nonlinearity(), "first-global", cyl, 1.0, eps=eps)
+    scope = estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "global")
+    honest = verify_estimate(scope, "first-global", eps=eps)
     assert honest.passed
-    control = verify_estimate(sol, geom, params, Nonlinearity(), "first-global", cyl, 1.0,
-                              eps=eps, rhs_scale=0.5)
+    control = verify_estimate(scope, "first-global", eps=eps, rhs_scale=0.5)
     assert not control.passed
     assert len(control.violations) >= 1
     assert any("negative-control" in f for f in control.flags)
@@ -309,8 +312,10 @@ def test_verify_estimate_deterministic():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 1.0, 2.0)
-    rep1 = verify_estimate(sol, geom, params, Nonlinearity(), "first-local", cyl, 1.0, eps=0.05)
-    rep2 = verify_estimate(sol, geom, params, Nonlinearity(), "first-local", cyl, 1.0, eps=0.05)
+    rep1 = verify_estimate(estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "local"),
+                           "first-local", eps=0.05)
+    rep2 = verify_estimate(estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "local"),
+                           "first-local", eps=0.05)
     assert np.array_equal(rep1.margin, rep2.margin)
     assert rep1.min_margin == rep2.min_margin
 
@@ -322,7 +327,8 @@ def test_constant_in_space_solution_positive_margin():
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 0.5, 1.5)
-    rep = verify_estimate(sol, geom, params, nl, "first-global", cyl, 0.5, eps=0.1)
+    rep = verify_estimate(estimate_scope(sol, geom, params, nl, cyl, 0.5, "global"),
+                          "first-global", eps=0.1)
     assert rep.passed and rep.min_margin > 0
 
 
@@ -330,9 +336,13 @@ def test_truncated_global_flagged():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    rep = verify_estimate(AnalyticSolution(prof), geom, params, Nonlinearity(),
-                          "first-global", Cylinder(0.9, 1.0, 2.0), 1.0, eps=0.1)
+    scope = estimate_scope(AnalyticSolution(prof), geom, params, Nonlinearity(),
+                           Cylinder(0.9, 1.0, 2.0), 1.0, "global")
+    rep = verify_estimate(scope, "first-global", eps=0.1)
     assert "truncated-global" in rep.flags
+    # a local variant must not be checked with the whole-domain constants
+    with pytest.raises(EstimateError):
+        verify_estimate(scope, "first-local", eps=0.1)
 
 
 def test_estimate_lhs_is_scaled_harnack_quantity():
@@ -416,7 +426,8 @@ def test_static_variants_verify_on_power_law_scenario():
     cyl = Cylinder(0.9, 1.0, 2.0)
     for variant in ("static-first-local", "static-first-global",
                     "static-second-local", "static-second-global"):
-        rep = verify_estimate(sol, geom, params, nl, variant, cyl, 1.0, eps=None)
+        scope = estimate_scope(sol, geom, params, nl, cyl, 1.0, variant_kind(variant)[1])
+        rep = verify_estimate(scope, variant, eps=None)
         assert rep.passed and rep.min_margin > 0
 
 
@@ -425,8 +436,9 @@ def test_static_variants_refuse_x_dependent_forcing(bump_profile):
     params = HarnackParams(p=2.5, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(bump_profile, geom, params.p)
     with pytest.raises(EstimateError):
-        verify_estimate(AnalyticSolution(bump_profile), geom, params, nl,
-                        "static-first-global", Cylinder(0.9, 0.5, 1.5), 0.5, eps=None)
+        scope = estimate_scope(AnalyticSolution(bump_profile), geom, params, nl,
+                               Cylinder(0.9, 0.5, 1.5), 0.5, "global")
+        verify_estimate(scope, "static-first-global", eps=None)
 
 
 def test_static_variants_refuse_evolving_bounds():
@@ -438,8 +450,9 @@ def test_static_variants_refuse_evolving_bounds():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = power_sum_with_closure(power, prof, geom, params.p)
     with pytest.raises(EstimateError):
-        verify_estimate(AnalyticSolution(prof), geom, params, nl,
-                        "static-first-global", Cylinder(0.5, 0.5, 1.5), 0.5, eps=None)
+        scope = estimate_scope(AnalyticSolution(prof), geom, params, nl,
+                               Cylinder(0.5, 0.5, 1.5), 0.5, "global")
+        verify_estimate(scope, "static-first-global", eps=None)
 
 
 def test_admissible_power_family_dominated_by_aggregates():
@@ -475,7 +488,8 @@ def test_verify_estimate_evolving_warp_exercises_speed_gradient():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        rep = verify_estimate(sol, geom, params, nl, variant, cyl, 0.5, eps=eps)
+        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed, (variant, rep.min_margin)
 
 
@@ -493,7 +507,8 @@ def test_verify_estimate_nonzero_beta_and_time_dependent_alpha():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        rep = verify_estimate(sol, geom, params, nl, variant, cyl, 0.5, eps=eps)
+        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed, (variant, rep.min_margin)
 
 
@@ -531,7 +546,8 @@ def test_verify_estimate_sphere_cap():
     for variant in ("first-local", "second-local", "first-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        rep = verify_estimate(sol, geom, params, nl, variant, cyl, 0.5, eps=eps)
+        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed
 
 
@@ -550,9 +566,9 @@ def test_report_records_sampling_density():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    rep = verify_estimate(AnalyticSolution(prof), geom, params, Nonlinearity(),
-                          "first-global", Cylinder(0.9, 1.0, 2.0), 1.0, eps=0.1,
-                          density=(97, 49))
+    scope = estimate_scope(AnalyticSolution(prof), geom, params, Nonlinearity(),
+                           Cylinder(0.9, 1.0, 2.0), 1.0, "global", density=(97, 49))
+    rep = verify_estimate(scope, "first-global", eps=0.1)
     assert rep.constants["sup_density"] == "97x49"
 
 

@@ -192,7 +192,7 @@ def test_harnack_harness_can_fail():
 def test_harnack_follows_global_estimate_same_constants():
     # whenever the truncated-global estimate passes, the integrated
     # comparison built from the same sup-quantities passes as well
-    from harnacklab.estimates import verify_estimate
+    from harnacklab.estimates import estimate_scope, verify_estimate
 
     geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
     prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
@@ -203,7 +203,8 @@ def test_harnack_follows_global_estimate_same_constants():
     full = Cylinder(1e18, 1.0, 2.0)
     for family, variant in (("first", "first-global"), ("second", "second-global")):
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        est = verify_estimate(sol, geom, params, nl, variant, cyl, 1.0, eps=eps)
+        est = verify_estimate(estimate_scope(sol, geom, params, nl, cyl, 1.0, "global"),
+                              variant, eps=eps)
         assert est.passed
         bounds = extract_bounds(geom, full)
         samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)

@@ -137,8 +137,9 @@ def test_local_rhs_matches_reference(variant):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
         tau_eval = rng.uniform(0.1, 1.0, 3)
-        got = rhs_bound(variant, samples, bounds, params, n_dim, radius, cut,
-                        eps, tau_eval)
+        q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+                           family=family, scope="local")
+        got = rhs_bound(variant, q, samples, bounds, params, radius, cut, tau_eval)
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         want = reference_rhs(variant, ref, params, bounds, tau_eval, radius)
         assert np.allclose(got, want, rtol=1e-13), (trial, got, want)
