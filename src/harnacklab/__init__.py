@@ -2,10 +2,10 @@
 inequalities for weighted slow diffusion on rotationally symmetric smooth
 metric measure spaces."""
 
-from .fields import Grid, ScalarField, convergence_order, diff, sup_over_cylinder, weighted_laplacian
+from .fields import Grid, ScalarField, convergence_order, diff
 from .geometry import (Cylinder, GeometryBounds, WarpedGeometry, bakry_emery_eigs,
-                       curvature_eigs, drift_coefficient, extract_bounds,
-                       geodesic_distance, metric_speed_eigs)
+                       curvature_eigs, extract_bounds, geodesic_distance,
+                       metric_speed_eigs)
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
 from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, barenblatt_oracle,
                      barenblatt_pressure, manufactured_forcing, pressure,

@@ -25,7 +25,7 @@ from .identities import (bochner_residual, commutator_residual,
                          pressure_equation_residual, quotient_rule_residual,
                          variant_label)
 from .params import ParamError
-from .scenarios import ConfigError, Scenario, load_scenario
+from .scenarios import ConfigError, Scenario, load_scenario, read_number
 from .solver import SolverError, weighted_mass
 from .symfun import Profile, R, T
 
@@ -326,7 +326,7 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{name}", "axis must be a non-empty list")
-    cap = int(sweep_doc.get("cap", 64))
+    cap = read_number(sweep_doc.get("cap", 64), "sweep.cap", integer=True)
     names = list(axes.keys())
     combos = list(itertools.product(*(axes[n] for n in names)))
     if len(combos) > cap:

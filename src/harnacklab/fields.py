@@ -1,4 +1,4 @@
-"""Uniform space-time grids, finite-difference stencils and cylinder suprema.
+"""Uniform space-time grids, finite-difference stencils and convergence orders.
 
 All stencils are second order: centered in the interior, one-sided
 three/four-point at boundaries, and symmetry-based at the pole.  Fields on a
@@ -9,7 +9,6 @@ pole stencils encode that parity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,38 +132,6 @@ def diff(fld: ScalarField, which: str) -> ScalarField:
     return ScalarField(vals, g, parity=fld.parity)
 
 
-def weighted_laplacian(fld: ScalarField, geom) -> ScalarField:
-    """a^-2 (d_rr + D d_r) with the pole row replaced by n * d_rr / a^2."""
-    g = fld.grid
-    rr, tt = g.mesh()
-    w_r = diff(fld, "d_r").values
-    w_rr = diff(fld, "d_rr").values
-    a2 = geom.conformal(rr, tt) ** 2
-    from .geometry import drift_coefficient
-
-    out = np.empty_like(fld.values)
-    if g.pole:
-        D = drift_coefficient(geom, rr[1:], tt[1:])
-        out[1:] = (w_rr[1:] + D * w_r[1:]) / a2[1:]
-        out[0] = geom.n * w_rr[0] / a2[0]
-    else:
-        D = drift_coefficient(geom, rr, tt)
-        out = (w_rr + D * w_r) / a2
-    return ScalarField(out, g, parity=fld.parity)
-
-
-def sup_over_cylinder(fld: ScalarField, cyl, geom):
-    """Maximum of the field over grid nodes inside the cylinder, with argmax."""
-    g = fld.grid
-    mask = cyl.mask(g.r, g.t, geom)
-    if not np.any(mask):
-        raise FieldError("cylinder does not intersect the grid")
-    vals = np.where(mask, fld.values, -np.inf)
-    flat = int(np.argmax(vals))
-    i, j = np.unravel_index(flat, vals.shape)
-    return float(vals[i, j]), (float(g.r[i]), float(g.t[j]))
-
-
 def convergence_order(samples) -> float:
     """Least-squares slope of log(err) against log(h)."""
     samples = list(samples)
@@ -177,13 +144,3 @@ def convergence_order(samples) -> float:
     if np.any(e <= 0):
         raise FieldError("errors must be positive")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
-
-
-def field_to_csv(fld: ScalarField, path, header=("r", "t", "value")):
-    g = fld.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, r in enumerate(g.r):
-            for j, t in enumerate(g.t):
-                writer.writerow([f"{r:.12g}", f"{t:.12g}", f"{fld.values[i, j]:.12g}"])

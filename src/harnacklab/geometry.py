@@ -162,17 +162,15 @@ def potential_radial_slope(geom: WarpedGeometry, r, t, order_t: int = 0):
     return np.where(pole, 0.0, vals)
 
 
-def phi_laplacian_eval(geom: WarpedGeometry, w: "Profile", r, t):
-    """Weighted Laplacian of an even radial profile, evaluated pointwise.
+def phi_laplacian_eval(geom: WarpedGeometry, r, t, w_r, w_rr):
+    """Weighted Laplacian of an even radial field from its radial partials.
 
-    Assembles a^-2 (w_rr + (n-1)(psi_r/psi) w_r - phi_r w_r) from the
-    profile's derivative table with the pole limits built in; avoids any
-    symbolic manipulation of large expressions.
+    Assembles a^-2 (w_rr + (n-1)(psi_r/psi) w_r - phi_r w_r) with the pole
+    limits built in.  The partials may come from a derivative table or from
+    stencils; this is the one numeric transcription of Delta_phi.
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    w_r = w.at(1, 0, r, t)
-    w_rr = w.at(2, 0, r, t)
     ang = angular_drift_product(geom, r, t, w_r, w_rr)
     phi_r = potential_radial_slope(geom, r, t)
     return (w_rr + (geom.n - 1) * ang - phi_r * w_r) / geom.conformal(r, t) ** 2
@@ -220,18 +218,6 @@ def bakry_emery_eigs(geom: WarpedGeometry, r, t):
     if np.any(pole):
         sharp = np.where(pole, 0.0, sharp)
     return rad + (hess_rad - sharp) / a2, ang + hess_ang / a2
-
-
-def drift_coefficient(geom: WarpedGeometry, r, t):
-    """D(r,t) with Delta_phi w = a^-2 (w_rr + D w_r) for radial w."""
-    r = _check_domain(geom, r)
-    if geom.mode == "pole" and np.any(np.asarray(r) == 0.0):
-        raise GeometryError("drift coefficient diverges at the pole; the operator itself is regular there")
-    t = np.asarray(t, dtype=float)
-    psi = geom.warp(r, t)
-    if np.any(psi <= 0):
-        raise GeometryError("warp non-positive inside domain")
-    return (geom.n - 1) * geom.warp.at(1, 0, r, t) / psi - geom.potential.at(1, 0, r, t)
 
 
 def metric_speed_eigs(geom: WarpedGeometry, r, t):
@@ -353,7 +339,7 @@ class GeometryBounds:
 
 def extract_bounds(geom: WarpedGeometry, cyl: Cylinder, grid_density=(129, 65)) -> GeometryBounds:
     """Grid suprema of the six geometric bound constants over a cylinder."""
-    n_r, n_t = grid_density if isinstance(grid_density, tuple) else (grid_density, grid_density)
+    n_r, n_t = grid_density
     r_nodes, t_nodes = cyl.sample_nodes(geom, n_r, n_t)
     mask = cyl.mask(r_nodes, t_nodes, geom)
     if not np.any(mask):

@@ -82,7 +82,6 @@ class PathEnergy:
     proof_optimal: float
     statement_direct: float
     statement_optimal: float
-    method: str
     nodes: np.ndarray
 
     def __post_init__(self):
@@ -90,29 +89,26 @@ class PathEnergy:
             raise HarnackError("path energy must be non-negative")
 
 
-def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float, t2: float,
-                method: str = "brute-force", n_free: int = 8) -> PathEnergy:
+def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
+                t2: float) -> PathEnergy:
     """Radial path energy between two space-time points.
 
     ``proof`` values evaluate the metric along the traversed interval
     [t1, t2]; ``statement`` values evaluate it at the unit-interval
     parameter.  With a static conformal factor all four numbers agree and
-    equal the squared distance for the direct path.
+    equal the squared distance for the direct path.  The verification value
+    is the smaller of the direct and the optimized proof energies.
     """
-    if method not in ("radial-direct", "brute-force"):
-        raise HarnackError(f"unknown path method {method!r}")
     if not t1 < t2:
         raise HarnackError("path energy requires t1 < t2")
     a_sq_proof = lambda s: geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2
     a_sq_stmt = lambda s: geom.conformal(0.0, s) ** 2
     pd = _direct_energy(a_sq_proof, r1, r2)
     sd = _direct_energy(a_sq_stmt, r1, r2)
-    po, nodes = _optimal_energy(a_sq_proof, r1, r2, n_free=n_free)
-    so, _ = _optimal_energy(a_sq_stmt, r1, r2, n_free=n_free)
-    value = pd if method == "radial-direct" else min(pd, po)
-    return PathEnergy(value=value, proof_direct=pd, proof_optimal=po,
-                      statement_direct=sd, statement_optimal=so,
-                      method=method, nodes=nodes)
+    po, nodes = _optimal_energy(a_sq_proof, r1, r2)
+    so, _ = _optimal_energy(a_sq_stmt, r1, r2)
+    return PathEnergy(value=min(pd, po), proof_direct=pd, proof_optimal=po,
+                      statement_direct=sd, statement_optimal=so, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +181,7 @@ def sample_pairs(rng: np.random.Generator, n_pairs: int, r_max: float,
 
 def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
                    nl, quantities: dict, pairs, t0_clock: float, v_inf: float,
-                   tolerance_factor: float = 1e-8, path_method: str = "brute-force"):
+                   tolerance_factor: float = 1e-8):
     """Check v(x1,t1) <= bound * v(x2,t2) over a list of pairs.
 
     Margins are in log space: margin = log(bound) - [log v1 - log v2],
@@ -197,7 +193,7 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
         if not tau1 < tau2:
             raise HarnackError("pair has non-increasing times")
         t1_abs, t2_abs = tau1 + t0_clock, tau2 + t0_clock
-        energy = path_energy(geom, r1, t1_abs, r2, t2_abs, method=path_method)
+        energy = path_energy(geom, r1, t1_abs, r2, t2_abs)
         hb = harnack_bound(quantities, params, energy.value, v_inf, tau1, tau2)
         v1 = float(eval_point(solution, r1, t1_abs))
         v2 = float(eval_point(solution, r2, t2_abs))
@@ -220,7 +216,7 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
 
 def log_integral_margin(solution, geom: WarpedGeometry, params: HarnackParams,
                         H: float, v_inf: float, r1, tau1, r2, tau2,
-                        t0_clock: float, n_quad: int = 257) -> float:
+                        t0_clock: float) -> float:
     """Margin of the intermediate inequality for f = log v along a path.
 
     f(x1,t1) - f(x2,t2) <= int alpha |dgamma/dt|^2 / (4 m_inf) dt
@@ -233,7 +229,7 @@ def log_integral_margin(solution, geom: WarpedGeometry, params: HarnackParams,
         raise HarnackError("positive infimum required")
     alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
     b = params.b
-    taus = np.linspace(tau1, tau2, n_quad)
+    taus = np.linspace(tau1, tau2, 257)
     t_abs = taus + t0_clock
     rs = r1 + (taus - tau1) / (tau2 - tau1) * (r2 - r1)
     rdot = (r2 - r1) / (tau2 - tau1)

@@ -8,15 +8,17 @@ built from a positive pressure field v, and the degenerate parabolic operator
 
     L[w] = dw/dt - (p-1) v Delta_phi w.
 
-Every identity is evaluated in two modes sharing a single transcription of
-the formulas: analytic mode takes all derivatives from symbolic tables
-(residuals at roundoff level), grid mode takes them from second-order
-stencils (residuals shrink at the discretization order).
+:class:`TermTable` evaluates F, L[F] and every other pointwise term of the
+identities in two modes sharing a single transcription of the formulas:
+analytic mode takes all derivatives from symbolic tables (residuals at
+roundoff level), grid mode takes them from second-order stencils (residuals
+shrink at the discretization order).  Both modes apply the weighted
+Laplacian through :func:`geometry.phi_laplacian_eval`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 import sympy as sp
@@ -112,8 +114,7 @@ class TermTable:
     """
 
     def __init__(self, solution, geom: WarpedGeometry, params: HarnackParams,
-                 nonlinearity: Nonlinearity, r=None, t=None, floor: float = 0.0,
-                 f_route: str = "chain"):
+                 nonlinearity: Nonlinearity, r=None, t=None, f_route: str = "chain"):
         self.geom = geom
         self.params = params
         self.nl = nonlinearity
@@ -134,7 +135,7 @@ class TermTable:
 
         part = solution.part
         self.v = part(0, 0, rr, tt)
-        if np.any(self.v <= floor):
+        if np.any(self.v <= 0):
             raise IdentityError("pressure field not positive on the requested points")
         self.v_r = part(1, 0, rr, tt)
         self.v_rr = part(2, 0, rr, tt)
@@ -213,11 +214,10 @@ class TermTable:
             grid = self.solution.field.grid
             F_field = ScalarField(self.F, grid, parity="even")
             F_r = diff(F_field, "d_r")
-            F_rr = diff(F_r, "d_r")
-            F_t = diff(F_field, "d_t")
             self.F_r = F_r.values
-            self.F_t = F_t.values
-            self._finish_lap_F(F_rr.values)
+            self.F_t = diff(F_field, "d_t").values
+            self.lap_F = phi_laplacian_eval(geom, self.r, self.t, self.F_r,
+                                            diff(F_r, "d_r").values)
         elif self.f_route == "symbolic":
             v_expr = self.solution.profile.expr
             a_expr = geom.conformal.expr
@@ -235,13 +235,6 @@ class TermTable:
             self._chain_rule_F()
         self.LpvF = self.F_t - (params.p - 1) * self.v * self.lap_F
         self.gradF_pair = self.F_r * self.v_r / self.a2
-
-    def _finish_lap_F(self, F_rr):
-        geom = self.geom
-        rr, tt = self.r, self.t
-        ang_F = angular_drift_product(geom, rr, tt, self.F_r, F_rr)
-        phi_r = potential_radial_slope(geom, rr, tt)
-        self.lap_F = (F_rr + (geom.n - 1) * ang_F - phi_r * self.F_r) / self.a2
 
     def _chain_rule_F(self):
         """F_r, F_t, F_rr from the solution's partial table.
@@ -282,50 +275,7 @@ class TermTable:
                 + al * v_t * v_rr / v**2 - 2 * al * v_t * v_r**2 / v**3
                 + al * C_rr / v - 2 * al * C_r * v_r / v**2
                 - al * G * v_rr / v**2 + 2 * al * G * v_r**2 / v**3)
-        self._finish_lap_F(F_rr)
-
-
-# ---------------------------------------------------------------------------
-# operator and Harnack quantity on grids
-# ---------------------------------------------------------------------------
-
-def op_lpv(w: ScalarField, v: ScalarField, geom: WarpedGeometry, p: float) -> ScalarField:
-    """L[w] = dw/dt - (p-1) v Delta_phi w on aligned grids."""
-    if w.grid != v.grid:
-        raise IdentityError("operator requires aligned grids")
-    from .fields import weighted_laplacian
-
-    w_t = diff(w, "d_t").values
-    lap_w = weighted_laplacian(w, geom).values
-    return ScalarField(w_t - (p - 1) * v.values * lap_w, w.grid, parity=w.parity)
-
-
-@dataclass
-class HarnackField:
-    """F on a grid plus its cached constituents."""
-
-    F: ScalarField
-    grad_ratio: np.ndarray   # |grad v|^2 / v
-    time_ratio: np.ndarray   # (dv/dt) / v
-    forcing_ratio: np.ndarray  # G / v
-
-
-def harnack_quantity(v: ScalarField, geom: WarpedGeometry, params: HarnackParams,
-                     nonlinearity: Nonlinearity, floor: float = 0.0) -> HarnackField:
-    if np.any(v.values <= floor):
-        raise IdentityError("pressure field below the positivity floor")
-    grid = v.grid
-    rr, tt = grid.mesh()
-    a2 = geom.conformal(rr, tt) ** 2
-    v_r = diff(v, "d_r").values
-    v_t = diff(v, "d_t").values
-    grad_ratio = v_r**2 / (a2 * v.values)
-    time_ratio = v_t / v.values
-    forcing_ratio = nonlinearity.G(tt, rr, v.values) / v.values
-    alpha = params.coeffs.alpha_at(tt)
-    beta = params.coeffs.beta_at(tt)
-    F = grad_ratio - alpha * time_ratio + alpha * forcing_ratio - beta
-    return HarnackField(ScalarField(F, grid, parity="even"), grad_ratio, time_ratio, forcing_ratio)
+        self.lap_F = phi_laplacian_eval(self.geom, rr, tt, self.F_r, F_rr)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +288,10 @@ def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
     rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     vv = v(rr, tt)
     a2 = geom.conformal(rr, tt) ** 2
-    grad2 = v.at(1, 0, rr, tt) ** 2 / a2
-    lhs = v.at(0, 1, rr, tt) - (p - 1) * vv * phi_laplacian_eval(geom, v, rr, tt)
+    v_r = v.at(1, 0, rr, tt)
+    grad2 = v_r**2 / a2
+    lap_v = phi_laplacian_eval(geom, rr, tt, v_r, v.at(2, 0, rr, tt))
+    lhs = v.at(0, 1, rr, tt) - (p - 1) * vv * lap_v
     return lhs - grad2 - nonlinearity.G(tt, rr, vv)
 
 
@@ -370,13 +322,7 @@ _COMMUTATOR_TERMS = ("hessian_trace", "divergence", "potential_speed", "potentia
 
 def commutator_variants():
     """All sign conventions for the four evolving-metric commutator terms."""
-    out = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    out.append((s1, s2, s3, s4))
-    return out
+    return list(itertools.product((1, -1), repeat=4))
 
 
 def variant_label(signs) -> str:

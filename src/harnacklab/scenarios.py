@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,39 @@ def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise ConfigError(f"{path}.{key}", "missing required key")
     return doc[key]
+
+
+def read_number(value, where: str, integer: bool = False, above=None, at_least=None):
+    """A config value as a finite float (an int when ``integer``), range-checked.
+
+    Strings, null, lists and booleans are rejected with the key path, so a
+    bad value never reaches the numeric layers as a TypeError.
+    """
+    kind = int if integer else (int, float)
+    # the magnitude test also rejects nan, +-inf and ints beyond float range
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(where, f"expected a finite {'integer' if integer else 'number'}, "
+                                 f"got {value!r}")
+    if above is not None and not value > above:
+        raise ConfigError(where, f"must exceed {above:g} (got {value:g})")
+    if at_least is not None and not value >= at_least:
+        raise ConfigError(where, f"must be >= {at_least:g} (got {value:g})")
+    return value if integer else float(value)
+
+
+def _read_list(value, where: str, item=None) -> list:
+    """A non-empty list; ``item(x, where)`` checks each entry."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(where, f"expected a non-empty list, got {value!r}")
+    return [item(x, where) for x in value] if item else value
+
+
+def _read_density(doc: dict, key: str, path: str) -> tuple:
+    value = doc.get(key, DEFAULTS[key])
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}.{key}", f"expected two integers >= 2, got {value!r}")
+    return tuple(read_number(x, f"{path}.{key}", integer=True, at_least=2) for x in value)
 
 
 def _expr(text, path: str) -> sp.Expr:
@@ -85,10 +119,8 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     allowed = {"preset", "n", "r_max", "mode", "warp", "conformal", "potential",
                "conformal_rate", "warp_rate", "potential_drift"}
     _check_keys(doc, allowed, path)
-    n = _require(doc, "n", path)
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"{path}.n", "dimension must be an integer >= 2")
-    r_max = float(_require(doc, "r_max", path))
+    n = read_number(_require(doc, "n", path), f"{path}.n", integer=True, at_least=2)
+    r_max = read_number(_require(doc, "r_max", path), f"{path}.r_max", above=0)
     preset = doc.get("preset")
     preset_rate = None
     if preset is not None:
@@ -108,18 +140,18 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
         pot_expr = _expr(doc.get("potential", 0), f"{path}.potential")
     if "potential" in doc and preset is not None:
         pot_expr = _expr(doc["potential"], f"{path}.potential")
-    drift = float(doc.get("potential_drift", 0.0))
+    drift = read_number(doc.get("potential_drift", 0.0), f"{path}.potential_drift")
     if drift:
         pot_expr = pot_expr * (1 + drift * T)
     conf_expr = sp.Integer(1)
     if "conformal" in doc:
         conf_expr = _expr(doc["conformal"], f"{path}.conformal")
-    rate = float(doc.get("conformal_rate", 0.0))
+    rate = read_number(doc.get("conformal_rate", 0.0), f"{path}.conformal_rate")
     if preset_rate and preset_rate[0] == "conformal-exp":
         rate = preset_rate[1]
     if rate:
         conf_expr = sp.exp(rate * T)
-    warp_rate = float(doc.get("warp_rate", 0.0))
+    warp_rate = read_number(doc.get("warp_rate", 0.0), f"{path}.warp_rate")
     if preset_rate and preset_rate[0] == "linear-warp":
         warp_rate = preset_rate[1]
     if warp_rate:
@@ -152,22 +184,19 @@ def parse_alpha_beta(doc: dict, b: float, path: str) -> AlphaBeta:
     if isinstance(alpha, dict):
         _check_keys(alpha, {"preset", "gamma", "clock_offset"}, f"{path}.alpha")
         which = _require(alpha, "preset", f"{path}.alpha")
-        gamma = float(_require(alpha, "gamma", f"{path}.alpha"))
+        gamma = read_number(_require(alpha, "gamma", f"{path}.alpha"), f"{path}.alpha.gamma")
         # every preset starts at alpha = 1, where no eps is admissible; a
         # positive offset reads the pair further along its own clock, which
         # is still an admissible coefficient pair for the estimates
-        offset = float(alpha.get("clock_offset", 0.0))
-        if offset < 0:
-            raise ConfigError(f"{path}.alpha.clock_offset", "must be non-negative")
+        offset = read_number(alpha.get("clock_offset", 0.0), f"{path}.alpha.clock_offset",
+                             at_least=0)
         try:
             pair = preset_alpha_beta(which, gamma, b)
         except ValueError as exc:
             raise ConfigError(f"{path}.alpha", str(exc))
         return pair.shifted(-offset) if offset else pair
-    alpha = float(alpha)
-    if alpha <= 1.0:
-        raise ConfigError(f"{path}.alpha", f"alpha must exceed 1 (got {alpha:g})")
-    return constant_alpha_beta(alpha, float(beta))
+    alpha = read_number(alpha, f"{path}.alpha", above=1)
+    return constant_alpha_beta(alpha, read_number(beta, f"{path}.beta"))
 
 
 def parse_nonlinearity(doc, path: str):
@@ -236,20 +265,18 @@ def parse_scenario(doc: dict) -> Scenario:
                "verification"}
     _check_keys(doc, allowed, "")
     name = doc.get("name", "scenario")
-    seed = int(doc.get("seed", 20260809))
+    seed = read_number(doc.get("seed", 20260809), "seed", integer=True)
 
     harnack = doc.get("harnack", {})
     _check_keys(harnack, {"m", "alpha", "beta", "eps_fractions"}, "harnack")
-    m = float(_require(harnack, "m", "harnack"))
+    m = read_number(_require(harnack, "m", "harnack"), "harnack.m")
 
     geom = parse_geometry(_require(doc, "geometry", ""), m, "geometry")
 
     pde_doc = doc.get("pde", {})
     _check_keys(pde_doc, {"p", "nonlinearity", "grid", "boundary", "floor_fraction",
                           "substeps"}, "pde")
-    p = float(_require(pde_doc, "p", "pde"))
-    if p <= 1:
-        raise ConfigError("pde.p", f"exponent must exceed 1 (got {p:g})")
+    p = read_number(_require(pde_doc, "p", "pde"), "pde.p", above=1)
 
     coeffs = parse_alpha_beta(harnack, b=m * (p - 1) / (1 + m * (p - 1)), path="harnack")
     try:
@@ -259,17 +286,13 @@ def parse_scenario(doc: dict) -> Scenario:
 
     time_doc = doc.get("time", {})
     _check_keys(time_doc, {"t0", "duration"}, "time")
-    t0 = float(time_doc.get("t0", 1.0))
-    duration = float(time_doc.get("duration", 1.0))
-    if duration <= 0:
-        raise ConfigError("time.duration", "must be positive")
-    if t0 < 0:
-        raise ConfigError("time.t0", "must be non-negative")
+    duration = read_number(time_doc.get("duration", 1.0), "time.duration", above=0)
+    t0 = read_number(time_doc.get("t0", 1.0), "time.t0", at_least=0)
 
     grid_doc = pde_doc.get("grid", {})
     _check_keys(grid_doc, {"n_r", "n_t"}, "pde.grid")
-    n_r = int(grid_doc.get("n_r", DEFAULTS["grid"]["n_r"]))
-    n_t = int(grid_doc.get("n_t", DEFAULTS["grid"]["n_t"]))
+    n_r = read_number(grid_doc.get("n_r", DEFAULTS["grid"]["n_r"]), "pde.grid.n_r", integer=True)
+    n_t = read_number(grid_doc.get("n_t", DEFAULTS["grid"]["n_t"]), "pde.grid.n_t", integer=True)
     try:
         grid = Grid(n_r=n_r, n_t=n_t, r_max=geom.r_max, t0=t0, duration=duration,
                     pole=(geom.mode == "pole"))
@@ -289,7 +312,7 @@ def parse_scenario(doc: dict) -> Scenario:
         flat = geom.is_static and geom.warp.expr == R and geom.potential.is_constant()
         if not flat:
             raise ConfigError("solution", "the self-similar oracle needs static euclidean geometry")
-        C = float(sol_doc.get("mass_const", 1.0))
+        C = read_number(sol_doc.get("mass_const", 1.0), "solution.mass_const", above=0)
         if t0 <= 0:
             raise ConfigError("time.t0", "the self-similar oracle requires t0 > 0")
         support = barenblatt_support_radius(geom.n, p, C, t0)
@@ -331,14 +354,16 @@ def parse_scenario(doc: dict) -> Scenario:
     else:
         raise ConfigError("solution.kind", f"unknown kind {kind!r}")
 
-    floor_frac = float(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]))
+    floor_frac = read_number(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]),
+                             "pde.floor_fraction")
     u0 = oracle_u(grid.r, t0)
     floor = max(floor_frac * float(np.max(u0)), 1e-300)
     boundary = pde_doc.get("boundary", "dirichlet-oracle")
     try:
         pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
                         outer_boundary=boundary, oracle=oracle_u,
-                        substeps=int(pde_doc.get("substeps", 1)))
+                        substeps=read_number(pde_doc.get("substeps", 1), "pde.substeps",
+                                             integer=True))
     except Exception as exc:
         raise ConfigError("pde", str(exc))
 
@@ -346,24 +371,26 @@ def parse_scenario(doc: dict) -> Scenario:
     _check_keys(ver_doc, {"variants", "radius", "tolerance_factor", "pairs",
                           "sup_density", "eval_density", "eps_fractions",
                           "harnack_tolerance_factor"}, "verification")
-    variants = ver_doc.get("variants", list(DEFAULTS["variants"]))
+    variants = _read_list(ver_doc.get("variants", list(DEFAULTS["variants"])),
+                          "verification.variants")
     from .estimates import VARIANTS
 
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError("verification.variants", f"unknown variant {v!r}")
-    radius = float(ver_doc.get("radius", 0.45 * geom.r_max))
+    setting = lambda key, **kw: read_number(ver_doc.get(key, DEFAULTS[key]),
+                                            f"verification.{key}", **kw)
     verification = {
         "variants": variants,
-        "radius": radius,
-        "tolerance_factor": float(ver_doc.get("tolerance_factor",
-                                              DEFAULTS["tolerance_factor"])),
-        "harnack_tolerance_factor": float(ver_doc.get("harnack_tolerance_factor",
-                                                      DEFAULTS["harnack_tolerance_factor"])),
-        "pairs": int(ver_doc.get("pairs", DEFAULTS["pairs"])),
-        "sup_density": tuple(ver_doc.get("sup_density", DEFAULTS["sup_density"])),
-        "eval_density": tuple(ver_doc.get("eval_density", DEFAULTS["eval_density"])),
-        "eps_fractions": tuple(harnack.get("eps_fractions", DEFAULTS["eps_fractions"])),
+        "radius": read_number(ver_doc.get("radius", 0.45 * geom.r_max),
+                              "verification.radius", above=0),
+        "tolerance_factor": setting("tolerance_factor", at_least=0),
+        "harnack_tolerance_factor": setting("harnack_tolerance_factor", at_least=0),
+        "pairs": setting("pairs", integer=True, at_least=1),
+        "sup_density": _read_density(ver_doc, "sup_density", "verification"),
+        "eval_density": _read_density(ver_doc, "eval_density", "verification"),
+        "eps_fractions": tuple(_read_list(harnack.get("eps_fractions", DEFAULTS["eps_fractions"]),
+                                          "harnack.eps_fractions", read_number)),
     }
 
     geom.validate_on(t0, t0 + duration)

@@ -18,7 +18,7 @@ import sympy as sp
 from scipy.linalg import solve_banded
 
 from .fields import Grid, ScalarField
-from .geometry import WarpedGeometry
+from .geometry import WarpedGeometry, phi_laplacian_eval
 from .symfun import Profile, R, T
 
 
@@ -150,9 +150,7 @@ class ForcingNonlinearity(Nonlinearity):
         return self.profile.at(2, 0, r, t)
 
     def lap_phi_Gx(self, t, r, v):
-        from .geometry import phi_laplacian_eval
-
-        return phi_laplacian_eval(self.geom, self.profile, r, t)
+        return phi_laplacian_eval(self.geom, r, t, self.G_x(t, r, v), self.G_xx(t, r, v))
 
     def composed_expr(self, v_expr):
         return self.profile.expr

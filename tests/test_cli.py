@@ -5,7 +5,7 @@ import pytest
 
 from harnacklab import estimates, identities
 from harnacklab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, cmd_check_estimate,
-                            cmd_check_identities, main)
+                            cmd_check_identities, main, run_sweep)
 from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import ConfigError, parse_scenario
 
@@ -112,6 +112,42 @@ def test_parse_barenblatt_oracle_kinds(solution):
     assert sc.numeric_base == solution.get("base", "")
     assert sc.v_profile is not None and sc.pde is not None
     assert sc.nonlinearity.form == "zero"
+
+
+BAD_VALUES = [
+    ("solution.mass_const", "abc"), ("verification.radius", "abc"), ("geometry.r_max", "abc"),
+    ("verification.radius", None), ("solution.mass_const", None), ("time.duration", None),
+    ("pde.p", [2]),
+    # a check that runs nothing is never a pass
+    ("verification.variants", []), ("harnack.eps_fractions", []), ("verification.pairs", 0),
+    ("verification.sup_density", [1, 1]), ("verification.sup_density", 65),
+    ("verification.eval_density", [1, 1]), ("verification.eval_density", 65),
+    ("verification.tolerance_factor", -1), ("verification.harnack_tolerance_factor", -1),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES, ids=lambda x: json.dumps(x))
+def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
+    doc = barenblatt_doc()
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"configuration error: {key}: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_cap_must_be_an_integer(tmp_path):
+    doc = sweep_doc()
+    doc["cap"] = "16"
+    with pytest.raises(ConfigError) as err:
+        run_sweep(doc, tmp_path)
+    assert err.value.path == "sweep.cap"
 
 
 # ---------------------------------------------------------------------------

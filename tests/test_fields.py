@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from harnacklab.fields import (FieldError, Grid, ScalarField, convergence_order,
-                               diff, field_to_csv, sup_over_cylinder,
-                               weighted_laplacian)
-from harnacklab.geometry import Cylinder
+from harnacklab.fields import FieldError, Grid, ScalarField, convergence_order, diff
+from harnacklab.geometry import Cylinder, phi_laplacian_eval
 
 from conftest import make_geometry
 
@@ -71,20 +69,25 @@ def test_pole_symmetry_even_field():
     assert np.max(np.abs(d2.values[0] + 1.0)) < 1e-3  # second derivative of cos at 0
 
 
+def stencil_laplacian(f, geom):
+    """Delta_phi of a grid field: the stencil partials fed to the one Laplacian."""
+    rr, tt = f.grid.mesh()
+    return phi_laplacian_eval(geom, rr, tt, diff(f, "d_r").values, diff(f, "d_rr").values)
+
+
 def test_weighted_laplacian_constant_is_zero():
     for kind in ("euclidean", "hyperbolic", "gaussian"):
         geom = make_geometry(kind, n=3, m=5)
         g = grid()
         f = ScalarField.from_function(lambda r, t: np.full_like(r, 4.2), g)
-        out = weighted_laplacian(f, geom)
-        assert np.max(np.abs(out.values)) <= 1e-10
+        assert np.max(np.abs(stencil_laplacian(f, geom))) <= 1e-10
 
 
 def test_weighted_laplacian_euclid_quadratic():
     geom = make_geometry("euclidean", n=3)
     g = grid()
     f = ScalarField.from_function(lambda r, t: r**2, g)
-    out = weighted_laplacian(f, geom).values
+    out = stencil_laplacian(f, geom)
     assert np.max(np.abs(out[:-1] - 6.0)) <= 1e-8
 
 
@@ -92,7 +95,7 @@ def test_weighted_laplacian_gaussian_quadratic():
     geom = make_geometry("gaussian", n=2, m=4)
     g = grid()
     f = ScalarField.from_function(lambda r, t: r**2, g)
-    out = weighted_laplacian(f, geom).values
+    out = stencil_laplacian(f, geom)
     rr, _ = g.mesh()
     assert np.max(np.abs(out[:-1] - (4.0 - 2.0 * rr[:-1] ** 2))) <= 1e-8
 
@@ -100,27 +103,25 @@ def test_weighted_laplacian_gaussian_quadratic():
 def test_sup_over_cylinder_examples():
     geom = make_geometry("euclidean", n=2)
     g = grid(r_max=2.0)
-    const = ScalarField.from_function(lambda r, t: np.full_like(r, 5.0), g)
-    val, _ = sup_over_cylinder(const, Cylinder(1.0, 0.0, 1.0), geom)
-    assert val == 5.0
-    prod = ScalarField.from_function(lambda r, t: r * t, g)
-    val, loc = sup_over_cylinder(prod, Cylinder(1.0, 0.0, 1.0), geom)
-    assert val == pytest.approx(1.0)
-    assert loc == (1.0, 1.0)
-    neg = ScalarField.from_function(lambda r, t: -(r**2), g)
-    val, loc = sup_over_cylinder(neg, Cylinder(1.0, 0.0, 1.0), geom)
-    assert val == 0.0 and loc[0] == 0.0
+    rr, tt = g.mesh()
+    mask = Cylinder(1.0, 0.0, 1.0).mask(g.r, g.t, geom)
+    assert np.max(np.full_like(rr, 5.0)[mask]) == 5.0
+    prod = (rr * tt)[mask]
+    assert np.max(prod) == pytest.approx(1.0)
+    assert (rr[mask][np.argmax(prod)], tt[mask][np.argmax(prod)]) == (1.0, 1.0)
+    neg = -(rr**2)[mask]
+    assert np.max(neg) == 0.0 and rr[mask][np.argmax(neg)] == 0.0
 
 
 def test_sup_monotone_in_radius_and_horizon():
     geom = make_geometry("euclidean", n=2)
     g = grid(r_max=2.0)
     rng = np.random.default_rng(11)
-    f = ScalarField(rng.normal(size=(g.n_r, g.n_t)), g)
-    vals_r = [sup_over_cylinder(f, Cylinder(R_, 0.0, 1.0), geom)[0]
+    f = rng.normal(size=(g.n_r, g.n_t))
+    vals_r = [np.max(f[Cylinder(R_, 0.0, 1.0).mask(g.r, g.t, geom)])
               for R_ in (0.5, 1.0, 1.5, 2.0)]
     assert all(a <= b + 1e-15 for a, b in zip(vals_r, vals_r[1:]))
-    vals_t = [sup_over_cylinder(f, Cylinder(1.5, 0.0, hi), geom)[0]
+    vals_t = [np.max(f[Cylinder(1.5, 0.0, hi).mask(g.r, g.t, geom)])
               for hi in (0.25, 0.5, 0.75, 1.0)]
     assert all(a <= b + 1e-15 for a, b in zip(vals_t, vals_t[1:]))
 
@@ -133,16 +134,6 @@ def test_convergence_order_trivial():
         convergence_order([(0.1, 1.0), (0.2, 0.5), (0.05, 0.2)])
     with pytest.raises(FieldError):
         convergence_order([(0.2, 1.0), (0.1, -0.5), (0.05, 0.2)])
-
-
-def test_field_csv(tmp_path):
-    g = Grid(n_r=8, n_t=4, r_max=1.0, t0=0.0, duration=1.0)
-    f = ScalarField.from_function(lambda r, t: r + t, g)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "r,t,value"
-    assert len(lines) == 1 + g.n_r * g.n_t
 
 
 def test_field_validation():
@@ -165,5 +156,4 @@ def test_weighted_laplacian_constant_on_evolving_families():
         g = Grid(n_r=33, n_t=9, r_max=2.0, t0=0.2, duration=1.0,
                  pole=(geom.mode == "pole"))
         f = ScalarField.from_function(lambda r, t: np.full_like(r, 2.5), g)
-        out = weighted_laplacian(f, geom)
-        assert np.max(np.abs(out.values)) <= 1e-10
+        assert np.max(np.abs(stencil_laplacian(f, geom))) <= 1e-10

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
-                                 WarpedGeometry, bakry_emery_eigs, curvature_eigs,
-                                 drift_coefficient, extract_bounds, geodesic_distance,
-                                 metric_speed_eigs)
+                                 WarpedGeometry, angular_drift_product,
+                                 bakry_emery_eigs, curvature_eigs, extract_bounds,
+                                 geodesic_distance, metric_speed_eigs,
+                                 phi_laplacian_eval, potential_radial_slope)
 from harnacklab.symfun import Profile, R, T, constant_profile
 
 from conftest import make_geometry
@@ -104,18 +106,35 @@ def test_m_equals_n_requires_constant_potential():
 
 
 def test_drift_examples():
+    # the drift (n-1) psi_r/psi - phi_r of Delta_phi, read at unit slope w_r = 1
     geom = make_geometry("euclidean", n=3)
-    assert drift_coefficient(geom, 2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
+    ang = angular_drift_product(geom, 2.0, 0.0, 1.0, 0.0)
+    assert (geom.n - 1) * ang == pytest.approx(1.0, rel=1e-14)
     gauss = make_geometry("gaussian", n=2, m=4)
-    assert drift_coefficient(gauss, 1.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+    drift = angular_drift_product(gauss, 1.0, 0.0, 1.0, 0.0) - potential_radial_slope(gauss, 1.0, 0.0)
+    assert drift == pytest.approx(0.0, abs=1e-14)
     hyp = make_geometry("hyperbolic", n=2)
-    assert drift_coefficient(hyp, 1.0, 0.0) == pytest.approx(np.cosh(1) / np.sinh(1), rel=1e-13)
+    assert angular_drift_product(hyp, 1.0, 0.0, 1.0, 0.0) == pytest.approx(np.cosh(1) / np.sinh(1),
+                                                                          rel=1e-13)
 
 
-def test_drift_raises_at_pole():
-    geom = make_geometry("euclidean", n=3)
-    with pytest.raises(GeometryError):
-        drift_coefficient(geom, 0.0, 0.0)
+@pytest.mark.parametrize("kind, m", [("hyperbolic", None), ("gaussian", 4)])
+def test_phi_laplacian_stencil_and_table_routes_agree(kind, m, bump_profile):
+    # one Laplacian fed two ways: stencil partials converge to the table's at order 2
+    geom = make_geometry(kind, n=2, m=m)
+    rows, pole_rows = [], []
+    for n_r in (33, 65, 129):
+        g = Grid(n_r=n_r, n_t=5, r_max=2.0, t0=0.5, duration=1.0)
+        f = ScalarField.from_function(bump_profile, g)
+        rr, tt = g.mesh()
+        stencil = phi_laplacian_eval(geom, rr, tt, diff(f, "d_r").values, diff(f, "d_rr").values)
+        table = phi_laplacian_eval(geom, rr, tt, bump_profile.at(1, 0, rr, tt),
+                                   bump_profile.at(2, 0, rr, tt))
+        err = np.abs(stencil - table)
+        rows.append((g.dr, np.max(err)))
+        pole_rows.append((g.dr, np.max(err[0])))
+    assert convergence_order(rows) == pytest.approx(2.0, abs=0.2)
+    assert convergence_order(pole_rows) == pytest.approx(2.0, abs=0.2)
 
 
 def test_metric_speed_static():

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from harnacklab.fields import Grid, ScalarField, convergence_order
-from harnacklab.geometry import Cylinder, extract_bounds
+from harnacklab.fields import Grid, ScalarField, convergence_order, diff
+from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
                                    TermTable, adjudicate_commutator, bochner_residual,
                                    commutator_residual, harnack_evolution_residual,
-                                   harnack_quantity, inequality_margin, op_lpv,
-                                   pressure_equation_residual,
+                                   inequality_margin, pressure_equation_residual,
                                    quotient_rule_residual, variant_label)
 from harnacklab.params import AlphaBeta, HarnackParams
 from harnacklab.solver import (Nonlinearity, PowerSumNonlinearity,
@@ -138,7 +137,7 @@ def test_bochner_hyperbolic_cosh():
 
 
 # ---------------------------------------------------------------------------
-# operator on grids and the Harnack quantity
+# operator on grids and the Harnack quantity (TermTable in grid mode)
 # ---------------------------------------------------------------------------
 
 def _grid_field(fun, n_r=65, n_t=33, r_max=2.0, t0=0.5, duration=1.0):
@@ -146,18 +145,28 @@ def _grid_field(fun, n_r=65, n_t=33, r_max=2.0, t0=0.5, duration=1.0):
     return ScalarField.from_function(fun, g, positive=True)
 
 
+def _grid_table(v, geom, params, nl=None):
+    return TermTable(GridSolution(v), geom, params, nl or Nonlinearity())
+
+
 def test_op_lpv_constant_and_linearity(euclid3, bump_profile):
     v = _grid_field(lambda r, t: bump_profile(r, t))
     const = ScalarField.from_function(lambda r, t: np.full_like(r, 2.0), v.grid)
-    out = op_lpv(const, v, euclid3, 2.0)
-    assert np.max(np.abs(out.values)) <= 1e-10
+    table = _grid_table(const, euclid3, params_for(euclid3, p=2.0))
+    assert np.max(np.abs(table.v_t - table.v * table.lap_v)) <= 1e-10
+    assert np.max(np.abs(table.LpvF)) <= 1e-10
+    # L = d/dt - (p-1) v Delta_phi is linear because both stencil parts are
     rng = np.random.default_rng(23)
     w1 = ScalarField(rng.normal(size=v.values.shape) + 3, v.grid)
     w2 = ScalarField(rng.normal(size=v.values.shape) + 3, v.grid)
     combo = ScalarField(2.0 * w1.values - 0.5 * w2.values, v.grid)
-    lhs = op_lpv(combo, v, euclid3, 2.0).values
-    rhs = 2.0 * op_lpv(w1, v, euclid3, 2.0).values - 0.5 * op_lpv(w2, v, euclid3, 2.0).values
-    assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
+    rr, tt = v.grid.mesh()
+    for part in (lambda w: diff(w, "d_t").values,
+                 lambda w: phi_laplacian_eval(euclid3, rr, tt, diff(w, "d_r").values,
+                                              diff(w, "d_rr").values)):
+        lhs = part(combo)
+        rhs = 2.0 * part(w1) - 0.5 * part(w2)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 
 def test_op_lpv_on_exact_solution_recovers_sources(bump_profile, euclid3):
@@ -166,42 +175,34 @@ def test_op_lpv_on_exact_solution_recovers_sources(bump_profile, euclid3):
     errs = []
     for n_r, n_t in ((49, 25), (97, 97)):
         v = _grid_field(lambda r, t: bump_profile(r, t), n_r=n_r, n_t=n_t)
-        out = op_lpv(v, v, euclid3, p).values
-        rr, tt = v.grid.mesh()
-        target = bump_profile.at(1, 0, rr, tt) ** 2 + nl.G(tt, rr, v.values)
+        table = _grid_table(v, euclid3, params_for(euclid3, p=p), nl)
+        res = table.v_t - (p - 1) * table.v * table.lap_v - table.grad2 - table.G
         inner = (slice(3, -3), slice(3, -3))
-        errs.append((v.grid.dr, np.max(np.abs((out - target)[inner]))))
+        errs.append((v.grid.dr, np.max(np.abs(res[inner]))))
     assert errs[1][1] < errs[0][1] / 2.5
-
-
-def test_op_lpv_grid_mismatch(euclid3):
-    v = _grid_field(lambda r, t: 2 + 0 * r)
-    w = _grid_field(lambda r, t: 2 + 0 * r, n_r=33)
-    with pytest.raises(IdentityError):
-        op_lpv(w, v, euclid3, 2.0)
 
 
 def test_harnack_quantity_trivial_and_beta_shift(euclid3):
     params = params_for(euclid3, p=2.0, alpha=2.0)
     v = _grid_field(lambda r, t: np.full_like(r, 3.0))
-    hf = harnack_quantity(v, euclid3, params, Nonlinearity())
-    assert np.max(np.abs(hf.F.values)) <= 1e-12
+    F = _grid_table(v, euclid3, params).F
+    assert np.max(np.abs(F)) <= 1e-12
     shifted = params_for(euclid3, p=2.0, alpha=2.0, beta=0.7)
-    hf2 = harnack_quantity(v, euclid3, shifted, Nonlinearity())
-    assert np.allclose(hf2.F.values, hf.F.values - 0.7, atol=1e-13)
+    assert np.allclose(_grid_table(v, euclid3, shifted).F, F - 0.7, atol=1e-13)
 
 
 def test_harnack_quantity_affine_structure(euclid3, bump_profile):
     # affine in beta and degree-1 homogeneous in alpha for fixed constituents
     v = _grid_field(lambda r, t: bump_profile(r, t))
     params = params_for(euclid3, p=2.0, alpha=2.0, beta=0.3)
-    hf = harnack_quantity(v, euclid3, params, Nonlinearity())
-    rebuilt = (hf.grad_ratio - 2.0 * hf.time_ratio + 2.0 * hf.forcing_ratio - 0.3)
-    assert np.allclose(rebuilt, hf.F.values, atol=1e-13)
-    doubled = hf.grad_ratio - 4.0 * hf.time_ratio + 4.0 * hf.forcing_ratio - 0.3
+    table = _grid_table(v, euclid3, params)
+    grad_ratio, time_ratio = table.grad2 / table.v, table.v_t / table.v
+    forcing_ratio = table.G / table.v
+    rebuilt = (grad_ratio - 2.0 * time_ratio + 2.0 * forcing_ratio - 0.3)
+    assert np.allclose(rebuilt, table.F, atol=1e-13)
+    doubled = grad_ratio - 4.0 * time_ratio + 4.0 * forcing_ratio - 0.3
     params4 = params_for(euclid3, p=2.0, alpha=4.0, beta=0.3)
-    hf4 = harnack_quantity(v, euclid3, params4, Nonlinearity())
-    assert np.allclose(hf4.F.values, doubled, atol=1e-13)
+    assert np.allclose(_grid_table(v, euclid3, params4).F, doubled, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

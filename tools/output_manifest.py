@@ -1,0 +1,87 @@
+"""Fingerprint every shipped CLI output of a checkout, one line per command.
+
+Usage (from anywhere)::
+
+    python3 tools/output_manifest.py OUT_DIR > manifest.txt
+
+Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
+``PYTHONHASHSEED=0`` and one BLAS thread:
+
+* ``solve``, ``check-identities``, ``check-estimate`` and ``check-harnack``
+  on every scenario in ``configs/``;
+* ``check-estimate --negative-control`` on ``configs/negative-control.json``;
+* ``sweep`` on ``configs/sweep-p-alpha.json``;
+* ``check-estimate`` on ``perfbench/inputs/hyperbolic-bump.json``;
+* ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``.
+
+Each command writes into its own directory under OUT_DIR.  The printed line
+holds the command's label, its exit code, the sha256 of its stdout and of its
+stderr, and the digest of its out dir (``perfbench/run.py``'s
+``output_digest``, which masks the sweep's ``runtime_s`` column).
+
+To check that a change keeps every output byte-identical, run the script in
+a second checkout of the parent commit and in the change, then ``diff`` the
+two manifests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import CHILD_BLAS_THREADS, CHILD_HASH_SEED, output_digest  # noqa: E402
+
+SCENARIO_COMMANDS = ("solve", "check-identities", "check-estimate", "check-harnack")
+
+
+def commands():
+    """(label, cli arguments) of every command, config paths relative to ROOT."""
+    out = []
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        rel = str(path.relative_to(ROOT))
+        if "template" in json.loads(path.read_text()):
+            out.append((f"sweep:{path.stem}", ["sweep", "--config", rel]))
+            continue
+        for sub in SCENARIO_COMMANDS:
+            out.append((f"{sub}:{path.stem}", [sub, "--config", rel]))
+    out.append(("check-estimate:negative-control --negative-control",
+                ["check-estimate", "--config", "configs/negative-control.json",
+                 "--negative-control"]))
+    out.append(("check-estimate:hyperbolic-bump",
+                ["check-estimate", "--config", "perfbench/inputs/hyperbolic-bump.json"]))
+    out.append(("sweep:sweep-p-alpha-wide",
+                ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json"]))
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: output_manifest.py OUT_DIR", file=sys.stderr)
+        return 2
+    base = Path(argv[0]).resolve()
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=CHILD_HASH_SEED,
+               **CHILD_BLAS_THREADS)
+    for label, args in commands():
+        out = base / label.replace(":", ".").replace(" ", "_")
+        out.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "harnacklab.cli", *args,
+                               "--out", str(out)],
+                              cwd=ROOT, env=env, capture_output=True)
+        print(f"{label}  rc={proc.returncode}  stdout={_sha(proc.stdout)}  "
+              f"stderr={_sha(proc.stderr)}  out={output_digest(out)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
