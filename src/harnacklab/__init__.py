@@ -4,12 +4,11 @@ metric measure spaces."""
 
 from .fields import Grid, ScalarField, convergence_order, diff
 from .geometry import (Cylinder, GeometryBounds, WarpedGeometry, bakry_emery_eigs,
-                       curvature_eigs, extract_bounds, geodesic_distance,
-                       metric_speed_eigs)
+                       curvature_eigs, extract_bounds, metric_speed_eigs)
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
 from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, barenblatt_oracle,
-                     barenblatt_pressure, manufactured_forcing, pressure,
-                     pressure_inverse, rescale_nonlinearity, solve)
+                     manufactured_forcing, pressure, pressure_inverse,
+                     rescale_nonlinearity, solve)
 from .symfun import Profile, R, T
 
 __version__ = "0.1.0"

@@ -52,6 +52,7 @@ def _write_summary(out: Path, lines, payload):
 
 
 def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -64,7 +65,6 @@ def _write_csv(path: Path, header, rows):
 # ---------------------------------------------------------------------------
 
 def cmd_solve(sc: Scenario, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     result = sc.run_solver()
     grid = sc.grid
     rows = []
@@ -106,7 +106,6 @@ def _identity_sample(sc: Scenario):
 
 
 def cmd_check_identities(sc: Scenario, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     if sc.solution_kind == "numeric":
         raise ConfigError("solution.kind", "identity checks need a closed-form pressure field")
     sol = sc.analytic_handle()
@@ -198,7 +197,6 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
 
 
 def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     ver = sc.verification
     reports = estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0)
 
@@ -241,7 +239,6 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
 
 
 def cmd_check_harnack(sc: Scenario, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     sol = sc.solution_handle()
     geom, params, nl = sc.geom, sc.params, sc.nonlinearity
     if not params.coeffs.alpha.time_independent:
@@ -414,12 +411,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             with open(args.config) as fh:
                 sweep_doc = json.load(fh)
-            out.mkdir(parents=True, exist_ok=True)
             return run_sweep(sweep_doc, out, workers=args.workers)
         sc = load_scenario(args.config)
         if args.seed is not None:
             sc.seed = args.seed
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
             return cmd_solve(sc, out)
         if args.command == "check-identities":

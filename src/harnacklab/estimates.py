@@ -191,22 +191,11 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
     ``t0_clock`` is the absolute time at which the estimate clock starts;
     tau = t - t0_clock feeds alpha, beta and the 1/t term.
     """
-    if solution.grid_mode:
-        grid = solution.field.grid
-        mask = cyl.mask(grid.r, grid.t, geom)
-        if not np.any(mask):
-            raise EstimateError("sup cylinder misses the solution grid")
-        rr, tt = grid.mesh()
-        r_in, t_in = rr[mask], tt[mask]
-        v = solution.field.values[mask]
-    else:
-        n_r, n_t = density
-        r_nodes, t_nodes = cyl.sample_nodes(geom, n_r, n_t)
-        mask = cyl.mask(r_nodes, t_nodes, geom)
-        rr = np.broadcast_to(r_nodes[:, None], mask.shape)
-        tt = np.broadcast_to(t_nodes[None, :], mask.shape)
-        r_in, t_in = rr[mask], tt[mask]
-        v = solution.part(0, 0, r_in, t_in)
+    rr, tt, mask = solution.sample(cyl, geom, density)
+    if not np.any(mask):
+        raise EstimateError("sup cylinder misses the solution grid")
+    r_in, t_in = rr[mask], tt[mask]
+    v = solution.part(0, 0, rr, tt, mask)
     if np.any(v <= 0):
         raise EstimateError("pressure field not positive on the sup cylinder")
     tau = t_in - t0_clock
@@ -424,20 +413,15 @@ class VerificationReport:
         }
 
 
-def estimate_lhs(solution, geom, params, nl, r, t_abs, tau, mask=None):
-    """|grad v|^2/(alpha v) - v_t/v + G/v - beta/alpha at given nodes.
-
-    For grid solutions the fields are stencil-differentiated on the full
-    grid and ``mask`` selects the verification nodes.
-    """
+def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
+    """|grad v|^2/(alpha v) - v_t/v + G/v - beta/alpha at the nodes of the
+    mesh (rr, tt) that ``mask`` selects, on the clock tau = t - t0_clock."""
+    r, t_abs = rr[mask], tt[mask]
+    tau = t_abs - t0_clock
     part = solution.part
-    v = part(0, 0, r, t_abs)
-    v_r = part(1, 0, r, t_abs)
-    v_t = part(0, 1, r, t_abs)
-    if solution.grid_mode:
-        if mask is None:
-            raise EstimateError("grid-mode evaluation needs the node mask")
-        v, v_r, v_t = v[mask], v_r[mask], v_t[mask]
+    v = part(0, 0, rr, tt, mask)
+    v_r = part(1, 0, rr, tt, mask)
+    v_t = part(0, 1, rr, tt, mask)
     a2 = geom.conformal(r, t_abs) ** 2
     al = params.coeffs.alpha_at(tau)
     be = params.coeffs.beta_at(tau)
@@ -492,25 +476,16 @@ def estimate_scope(solution, geom: WarpedGeometry, params: HarnackParams,
     sup_cyl, bounds, samples = scope_suprema(solution, geom, params, nl, cyl,
                                              t0_clock, scope, density)
     eval_cyl = cyl if scope == "local" else sup_cyl
-    if solution.grid_mode:
-        grid = solution.field.grid
-        mask = eval_cyl.mask(grid.r, grid.t, geom)
-        rr, tt = grid.mesh()
-    else:
-        n_r, n_t = eval_density
-        r_nodes, t_nodes = eval_cyl.sample_nodes(geom, n_r, n_t)
-        mask = eval_cyl.mask(r_nodes, t_nodes, geom)
-        rr = np.broadcast_to(r_nodes[:, None], mask.shape).copy()
-        tt = np.broadcast_to(t_nodes[None, :], mask.shape).copy()
-    tau_all = tt - t0_clock
-    mask = mask & (tau_all > 1e-12)
+    rr, tt, mask = solution.sample(eval_cyl, geom, eval_density)
+    mask = mask & (tt - t0_clock > 1e-12)
     if not np.any(mask):
         raise EstimateError("no verification nodes with positive clock time")
-    r_in, t_in, tau_in = rr[mask], tt[mask], tau_all[mask]
-    lhs = estimate_lhs(solution, geom, params, nl, r_in, t_in, tau_in, mask=mask)
+    r_in, t_in = rr[mask], tt[mask]
+    lhs = estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock)
     return EstimateScope(name=scope, geom=geom, params=params, cyl=cyl,
                          t0_clock=t0_clock, density=density, bounds=bounds,
-                         samples=samples, r=r_in, t_abs=t_in, tau=tau_in, lhs=lhs)
+                         samples=samples, r=r_in, t_abs=t_in, tau=t_in - t0_clock,
+                         lhs=lhs)
 
 
 def verify_estimate(scope: EstimateScope, variant: str, eps=None,
@@ -665,13 +640,7 @@ def localized_diagnostic(solution, geom: WarpedGeometry, params: HarnackParams,
     """
     sup_cyl = Cylinder(2.0 * radius, cyl.t_lo, cyl.t_hi)
     sup_cyl.require_inside(geom)
-    if solution.grid_mode:
-        grid = solution.field.grid
-        r_nodes, t_nodes = grid.r, grid.t
-    else:
-        n_r, n_t = density
-        r_nodes, t_nodes = sup_cyl.sample_nodes(geom, n_r, n_t)
-    rr, tt = np.meshgrid(r_nodes, t_nodes, indexing="ij")
+    rr, tt, inside = solution.sample(sup_cyl, geom, density)
     tau = tt - t0_clock
     part = solution.part
     v = part(0, 0, rr, tt)
@@ -684,8 +653,7 @@ def localized_diagnostic(solution, geom: WarpedGeometry, params: HarnackParams,
     F = v_r**2 / (a**2 * v) - al * v_t / v + al * G / v - be
     rho = a * rr
     eta = cutoff.value(rho / radius)
-    inside = sup_cyl.mask(r_nodes, t_nodes, geom) & (tau >= 0)
-    Gq = np.where(inside, tau * eta * F, -np.inf)
+    Gq = np.where(inside & (tau >= 0), tau * eta * F, -np.inf)
     i, j = np.unravel_index(int(np.argmax(Gq)), Gq.shape)
     gmax = float(Gq[i, j])
     neighbours = []
@@ -694,7 +662,7 @@ def localized_diagnostic(solution, geom: WarpedGeometry, params: HarnackParams,
         if 0 <= ii < Gq.shape[0] and 0 <= jj < Gq.shape[1] and np.isfinite(Gq[ii, jj]):
             neighbours.append(float(Gq[ii, jj]))
     interior_in_r = 0 < i < Gq.shape[0] - 1 and np.isfinite(Gq[i - 1, j]) and np.isfinite(Gq[i + 1, j])
-    grad_r = (Gq[i + 1, j] - Gq[i - 1, j]) / (2 * (r_nodes[1] - r_nodes[0])) if interior_in_r else 0.0
+    grad_r = (Gq[i + 1, j] - Gq[i - 1, j]) / (2 * (rr[1, 0] - rr[0, 0])) if interior_in_r else 0.0
     return {
         "max": gmax,
         "arg_r": float(rr[i, j]),

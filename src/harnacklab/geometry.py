@@ -243,11 +243,6 @@ def metric_speed_eigs(geom: WarpedGeometry, r, t):
     return zeros, ang, grad_h
 
 
-def geodesic_distance(geom: WarpedGeometry, r1, r2, t):
-    """Distance between two points on the same radial ray at time t."""
-    return geom.conformal(0.0, t) * np.abs(np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # cylinders and extracted bounds
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ import numpy as np
 import sympy as sp
 
 from .fields import ScalarField, diff
-from .geometry import (WarpedGeometry, angular_drift_product, bakry_emery_eigs,
-                       curvature_eigs, phi_laplacian_eval, potential_radial_slope)
+from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
+                       bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
+                       potential_radial_slope)
 from .params import HarnackParams
 from .solver import Nonlinearity
 from .symfun import Profile, R, T
@@ -39,22 +40,54 @@ class IdentityError(ValueError):
 # solution handles
 # ---------------------------------------------------------------------------
 
-class AnalyticSolution:
-    """Pressure field given in closed form."""
+class _SolutionHandle:
+    """What estimates, identities and Harnack checks ask of a pressure field.
 
-    grid_mode = False
+    A handle says which nodes a cylinder is sampled on (:meth:`nodes`) and
+    which points a term table covers (:meth:`points`), gives the partials of
+    v at the masked nodes of a mesh (:meth:`part`) and the value of v at
+    arbitrary points (:meth:`value`), so callers never need to know whether
+    v is a closed form or a grid solve.
+    """
+
+    def sample(self, cyl: Cylinder, geom: WarpedGeometry, density):
+        """Mesh (rr, tt) of the nodes ``cyl`` is sampled on and the mask of
+        the nodes inside it."""
+        r_nodes, t_nodes = self.nodes(cyl, geom, density)
+        rr, tt = np.meshgrid(r_nodes, t_nodes, indexing="ij")
+        return rr, tt, cyl.mask(r_nodes, t_nodes, geom)
+
+
+class AnalyticSolution(_SolutionHandle):
+    """Pressure field given in closed form; partials from its symbolic table."""
 
     def __init__(self, profile: Profile):
         self.profile = profile
 
-    def part(self, nr, nt, r, t):
-        return self.profile.at(nr, nt, r, t)
+    def points(self, r, t):
+        """The (r, t) arrays a term table is evaluated on: the given points."""
+        if r is None or t is None:
+            raise IdentityError("analytic mode needs explicit sample points")
+        return np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+
+    def nodes(self, cyl: Cylinder, geom: WarpedGeometry, density):
+        return cyl.sample_nodes(geom, *density)
+
+    def part(self, nr, nt, rr, tt, mask=...):
+        """d^nr/dr^nr d^nt/dt^nt v at the nodes of (rr, tt) that ``mask``
+        selects (by default every node, in mesh shape)."""
+        return self.profile.at(nr, nt, rr[mask], tt[mask])
+
+    def value(self, r, t):
+        return self.profile.at(0, 0, np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
 
-class GridSolution:
-    """Pressure field known only on a grid; derivatives from stencils."""
+class GridSolution(_SolutionHandle):
+    """Pressure field known only on a grid; derivatives from stencils.
 
-    grid_mode = True
+    Every mesh it is asked about is its own grid, whatever the cylinder's
+    sampling density.
+    """
 
     def __init__(self, field: ScalarField):
         self.field = field
@@ -71,10 +104,17 @@ class GridSolution:
                 self._cache[key] = diff(base, "d_r")
         return self._cache[key]
 
-    def part(self, nr, nt, r=None, t=None):
-        return self._field(nr, nt).values
+    def points(self, r=None, t=None):
+        return self.field.grid.mesh()
 
-    def interp(self, r, t):
+    def nodes(self, cyl: Cylinder, geom: WarpedGeometry, density):
+        grid = self.field.grid
+        return grid.r, grid.t
+
+    def part(self, nr, nt, rr=None, tt=None, mask=...):
+        return self._field(nr, nt).values[mask]
+
+    def value(self, r, t):
         """Bilinear interpolation of the field at off-node points."""
         g = self.field.grid
         r = np.asarray(r, dtype=float)
@@ -90,13 +130,6 @@ class GridSolution:
                 + wr * (1 - wt) * vals[i0 + 1, j0]
                 + (1 - wr) * wt * vals[i0, j0 + 1]
                 + wr * wt * vals[i0 + 1, j0 + 1])
-
-
-def eval_point(solution, r, t):
-    """Pointwise value of the pressure field for either solution handle."""
-    if solution.grid_mode:
-        return solution.interp(r, t)
-    return solution.part(0, 0, np.asarray(r, dtype=float), np.asarray(t, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +153,7 @@ class TermTable:
         self.nl = nonlinearity
         self.solution = solution
         self.f_route = f_route
-        if solution.grid_mode:
-            grid = solution.field.grid
-            rr, tt = grid.mesh()
-        else:
-            if r is None or t is None:
-                raise IdentityError("analytic mode needs explicit sample points")
-            rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+        rr, tt = solution.points(r, t)
         self.r, self.t = rr, tt
         n, m, p = geom.n, params.m, params.p
         if m != geom.m:
@@ -210,7 +237,7 @@ class TermTable:
     # -- F derivatives -------------------------------------------------------
     def _assemble_F_derivatives(self):
         geom, params = self.geom, self.params
-        if self.solution.grid_mode:
+        if isinstance(self.solution, GridSolution):
             grid = self.solution.field.grid
             F_field = ScalarField(self.F, grid, parity="even")
             F_r = diff(F_field, "d_r")
@@ -457,9 +484,6 @@ def harnack_evolution_residual(solution, geom, params, nonlinearity, r=None, t=N
     """L[F] minus the full identity right-hand side."""
     table = TermTable(solution, geom, params, nonlinearity, r=r, t=t)
     return table.LpvF - evolution_identity_rhs(table), table
-
-
-INEQUALITY_STAGES = ("pointwise", "quadratic", "bounded")
 
 
 def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool = False):

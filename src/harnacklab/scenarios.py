@@ -124,10 +124,15 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     preset = doc.get("preset")
     preset_rate = None
     if preset is not None:
+        if not isinstance(preset, str):
+            raise ConfigError(f"{path}.preset", f"expected a string, got {preset!r}")
         # parameterized spellings: conformal-exp(rate), linear-warp(rate)
-        match = re.fullmatch(r"(conformal-exp|linear-warp)\(([-+0-9.eE]+)\)", preset)
+        match = re.fullmatch(r"(conformal-exp|linear-warp)\(([-+]?(?:\d+\.?\d*|\.\d+)"
+                             r"(?:[eE][-+]?\d+)?)\)", preset)
         if match:
-            preset_rate = (match.group(1), float(match.group(2)))
+            # a rate such as 1e999 overflows to inf; read_number refuses it
+            rate = read_number(float(match.group(2)), f"{path}.preset")
+            preset_rate = (match.group(1), rate)
             preset = "euclidean"
         if preset not in GEOMETRY_PRESETS:
             raise ConfigError(f"{path}.preset",

@@ -237,12 +237,6 @@ def barenblatt_oracle(n: int, p: float, mass_const: float, r, t):
     return t ** (-nbeta) * np.maximum(core, 0.0) ** (1.0 / (p - 1))
 
 
-def barenblatt_pressure(n: int, p: float, mass_const: float, r, t):
-    u = barenblatt_oracle(n, p, mass_const, r, t)
-    t = np.asarray(t, dtype=float)
-    return p * u ** (p - 1) / (p - 1)
-
-
 def barenblatt_pressure_profile(n: int, p: float, mass_const: float) -> Profile:
     """Closed-form pressure inside the support (quadratic in r)."""
     nbeta, beta = barenblatt_exponents(n, p)

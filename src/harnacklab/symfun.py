@@ -159,9 +159,3 @@ def _pole_value(expr, name=""):
 
 def constant_profile(value, name: str = "") -> Profile:
     return Profile(sp.sympify(value), name=name or f"const({value})")
-
-
-def as_profile(obj, name: str = "") -> Profile:
-    if isinstance(obj, Profile):
-        return obj
-    return Profile(obj, name=name)

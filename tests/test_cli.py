@@ -123,6 +123,10 @@ BAD_VALUES = [
     ("verification.sup_density", [1, 1]), ("verification.sup_density", 65),
     ("verification.eval_density", [1, 1]), ("verification.eval_density", 65),
     ("verification.tolerance_factor", -1), ("verification.harnack_tolerance_factor", -1),
+    # a preset rate that is not a number, or overflows to inf, and a preset that
+    # is not a string
+    ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
+    ("geometry.preset", 5),
 ]
 
 

@@ -352,8 +352,8 @@ def test_estimate_lhs_is_scaled_harnack_quantity():
     sol = AnalyticSolution(prof)
     r = np.linspace(0.1, 1.5, 7)
     t = np.full_like(r, 1.5)
-    tau = t - 1.0
-    lhs = estimate_lhs(sol, geom, params, Nonlinearity(), r, t, tau)
+    lhs = estimate_lhs(sol, geom, params, Nonlinearity(), r, t,
+                       np.ones(r.shape, dtype=bool), 1.0)
     v = prof(r, t)
     v_r = prof.at(1, 0, r, t)
     v_t = prof.at(0, 1, r, t)
@@ -526,8 +526,8 @@ def test_barenblatt_saturates_classical_level():
         r = np.linspace(0.0, 1.8, 481)
         t = np.linspace(1.0, 3.0, 41)
         rr, tt = np.meshgrid(r, t, indexing="ij")
-        lhs = estimate_lhs(sol, geom, params, Nonlinearity(),
-                           rr.ravel(), tt.ravel(), tt.ravel())
+        lhs = estimate_lhs(sol, geom, params, Nonlinearity(), rr, tt,
+                           np.ones(rr.shape, dtype=bool), 0.0)
         level = float(np.max(tt.ravel() * lhs))
         assert level == pytest.approx(classical, rel=1e-10)
         assert params.b * alpha > classical

@@ -6,8 +6,8 @@ from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  WarpedGeometry, angular_drift_product,
                                  bakry_emery_eigs, curvature_eigs, extract_bounds,
-                                 geodesic_distance, metric_speed_eigs,
-                                 phi_laplacian_eval, potential_radial_slope)
+                                 metric_speed_eigs, phi_laplacian_eval,
+                                 potential_radial_slope)
 from harnacklab.symfun import Profile, R, T, constant_profile
 
 from conftest import make_geometry
@@ -200,14 +200,6 @@ def test_extract_bounds_monotone_under_enlargement(conformal_gaussian):
             for key, val in b.as_dict().items():
                 assert val >= prev[key] - 1e-14
         prev = b.as_dict()
-
-
-def test_geodesic_distance_examples():
-    geom = make_geometry("euclidean", n=2)
-    assert geodesic_distance(geom, 0.5, 1.5, 0.0) == pytest.approx(1.0)
-    scaled = make_geometry("euclidean", n=2, conformal=sp.Integer(2))
-    assert geodesic_distance(scaled, 0.5, 1.5, 0.0) == pytest.approx(2.0)
-    assert geodesic_distance(geom, 0.7, 0.7, 0.3) == 0.0
 
 
 def test_cylinder_requires_fit():

@@ -149,6 +149,49 @@ def _grid_table(v, geom, params, nl=None):
     return TermTable(GridSolution(v), geom, params, nl or Nonlinearity())
 
 
+def test_solution_handles_sample_part_and_value(euclid3, bump_profile):
+    # each handle gives bit for bit what its callers used to compute from it:
+    # the grid its stencil fields indexed by the mask, the closed form its
+    # derivative table at the masked cylinder nodes
+    cyl = Cylinder(1.2, 0.6, 1.3)
+    orders = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
+
+    v = _grid_field(lambda r, t: bump_profile(r, t))
+    grid = v.grid
+    sol = GridSolution(v)
+    rr, tt, mask = sol.sample(cyl, euclid3, (17, 9))
+    grid_rr, grid_tt = grid.mesh()
+    assert np.array_equal(rr, grid_rr) and np.array_equal(tt, grid_tt)
+    assert np.array_equal(mask, cyl.mask(grid.r, grid.t, euclid3))
+    assert 0 < mask.sum() < mask.size
+    v_r = diff(v, "d_r")
+    stencil = {(0, 0): v, (1, 0): v_r, (2, 0): diff(v_r, "d_r"),
+               (0, 1): diff(v, "d_t"), (1, 1): diff(v_r, "d_t")}
+    for nr, nt in orders:
+        assert np.array_equal(sol.part(nr, nt, rr, tt, mask), stencil[nr, nt].values[mask])
+        assert np.array_equal(sol.part(nr, nt, rr, tt), stencil[nr, nt].values)
+    # point values interpolate bilinearly: node values at nodes, the corner
+    # mean at a cell centre
+    i, j = 20, 10
+    corners = v.values[i:i + 2, j:j + 2]
+    assert sol.value(grid.r[i], grid.t[j]) == pytest.approx(corners[0, 0], rel=1e-12)
+    centre = sol.value(grid.r[i] + grid.dr / 2, grid.t[j] + grid.dt / 2)
+    assert centre == pytest.approx(corners.mean(), rel=1e-12)
+
+    sol = AnalyticSolution(bump_profile)
+    rr, tt, mask = sol.sample(cyl, euclid3, (17, 9))
+    r_nodes, t_nodes = cyl.sample_nodes(euclid3, 17, 9)
+    assert np.array_equal(rr, np.broadcast_to(r_nodes[:, None], mask.shape))
+    assert np.array_equal(tt, np.broadcast_to(t_nodes[None, :], mask.shape))
+    assert np.array_equal(mask, cyl.mask(r_nodes, t_nodes, euclid3))
+    assert 0 < mask.sum() < mask.size
+    for nr, nt in orders:
+        assert np.array_equal(sol.part(nr, nt, rr, tt, mask),
+                              bump_profile.at(nr, nt, rr[mask], tt[mask]))
+    r, t = np.array([0.0, 0.3, 1.7]), np.array([0.6, 0.9, 1.3])
+    assert np.array_equal(sol.value(r, t), bump_profile.at(0, 0, r, t))
+
+
 def test_op_lpv_constant_and_linearity(euclid3, bump_profile):
     v = _grid_field(lambda r, t: bump_profile(r, t))
     const = ScalarField.from_function(lambda r, t: np.full_like(r, 2.0), v.grid)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from harnacklab.symfun import (PoleEvaluationError, Profile, R, T, as_profile,
-                               constant_profile)
+from harnacklab.symfun import PoleEvaluationError, Profile, R, T, constant_profile
 
 
 def test_profile_basic_evaluation():
@@ -24,7 +23,7 @@ def test_profile_derivative_table():
 
 
 def test_profile_string_parsing_and_helpers():
-    prof = as_profile("2 + r**2/4")
+    prof = Profile("2 + r**2/4")
     assert prof(2.0, 0.0) == pytest.approx(3.0)
     assert constant_profile(5).is_constant()
     assert Profile(T**2).space_independent

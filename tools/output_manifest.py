@@ -12,7 +12,9 @@ Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
 * ``check-estimate --negative-control`` on ``configs/negative-control.json``;
 * ``sweep`` on ``configs/sweep-p-alpha.json``;
 * ``check-estimate`` on ``perfbench/inputs/hyperbolic-bump.json``;
-* ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``.
+* ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``, once serial and
+  once with ``--workers 2`` (the thread-pool path; its out-dir digest must
+  equal the serial line's).
 
 Each command writes into its own directory under OUT_DIR.  The printed line
 holds the command's label, its exit code, the sha256 of its stdout and of its
@@ -58,6 +60,9 @@ def commands():
                 ["check-estimate", "--config", "perfbench/inputs/hyperbolic-bump.json"]))
     out.append(("sweep:sweep-p-alpha-wide",
                 ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json"]))
+    out.append(("sweep:sweep-p-alpha-wide --workers 2",
+                ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json",
+                 "--workers", "2"]))
     return out
 
 
