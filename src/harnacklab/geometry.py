@@ -17,6 +17,7 @@ geometric bounds can be extracted at machine precision on sampled cylinders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -113,8 +114,13 @@ class WarpedGeometry:
         expr = (sp.diff(w.expr, R, 2) + drift_term - sp.diff(self.potential.expr, R) * wr) / self.conformal.expr**2
         return Profile(expr, name=name or f"lap_phi({w.name})")
 
-    def volume_density_profile(self) -> Profile:
-        """J with d(mu) = J dr dOmega; J = a^n psi^(n-1) exp(-phi)."""
+    @cached_property
+    def volume_density(self) -> Profile:
+        """J with d(mu) = J dr dOmega; J = a^n psi^(n-1) exp(-phi).
+
+        Built on first use and kept, so a solve lambdifies J once however
+        many steps it takes.
+        """
         expr = self.conformal.expr**self.n * self.warp.expr ** (self.n - 1) * sp.exp(-self.potential.expr)
         return Profile(expr, name="volume_density")
 

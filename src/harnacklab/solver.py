@@ -320,26 +320,27 @@ class SolveResult:
     meta: dict = field(default_factory=dict)
 
 
-def _cell_masses(J, r_nodes, dr, r_max):
-    m = np.empty_like(r_nodes)
-    for i, r in enumerate(r_nodes):
-        lo = max(r - dr / 2, 0.0)
-        hi = min(r + dr / 2, r_max)
-        m[i] = (hi - lo) / 6.0 * (J(lo) + 4.0 * J(0.5 * (lo + hi)) + J(hi))
-    return m
+def _cell_masses(J, r_nodes, dr, r_max, t):
+    """Simpson masses of J(., t) over the cells [r - dr/2, r + dr/2] clipped
+    to [0, r_max], for all nodes at once."""
+    lo = np.maximum(r_nodes - dr / 2, 0.0)
+    hi = np.minimum(r_nodes + dr / 2, r_max)
+    return (hi - lo) / 6.0 * (J(lo, t) + 4.0 * J(0.5 * (lo + hi), t) + J(hi, t))
 
 
 def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
          t: float, dt: float):
-    """One semi-implicit step from t to t + dt; returns (u_new, clamp_count)."""
+    """One semi-implicit step from t to t + dt; returns (u_new, clamp_count).
+
+    The volume density ``geom.volume_density`` is evaluated at t + dt on
+    whole arrays: the faces, and each of the cells' three Simpson points.
+    """
     r = grid.r
     dr = grid.dr
     t_new = t + dt
-    Jprof = geom.volume_density_profile()
-    J = lambda rr: float(Jprof(rr, t_new))
-    faces = r[:-1] + dr / 2
-    Jf = np.array([J(x) for x in faces])
-    masses = _cell_masses(J, r, dr, grid.r_max)
+    J = geom.volume_density
+    Jf = J(r[:-1] + dr / 2, t_new)
+    masses = _cell_masses(J, r, dr, grid.r_max, t_new)
 
     kappa = params.p * (0.5 * (u[:-1] + u[1:])) ** (params.p - 1)
     a2 = float(geom.conformal(0.0, t_new)) ** 2
@@ -347,26 +348,18 @@ def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
 
     src = params.nonlinearity.source(t, r, u, params.p)
 
-    n = len(r)
-    diag = masses / dt
-    lower = np.zeros(n)
-    upper = np.zeros(n)
+    # banded rows: upper, diagonal, lower; no-flux at the pole/inner face is
+    # automatic, since no flux term is added there
+    ab = np.zeros((3, len(r)))
+    ab[0, 1:] = ab[2, :-1] = -w
+    ab[1] = masses / dt
+    ab[1, 1:] += w
+    ab[1, :-1] += w
     rhs = masses / dt * u + masses * src
-    diag = diag.copy()
-    diag[1:] += w
-    lower[1:] = -w
-    diag[:-1] += w
-    upper[:-1] = -w
     if params.outer_boundary == "dirichlet-oracle":
-        diag[-1] = 1.0
-        lower[-1] = 0.0
+        ab[1, -1] = 1.0
+        ab[2, -2] = 0.0
         rhs[-1] = float(params.oracle(grid.r_max, t_new))
-    # no-flux at the pole/inner face is automatic: no flux term added there
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
     try:
         u_new = solve_banded((1, 1), ab, rhs)
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -413,8 +406,6 @@ def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
 
 
 def weighted_mass(u: np.ndarray, geom: WarpedGeometry, grid: Grid, t: float) -> float:
-    """Discrete weighted mass consistent with the scheme's cell masses."""
-    Jprof = geom.volume_density_profile()
-    J = lambda rr: float(Jprof(rr, t))
-    masses = _cell_masses(J, grid.r, grid.dr, grid.r_max)
-    return float(masses @ u)
+    """Discrete weighted mass sum_i m_i u_i, with the scheme's Simpson cell
+    masses m_i of ``geom.volume_density`` at time t."""
+    return float(_cell_masses(geom.volume_density, grid.r, grid.dr, grid.r_max, t) @ u)

@@ -8,7 +8,9 @@ from harnacklab.solver import (Nonlinearity, PdeParams,
                                barenblatt_exponents, barenblatt_oracle,
                                barenblatt_support_radius, manufactured_forcing,
                                pressure, pressure_inverse, rescale_nonlinearity,
-                               solve, step, validate_barenblatt, weighted_mass)
+                               _cell_masses, solve, step, validate_barenblatt,
+                               weighted_mass)
+from harnacklab.scenarios import parse_geometry
 from harnacklab.symfun import Profile, R, T
 
 from conftest import make_geometry
@@ -211,8 +213,8 @@ def test_solver_errors():
 
 
 def test_solver_on_evolving_conformal_geometry(bump_profile):
-    # the scheme rebuilds the volume density each step; on an evolving
-    # conformal metric the manufactured solution must still be tracked
+    # the scheme evaluates the volume density at each new time level; on an
+    # evolving conformal metric the manufactured solution must still be tracked
     import sympy as sp
     from harnacklab.symfun import T as T_SYM
 
@@ -248,3 +250,72 @@ def test_solver_on_evolving_warp_annulus(bump_profile):
         interior = grid.r <= 1.6
         errs.append(float(np.max(np.abs(result.u.values[interior] - oracle(rr, tt)[interior]))))
     assert errs[1] < errs[0] / 2.5
+
+
+def _scalar_face_densities_and_masses(J, grid, t):
+    """The per-node form the whole-array quadrature replaced: every face and
+    Simpson point through ``float(J(x, t))``, one at a time."""
+    Jx = lambda x: float(J(x, t))
+    r, dr = grid.r, grid.dr
+    faces = np.array([Jx(x) for x in r[:-1] + dr / 2])
+    masses = np.empty_like(r)
+    for i, ri in enumerate(r):
+        lo = max(ri - dr / 2, 0.0)
+        hi = min(ri + dr / 2, grid.r_max)
+        masses[i] = (hi - lo) / 6.0 * (Jx(lo) + 4.0 * Jx(0.5 * (lo + hi)) + Jx(hi))
+    return faces, masses
+
+
+@pytest.mark.parametrize("label", ["euclidean", "gaussian", "linear-warp"])
+def test_volume_density_quadrature_matches_scalar_form(label):
+    if label == "linear-warp":
+        geom = parse_geometry({"preset": "linear-warp(0.2)", "n": 3, "r_max": 2.0,
+                               "potential": "r**2*(1 + t/9)/2"}, 4.0)
+    else:
+        geom = make_geometry(label, n=2, m=4 if label == "gaussian" else None)
+    # the grid of configs/evolving-warp-identities.json; on linear-warp the
+    # levels 9, 35 and 38 hold nodes where the two forms round apart
+    grid = Grid(n_r=257, n_t=129, r_max=2.0, t0=0.5, duration=1.0)
+    J = geom.volume_density
+    u = 1.0 + np.exp(-grid.r**2)
+    for t in grid.t[[1, 9, 35, 38, 40, -1]]:
+        faces_ref, masses_ref = _scalar_face_densities_and_masses(J, grid, t)
+        faces = J(grid.r[:-1] + grid.dr / 2, t)
+        masses = _cell_masses(J, grid.r, grid.dr, grid.r_max, t)
+        if label == "euclidean":
+            # J = r: the first cell is clipped to [0, dr/2] at the pole, the
+            # last one to [r_max - dr/2, r_max]
+            half = grid.dr / 2
+            assert masses[0] == pytest.approx(half**2 / 2, rel=1e-12)
+            assert masses[-1] == pytest.approx((grid.r_max**2 - (grid.r_max - half) ** 2) / 2,
+                                               rel=1e-12)
+        if label == "linear-warp":
+            # the scalar path squared numpy scalars through libm pow, which
+            # can round 1 ulp away from the array square
+            assert np.max(np.abs(faces - faces_ref) / faces_ref) <= 1e-13
+            assert np.max(np.abs(masses - masses_ref) / masses_ref) <= 1e-13
+        else:
+            assert np.array_equal(faces, faces_ref)
+            assert np.array_equal(masses, masses_ref)
+            assert weighted_mass(u, geom, grid, t) == float(masses_ref @ u)
+
+
+def test_solve_lambdifies_the_volume_density_once(monkeypatch):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counted)
+    counts = []
+    for n_t in (9, 33):
+        geom = make_geometry("warp", n=3, m=4, potential=R**2 * (1 + T / 9) / 2)
+        grid = Grid(n_r=33, n_t=n_t, r_max=2.0, t0=0.5, duration=1.0, pole=False)
+        params = _pde(geom, 2.0, Nonlinearity(), None, boundary="neumann-zero")
+        calls.clear()
+        solve(lambda r, t: 1.0 + np.exp(-(r**2)), geom, params, grid)
+        counts.append(len(calls))
+        assert geom.volume_density is geom.volume_density
+    assert counts[0] == counts[1] >= 1

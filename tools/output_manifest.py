@@ -19,11 +19,13 @@ Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
 Each command writes into its own directory under OUT_DIR.  The printed line
 holds the command's label, its exit code, the sha256 of its stdout and of its
 stderr, and the digest of its out dir (``perfbench/run.py``'s
-``output_digest``, which masks the sweep's ``runtime_s`` column).
+``output_digest``, which masks the sweep's ``runtime_s`` column).  The same
+lines are written to ``OUT_DIR/manifest.txt``.
 
 To check that a change keeps every output byte-identical, run the script in
 a second checkout of the parent commit and in the change, then ``diff`` the
-two manifests.
+two manifests.  Where a change is meant to move numbers only,
+``tools/compare_outputs.py`` on the two OUT_DIRs measures by how much.
 """
 
 from __future__ import annotations
@@ -77,14 +79,17 @@ def main(argv: list[str]) -> int:
     base = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=CHILD_HASH_SEED,
                **CHILD_BLAS_THREADS)
+    lines = []
     for label, args in commands():
         out = base / label.replace(":", ".").replace(" ", "_")
         out.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "harnacklab.cli", *args,
                                "--out", str(out)],
                               cwd=ROOT, env=env, capture_output=True)
-        print(f"{label}  rc={proc.returncode}  stdout={_sha(proc.stdout)}  "
-              f"stderr={_sha(proc.stderr)}  out={output_digest(out)}", flush=True)
+        lines.append(f"{label}  rc={proc.returncode}  stdout={_sha(proc.stdout)}  "
+                     f"stderr={_sha(proc.stderr)}  out={output_digest(out)}")
+        print(lines[-1], flush=True)
+    (base / "manifest.txt").write_text("".join(line + "\n" for line in lines))
     return 0
 
 
