@@ -9,11 +9,9 @@ The comparison bound for a positive pressure field v reads
 for constant alpha > 1, where L is a path energy, m_inf = inf v and H
 aggregates the sup-quantities of the corresponding global gradient estimate.
 
-The path energy statement is parameterization-sensitive for evolving
-metrics: the integral proof traverses the actual time interval [t1, t2]
-while the stated infimum writes the metric argument on the unit interval.
-Both values are computed and reported; the verification bound uses the
-proof traversal.
+The path energy uses the proof traversal: the metric is evaluated along the
+actual time interval [t1, t2], not at the unit-interval parameter of the
+stated infimum.
 """
 
 from __future__ import annotations
@@ -68,46 +66,21 @@ def _optimal_energy(a_sq_fun, r1, r2, n_free=8):
     mat = np.diag(diag) + np.diag(lower, -1) + np.diag(lower, 1)
     nodes = np.linalg.solve(mat, rhs)
     full = np.concatenate([[r1], nodes, [r2]])
-    energy = float(np.sum(c * np.diff(full) ** 2))
-    return energy, full
-
-
-@dataclass
-class PathEnergy:
-    """Energy of radial space-time paths joining (r1, t1) to (r2, t2)."""
-
-    value: float                 # used by the verification bound (proof clock)
-    proof_direct: float
-    proof_optimal: float
-    statement_direct: float
-    statement_optimal: float
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        if self.value < -1e-15:
-            raise HarnackError("path energy must be non-negative")
+    return float(np.sum(c * np.diff(full) ** 2))
 
 
 def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
-                t2: float) -> PathEnergy:
+                t2: float) -> float:
     """Radial path energy between two space-time points.
 
-    ``proof`` values evaluate the metric along the traversed interval
-    [t1, t2]; ``statement`` values evaluate it at the unit-interval
-    parameter.  With a static conformal factor all four numbers agree and
-    equal the squared distance for the direct path.  The verification value
-    is the smaller of the direct and the optimized proof energies.
+    The metric is evaluated along the traversed interval [t1, t2]; the
+    energy is the smaller of the direct and the optimized path's.  With a
+    static conformal factor both equal the squared distance.
     """
     if not t1 < t2:
         raise HarnackError("path energy requires t1 < t2")
-    a_sq_proof = lambda s: geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2
-    a_sq_stmt = lambda s: geom.conformal(0.0, s) ** 2
-    pd = _direct_energy(a_sq_proof, r1, r2)
-    sd = _direct_energy(a_sq_stmt, r1, r2)
-    po, nodes = _optimal_energy(a_sq_proof, r1, r2)
-    so, _ = _optimal_energy(a_sq_stmt, r1, r2)
-    return PathEnergy(value=min(pd, po), proof_direct=pd, proof_optimal=po,
-                      statement_direct=sd, statement_optimal=so, nodes=nodes)
+    a_sq = lambda s: geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2
+    return min(_direct_energy(a_sq, r1, r2), _optimal_energy(a_sq, r1, r2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +90,19 @@ def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
 @dataclass
 class HarnackBound:
     H: float
-    alpha: float
-    b: float
-    energy: float
-    v_inf: float
-    t1: float
-    t2: float
     power_factor: float
     bound: float
 
 
-def harnack_constant(quantities: dict, params: HarnackParams) -> float:
-    """H from the sup-quantities of the matching global estimate."""
+def _constant_alpha(params: HarnackParams) -> float:
     if not params.coeffs.alpha.time_independent:
         raise HarnackError("the integrated inequality is stated for constant alpha")
-    alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
+    return float(params.coeffs.alpha_at(np.array([0.0]))[0])
+
+
+def harnack_constant(quantities: dict, params: HarnackParams) -> float:
+    """H from the sup-quantities of the matching global estimate."""
+    alpha = _constant_alpha(params)
     b = params.b
     agg = quantities["q2"] ** (4.0 / 3.0) + quantities["q3"] + quantities["q4"] ** 2
     if quantities["family"] == "first":
@@ -147,13 +118,11 @@ def harnack_bound(quantities: dict, params: HarnackParams, energy: float,
         raise HarnackError("need 0 < t1 < t2 on the estimate clock")
     if energy < 0:
         raise HarnackError("path energy must be non-negative")
-    alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
+    alpha = _constant_alpha(params)
     H = harnack_constant(quantities, params)
     power = (t2 / t1) ** (params.b * alpha)
     exponent = alpha * energy / (4.0 * v_inf * (t2 - t1)) + H * (t2 - t1) / alpha
-    return HarnackBound(H=H, alpha=alpha, b=params.b, energy=energy, v_inf=v_inf,
-                        t1=t1, t2=t2, power_factor=power,
-                        bound=math.exp(exponent) * power)
+    return HarnackBound(H=H, power_factor=power, bound=math.exp(exponent) * power)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +146,22 @@ def sample_pairs(rng: np.random.Generator, n_pairs: int, r_max: float,
 def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
                    nl, quantities: dict, pairs, t0_clock: float, v_inf: float,
                    tolerance_factor: float = 1e-8):
-    """Check v(x1,t1) <= bound * v(x2,t2) over a list of pairs.
+    """Check v(x1,t1) <= bound * v(x2,t2) and the log-integral step over pairs.
 
     Margins are in log space: margin = log(bound) - [log v1 - log v2],
-    with scale max(1, |log v1 - log v2|).
+    with scale max(1, |log v1 - log v2|).  A log-integral margin below
+    -tolerance_factor (unscaled) is a log-integral violation.
     """
+    H = harnack_constant(quantities, params)
     rows = []
     violations = 0
+    log_violations = 0
     for (r1, tau1, r2, tau2) in pairs:
         if not tau1 < tau2:
             raise HarnackError("pair has non-increasing times")
         t1_abs, t2_abs = tau1 + t0_clock, tau2 + t0_clock
         energy = path_energy(geom, r1, t1_abs, r2, t2_abs)
-        hb = harnack_bound(quantities, params, energy.value, v_inf, tau1, tau2)
+        hb = harnack_bound(quantities, params, energy, v_inf, tau1, tau2)
         v1 = float(solution.value(r1, t1_abs))
         v2 = float(solution.value(r2, t2_abs))
         log_ratio = math.log(v1) - math.log(v2)
@@ -198,30 +170,36 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
         ok = margin >= -tolerance_factor * scale
         if not ok:
             violations += 1
+        log_margin = log_integral_margin(log_ratio, geom, params, H, v_inf,
+                                         r1, tau1, r2, tau2, t0_clock)
+        if log_margin < -tolerance_factor:
+            log_violations += 1
         rows.append({
             "r1": r1, "tau1": tau1, "r2": r2, "tau2": tau2,
-            "energy": energy.value,
+            "energy": energy,
             "ratio": v1 / v2, "bound": hb.bound,
             "margin": margin, "scale": scale, "passed": ok,
+            "log_integral_margin": log_margin,
         })
     return {"rows": rows, "violations": violations,
-            "H": harnack_constant(quantities, params), "v_inf": v_inf}
+            "log_integral_violations": log_violations, "H": H, "v_inf": v_inf}
 
 
-def log_integral_margin(solution, geom: WarpedGeometry, params: HarnackParams,
+def log_integral_margin(log_ratio: float, geom: WarpedGeometry, params: HarnackParams,
                         H: float, v_inf: float, r1, tau1, r2, tau2,
                         t0_clock: float) -> float:
     """Margin of the intermediate inequality for f = log v along a path.
 
     f(x1,t1) - f(x2,t2) <= int alpha |dgamma/dt|^2 / (4 m_inf) dt
                            + int h(t)/alpha dt,   h(t) = b alpha^2/t + H,
-    along the straight radial path traversed over [t1, t2].
+    along the straight radial path traversed over [t1, t2]; ``log_ratio``
+    is the left side, log v(x1,t1) - log v(x2,t2).
     """
     if not 0 < tau1 < tau2:
         raise HarnackError("need 0 < tau1 < tau2 on the estimate clock")
     if v_inf <= 0:
         raise HarnackError("positive infimum required")
-    alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
+    alpha = _constant_alpha(params)
     b = params.b
     taus = np.linspace(tau1, tau2, 257)
     t_abs = taus + t0_clock
@@ -230,7 +208,4 @@ def log_integral_margin(solution, geom: WarpedGeometry, params: HarnackParams,
     speed2 = geom.conformal(rs, t_abs) ** 2 * rdot**2
     kinetic = np.trapezoid(alpha * speed2 / (4.0 * v_inf), taus)
     clock = b * alpha * math.log(tau2 / tau1) + H * (tau2 - tau1) / alpha
-    v1 = float(solution.value(r1, tau1 + t0_clock))
-    v2 = float(solution.value(r2, tau2 + t0_clock))
-    lhs = math.log(v1) - math.log(v2)
-    return float(kinetic + clock - lhs)
+    return float(kinetic + clock - log_ratio)

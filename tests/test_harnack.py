@@ -6,9 +6,9 @@ import sympy as sp
 
 from harnacklab.estimates import collect_sup_samples, cutoff_profile, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
-from harnacklab.harnack import (HarnackError, _optimal_energy, harnack_bound,
-                                harnack_constant, log_integral_margin, path_energy,
-                                sample_pairs, verify_harnack)
+from harnacklab.harnack import (HarnackError, _direct_energy, _optimal_energy,
+                                harnack_bound, harnack_constant, log_integral_margin,
+                                path_energy, sample_pairs, verify_harnack)
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import Nonlinearity, barenblatt_pressure_profile, manufactured_forcing
@@ -17,18 +17,21 @@ from harnacklab.symfun import Profile, R, T
 from conftest import make_geometry
 
 
+def _proof_clock(geom, t1, t2):
+    """a^2 along the traversed interval [t1, t2], as path_energy evaluates it."""
+    return lambda s: geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2
+
+
 def test_path_energy_static_is_squared_distance():
     geom = make_geometry("euclidean", n=2)
-    pe = path_energy(geom, 0.0, 1.0, 1.0, 2.0)
-    assert pe.value == pytest.approx(1.0, rel=1e-4)
-    assert pe.proof_direct == pytest.approx(1.0, rel=1e-12)
-    assert pe.statement_direct == pytest.approx(1.0, rel=1e-12)
+    assert path_energy(geom, 0.0, 1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-4)
+    assert _direct_energy(_proof_clock(geom, 1.0, 2.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_path_energy_zero_iff_coincident():
     geom = make_geometry("euclidean", n=2)
-    assert path_energy(geom, 0.7, 1.0, 0.7, 2.0).value == pytest.approx(0.0, abs=1e-15)
-    assert path_energy(geom, 0.3, 1.0, 0.8, 2.0).value > 0
+    assert path_energy(geom, 0.7, 1.0, 0.7, 2.0) == pytest.approx(0.0, abs=1e-15)
+    assert path_energy(geom, 0.3, 1.0, 0.8, 2.0) > 0
 
 
 def test_path_energy_requires_time_order():
@@ -39,17 +42,17 @@ def test_path_energy_requires_time_order():
 
 def test_path_energy_conformal_optimizer_beats_direct():
     geom = make_geometry("euclidean", n=2, conformal=sp.exp(T / 2))
-    pe = path_energy(geom, 0.2, 0.5, 1.4, 1.5)
-    assert pe.proof_optimal <= pe.proof_direct + 1e-12
-    assert pe.value == pe.proof_optimal
+    a_sq = _proof_clock(geom, 0.5, 1.5)
+    direct = _direct_energy(a_sq, 0.2, 1.4)
+    optimal = _optimal_energy(a_sq, 0.2, 1.4)
+    assert optimal <= direct + 1e-12
+    assert path_energy(geom, 0.2, 0.5, 1.4, 1.5) == optimal
     # with many free nodes the discrete optimum approaches the closed form
     # (r2-r1)^2 / int(1/a^2)
-    fine, _ = _optimal_energy(lambda s: geom.conformal(0.0, 0.5 + s) ** 2, 0.2, 1.4, n_free=128)
+    fine = _optimal_energy(lambda s: geom.conformal(0.0, 0.5 + s) ** 2, 0.2, 1.4, n_free=128)
     taus = np.linspace(0.5, 1.5, 20001)
     inv = np.trapezoid(np.exp(-taus), taus)
     assert fine == pytest.approx((1.2) ** 2 / inv, rel=1e-3)
-    # both parameterizations are reported and differ on evolving metrics
-    assert pe.statement_optimal != pytest.approx(pe.proof_optimal, rel=1e-3)
 
 
 def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
@@ -113,6 +116,28 @@ def test_verify_harnack_barenblatt(family):
     assert all(row["passed"] for row in rep["rows"])
 
 
+def test_verify_harnack_rows_carry_log_integral_margin(monkeypatch):
+    # one loop over pairs: each pair evaluates v twice, and its row carries
+    # the same log-integral margin a standalone call gives
+    geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
+    pairs = sample_pairs(np.random.default_rng(5), 30, geom.r_max, 0.05, 1.0)
+    calls = []
+
+    def counted(r, t, _value=sol.value):
+        calls.append((r, t))
+        return _value(r, t)
+
+    monkeypatch.setattr(sol, "value", counted)
+    rep = verify_harnack(sol, geom, params, Nonlinearity(), q, pairs, 1.0, v_inf)
+    assert len(calls) == 2 * len(pairs)
+    assert rep["log_integral_violations"] == 0
+    H = harnack_constant(q, params)
+    for (r1, tau1, r2, tau2), row in zip(pairs, rep["rows"]):
+        lr = _log_ratio(sol, r1, tau1 + 1.0, r2, tau2 + 1.0)
+        alone = log_integral_margin(lr, geom, params, H, v_inf, r1, tau1, r2, tau2, 1.0)
+        assert row["log_integral_margin"] == alone
+
+
 def test_verify_harnack_rejects_bad_pair():
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
     with pytest.raises(HarnackError):
@@ -141,17 +166,22 @@ def test_degenerate_pair_reduces_to_time_ratio():
     assert row["passed"]
 
 
+def _log_ratio(sol, r1, t1, r2, t2):
+    return math.log(float(sol.value(r1, t1))) - math.log(float(sol.value(r2, t2)))
+
+
 def test_log_integral_examples():
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
     H = harnack_constant(q, params)
-    margin = log_integral_margin(sol, geom, params, H, v_inf, 0.2, 0.3, 0.9, 0.8, 1.0)
+    lr = _log_ratio(sol, 0.2, 1.3, 0.9, 1.8)
+    margin = log_integral_margin(lr, geom, params, H, v_inf, 0.2, 0.3, 0.9, 0.8, 1.0)
     assert margin >= 0
     # shrinking the infimum only helps (the right side grows)
-    margin_small = log_integral_margin(sol, geom, params, H, v_inf / 4, 0.2, 0.3, 0.9, 0.8, 1.0)
+    margin_small = log_integral_margin(lr, geom, params, H, v_inf / 4, 0.2, 0.3, 0.9, 0.8, 1.0)
     assert margin_small >= margin - 1e-12
     # constant-in-space field: left side along a fixed point is covered too
     with pytest.raises(HarnackError):
-        log_integral_margin(sol, geom, params, H, v_inf, 0.2, 0.8, 0.9, 0.3, 1.0)
+        log_integral_margin(lr, geom, params, H, v_inf, 0.2, 0.8, 0.9, 0.3, 1.0)
 
 
 def test_log_integral_constant_solution():
@@ -160,7 +190,8 @@ def test_log_integral_constant_solution():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
-    margin = log_integral_margin(sol, geom, params, 0.0, 3.0, 0.3, 0.2, 0.3, 0.9, 0.5)
+    lr = _log_ratio(sol, 0.3, 0.7, 0.3, 1.4)
+    margin = log_integral_margin(lr, geom, params, 0.0, 3.0, 0.3, 0.2, 0.3, 0.9, 0.5)
     # zero left side, positive right side
     assert margin > 0
 
