@@ -90,7 +90,7 @@ def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
 @dataclass
 class HarnackBound:
     H: float
-    power_factor: float
+    log_bound: float
     bound: float
 
 
@@ -120,9 +120,9 @@ def harnack_bound(quantities: dict, params: HarnackParams, energy: float,
         raise HarnackError("path energy must be non-negative")
     alpha = _constant_alpha(params)
     H = harnack_constant(quantities, params)
-    power = (t2 / t1) ** (params.b * alpha)
     exponent = alpha * energy / (4.0 * v_inf * (t2 - t1)) + H * (t2 - t1) / alpha
-    return HarnackBound(H=H, power_factor=power, bound=math.exp(exponent) * power)
+    log_bound = exponent + params.b * alpha * math.log(t2 / t1)
+    return HarnackBound(H=H, log_bound=log_bound, bound=math.exp(log_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
                    tolerance_factor: float = 1e-8):
     """Check v(x1,t1) <= bound * v(x2,t2) and the log-integral step over pairs.
 
-    Margins are in log space: margin = log(bound) - [log v1 - log v2],
+    Margins are in log space: margin = log_bound - [log v1 - log v2],
     with scale max(1, |log v1 - log v2|).  A log-integral margin below
     -tolerance_factor (unscaled) is a log-integral violation.
     """
@@ -165,7 +165,7 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
         v1 = float(solution.value(r1, t1_abs))
         v2 = float(solution.value(r2, t2_abs))
         log_ratio = math.log(v1) - math.log(v2)
-        margin = math.log(hb.bound) - log_ratio
+        margin = hb.log_bound - log_ratio
         scale = max(1.0, abs(log_ratio))
         ok = margin >= -tolerance_factor * scale
         if not ok:
