@@ -91,7 +91,7 @@ def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
 class HarnackBound:
     H: float
     log_bound: float
-    bound: float
+    bound: float                 # exp(log_bound), inf where that overflows
 
 
 def _constant_alpha(params: HarnackParams) -> float:
@@ -122,7 +122,11 @@ def harnack_bound(quantities: dict, params: HarnackParams, energy: float,
     H = harnack_constant(quantities, params)
     exponent = alpha * energy / (4.0 * v_inf * (t2 - t1)) + H * (t2 - t1) / alpha
     log_bound = exponent + params.b * alpha * math.log(t2 / t1)
-    return HarnackBound(H=H, log_bound=log_bound, bound=math.exp(log_bound))
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        bound = math.inf
+    return HarnackBound(H=H, log_bound=log_bound, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, cmd_check_esti
                             cmd_check_identities, main, run_sweep)
 from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import ConfigError, parse_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def barenblatt_doc(**overrides):
@@ -257,6 +261,24 @@ def test_cli_harnack(tmp_path):
     assert main(["check-harnack", "--config", cfg, "--out", str(out)]) == EXIT_OK
     lines = (out / "pairs.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 2 * 40  # both families
+
+
+@pytest.mark.parametrize("case", ["wide-domain", "shipped-seed-40"])
+def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
+    # exp of the bound's exponent overflows on some pairs; the margins stay
+    # in log space and the command exits by its verdict, without a traceback
+    if case == "wide-domain":
+        doc = barenblatt_doc(geometry={"preset": "euclidean", "n": 2, "r_max": 10.0},
+                             solution={"kind": "barenblatt", "mass_const": 10.0},
+                             verification={"radius": 0.9, "pairs": 400})
+        args = ["--config", write_config(tmp_path, doc)]
+    else:
+        args = ["--config", str(CONFIGS / "barenblatt.json"), "--seed", "40"]
+    out = tmp_path / "har"
+    assert main(["check-harnack", *args, "--out", str(out)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "pairs.csv") as fh:
+        assert any(row["bound"] == "inf" for row in csv.DictReader(fh))
 
 
 def test_cli_solve_writes_solution(tmp_path):

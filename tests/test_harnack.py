@@ -98,6 +98,15 @@ def test_harnack_bound_separated_points_formula():
     assert hb.bound == pytest.approx(expect, rel=1e-12)
 
 
+def test_harnack_bound_overflow_stays_in_log_space():
+    # an exponent past exp's range saturates the reported bound only
+    _, _, params, _, q, v_inf = _barenblatt_quantities()
+    hb = harnack_bound(q, params, energy=1e4, v_inf=v_inf, t1=0.5, t2=0.51)
+    assert hb.bound == math.inf
+    expect = 2.0 * 1e4 / (4 * v_inf * 0.01) + params.b * 2.0 * math.log(0.51 / 0.5)
+    assert hb.log_bound == pytest.approx(expect, rel=1e-12)
+
+
 def test_harnack_bound_validation():
     _, _, params, _, q, v_inf = _barenblatt_quantities()
     with pytest.raises(HarnackError):
