@@ -1,7 +1,8 @@
 """Command-line interface: scenario commands, reports and parameter sweeps.
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
-2 configuration error, 3 numerical failure, 4 I/O failure.
+2 configuration error, 3 numerical failure, 4 I/O failure, 5 internal error
+(an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt(x) -> str:
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
         # identities, fields) are configuration problems at the CLI surface
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab import estimates, identities
-from harnacklab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, cmd_check_estimate,
-                            cmd_check_identities, main, run_sweep)
+from harnacklab import cli, estimates, identities
+from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION,
+                            cmd_check_estimate, cmd_check_identities, main, run_sweep)
 from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import ConfigError, parse_scenario
 
@@ -227,6 +227,20 @@ def test_cli_io_error_exit(tmp_path):
     code = main(["check-estimate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out")])
     assert code == 4
+
+
+def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
+    # an unexpected exception is exit 5 with one line on stderr, not a traceback
+    def broken(sc, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_check_harnack", broken)
+    code = main(["check-harnack", "--config", write_config(tmp_path, barenblatt_doc()),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTERNAL == 5
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 def test_cli_estimate_pass_and_negative_control(tmp_path):
