@@ -360,10 +360,6 @@ def extract_bounds(geom: WarpedGeometry, cyl: Cylinder, grid_density=(129, 65)) 
     k2 = float(np.max(grad_h))
 
     a = geom.conformal(r_in, t_in)
-    pole = _pole_mask(geom, r_in)
-    r_safe = np.where(pole, 0.5 * geom.r_max, r_in)
-    phi_r = np.where(pole, 0.0, geom.potential.at(1, 0, r_safe, t_in))
-    phi_rt = np.where(pole, 0.0, geom.potential.at(1, 1, r_safe, t_in))
-    l1 = float(np.max(np.abs(phi_r) / a))
-    l2 = float(np.max(np.abs(phi_rt) / a))
+    l1 = float(np.max(np.abs(potential_radial_slope(geom, r_in, t_in)) / a))
+    l2 = float(np.max(np.abs(potential_radial_slope(geom, r_in, t_in, order_t=1)) / a))
     return GeometryBounds(k=k, k_lo=k_lo, k_hi=k_hi, k2=k2, l1=l1, l2=l2)
