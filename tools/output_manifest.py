@@ -10,6 +10,8 @@ Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
 * ``solve``, ``check-identities``, ``check-estimate`` and ``check-harnack``
   on every scenario in ``configs/``;
 * ``check-estimate --negative-control`` on ``configs/negative-control.json``;
+* ``check-harnack --seed 40`` on ``configs/barenblatt.json``, a seed whose
+  Harnack bound overflows ``exp`` on some pairs;
 * ``sweep`` on ``configs/sweep-p-alpha.json``;
 * ``check-estimate`` on ``perfbench/inputs/hyperbolic-bump.json``;
 * ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``, once serial and
@@ -58,6 +60,8 @@ def commands():
     out.append(("check-estimate:negative-control --negative-control",
                 ["check-estimate", "--config", "configs/negative-control.json",
                  "--negative-control"]))
+    out.append(("check-harnack:barenblatt --seed 40",
+                ["check-harnack", "--config", "configs/barenblatt.json", "--seed", "40"]))
     out.append(("check-estimate:hyperbolic-bump",
                 ["check-estimate", "--config", "perfbench/inputs/hyperbolic-bump.json"]))
     out.append(("sweep:sweep-p-alpha-wide",
