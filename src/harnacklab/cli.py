@@ -265,7 +265,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
         eps = 0.5 * params.eps_ceiling(sc.tau_probe, family)
         q = sup_quantities(samples, bounds, params, geom.n, ver["radius"], cutoff,
                            eps, family=family, scope="global")
-        rep = verify_harnack(sol, geom, params, nl, q, pairs, sc.t0, v_inf,
+        rep = verify_harnack(sol, geom, params, q, pairs, sc.t0, v_inf,
                              tolerance_factor=ver["harnack_tolerance_factor"])
         worst = min(row["margin"] for row in rep["rows"])
         worst_log = min(row["log_integral_margin"] for row in rep["rows"])

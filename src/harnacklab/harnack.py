@@ -17,7 +17,6 @@ stated infimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,46 +86,25 @@ def path_energy(geom: WarpedGeometry, r1: float, t1: float, r2: float,
 # the comparison constant and bound
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HarnackBound:
-    H: float
-    log_bound: float
-    bound: float                 # exp(log_bound), inf where that overflows
-
-
 def _constant_alpha(params: HarnackParams) -> float:
     if not params.coeffs.alpha.time_independent:
         raise HarnackError("the integrated inequality is stated for constant alpha")
     return float(params.coeffs.alpha_at(np.array([0.0]))[0])
 
 
-def harnack_constant(quantities: dict, params: HarnackParams) -> float:
+def harnack_constant(quantities: dict, alpha: float, b: float) -> float:
     """H from the sup-quantities of the matching global estimate."""
-    alpha = _constant_alpha(params)
-    b = params.b
     agg = quantities["q2"] ** (4.0 / 3.0) + quantities["q3"] + quantities["q4"] ** 2
     if quantities["family"] == "first":
         return quantities["q0"] + b * alpha**2 * quantities["q1"] + alpha * math.sqrt(b) * math.sqrt(agg)
     return quantities["q0"] + b * alpha**2 * quantities["q1"] + math.sqrt(b * alpha**3) * math.sqrt(agg)
 
 
-def harnack_bound(quantities: dict, params: HarnackParams, energy: float,
-                  v_inf: float, t1: float, t2: float) -> HarnackBound:
-    if v_inf <= 0:
-        raise HarnackError("the bound needs a positive infimum of v")
-    if not 0 < t1 < t2:
-        raise HarnackError("need 0 < t1 < t2 on the estimate clock")
-    if energy < 0:
-        raise HarnackError("path energy must be non-negative")
-    alpha = _constant_alpha(params)
-    H = harnack_constant(quantities, params)
+def harnack_log_bound(H: float, alpha: float, b: float, energy: float,
+                      v_inf: float, t1: float, t2: float) -> float:
+    """log of the comparison bound for 0 < t1 < t2 on the estimate clock."""
     exponent = alpha * energy / (4.0 * v_inf * (t2 - t1)) + H * (t2 - t1) / alpha
-    log_bound = exponent + params.b * alpha * math.log(t2 / t1)
-    try:
-        bound = math.exp(log_bound)
-    except OverflowError:
-        bound = math.inf
-    return HarnackBound(H=H, log_bound=log_bound, bound=bound)
+    return exponent + b * alpha * math.log(t2 / t1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,40 +126,49 @@ def sample_pairs(rng: np.random.Generator, n_pairs: int, r_max: float,
 
 
 def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
-                   nl, quantities: dict, pairs, t0_clock: float, v_inf: float,
+                   quantities: dict, pairs, t0_clock: float, v_inf: float,
                    tolerance_factor: float = 1e-8):
     """Check v(x1,t1) <= bound * v(x2,t2) and the log-integral step over pairs.
 
     Margins are in log space: margin = log_bound - [log v1 - log v2],
     with scale max(1, |log v1 - log v2|).  A log-integral margin below
-    -tolerance_factor (unscaled) is a log-integral violation.
+    -tolerance_factor (unscaled) is a log-integral violation.  Each row's
+    ``bound`` is exp(log_bound), saturated to inf where that overflows.
     """
-    H = harnack_constant(quantities, params)
+    if v_inf <= 0:
+        raise HarnackError("the bound needs a positive infimum of v")
+    alpha = _constant_alpha(params)
+    b = params.b
+    H = harnack_constant(quantities, alpha, b)
     rows = []
     violations = 0
     log_violations = 0
     for (r1, tau1, r2, tau2) in pairs:
-        if not tau1 < tau2:
-            raise HarnackError("pair has non-increasing times")
+        if not 0 < tau1 < tau2:
+            raise HarnackError("need 0 < tau1 < tau2 on the estimate clock")
         t1_abs, t2_abs = tau1 + t0_clock, tau2 + t0_clock
         energy = path_energy(geom, r1, t1_abs, r2, t2_abs)
-        hb = harnack_bound(quantities, params, energy, v_inf, tau1, tau2)
+        log_bound = harnack_log_bound(H, alpha, b, energy, v_inf, tau1, tau2)
+        try:
+            bound = math.exp(log_bound)
+        except OverflowError:
+            bound = math.inf
         v1 = float(solution.value(r1, t1_abs))
         v2 = float(solution.value(r2, t2_abs))
         log_ratio = math.log(v1) - math.log(v2)
-        margin = hb.log_bound - log_ratio
+        margin = log_bound - log_ratio
         scale = max(1.0, abs(log_ratio))
         ok = margin >= -tolerance_factor * scale
         if not ok:
             violations += 1
-        log_margin = log_integral_margin(log_ratio, geom, params, H, v_inf,
+        log_margin = log_integral_margin(log_ratio, geom, alpha, b, H, v_inf,
                                          r1, tau1, r2, tau2, t0_clock)
         if log_margin < -tolerance_factor:
             log_violations += 1
         rows.append({
             "r1": r1, "tau1": tau1, "r2": r2, "tau2": tau2,
             "energy": energy,
-            "ratio": v1 / v2, "bound": hb.bound,
+            "ratio": v1 / v2, "bound": bound,
             "margin": margin, "scale": scale, "passed": ok,
             "log_integral_margin": log_margin,
         })
@@ -189,22 +176,17 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
             "log_integral_violations": log_violations, "H": H, "v_inf": v_inf}
 
 
-def log_integral_margin(log_ratio: float, geom: WarpedGeometry, params: HarnackParams,
-                        H: float, v_inf: float, r1, tau1, r2, tau2,
+def log_integral_margin(log_ratio: float, geom: WarpedGeometry, alpha: float,
+                        b: float, H: float, v_inf: float, r1, tau1, r2, tau2,
                         t0_clock: float) -> float:
     """Margin of the intermediate inequality for f = log v along a path.
 
     f(x1,t1) - f(x2,t2) <= int alpha |dgamma/dt|^2 / (4 m_inf) dt
                            + int h(t)/alpha dt,   h(t) = b alpha^2/t + H,
     along the straight radial path traversed over [t1, t2]; ``log_ratio``
-    is the left side, log v(x1,t1) - log v(x2,t2).
+    is the left side, log v(x1,t1) - log v(x2,t2).  The caller checks
+    0 < tau1 < tau2 and v_inf > 0.
     """
-    if not 0 < tau1 < tau2:
-        raise HarnackError("need 0 < tau1 < tau2 on the estimate clock")
-    if v_inf <= 0:
-        raise HarnackError("positive infimum required")
-    alpha = _constant_alpha(params)
-    b = params.b
     taus = np.linspace(tau1, tau2, 257)
     t_abs = taus + t0_clock
     rs = r1 + (taus - tau1) / (tau2 - tau1) * (r2 - r1)

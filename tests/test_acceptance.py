@@ -305,7 +305,7 @@ def test_criterion_6_harnack_pairs():
             eps = 0.5 * params.eps_ceiling(tau_probe, family)
             q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
                                eps, family=family, scope="global")
-            rep = verify_harnack(sol, geom, params, nl, q, pairs, 1.0, v_inf,
+            rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf,
                                  tolerance_factor=1e-8)
             assert rep["violations"] == 0, (name, family)
             log_margins = [row["log_integral_margin"] for row in rep["rows"]]

@@ -6,9 +6,11 @@ import sympy as sp
 
 from harnacklab.estimates import collect_sup_samples, cutoff_profile, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
-from harnacklab.harnack import (HarnackError, _direct_energy, _optimal_energy,
-                                harnack_bound, harnack_constant, log_integral_margin,
-                                path_energy, sample_pairs, verify_harnack)
+from harnacklab import harnack
+from harnacklab.harnack import (HarnackError, _constant_alpha, _direct_energy,
+                                _optimal_energy, harnack_constant, harnack_log_bound,
+                                log_integral_margin, path_energy, sample_pairs,
+                                verify_harnack)
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import Nonlinearity, barenblatt_pressure_profile, manufactured_forcing
@@ -70,49 +72,59 @@ def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
     return geom, prof, params, sol, q, v_inf
 
 
+def _log_bound(q, params, energy, v_inf, t1, t2):
+    alpha = _constant_alpha(params)
+    H = harnack_constant(q, alpha, params.b)
+    return harnack_log_bound(H, alpha, params.b, energy, v_inf, t1, t2)
+
+
 def test_harnack_constant_vanishes_for_flat_zero_forcing():
     _, _, params, _, q, _ = _barenblatt_quantities()
-    assert harnack_constant(q, params) == 0.0
+    assert harnack_constant(q, _constant_alpha(params), params.b) == 0.0
 
 
 def test_harnack_bound_power_factor():
     _, _, params, _, q, v_inf = _barenblatt_quantities()
-    hb = harnack_bound(q, params, energy=0.0, v_inf=v_inf, t1=0.25, t2=1.0)
+    log_bound = _log_bound(q, params, energy=0.0, v_inf=v_inf, t1=0.25, t2=1.0)
     # b alpha = (2/3) * 2; (t2/t1)^(b alpha) = 4^(4/3)
-    assert hb.log_bound == pytest.approx((4.0 / 3.0) * math.log(4.0), rel=1e-12)
-    assert hb.bound == pytest.approx(4.0 ** (4.0 / 3.0), rel=1e-12)
-    assert hb.H == 0.0
+    assert log_bound == pytest.approx((4.0 / 3.0) * math.log(4.0), rel=1e-12)
+    assert math.exp(log_bound) == pytest.approx(4.0 ** (4.0 / 3.0), rel=1e-12)
 
 
 def test_harnack_bound_coincident_points():
     _, _, params, _, q, v_inf = _barenblatt_quantities()
-    hb = harnack_bound(q, params, energy=0.0, v_inf=v_inf, t1=0.5, t2=1.0)
-    assert hb.bound == pytest.approx((2.0) ** (params.b * 2.0) * math.exp(0.0), rel=1e-12)
+    log_bound = _log_bound(q, params, energy=0.0, v_inf=v_inf, t1=0.5, t2=1.0)
+    assert math.exp(log_bound) == pytest.approx((2.0) ** (params.b * 2.0) * math.exp(0.0),
+                                                rel=1e-12)
 
 
 def test_harnack_bound_separated_points_formula():
     _, _, params, _, q, v_inf = _barenblatt_quantities()
     L = 0.8
-    hb = harnack_bound(q, params, energy=L, v_inf=v_inf, t1=0.5, t2=1.0)
+    log_bound = _log_bound(q, params, energy=L, v_inf=v_inf, t1=0.5, t2=1.0)
     expect = math.exp(2.0 * L / (4 * v_inf * 0.5)) * 2.0 ** (params.b * 2.0)
-    assert hb.bound == pytest.approx(expect, rel=1e-12)
+    assert math.exp(log_bound) == pytest.approx(expect, rel=1e-12)
 
 
-def test_harnack_bound_overflow_stays_in_log_space():
+def test_harnack_bound_overflow_stays_in_log_space(monkeypatch):
     # an exponent past exp's range saturates the reported bound only
-    _, _, params, _, q, v_inf = _barenblatt_quantities()
-    hb = harnack_bound(q, params, energy=1e4, v_inf=v_inf, t1=0.5, t2=0.51)
-    assert hb.bound == math.inf
+    geom, _, params, sol, q, v_inf = _barenblatt_quantities()
+    log_bound = _log_bound(q, params, energy=1e4, v_inf=v_inf, t1=0.5, t2=0.51)
     expect = 2.0 * 1e4 / (4 * v_inf * 0.01) + params.b * 2.0 * math.log(0.51 / 0.5)
-    assert hb.log_bound == pytest.approx(expect, rel=1e-12)
+    assert log_bound == pytest.approx(expect, rel=1e-12)
+    monkeypatch.setattr(harnack, "path_energy", lambda *args: 1e4)
+    row = verify_harnack(sol, geom, params, q, [(0.3, 0.5, 0.3, 0.51)], 1.0,
+                         v_inf)["rows"][0]
+    assert row["bound"] == math.inf
+    assert row["margin"] == pytest.approx(expect - math.log(row["ratio"]), rel=1e-12)
 
 
 def test_harnack_bound_validation():
-    _, _, params, _, q, v_inf = _barenblatt_quantities()
+    geom, _, params, sol, q, v_inf = _barenblatt_quantities()
     with pytest.raises(HarnackError):
-        harnack_bound(q, params, 0.0, -1.0, 0.5, 1.0)
+        verify_harnack(sol, geom, params, q, [(0.0, 0.5, 0.0, 1.0)], 1.0, -1.0)
     with pytest.raises(HarnackError):
-        harnack_bound(q, params, 0.0, v_inf, 1.0, 0.5)
+        verify_harnack(sol, geom, params, q, [(0.0, 1.0, 0.0, 0.5)], 1.0, v_inf)
 
 
 @pytest.mark.parametrize("family", ["first", "second"])
@@ -120,7 +132,7 @@ def test_verify_harnack_barenblatt(family):
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities(family=family)
     rng = np.random.default_rng(2026)
     pairs = sample_pairs(rng, 120, geom.r_max, 0.05, 1.0)
-    rep = verify_harnack(sol, geom, params, Nonlinearity(), q, pairs, 1.0, v_inf)
+    rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
     assert rep["violations"] == 0
     assert all(row["passed"] for row in rep["rows"])
 
@@ -137,20 +149,41 @@ def test_verify_harnack_rows_carry_log_integral_margin(monkeypatch):
         return _value(r, t)
 
     monkeypatch.setattr(sol, "value", counted)
-    rep = verify_harnack(sol, geom, params, Nonlinearity(), q, pairs, 1.0, v_inf)
+    rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
     assert len(calls) == 2 * len(pairs)
     assert rep["log_integral_violations"] == 0
-    H = harnack_constant(q, params)
+    alpha, b = _constant_alpha(params), params.b
+    H = harnack_constant(q, alpha, b)
     for (r1, tau1, r2, tau2), row in zip(pairs, rep["rows"]):
         lr = _log_ratio(sol, r1, tau1 + 1.0, r2, tau2 + 1.0)
-        alone = log_integral_margin(lr, geom, params, H, v_inf, r1, tau1, r2, tau2, 1.0)
+        alone = log_integral_margin(lr, geom, alpha, b, H, v_inf, r1, tau1, r2, tau2, 1.0)
         assert row["log_integral_margin"] == alone
+
+
+def test_verify_harnack_computes_constants_once(monkeypatch):
+    # H and alpha do not depend on the pair: one evaluation per call
+    geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
+    pairs = sample_pairs(np.random.default_rng(5), 30, geom.r_max, 0.05, 1.0)
+    calls = {"harnack_constant": 0, "_constant_alpha": 0}
+
+    def counting(name):
+        inner = getattr(harnack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harnack, name, counting(name))
+    verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
+    assert calls == {"harnack_constant": 1, "_constant_alpha": 1}
 
 
 def test_verify_harnack_rejects_bad_pair():
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
     with pytest.raises(HarnackError):
-        verify_harnack(sol, geom, params, Nonlinearity(), q, [(0.1, 0.5, 0.3, 0.5)],
+        verify_harnack(sol, geom, params, q, [(0.1, 0.5, 0.3, 0.5)],
                        1.0, v_inf)
 
 
@@ -167,7 +200,7 @@ def test_degenerate_pair_reduces_to_time_ratio():
     q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
                        0.05, scope="global")
     v_inf = float(np.min(samples.v))
-    rep = verify_harnack(sol, geom, params, nl, q, [(0.4, 0.3, 0.4, 0.6)], 0.5, v_inf)
+    rep = verify_harnack(sol, geom, params, q, [(0.4, 0.3, 0.4, 0.6)], 0.5, v_inf)
     row = rep["rows"][0]
     assert row["energy"] == pytest.approx(0.0, abs=1e-14)
     # ratio v(t1)/v(t2) > 1 (decaying field) and the bound still covers it
@@ -181,26 +214,27 @@ def _log_ratio(sol, r1, t1, r2, t2):
 
 def test_log_integral_examples():
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
-    H = harnack_constant(q, params)
+    alpha, b = _constant_alpha(params), params.b
+    H = harnack_constant(q, alpha, b)
     lr = _log_ratio(sol, 0.2, 1.3, 0.9, 1.8)
-    margin = log_integral_margin(lr, geom, params, H, v_inf, 0.2, 0.3, 0.9, 0.8, 1.0)
+    margin = log_integral_margin(lr, geom, alpha, b, H, v_inf, 0.2, 0.3, 0.9, 0.8, 1.0)
     assert margin >= 0
     # shrinking the infimum only helps (the right side grows)
-    margin_small = log_integral_margin(lr, geom, params, H, v_inf / 4, 0.2, 0.3, 0.9, 0.8, 1.0)
+    margin_small = log_integral_margin(lr, geom, alpha, b, H, v_inf / 4,
+                                       0.2, 0.3, 0.9, 0.8, 1.0)
     assert margin_small >= margin - 1e-12
-    # constant-in-space field: left side along a fixed point is covered too
+    # the pair loop rejects reversed times before any margin is taken
     with pytest.raises(HarnackError):
-        log_integral_margin(lr, geom, params, H, v_inf, 0.2, 0.8, 0.9, 0.3, 1.0)
+        verify_harnack(sol, geom, params, q, [(0.2, 0.8, 0.9, 0.3)], 1.0, v_inf)
 
 
 def test_log_integral_constant_solution():
     geom = make_geometry("euclidean", n=2)
     prof = Profile(sp.Integer(3), "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
     lr = _log_ratio(sol, 0.3, 0.7, 0.3, 1.4)
-    margin = log_integral_margin(lr, geom, params, 0.0, 3.0, 0.3, 0.2, 0.3, 0.9, 0.5)
+    margin = log_integral_margin(lr, geom, 2.0, params.b, 0.0, 3.0, 0.3, 0.2, 0.3, 0.9, 0.5)
     # zero left side, positive right side
     assert margin > 0
 
@@ -219,11 +253,10 @@ def test_harnack_harness_can_fail():
     geom = make_geometry("euclidean", n=2)
     prof = Profile((2 + 5 * sp.exp(-(R**2))) * sp.exp(-T / 2), "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
     broken = {"q0": 0.0, "q1": 0.0, "q2": 0.0, "q3": 0.0, "q4": 0.0,
               "family": "first", "scope": "global", "eps": 0.1, "v_sup": 1.0}
-    rep = verify_harnack(sol, geom, params, nl, broken,
+    rep = verify_harnack(sol, geom, params, broken,
                          [(0.0, 0.5, 1.8, 0.55)], 0.0, v_inf=1e6)
     assert rep["violations"] == 1
     assert not rep["rows"][0]["passed"]
@@ -252,7 +285,7 @@ def test_harnack_follows_global_estimate_same_constants():
                            cutoff_profile(), eps, family=family, scope="global")
         rng = np.random.default_rng(31)
         pairs = sample_pairs(rng, 60, geom.r_max, 0.05, 1.0)
-        rep = verify_harnack(sol, geom, params, nl, q, pairs, 1.0,
+        rep = verify_harnack(sol, geom, params, q, pairs, 1.0,
                              float(np.min(samples.v)))
         assert rep["violations"] == 0
 
@@ -275,6 +308,6 @@ def test_families_coincide_for_plain_forcing_at_matched_eps_fraction():
         eps = 0.5 * params.eps_ceiling(samples.tau, family)
         q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
                            eps, family=family, scope="global")
-        values[family] = harnack_constant(q, params)
+        values[family] = harnack_constant(q, _constant_alpha(params), params.b)
     assert values["first"] == pytest.approx(values["second"], rel=1e-12)
     assert values["first"] > 0
