@@ -7,10 +7,9 @@ import sympy as sp
 from harnacklab.estimates import collect_sup_samples, cutoff_profile, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
 from harnacklab import harnack
-from harnacklab.harnack import (HarnackError, _constant_alpha, _direct_energy,
-                                _optimal_energy, harnack_constant, harnack_log_bound,
-                                log_integral_margin, path_energy, sample_pairs,
-                                verify_harnack)
+from harnacklab.harnack import (HarnackError, _constant_alpha, harnack_constant,
+                                harnack_log_bound, log_integral_margin, path_energy,
+                                sample_pairs, verify_harnack)
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import Nonlinearity, barenblatt_pressure_profile, manufactured_forcing
@@ -19,15 +18,16 @@ from harnacklab.symfun import Profile, R, T
 from conftest import make_geometry
 
 
-def _proof_clock(geom, t1, t2):
-    """a^2 along the traversed interval [t1, t2], as path_energy evaluates it."""
-    return lambda s: geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2
+def _straight_energy(geom, r1, t1, r2, t2, n=20001):
+    """Energy of the constant-speed radial path traversed over [t1, t2]."""
+    s = np.linspace(0.0, 1.0, n)
+    return (r2 - r1) ** 2 * np.trapezoid(geom.conformal(0.0, t1 + s * (t2 - t1)) ** 2, s)
 
 
 def test_path_energy_static_is_squared_distance():
     geom = make_geometry("euclidean", n=2)
-    assert path_energy(geom, 0.0, 1.0, 1.0, 2.0) == pytest.approx(1.0, rel=1e-4)
-    assert _direct_energy(_proof_clock(geom, 1.0, 2.0), 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert path_energy(geom, 0.0, 1.0, 1.0, 2.0) == 1.0
+    assert path_energy(geom, 0.3, 1.0, 1.4, 2.0) == (1.4 - 0.3) ** 2
 
 
 def test_path_energy_zero_iff_coincident():
@@ -42,19 +42,31 @@ def test_path_energy_requires_time_order():
         path_energy(geom, 0.0, 2.0, 1.0, 1.0)
 
 
-def test_path_energy_conformal_optimizer_beats_direct():
+def test_path_energy_conformal_closed_form():
+    # a = e^{t/2} over [0.5, 1.5]: L = (r2-r1)^2 / int e^{-t} dt exactly
     geom = make_geometry("euclidean", n=2, conformal=sp.exp(T / 2))
-    a_sq = _proof_clock(geom, 0.5, 1.5)
-    direct = _direct_energy(a_sq, 0.2, 1.4)
-    optimal = _optimal_energy(a_sq, 0.2, 1.4)
-    assert optimal <= direct + 1e-12
-    assert path_energy(geom, 0.2, 0.5, 1.4, 1.5) == optimal
-    # with many free nodes the discrete optimum approaches the closed form
-    # (r2-r1)^2 / int(1/a^2)
-    fine = _optimal_energy(lambda s: geom.conformal(0.0, 0.5 + s) ** 2, 0.2, 1.4, n_free=128)
-    taus = np.linspace(0.5, 1.5, 20001)
-    inv = np.trapezoid(np.exp(-taus), taus)
-    assert fine == pytest.approx((1.2) ** 2 / inv, rel=1e-3)
+    energy = path_energy(geom, 0.2, 0.5, 1.4, 1.5)
+    exact = 1.2**2 / (math.exp(-0.5) - math.exp(-1.5))
+    assert energy == pytest.approx(exact, rel=1e-12)
+    assert energy <= _straight_energy(geom, 0.2, 0.5, 1.4, 1.5)
+
+
+def test_conformal_bound_margin_within_log_integral_margin():
+    # the straight path of the log-integral step costs at least the infimum,
+    # so each row's bound margin is at most its log-integral margin
+    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
+    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
+    nl = manufactured_forcing(prof, geom, params.p)
+    sol = AnalyticSolution(prof)
+    full = Cylinder(1e18, 1.0, 2.0)
+    samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
+    eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), "first")
+    q = sup_quantities(samples, extract_bounds(geom, full), params, geom.n, 0.9,
+                       cutoff_profile(), eps, family="first", scope="global")
+    pairs = sample_pairs(np.random.default_rng(31), 60, geom.r_max, 0.05, 1.0)
+    rep = verify_harnack(sol, geom, params, q, pairs, 1.0, float(np.min(samples.v)))
+    assert all(row["margin"] <= row["log_integral_margin"] + 1e-12 for row in rep["rows"])
 
 
 def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
