@@ -301,6 +301,9 @@ def _set_path(doc: dict, dotted: str, value):
     node = doc
     for key in parts[:-1]:
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep.axes.{dotted}",
+                              f"the template's {key!r} is not an object")
     node[parts[-1]] = value
 
 
@@ -421,7 +424,7 @@ def main(argv=None) -> int:
         if args.command == "check-harnack":
             return cmd_check_harnack(sc, out)
         raise ConfigError("command", f"unknown command {args.command!r}")
-    except (SolverError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, json.JSONDecodeError) as exc:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
+from sympy.core.function import AppliedUndef
 
 from .fields import Grid
 from .geometry import WarpedGeometry
@@ -81,11 +82,25 @@ def _read_density(doc: dict, key: str, path: str) -> tuple:
     return tuple(read_number(x, f"{path}.{key}", integer=True, at_least=2) for x in value)
 
 
-def _expr(text, path: str) -> sp.Expr:
+def _expr(value, path: str) -> sp.Expr:
+    """A finite closed form in r and t, given as a string or a number."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ConfigError(path, f"expected an expression string, got {value!r}")
     try:
-        return sp.sympify(text, locals={"r": R, "t": T})
-    except (sp.SympifyError, SyntaxError, TypeError) as exc:
+        expr = sp.sympify(value, locals={"r": R, "t": T})
+    except (sp.SympifyError, SyntaxError, TypeError, AttributeError) as exc:
         raise ConfigError(path, f"cannot parse expression: {exc}")
+    if (not isinstance(expr, sp.Expr) or not expr.free_symbols <= {R, T}
+            or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan, sp.Lambda)
+            or expr.atoms(AppliedUndef)):
+        raise ConfigError(path, f"expected a finite expression in r and t, got {value!r}")
+    return expr
+
+
+def _read_choice(value, where: str, choices) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(where, f"unknown value {value!r}; choose from {sorted(choices)}")
+    return value
 
 
 GEOMETRY_PRESETS = {
@@ -122,43 +137,49 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     n = read_number(_require(doc, "n", path), f"{path}.n", integer=True, at_least=2)
     r_max = read_number(_require(doc, "r_max", path), f"{path}.r_max", above=0)
     preset = doc.get("preset")
-    preset_rate = None
     if preset is not None:
         if not isinstance(preset, str):
             raise ConfigError(f"{path}.preset", f"expected a string, got {preset!r}")
-        # parameterized spellings: conformal-exp(rate), linear-warp(rate)
+        # parameterized spellings: conformal-exp(rate), linear-warp(rate) set
+        # the matching rate key on the euclidean preset
         match = re.fullmatch(r"(conformal-exp|linear-warp)\(([-+]?(?:\d+\.?\d*|\.\d+)"
                              r"(?:[eE][-+]?\d+)?)\)", preset)
         if match:
+            key = {"conformal-exp": "conformal_rate", "linear-warp": "warp_rate"}[match.group(1)]
+            if key in doc:
+                raise ConfigError(f"{path}.{key}", f"the preset {preset} already sets it")
             # a rate such as 1e999 overflows to inf; read_number refuses it
-            rate = read_number(float(match.group(2)), f"{path}.preset")
-            preset_rate = (match.group(1), rate)
+            doc = {**doc, key: read_number(float(match.group(2)), f"{path}.preset")}
             preset = "euclidean"
         if preset not in GEOMETRY_PRESETS:
             raise ConfigError(f"{path}.preset",
                               f"unknown preset; choose from {sorted(GEOMETRY_PRESETS)} "
                               "or conformal-exp(rate) / linear-warp(rate)")
+        if "warp" in doc:
+            raise ConfigError(f"{path}.warp", "a preset fixes the warp; give one of them")
         warp_expr = GEOMETRY_PRESETS[preset]["warp"]
         pot_expr = GEOMETRY_PRESETS[preset]["potential"]
     else:
         warp_expr = _expr(_require(doc, "warp", path), f"{path}.warp")
-        pot_expr = _expr(doc.get("potential", 0), f"{path}.potential")
-    if "potential" in doc and preset is not None:
+        pot_expr = sp.Integer(0)
+    if "potential" in doc:
         pot_expr = _expr(doc["potential"], f"{path}.potential")
     drift = read_number(doc.get("potential_drift", 0.0), f"{path}.potential_drift")
     if drift:
         pot_expr = pot_expr * (1 + drift * T)
+    # each rate replaces a whole expression, so that expression may not be given
     conf_expr = sp.Integer(1)
     if "conformal" in doc:
+        if "conformal_rate" in doc:
+            raise ConfigError(f"{path}.conformal", "an exponential rate would replace it")
         conf_expr = _expr(doc["conformal"], f"{path}.conformal")
     rate = read_number(doc.get("conformal_rate", 0.0), f"{path}.conformal_rate")
-    if preset_rate and preset_rate[0] == "conformal-exp":
-        rate = preset_rate[1]
     if rate:
         conf_expr = sp.exp(rate * T)
+    if "warp_rate" in doc and (preset is None or warp_expr != R):
+        raise ConfigError(f"{path}.warp_rate", "the linear warp 1 + (1 + rate t) r replaces "
+                                               "the warp; it goes only with a preset whose warp is r")
     warp_rate = read_number(doc.get("warp_rate", 0.0), f"{path}.warp_rate")
-    if preset_rate and preset_rate[0] == "linear-warp":
-        warp_rate = preset_rate[1]
     if warp_rate:
         warp_expr = 1 + (1 + warp_rate * T) * R
     if warp_expr.has(T):
@@ -308,7 +329,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     sol_doc = _require(doc, "solution", "")
     _check_keys(sol_doc, {"kind", "mass_const", "expr", "catalog", "base"}, "solution")
-    kind = _require(sol_doc, "kind", "solution")
+    kind = _read_choice(_require(sol_doc, "kind", "solution"), "solution.kind",
+                        ("barenblatt", "manufactured", "numeric"))
 
     def _barenblatt():
         if form != "zero":
@@ -335,10 +357,8 @@ def parse_scenario(doc: dict) -> Scenario:
         if "expr" in sol_doc:
             expr = _expr(sol_doc["expr"], "solution.expr")
         else:
-            key = sol_doc.get("catalog", "bump")
-            if key not in MANUFACTURED_CATALOG:
-                raise ConfigError("solution.catalog",
-                                  f"unknown catalog entry; choose from {sorted(MANUFACTURED_CATALOG)}")
+            key = _read_choice(sol_doc.get("catalog", "bump"), "solution.catalog",
+                               MANUFACTURED_CATALOG)
             expr = _expr(MANUFACTURED_CATALOG[key], "solution.catalog")
         profile = Profile(expr, "manufactured_pressure")
         if power is None:
@@ -350,14 +370,11 @@ def parse_scenario(doc: dict) -> Scenario:
     setups = {"barenblatt": _barenblatt, "manufactured": _manufactured}
     numeric_base = ""
     if kind == "numeric":
-        numeric_base = sol_doc.get("base", "manufactured")
-        if numeric_base not in setups:
-            raise ConfigError("solution.base", f"unknown numeric base {numeric_base!r}")
+        numeric_base = _read_choice(sol_doc.get("base", "manufactured"), "solution.base",
+                                    setups)
         v_profile, oracle_u, nl = setups[numeric_base]()
-    elif kind in setups:
-        v_profile, oracle_u, nl = setups[kind]()
     else:
-        raise ConfigError("solution.kind", f"unknown kind {kind!r}")
+        v_profile, oracle_u, nl = setups[kind]()
 
     floor_frac = read_number(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]),
                              "pde.floor_fraction")

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from harnacklab import cli, estimates, identities
-from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_OK, EXIT_VIOLATION,
-                            cmd_check_estimate, cmd_check_identities, main, run_sweep)
+from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
+                            EXIT_VIOLATION, cmd_check_estimate, cmd_check_identities,
+                            main, run_sweep)
 from harnacklab.geometry import Cylinder
-from harnacklab.scenarios import ConfigError, parse_scenario
+from harnacklab.scenarios import ConfigError, parse_geometry, parse_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -131,12 +132,26 @@ BAD_VALUES = [
     # is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
     ("geometry.preset", 5),
+    # a choice or an expression of the wrong type, and expression strings that
+    # are not a finite expression in r and t
+    ("solution.kind", ["barenblatt"]), ("solution.kind", {"kind": "barenblatt"}),
+    ("solution.catalog", ["bump"]), ("solution.base", {"base": "manufactured"}),
+    ("geometry.potential", None), ("geometry.potential", ["r"]),
+    ("geometry.potential", True), ("geometry.potential", {"r": 1}),
+    ("solution.expr", None), ("solution.expr", ["r"]), ("solution.expr", True),
+    ("solution.expr", {"r": 1}), ("solution.expr", "r.foo"), ("solution.expr", "1/0"),
+    ("geometry.potential", "lambda: 1"),
 ]
+
+# keys that only the manufactured or numeric kind reads
+KIND_READING = {"solution.expr": "manufactured", "solution.catalog": "manufactured",
+                "solution.base": "numeric"}
 
 
 @pytest.mark.parametrize("key, value", BAD_VALUES, ids=lambda x: json.dumps(x))
 def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     doc = barenblatt_doc()
+    doc["solution"]["kind"] = KIND_READING.get(key, "barenblatt")
     *parents, leaf = key.split(".")
     node = doc
     for part in parents:
@@ -148,6 +163,31 @@ def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert err.startswith(f"configuration error: {key}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("geometry, key", [
+    ({"preset": "euclidean", "warp": "r"}, "geometry.warp"),
+    ({"preset": "euclidean", "conformal": "exp(t/10)", "conformal_rate": 0.1},
+     "geometry.conformal"),
+    ({"preset": "conformal-exp(0.1)", "conformal": "exp(t)"}, "geometry.conformal"),
+    ({"warp": "1 + r", "warp_rate": 0.2}, "geometry.warp_rate"),
+    ({"preset": "conformal-exp(0.1)", "conformal_rate": 0.2}, "geometry.conformal_rate"),
+    ({"preset": "linear-warp(0.2)", "warp_rate": 0.1}, "geometry.warp_rate"),
+    ({"preset": "hyperbolic", "warp_rate": 0.2}, "geometry.warp_rate"),
+], ids=lambda x: json.dumps(x))
+def test_geometry_key_another_would_replace_rejected(tmp_path, capsys, geometry, key):
+    doc = barenblatt_doc(geometry={"n": 2, "r_max": 2.0, **geometry})
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+
+
+def test_shipped_rate_geometries_stay_valid():
+    # a preset with conformal_rate and potential_drift, and linear-warp(rate)
+    for name in ("gaussian-conformal", "evolving-warp-identities"):
+        doc = json.loads((CONFIGS / f"{name}.json").read_text())
+        assert parse_geometry(doc["geometry"], doc["harnack"]["m"]).family != "static-warp"
 
 
 def test_sweep_cap_must_be_an_integer(tmp_path):
@@ -243,6 +283,16 @@ def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys):
+    # p = 1e308 divides by zero in the Barenblatt support radius
+    doc = barenblatt_doc()
+    doc["pde"]["p"] = 1e308
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: float division by zero\n"
+
+
 def test_cli_estimate_pass_and_negative_control(tmp_path):
     doc = barenblatt_doc(
         harnack={"m": 2.0, "alpha": 1.2},
@@ -305,6 +355,30 @@ def test_cli_solve_writes_solution(tmp_path):
     assert float(payload["oracle_interior_error"]) < 5e-3
 
 
+def test_cli_solve_neumann_zero_reports_mass_drift(tmp_path):
+    doc = barenblatt_doc()
+    doc["pde"]["boundary"] = "neumann-zero"
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "summary.json").read_text())
+    assert 0 <= float(payload["mass_drift"]) < 1e-12
+    assert "weighted-mass relative drift" in (out / "summary.txt").read_text()
+
+
+def test_cli_harnack_rejects_preset_alpha(tmp_path, capsys):
+    # the integrated inequality is stated for constant alpha
+    doc = barenblatt_doc(
+        geometry={"preset": "hyperbolic", "n": 2, "r_max": 2.0},
+        harnack={"m": 2.0, "alpha": {"preset": "exp", "gamma": 0.3, "clock_offset": 0.5}},
+        solution={"kind": "manufactured", "catalog": "cosh-bump"},
+    )
+    doc["pde"].pop("nonlinearity")
+    code = main(["check-harnack", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: harnack.alpha: ")
+
+
 def test_cli_determinism(tmp_path):
     cfg = write_config(tmp_path, barenblatt_doc())
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -358,6 +432,17 @@ def test_sweep_empty_axis_rejected(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+def test_sweep_axis_through_a_number_rejected(tmp_path, capsys):
+    # harnack.alpha is a number in the template, so it has no gamma to set
+    doc = sweep_doc()
+    doc["axes"] = {"harnack.alpha.gamma": [0.3, 0.5]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: sweep.axes.harnack.alpha.gamma: ")
 
 
 def test_sweep_cap_enforced(tmp_path):
