@@ -324,39 +324,33 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
         raise EstimateError("static estimate forms require x-independent forcing")
     if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
         raise EstimateError("static estimate forms require zero evolution bounds")
-    al_s, alp_s, be_s = s.alpha, s.alpha_p, s.beta
+    al_s, alp_s = s.alpha, s.alpha_p
+    # the family picks the slope term, the last sup and its weight; the
+    # local scope adds the cutoff slope and the localization term
+    drift = 2.0 * al_s * (p - 1) * v_sup * (m - 1) * k - alp_s
     if variant.startswith("static-first"):
+        slope = s.G_v + alp_s / al_s
         sup_last = _clamped_sup(
             (al_s / 2.0) * (s.G / s.v - s.G_v)
             - al_s**2 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
-            + (2.0 * al_s * (p - 1) * v_sup * (m - 1) * k - alp_s) / (2.0 * (al_s - 1.0))
+            + drift / (2.0 * (al_s - 1.0))
         )
-        if variant.endswith("local"):
-            sup_first = _clamped_sup(
-                s.G_v + alp_s / al_s
-                + b * al_s**2 * p**2 * v_sup * cutoff.c1**2 / (2.0 * (al_s - 1.0) * radius**2)
-            )
-            return (base + b * al * sup_first
-                    + _localization_term(params, al, v_sup, radius, k, m, cutoff)
-                    + b * sup_last)
-        sup_first = _clamped_sup(s.G_v + alp_s / al_s)
-        return base + b * al * sup_first + b * sup_last
-    # static-second
-    sup_last = _clamped_sup(
-        (np.sqrt(al_s) / 2.0) * (s.G / s.v - s.G_v)
-        - al_s**1.5 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
-        + (2.0 * al_s * (p - 1) * v_sup * (m - 1) * k - alp_s)
-        / (2.0 * np.sqrt(al_s) * (al_s - 1.0))
-    )
-    if variant.endswith("local"):
-        sup_first = _clamped_sup(
-            s.G_v + b * al_s**2 * p**2 * v_sup * cutoff.c1**2 / (2.0 * (al_s - 1.0) * radius**2)
+        weight = b
+    else:
+        slope = s.G_v
+        sup_last = _clamped_sup(
+            (np.sqrt(al_s) / 2.0) * (s.G / s.v - s.G_v)
+            - al_s**1.5 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
+            + drift / (2.0 * np.sqrt(al_s) * (al_s - 1.0))
         )
-        return (base + b * al * sup_first
-                + _localization_term(params, al, v_sup, radius, k, m, cutoff)
-                + b * np.sqrt(al) * sup_last)
-    sup_first = _clamped_sup(s.G_v)
-    return base + b * al * sup_first + b * np.sqrt(al) * sup_last
+        weight = b * np.sqrt(al)
+    local = variant.endswith("local")
+    if local:
+        slope = slope + b * al_s**2 * p**2 * v_sup * cutoff.c1**2 / (2.0 * (al_s - 1.0) * radius**2)
+    rhs = base + b * al * _clamped_sup(slope)
+    if local:
+        rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
+    return rhs + weight * sup_last
 
 
 # ---------------------------------------------------------------------------

@@ -209,21 +209,13 @@ def bakry_emery_eigs(geom: WarpedGeometry, r, t):
     rad, ang = curvature_eigs(geom, r, t)
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    pole = _pole_mask(geom, r)
-    r_safe = np.where(pole, 0.5 * geom.r_max, r)
     a2 = geom.conformal(r, t) ** 2
-    phi_r = geom.potential.at(1, 0, r_safe, t)
+    phi_r = potential_radial_slope(geom, r, t)
     phi_rr = geom.potential.at(2, 0, r, t)
-    psi = geom.warp(r_safe, t)
-    psi_r = geom.warp.at(1, 0, r_safe, t)
-    hess_rad = phi_rr
-    hess_ang = psi_r * phi_r / psi
-    if np.any(pole):
-        hess_ang = np.where(pole, phi_rr, hess_ang)
-    sharp = np.zeros_like(hess_rad) if geom.m == geom.n else phi_r**2 / (geom.m - geom.n)
-    if np.any(pole):
-        sharp = np.where(pole, 0.0, sharp)
-    return rad + (hess_rad - sharp) / a2, ang + hess_ang / a2
+    hess_ang = angular_drift_product(geom, r, t, phi_r, phi_rr)
+    # phi_r vanishes at the pole, and so does the sharp term
+    sharp = np.zeros_like(phi_rr) if geom.m == geom.n else phi_r**2 / (geom.m - geom.n)
+    return rad + (phi_rr - sharp) / a2, ang + hess_ang / a2
 
 
 def metric_speed_eigs(geom: WarpedGeometry, r, t):
