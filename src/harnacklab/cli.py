@@ -1,8 +1,8 @@
 """Command-line interface: scenario commands, reports and parameter sweeps.
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
-2 configuration error, 3 numerical failure, 4 I/O failure, 5 internal error
-(an unexpected exception, reported in one line).
+2 configuration error, 3 numerical failure (including arithmetic errors),
+4 I/O failure, 5 internal error (an unexpected exception, reported in one line).
 """
 
 from __future__ import annotations

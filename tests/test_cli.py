@@ -10,7 +10,7 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_VIOLATION, cmd_check_estimate, cmd_check_identities,
                             main, run_sweep)
 from harnacklab.geometry import Cylinder
-from harnacklab.scenarios import ConfigError, parse_geometry, parse_scenario
+from harnacklab.scenarios import ConfigError, parse_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,13 +181,6 @@ def test_geometry_key_another_would_replace_rejected(tmp_path, capsys, geometry,
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
-
-
-def test_shipped_rate_geometries_stay_valid():
-    # a preset with conformal_rate and potential_drift, and linear-warp(rate)
-    for name in ("gaussian-conformal", "evolving-warp-identities"):
-        doc = json.loads((CONFIGS / f"{name}.json").read_text())
-        assert parse_geometry(doc["geometry"], doc["harnack"]["m"]).family != "static-warp"
 
 
 def test_sweep_cap_must_be_an_integer(tmp_path):
