@@ -7,26 +7,28 @@ symbolically once, lambdified, and cached, so identity residuals are limited
 only by floating-point roundoff rather than differencing error.
 
 Radial expressions may contain factors like ``psi_r/psi`` that are singular
-at the pole ``r = 0`` even though the full expression has a finite limit
-there.  Evaluation handles this by computing the one-sided limit (cached per
-expression and derivative order) whenever direct substitution at ``r = 0``
-fails to produce a finite value.
+at the pole ``r = 0`` even though the full expression extends smoothly there.
+Where direct evaluation at ``r = 0`` is not finite, the value comes from the
+truncated Taylor series in r of the expression's t-partial (``jets``): the
+(nr, nt) partial is nr! times its r^nr coefficient, so one series serves
+every r-order.  An expression with no such series (1/r, log r, r log r) is
+refused with :class:`PoleEvaluationError`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import sympy as sp
+
+from .jets import JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError
 
 R, T = sp.symbols("r t", real=True)
 
 # numpy lacks the reciprocal hyperbolics that show up in the coth/csch
-# presets; supply them to lambdify explicitly.
-_NUMPY_EXTRAS = {
-    "coth": lambda x: 1.0 / np.tanh(x),
-    "csch": lambda x: 1.0 / np.sinh(x),
-    "sech": lambda x: 1.0 / np.cosh(x),
-}
+# presets; the jet namespace's rules evaluate them on arrays too
+_NUMPY_EXTRAS = {name: JET_FUNCTIONS[name] for name in ("coth", "csch", "sech")}
 
 
 def _lambdify(expr, args):
@@ -43,8 +45,14 @@ def _broadcast_eval(fun, *arrays):
     return out
 
 
-class PoleEvaluationError(ValueError):
-    """Expression has no finite one-sided limit at r = 0."""
+def functions_without_series(expr) -> set:
+    """Names of the functions in ``expr`` that have no jet rule."""
+    return {f.func.__name__ for f in expr.atoms(sp.Function)} - JET_FUNCTIONS.keys()
+
+
+# jet lengths beyond the nr + 1 coefficients a pole value needs: each
+# cancelled 0/0 quotient uses coefficients up, and a shortfall retries once
+_POLE_EXTRA = (3, 11)
 
 
 class Profile:
@@ -67,7 +75,7 @@ class Profile:
         self.name = name
         self._derivs: dict[tuple[int, int], sp.Expr] = {(0, 0): self.expr}
         self._funcs: dict[tuple[int, int], object] = {}
-        self._pole_funcs: dict[tuple[int, int], object] = {}
+        self._pole_funcs: dict[int, object] = {}
 
     def __repr__(self):
         label = self.name or str(self.expr)
@@ -98,11 +106,36 @@ class Profile:
         return self._funcs[key]
 
     def _pole_func(self, key):
-        if key not in self._pole_funcs:
-            expr = self.deriv_expr(*key)
-            value = _pole_value(expr, self.name)
-            self._pole_funcs[key] = _lambdify(value, (T,))
-        return self._pole_funcs[key]
+        """Evaluator over t of the ``key`` partial at r = 0.
+
+        The t-partial is lambdified once per nt into the jet namespace and
+        expanded in r at r = 0; the value is coefficient nr times nr!.
+        """
+        nr, nt = key
+        if nt not in self._pole_funcs:
+            expr = self.deriv_expr(0, nt)
+            missing = functions_without_series(expr)
+            if missing:
+                raise PoleEvaluationError(f"profile {self.name!r} has no series at r = 0: "
+                                          f"no rule for {sorted(missing)}")
+            self._pole_funcs[nt] = sp.lambdify((R, T), expr, modules=[JET_NAMESPACE])
+        series = self._pole_funcs[nt]
+
+        def evaluate(t):
+            for extra in _POLE_EXTRA:
+                try:
+                    jet = series(Jet.variable(0.0, nr + 1 + extra), t)
+                except PoleEvaluationError as exc:
+                    raise PoleEvaluationError(f"profile {self.name!r} deriv {key}: {exc}") from None
+                if not isinstance(jet, Jet):  # constant in r
+                    return jet if nr == 0 else 0.0
+                if len(jet) > nr:
+                    return jet.c[nr] * math.factorial(nr)
+            raise PoleEvaluationError(
+                f"profile {self.name!r} deriv {key}: series truncated at r = 0 "
+                f"({len(jet)} of {nr + 1} coefficients left from {nr + 1 + extra})")
+
+        return evaluate
 
     def deriv(self, nr: int = 0, nt: int = 0):
         """Vectorized evaluator for the (nr, nt) partial derivative."""
@@ -126,6 +159,9 @@ class Profile:
                 pole = self._pole_func(key)
                 t_b = np.broadcast_to(t_arr, out.shape)
                 out[at_pole] = _broadcast_eval(pole, t_b[at_pole])
+                if not np.all(np.isfinite(out[at_pole])):
+                    raise PoleEvaluationError(f"profile {self.name!r} deriv {key} is "
+                                              f"singular at r = 0")
             return out
 
         return evaluate
@@ -135,26 +171,6 @@ class Profile:
 
     def at(self, nr, nt, r, t):
         return self.deriv(nr, nt)(r, t)
-
-
-def _pole_value(expr, name=""):
-    """Value of ``expr`` at r = 0, via substitution then one-sided limit."""
-    try:
-        direct = expr.subs(R, 0)
-        if direct.is_finite is not False and not direct.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-            # substitution may still hide a 0/0; probe numerically
-            probe = complex(direct.subs(T, sp.Rational(7, 10)))
-            if np.isfinite(probe.real):
-                return direct
-    except (TypeError, ValueError, ZeroDivisionError):
-        pass
-    try:
-        lim = sp.limit(expr, R, 0, "+")
-    except Exception as exc:  # pragma: no cover - sympy failure is fatal here
-        raise PoleEvaluationError(f"cannot evaluate {name!r} at the pole: {exc}")
-    if lim.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
-        raise PoleEvaluationError(f"profile {name!r} is singular at r = 0: limit {lim}")
-    return lim
 
 
 def constant_profile(value, name: str = "") -> Profile:

@@ -1,0 +1,147 @@
+"""Truncated Taylor series in r, against sympy.series and sympy.limit as oracles."""
+
+import math
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from harnacklab.jets import JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError
+from harnacklab.solver import manufactured_forcing
+from harnacklab.symfun import Profile, R, T
+
+from conftest import make_geometry
+
+K = 5
+R0 = sp.Rational(7, 10)
+TS = np.array([0.5, 1.0, 1.5])
+# the oracles are slow, so they are taken at one of the time nodes
+T_ORACLE = 1
+X = sp.Symbol("x")
+
+
+def _series_coeffs(expr):
+    """Coefficients of (r - R0)^k, k < K, by sympy.series at t = TS[T_ORACLE]."""
+    shifted = expr.subs({R: R0 + X, T: sp.nsimplify(TS[T_ORACLE])})
+    poly = sp.series(shifted, X, 0, K).removeO()
+    return [float(poly.coeff(X, k)) for k in range(K)]
+
+
+def _jet_coeffs(expr, r0=float(R0)):
+    fun = sp.lambdify((R, T), expr, modules=[JET_NAMESPACE])
+    jet = fun(Jet.variable(r0, K), TS)
+    assert len(jet) == K
+    return np.array([np.broadcast_to(c, TS.shape) for c in jet.c])
+
+
+# one argument per rule that keeps it away from its branch points on [0.2, 1.2]
+RULE_CASES = {name: getattr(sp, name)(R * (1 + T) / 2 + sp.Rational(1, 5))
+              for name in JET_FUNCTIONS}
+ARITHMETIC_CASES = {
+    "add-sub": R**2 - T * R + 3 - sp.exp(T),
+    "mul": (1 + R * T) * sp.sin(R),
+    "div": (1 + R**2) / (2 + T * R),
+    "int-power": (1 + R * T) ** 5,
+    "neg-power": (1 + R * T) ** -3,
+    "real-power": (1 + R * T) ** sp.Rational(5, 2),
+    "float-power": (2 + R) ** sp.Float(-1.25),
+    "pow-of-r": 2**R,
+    "array-exponent": (2 + R) ** T,
+    "constants": sp.pi * R + sp.E,
+}
+
+
+@pytest.mark.parametrize("name", sorted({**RULE_CASES, **ARITHMETIC_CASES}))
+def test_rule_coefficients_match_sympy_series(name):
+    expr = {**RULE_CASES, **ARITHMETIC_CASES}[name]
+    got = _jet_coeffs(expr)[:, T_ORACLE]
+    assert got == pytest.approx(_series_coeffs(expr), rel=1e-12, abs=1e-13)
+
+
+def test_jet_exponent_matches_taylor_derivatives():
+    # sympy.series takes seconds on a variable exponent; its derivatives do not
+    expr = (2 + R) ** (R * T + 1)
+    got = _jet_coeffs(expr)[:, T_ORACLE]
+    at = {R: R0, T: sp.nsimplify(TS[T_ORACLE])}
+    want = [float(sp.diff(expr, R, k).subs(at)) / math.factorial(k) for k in range(4)]
+    assert got[:4] == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_numbers_and_arrays_take_the_numpy_rules():
+    for name, rule in JET_FUNCTIONS.items():
+        numeric = sp.lambdify(R, getattr(sp, name)(R), modules="numpy")
+        assert rule(TS) == pytest.approx(numeric(TS), rel=1e-15)
+
+
+@pytest.mark.parametrize("expr, values", [
+    # value, first and second r-derivative at r = 0
+    (sp.sinh(R) / R, (1.0, 0.0, 1 / 3)),
+    ((sp.cosh(R) - 1) / R**2, (0.5, 0.0, 1 / 12)),
+])
+def test_removable_quotients_at_the_pole(expr, values):
+    prof = Profile(expr, "quotient")
+    zero = np.zeros_like(TS)
+    for nr, want in enumerate(values):
+        assert prof.at(nr, 0, zero, TS) == pytest.approx(np.full(TS.shape, want), abs=1e-15)
+
+
+def test_warp_quotient_at_the_pole_matches_sympy_series():
+    # the drift product psi_r v_r / psi of a time-dependent warp
+    psi = sp.sinh((1 + T) * R) / (1 + T)
+    v = 2 + sp.exp(-T) * sp.cos(R) + R**2 * T
+    expr = sp.diff(psi, R) * sp.diff(v, R) / psi
+    prof = Profile(expr, "drift")
+    zero = np.zeros_like(TS)
+    at = {T: sp.nsimplify(TS[T_ORACLE])}
+    series = sp.series(expr.subs(at), R, 0, 3).removeO()
+    for nr in range(3):
+        want = float(series.coeff(R, nr)) * math.factorial(nr)
+        assert prof.at(nr, 0, zero, TS)[T_ORACLE] == pytest.approx(want, rel=1e-13, abs=1e-14)
+    want = float(sp.limit(sp.diff(expr, T).subs(at), R, 0, "+"))
+    assert prof.at(0, 1, zero, TS)[T_ORACLE] == pytest.approx(want, rel=1e-13)
+
+
+def test_hyperbolic_bump_forcing_pole_values(bump_profile):
+    geom = make_geometry("hyperbolic", n=2)
+    forcing = manufactured_forcing(bump_profile, geom, 2.5).profile
+    zero = np.zeros_like(TS)
+    # direct evaluation is 0/0 at the pole, so these values come from the series
+    with np.errstate(all="ignore"):
+        assert np.isnan(forcing._func((0, 0))(0.0, 0.5))
+    e = np.exp
+    want = {
+        (0, 0): 2 * e(-TS) - 0.75 * e(-3 * TS),
+        (1, 0): np.zeros_like(TS),
+        (2, 0): (-12 * e(3 * TS) - 26 * e(2 * TS) + 8 * e(TS) - 2.5) * e(-4 * TS) / 8,
+        (0, 1): -2 * e(-TS) + 2.25 * e(-3 * TS),
+    }
+    for (nr, nt), values in want.items():
+        assert forcing.at(nr, nt, zero, TS) == pytest.approx(values, rel=1e-14, abs=1e-15)
+
+
+@pytest.mark.parametrize("expr", [1 / R, sp.cos(R) / R, sp.log(R)], ids=str)
+def test_singular_forms_are_refused(expr):
+    prof = Profile(expr * sp.exp(-T), "bad")
+    with pytest.raises(PoleEvaluationError, match="singular at r = 0"):
+        prof(np.zeros(2), np.array([0.5, 1.0]))
+
+
+def test_forms_without_a_series_rule_are_refused():
+    prof = Profile(sp.Abs(R) / R, "abs")
+    with pytest.raises(PoleEvaluationError, match="no rule for"):
+        prof(np.zeros(1), np.ones(1))
+
+
+def test_truncation_guard_retries_then_refuses():
+    quotient = sp.sinh(R) ** 6 / R**6
+    fun = sp.lambdify((R, T), quotient, modules=[JET_NAMESPACE])
+    # six leading zeros cancel: a 6-coefficient jet keeps none, a 14-coefficient one keeps 8
+    assert len(fun(Jet.variable(0.0, 6), TS)) == 0
+    assert len(fun(Jet.variable(0.0, 14), TS)) == 8
+    # (sinh r / r)^6 = 1 + r^2 + O(r^4), so its second r-derivative at 0 is 2
+    prof = Profile(quotient, "sinh6")
+    assert prof.at(2, 0, np.zeros(1), np.ones(1)) == pytest.approx([2.0], rel=1e-14)
+    deep = Profile(sp.sinh(R) ** 20 / R**20, "sinh20")
+    with pytest.raises(PoleEvaluationError, match="truncated"):
+        deep.at(2, 0, np.zeros(1), np.ones(1))
+
