@@ -8,25 +8,27 @@ configuration typos fail loudly.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
+import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from sympy.core.function import AppliedUndef
 
 from .fields import Grid
 from .geometry import WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
+from .jets import JET_FUNCTIONS
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
 from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, SolveResult,
                      barenblatt_oracle, barenblatt_pressure_profile,
                      barenblatt_support_radius, manufactured_forcing,
                      power_sum_with_closure, pressure_inverse, solve,
                      validate_barenblatt)
-from .symfun import Profile, R, T
+from .symfun import Profile, R, T, functions_without_series
 
 
 class ConfigError(ValueError):
@@ -82,18 +84,48 @@ def _read_density(doc: dict, key: str, path: str) -> tuple:
     return tuple(read_number(x, f"{path}.{key}", integer=True, at_least=2) for x in value)
 
 
+# the names an expression string may use: the coordinates, two constants and
+# the functions with a series rule, so every accepted expression has a value
+# at the pole
+_EXPR_NAMES = {"r", "t", "pi", "E", *JET_FUNCTIONS}
+
+
+def _vet_tokens(text: str, path: str):
+    """Refuse a string sympify would run as more than arithmetic in r and t.
+
+    sympify evaluates its input as Python, so names, attributes and dunders
+    are checked on the tokens before it sees them.
+    """
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    except (tokenize.TokenError, SyntaxError) as exc:
+        raise ConfigError(path, f"cannot parse expression: {exc}")
+    for tok in tokens:
+        if "__" in tok.string or tok.string == "." or tok.type == tokenize.STRING:
+            raise ConfigError(path, f"{tok.string!r} is not allowed in an expression")
+        if tok.type == tokenize.NAME and tok.string not in _EXPR_NAMES:
+            raise ConfigError(path, f"unknown name {tok.string!r}; "
+                                    f"use {', '.join(sorted(_EXPR_NAMES))}")
+
+
 def _expr(value, path: str) -> sp.Expr:
     """A finite closed form in r and t, given as a string or a number."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(path, f"expected an expression string, got {value!r}")
+    if isinstance(value, str):
+        _vet_tokens(value, path)
     try:
         expr = sp.sympify(value, locals={"r": R, "t": T})
     except (sp.SympifyError, SyntaxError, TypeError, AttributeError) as exc:
         raise ConfigError(path, f"cannot parse expression: {exc}")
     if (not isinstance(expr, sp.Expr) or not expr.free_symbols <= {R, T}
-            or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan, sp.Lambda)
-            or expr.atoms(AppliedUndef)):
+            or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan)):
         raise ConfigError(path, f"expected a finite expression in r and t, got {value!r}")
+    # sympify may rewrite into functions with no series rule: sqrt(r**2) is Abs(r)
+    unruled = functions_without_series(expr)
+    if unruled:
+        raise ConfigError(path, f"{value!r} becomes {expr}, and {', '.join(sorted(unruled))} "
+                                f"has no series at the pole")
     return expr
 
 

@@ -141,6 +141,9 @@ BAD_VALUES = [
     ("solution.expr", None), ("solution.expr", ["r"]), ("solution.expr", True),
     ("solution.expr", {"r": 1}), ("solution.expr", "r.foo"), ("solution.expr", "1/0"),
     ("geometry.potential", "lambda: 1"),
+    # sympify runs its input as Python: names outside r, t, pi, E and the
+    # functions with a series rule never reach it
+    ("solution.expr", "__import__('os').getcwd()"), ("geometry.potential", "tan(r)"),
 ]
 
 # keys that only the manufactured or numeric kind reads
