@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from scipy.linalg import solve_banded
 
 from .fields import Grid, ScalarField
 from .geometry import WarpedGeometry, phi_laplacian_eval
@@ -360,6 +359,10 @@ def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
         ab[1, -1] = 1.0
         ab[2, -2] = 0.0
         rhs[-1] = float(params.oracle(grid.r_max, t_new))
+    # imported here: scipy.linalg is a third of the CLI's import time, and
+    # only solves use it
+    from scipy.linalg import solve_banded
+
     try:
         u_new = solve_banded((1, 1), ab, rhs)
     except (ValueError, np.linalg.LinAlgError) as exc:

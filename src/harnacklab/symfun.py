@@ -32,7 +32,10 @@ _NUMPY_EXTRAS = {name: JET_FUNCTIONS[name] for name in ("coth", "csch", "sech")}
 
 
 def _lambdify(expr, args):
-    return sp.lambdify(args, expr, modules=[_NUMPY_EXTRAS, "numpy"])
+    # the numpy module itself, not "numpy": the string makes lambdify run
+    # `from numpy import *`, which imports numpy.f2py, numpy.testing and more
+    # (0.13 s) on the first call of every command; the printed code is the same
+    return sp.lambdify(args, expr, modules=[_NUMPY_EXTRAS, np])
 
 
 def _broadcast_eval(fun, *arrays):

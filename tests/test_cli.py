@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,8 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
 from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import ConfigError, parse_scenario
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def barenblatt_doc(**overrides):
@@ -518,3 +522,12 @@ def test_cli_numerical_failure_exit(tmp_path):
     code = main(["solve", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # only solves need solve_banded; every other command skips its import
+    code = "import sys, harnacklab.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
