@@ -14,11 +14,15 @@ SUMMARY = {"scenario": "x", "clamp_warning": False, "error": 2.5e-4, "grid": [25
 MANIFEST = "solve:x  rc=0  stdout=aa  stderr=bb  out=cc\n"
 
 
-def _tree(root: Path, csv_text=CSV, summary=SUMMARY, manifest=MANIFEST, extra=None):
+SUMMARY_TXT = "scenario: x\n  pressure-equation  max residual 6.661e-16 (mean 1.117e-16)  pass\n"
+
+
+def _tree(root: Path, csv_text=CSV, summary=SUMMARY, manifest=MANIFEST, extra=None,
+          summary_txt=SUMMARY_TXT):
     (root / "solve.x").mkdir(parents=True)
     (root / "solve.x" / "solution.csv").write_text(csv_text)
     (root / "solve.x" / "summary.json").write_text(json.dumps(summary))
-    (root / "solve.x" / "summary.txt").write_text("scenario: x\n")
+    (root / "solve.x" / "summary.txt").write_text(summary_txt)
     (root / "manifest.txt").write_text(manifest)
     if extra:
         (root / extra).write_text("")
@@ -39,10 +43,12 @@ def test_compare_outputs_equal_and_numeric_only(tmp_path, capsys):
     rc, out = _run(tmp_path / "2", capsys,
                    csv_text=CSV.replace("2.5,0.30", "2.0,0.9"),
                    summary=dict(SUMMARY, error=2e-4),
-                   manifest=MANIFEST.replace("out=cc", "out=dd"))
+                   manifest=MANIFEST.replace("out=cc", "out=dd"),
+                   summary_txt=SUMMARY_TXT.replace("1.117e-16", "1.114e-16"))
     assert rc == 0
     assert "solution.csv: 1 numeric values moved, max abs 5.000e-01, max rel 2.000e-01" in out
     assert "summary.json: 1 numeric values moved, max abs 5.000e-05, max rel 2.000e-01" in out
+    assert "summary.txt: 1 numeric values moved, max abs 3.000e-19, max rel 2.686e-03" in out
     assert "differences are numeric only" in out
 
 
@@ -53,6 +59,9 @@ def test_compare_outputs_equal_and_numeric_only(tmp_path, capsys):
     {"summary": dict(SUMMARY, extra=1)},                              # key
     {"summary": dict(SUMMARY, clamp_warning=True)},                   # boolean leaf
     {"summary": dict(SUMMARY, scenario="y")},                         # string leaf
+    {"summary_txt": SUMMARY_TXT.replace("pass", "FAIL")},             # verdict word
+    {"summary_txt": SUMMARY_TXT.replace("e-16 (", "e-16 inf (")},     # inf is text
+    {"summary_txt": SUMMARY_TXT + "\n"},                              # line count
     {"manifest": MANIFEST.replace("rc=0", "rc=1")},                   # exit code
     {"manifest": MANIFEST.replace("stderr=bb", "stderr=ee")},         # stderr
     {"extra": "solve.x/report.csv"},                                  # file on one side

@@ -19,7 +19,11 @@ whose bytes differ:
   command's exit code must match, and so must the sha256 of its stdout and
   stderr, which are not kept.  The out-dir digests are not compared here;
   the files behind them are.
-* any other file (``summary.txt``): the texts must be equal.
+* any other file (``summary.txt``): the line counts must match, and each
+  line must read the same once its numbers are masked.  The numbers are
+  compared numerically, so a residual printed as ``1.117e-16`` on one side
+  and ``1.114e-16`` on the other is a numeric move; ``inf`` and ``nan`` are
+  text.
 
 A line is printed for each differing file, giving the number of numeric
 cells that moved and the largest absolute and relative change (relative to
@@ -35,10 +39,12 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 TIMING_COLUMNS = {"runtime_s"}
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 class Diff:
@@ -140,6 +146,17 @@ def compare_manifest(text_a: str, text_b: str, diff: Diff):
             diff.other(f"{label} {name}", runs_a[label].get(name), runs_b[label].get(name))
 
 
+def compare_text(text_a: str, text_b: str, diff: Diff):
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    diff.other("line count", len(lines_a), len(lines_b))
+    for k, (a, b) in enumerate(zip(lines_a, lines_b), start=1):
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            diff.problems.append(f"text differs from line {k}")
+            return
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+            diff.number(float(x), float(y))
+
+
 def compare_file(name: str, text_a: str, text_b: str) -> Diff:
     diff = Diff()
     if name.endswith(".csv"):
@@ -149,9 +166,7 @@ def compare_file(name: str, text_a: str, text_b: str) -> Diff:
     elif name == "manifest.txt":
         compare_manifest(text_a, text_b, diff)
     else:
-        lines = zip(text_a.splitlines(keepends=True), text_b.splitlines(keepends=True))
-        first = next((k for k, (a, b) in enumerate(lines, start=1) if a != b), None)
-        diff.problems.append(f"text differs from line {first}" if first else "lengths differ")
+        compare_text(text_a, text_b, diff)
     return diff
 
 

@@ -13,7 +13,9 @@ Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
 * ``check-harnack --seed 40`` on ``configs/barenblatt.json``, a seed whose
   Harnack bound overflows ``exp`` on some pairs;
 * ``sweep`` on ``configs/sweep-p-alpha.json``;
-* ``check-estimate`` on ``perfbench/inputs/hyperbolic-bump.json``;
+* ``check-estimate`` and ``check-identities`` on
+  ``perfbench/inputs/hyperbolic-bump.json``, the pole values of a curved warp
+  under the identity residual gates;
 * ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``, once serial and
   once with ``--workers 2`` (the thread-pool path; its out-dir digest must
   equal the serial line's).
@@ -62,8 +64,9 @@ def commands():
                  "--negative-control"]))
     out.append(("check-harnack:barenblatt --seed 40",
                 ["check-harnack", "--config", "configs/barenblatt.json", "--seed", "40"]))
-    out.append(("check-estimate:hyperbolic-bump",
-                ["check-estimate", "--config", "perfbench/inputs/hyperbolic-bump.json"]))
+    for sub in ("check-estimate", "check-identities"):
+        out.append((f"{sub}:hyperbolic-bump",
+                    [sub, "--config", "perfbench/inputs/hyperbolic-bump.json"]))
     out.append(("sweep:sweep-p-alpha-wide",
                 ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json"]))
     out.append(("sweep:sweep-p-alpha-wide --workers 2",
