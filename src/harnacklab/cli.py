@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import json
 import sys
@@ -53,13 +54,47 @@ def _write_summary(out: Path, lines, payload):
         fh.write("\n")
 
 
+# rows formatted per write: bounds the row text held in memory at once
+_CSV_CHUNK_ROWS = 4096
+
+
+def _table(n: int, header, objects=()) -> np.ndarray:
+    """An empty ``n``-row table for :func:`_write_csv`: one field per header
+    name, float64 except the ``objects`` fields, which hold any value."""
+    return np.empty(n, dtype=[(name, object if name in objects else np.float64)
+                              for name in header])
+
+
+def _csv_cells(values: list, text: dict) -> list:
+    """The csv text of each of ``values``, ``_fmt``-ing and quoting each distinct
+    object once; ``text`` maps ``id`` to text, so 0.0 and -0.0 stay apart."""
+    for key, value in dict(zip(map(id, values), values)).items():
+        if key not in text:
+            buf = io.StringIO()
+            csv.writer(buf).writerow((_fmt(value), ""))
+            text[key] = buf.getvalue()[:-3]  # less the empty field's "," and "\r\n"
+    return list(map(text.__getitem__, map(id, values)))
+
+
 def _write_csv(path: Path, header, rows):
+    """Write ``rows``, a table from :func:`_table`, as CSV under ``header``.
+
+    A float64 cell prints as ``%.12g``, which is what ``_fmt`` gives a float;
+    any other cell is ``_fmt``-ed and quoted once per distinct object.  Rows
+    are formatted and written ``_CSV_CHUNK_ROWS`` at a time.
+    """
+    names = rows.dtype.names
+    floats = [rows.dtype[name] == np.float64 for name in names]
+    row_format = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
+    texts = {name: {} for name in names}
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+            chunk = rows[start:start + _CSV_CHUNK_ROWS]
+            columns = [chunk[name].tolist() if f else _csv_cells(chunk[name].tolist(), texts[name])
+                       for name, f in zip(names, floats)]
+            fh.write("".join(map(row_format.__mod__, zip(*columns))))
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +104,12 @@ def _write_csv(path: Path, header, rows):
 def cmd_solve(sc: Scenario, out: Path) -> int:
     result = sc.run_solver()
     grid = sc.grid
-    rows = []
-    for i, r in enumerate(grid.r):
-        for j, t in enumerate(grid.t):
-            rows.append([r, t, result.u.values[i, j], result.v.values[i, j]])
-    _write_csv(out / "solution.csv", ("r", "t", "u", "v"), rows)
+    rr, tt = grid.mesh()
+    header = ("r", "t", "u", "v")
+    table = _table(rr.size, header)
+    for name, values in zip(header, (rr, tt, result.u.values, result.v.values)):
+        table[name] = values.ravel()
+    _write_csv(out / "solution.csv", header, table)
 
     lines = [f"scenario: {sc.name}", "command: solve",
              f"grid: {grid.n_r} x {grid.n_t}  dr={grid.dr:.6g}  dt={grid.dt:.6g}",
@@ -82,7 +118,6 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
     payload = {"scenario": sc.name, "command": "solve", "meta": result.meta}
     if result.meta.get("clamp_warning"):
         lines.append("WARNING: clamp fraction above threshold")
-    rr, tt = grid.mesh()
     exact = sc.oracle_u(rr, tt)
     interior = grid.r <= 0.8 * grid.r_max
     err = float(np.max(np.abs(result.u.values[interior] - exact[interior])))
@@ -154,20 +189,15 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
 
     lines = [f"scenario: {sc.name}", "command: check-identities",
              f"geometry: {geom.name} ({geom.family}, n={geom.n}, m={geom.m:g})"]
-    rows = []
-    failed = 0
+    status = []
     for name, value, mean, scale, thresh in checks:
-        ok = value <= thresh * scale
-        failed += 0 if ok else 1
-        rows.append([name, value, mean, scale, thresh, "pass" if ok else "FAIL"])
+        status.append("pass" if value <= thresh * scale else "FAIL")
         lines.append(f"  {name:42s} max residual {value:.3e} (mean {mean:.3e}, "
-                     f"scale {scale:.3g})  {'pass' if ok else 'FAIL'}")
+                     f"scale {scale:.3g})  {status[-1]}")
     for name, value, scale, thresh in margin_rows:
-        ok = value >= thresh * scale
-        failed += 0 if ok else 1
-        rows.append([name, value, "", scale, thresh, "pass" if ok else "FAIL"])
-        lines.append(f"  {name:42s} min margin {value:+.3e} (scale {scale:.3g})  "
-                     f"{'pass' if ok else 'FAIL'}")
+        status.append("pass" if value >= thresh * scale else "FAIL")
+        lines.append(f"  {name:42s} min margin {value:+.3e} (scale {scale:.3g})  {status[-1]}")
+    failed = status.count("FAIL")
     if commutator_table:
         lines.append("  commutator variant residuals:")
         for label, value in sorted(commutator_table.items()):
@@ -182,8 +212,14 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
             lines.append("  note: a single scenario pins only the terms it excites; "
                          "run both evolving families to single one out")
 
-    _write_csv(out / "residuals.csv",
-               ("check", "max", "mean", "scale", "threshold", "status"), rows)
+    header = ("check", "max", "mean", "scale", "threshold", "status")
+    table = _table(len(status), header, objects=("check", "mean", "status"))
+    gated = [(n, v, s, th) for n, v, _, s, th in checks] + margin_rows
+    for name, column in zip(("check", "max", "scale", "threshold"), zip(*gated)):
+        table[name] = column
+    table["mean"] = [mu for _, _, mu, _, _ in checks] + [""] * len(margin_rows)
+    table["status"] = status
+    _write_csv(out / "residuals.csv", header, table)
     payload = {
         "scenario": sc.name, "command": "check-identities",
         "checks": ([{"name": n, "max": v, "mean": mu, "scale": s, "threshold": th}
@@ -202,12 +238,15 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
     ver = sc.verification
     reports = estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0)
 
-    rows = []
+    header = ("variant", "eps", "r", "t", "lhs", "rhs", "margin")
+    table = _table(sum(rep.margin.size for rep in reports), header, objects=header[:2])
+    start = 0
     for rep in reports:
-        for i in range(rep.margin.size):
-            rows.append([rep.variant, "" if rep.eps is None else rep.eps,
-                         rep.r[i], rep.t_abs[i], rep.lhs[i], rep.rhs[i], rep.margin[i]])
-    _write_csv(out / "report.csv", ("variant", "eps", "r", "t", "lhs", "rhs", "margin"), rows)
+        part, start = table[start:start + rep.margin.size], start + rep.margin.size
+        for name, values in zip(header, (rep.variant, "" if rep.eps is None else rep.eps,
+                                         rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin)):
+            part[name] = values
+    _write_csv(out / "report.csv", header, table)
 
     total_violations = sum(len(rep.violations) for rep in reports)
     lines = [f"scenario: {sc.name}", "command: check-estimate",
@@ -259,7 +298,9 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
              f"pairs: {len(pairs)} (seed {sc.seed})", f"inf v: {v_inf:.6g}"]
     payload = {"scenario": sc.name, "command": "check-harnack", "seed": sc.seed,
                "pairs": len(pairs), "v_inf": v_inf, "families": {}}
-    rows = []
+    header = ("family", "r1", "tau1", "r2", "tau2", "energy", "ratio", "bound",
+              "margin", "log_integral_margin", "status")
+    tables = []
     violations = 0
     for family in ("first", "second"):
         eps = 0.5 * params.eps_ceiling(sc.tau_probe, family)
@@ -279,13 +320,13 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
             "worst_margin": worst, "worst_log_integral_margin": worst_log,
             "log_integral_violations": log_viol,
         }
-        for row in rep["rows"]:
-            rows.append([family, row["r1"], row["tau1"], row["r2"], row["tau2"],
-                         row["energy"], row["ratio"], row["bound"], row["margin"],
-                         row["log_integral_margin"], "pass" if row["passed"] else "FAIL"])
-    _write_csv(out / "pairs.csv",
-               ("family", "r1", "tau1", "r2", "tau2", "energy", "ratio", "bound",
-                "margin", "log_integral_margin", "status"), rows)
+        table = _table(len(rep["rows"]), header, objects=("family", "status"))
+        table["family"] = family
+        for name in header[1:-1]:
+            table[name] = [row[name] for row in rep["rows"]]
+        table["status"] = ["pass" if row["passed"] else "FAIL" for row in rep["rows"]]
+        tables.append(table)
+    _write_csv(out / "pairs.csv", header, np.concatenate(tables))
     lines.append(f"total violations: {violations}")
     payload["violations"] = violations
     _write_summary(out, lines, payload)
@@ -348,10 +389,14 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
     else:
         results = [one(c) for c in combos]
 
-    rows = [list(combo) + [margin, viol, f"{runtime:.3f}"]
-            for combo, margin, viol, runtime in results]
-    _write_csv(out / "sweep.csv", tuple(names) + ("min_margin", "violations", "runtime_s"), rows)
-    total_violations = sum(v for _, _, v, _ in results)
+    header = tuple(names) + ("min_margin", "violations", "runtime_s")
+    table = _table(len(results), header, objects=tuple(names) + header[-2:])
+    combo_rows, margins, viols, runtimes = zip(*results)
+    for name, column in zip(header, [*zip(*combo_rows), margins, viols,
+                                     [f"{runtime:.3f}" for runtime in runtimes]]):
+        table[name] = column
+    _write_csv(out / "sweep.csv", header, table)
+    total_violations = sum(viols)
     lines = ["command: sweep", f"axes: {names}", f"combinations: {len(combos)}",
              f"total violations: {total_violations}"]
     payload = {"command": "sweep", "axes": names,

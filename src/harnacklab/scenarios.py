@@ -19,12 +19,12 @@ import numpy as np
 import sympy as sp
 
 from .fields import Grid
-from .geometry import WarpedGeometry
+from .geometry import MODES, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
 from .jets import JET_FUNCTIONS
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
-from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, SolveResult,
-                     barenblatt_oracle, barenblatt_pressure_profile,
+from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, PowerSumNonlinearity,
+                     SolveResult, barenblatt_oracle, barenblatt_pressure_profile,
                      barenblatt_support_radius, manufactured_forcing,
                      power_sum_with_closure, pressure_inverse, solve,
                      validate_barenblatt)
@@ -223,7 +223,7 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     else:
         family = "static-warp"
         mode_default = "pole"
-    mode = doc.get("mode", mode_default)
+    mode = _read_choice(doc.get("mode", mode_default), f"{path}.mode", MODES)
     try:
         return WarpedGeometry(
             n=n, m=float(m), warp=Profile(warp_expr, "warp"),
@@ -412,7 +412,8 @@ def parse_scenario(doc: dict) -> Scenario:
                              "pde.floor_fraction")
     u0 = oracle_u(grid.r, t0)
     floor = max(floor_frac * float(np.max(u0)), 1e-300)
-    boundary = pde_doc.get("boundary", "dirichlet-oracle")
+    boundary = _read_choice(pde_doc.get("boundary", "dirichlet-oracle"), "pde.boundary",
+                            BOUNDARY_POLICIES)
     try:
         pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
                         outer_boundary=boundary, oracle=oracle_u,
@@ -447,7 +448,10 @@ def parse_scenario(doc: dict) -> Scenario:
                                           "harnack.eps_fractions", read_number)),
     }
 
-    geom.validate_on(t0, t0 + duration)
+    try:
+        geom.validate_on(t0, t0 + duration)
+    except GeometryError as exc:
+        raise ConfigError("geometry", str(exc))
     sc = Scenario(
         name=name, seed=seed, geom=geom, params=params, nonlinearity=nl,
         grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u,

@@ -286,6 +286,9 @@ def _flat_geometry(n: int) -> WarpedGeometry:
 # finite-volume semi-implicit solver
 # ---------------------------------------------------------------------------
 
+BOUNDARY_POLICIES = ("neumann-zero", "dirichlet-oracle")
+
+
 @dataclass(frozen=True)
 class PdeParams:
     """Exponent, forcing, positivity floor and boundary policy."""
@@ -302,7 +305,7 @@ class PdeParams:
             raise SolverError("exponent p must exceed 1")
         if self.positivity_floor <= 0:
             raise SolverError("positivity floor must be positive")
-        if self.outer_boundary not in ("neumann-zero", "dirichlet-oracle"):
+        if self.outer_boundary not in BOUNDARY_POLICIES:
             raise SolverError(f"unknown boundary policy {self.outer_boundary!r}")
         if self.outer_boundary == "dirichlet-oracle" and self.oracle is None:
             raise SolverError("dirichlet-oracle boundary needs an oracle")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,10 @@ BAD_VALUES = [
     # sympify runs its input as Python: names outside r, t, pi, E and the
     # functions with a series rule never reach it
     ("solution.expr", "__import__('os').getcwd()"), ("geometry.potential", "tan(r)"),
+    # choices read from the geometry and pde objects, and a mode the warp does
+    # not admit (the euclidean warp vanishes at r = 0, so it has no annulus)
+    ("geometry.mode", "foo"), ("geometry.mode", ["pole"]), ("pde.boundary", "foo"),
+    ("geometry", {"preset": "euclidean", "n": 2, "r_max": 2.0, "mode": "annulus"}),
 ]
 
 # keys that only the manufactured or numeric kind reads
@@ -196,6 +201,61 @@ def test_sweep_cap_must_be_an_integer(tmp_path):
     with pytest.raises(ConfigError) as err:
         run_sweep(doc, tmp_path)
     assert err.value.path == "sweep.cap"
+
+
+# ---------------------------------------------------------------------------
+# CSV writer
+# ---------------------------------------------------------------------------
+
+def _per_cell_csv(path, header, rows):
+    """The per-cell writer ``_write_csv`` replaced: the reference for its bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(x) for x in row])
+
+
+def test_write_csv_matches_per_cell_writer(tmp_path):
+    n = 2 * cli._CSV_CHUNK_ROWS + 17
+    rng = np.random.default_rng(5)
+    special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e16, 0.1, 1 / 3, 123456789012.5]
+    drawn = rng.uniform(-10, 10, n) * 10.0 ** rng.integers(-20, 21, n)
+    floats = (special + drawn.tolist())[:n]
+    # 0.0 and -0.0, or 1 and True, are equal keys but print differently
+    others = [1, 0, True, False, "", -0.0, 0.0, 2.5, np.nan, "a,b", 'say "hi"',
+              "two\nlines", "cr\rhere", "evolution-inequality[pointwise,sharp-static]",
+              "pass", None]
+    labels = [others[i % len(others)] for i in range(n)]
+    mixed = [float(i) / 7 if i % 3 else i for i in range(n)]
+    header = ("x", "label", "y", "mixed, quoted")
+    table = cli._table(n, header, objects=("label", "mixed, quoted"))
+    table["x"] = floats
+    table["label"] = labels
+    table["y"] = floats[::-1]
+    table["mixed, quoted"] = mixed
+    cli._write_csv(tmp_path / "new.csv", header, table)
+    _per_cell_csv(tmp_path / "old.csv", header, zip(floats, labels, floats[::-1], mixed))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_streams_in_chunks(tmp_path):
+    # 200,000 rows of 5 floats are 14.6 MB of CSV.  Under tracemalloc
+    # (CPython 3.11) the per-cell writer peaked at 0.15 MB and this writer at
+    # 1.5 MB; formatting all rows at once peaks at 71 MB, and 16,384-row
+    # chunks at 5.8 MB.
+    n, header = 200_000, tuple("abcde")
+    table = cli._table(n, header)
+    rng = np.random.default_rng(3)
+    for name in header:
+        table[name] = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        cli._write_csv(tmp_path / "table.csv", header, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
