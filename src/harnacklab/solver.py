@@ -363,7 +363,7 @@ def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
         ab[2, -2] = 0.0
         rhs[-1] = float(params.oracle(grid.r_max, t_new))
     # imported here: scipy.linalg is a third of the CLI's import time, and
-    # only solves use it
+    # only solves use it; solve imports it first, so no step pays for it
     from scipy.linalg import solve_banded
 
     try:
@@ -390,6 +390,7 @@ def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
     U = np.zeros((grid.n_r, grid.n_t))
     U[:, 0] = u
     clamps = 0
+    from scipy.linalg import solve_banded  # noqa: F401  (for step, before the loop)
     for j in range(1, grid.n_t):
         t_prev = t_nodes[j - 1]
         sub_dt = (t_nodes[j] - t_prev) / params.substeps

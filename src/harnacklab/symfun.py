@@ -1,23 +1,29 @@
-"""Closed-form radial/time functions backed by symbolic derivative tables.
+"""Closed-form radial/time functions with every r-partial from one Taylor series.
 
 Every analytic input to the laboratory (warp factor, conformal factor,
 potential, manufactured solutions, forcing terms) is a sympy expression in
-the coordinates ``r`` and ``t``.  Derivatives of any order are generated
-symbolically once, lambdified, and cached, so identity residuals are limited
+the coordinates ``r`` and ``t``.  A :class:`Profile` differentiates in t
+symbolically and lambdifies each t-partial once, into the jet namespace
+(``jets.JET_NAMESPACE``), whose rules act like numpy on numbers and arrays
+and give the truncated Taylor series on a :class:`~.jets.Jet`.  Called on
+arrays, that function gives the value; called at ``r = Jet.variable(r, nr +
+1)`` it gives the series in r about every node, and the (nr, nt) partial is
+nr! times its r^nr coefficient.  So one function serves every r-order, no
+r-partial is differentiated symbolically, and identity residuals are limited
 only by floating-point roundoff rather than differencing error.
 
 Radial expressions may contain factors like ``psi_r/psi`` that are singular
 at the pole ``r = 0`` even though the full expression extends smoothly there.
-Where direct evaluation at ``r = 0`` is not finite, the value comes from the
-truncated Taylor series in r of the expression's t-partial (``jets``): the
-(nr, nt) partial is nr! times its r^nr coefficient, so one series serves
-every r-order.  An expression with no such series (1/r, log r, r log r) is
-refused with :class:`PoleEvaluationError`.
+Where evaluation at ``r = 0`` is not finite, the value comes from the same
+function's series about r = 0, whose quotients cancel removable 0/0 forms.
+An expression with no such series (1/r, log r, r log r) is refused with
+:class:`PoleEvaluationError`.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -25,17 +31,6 @@ import sympy as sp
 from .jets import JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError
 
 R, T = sp.symbols("r t", real=True)
-
-# numpy lacks the reciprocal hyperbolics that show up in the coth/csch
-# presets; the jet namespace's rules evaluate them on arrays too
-_NUMPY_EXTRAS = {name: JET_FUNCTIONS[name] for name in ("coth", "csch", "sech")}
-
-
-def _lambdify(expr, args):
-    # the numpy module itself, not "numpy": the string makes lambdify run
-    # `from numpy import *`, which imports numpy.f2py, numpy.testing and more
-    # (0.13 s) on the first call of every command; the printed code is the same
-    return sp.lambdify(args, expr, modules=[_NUMPY_EXTRAS, np])
 
 
 def _broadcast_eval(fun, *arrays):
@@ -59,7 +54,7 @@ _POLE_EXTRA = (3, 11)
 
 
 class Profile:
-    """A closed-form function of ``(r, t)`` with a cached derivative table.
+    """A closed-form function of ``(r, t)`` with cached t-partials.
 
     Parameters
     ----------
@@ -76,20 +71,19 @@ class Profile:
         if bad:
             raise ValueError(f"profile {name!r} has stray symbols {bad}")
         self.name = name
-        self._derivs: dict[tuple[int, int], sp.Expr] = {(0, 0): self.expr}
-        self._funcs: dict[tuple[int, int], object] = {}
-        self._pole_funcs: dict[int, object] = {}
+        self._derivs: dict[int, sp.Expr] = {0: self.expr}
+        self._series: dict[int, object] = {}
 
     def __repr__(self):
         label = self.name or str(self.expr)
         return f"Profile({label})"
 
     # -- symbolic table ----------------------------------------------------
-    def deriv_expr(self, nr: int = 0, nt: int = 0) -> sp.Expr:
-        key = (nr, nt)
-        if key not in self._derivs:
-            self._derivs[key] = sp.diff(self.expr, R, nr, T, nt)
-        return self._derivs[key]
+    def deriv_expr(self, nt: int = 0) -> sp.Expr:
+        """The t-partial of order ``nt``; r-partials come from its series."""
+        if nt not in self._derivs:
+            self._derivs[nt] = sp.diff(self.expr, T, nt)
+        return self._derivs[nt]
 
     @property
     def time_independent(self) -> bool:
@@ -103,77 +97,77 @@ class Profile:
         return not (self.expr.has(R) or self.expr.has(T))
 
     # -- numeric evaluation --------------------------------------------------
-    def _func(self, key):
-        if key not in self._funcs:
-            self._funcs[key] = _lambdify(self.deriv_expr(*key), (R, T))
-        return self._funcs[key]
+    def _series_func(self, nt):
+        """The ``nt`` t-partial lambdified into the jet namespace."""
+        if nt not in self._series:
+            self._series[nt] = sp.lambdify((R, T), self.deriv_expr(nt), modules=[JET_NAMESPACE])
+        return self._series[nt]
 
-    def _pole_func(self, key):
-        """Evaluator over t of the ``key`` partial at r = 0.
+    @cached_property
+    def _unruled(self):
+        # t-partials of the rule functions are built from rule functions
+        return sorted(functions_without_series(self.expr))
 
-        The t-partial is lambdified once per nt into the jet namespace and
-        expanded in r at r = 0; the value is coefficient nr times nr!.
-        """
+    def _jet_partial(self, key, r, t, length):
+        """nr! times the r^nr coefficient of the ``nt`` t-partial's series
+        about r, ``length`` coefficients long; None when cancelled 0/0
+        quotients left too few."""
         nr, nt = key
-        if nt not in self._pole_funcs:
-            expr = self.deriv_expr(0, nt)
-            missing = functions_without_series(expr)
-            if missing:
-                raise PoleEvaluationError(f"profile {self.name!r} has no series at r = 0: "
-                                          f"no rule for {sorted(missing)}")
-            self._pole_funcs[nt] = sp.lambdify((R, T), expr, modules=[JET_NAMESPACE])
-        series = self._pole_funcs[nt]
+        if self._unruled:
+            raise PoleEvaluationError(f"profile {self.name!r} has no Taylor series in r: "
+                                      f"no rule for {self._unruled}")
+        try:
+            jet = self._series_func(nt)(Jet.variable(r, length), t)
+        except PoleEvaluationError as exc:
+            raise PoleEvaluationError(f"profile {self.name!r} deriv {key}: {exc}") from None
+        if not isinstance(jet, Jet):  # constant in r
+            return jet if nr == 0 else 0.0
+        return jet.c[nr] * math.factorial(nr) if len(jet) > nr else None
 
-        def evaluate(t):
-            for extra in _POLE_EXTRA:
-                try:
-                    jet = series(Jet.variable(0.0, nr + 1 + extra), t)
-                except PoleEvaluationError as exc:
-                    raise PoleEvaluationError(f"profile {self.name!r} deriv {key}: {exc}") from None
-                if not isinstance(jet, Jet):  # constant in r
-                    return jet if nr == 0 else 0.0
-                if len(jet) > nr:
-                    return jet.c[nr] * math.factorial(nr)
-            raise PoleEvaluationError(
-                f"profile {self.name!r} deriv {key}: series truncated at r = 0 "
-                f"({len(jet)} of {nr + 1} coefficients left from {nr + 1 + extra})")
+    def _pole_value(self, key, t):
+        nr = key[0]
+        for extra in _POLE_EXTRA:
+            value = self._jet_partial(key, 0.0, t, nr + 1 + extra)
+            if value is not None:
+                return value
+        raise PoleEvaluationError(
+            f"profile {self.name!r} deriv {key}: series truncated at r = 0 "
+            f"(fewer than {nr + 1} coefficients left from {nr + 1 + extra})")
 
-        return evaluate
-
-    def deriv(self, nr: int = 0, nt: int = 0):
-        """Vectorized evaluator for the (nr, nt) partial derivative."""
+    def _evaluate(self, nr, nt, r, t):
         key = (nr, nt)
-        fun = self._func(key)
-
-        def evaluate(r, t):
-            r_arr = np.asarray(r, dtype=float)
-            t_arr = np.asarray(t, dtype=float)
-            out = _broadcast_eval(fun, r_arr, t_arr)
-            bad = ~np.isfinite(out)
-            if np.any(bad):
-                r_b = np.broadcast_to(r_arr, out.shape)
-                at_pole = bad & (r_b == 0.0)
-                if np.any(bad & ~at_pole):
-                    where = np.argwhere(bad & ~at_pole)[0]
-                    raise FloatingPointError(
-                        f"profile {self.name!r} deriv {key} non-finite away "
-                        f"from the pole (first at index {tuple(where)})"
-                    )
-                pole = self._pole_func(key)
-                t_b = np.broadcast_to(t_arr, out.shape)
-                out[at_pole] = _broadcast_eval(pole, t_b[at_pole])
-                if not np.all(np.isfinite(out[at_pole])):
-                    raise PoleEvaluationError(f"profile {self.name!r} deriv {key} is "
-                                              f"singular at r = 0")
-            return out
-
-        return evaluate
+        r_arr = np.asarray(r, dtype=float)
+        t_arr = np.asarray(t, dtype=float)
+        if nr == 0:
+            out = _broadcast_eval(self._series_func(nt), r_arr, t_arr)
+        else:
+            def partial(r, t):
+                value = self._jet_partial(key, r, t, nr + 1)
+                return np.nan if value is None else value
+            out = _broadcast_eval(partial, r_arr, t_arr)
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            r_b = np.broadcast_to(r_arr, out.shape)
+            at_pole = bad & (r_b == 0.0)
+            if np.any(bad & ~at_pole):
+                where = np.argwhere(bad & ~at_pole)[0]
+                raise FloatingPointError(
+                    f"profile {self.name!r} deriv {key} non-finite away "
+                    f"from the pole (first at index {tuple(where)})"
+                )
+            t_b = np.broadcast_to(t_arr, out.shape)
+            out[at_pole] = _broadcast_eval(lambda t: self._pole_value(key, t), t_b[at_pole])
+            if not np.all(np.isfinite(out[at_pole])):
+                raise PoleEvaluationError(f"profile {self.name!r} deriv {key} is "
+                                          f"singular at r = 0")
+        return out
 
     def __call__(self, r, t):
-        return self.deriv(0, 0)(r, t)
+        return self._evaluate(0, 0, r, t)
 
     def at(self, nr, nt, r, t):
-        return self.deriv(nr, nt)(r, t)
+        """The (nr, nt) partial derivative at broadcast arrays r, t."""
+        return self._evaluate(nr, nt, r, t)
 
 
 def constant_profile(value, name: str = "") -> Profile:

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from harnacklab.params import preset_alpha_beta
+from harnacklab.scenarios import MANUFACTURED_CATALOG
+from harnacklab.solver import manufactured_forcing
 from harnacklab.symfun import PoleEvaluationError, Profile, R, T, constant_profile
+
+from conftest import make_geometry
 
 
 def test_profile_basic_evaluation():
@@ -55,3 +60,59 @@ def test_broadcasting_constant_expression():
     vals = prof(np.zeros((3, 4)), np.ones((3, 4)))
     assert vals.shape == (3, 4)
     assert np.all(vals == 2.5)
+
+
+def _oracle_profiles():
+    """The closed-form profiles a scenario builds: catalog fields, warps, the
+    coth coefficient pair and closure forcings of three geometries."""
+    fields = {name: Profile(expr, name) for name, expr in MANUFACTURED_CATALOG.items()}
+    pair = preset_alpha_beta("coth", 0.7, 2 / 3)
+    potential = R**2 * (1 + T / 9) / 2
+    # the oracle's sympy.diff takes 3-5 s on a bump forcing, 0.1-1.3 s on these
+    forcings = {
+        f"forcing({field}, {kind})": manufactured_forcing(fields[field], make_geometry(kind, **kw),
+                                                          2.5).profile
+        for field, kind, kw in [
+            ("cosh-bump", "hyperbolic", {}),
+            ("cos-bump", "warp", {"n": 3, "m": 4, "potential": potential}),
+            ("cosh-bump", "gaussian", {"m": 4, "conformal": sp.exp(T / 10), "potential": potential}),
+        ]
+    }
+    return {**fields, "sinh": Profile(sp.sinh(R)), "sin": Profile(sp.sin(R)),
+            "warp(t)": Profile(1 + R * (1 + T / 5)), "alpha(coth)": pair.alpha,
+            "beta(coth)": pair.beta, **forcings}
+
+
+def test_r_partials_match_symbolic_differentiation():
+    # sympy.diff and a numpy lambdify, the route the series replaced, as the
+    # oracle.  Near the pole the forcings' coth(r) and 1/r terms cancel in both
+    # routes, which differ there by up to 3e-10 scaled (r = 0.05); the nodes
+    # stay at r >= 0.5, where they differ by under 5e-14
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.5, 3.0, 400)
+    t = rng.uniform(0.2, 1.5, 400)
+    for name, prof in _oracle_profiles().items():
+        for nt in range(3):
+            expr = sp.diff(prof.expr, T, nt)
+            for nr in range(5):
+                expr = sp.diff(expr, R) if nr else expr
+                ref = sp.lambdify((R, T), expr, modules="numpy")(r, t) * np.ones_like(r)
+                err = np.abs(prof.at(nr, nt, r, t) - ref) / np.maximum(1.0, np.abs(ref))
+                assert err.max() <= 1e-12, (name, nr, nt, err.max())
+
+
+def test_one_lambdify_serves_every_r_order(monkeypatch):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counted)
+    # sinh(r)/r is 0/0 at the pole, so r = 0 takes the series about r = 0
+    prof = Profile(sp.sinh(R) / R + sp.cos(R) * sp.exp(-T), "sinhc")
+    r, t = np.array([0.0, 0.5]), np.array([0.5, 0.5])
+    for nr in range(4):
+        assert np.all(np.isfinite(prof.at(nr, 0, r, t)))
+    assert len(calls) == 1
