@@ -10,7 +10,9 @@ arrays, that function gives the value; called at ``r = Jet.variable(r, nr +
 1)`` it gives the series in r about every node, and the (nr, nt) partial is
 nr! times its r^nr coefficient.  So one function serves every r-order, no
 r-partial is differentiated symbolically, and identity residuals are limited
-only by floating-point roundoff rather than differencing error.
+only by floating-point roundoff rather than differencing error.  r-partials
+need a jet rule for every function in the expression
+(:func:`functions_without_series`); values do not.
 
 Radial expressions may contain factors like ``psi_r/psi`` that are singular
 at the pole ``r = 0`` even though the full expression extends smoothly there.
