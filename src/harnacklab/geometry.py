@@ -22,14 +22,19 @@ from functools import cached_property
 import numpy as np
 import sympy as sp
 
-from .symfun import Profile, R, T
+from .jets import d_r
+from .symfun import Profile
 
 FAMILIES = ("static-warp", "conformal-evolving", "evolving-warp")
 MODES = ("pole", "annulus")
 
 
 class GeometryError(ValueError):
-    pass
+    """A geometry the laboratory cannot use; ``key`` names the key at fault."""
+
+    def __init__(self, message: str, key: str = ""):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -90,29 +95,35 @@ class WarpedGeometry:
         if np.any(self.conformal(0.0, ts) <= 0):
             raise GeometryError("conformal factor must be positive")
         if self.mode == "pole":
-            p0 = self.warp(np.zeros_like(ts), ts)
-            p1 = self.warp.at(1, 0, np.zeros_like(ts), ts)
+            p0, p1, p2 = self.warp.table(2, 0, np.zeros_like(ts), ts)[:, 0]
             if np.max(np.abs(p0)) > 1e-12 or np.max(np.abs(p1 - 1.0)) > 1e-12:
                 raise GeometryError("pole mode requires psi(0,t) = 0 and psi_r(0,t) = 1")
+            # an even extension of the fields needs an odd warp
+            if np.max(np.abs(p2)) > 1e-12:
+                raise GeometryError("pole mode requires a warp odd in r: psi_rr(0,t) = 0, "
+                                    f"not up to {np.max(np.abs(p2)):.6g}", key="warp")
         else:
             floor = self.warp(np.zeros_like(ts), ts)
             if np.any(floor <= 0):
                 raise GeometryError("annulus mode requires psi bounded below by a positive constant")
 
-    # -- symbolic building blocks -------------------------------------------
-    def phi_laplacian_profile(self, w: Profile, name: str = "", tidy: bool = True) -> Profile:
-        """Closed-form weighted Laplacian of a radial profile.
+    # -- derived fields, by jet arithmetic ------------------------------------
+    def phi_laplacian_jet(self, w, r, t):
+        """Weighted Laplacian a^-2 (w_rr + (n-1) psi_r w_r / psi - phi_r w_r)
+        of the series w at the series (r, t), two r-coefficients shorter.
 
-        ``tidy`` cancels the drift product, which removes the coordinate
-        singularity at the pole for warp-adapted profiles; disable it for
-        large expressions that are only evaluated away from the pole.
+        The drift product is divided by psi last, so at the pole the series
+        division cancels its 0/0 for warp-adapted w.
         """
-        wr = sp.diff(w.expr, R)
-        drift_term = (self.n - 1) * sp.diff(self.warp.expr, R) * wr / self.warp.expr
-        if tidy:
-            drift_term = sp.cancel(drift_term)
-        expr = (sp.diff(w.expr, R, 2) + drift_term - sp.diff(self.potential.expr, R) * wr) / self.conformal.expr**2
-        return Profile(expr, name=name or f"lap_phi({w.name})")
+        w_r = d_r(w)
+        psi = self.warp.jet(r, t)
+        drift = (self.n - 1) * (d_r(psi) * w_r) / psi - d_r(self.potential.jet(r, t)) * w_r
+        return (d_r(w_r) + drift) / self.conformal.jet(r, t) ** 2
+
+    def phi_laplacian(self, w: Profile) -> Profile:
+        """The weighted Laplacian of a radial profile, as a profile."""
+        return Profile.of_jets(lambda r, t: self.phi_laplacian_jet(w.jet(r, t), r, t),
+                               np.add(w.orders, (2, 0)), f"lap_phi({w.name})")
 
     @cached_property
     def volume_density(self) -> Profile:
@@ -153,8 +164,7 @@ def angular_drift_product(geom: WarpedGeometry, r, t, f_r, f_rr):
     r = np.asarray(r, dtype=float)
     pole = _pole_mask(geom, r)
     r_safe = np.where(pole, 0.5 * geom.r_max, r)
-    psi = geom.warp(r_safe, t)
-    psi_r = geom.warp.at(1, 0, r_safe, t)
+    psi, psi_r = geom.warp.table(1, 0, r_safe, t)[:, 0]
     out = psi_r * f_r / psi
     return np.where(pole, f_rr, out)
 
@@ -188,11 +198,9 @@ def curvature_eigs(geom: WarpedGeometry, r, t):
     t = np.asarray(t, dtype=float)
     pole = _pole_mask(geom, r)
     r_safe = np.where(pole, 0.5 * geom.r_max, r)
-    psi = geom.warp(r_safe, t)
+    psi, psi_r, psi_rr = geom.warp.table(2, 0, r_safe, t)[:, 0]
     if np.any(psi <= 0):
         raise GeometryError("warp non-positive inside domain")
-    psi_r = geom.warp.at(1, 0, r_safe, t)
-    psi_rr = geom.warp.at(2, 0, r_safe, t)
     a2 = geom.conformal(r, t) ** 2
     rad = -(geom.n - 1) * psi_rr / psi
     ang = -psi_rr / psi + (geom.n - 2) * (1.0 - psi_r**2) / psi**2
@@ -231,10 +239,7 @@ def metric_speed_eigs(geom: WarpedGeometry, r, t):
         return rate, rate.copy(), zeros
     if geom.mode == "pole" and np.any(np.asarray(r) == 0.0):
         raise GeometryError("evolving-warp metric speed is singular at the pole; use annulus mode")
-    psi = geom.warp(r, t)
-    psi_r = geom.warp.at(1, 0, r, t)
-    psi_t = geom.warp.at(0, 1, r, t)
-    psi_rt = geom.warp.at(1, 1, r, t)
+    (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, r, t)
     ang = psi_t / psi
     cross = psi_r * psi_t / psi
     grad_h = np.sqrt((geom.n - 1) * ((psi_rt - cross) ** 2 + 2.0 * cross**2)) / psi

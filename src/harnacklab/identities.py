@@ -10,7 +10,7 @@ built from a positive pressure field v, and the degenerate parabolic operator
 
 :class:`TermTable` evaluates F, L[F] and every other pointwise term of the
 identities in two modes sharing a single transcription of the formulas:
-analytic mode takes all derivatives from symbolic tables (residuals at
+analytic mode takes all derivatives from Taylor series (residuals at
 roundoff level), grid mode takes them from second-order stencils (residuals
 shrink at the discretization order).  Both modes apply the weighted
 Laplacian through :func:`geometry.phi_laplacian_eval`.
@@ -21,15 +21,15 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import sympy as sp
 
 from .fields import ScalarField, diff
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
                        bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
                        potential_radial_slope)
+from .jets import d_r, d_t
 from .params import HarnackParams
-from .solver import Nonlinearity
-from .symfun import Profile, R, T
+from .solver import Nonlinearity, pressure_equation_residual  # noqa: F401  (re-exported)
+from .symfun import Profile
 
 
 class IdentityError(ValueError):
@@ -59,7 +59,7 @@ class _SolutionHandle:
 
 
 class AnalyticSolution(_SolutionHandle):
-    """Pressure field given in closed form; partials from its symbolic table."""
+    """Pressure field given in closed form; partials from its Taylor series."""
 
     def __init__(self, profile: Profile):
         self.profile = profile
@@ -136,14 +136,49 @@ class GridSolution(_SolutionHandle):
 # pointwise term table
 # ---------------------------------------------------------------------------
 
-class TermTable:
+class _RadialTerms:
+    """The metric's pointwise terms against a radial field v, from v_r and
+    v_rr on broadcast arrays (rr, tt): the parts of the evolution identity
+    that the commutator and Bochner checks share."""
+
+    def __init__(self, geom: WarpedGeometry, rr, tt, v_r, v_rr):
+        n = geom.n
+        self.a = geom.conformal(rr, tt)
+        self.a2 = self.a**2
+        self.grad2 = v_r**2 / self.a2
+        ang_v = angular_drift_product(geom, rr, tt, v_r, v_rr)
+        self.lap_plain = (v_rr + (n - 1) * ang_v) / self.a2
+        self.hess2 = (v_rr**2 + (n - 1) * ang_v**2) / self.a2**2
+
+        phi_r = potential_radial_slope(geom, rr, tt)
+        phi_rt = potential_radial_slope(geom, rr, tt, order_t=1)
+        self.phi_pair = phi_r * v_r / self.a2            # <grad phi, grad v>
+        self.phit_pair = phi_rt * v_r / self.a2          # <grad d(phi)/dt, grad v>
+        self.lap_v = self.lap_plain - self.phi_pair
+
+        zero = np.zeros_like(self.grad2)  # the metric speed's terms on a static metric
+        self.h_vv = self.h_hess = self.h_phi_pair = self.divh_pair = self.h_norm2 = zero
+        if geom.family == "conformal-evolving":
+            rate = geom.conformal.at(0, 1, rr, tt) / self.a
+            self.h_vv = rate * self.grad2
+            self.h_hess = rate * self.lap_plain
+            self.h_phi_pair = rate * self.phi_pair
+            self.h_norm2 = n * rate**2
+        elif geom.family == "evolving-warp":
+            (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, rr, tt)
+            self.h_hess = (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r
+            self.divh_pair = -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r
+            self.h_norm2 = (n - 1) * (psi_t / psi) ** 2
+
+
+class TermTable(_RadialTerms):
     """All pointwise quantities entering the identities, on one point set.
 
     ``f_route`` selects how the derivatives of the Harnack quantity F are
     produced in analytic mode: ``"chain"`` composes them from the solution's
-    partial table with explicit product/quotient rules (fast), ``"symbolic"``
-    differentiates a fully symbolic F (slow; kept as an independent check of
-    the chain-rule transcription).
+    partial table with explicit product/quotient rules, ``"jet"`` builds F
+    itself by arithmetic on the series of v, a, alpha, beta and G and reads
+    its partials off (an independent check of the chain-rule transcription).
     """
 
     def __init__(self, solution, geom: WarpedGeometry, params: HarnackParams,
@@ -152,6 +187,8 @@ class TermTable:
         self.params = params
         self.nl = nonlinearity
         self.solution = solution
+        if f_route not in ("chain", "jet"):
+            raise IdentityError(f"unknown f_route {f_route!r}; choose 'chain' or 'jet'")
         self.f_route = f_route
         rr, tt = solution.points(r, t)
         self.r, self.t = rr, tt
@@ -168,46 +205,11 @@ class TermTable:
         self.v_rr = part(2, 0, rr, tt)
         self.v_t = part(0, 1, rr, tt)
 
-        self.a = geom.conformal(rr, tt)
-        self.a2 = self.a**2
-        self.grad2 = self.v_r**2 / self.a2
+        super().__init__(geom, rr, tt, self.v_r, self.v_rr)
         self.grad_norm = np.abs(self.v_r) / self.a
-
-        ang_v = angular_drift_product(geom, rr, tt, self.v_r, self.v_rr)
-        self.lap_plain = (self.v_rr + (n - 1) * ang_v) / self.a2
-
-        phi_r = potential_radial_slope(geom, rr, tt)
-        phi_rt = potential_radial_slope(geom, rr, tt, order_t=1)
-        self.phi_pair = phi_r * self.v_r / self.a2            # <grad phi, grad v>
-        self.phit_pair = phi_rt * self.v_r / self.a2          # <grad d(phi)/dt, grad v>
-        self.lap_v = self.lap_plain - self.phi_pair
-
-        self.hess2 = (self.v_rr**2 + (n - 1) * ang_v**2) / self.a2**2
         be_rad, _ = bakry_emery_eigs(geom, rr, tt)
         self.ric_m_vv = be_rad * self.grad2
         self.sharp_pair = (self.phi_pair**2 / (m - n)) if m > n else np.zeros_like(self.v)
-
-        if geom.family == "conformal-evolving":
-            rate = geom.conformal.at(0, 1, rr, tt) / self.a
-            self.h_vv = rate * self.grad2
-            self.h_hess = rate * self.lap_plain
-            self.h_phi_pair = rate * self.phi_pair
-            self.divh_pair = np.zeros_like(self.v)
-            self.h_norm2 = n * rate**2
-        elif geom.family == "evolving-warp":
-            psi = geom.warp(rr, tt)
-            psi_r = geom.warp.at(1, 0, rr, tt)
-            psi_t = geom.warp.at(0, 1, rr, tt)
-            psi_rt = geom.warp.at(1, 1, rr, tt)
-            self.h_vv = np.zeros_like(self.v)
-            self.h_hess = (psi_t / psi) * (n - 1) * (psi_r / psi) * self.v_r
-            self.h_phi_pair = np.zeros_like(self.v)
-            self.divh_pair = -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * self.v_r
-            self.h_norm2 = (n - 1) * (psi_t / psi) ** 2
-        else:
-            zero = np.zeros_like(self.v)
-            self.h_vv, self.h_hess, self.h_phi_pair = zero, zero.copy(), zero.copy()
-            self.divh_pair, self.h_norm2 = zero.copy(), zero.copy()
 
         # nonlinearity values and partials; coordinate x-partials are converted
         # to metric pairings here
@@ -245,19 +247,19 @@ class TermTable:
             self.F_t = diff(F_field, "d_t").values
             self.lap_F = phi_laplacian_eval(geom, self.r, self.t, self.F_r,
                                             diff(F_r, "d_r").values)
-        elif self.f_route == "symbolic":
-            v_expr = self.solution.profile.expr
-            a_expr = geom.conformal.expr
-            al = params.coeffs.alpha.expr
-            be = params.coeffs.beta.expr
-            G_expr = self.nl.composed_expr(v_expr)
-            F_expr = (sp.diff(v_expr, R) ** 2 / (a_expr**2 * v_expr)
-                      - al * sp.diff(v_expr, T) / v_expr + al * G_expr / v_expr - be)
-            F_prof = Profile(F_expr, name="harnack_quantity")
-            self.F_r = F_prof.at(1, 0, self.r, self.t)
-            self.F_t = F_prof.at(0, 1, self.r, self.t)
-            lap_F_prof = geom.phi_laplacian_profile(F_prof, name="lap_phi_F", tidy=False)
-            self.lap_F = lap_F_prof(self.r, self.t)
+        elif self.f_route == "jet":
+            v, a, nl, coeffs = self.solution.profile, geom.conformal, self.nl, params.coeffs
+
+            def harnack_quantity(r, t):
+                V, al = v.jet(r, t), coeffs.alpha.jet(r, t)
+                return (d_r(V) ** 2 / (a.jet(r, t) ** 2 * V) - al * d_t(V) / V
+                        + al * nl.G_jet(t, r, V) / V - coeffs.beta.jet(r, t))
+
+            F = Profile.of_jets(harnack_quantity, np.maximum(np.add(v.orders, (1, 1)),
+                                                             nl.jet_orders), "harnack_quantity")
+            F_part = F.table(1, 1, self.r, self.t)
+            self.F_r, self.F_t = F_part[1, 0], F_part[0, 1]
+            self.lap_F = geom.phi_laplacian(F)(self.r, self.t)
         else:
             self._chain_rule_F()
         self.LpvF = self.F_t - (params.p - 1) * self.v * self.lap_F
@@ -309,19 +311,6 @@ class TermTable:
 # identity residuals (analytic derivative tables)
 # ---------------------------------------------------------------------------
 
-def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
-                               nonlinearity: Nonlinearity, r, t):
-    """L[v] - |grad v|^2 - G, which vanishes on exact pressure solutions."""
-    rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    vv = v(rr, tt)
-    a2 = geom.conformal(rr, tt) ** 2
-    v_r = v.at(1, 0, rr, tt)
-    grad2 = v_r**2 / a2
-    lap_v = phi_laplacian_eval(geom, rr, tt, v_r, v.at(2, 0, rr, tt))
-    lhs = v.at(0, 1, rr, tt) - (p - 1) * vv * lap_v
-    return lhs - grad2 - nonlinearity.G(tt, rr, vv)
-
-
 def quotient_rule_residual(f: Profile, g: Profile, v: Profile,
                            geom: WarpedGeometry, p: float, r, t):
     """Residual of the operator quotient rule for L applied to f/g."""
@@ -329,13 +318,13 @@ def quotient_rule_residual(f: Profile, g: Profile, v: Profile,
     g_vals = g(rr, tt)
     if np.any(np.abs(g_vals) < 1e-10):
         raise IdentityError("quotient rule requires g bounded away from zero")
-    quot = Profile(sp.cancel(f.expr / g.expr), name="f_over_g")
+    quot = Profile.of_jets(lambda r, t: f.jet(r, t) / g.jet(r, t),
+                           np.maximum(f.orders, g.orders), "f_over_g")
     a2 = geom.conformal(rr, tt) ** 2
     v_vals = v(rr, tt)
 
     def apply_L(w: Profile):
-        lap = geom.phi_laplacian_profile(w)
-        return w.at(0, 1, rr, tt) - (p - 1) * v_vals * lap(rr, tt)
+        return w.at(0, 1, rr, tt) - (p - 1) * v_vals * geom.phi_laplacian(w)(rr, tt)
 
     lhs = apply_L(quot)
     pair = quot.at(1, 0, rr, tt) * g.at(1, 0, rr, tt) / (a2 * g_vals)
@@ -367,43 +356,15 @@ def commutator_residual(v: Profile, geom: WarpedGeometry, r, t, variants=None):
     checker reports every variant's residual rather than assuming one.
     """
     rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    lap_prof = geom.phi_laplacian_profile(v)
-    lap_t = lap_prof.at(0, 1, rr, tt)
-    lap_of_vt = geom.phi_laplacian_profile(Profile(sp.diff(v.expr, T), name="v_t"))(rr, tt)
-    lhs = lap_t - lap_of_vt
+    v_t = Profile.of_jets(lambda r, t: d_t(v.jet(r, t)), np.add(v.orders, (0, 1)), "v_t")
+    lhs = geom.phi_laplacian(v).at(0, 1, rr, tt) - geom.phi_laplacian(v_t)(rr, tt)
 
-    n = geom.n
-    a = geom.conformal(rr, tt)
-    a2 = a**2
-    v_r = v.at(1, 0, rr, tt)
-    v_rr = v.at(2, 0, rr, tt)
-    ang_v = angular_drift_product(geom, rr, tt, v_r, v_rr)
-    lap_plain = (v_rr + (n - 1) * ang_v) / a2
-    phi_r = potential_radial_slope(geom, rr, tt)
-    phi_rt = potential_radial_slope(geom, rr, tt, order_t=1)
-    if geom.family == "conformal-evolving":
-        rate = geom.conformal.at(0, 1, rr, tt) / a
-        t_hess = rate * lap_plain
-        t_div = np.zeros_like(lhs)
-        t_hphi = rate * phi_r * v_r / a2
-    elif geom.family == "evolving-warp":
-        psi = geom.warp(rr, tt)
-        psi_r = geom.warp.at(1, 0, rr, tt)
-        psi_t = geom.warp.at(0, 1, rr, tt)
-        psi_rt = geom.warp.at(1, 1, rr, tt)
-        t_hess = (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r
-        t_div = -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r
-        t_hphi = np.zeros_like(lhs)
-    else:
-        t_hess = np.zeros_like(lhs)
-        t_div = np.zeros_like(lhs)
-        t_hphi = np.zeros_like(lhs)
-    t_mixed = phi_rt * v_r / a2
-
+    _, v_r, v_rr = v.table(2, 0, rr, tt)[:, 0]
+    h = _RadialTerms(geom, rr, tt, v_r, v_rr)
     results = {}
     for signs in (variants or commutator_variants()):
         s1, s2, s3, s4 = signs
-        rhs = s1 * 2 * t_hess - s2 * t_div + s3 * 2 * t_hphi - s4 * t_mixed
+        rhs = s1 * 2 * h.h_hess - s2 * h.divh_pair + s3 * 2 * h.h_phi_pair - s4 * h.phit_pair
         res = lhs - rhs
         results[signs] = (float(np.max(np.abs(res))), res)
     return results
@@ -428,24 +389,16 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
     slice by slice.
     """
     rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    n = geom.n
-    a_expr = geom.conformal.expr
-    grad2_prof = Profile(sp.cancel(sp.diff(w.expr, R) ** 2 / a_expr**2), name="grad_w_sq")
-    lap_w_prof = geom.phi_laplacian_profile(w)
-
-    half_lap_grad2 = 0.5 * geom.phi_laplacian_profile(grad2_prof)(rr, tt)
-    a2 = geom.conformal(rr, tt) ** 2
-    w_r = w.at(1, 0, rr, tt)
-    w_rr = w.at(2, 0, rr, tt)
-    pair = w_r * lap_w_prof.at(1, 0, rr, tt) / a2
-    ang_w = angular_drift_product(geom, rr, tt, w_r, w_rr)
-    hess2 = (w_rr**2 + (n - 1) * ang_w**2) / a2**2
+    grad2 = Profile.of_jets(lambda r, t: d_r(w.jet(r, t)) ** 2 / geom.conformal.jet(r, t) ** 2,
+                            np.add(w.orders, (1, 0)), "grad_w_sq")
+    half_lap_grad2 = 0.5 * geom.phi_laplacian(grad2)(rr, tt)
+    _, w_r, w_rr = w.table(2, 0, rr, tt)[:, 0]
+    terms = _RadialTerms(geom, rr, tt, w_r, w_rr)
+    pair = w_r * geom.phi_laplacian(w).at(1, 0, rr, tt) / terms.a2
 
     ric_rad, _ = curvature_eigs(geom, rr, tt)
-    phi_rr = geom.potential.at(2, 0, rr, tt)
-    ric_phi_rad = ric_rad + phi_rr / a2
-    ric_pair = ric_phi_rad * w_r**2 / a2
-    return half_lap_grad2 - pair - hess2 - ric_pair
+    ric_phi_rad = ric_rad + geom.potential.at(2, 0, rr, tt) / terms.a2
+    return half_lap_grad2 - pair - terms.hess2 - ric_phi_rad * terms.grad2
 
 
 # ---------------------------------------------------------------------------

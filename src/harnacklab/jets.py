@@ -1,10 +1,15 @@
-"""Truncated Taylor series in r whose coefficients are arrays over t.
+"""Truncated Taylor series in r whose coefficients are arrays or series in t.
 
 A :class:`Jet` holds the coefficients c_0, ..., c_{K-1} of
-sum_k c_k (r - r0)^k; each c_k is a number or a numpy array over the time
-nodes.  Lambdifying a sympy expression with ``modules=[JET_NAMESPACE]`` and
-calling it at ``r = Jet.variable(r0, K)`` gives the series of the expression
-about r0, from which the k-th r-derivative is ``c_k * k!``.
+sum_k c_k (r - r0)^k; each c_k is a number, a numpy array over the nodes, or
+itself a Jet: a series in (t - t0) whose coefficients are numbers or arrays.
+Lambdifying a sympy expression with ``modules=[JET_NAMESPACE]`` and calling it
+at the series of :func:`variables` gives the bivariate series of the
+expression about (r0, t0), from which the (i, j) partial is i! j! times the
+t^j coefficient of c_i (:func:`partial`).  :func:`d_r` and :func:`d_t`
+differentiate a series, so fields derived from several expressions (a
+weighted Laplacian, a closure forcing) are built by arithmetic on their
+series, with no symbolic differentiation.
 
 The rules are the truncated Taylor recurrences of Griewank and Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13.  A quotient first
@@ -13,7 +18,9 @@ removable 0/0 forms at the pole (such as psi_r/psi) into finite values; it
 requires the numerator's matching coefficients to vanish and otherwise raises
 :class:`PoleEvaluationError`.  Cancelling k zeros costs k coefficients, so a
 quotient is shorter than its operands and a caller checks the length of what
-comes out.
+comes out.  A divisor whose leading coefficient vanishes at some nodes only
+(the pole among other radii) is cancelled at those nodes alone, where each
+cancelled zero makes the quotient's last coefficient nan.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 _ZERO = np.float64(0.0)
 
-# a coefficient counts as zero when, at every time node, it is below this
+# a coefficient counts as zero when, at every node, it is below this
 # fraction of the largest coefficient of its series there
 _ZERO_RTOL = 1e-10
 
@@ -95,13 +102,18 @@ class Jet:
         return exp(self * np.log(base))
 
 
+def _magnitude(a):
+    """|a| per node; a coefficient that is a series in t counts by its largest."""
+    return _scale(a.c) if isinstance(a, Jet) else np.abs(a)
+
+
 def _scale(c):
-    """Largest coefficient magnitude of a series, per time node."""
-    return functools.reduce(np.maximum, (np.abs(a) for a in c), _ZERO)
+    """Largest coefficient magnitude of a series, per node."""
+    return functools.reduce(np.maximum, (_magnitude(a) for a in c), _ZERO)
 
 
 def _vanishes(a, scale) -> bool:
-    return bool(np.all(np.abs(a) <= _ZERO_RTOL * scale))
+    return bool(np.all(_magnitude(a) <= _ZERO_RTOL * scale))
 
 
 def _valuation(c) -> int:
@@ -115,7 +127,7 @@ def _valuation(c) -> int:
 
 def _cauchy(a, b):
     n = min(len(a), len(b))
-    return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n)]
+    return [sum((a[j] * b[k - j] for j in range(1, k + 1)), a[0] * b[k]) for k in range(n)]
 
 
 def _divide(a, b) -> Jet:
@@ -128,18 +140,35 @@ def _divide(a, b) -> Jet:
     q = []
     for i in range(min(len(a), len(b))):
         q.append((a[i] - sum(q[j] * b[i - j] for j in range(i))) / b[0])
+    if len(q) > 1:
+        # nodes where both leading coefficients vanish take the shifted quotient
+        cancel = ((_magnitude(b[0]) <= _ZERO_RTOL * _scale(b))
+                  & (_magnitude(a[0]) <= _ZERO_RTOL * scale))
+        if np.any(cancel):
+            shifted = _divide(a[1:], b[1:]).c
+            q = [_where(cancel, x, y) for x, y in zip([*shifted, q[-1] * np.nan], q)]
     return Jet(q)
 
 
+def _where(mask, x, y):
+    """x at the nodes of ``mask`` and y elsewhere; a series in t is merged
+    coefficient by coefficient, a plain value being one with no t-terms."""
+    if not (isinstance(x, Jet) or isinstance(y, Jet)):
+        return np.where(mask, x, y)
+    n = min(len(u) for u in (x, y) if isinstance(u, Jet))
+    xs, ys = ((u.c if isinstance(u, Jet) else [u, *[_ZERO] * n])[:n] for u in (x, y))
+    return Jet([_where(mask, xi, yi) for xi, yi in zip(xs, ys)])
+
+
 def _integer_power(u: Jet, n: int) -> Jet:
-    out = Jet([np.float64(1.0), *[_ZERO] * (len(u) - 1)][:len(u)])
+    out = None  # no product yet: u^0 is the series of 1
     while n:
         if n & 1:
-            out = out * u
+            out = u if out is None else out * u
         n >>= 1
         if n:
             u = u * u
-    return out
+    return Jet([np.float64(1.0), *[_ZERO] * (len(u) - 1)][:len(u)]) if out is None else out
 
 
 def _real_power(u: Jet, a: float) -> Jet:
@@ -156,7 +185,7 @@ def _real_power(u: Jet, a: float) -> Jet:
 
 
 def _exp(u: Jet) -> Jet:
-    v = [np.exp(u.c[0])] if u.c else []
+    v = [exp(u.c[0])] if u.c else []
     for k in range(1, len(u)):
         v.append(sum(j * u.c[j] * v[k - j] for j in range(1, k + 1)) / k)
     return Jet(v)
@@ -168,7 +197,7 @@ def _log(u: Jet) -> Jet:
     if _vanishes(u.c[0], _scale(u.c)):
         raise PoleEvaluationError("singular at r = 0: log of a series that vanishes there")
     u0 = u.c[0]
-    v = [np.log(u0)]
+    v = [log(u0)]
     for k in range(1, len(u)):
         v.append((u.c[k] - sum(j * v[j] * u.c[k - j] for j in range(1, k)) / k) / u0)
     return Jet(v)
@@ -178,10 +207,13 @@ def _sin_cos(u: Jet, sign: int):
     """(sin u, cos u) for sign -1, (sinh u, cosh u) for sign +1."""
     if not u.c:
         return u, u
-    if sign < 0:
-        s, c = [np.sin(u.c[0])], [np.cos(u.c[0])]
+    u0 = u.c[0]
+    if isinstance(u0, Jet):
+        s, c = ([a] for a in _sin_cos(u0, sign))
+    elif sign < 0:
+        s, c = [np.sin(u0)], [np.cos(u0)]
     else:
-        s, c = [np.sinh(u.c[0])], [np.cosh(u.c[0])]
+        s, c = [np.sinh(u0)], [np.cosh(u0)]
     for k in range(1, len(u)):
         s.append(sum(j * u.c[j] * c[k - j] for j in range(1, k + 1)) / k)
         c.append(sign * sum(j * u.c[j] * s[k - j] for j in range(1, k + 1)) / k)
@@ -236,3 +268,34 @@ JET_FUNCTIONS = {
 # every name a lambdified expression resolves: the rules, and the constants
 # the printer emits for pi and E
 JET_NAMESPACE = {**JET_FUNCTIONS, "pi": math.pi, "e": math.e}
+
+
+def variables(r0, t0, kr: int, kt: int):
+    """The series of r and t about (r0, t0), with kr coefficients in r and kt
+    in t: t enters as a series in r whose constant coefficient is its series
+    in t, or as the plain t0 when kt is 1."""
+    r = Jet.variable(r0, kr)
+    return r, (Jet([Jet.variable(t0, kt), *[_ZERO] * (kr - 1)]) if kt > 1 else t0)
+
+
+def partial(u, i: int, j: int):
+    """i! j! times the r^i t^j coefficient of the series u, the (i, j)
+    partial at its expansion point; None where u ends before it."""
+    for k in (i, j):
+        if isinstance(u, Jet):
+            if k >= len(u):
+                return None
+            u = u.c[k]
+        elif k:
+            return _ZERO
+    return u * (math.factorial(i) * math.factorial(j))
+
+
+def d_r(u):
+    """The r-derivative of a series, one coefficient shorter."""
+    return Jet([k * a for k, a in enumerate(u.c[1:], 1)]) if isinstance(u, Jet) else _ZERO
+
+
+def d_t(u):
+    """The t-derivative of a series whose coefficients are series in t."""
+    return Jet([d_r(a) for a in u.c]) if isinstance(u, Jet) else _ZERO

@@ -169,9 +169,14 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     n = read_number(_require(doc, "n", path), f"{path}.n", integer=True, at_least=2)
     r_max = read_number(_require(doc, "r_max", path), f"{path}.r_max", above=0)
     preset = doc.get("preset")
+    if preset is not None and not isinstance(preset, str):
+        raise ConfigError(f"{path}.preset", f"expected a string, got {preset!r}")
+    # named as the config spells it, followed by each rate key that changes it
+    label = " ".join([preset or "custom",
+                      *(f"{key}={doc[key]:g}" for key in ("warp_rate", "conformal_rate",
+                                                         "potential_drift")
+                        if read_number(doc.get(key, 0.0), f"{path}.{key}"))])
     if preset is not None:
-        if not isinstance(preset, str):
-            raise ConfigError(f"{path}.preset", f"expected a string, got {preset!r}")
         # parameterized spellings: conformal-exp(rate), linear-warp(rate) set
         # the matching rate key on the euclidean preset
         match = re.fullmatch(r"(conformal-exp|linear-warp)\(([-+]?(?:\d+\.?\d*|\.\d+)"
@@ -229,8 +234,7 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
             n=n, m=float(m), warp=Profile(warp_expr, "warp"),
             conformal=Profile(conf_expr, "conformal"),
             potential=Profile(pot_expr, "potential"),
-            r_max=r_max, family=family, mode=mode,
-            name=preset or "custom",
+            r_max=r_max, family=family, mode=mode, name=label,
         )
     except ValueError as exc:
         raise ConfigError(path, str(exc))
@@ -451,7 +455,7 @@ def parse_scenario(doc: dict) -> Scenario:
     try:
         geom.validate_on(t0, t0 + duration)
     except GeometryError as exc:
-        raise ConfigError("geometry", str(exc))
+        raise ConfigError(f"geometry.{exc.key}" if exc.key else "geometry", str(exc))
     sc = Scenario(
         name=name, seed=seed, geom=geom, params=params, nonlinearity=nl,
         grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u,

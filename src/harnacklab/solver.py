@@ -18,7 +18,8 @@ import sympy as sp
 
 from .fields import Grid, ScalarField
 from .geometry import WarpedGeometry, phi_laplacian_eval
-from .symfun import Profile, R, T
+from .jets import d_r, d_t
+from .symfun import Profile, R, T, constant_profile
 
 
 class SolverError(RuntimeError):
@@ -61,11 +62,13 @@ class Nonlinearity:
     its v-partials.  ``G_x``, ``G_xv`` and ``G_xx`` are coordinate r-partials
     at frozen v (callers convert to metric norms), ``G_t`` is the explicit time
     partial at frozen (x, v), and ``lap_phi_Gx`` is the weighted Laplacian of
-    the frozen-v spatial slice.  Here all of them vanish; subclasses override
-    the ones their forcing excites.
+    the frozen-v spatial slice.  ``G_jet`` is G on series, taking at most
+    ``jet_orders`` r- and t-derivatives.  Here all of them vanish; subclasses
+    override the ones their forcing excites.
     """
 
     form = "zero"
+    jet_orders = (0, 0)
 
     def _zero(self, t, r, v):
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
@@ -78,9 +81,8 @@ class Nonlinearity:
         v = pressure(u, p)
         return self.G(t, r, v) * u ** (2.0 - p) / p
 
-    def composed_expr(self, v_expr):
-        """Symbolic G(t, x, v(x,t)) for a closed-form pressure field."""
-        return sp.sympify(0)
+    def G_jet(self, t, r, v):
+        return 0.0
 
 
 class PowerSumNonlinearity(Nonlinearity):
@@ -98,13 +100,13 @@ class PowerSumNonlinearity(Nonlinearity):
         if np.any(self.A < 0) or np.any(self.B > 0):
             raise SolverError("power-sum form requires A_j >= 0 and B_j <= 0")
 
+    def _pairs(self):
+        return zip((*self.A, *self.B), (*self.a, *self.bexp))
+
     def _terms(self, v, shift: int):
         v = np.asarray(v, dtype=float)
         out = np.zeros_like(v)
-        for coef, ex in zip(self.A, self.a):
-            fac = np.prod([ex - j for j in range(shift)]) if shift else 1.0
-            out += coef * fac * v ** (ex - shift)
-        for coef, ex in zip(self.B, self.bexp):
+        for coef, ex in self._pairs():
             fac = np.prod([ex - j for j in range(shift)]) if shift else 1.0
             out += coef * fac * v ** (ex - shift)
         return out
@@ -118,13 +120,8 @@ class PowerSumNonlinearity(Nonlinearity):
     def G_vv(self, t, r, v):
         return self._terms(v, 2)
 
-    def composed_expr(self, v_expr):
-        out = sp.sympify(0)
-        for coef, ex in zip(self.A, self.a):
-            out += sp.Float(coef) * v_expr ** sp.Float(ex)
-        for coef, ex in zip(self.B, self.bexp):
-            out += sp.Float(coef) * v_expr ** sp.Float(ex)
-        return out
+    def G_jet(self, t, r, v):
+        return sum(coef * v**ex for coef, ex in self._pairs())
 
 
 class ForcingNonlinearity(Nonlinearity):
@@ -135,6 +132,7 @@ class ForcingNonlinearity(Nonlinearity):
     def __init__(self, profile: Profile, geom: WarpedGeometry):
         self.profile = profile
         self.geom = geom
+        self.jet_orders = profile.orders
 
     def G(self, t, r, v):
         return self.profile(r, t)
@@ -149,70 +147,57 @@ class ForcingNonlinearity(Nonlinearity):
         return self.profile.at(2, 0, r, t)
 
     def lap_phi_Gx(self, t, r, v):
-        return phi_laplacian_eval(self.geom, r, t, self.G_x(t, r, v), self.G_xx(t, r, v))
+        G = self.profile.table(2, 0, r, t)
+        return phi_laplacian_eval(self.geom, r, t, G[1, 0], G[2, 0])
 
-    def composed_expr(self, v_expr):
-        return self.profile.expr
+    def G_jet(self, t, r, v):
+        return self.profile.jet(r, t)
 
 
 class CompositeNonlinearity(Nonlinearity):
-    """Sum of a v-dependent power-sum part and an x-dependent forcing part."""
+    """Sum of a v-dependent power-sum part and an x-dependent forcing part:
+    each of G and its partials is the sum of the two parts' own."""
 
     form = "power-sum+separable-x"
 
     def __init__(self, power: PowerSumNonlinearity, forcing: ForcingNonlinearity):
         self.power = power
         self.forcing = forcing
+        self.jet_orders = forcing.jet_orders
 
-    def G(self, t, r, v):
-        return self.power.G(t, r, v) + self.forcing.G(t, r, v)
+    def _summed(name):
+        def term(self, t, r, v):
+            return getattr(self.power, name)(t, r, v) + getattr(self.forcing, name)(t, r, v)
+        return term
 
-    def G_v(self, t, r, v):
-        return self.power.G_v(t, r, v)
-
-    def G_vv(self, t, r, v):
-        return self.power.G_vv(t, r, v)
-
-    def G_x(self, t, r, v):
-        return self.forcing.G_x(t, r, v)
-
-    def G_t(self, t, r, v):
-        return self.forcing.G_t(t, r, v)
-
-    def G_xx(self, t, r, v):
-        return self.forcing.G_xx(t, r, v)
-
-    def lap_phi_Gx(self, t, r, v):
-        return self.forcing.lap_phi_Gx(t, r, v)
-
-    def composed_expr(self, v_expr):
-        return self.power.composed_expr(v_expr) + self.forcing.composed_expr(v_expr)
+    G, G_v, G_vv, G_x, G_xv, G_t, G_xx, lap_phi_Gx, G_jet = map(
+        _summed, ("G", "G_v", "G_vv", "G_x", "G_xv", "G_t", "G_xx", "lap_phi_Gx", "G_jet"))
+    del _summed
 
 
-def _closure_expr(v_exact: Profile, geom: WarpedGeometry, p: float) -> sp.Expr:
-    # the drift product inside the Laplacian is cancelled on the small v
-    # expression, so every summand of the closure stays pole-regular; the
-    # closure itself is deliberately not recombined into one big rational
-    lap = geom.phi_laplacian_profile(v_exact).expr
-    a2 = geom.conformal.expr**2
-    return sp.diff(v_exact.expr, T) - (p - 1) * v_exact.expr * lap - sp.diff(v_exact.expr, R) ** 2 / a2
+def _closure(v_exact: Profile, geom: WarpedGeometry, p: float,
+             power: PowerSumNonlinearity | None = None) -> Profile:
+    """G = d(v)/dt - (p-1) v Delta_phi v - |grad v|^2 (less the power-sum
+    part), by arithmetic on the series of v and the geometry."""
+    def closure(r, t):
+        v = v_exact.jet(r, t)
+        G = (d_t(v) - (p - 1) * v * geom.phi_laplacian_jet(v, r, t)
+             - d_r(v) ** 2 / geom.conformal.jet(r, t) ** 2)
+        return G if power is None else G - power.G_jet(t, r, v)
+
+    return Profile.of_jets(closure, np.add(v_exact.orders, (2, 1)), "closure_forcing")
 
 
 def manufactured_forcing(v_exact: Profile, geom: WarpedGeometry, p: float) -> ForcingNonlinearity:
-    """Forcing that makes ``v_exact`` an exact pressure solution.
-
-    G := d(v)/dt - (p-1) v Delta_phi v - |grad v|^2, assembled symbolically so
-    the forcing carries its own derivative table.
-    """
-    return ForcingNonlinearity(Profile(_closure_expr(v_exact, geom, p), name="closure_forcing"), geom)
+    """Forcing that makes ``v_exact`` an exact pressure solution; its every
+    partial comes from the series of v."""
+    return ForcingNonlinearity(_closure(v_exact, geom, p), geom)
 
 
 def power_sum_with_closure(power: PowerSumNonlinearity, v_exact: Profile,
                            geom: WarpedGeometry, p: float) -> CompositeNonlinearity:
     """Closure forcing for a target pressure field on top of a power-sum term."""
-    expr = _closure_expr(v_exact, geom, p) - power.composed_expr(v_exact.expr)
-    forcing = ForcingNonlinearity(Profile(expr, name="closure_forcing"), geom)
-    return CompositeNonlinearity(power, forcing)
+    return CompositeNonlinearity(power, ForcingNonlinearity(_closure(v_exact, geom, p, power), geom))
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +235,30 @@ def barenblatt_support_radius(n: int, p: float, mass_const: float, t):
     return np.sqrt(mass_const / kk) * np.asarray(t, dtype=float) ** beta
 
 
-def validate_barenblatt(n: int, p: float, mass_const: float,
-                        r_samples=None, t_samples=None) -> float:
-    """Max residual of the oracle in the flat pressure equation, closed form.
+def validate_barenblatt(n: int, p: float, mass_const: float) -> float:
+    """Max residual of the oracle in the flat pressure equation.
 
     The oracle is only trusted after this substitution check; callers assert
     the returned residual is at machine-precision level.
     """
-    geom_flat = _flat_geometry(n)
-    prof = barenblatt_pressure_profile(n, p, mass_const)
-    lap = geom_flat.phi_laplacian_profile(prof).expr
-    residual = sp.diff(prof.expr, T) - (p - 1) * prof.expr * lap - sp.diff(prof.expr, R) ** 2
-    fun = Profile(sp.cancel(sp.together(residual)), name="barenblatt_residual")
-    if r_samples is None:
-        r_samples = np.linspace(0.0, 1.0, 17)
-    if t_samples is None:
-        t_samples = np.linspace(0.5, 2.0, 9)
-    rr, tt = np.meshgrid(r_samples, t_samples, indexing="ij")
+    rr, tt = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.5, 2.0, 9), indexing="ij")
     inside = rr < barenblatt_support_radius(n, p, mass_const, tt)
-    vals = fun(rr, tt)
+    vals = pressure_equation_residual(barenblatt_pressure_profile(n, p, mass_const),
+                                      _flat_geometry(n), p, Nonlinearity(), rr, tt)
     return float(np.max(np.abs(vals[inside])))
 
 
-def _flat_geometry(n: int) -> WarpedGeometry:
-    from .symfun import constant_profile
+def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
+                               nonlinearity: Nonlinearity, r, t):
+    """L[v] - |grad v|^2 - G, which vanishes on exact pressure solutions."""
+    rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    vv, v_t, v_r, v_rr = v.table(2, 1, rr, tt)[[0, 0, 1, 2], [0, 1, 0, 0]]
+    grad2 = v_r**2 / geom.conformal(rr, tt) ** 2
+    lhs = v_t - (p - 1) * vv * phi_laplacian_eval(geom, rr, tt, v_r, v_rr)
+    return lhs - grad2 - nonlinearity.G(tt, rr, vv)
 
+
+def _flat_geometry(n: int) -> WarpedGeometry:
     return WarpedGeometry(
         n=n, m=float(n), warp=Profile(R, "psi"), conformal=constant_profile(1.0, "a"),
         potential=constant_profile(0.0, "phi"), r_max=1e9, family="static-warp",

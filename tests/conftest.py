@@ -82,3 +82,22 @@ def sample_points(r_max=1.8, include_pole=True, n_r=16, n_t=7, t_lo=0.5, t_hi=1.
     r = np.linspace(0.0 if include_pole else 0.05, r_max, n_r)[:, None]
     t = np.linspace(t_lo, t_hi, n_t)[None, :]
     return r, t
+
+
+# ---------------------------------------------------------------------------
+# the symbolic route of the derived fields, kept here as their oracle
+# ---------------------------------------------------------------------------
+
+def symbolic_phi_laplacian(geom, w):
+    """Delta_phi of the expression ``w`` by sympy.diff; the drift product is
+    cancelled, so warp-adapted fields stay regular at the pole."""
+    wr = sp.diff(w, R)
+    drift = sp.cancel((geom.n - 1) * sp.diff(geom.warp.expr, R) * wr / geom.warp.expr)
+    return (sp.diff(w, R, 2) + drift - sp.diff(geom.potential.expr, R) * wr) / geom.conformal.expr**2
+
+
+def symbolic_closure(v, geom, p):
+    """The closure forcing v_t - (p-1) v Delta_phi v - |grad v|^2 of the
+    expression ``v``, by sympy.diff."""
+    return (sp.diff(v, T) - (p - 1) * v * symbolic_phi_laplacian(geom, v)
+            - sp.diff(v, R) ** 2 / geom.conformal.expr**2)

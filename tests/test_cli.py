@@ -14,7 +14,7 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_VIOLATION, cmd_check_estimate, cmd_check_identities,
                             main, run_sweep)
 from harnacklab.geometry import Cylinder
-from harnacklab.scenarios import ConfigError, parse_scenario
+from harnacklab.scenarios import GEOMETRY_PRESETS, ConfigError, parse_geometry, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -193,6 +193,56 @@ def test_geometry_key_another_would_replace_rejected(tmp_path, capsys, geometry,
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+
+
+@pytest.mark.parametrize("geometry, name", [
+    ({"preset": "linear-warp(0.2)"}, "linear-warp(0.2)"),
+    ({"preset": "gaussian-weight", "conformal_rate": 0.1, "potential_drift": 0.1},
+     "gaussian-weight conformal_rate=0.1 potential_drift=0.1"),
+    ({"preset": "gaussian-weight", "warp_rate": 0.2, "potential_drift": 0}, "gaussian-weight warp_rate=0.2"),
+    ({"preset": "conformal-exp(0.1)"}, "conformal-exp(0.1)"),
+    ({"warp": "sinh(r)", "conformal_rate": 0.05}, "custom conformal_rate=0.05"),
+], ids=lambda x: json.dumps(x))
+def test_geometry_named_as_the_config_spells_it(geometry, name):
+    assert parse_geometry({"n": 2, "r_max": 2.0, **geometry}, m=4.0).name == name
+
+
+def test_pole_warp_not_odd_at_the_pole_rejected(tmp_path, capsys):
+    # psi = r + r^2 has psi(0) = 0 and psi_r(0) = 1, but psi_rr(0) = 2
+    doc = barenblatt_doc(geometry={"n": 2, "r_max": 2.0, "warp": "r + r**2"},
+                         solution={"kind": "manufactured", "catalog": "bump"})
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: geometry.warp: ") and "psi_rr(0,t) = 0" in err
+
+
+@pytest.mark.parametrize("preset", sorted(GEOMETRY_PRESETS))
+def test_shipped_presets_are_odd_at_the_pole(preset):
+    geom = parse_geometry({"preset": preset, "n": 2, "r_max": 1.5, "mode": "pole"}, m=4.0)
+    geom.validate_on(0.5, 1.5)
+
+
+def test_commands_make_no_symbolic_derivatives(tmp_path, monkeypatch):
+    # every derivative comes from jets: no sympy.diff, cancel or together runs
+    import sympy
+
+    calls = []
+    for name in ("diff", "cancel", "together"):
+        def counted(*args, _name=name, _original=getattr(sympy, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(sympy, name, counted)
+    out = tmp_path / "identities"
+    assert main(["check-identities", "--config", str(CONFIGS / "evolving-warp-identities.json"),
+                 "--out", str(out)]) == EXIT_OK
+    assert main(["check-estimate", "--config", str(CONFIGS / "gaussian-conformal.json"),
+                 "--out", str(tmp_path / "estimate")]) == EXIT_OK
+    assert calls == []
+    # the geometry is named by the preset spelling the config gave
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert lines[2] == "geometry: linear-warp(0.2) (evolving-warp, n=3, m=4)"
 
 
 def test_sweep_cap_must_be_an_integer(tmp_path):

@@ -307,16 +307,24 @@ def test_evolution_identity_spatially_constant():
     assert np.max(np.abs(res)) <= 1e-9
 
 
-def test_chain_rule_matches_symbolic_route(bump_profile, conformal_gaussian):
+def test_chain_rule_matches_jet_route(bump_profile, conformal_gaussian):
     params = params_for(conformal_gaussian, p=2.5)
     nl = _mixed_nl(bump_profile, conformal_gaussian, params.p)
     r, t = sample_points(include_pole=False)
     chain = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl,
                       r=r, t=t, f_route="chain")
-    symbolic = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl,
-                         r=r, t=t, f_route="symbolic")
-    assert np.max(np.abs(chain.LpvF - symbolic.LpvF)) <= 1e-10
-    assert np.max(np.abs(chain.F_r - symbolic.F_r)) <= 1e-12
+    jet = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl,
+                    r=r, t=t, f_route="jet")
+    assert np.max(np.abs(chain.LpvF - jet.LpvF)) <= 1e-10
+    assert np.max(np.abs(chain.F_r - jet.F_r)) <= 1e-12
+
+
+def test_unknown_f_route_is_refused(bump_profile, conformal_gaussian):
+    params = params_for(conformal_gaussian, p=2.5)
+    r, t = sample_points(include_pole=False)
+    with pytest.raises(IdentityError, match="f_route"):
+        TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, Nonlinearity(),
+                  r=r, t=t, f_route="symbolic")
 
 
 def _numeric_residual(n_r, n_t, prof, geom, params, nl):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from harnacklab.jets import JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError
+from harnacklab.jets import (JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError, d_r, d_t,
+                             partial, variables)
 from harnacklab.solver import manufactured_forcing
 from harnacklab.symfun import Profile, R, T
 
-from conftest import make_geometry
+from conftest import make_geometry, symbolic_closure
 
 K = 5
 R0 = sp.Rational(7, 10)
@@ -56,6 +57,49 @@ def test_rule_coefficients_match_sympy_series(name):
     expr = {**RULE_CASES, **ARITHMETIC_CASES}[name]
     got = _jet_coeffs(expr)[:, T_ORACLE]
     assert got == pytest.approx(_series_coeffs(expr), rel=1e-12, abs=1e-13)
+
+
+KT = 2
+
+
+def _bivariate_series_coeffs(expr):
+    """Coefficients of (r - R0)^i (t - t0)^j, i < K and j < KT, with t0 =
+    TS[T_ORACLE]: the r-series of d^j expr/dt^j by sympy.series, over j!.
+    (t^2 coefficients are covered by test_symfun's sympy.diff oracle.)"""
+    return np.array([_series_coeffs(sp.diff(expr, T, j)) for j in range(KT)]).T / [
+        math.factorial(j) for j in range(KT)]
+
+
+def _nested_coeffs(expr):
+    r, t = variables(float(R0), TS, K, KT)
+    jet = sp.lambdify((R, T), expr, modules=[JET_NAMESPACE])(r, t)
+    assert len(jet) == K
+    return np.array([[np.broadcast_to(partial(jet, i, j), TS.shape)[T_ORACLE]
+                      / math.factorial(i) / math.factorial(j) for j in range(KT)]
+                     for i in range(K)])
+
+
+@pytest.mark.parametrize("name", sorted({**RULE_CASES, **ARITHMETIC_CASES}))
+def test_nested_rule_coefficients_match_sympy_series(name):
+    # coefficients that are series in t: the bivariate series of every rule
+    expr = {**RULE_CASES, **ARITHMETIC_CASES}[name]
+    got = _nested_coeffs(expr)
+    want = _bivariate_series_coeffs(expr)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_series_derivatives_shift_the_coefficients():
+    expr = sp.exp(R * T) * (1 + R**2)
+    r, t = variables(float(R0), TS, K, 3)
+    jet = sp.lambdify((R, T), expr, modules=[JET_NAMESPACE])(r, t)
+    at = {R: R0, T: sp.nsimplify(TS[T_ORACLE])}
+    for (dr, dt), series in {(1, 0): d_r(jet), (0, 1): d_t(jet), (2, 1): d_t(d_r(d_r(jet)))}.items():
+        for i, j in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            want = float(sp.diff(expr, R, dr + i, T, dt + j).subs(at))
+            assert partial(series, i, j)[T_ORACLE] == pytest.approx(want, rel=1e-13)
+    # a constant has no derivative, and a derivative is one coefficient shorter
+    assert d_r(2.0) == 0 and d_t(2.0) == 0
+    assert len(d_r(jet)) == K - 1 and len(d_t(jet).c[0]) == 2
 
 
 def test_jet_exponent_matches_taylor_derivatives():
@@ -106,7 +150,8 @@ def test_hyperbolic_bump_forcing_pole_values(bump_profile):
     forcing = manufactured_forcing(bump_profile, geom, 2.5).profile
     zero = np.zeros_like(TS)
     # direct evaluation is 0/0 at the pole, so these values come from the series
-    direct = sp.lambdify((R, T), forcing.expr, modules="numpy")
+    direct = sp.lambdify((R, T), symbolic_closure(bump_profile.expr, geom, 2.5),
+                         modules="numpy")
     with np.errstate(all="ignore"):
         assert np.isnan(direct(0.0, 0.5))
     e = np.exp
@@ -118,6 +163,19 @@ def test_hyperbolic_bump_forcing_pole_values(bump_profile):
     }
     for (nr, nt), values in want.items():
         assert forcing.at(nr, nt, zero, TS) == pytest.approx(values, rel=1e-14, abs=1e-15)
+
+
+def test_pole_node_among_others_cancels_at_that_node(bump_profile):
+    # in one series over r = 0 and r = 0.3, the division by psi cancels at the
+    # pole node alone, and agrees there with the series about r = 0
+    forcing = manufactured_forcing(bump_profile, make_geometry("hyperbolic", n=2), 2.5).profile
+    r, t = np.array([0.0, 0.0, 0.0, 0.3]), np.array([*TS, 1.0])
+    with np.errstate(all="ignore"):  # the plain quotient's 0/0 at the pole node
+        value = partial(forcing.jet(*variables(r, t, 3, 2)), 0, 0)
+    assert np.all(np.isfinite(value))
+    assert value[:3] == pytest.approx(forcing(np.zeros(3), TS), rel=1e-14, abs=1e-15)
+    assert forcing.table(2, 1, r, t)[..., :3] == pytest.approx(
+        forcing.table(2, 1, np.zeros(3), TS), rel=1e-13, abs=1e-14)
 
 
 @pytest.mark.parametrize("expr", [1 / R, sp.cos(R) / R, sp.log(R)], ids=str)

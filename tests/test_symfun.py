@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -7,7 +8,7 @@ from harnacklab.scenarios import MANUFACTURED_CATALOG
 from harnacklab.solver import manufactured_forcing
 from harnacklab.symfun import PoleEvaluationError, Profile, R, T, constant_profile
 
-from conftest import make_geometry
+from conftest import make_geometry, symbolic_closure, symbolic_phi_laplacian
 
 
 def test_profile_basic_evaluation():
@@ -62,21 +63,30 @@ def test_broadcasting_constant_expression():
     assert np.all(vals == 2.5)
 
 
+# (field, geometry kind, geometry keywords) of the three closure forcings
+_FORCING_CASES = [
+    ("cosh-bump", "hyperbolic", {}),
+    ("cos-bump", "warp", {"n": 3, "m": 4, "potential": R**2 * (1 + T / 9) / 2}),
+    ("cosh-bump", "gaussian", {"m": 4, "conformal": sp.exp(T / 10),
+                               "potential": R**2 * (1 + T / 9) / 2}),
+]
+
+
+def _catalog():
+    return {name: Profile(expr, name) for name, expr in MANUFACTURED_CATALOG.items()}
+
+
 def _oracle_profiles():
     """The closed-form profiles a scenario builds: catalog fields, warps, the
-    coth coefficient pair and closure forcings of three geometries."""
-    fields = {name: Profile(expr, name) for name, expr in MANUFACTURED_CATALOG.items()}
+    coth coefficient pair, and the closure forcings of three geometries in
+    closed form (by the symbolic route)."""
+    fields = _catalog()
     pair = preset_alpha_beta("coth", 0.7, 2 / 3)
-    potential = R**2 * (1 + T / 9) / 2
     # the oracle's sympy.diff takes 3-5 s on a bump forcing, 0.1-1.3 s on these
     forcings = {
-        f"forcing({field}, {kind})": manufactured_forcing(fields[field], make_geometry(kind, **kw),
-                                                          2.5).profile
-        for field, kind, kw in [
-            ("cosh-bump", "hyperbolic", {}),
-            ("cos-bump", "warp", {"n": 3, "m": 4, "potential": potential}),
-            ("cosh-bump", "gaussian", {"m": 4, "conformal": sp.exp(T / 10), "potential": potential}),
-        ]
+        f"forcing({field}, {kind})": Profile(
+            symbolic_closure(fields[field].expr, make_geometry(kind, **kw), 2.5))
+        for field, kind, kw in _FORCING_CASES
     }
     return {**fields, "sinh": Profile(sp.sinh(R)), "sin": Profile(sp.sin(R)),
             "warp(t)": Profile(1 + R * (1 + T / 5)), "alpha(coth)": pair.alpha,
@@ -114,5 +124,55 @@ def test_one_lambdify_serves_every_r_order(monkeypatch):
     prof = Profile(sp.sinh(R) / R + sp.cos(R) * sp.exp(-T), "sinhc")
     r, t = np.array([0.0, 0.5]), np.array([0.5, 0.5])
     for nr in range(4):
-        assert np.all(np.isfinite(prof.at(nr, 0, r, t)))
+        for nt in range(3):
+            assert np.all(np.isfinite(prof.at(nr, nt, r, t)))
     assert len(calls) == 1
+
+
+# r-nodes of the derived-field comparisons: the eval grids' range, pole excluded
+_DERIVED_R = (0.05, 1.9)
+_DERIVED_KEYS = [(0, 0), (1, 0), (2, 0), (0, 1)]
+
+
+def _symbolic_partials(expr, modules="numpy"):
+    """The _DERIVED_KEYS partials of ``expr`` by sympy.diff, lambdified."""
+    return {(nr, nt): sp.lambdify((R, T), sp.diff(expr, R, nr, T, nt) if nr or nt else expr,
+                                  modules=modules)
+            for nr, nt in _DERIVED_KEYS}
+
+
+@pytest.mark.parametrize("field, kind, kw", _FORCING_CASES,
+                         ids=[f"{field}-{kind}" for field, kind, _ in _FORCING_CASES])
+def test_derived_fields_match_the_symbolic_route(field, kind, kw):
+    # the closure forcing and Delta_phi, by jet arithmetic, against sympy.diff
+    # (plus cancel) of the closed forms and a numpy lambdify
+    geom = make_geometry(kind, **kw)
+    v = _catalog()[field]
+    rng = np.random.default_rng(11)
+    r = rng.uniform(*_DERIVED_R, 400)
+    t = rng.uniform(0.2, 1.5, 400)
+    derived = {"closure": (manufactured_forcing(v, geom, 2.5).profile,
+                           symbolic_closure(v.expr, geom, 2.5)),
+               "lap_phi": (geom.phi_laplacian(v), symbolic_phi_laplacian(geom, v.expr))}
+    for name, (prof, expr) in derived.items():
+        for (nr, nt), fun in _symbolic_partials(expr).items():
+            ref = fun(r, t) * np.ones_like(r)
+            err = np.abs(prof.at(nr, nt, r, t) - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-12, (name, nr, nt, err.max())
+
+
+@pytest.mark.parametrize("r0", [0.03, 0.05])
+def test_closure_near_the_pole_against_40_digits(r0):
+    # the hyperbolic closure of the bump field at the eval grids' smallest
+    # radii, against its symbolic partials evaluated in 40-digit arithmetic
+    geom = make_geometry("hyperbolic")
+    v = Profile(MANUFACTURED_CATALOG["bump"], "bump")
+    ts = np.array([0.5, 1.0, 1.5])
+    funs = _symbolic_partials(symbolic_closure(v.expr, geom, 2.5), modules="mpmath")
+    forcing = manufactured_forcing(v, geom, 2.5).profile
+    with mpmath.workdps(40):
+        for key, fun in funs.items():
+            ref = np.array([float(fun(mpmath.mpf(r0), mpmath.mpf(float(t)))) for t in ts])
+            got = forcing.at(*key, np.full(ts.shape, r0), ts)
+            err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-12, (key, err.max())
