@@ -9,6 +9,6 @@ from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_
 from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, barenblatt_oracle,
                      manufactured_forcing, pressure, pressure_inverse,
                      rescale_nonlinearity, solve)
-from .symfun import Profile, R, T
+from .symfun import Profile
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .identities import (bochner_residual, commutator_residual,
 from .params import ParamError
 from .scenarios import ConfigError, Scenario, load_scenario, read_number
 from .solver import SolverError, weighted_mass
-from .symfun import Profile, R, T
+from .symfun import Profile
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -157,8 +157,8 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
     residual_row("pressure-equation",
                  pressure_equation_residual(sc.v_profile, geom, params.p, nl, r, t))
 
-    f = Profile(1 + R**2 / 3 + T / 2, "f")
-    g = Profile(2 + R**2 * T / 5, "g")
+    f = Profile("1 + r**2/3 + t/2", "f")
+    g = Profile("2 + r**2*t/5", "g")
     residual_row("operator-quotient-rule",
                  quotient_rule_residual(f, g, sc.v_profile, geom, params.p, r, t))
 

@@ -201,14 +201,15 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
     tau = t_in - t0_clock
     a = geom.conformal(r_in, t_in)
     coeffs = params.coeffs
+    G, G_x, _, lap_Gx = nl.G_x_partials(t_in, r_in, v)
     return SupSamples(
         r=r_in, t_abs=t_in, tau=tau, v=v,
-        G=nl.G(t_in, r_in, v),
+        G=G,
         G_v=nl.G_v(t_in, r_in, v),
         G_vv=nl.G_vv(t_in, r_in, v),
-        G_x_norm=np.abs(nl.G_x(t_in, r_in, v)) / a,
+        G_x_norm=np.abs(G_x) / a,
         G_xv_norm=np.abs(nl.G_xv(t_in, r_in, v)) / a,
-        lap_Gx=nl.lap_phi_Gx(t_in, r_in, v),
+        lap_Gx=lap_Gx,
         alpha=coeffs.alpha_at(tau),
         alpha_p=coeffs.alpha_prime_at(tau),
         beta=coeffs.beta_at(tau),

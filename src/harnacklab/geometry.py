@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
-from .jets import d_r
+from .jets import d_r, exp
 from .symfun import Profile
 
 FAMILIES = ("static-warp", "conformal-evolving", "evolving-warp")
@@ -64,12 +63,12 @@ class WarpedGeometry:
             raise GeometryError("r_max must be positive")
         if self.m == self.n and not self.potential.is_constant():
             raise GeometryError("m == n requires a constant potential")
-        if not self.conformal.space_independent:
+        if "r" in self.conformal.coords:
             raise GeometryError("conformal factor must depend on t only")
         if self.family == "conformal-evolving" and not self.warp.time_independent:
             raise GeometryError("conformal-evolving family requires a static warp")
         if self.family == "evolving-warp":
-            if not (self.conformal.is_constant() and abs(float(self.conformal.expr) - 1.0) < 1e-15):
+            if not (self.conformal.is_constant() and abs(self.conformal(0.0, 0.0) - 1.0) < 1e-15):
                 raise GeometryError("evolving-warp family requires a == 1")
         if self.family == "static-warp":
             if not (self.warp.time_independent and self.conformal.time_independent):
@@ -129,11 +128,13 @@ class WarpedGeometry:
     def volume_density(self) -> Profile:
         """J with d(mu) = J dr dOmega; J = a^n psi^(n-1) exp(-phi).
 
-        Built on first use and kept, so a solve lambdifies J once however
-        many steps it takes.
+        Built on first use and kept, so a solve builds J once however many
+        steps it takes.
         """
-        expr = self.conformal.expr**self.n * self.warp.expr ** (self.n - 1) * sp.exp(-self.potential.expr)
-        return Profile(expr, name="volume_density")
+        a, psi, phi, n = self.conformal, self.warp, self.potential, self.n
+        return Profile.of_jets(
+            lambda r, t: a.jet(r, t) ** n * psi.jet(r, t) ** (n - 1) * exp(-phi.jet(r, t)),
+            (0, 0), "volume_density")
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,10 @@ class TermTable(_RadialTerms):
 
         # nonlinearity values and partials; coordinate x-partials are converted
         # to metric pairings here
-        self.G = nonlinearity.G(tt, rr, self.v)
+        self.G, self.G_x, self.G_xx, self.lap_Gx = nonlinearity.G_x_partials(tt, rr, self.v)
         self.G_v = nonlinearity.G_v(tt, rr, self.v)
         self.G_vv = nonlinearity.G_vv(tt, rr, self.v)
-        self.G_x = nonlinearity.G_x(tt, rr, self.v)
         self.G_xv = nonlinearity.G_xv(tt, rr, self.v)
-        self.lap_Gx = nonlinearity.lap_phi_Gx(tt, rr, self.v)
         self.G_x_norm = np.abs(self.G_x) / self.a
         self.G_xv_norm = np.abs(self.G_xv) / self.a
         self.gradG_pair = (self.G_x + self.G_v * self.v_r) * self.v_r / self.a2
@@ -285,7 +283,7 @@ class TermTable(_RadialTerms):
         G, G_v = self.G, self.G_v
         C_r = self.G_x + G_v * v_r
         C_t = nl.G_t(tt, rr, v) + G_v * v_t
-        C_rr = (nl.G_xx(tt, rr, v) + 2 * self.G_xv * v_r
+        C_rr = (self.G_xx + 2 * self.G_xv * v_r
                 + self.G_vv * v_r**2 + G_v * v_rr)
         W = self.grad2
         W_r = 2 * v_r * v_rr / a2

@@ -3,10 +3,10 @@
 A :class:`Jet` holds the coefficients c_0, ..., c_{K-1} of
 sum_k c_k (r - r0)^k; each c_k is a number, a numpy array over the nodes, or
 itself a Jet: a series in (t - t0) whose coefficients are numbers or arrays.
-Lambdifying a sympy expression with ``modules=[JET_NAMESPACE]`` and calling it
-at the series of :func:`variables` gives the bivariate series of the
-expression about (r0, t0), from which the (i, j) partial is i! j! times the
-t^j coefficient of c_i (:func:`partial`).  :func:`d_r` and :func:`d_t`
+An expression compiled over ``JET_NAMESPACE`` (``symfun.compile_expression``)
+and called at the series of :func:`variables` gives the bivariate series of
+the expression about (r0, t0), from which the (i, j) partial is i! j! times
+the t^j coefficient of c_i (:func:`partial`).  :func:`d_r` and :func:`d_t`
 differentiate a series, so fields derived from several expressions (a
 weighted Laplacian, a closure forcing) are built by arithmetic on their
 series, with no symbolic differentiation.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -227,26 +228,6 @@ def _rule(numeric, series):
     return apply
 
 
-def _ratio(top, bottom):
-    return lambda u: top(u) / bottom(u)
-
-
-def _sin(u):
-    return _sin_cos(u, -1)[0]
-
-
-def _cos(u):
-    return _sin_cos(u, -1)[1]
-
-
-def _sinh(u):
-    return _sin_cos(u, 1)[0]
-
-
-def _cosh(u):
-    return _sin_cos(u, 1)[1]
-
-
 exp = _rule(np.exp, _exp)
 log = _rule(np.log, _log)
 
@@ -255,19 +236,18 @@ JET_FUNCTIONS = {
     "exp": exp,
     "log": log,
     "sqrt": _rule(np.sqrt, lambda u: _real_power(u, 0.5)),
-    "sin": _rule(np.sin, _sin),
-    "cos": _rule(np.cos, _cos),
-    "sinh": _rule(np.sinh, _sinh),
-    "cosh": _rule(np.cosh, _cosh),
-    "tanh": _rule(np.tanh, _ratio(_sinh, _cosh)),
-    "coth": _rule(lambda x: 1.0 / np.tanh(x), _ratio(_cosh, _sinh)),
-    "sech": _rule(lambda x: 1.0 / np.cosh(x), lambda u: 1.0 / _cosh(u)),
-    "csch": _rule(lambda x: 1.0 / np.sinh(x), lambda u: 1.0 / _sinh(u)),
+    "sin": _rule(np.sin, lambda u: _sin_cos(u, -1)[0]),
+    "cos": _rule(np.cos, lambda u: _sin_cos(u, -1)[1]),
+    "sinh": _rule(np.sinh, lambda u: _sin_cos(u, 1)[0]),
+    "cosh": _rule(np.cosh, lambda u: _sin_cos(u, 1)[1]),
+    "tanh": _rule(np.tanh, lambda u: operator.truediv(*_sin_cos(u, 1))),
+    "coth": _rule(lambda x: 1.0 / np.tanh(x), lambda u: operator.truediv(*_sin_cos(u, 1)[::-1])),
+    "sech": _rule(lambda x: 1.0 / np.cosh(x), lambda u: 1.0 / _sin_cos(u, 1)[1]),
+    "csch": _rule(lambda x: 1.0 / np.sinh(x), lambda u: 1.0 / _sin_cos(u, 1)[0]),
 }
 
-# every name a lambdified expression resolves: the rules, and the constants
-# the printer emits for pi and E
-JET_NAMESPACE = {**JET_FUNCTIONS, "pi": math.pi, "e": math.e}
+# every name an expression may use besides r and t: the rules and two constants
+JET_NAMESPACE = {**JET_FUNCTIONS, "pi": math.pi, "E": math.e}
 
 
 def variables(r0, t0, kr: int, kt: int):

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
-from .symfun import Profile, T, constant_profile
+from .symfun import Profile, constant_profile
 
 
 class ParamError(ValueError):
@@ -52,9 +51,10 @@ class AlphaBeta:
         """Same pair on a clock starting at t0 (t -> t - t0)."""
         if t0 == 0:
             return self
+        shift = lambda prof: prof if prof.time_independent else Profile.of_jets(
+            lambda r, t: prof.jet(r, t - t0), prof.orders, prof.name)
         return AlphaBeta(
-            Profile(self.alpha.expr.subs(T, T - t0), name=self.alpha.name),
-            Profile(self.beta.expr.subs(T, T - t0), name=self.beta.name),
+            shift(self.alpha), shift(self.beta),
             label=f"{self.label} shifted by {t0:g}",
             gamma=self.gamma,
             flags=self.flags,
@@ -83,26 +83,26 @@ def preset_alpha_beta(which: str, gamma: float, b: float, degenerate_delta: floa
         raise ParamError(f"unknown alpha/beta preset {which!r}")
     if gamma < 0:
         raise ParamError("gamma must be non-negative")
-    g = sp.Float(gamma)
+    g, b = float(gamma), float(b)
     flags = ()
     if which == "exp":
         if gamma == 0:
             alpha = constant_profile(1.0 + degenerate_delta, "alpha")
             flags = ("degenerate-alpha-substituted",)
         else:
-            alpha = Profile(sp.exp(2 * g * T), "alpha")
+            alpha = Profile(f"exp({2 * g!r}*t)", "alpha")
         beta = constant_profile(0.0, "beta")
     elif which == "coth":
         if gamma == 0:
             raise ParamError("coth preset requires gamma > 0")
-        s = sp.sinh(g * T)
-        alpha = Profile(1 + (sp.cosh(g * T) * s - g * T) / s**2, "alpha")
-        beta = Profile(b * g * (sp.coth(g * T) + 1), "beta")
+        s, c = f"sinh({g!r}*t)", f"cosh({g!r}*t)"
+        alpha = Profile(f"1 + ({c}*{s} - {g!r}*t)/{s}**2", "alpha")
+        beta = Profile(f"{b * g!r}*(coth({g!r}*t) + 1)", "beta")
     else:
         if gamma == 0:
             raise ParamError("linear preset requires gamma > 0")
-        alpha = Profile(1 + 2 * g * T / 3, "alpha")
-        beta = Profile(b * (1 / T + g + g**2 * T / 3), "beta")
+        alpha = Profile(f"1 + {2 * g / 3!r}*t", "alpha")
+        beta = Profile(f"{b!r}*(1/t + {g!r} + {g**2 / 3!r}*t)", "beta")
     return AlphaBeta(alpha, beta, label=f"{which}(gamma={gamma:g})", gamma=gamma, flags=flags)
 
 

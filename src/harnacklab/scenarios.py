@@ -8,27 +8,23 @@ configuration typos fail loudly.
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import sys
-import tokenize
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .fields import Grid
 from .geometry import MODES, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
-from .jets import JET_FUNCTIONS
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
 from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, PowerSumNonlinearity,
                      SolveResult, barenblatt_oracle, barenblatt_pressure_profile,
                      barenblatt_support_radius, manufactured_forcing,
                      power_sum_with_closure, pressure_inverse, solve,
                      validate_barenblatt)
-from .symfun import Profile, R, T, functions_without_series
+from .symfun import ExpressionError, Profile
 
 
 class ConfigError(ValueError):
@@ -84,49 +80,15 @@ def _read_density(doc: dict, key: str, path: str) -> tuple:
     return tuple(read_number(x, f"{path}.{key}", integer=True, at_least=2) for x in value)
 
 
-# the names an expression string may use: the coordinates, two constants and
-# the functions with a series rule, so every accepted expression has a value
-# at the pole
-_EXPR_NAMES = {"r", "t", "pi", "E", *JET_FUNCTIONS}
-
-
-def _vet_tokens(text: str, path: str):
-    """Refuse a string sympify would run as more than arithmetic in r and t.
-
-    sympify evaluates its input as Python, so names, attributes and dunders
-    are checked on the tokens before it sees them.
-    """
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
-    except (tokenize.TokenError, SyntaxError) as exc:
-        raise ConfigError(path, f"cannot parse expression: {exc}")
-    for tok in tokens:
-        if "__" in tok.string or tok.string == "." or tok.type == tokenize.STRING:
-            raise ConfigError(path, f"{tok.string!r} is not allowed in an expression")
-        if tok.type == tokenize.NAME and tok.string not in _EXPR_NAMES:
-            raise ConfigError(path, f"unknown name {tok.string!r}; "
-                                    f"use {', '.join(sorted(_EXPR_NAMES))}")
-
-
-def _expr(value, path: str) -> sp.Expr:
-    """A finite closed form in r and t, given as a string or a number."""
+def _expr(value, path: str, name: str) -> Profile:
+    """The profile of a closed form in r and t, given as a string or a number."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ConfigError(path, f"expected an expression string, got {value!r}")
-    if isinstance(value, str):
-        _vet_tokens(value, path)
+    text = value if isinstance(value, str) else repr(read_number(value, path))
     try:
-        expr = sp.sympify(value, locals={"r": R, "t": T})
-    except (sp.SympifyError, SyntaxError, TypeError, AttributeError) as exc:
-        raise ConfigError(path, f"cannot parse expression: {exc}")
-    if (not isinstance(expr, sp.Expr) or not expr.free_symbols <= {R, T}
-            or expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan)):
-        raise ConfigError(path, f"expected a finite expression in r and t, got {value!r}")
-    # sympify may rewrite into functions with no series rule: sqrt(r**2) is Abs(r)
-    unruled = functions_without_series(expr)
-    if unruled:
-        raise ConfigError(path, f"{value!r} becomes {expr}, and {', '.join(sorted(unruled))} "
-                                f"has no series at the pole")
-    return expr
+        return Profile(text, name)
+    except ExpressionError as exc:
+        raise ConfigError(path, str(exc))
 
 
 def _read_choice(value, where: str, choices) -> str:
@@ -136,10 +98,10 @@ def _read_choice(value, where: str, choices) -> str:
 
 
 GEOMETRY_PRESETS = {
-    "euclidean": {"warp": R, "potential": sp.Integer(0)},
-    "hyperbolic": {"warp": sp.sinh(R), "potential": sp.Integer(0)},
-    "sphere": {"warp": sp.sin(R), "potential": sp.Integer(0)},
-    "gaussian-weight": {"warp": R, "potential": R**2 / 2},
+    "euclidean": {"warp": "r", "potential": "0"},
+    "hyperbolic": {"warp": "sinh(r)", "potential": "0"},
+    "sphere": {"warp": "sin(r)", "potential": "0"},
+    "gaussian-weight": {"warp": "r", "potential": "r**2/2"},
 }
 
 MANUFACTURED_CATALOG = {
@@ -194,46 +156,38 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
                               "or conformal-exp(rate) / linear-warp(rate)")
         if "warp" in doc:
             raise ConfigError(f"{path}.warp", "a preset fixes the warp; give one of them")
-        warp_expr = GEOMETRY_PRESETS[preset]["warp"]
-        pot_expr = GEOMETRY_PRESETS[preset]["potential"]
+        warp = Profile(GEOMETRY_PRESETS[preset]["warp"], "warp")
+        potential = Profile(GEOMETRY_PRESETS[preset]["potential"], "potential")
     else:
-        warp_expr = _expr(_require(doc, "warp", path), f"{path}.warp")
-        pot_expr = sp.Integer(0)
+        warp = _expr(_require(doc, "warp", path), f"{path}.warp", "warp")
+        potential = Profile("0", "potential")
     if "potential" in doc:
-        pot_expr = _expr(doc["potential"], f"{path}.potential")
+        potential = _expr(doc["potential"], f"{path}.potential", "potential")
     drift = read_number(doc.get("potential_drift", 0.0), f"{path}.potential_drift")
     if drift:
-        pot_expr = pot_expr * (1 + drift * T)
+        potential = Profile(f"({potential.source})*(1 + {drift!r}*t)", "potential")
     # each rate replaces a whole expression, so that expression may not be given
-    conf_expr = sp.Integer(1)
+    conformal = Profile("1", "conformal")
     if "conformal" in doc:
         if "conformal_rate" in doc:
             raise ConfigError(f"{path}.conformal", "an exponential rate would replace it")
-        conf_expr = _expr(doc["conformal"], f"{path}.conformal")
+        conformal = _expr(doc["conformal"], f"{path}.conformal", "conformal")
     rate = read_number(doc.get("conformal_rate", 0.0), f"{path}.conformal_rate")
     if rate:
-        conf_expr = sp.exp(rate * T)
-    if "warp_rate" in doc and (preset is None or warp_expr != R):
+        conformal = Profile(f"exp({rate!r}*t)", "conformal")
+    if "warp_rate" in doc and (preset is None or warp.source != "r"):
         raise ConfigError(f"{path}.warp_rate", "the linear warp 1 + (1 + rate t) r replaces "
                                                "the warp; it goes only with a preset whose warp is r")
     warp_rate = read_number(doc.get("warp_rate", 0.0), f"{path}.warp_rate")
     if warp_rate:
-        warp_expr = 1 + (1 + warp_rate * T) * R
-    if warp_expr.has(T):
-        family = "evolving-warp"
-        mode_default = "annulus"
-    elif conf_expr.has(T):
-        family = "conformal-evolving"
-        mode_default = "pole"
-    else:
-        family = "static-warp"
-        mode_default = "pole"
-    mode = _read_choice(doc.get("mode", mode_default), f"{path}.mode", MODES)
+        warp = Profile(f"1 + (1 + {warp_rate!r}*t)*r", "warp")
+    family = ("evolving-warp" if not warp.time_independent
+              else "conformal-evolving" if not conformal.time_independent else "static-warp")
+    mode = _read_choice(doc.get("mode", "annulus" if family == "evolving-warp" else "pole"),
+                        f"{path}.mode", MODES)
     try:
         return WarpedGeometry(
-            n=n, m=float(m), warp=Profile(warp_expr, "warp"),
-            conformal=Profile(conf_expr, "conformal"),
-            potential=Profile(pot_expr, "potential"),
+            n=n, m=float(m), warp=warp, conformal=conformal, potential=potential,
             r_max=r_max, family=family, mode=mode, name=label,
         )
     except ValueError as exc:
@@ -372,7 +326,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if form != "zero":
             raise ConfigError("pde.nonlinearity",
                               "the self-similar oracle requires zero forcing")
-        flat = geom.is_static and geom.warp.expr == R and geom.potential.is_constant()
+        flat = geom.is_static and geom.warp.source == "r" and geom.potential.is_constant()
         if not flat:
             raise ConfigError("solution", "the self-similar oracle needs static euclidean geometry")
         C = read_number(sol_doc.get("mass_const", 1.0), "solution.mass_const", above=0)
@@ -391,12 +345,12 @@ def parse_scenario(doc: dict) -> Scenario:
     def _manufactured():
         # the closure forcing makes the profile an exact solution
         if "expr" in sol_doc:
-            expr = _expr(sol_doc["expr"], "solution.expr")
+            profile = _expr(sol_doc["expr"], "solution.expr", "manufactured_pressure")
         else:
             key = _read_choice(sol_doc.get("catalog", "bump"), "solution.catalog",
                                MANUFACTURED_CATALOG)
-            expr = _expr(MANUFACTURED_CATALOG[key], "solution.catalog")
-        profile = Profile(expr, "manufactured_pressure")
+            profile = _expr(MANUFACTURED_CATALOG[key], "solution.catalog",
+                            "manufactured_pressure")
         if power is None:
             forcing = manufactured_forcing(profile, geom, p)
         else:

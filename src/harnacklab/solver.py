@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
 from .fields import Grid, ScalarField
 from .geometry import WarpedGeometry, phi_laplacian_eval
 from .jets import d_r, d_t
-from .symfun import Profile, R, T, constant_profile
+from .symfun import Profile, constant_profile
 
 
 class SolverError(RuntimeError):
@@ -59,10 +58,11 @@ class Nonlinearity:
 
     ``G(t, r, v)`` is the rescaled forcing entering the pressure equation
     d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G, and ``G_v``, ``G_vv`` are
-    its v-partials.  ``G_x``, ``G_xv`` and ``G_xx`` are coordinate r-partials
-    at frozen v (callers convert to metric norms), ``G_t`` is the explicit time
-    partial at frozen (x, v), and ``lap_phi_Gx`` is the weighted Laplacian of
-    the frozen-v spatial slice.  ``G_jet`` is G on series, taking at most
+    its v-partials.  ``G_x_partials`` gives G with its coordinate r-partials
+    G_x, G_xx at frozen v (callers convert to metric norms) and the weighted
+    Laplacian ``lap_phi_Gx`` of the frozen-v spatial slice, all from one
+    evaluation.  ``G_xv`` is the mixed partial, ``G_t`` the explicit time
+    partial at frozen (x, v), and ``G_jet`` is G on series, taking at most
     ``jet_orders`` r- and t-derivatives.  Here all of them vanish; subclasses
     override the ones their forcing excites.
     """
@@ -73,7 +73,12 @@ class Nonlinearity:
     def _zero(self, t, r, v):
         return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
 
-    G = G_v = G_vv = G_x = G_xv = G_t = G_xx = lap_phi_Gx = _zero
+    G = G_v = G_vv = G_xv = G_t = _zero
+
+    def G_x_partials(self, t, r, v):
+        """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""
+        zero = self._zero(t, r, v)
+        return self.G(t, r, v), zero, zero, zero
 
     def source(self, t, r, u, p: float):
         """Source form N(t, x, u) = G * u^(2-p) / p."""
@@ -137,18 +142,12 @@ class ForcingNonlinearity(Nonlinearity):
     def G(self, t, r, v):
         return self.profile(r, t)
 
-    def G_x(self, t, r, v):
-        return self.profile.at(1, 0, r, t)
-
     def G_t(self, t, r, v):
         return self.profile.at(0, 1, r, t)
 
-    def G_xx(self, t, r, v):
-        return self.profile.at(2, 0, r, t)
-
-    def lap_phi_Gx(self, t, r, v):
-        G = self.profile.table(2, 0, r, t)
-        return phi_laplacian_eval(self.geom, r, t, G[1, 0], G[2, 0])
+    def G_x_partials(self, t, r, v):
+        G, G_x, G_xx = self.profile.table(2, 0, r, t)[:, 0]
+        return G, G_x, G_xx, phi_laplacian_eval(self.geom, r, t, G_x, G_xx)
 
     def G_jet(self, t, r, v):
         return self.profile.jet(r, t)
@@ -170,9 +169,12 @@ class CompositeNonlinearity(Nonlinearity):
             return getattr(self.power, name)(t, r, v) + getattr(self.forcing, name)(t, r, v)
         return term
 
-    G, G_v, G_vv, G_x, G_xv, G_t, G_xx, lap_phi_Gx, G_jet = map(
-        _summed, ("G", "G_v", "G_vv", "G_x", "G_xv", "G_t", "G_xx", "lap_phi_Gx", "G_jet"))
+    G, G_v, G_vv, G_xv, G_t, G_jet = map(_summed, ("G", "G_v", "G_vv", "G_xv", "G_t", "G_jet"))
     del _summed
+
+    def G_x_partials(self, t, r, v):
+        return tuple(a + b for a, b in zip(self.power.G_x_partials(t, r, v),
+                                           self.forcing.G_x_partials(t, r, v)))
 
 
 def _closure(v_exact: Profile, geom: WarpedGeometry, p: float,
@@ -224,9 +226,9 @@ def barenblatt_oracle(n: int, p: float, mass_const: float, r, t):
 def barenblatt_pressure_profile(n: int, p: float, mass_const: float) -> Profile:
     """Closed-form pressure inside the support (quadratic in r)."""
     nbeta, beta = barenblatt_exponents(n, p)
-    kk = sp.Rational(1, 1) * (p - 1) * sp.Float(beta) / (2 * p)
-    expr = sp.Float(p) / (p - 1) * T ** sp.Float(-nbeta * (p - 1)) * (sp.Float(mass_const) - kk * R**2 * T ** sp.Float(-2 * beta))
-    return Profile(sp.expand(expr), name="barenblatt_pressure")
+    c, kk, a = p / (p - 1), (p - 1) * beta / (2 * p), -nbeta * (p - 1)
+    return Profile(f"{float(c * mass_const)!r}*t**{float(a)!r}"
+                   f" - {float(c * kk)!r}*r**2*t**{float(a - 2 * beta)!r}", "barenblatt_pressure")
 
 
 def barenblatt_support_radius(n: int, p: float, mass_const: float, t):
@@ -260,7 +262,7 @@ def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
 
 def _flat_geometry(n: int) -> WarpedGeometry:
     return WarpedGeometry(
-        n=n, m=float(n), warp=Profile(R, "psi"), conformal=constant_profile(1.0, "a"),
+        n=n, m=float(n), warp=Profile("r", "psi"), conformal=constant_profile(1.0, "a"),
         potential=constant_profile(0.0, "phi"), r_max=1e9, family="static-warp",
         mode="pole", name="flat",
     )

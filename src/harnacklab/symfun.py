@@ -1,17 +1,16 @@
 """Functions of (r, t) with every partial derivative from one Taylor series.
 
-Every analytic input to the laboratory (warp factor, conformal factor,
-potential, manufactured solutions) is a sympy expression in the coordinates
-``r`` and ``t``.  A :class:`Profile` lambdifies it once, into the jet
-namespace (``jets.JET_NAMESPACE``), whose rules act like numpy on arrays and
-give the truncated Taylor series on a :class:`~.jets.Jet`.  Called on arrays,
-that function gives the value; called on the series of r and t about every
-node (``jets.variables``) it gives the bivariate series there, off which
-every (nr, nt) partial is read.  Nothing is differentiated symbolically, and
-identity residuals are limited only by floating-point roundoff.  Partials
-need a jet rule for every function in the expression
-(:func:`functions_without_series`); values do not.  Derived fields (a
-weighted Laplacian, a closure forcing) are Profiles built by
+Every analytic input to the laboratory (warp, conformal factor, potential,
+manufactured solutions) is an expression string in ``r`` and ``t``, as a
+config holds it.  :func:`compile_expression` reads it with ``ast`` against a
+whitelist, folds its constant parts and compiles the rest over the jet
+namespace, whose rules act like numpy on arrays and give the truncated Taylor
+series on a :class:`~.jets.Jet`.  A :class:`Profile` calls that function on
+arrays for values, and on the series of r and t about every node
+(``jets.variables``) for the bivariate series there, off which every
+(nr, nt) partial is read.  Nothing is differentiated symbolically, and
+identity residuals are limited only by floating-point roundoff.  Derived
+fields (a weighted Laplacian, a closure forcing) are Profiles built by
 :meth:`Profile.of_jets` from arithmetic on the series of their operands.
 
 Radial expressions may contain factors like ``psi_r/psi`` that are singular
@@ -24,19 +23,95 @@ expression with no such series (1/r, log r) is refused with
 
 from __future__ import annotations
 
-from functools import cached_property
+import ast
+import math
+import operator
+import sys
 
 import numpy as np
-import sympy as sp
 
-from .jets import JET_FUNCTIONS, JET_NAMESPACE, Jet, PoleEvaluationError, partial, variables
+from .jets import JET_FUNCTIONS, JET_NAMESPACE, PoleEvaluationError, partial, variables
 
-R, T = sp.symbols("r t", real=True)
+COORDINATES = ("r", "t")
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.Pow: operator.pow, ast.UAdd: operator.pos,
+        ast.USub: operator.neg}
+_GRAMMAR = (f"an expression takes numbers, r, t, pi, E, + - * / ** and the functions "
+            f"{', '.join(JET_FUNCTIONS)} of one argument")
 
 
-def functions_without_series(expr) -> set:
-    """Names of the functions in ``expr`` that have no jet rule."""
-    return {f.func.__name__ for f in expr.atoms(sp.Function)} - JET_FUNCTIONS.keys()
+class ExpressionError(ValueError):
+    """A string outside the grammar of :func:`compile_expression`."""
+
+
+def _constant(fun, node, *args) -> float:
+    """``fun(*args)`` for a constant subtree, which must be a finite real."""
+    try:
+        with np.errstate(all="ignore"):
+            value = fun(*args)
+    except ArithmeticError as exc:
+        raise ExpressionError(f"{ast.unparse(node)!r} has no finite value "
+                              f"({exc.args[-1]})") from None
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ExpressionError(f"{ast.unparse(node)!r} is not a finite real number")
+    return float(value)
+
+
+def _literal(value):
+    return ast.Constant(value) if isinstance(value, float) else value
+
+
+def _fold(node):
+    """A float for a constant subtree, or the subtree with its constant parts
+    folded in place; anything outside the grammar raises ExpressionError."""
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) in (int, float):
+        if not abs(node.value) <= sys.float_info.max:
+            raise ExpressionError("a number in the expression overflows a float")
+        return float(node.value)
+    if kind is ast.Name and node.id in COORDINATES:
+        return node
+    if kind is ast.Name and node.id in JET_NAMESPACE.keys() - JET_FUNCTIONS.keys():
+        return float(JET_NAMESPACE[node.id])
+    if kind is ast.BinOp and type(node.op) is ast.BitXor:
+        raise ExpressionError("'^' is not a power; use '**'")
+    if kind is ast.UnaryOp and type(node.op) in _OPS:
+        children, fun = [node.operand], _OPS[type(node.op)]
+    elif kind is ast.BinOp and type(node.op) in _OPS:
+        children, fun = [node.left, node.right], _OPS[type(node.op)]
+    elif (kind is ast.Call and type(node.func) is ast.Name and node.func.id in JET_FUNCTIONS
+          and len(node.args) == 1 and not node.keywords):
+        children, fun = node.args, JET_FUNCTIONS[node.func.id]
+    else:
+        raise ExpressionError(f"{ast.unparse(node)!r} is not allowed: {_GRAMMAR}")
+    parts = [_fold(child) for child in children]
+    if all(isinstance(part, float) for part in parts):
+        return _constant(fun, node, *parts)
+    # a product with a zero factor is zero, so 0*(1 + t) reads no coordinate
+    if kind is ast.BinOp and type(node.op) is ast.Mult and 0.0 in parts:
+        return 0.0
+    parts = [_literal(part) for part in parts]
+    if kind is ast.Call:
+        node.args = parts
+    elif kind is ast.UnaryOp:
+        node.operand, = parts
+    else:
+        node.left, node.right = parts
+    return node
+
+
+def compile_expression(text: str):
+    """The function of (r, t) that an expression string computes, and the
+    frozenset of the coordinates it reads."""
+    try:
+        lam = ast.parse("lambda r, t: 0", mode="eval")
+        lam.body.body = _literal(_fold(ast.parse(text.strip(), mode="eval").body))
+        code = compile(ast.fix_missing_locations(lam), "<expression>", "eval")
+    except (SyntaxError, RecursionError) as exc:
+        raise ExpressionError(f"cannot parse expression: {getattr(exc, 'msg', exc)}") from None
+    coords = frozenset(n.id for n in ast.walk(lam.body.body)
+                       if type(n) is ast.Name and n.id in COORDINATES)
+    return eval(code, {"__builtins__": {}, **JET_NAMESPACE}), coords
 
 
 # jet lengths beyond the nr + 1 coefficients a pole value needs: each
@@ -49,8 +124,8 @@ class Profile:
 
     Parameters
     ----------
-    expr : sympy expression or str or number
-        May reference the module symbols ``r`` and ``t``.
+    source : str
+        An expression string in ``r`` and ``t`` (see :func:`compile_expression`).
     name : optional label used in reports and error messages.
     """
 
@@ -58,55 +133,33 @@ class Profile:
     # costs the series one coefficient in that variable
     orders = (0, 0)
 
-    def __init__(self, expr, name: str = ""):
-        if isinstance(expr, str):
-            expr = sp.sympify(expr, locals={"r": R, "t": T})
-        self.expr = sp.sympify(expr)
-        bad = self.expr.free_symbols - {R, T}
-        if bad:
-            raise ValueError(f"profile {name!r} has stray symbols {bad}")
-        self.name = name
+    def __init__(self, source: str, name: str = ""):
+        # jet(r, t): the series at the series (r, t), or the value at arrays r, t
+        self.jet, self.coords = compile_expression(source)
+        self.source, self.name = source, name
 
     @classmethod
     def of_jets(cls, fun, orders, name: str) -> "Profile":
-        """The profile, with no ``expr``, whose series at the series (r, t)
-        is ``fun(r, t)``, which takes at most ``orders`` r- and
-        t-derivatives; with orders (0, 0) ``fun`` must also take arrays."""
+        """The profile, with no source, whose series at the series (r, t) is
+        ``fun(r, t)``, which takes at most ``orders`` r- and t-derivatives
+        and may read both coordinates; with orders (0, 0) ``fun`` must also
+        take arrays."""
         prof = cls.__new__(cls)
-        prof.expr, prof.name, prof.orders = None, name, tuple(int(k) for k in orders)
-        prof._fun = fun
+        prof.source, prof.name, prof.orders = None, name, tuple(int(k) for k in orders)
+        prof.jet, prof.coords = fun, frozenset(COORDINATES)
         return prof
 
     def __repr__(self):
-        return f"Profile({self.name or self.expr})"
+        return f"Profile({self.name or self.source})"
 
     @property
     def time_independent(self) -> bool:
-        return not self.expr.has(T)
-
-    @property
-    def space_independent(self) -> bool:
-        return not self.expr.has(R)
+        return "t" not in self.coords
 
     def is_constant(self) -> bool:
-        return not (self.expr.has(R) or self.expr.has(T))
+        return not self.coords
 
     # -- evaluation ----------------------------------------------------------
-    @cached_property
-    def _fun(self):
-        return sp.lambdify((R, T), self.expr, modules=[JET_NAMESPACE])
-
-    @cached_property
-    def _unruled(self):
-        return [] if self.expr is None else sorted(functions_without_series(self.expr))
-
-    def jet(self, r, t):
-        """The series at the series (r, t), or the value at arrays r, t."""
-        if self._unruled and isinstance(r, Jet):
-            raise PoleEvaluationError(f"profile {self.name!r} has no Taylor series in r: "
-                                      f"no rule for {self._unruled}")
-        return self._fun(r, t)
-
     def _table(self, nr, nt, r, t, shape, extra=0):
         """The (i <= nr, j <= nt) partials off the series about (r, t), and
         whether cancelled 0/0 quotients left enough coefficients for all."""
@@ -163,4 +216,4 @@ class Profile:
 
 
 def constant_profile(value, name: str = "") -> Profile:
-    return Profile(sp.sympify(value), name=name or f"const({value})")
+    return Profile(repr(float(value)), name=name or f"const({value})")

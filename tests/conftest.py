@@ -4,37 +4,43 @@ import sympy as sp
 
 from harnacklab.geometry import WarpedGeometry
 from harnacklab.params import HarnackParams, constant_alpha_beta
-from harnacklab.symfun import Profile, R, T
+from harnacklab.symfun import Profile
+
+# the oracle's coordinates: sympy reads the same expression strings as the code
+R, T = sp.symbols("r t", real=True)
 
 
-def make_geometry(kind, n=2, m=None, r_max=2.0, conformal=None, potential=None,
+def sym(expr):
+    """The sympy expression of an expression string or of a Profile's source."""
+    return sp.sympify(getattr(expr, "source", expr), locals={"r": R, "t": T})
+
+
+def make_geometry(kind, n=2, m=None, r_max=2.0, conformal="1", potential=None,
                   mode=None):
     warps = {
-        "euclidean": R,
-        "hyperbolic": sp.sinh(R),
-        "sphere": sp.sin(R),
-        "gaussian": R,
-        "warp": 1 + R * (1 + T / 5),
+        "euclidean": "r",
+        "hyperbolic": "sinh(r)",
+        "sphere": "sin(r)",
+        "gaussian": "r",
+        "warp": "1 + r*(1 + t/5)",
     }
-    warp = warps[kind]
     if potential is None:
-        potential = R**2 / 2 if kind == "gaussian" else sp.Integer(0)
-    conf = sp.Integer(1) if conformal is None else conformal
+        potential = "r**2/2" if kind == "gaussian" else "0"
+    conf, phi = Profile(conformal, "a"), Profile(potential, "phi")
     if kind == "warp":
         family = "evolving-warp"
         mode = mode or "annulus"
-    elif sp.sympify(conf).has(T):
+    elif not conf.time_independent:
         family = "conformal-evolving"
         mode = mode or "pole"
     else:
         family = "static-warp"
         mode = mode or "pole"
     if m is None:
-        m = float(n) if sp.sympify(potential).is_constant() else float(n + 2)
+        m = float(n) if phi.is_constant() else float(n + 2)
     return WarpedGeometry(
-        n=n, m=float(m), warp=Profile(warp, "psi"), conformal=Profile(conf, "a"),
-        potential=Profile(potential, "phi"), r_max=r_max, family=family, mode=mode,
-        name=kind,
+        n=n, m=float(m), warp=Profile(warps[kind], "psi"), conformal=conf,
+        potential=phi, r_max=r_max, family=family, mode=mode, name=kind,
     )
 
 
@@ -55,23 +61,23 @@ def gaussian2():
 
 @pytest.fixture(scope="session")
 def conformal_gaussian():
-    return make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10),
-                         potential=R**2 * (1 + T / 9) / 2)
+    return make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)",
+                         potential="r**2*(1 + t/9)/2")
 
 
 @pytest.fixture(scope="session")
 def evolving_warp():
-    return make_geometry("warp", n=3, m=4, potential=R**2 * (1 + T / 9) / 2)
+    return make_geometry("warp", n=3, m=4, potential="r**2*(1 + t/9)/2")
 
 
 @pytest.fixture(scope="session")
 def bump_profile():
-    return Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    return Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
 
 
 @pytest.fixture(scope="session")
 def cosh_bump_profile():
-    return Profile(2 + sp.exp(-T) * (3 + sp.cosh(R)) / 8, "v")
+    return Profile("2 + exp(-t)*(3 + cosh(r))/8", "v")
 
 
 def params_for(geom, p=2.5, alpha=2.0, beta=0.0):
@@ -89,15 +95,23 @@ def sample_points(r_max=1.8, include_pole=True, n_r=16, n_t=7, t_lo=0.5, t_hi=1.
 # ---------------------------------------------------------------------------
 
 def symbolic_phi_laplacian(geom, w):
-    """Delta_phi of the expression ``w`` by sympy.diff; the drift product is
-    cancelled, so warp-adapted fields stay regular at the pole."""
+    """Delta_phi of the sympy expression ``w`` by sympy.diff; the drift
+    product is cancelled, so warp-adapted fields stay regular at the pole."""
+    psi = sym(geom.warp)
     wr = sp.diff(w, R)
-    drift = sp.cancel((geom.n - 1) * sp.diff(geom.warp.expr, R) * wr / geom.warp.expr)
-    return (sp.diff(w, R, 2) + drift - sp.diff(geom.potential.expr, R) * wr) / geom.conformal.expr**2
+    drift = sp.cancel((geom.n - 1) * sp.diff(psi, R) * wr / psi)
+    return (sp.diff(w, R, 2) + drift - sp.diff(sym(geom.potential), R) * wr) / sym(geom.conformal)**2
 
 
 def symbolic_closure(v, geom, p):
     """The closure forcing v_t - (p-1) v Delta_phi v - |grad v|^2 of the
-    expression ``v``, by sympy.diff."""
+    sympy expression ``v``, by sympy.diff."""
     return (sp.diff(v, T) - (p - 1) * v * symbolic_phi_laplacian(geom, v)
-            - sp.diff(v, R) ** 2 / geom.conformal.expr**2)
+            - sp.diff(v, R) ** 2 / sym(geom.conformal)**2)
+
+
+def profile_of(expr, name=""):
+    """The Profile of a sympy expression.  str() prints a Float to 15 digits,
+    so each Float is first written as the rational it equals exactly."""
+    exact = expr.xreplace({x: sp.Rational(float(x)) for x in expr.atoms(sp.Float)})
+    return Profile(str(exact), name)

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
 from harnacklab.estimates import (collect_sup_samples, cutoff_profile, eps_scan,
@@ -30,7 +29,7 @@ from harnacklab.solver import (Nonlinearity, PdeParams, PowerSumNonlinearity,
                                barenblatt_oracle, barenblatt_pressure_profile,
                                manufactured_forcing, pressure_inverse, solve,
                                validate_barenblatt, weighted_mass)
-from harnacklab.symfun import Profile, R, T, constant_profile
+from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry
 
@@ -46,25 +45,25 @@ def report(criterion, ok, detail):
 # ---------------------------------------------------------------------------
 
 def identity_scenarios():
-    bump = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
-    cosh_bump = Profile(2 + sp.exp(-T) * (3 + sp.cosh(R)) / 8, "v")
-    cos_bump = Profile(2 + sp.exp(-T) * (3 + sp.cos(R)) / 8, "v")
+    bump = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
+    cosh_bump = Profile("2 + exp(-t)*(3 + cosh(r))/8", "v")
+    cos_bump = Profile("2 + exp(-t)*(3 + cos(r))/8", "v")
     return [
         ("euclidean", make_geometry("euclidean", n=3), bump, 2.0),
         ("hyperbolic", make_geometry("hyperbolic", n=2), cosh_bump, 2.5),
         ("sphere-cap", make_geometry("sphere", n=2, r_max=1.3), cos_bump, 2.0),
         ("gaussian-weight", make_geometry("gaussian", n=2, m=4), bump, 1.8),
         ("conformal-evolving",
-         make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10),
-                       potential=R**2 * (1 + T / 9) / 2), bump, 2.2),
+         make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)",
+                       potential="r**2*(1 + t/9)/2"), bump, 2.2),
     ]
 
 
 def test_criterion_1_identity_suite():
     started = time.time()
     worst = 0.0
-    f = Profile(1 + R**2 / 3 + T / 2, "f")
-    g = Profile(2 + R**2 * T / 5, "g")
+    f = Profile("1 + r**2/3 + t/2", "f")
+    g = Profile("2 + r**2*t/5", "g")
     for name, geom, prof, p in identity_scenarios():
         nl = manufactured_forcing(prof, geom, p)
         r = np.linspace(0.0, 0.92 * geom.r_max, 18)[:, None]
@@ -101,7 +100,7 @@ def test_criterion_2_evolution_identity():
 
     # numeric mode with x-dependent forcing
     geom3 = make_geometry("euclidean", n=3)
-    bump = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    bump = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params3 = HarnackParams(p=2.0, m=3.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(bump, geom3, params3.p)
     oracle = lambda rr, tt: pressure_inverse(bump(rr, tt), params3.p)
@@ -240,8 +239,8 @@ def test_criterion_5_static_consistency():
     for _ in range(100):
         p = rng.uniform(1.2, 3.5)
         m = rng.uniform(2.0, 6.0)
-        coeffs = AlphaBeta(Profile(sp.Float(rng.uniform(1.1, 4.0))
-                                   + sp.Float(rng.uniform(0.0, 0.5)) * T, "alpha"),
+        coeffs = AlphaBeta(Profile(f"{rng.uniform(1.1, 4.0)!r} + {rng.uniform(0.0, 0.5)!r}*t",
+                                   "alpha"),
                            constant_profile(0.0, "beta"))
         params = HarnackParams(p=p, m=m, coeffs=coeffs)
         bounds = GeometryBounds(k=rng.uniform(0, 1), k_lo=0.0, k_hi=0.0, k2=0.0,
@@ -282,8 +281,8 @@ def harnack_scenarios():
     geom = make_geometry("euclidean", n=2)
     geoms.append(("barenblatt", geom, barenblatt_pressure_profile(2, 2.0, 1.0),
                   Nonlinearity(), 2.0))
-    gauss = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
-    bump = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    gauss = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    bump = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     geoms.append(("gaussian-conformal", gauss, bump,
                   manufactured_forcing(bump, gauss, 2.2), 2.2))
     return geoms
@@ -339,8 +338,8 @@ def test_criterion_7_alpha_beta_presets():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_sup_quantity_collapse():
-    geom = make_geometry("euclidean", n=2, conformal=sp.exp(-T / 8))
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4), "v")
+    geom = make_geometry("euclidean", n=2, conformal="exp(-t/8)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4)", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     cyl = Cylinder(1.2, 0.5, 1.5)
@@ -400,10 +399,10 @@ def test_criterion_9_negative_control(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_commutator_adjudication():
-    bump = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
-    conformal = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 7),
-                              potential=R**2 * (1 + T / 9) / 2)
-    warp = make_geometry("warp", n=3, m=4, potential=R**2 * (1 + T / 9) / 2)
+    bump = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
+    conformal = make_geometry("gaussian", n=2, m=4, conformal="exp(t/7)",
+                              potential="r**2*(1 + t/9)/2")
+    warp = make_geometry("warp", n=3, m=4, potential="r**2*(1 + t/9)/2")
     r = np.linspace(0.05, 1.8, 16)[:, None]
     t = np.linspace(0.4, 1.4, 9)[None, :]
     passing, worst = adjudicate_commutator(bump, [conformal, warp], r, t, tol=1e-9)

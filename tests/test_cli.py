@@ -146,9 +146,11 @@ BAD_VALUES = [
     ("solution.expr", None), ("solution.expr", ["r"]), ("solution.expr", True),
     ("solution.expr", {"r": 1}), ("solution.expr", "r.foo"), ("solution.expr", "1/0"),
     ("geometry.potential", "lambda: 1"),
-    # sympify runs its input as Python: names outside r, t, pi, E and the
-    # functions with a series rule never reach it
+    # names outside r, t, pi, E and the functions with a series rule, a constant
+    # that overflows or is complex, and ^, which Python reads as exclusive or
     ("solution.expr", "__import__('os').getcwd()"), ("geometry.potential", "tan(r)"),
+    ("solution.expr", "1e400*r + 2"), ("solution.expr", "2 + 1j*r"),
+    ("solution.expr", "2**2**2**2**2"), ("solution.expr", "2 + r^2"),
     # choices read from the geometry and pde objects, and a mode the warp does
     # not admit (the euclidean warp vanishes at r = 0, so it has no annulus)
     ("geometry.mode", "foo"), ("geometry.mode", ["pole"]), ("pde.boundary", "foo"),
@@ -222,6 +224,23 @@ def test_pole_warp_not_odd_at_the_pole_rejected(tmp_path, capsys):
 def test_shipped_presets_are_odd_at_the_pole(preset):
     geom = parse_geometry({"preset": preset, "n": 2, "r_max": 1.5, "mode": "pole"}, m=4.0)
     geom.validate_on(0.5, 1.5)
+
+
+def test_zero_potential_with_a_drift_stays_constant():
+    # 0*(1 + 0.1 t) reads no coordinate, so m = n is still admissible
+    geom = parse_geometry({"preset": "euclidean", "n": 2, "r_max": 2.0,
+                           "potential_drift": 0.1}, m=2.0)
+    assert geom.potential.is_constant() and geom.family == "static-warp"
+
+
+def test_sqrt_of_a_square_fails_at_the_pole_not_at_parse(tmp_path, capsys):
+    # sqrt(r**2) is |r|: read as given, refused once the pole needs its series
+    doc = barenblatt_doc(solution={"kind": "manufactured", "expr": "2 + sqrt(r**2)"})
+    parse_scenario(doc)
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "singular at r = 0" in capsys.readouterr().err
 
 
 def test_commands_make_no_symbolic_derivatives(tmp_path, monkeypatch):
@@ -641,3 +660,19 @@ def test_cli_import_leaves_out_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_commands_never_load_sympy(tmp_path):
+    # expressions are compiled from their strings; sympy is a test oracle only
+    runs = [["check-estimate", "--config", str(CONFIGS / "gaussian-conformal.json")],
+            ["check-identities", "--config", str(CONFIGS / "evolving-warp-identities.json")]]
+    code = "\n".join([
+        "import sys, harnacklab.cli as cli",
+        "loaded = ['sympy' in sys.modules]",
+        *(f"loaded.append(cli.main({argv + ['--out', str(tmp_path / str(i))]!r}) != 0 "
+          "or 'sympy' in sys.modules)" for i, argv in enumerate(runs)),
+        "print(loaded)"])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[False, False, False]"

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.estimates import (EstimateError, aggregate_M,
                                   aggregate_constants, collect_sup_samples,
@@ -15,7 +14,7 @@ from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import (Nonlinearity, PowerSumNonlinearity,
                                barenblatt_pressure_profile, manufactured_forcing)
-from harnacklab.symfun import Profile, R, T, constant_profile
+from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry, params_for
 
@@ -147,8 +146,8 @@ def test_sup_quantity_collapse_zero_forcing(family):
 
 
 def test_sup_quantities_nonnegative_and_monotone_in_radius():
-    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4), "v")
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4)", "v")
     params = params_for(geom, p=2.0)
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -236,7 +235,7 @@ def test_static_consistency_vanishing_eps():
         m = rng.uniform(2.0, 6.0)
         al0 = rng.uniform(1.1, 4.0)
         slope = rng.uniform(0.0, 0.5)
-        coeffs_prof = Profile(sp.Float(al0) + sp.Float(slope) * T, "alpha")
+        coeffs_prof = Profile(f"{al0!r} + {slope!r}*t", "alpha")
         from harnacklab.params import AlphaBeta
         params = HarnackParams(p=p, m=m, coeffs=AlphaBeta(coeffs_prof,
                                                           constant_profile(0.0, "beta")))
@@ -322,7 +321,7 @@ def test_verify_estimate_deterministic():
 
 def test_constant_in_space_solution_positive_margin():
     geom = make_geometry("euclidean", n=2)
-    prof = Profile(2 + sp.exp(-T), "v")
+    prof = Profile("2 + exp(-t)", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -411,7 +410,7 @@ def test_localized_diagnostic_examples():
 
 def _powerlaw_static_setup():
     geom = make_geometry("hyperbolic", n=2)
-    prof = Profile(2 * sp.exp(-T / 2), "v")  # solves v_t = G(v) with G = -v/2
+    prof = Profile("2*exp(-t/2)", "v")  # solves v_t = G(v) with G = -v/2
     power = PowerSumNonlinearity(B=[-0.5], b=[1.0])
     from harnacklab.solver import power_sum_with_closure
 
@@ -442,8 +441,8 @@ def test_static_variants_refuse_x_dependent_forcing(bump_profile):
 
 
 def test_static_variants_refuse_evolving_bounds():
-    geom = make_geometry("euclidean", n=2, conformal=sp.exp(T / 10))
-    prof = Profile(2 * sp.exp(-T / 2), "v")
+    geom = make_geometry("euclidean", n=2, conformal="exp(t/10)")
+    prof = Profile("2*exp(-t/2)", "v")
     power = PowerSumNonlinearity(B=[-0.5], b=[1.0])
     from harnacklab.solver import power_sum_with_closure
 
@@ -478,7 +477,7 @@ def test_verify_estimate_evolving_warp_exercises_speed_gradient():
     # k2-dependent branches of the aggregates must still produce honest
     # passing margins on an exact solution
     geom = make_geometry("warp", n=3, m=4)
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -496,10 +495,10 @@ def test_verify_estimate_evolving_warp_exercises_speed_gradient():
 def test_verify_estimate_nonzero_beta_and_time_dependent_alpha():
     from harnacklab.params import AlphaBeta
 
-    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4), "v")
-    coeffs = AlphaBeta(Profile(1.8 + T / 4, "alpha"),
-                       Profile(sp.Float(0.3) + T / 10, "beta"))
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4)", "v")
+    coeffs = AlphaBeta(Profile("1.8 + t/4", "alpha"),
+                       Profile("0.3 + t/10", "beta"))
     params = HarnackParams(p=2.0, m=4.0, coeffs=coeffs)
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -536,7 +535,7 @@ def test_barenblatt_saturates_classical_level():
 def test_verify_estimate_sphere_cap():
     # positive curvature clamps k to zero; the estimates still verify
     geom = make_geometry("sphere", n=2, r_max=1.3)
-    prof = Profile(2 + sp.exp(-T) * (3 + sp.cos(R)) / 8, "v")
+    prof = Profile("2 + exp(-t)*(3 + cos(r))/8", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -552,8 +551,8 @@ def test_verify_estimate_sphere_cap():
 
 
 def test_extracted_bounds_stable_under_refinement():
-    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10),
-                         potential=R**2 * (1 + T / 9) / 2)
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)",
+                         potential="r**2*(1 + t/9)/2")
     cyl = Cylinder(1.0, 0.0, 1.0)
     coarse = extract_bounds(geom, cyl, grid_density=(65, 33)).as_dict()
     fine = extract_bounds(geom, cyl, grid_density=(257, 129)).as_dict()
@@ -574,7 +573,7 @@ def test_report_records_sampling_density():
 
 def test_x_dependent_forcing_activates_gradient_quantities():
     geom = make_geometry("gaussian", n=2, m=4)
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params = HarnackParams(p=2.0, m=4.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)

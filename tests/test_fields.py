@@ -147,10 +147,7 @@ def test_field_validation():
 
 
 def test_weighted_laplacian_constant_on_evolving_families():
-    import sympy as sp
-    from harnacklab.symfun import T as T_SYM
-
-    conf = make_geometry("euclidean", n=3, conformal=sp.exp(T_SYM / 5))
+    conf = make_geometry("euclidean", n=3, conformal="exp(t/5)")
     warp = make_geometry("warp", n=3, m=4)
     for geom in (conf, warp):
         g = Grid(n_r=33, n_t=9, r_max=2.0, t0=0.2, duration=1.0,

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
@@ -8,7 +7,7 @@ from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  bakry_emery_eigs, curvature_eigs, extract_bounds,
                                  metric_speed_eigs, phi_laplacian_eval,
                                  potential_radial_slope)
-from harnacklab.symfun import Profile, R, T, constant_profile
+from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry
 
@@ -63,7 +62,7 @@ def test_curvature_matches_finite_differences_of_warp():
 
 
 def test_bakry_emery_example_with_numeric_hessian():
-    geom = make_geometry("euclidean", n=2, m=4, potential=R**2 / 2)
+    geom = make_geometry("euclidean", n=2, m=4, potential="r**2/2")
     rad, ang = bakry_emery_eigs(geom, 1.0, 0.0)
     assert rad == pytest.approx(0.5, rel=1e-12)
     assert ang == pytest.approx(1.0, rel=1e-12)
@@ -83,7 +82,7 @@ def test_bakry_emery_zero_potential_any_m():
 
 
 def test_bakry_emery_constant_potential_m_equals_n():
-    geom = make_geometry("euclidean", n=3, m=3, potential=sp.Integer(2))
+    geom = make_geometry("euclidean", n=3, m=3, potential="2")
     r = np.linspace(0.1, 1.9, 9)
     assert np.allclose(bakry_emery_eigs(geom, r, 0.0), curvature_eigs(geom, r, 0.0))
 
@@ -92,7 +91,7 @@ def test_bakry_emery_monotone_in_m():
     r = np.linspace(0.2, 1.8, 9)
     prev = None
     for m in (3.0, 4.0, 6.0, 10.0, 50.0):
-        geom = make_geometry("euclidean", n=2, m=m, potential=R**2 / 2)
+        geom = make_geometry("euclidean", n=2, m=m, potential="r**2/2")
         rad, ang = bakry_emery_eigs(geom, r, 0.0)
         if prev is not None:
             assert np.all(rad >= prev[0] - 1e-12)
@@ -102,7 +101,7 @@ def test_bakry_emery_monotone_in_m():
 
 def test_m_equals_n_requires_constant_potential():
     with pytest.raises(GeometryError):
-        make_geometry("euclidean", n=2, m=2, potential=R**2 / 2)
+        make_geometry("euclidean", n=2, m=2, potential="r**2/2")
 
 
 def test_drift_examples():
@@ -144,7 +143,7 @@ def test_metric_speed_static():
 
 
 def test_metric_speed_conformal_exponential():
-    geom = make_geometry("euclidean", n=3, conformal=sp.exp(T))
+    geom = make_geometry("euclidean", n=3, conformal="exp(t)")
     rad, ang, gh = metric_speed_eigs(geom, 0.5, 0.3)
     assert rad == pytest.approx(1.0, rel=1e-13)
     assert ang == pytest.approx(1.0, rel=1e-13)
@@ -152,7 +151,7 @@ def test_metric_speed_conformal_exponential():
 
 
 def test_metric_speed_evolving_warp_table():
-    geom = WarpedGeometry(3, 3.0, Profile(R * (1 + T / 10), "psi"),
+    geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
                           constant_profile(1.0), constant_profile(0.0),
                           2.0, "evolving-warp", mode="annulus")
     rad, ang, gh = metric_speed_eigs(geom, 1.0, 0.0)
@@ -178,7 +177,7 @@ def test_extract_bounds_hyperbolic_curvature():
 
 
 def test_extract_bounds_shrinking_conformal():
-    geom = make_geometry("euclidean", n=2, conformal=sp.exp(-T))
+    geom = make_geometry("euclidean", n=2, conformal="exp(-t)")
     b = extract_bounds(geom, Cylinder(0.5, 0.0, 1.0))
     assert b.k_lo == pytest.approx(1.0, rel=1e-12)
     assert b.k_hi == 0.0
@@ -217,25 +216,25 @@ def test_empty_cylinder_rejected():
 
 def test_family_validation():
     with pytest.raises(GeometryError):
-        WarpedGeometry(2, 2.0, Profile(sp.sinh(R)), Profile(sp.exp(T)),
+        WarpedGeometry(2, 2.0, Profile("sinh(r)"), Profile("exp(t)"),
                        constant_profile(0.0), 2.0, "static-warp")
     with pytest.raises(GeometryError):
-        WarpedGeometry(1, 1.0, Profile(R), constant_profile(1.0),
+        WarpedGeometry(1, 1.0, Profile("r"), constant_profile(1.0),
                        constant_profile(0.0), 2.0, "static-warp")
 
 
 def test_pole_regularity_validation():
-    geom = WarpedGeometry(2, 2.0, Profile(sp.sinh(R)), constant_profile(1.0),
+    geom = WarpedGeometry(2, 2.0, Profile("sinh(r)"), constant_profile(1.0),
                           constant_profile(0.0), 2.0, "static-warp", mode="pole")
     geom.validate_on(0.0, 1.0)
-    bad = WarpedGeometry(2, 2.0, Profile(2 * R), constant_profile(1.0),
+    bad = WarpedGeometry(2, 2.0, Profile("2*r"), constant_profile(1.0),
                          constant_profile(0.0), 2.0, "static-warp", mode="pole")
     with pytest.raises(GeometryError):
         bad.validate_on(0.0, 1.0)
 
 
 def test_pole_mode_evolving_warp_speed_rejected_at_pole():
-    geom = WarpedGeometry(3, 3.0, Profile(R * (1 + T / 10), "psi"),
+    geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
                           constant_profile(1.0), constant_profile(0.0),
                           2.0, "evolving-warp", mode="pole")
     with pytest.raises(GeometryError):

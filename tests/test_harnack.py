@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.estimates import collect_sup_samples, cutoff_profile, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
@@ -13,7 +12,7 @@ from harnacklab.harnack import (HarnackError, _constant_alpha, harnack_constant,
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import Nonlinearity, barenblatt_pressure_profile, manufactured_forcing
-from harnacklab.symfun import Profile, R, T
+from harnacklab.symfun import Profile
 
 from conftest import make_geometry
 
@@ -44,7 +43,7 @@ def test_path_energy_requires_time_order():
 
 def test_path_energy_conformal_closed_form():
     # a = e^{t/2} over [0.5, 1.5]: L = (r2-r1)^2 / int e^{-t} dt exactly
-    geom = make_geometry("euclidean", n=2, conformal=sp.exp(T / 2))
+    geom = make_geometry("euclidean", n=2, conformal="exp(t/2)")
     energy = path_energy(geom, 0.2, 0.5, 1.4, 1.5)
     exact = 1.2**2 / (math.exp(-0.5) - math.exp(-1.5))
     assert energy == pytest.approx(exact, rel=1e-12)
@@ -54,8 +53,8 @@ def test_path_energy_conformal_closed_form():
 def test_conformal_bound_margin_within_log_integral_margin():
     # the straight path of the log-integral step costs at least the infimum,
     # so each row's bound margin is at most its log-integral margin
-    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -202,7 +201,7 @@ def test_verify_harnack_rejects_bad_pair():
 def test_degenerate_pair_reduces_to_time_ratio():
     # spatially constant field: the comparison is a pure clock-ratio check
     geom = make_geometry("euclidean", n=2)
-    prof = Profile(2 + sp.exp(-T), "v")
+    prof = Profile("2 + exp(-t)", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -242,7 +241,7 @@ def test_log_integral_examples():
 
 def test_log_integral_constant_solution():
     geom = make_geometry("euclidean", n=2)
-    prof = Profile(sp.Integer(3), "v")
+    prof = Profile("3", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     lr = _log_ratio(sol, 0.3, 0.7, 0.3, 1.4)
@@ -263,7 +262,7 @@ def test_harnack_harness_can_fail():
     # inflated infimum that suppresses the kinetic protection): a steep
     # spatial profile must then violate the bound and be reported
     geom = make_geometry("euclidean", n=2)
-    prof = Profile((2 + 5 * sp.exp(-(R**2))) * sp.exp(-T / 2), "v")
+    prof = Profile("(2 + 5*exp(-r**2))*exp(-t/2)", "v")
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     broken = {"q0": 0.0, "q1": 0.0, "q2": 0.0, "q3": 0.0, "q4": 0.0,
@@ -279,8 +278,8 @@ def test_harnack_follows_global_estimate_same_constants():
     # comparison built from the same sup-quantities passes as well
     from harnacklab.estimates import estimate_scope, verify_estimate
 
-    geom = make_geometry("gaussian", n=2, m=4, conformal=sp.exp(T / 10))
-    prof = Profile(2 + sp.exp(-T) * sp.exp(-R**2 / 4) + R**2 * sp.exp(-2 * T) / 8, "v")
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
@@ -308,7 +307,7 @@ def test_families_coincide_for_plain_forcing_at_matched_eps_fraction():
     # constants agree exactly: the second family's 1/alpha weights are
     # compensated by its sqrt(b alpha^3) aggregation and larger ceiling
     geom = make_geometry("hyperbolic", n=2)
-    prof = Profile(2 + sp.exp(-T) * (3 + sp.cosh(R)) / 8, "v")
+    prof = Profile("2 + exp(-t)*(3 + cosh(r))/8", "v")
     params = HarnackParams(p=2.5, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
@@ -14,7 +13,7 @@ from harnacklab.solver import (Nonlinearity, PowerSumNonlinearity,
                                barenblatt_pressure_profile, manufactured_forcing,
                                power_sum_with_closure, pressure_inverse, PdeParams,
                                solve)
-from harnacklab.symfun import Profile, R, T, constant_profile
+from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry, params_for, sample_points
 
@@ -53,7 +52,7 @@ def test_pressure_residual_constant_static():
 
 def test_quotient_rule_trivial_cases(bump_profile, euclid3):
     r, t = sample_points()
-    f = Profile(1 + R**2 * T / 7, "f")
+    f = Profile("1 + r**2*t/7", "f")
     res = quotient_rule_residual(f, f, bump_profile, euclid3, 2.0, r, t)
     assert np.max(np.abs(res)) <= 1e-13
     one = constant_profile(1.0, "g")
@@ -66,8 +65,9 @@ def test_quotient_rule_random_polynomials(hyperbolic2, bump_profile):
     r, t = sample_points(include_pole=False)
     for _ in range(5):
         c = rng.uniform(0.1, 1.0, size=6)
-        f = Profile(c[0] + c[1] * R**2 + c[2] * T + c[3] * R**2 * T, "f")
-        g = Profile(2 + c[4] * R**2 + c[5] * T, "g")
+        c = [repr(float(x)) for x in c]
+        f = Profile(f"{c[0]} + {c[1]}*r**2 + {c[2]}*t + {c[3]}*r**2*t", "f")
+        g = Profile(f"2 + {c[4]}*r**2 + {c[5]}*t", "g")
         res = quotient_rule_residual(f, g, bump_profile, hyperbolic2, 2.5, r, t)
         assert np.max(np.abs(res)) <= 1e-10
 
@@ -75,7 +75,7 @@ def test_quotient_rule_random_polynomials(hyperbolic2, bump_profile):
 def test_quotient_rule_rejects_vanishing_denominator(euclid3, bump_profile):
     r = np.linspace(0.0, 2.0, 21)[:, None]  # hits the zero of g at r = 1
     t = np.linspace(0.5, 1.5, 5)[None, :]
-    g = Profile(R**2 - 1, "g")
+    g = Profile("r**2 - 1", "g")
     with pytest.raises(IdentityError):
         quotient_rule_residual(g, g, bump_profile, euclid3, 2.0, r, t)
 
@@ -115,7 +115,7 @@ def test_commutator_single_family_underdetermines(bump_profile, conformal_gaussi
 
 def test_bochner_quadratic_euclidean():
     geom = make_geometry("euclidean", n=3)
-    w = Profile(R**2, "w")
+    w = Profile("r**2", "w")
     r, t = sample_points()
     res = bochner_residual(w, geom, r, t)
     assert np.max(np.abs(res)) <= 1e-12
@@ -129,8 +129,8 @@ def test_bochner_constant():
 
 
 def test_bochner_hyperbolic_cosh():
-    geom = make_geometry("hyperbolic", n=3, m=5, potential=R**2 / 3)
-    w = Profile(sp.cosh(R) + 2, "w")
+    geom = make_geometry("hyperbolic", n=3, m=5, potential="r**2/3")
+    w = Profile("cosh(r) + 2", "w")
     r, t = sample_points()
     res = bochner_residual(w, geom, r, t)
     assert np.max(np.abs(res)) <= 1e-9
@@ -258,9 +258,9 @@ def _mixed_nl(profile, geom, p):
 
 
 @pytest.mark.parametrize("kind,m,potential", [
-    ("euclidean", 3.0, sp.Integer(0)),
-    ("hyperbolic", 2.0, sp.Integer(0)),
-    ("gaussian", 4.0, R**2 / 2),
+    pytest.param("euclidean", 3.0, "0", id="euclidean-3.0-potential0"),
+    pytest.param("hyperbolic", 2.0, "0", id="hyperbolic-2.0-potential1"),
+    pytest.param("gaussian", 4.0, "r**2/2", id="gaussian-4.0-potential2"),
 ])
 def test_evolution_identity_static_families(kind, m, potential, bump_profile, cosh_bump_profile):
     n = 3 if kind == "euclidean" else 2
@@ -275,7 +275,7 @@ def test_evolution_identity_static_families(kind, m, potential, bump_profile, co
 
 
 def test_evolution_identity_evolving_families(bump_profile, conformal_gaussian, evolving_warp):
-    pair = AlphaBeta(Profile(1 + sp.exp(T) / 2, "alpha"), Profile(sp.sin(T) / 3, "beta"))
+    pair = AlphaBeta(Profile("1 + exp(t)/2", "alpha"), Profile("sin(t)/3", "beta"))
     for geom in (conformal_gaussian, evolving_warp):
         params = HarnackParams(p=2.2, m=geom.m, coeffs=pair)
         nl = _mixed_nl(bump_profile, geom, params.p)
@@ -299,7 +299,7 @@ def test_evolution_identity_barenblatt():
 
 def test_evolution_identity_spatially_constant():
     geom = make_geometry("euclidean", n=2)
-    prof = Profile(2 + sp.exp(-T), "v")
+    prof = Profile("2 + exp(-t)", "v")
     params = params_for(geom, p=2.0)
     nl = manufactured_forcing(prof, geom, params.p)
     r, t = sample_points()
@@ -394,10 +394,10 @@ def test_sharper_static_factor_still_nonnegative(bump_profile, gaussian2):
     assert np.min(marg) >= -1e-6 * scale
     with pytest.raises(IdentityError):
         inequality_margin("pointwise", AnalyticSolution(bump_profile),
-                          make_geometry("euclidean", n=2, conformal=sp.exp(T / 5)),
-                          params_for(make_geometry("euclidean", n=2, conformal=sp.exp(T / 5)), p=2.5),
+                          make_geometry("euclidean", n=2, conformal="exp(t/5)"),
+                          params_for(make_geometry("euclidean", n=2, conformal="exp(t/5)"), p=2.5),
                           manufactured_forcing(bump_profile,
-                                               make_geometry("euclidean", n=2, conformal=sp.exp(T / 5)), 2.5),
+                                               make_geometry("euclidean", n=2, conformal="exp(t/5)"), 2.5),
                           r=r, t=t, sharper_static=True)
 
 

@@ -6,13 +6,15 @@ import sympy as sp
 from harnacklab.params import preset_alpha_beta
 from harnacklab.scenarios import MANUFACTURED_CATALOG
 from harnacklab.solver import manufactured_forcing
-from harnacklab.symfun import PoleEvaluationError, Profile, R, T, constant_profile
+from harnacklab import symfun
+from harnacklab.symfun import (ExpressionError, PoleEvaluationError, Profile,
+                               compile_expression, constant_profile)
 
-from conftest import make_geometry, symbolic_closure, symbolic_phi_laplacian
+from conftest import R, T, make_geometry, profile_of, sym, symbolic_closure, symbolic_phi_laplacian
 
 
 def test_profile_basic_evaluation():
-    prof = Profile(R**2 * T + 3, "f")
+    prof = Profile("r**2*t + 3", "f")
     assert prof(2.0, 1.0) == pytest.approx(7.0)
     r = np.linspace(0, 1, 5)[:, None]
     t = np.linspace(0, 2, 3)[None, :]
@@ -22,7 +24,7 @@ def test_profile_basic_evaluation():
 
 
 def test_profile_derivative_table():
-    prof = Profile(sp.sin(R) * sp.exp(-T))
+    prof = Profile("sin(r)*exp(-t)")
     r, t = 0.7, 0.4
     assert prof.at(1, 0, r, t) == pytest.approx(np.cos(r) * np.exp(-t), rel=1e-14)
     assert prof.at(2, 1, r, t) == pytest.approx(np.sin(r) * np.exp(-t), rel=1e-13)
@@ -32,26 +34,25 @@ def test_profile_string_parsing_and_helpers():
     prof = Profile("2 + r**2/4")
     assert prof(2.0, 0.0) == pytest.approx(3.0)
     assert constant_profile(5).is_constant()
-    assert Profile(T**2).space_independent
-    assert Profile(R**2).time_independent
+    assert Profile("t**2").coords == {"t"}
+    assert Profile("r**2").time_independent
 
 
 def test_profile_rejects_stray_symbols():
-    x = sp.Symbol("x")
     with pytest.raises(ValueError):
-        Profile(x + 1)
+        Profile("x + 1")
 
 
 def test_pole_limit_evaluation():
     # sin(r)/r extends to 1 at the pole
-    prof = Profile(sp.sin(R) / R * sp.exp(-T), "sinc")
+    prof = Profile("sin(r)/r*exp(-t)", "sinc")
     vals = prof(np.array([0.0, 0.5]), np.array([0.0, 0.0]))
     assert vals[0] == pytest.approx(1.0, rel=1e-12)
     assert vals[1] == pytest.approx(np.sin(0.5) / 0.5, rel=1e-12)
 
 
 def test_pole_limit_failure():
-    prof = Profile(1 / R, "bad")
+    prof = Profile("1/r", "bad")
     with pytest.raises(PoleEvaluationError):
         prof(np.array([0.0]), np.array([0.0]))
 
@@ -66,9 +67,9 @@ def test_broadcasting_constant_expression():
 # (field, geometry kind, geometry keywords) of the three closure forcings
 _FORCING_CASES = [
     ("cosh-bump", "hyperbolic", {}),
-    ("cos-bump", "warp", {"n": 3, "m": 4, "potential": R**2 * (1 + T / 9) / 2}),
-    ("cosh-bump", "gaussian", {"m": 4, "conformal": sp.exp(T / 10),
-                               "potential": R**2 * (1 + T / 9) / 2}),
+    ("cos-bump", "warp", {"n": 3, "m": 4, "potential": "r**2*(1 + t/9)/2"}),
+    ("cosh-bump", "gaussian", {"m": 4, "conformal": "exp(t/10)",
+                               "potential": "r**2*(1 + t/9)/2"}),
 ]
 
 
@@ -84,12 +85,12 @@ def _oracle_profiles():
     pair = preset_alpha_beta("coth", 0.7, 2 / 3)
     # the oracle's sympy.diff takes 3-5 s on a bump forcing, 0.1-1.3 s on these
     forcings = {
-        f"forcing({field}, {kind})": Profile(
-            symbolic_closure(fields[field].expr, make_geometry(kind, **kw), 2.5))
+        f"forcing({field}, {kind})": profile_of(
+            symbolic_closure(sym(fields[field]), make_geometry(kind, **kw), 2.5))
         for field, kind, kw in _FORCING_CASES
     }
-    return {**fields, "sinh": Profile(sp.sinh(R)), "sin": Profile(sp.sin(R)),
-            "warp(t)": Profile(1 + R * (1 + T / 5)), "alpha(coth)": pair.alpha,
+    return {**fields, "sinh": Profile("sinh(r)"), "sin": Profile("sin(r)"),
+            "warp(t)": Profile("1 + r*(1 + t/5)"), "alpha(coth)": pair.alpha,
             "beta(coth)": pair.beta, **forcings}
 
 
@@ -103,7 +104,7 @@ def test_r_partials_match_symbolic_differentiation():
     t = rng.uniform(0.2, 1.5, 400)
     for name, prof in _oracle_profiles().items():
         for nt in range(3):
-            expr = sp.diff(prof.expr, T, nt)
+            expr = sp.diff(sym(prof), T, nt)
             for nr in range(5):
                 expr = sp.diff(expr, R) if nr else expr
                 ref = sp.lambdify((R, T), expr, modules="numpy")(r, t) * np.ones_like(r)
@@ -111,17 +112,16 @@ def test_r_partials_match_symbolic_differentiation():
                 assert err.max() <= 1e-12, (name, nr, nt, err.max())
 
 
-def test_one_lambdify_serves_every_r_order(monkeypatch):
+def test_one_compile_serves_every_partial(monkeypatch):
     calls = []
-    lambdify = sp.lambdify
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lambdify(*args, **kwargs)
+    def counted(text):
+        calls.append(text)
+        return compile_expression(text)
 
-    monkeypatch.setattr(sp, "lambdify", counted)
+    monkeypatch.setattr(symfun, "compile_expression", counted)
     # sinh(r)/r is 0/0 at the pole, so r = 0 takes the series about r = 0
-    prof = Profile(sp.sinh(R) / R + sp.cos(R) * sp.exp(-T), "sinhc")
+    prof = Profile("sinh(r)/r + cos(r)*exp(-t)", "sinhc")
     r, t = np.array([0.0, 0.5]), np.array([0.5, 0.5])
     for nr in range(4):
         for nt in range(3):
@@ -152,8 +152,8 @@ def test_derived_fields_match_the_symbolic_route(field, kind, kw):
     r = rng.uniform(*_DERIVED_R, 400)
     t = rng.uniform(0.2, 1.5, 400)
     derived = {"closure": (manufactured_forcing(v, geom, 2.5).profile,
-                           symbolic_closure(v.expr, geom, 2.5)),
-               "lap_phi": (geom.phi_laplacian(v), symbolic_phi_laplacian(geom, v.expr))}
+                           symbolic_closure(sym(v), geom, 2.5)),
+               "lap_phi": (geom.phi_laplacian(v), symbolic_phi_laplacian(geom, sym(v)))}
     for name, (prof, expr) in derived.items():
         for (nr, nt), fun in _symbolic_partials(expr).items():
             ref = fun(r, t) * np.ones_like(r)
@@ -168,7 +168,7 @@ def test_closure_near_the_pole_against_40_digits(r0):
     geom = make_geometry("hyperbolic")
     v = Profile(MANUFACTURED_CATALOG["bump"], "bump")
     ts = np.array([0.5, 1.0, 1.5])
-    funs = _symbolic_partials(symbolic_closure(v.expr, geom, 2.5), modules="mpmath")
+    funs = _symbolic_partials(symbolic_closure(sym(v), geom, 2.5), modules="mpmath")
     forcing = manufactured_forcing(v, geom, 2.5).profile
     with mpmath.workdps(40):
         for key, fun in funs.items():
@@ -176,3 +176,58 @@ def test_closure_near_the_pole_against_40_digits(r0):
             got = forcing.at(*key, np.full(ts.shape, r0), ts)
             err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
             assert err.max() <= 1e-12, (key, err.max())
+
+
+# ---------------------------------------------------------------------------
+# the expression grammar
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, value, coords", [
+    ("2 + r**2/4", 2.0625, {"r"}),
+    ("pi*r + E", np.pi / 2 + np.e, {"r"}),
+    ("-(1 + t)**2 + +r", -3.5, {"r", "t"}),
+    # constant subtrees fold to one float
+    ("exp(2)*sinh(1/2) + 3", np.exp(2) * np.sinh(0.5) + 3, set()),
+    # a zero factor makes a product zero, whatever the other factor reads
+    ("0*(1 + 0.3*t)", 0.0, set()),
+    ("(1 + r)*0.0", 0.0, set()),
+])
+def test_expression_grammar(text, value, coords):
+    prof = Profile(text)
+    assert prof.coords == coords
+    assert prof(0.5, 1.0) == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("__import__('os').getcwd()", "is not allowed"), ("r.real", "is not allowed"),
+    ("tan(r)", "is not allowed"), ("x + 1", "is not allowed"), ("exp", "is not allowed"),
+    ("exp(r, t)", "is not allowed"), ("exp(x=r)", "is not allowed"),
+    ("lambda: 1", "is not allowed"), ("[r][0]", "is not allowed"), ("'r'", "is not allowed"),
+    ("True + r", "is not allowed"), ("2 + 1j*r", "is not allowed"), ("r < 1", "is not allowed"),
+    # Python reads ^ as exclusive or, which binds looser than +
+    ("r^2 + 1", r"use '\*\*'"),
+    ("1e400*r + 2", "overflows"), ("10**400 + r", "no finite value"),
+    ("2**2**2**2**2", "no finite value"), ("1/0 + r", "no finite value"),
+    ("exp(1000)*r", "not a finite real"), ("log(-1) + r", "not a finite real"),
+    ("(-8)**(1/3) + r", "not a finite real"),
+    ("r +", "cannot parse"), pytest.param("+".join(["r"] * 5000), "cannot parse", id="deep-sum"),
+])
+def test_strings_outside_the_grammar_are_refused(text, message):
+    with pytest.raises(ExpressionError, match=message):
+        Profile(text)
+
+
+def test_compiled_expressions_see_no_builtins():
+    fun, coords = compile_expression("r*t")
+    assert fun.__globals__["__builtins__"] == {} and coords == {"r", "t"}
+
+
+def test_sqrt_of_a_square_is_read_and_refused_only_at_the_pole():
+    # sympy rewrote sqrt(r**2) as Abs(r), which the parser refused; the string
+    # now means |r|, smooth off the pole, and only its series at r = 0 fails
+    prof = Profile("2 + sqrt(r**2)", "v")
+    r, t = np.array([0.3, 1.2]), np.ones(2)
+    assert prof(r, t) == pytest.approx(2 + r, rel=1e-15)
+    assert prof.at(1, 0, r, t) == pytest.approx(np.ones(2), rel=1e-15)
+    with pytest.raises(PoleEvaluationError, match="singular at r = 0"):
+        prof.at(1, 0, np.zeros(1), np.ones(1))

@@ -12,14 +12,13 @@ import math
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from harnacklab.estimates import (SupSamples, aggregate_M, aggregate_constants,
                                   cutoff_profile, rhs_bound, sup_quantities)
 from harnacklab.geometry import GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
-from harnacklab.symfun import Profile, T, constant_profile
+from harnacklab.symfun import Profile, constant_profile
 
 
 def synthetic_setup(rng, constant_alpha=False):
@@ -29,10 +28,8 @@ def synthetic_setup(rng, constant_alpha=False):
         coeffs = constant_alpha_beta(rng.uniform(1.3, 3.0), rng.uniform(-0.4, 0.6))
     else:
         coeffs = AlphaBeta(
-            Profile(sp.Float(rng.uniform(1.3, 3.0)) + sp.Float(rng.uniform(0.0, 0.4)) * T,
-                    "alpha"),
-            Profile(sp.Float(rng.uniform(-0.4, 0.6)) + sp.Float(rng.uniform(-0.3, 0.3)) * T,
-                    "beta"),
+            Profile(f"{rng.uniform(1.3, 3.0)!r} + {rng.uniform(0.0, 0.4)!r}*t", "alpha"),
+            Profile(f"{rng.uniform(-0.4, 0.6)!r} + {rng.uniform(-0.3, 0.3)!r}*t", "beta"),
         )
     params = HarnackParams(p=p, m=m, coeffs=coeffs)
     bounds = GeometryBounds(k=rng.uniform(0.05, 1.0), k_lo=rng.uniform(0.05, 0.6),
