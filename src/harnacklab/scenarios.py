@@ -18,6 +18,7 @@ import numpy as np
 from .fields import Grid
 from .geometry import MODES, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
+from .jets import PoleEvaluationError
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
 from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, PowerSumNonlinearity,
                      SolveResult, barenblatt_oracle, barenblatt_pressure_profile,
@@ -344,17 +345,18 @@ def parse_scenario(doc: dict) -> Scenario:
 
     def _manufactured():
         # the closure forcing makes the profile an exact solution
+        path = "solution.expr" if "expr" in sol_doc else "solution.catalog"
         if "expr" in sol_doc:
-            profile = _expr(sol_doc["expr"], "solution.expr", "manufactured_pressure")
+            profile = _expr(sol_doc["expr"], path, "manufactured_pressure")
         else:
-            key = _read_choice(sol_doc.get("catalog", "bump"), "solution.catalog",
-                               MANUFACTURED_CATALOG)
-            profile = _expr(MANUFACTURED_CATALOG[key], "solution.catalog",
-                            "manufactured_pressure")
+            key = _read_choice(sol_doc.get("catalog", "bump"), path, MANUFACTURED_CATALOG)
+            profile = _expr(MANUFACTURED_CATALOG[key], path, "manufactured_pressure")
         if power is None:
             forcing = manufactured_forcing(profile, geom, p)
         else:
             forcing = power_sum_with_closure(power, profile, geom, p)
+        if geom.mode == "pole":
+            _check_pole_series(profile, forcing, grid.r[:2], t0, path)
         return profile, _oracle_from_profile(profile, p), forcing
 
     setups = {"barenblatt": _barenblatt, "manufactured": _manufactured}
@@ -418,6 +420,19 @@ def parse_scenario(doc: dict) -> Scenario:
     )
     coeffs.check_admissible(sc.tau_probe)
     return sc
+
+
+def _check_pole_series(v: Profile, nl: Nonlinearity, r, t0: float, path: str):
+    """Take at the pole node r[0] = 0 and its neighbour r[1], at t0, the
+    partials the checks take there: the (2, 1) table of v and the forcing
+    with its r-partials.  A field with no series at the pole is refused at
+    parse time under its key; one that is not finite off the pole (an
+    overflow) still raises its FloatingPointError."""
+    try:
+        v.table(2, 1, r, t0)
+        nl.G_x_partials(t0, r, v(r, t0))
+    except PoleEvaluationError as exc:
+        raise ConfigError(path, f"no series at the pole r = 0: {exc}")
 
 
 def _oracle_from_profile(v_profile: Profile, p: float):

@@ -4,9 +4,12 @@ Solves d(u)/dt = Delta_phi(u^p) + N(t, x, u) for strictly positive data with
 a conservative finite-volume space discretization and semi-implicit time
 stepping: the diffusion coefficient p u^(p-1) is frozen at the current state
 (lagged linearization), the resulting linear diffusion solved implicitly, and
-the source term taken explicitly.  Exact solutions (the self-similar source
-solution and manufactured pressure fields) provide the discretization
-oracles.
+the source term taken explicitly.  Each step's linear system is a
+tridiagonal M-matrix, solved by LAPACK dgtsv's elimination transcribed to
+Python floats (no pivoting).  A solve evaluates the forcing's x-dependent
+part once, at every node and every step's start time.  Exact solutions (the
+self-similar source solution and manufactured pressure fields) provide the
+discretization oracles.
 """
 
 from __future__ import annotations
@@ -58,11 +61,13 @@ class Nonlinearity:
 
     ``G(t, r, v)`` is the rescaled forcing entering the pressure equation
     d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G, and ``G_v``, ``G_vv`` are
-    its v-partials.  ``G_x_partials`` gives G with its coordinate r-partials
-    G_x, G_xx at frozen v (callers convert to metric norms) and the weighted
-    Laplacian ``lap_phi_Gx`` of the frozen-v spatial slice, all from one
-    evaluation.  ``G_xv`` is the mixed partial, ``G_t`` the explicit time
-    partial at frozen (x, v), and ``G_jet`` is G on series, taking at most
+    its v-partials.  G is the sum of a v-part ``G_vpart(v)`` and an x-part
+    ``G_xpart(t, r)``, either of which may be None (absent).
+    ``G_x_partials`` gives G with its coordinate r-partials G_x, G_xx at
+    frozen v (callers convert to metric norms) and the weighted Laplacian
+    ``lap_phi_Gx`` of the frozen-v spatial slice, all from one evaluation.
+    ``G_xv`` is the mixed partial, ``G_t`` the explicit time partial at
+    frozen (x, v), and ``G_jet`` is G on series, taking at most
     ``jet_orders`` r- and t-derivatives.  Here all of them vanish; subclasses
     override the ones their forcing excites.
     """
@@ -75,16 +80,25 @@ class Nonlinearity:
 
     G = G_v = G_vv = G_xv = G_t = _zero
 
+    def G_vpart(self, v):
+        return np.zeros_like(v)
+
+    def G_xpart(self, t, r):
+        return None
+
     def G_x_partials(self, t, r, v):
         """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""
         zero = self._zero(t, r, v)
         return self.G(t, r, v), zero, zero, zero
 
-    def source(self, t, r, u, p: float):
-        """Source form N(t, x, u) = G * u^(2-p) / p."""
+    def source(self, u, p: float, xpart):
+        """Source form N = G u^(2-p) / p, with G the v-part at v = pressure(u, p)
+        plus ``xpart``, the x-part at the nodes of u (None where there is none)."""
         u = np.asarray(u, dtype=float)
-        v = pressure(u, p)
-        return self.G(t, r, v) * u ** (2.0 - p) / p
+        G = self.G_vpart(pressure(u, p))
+        if xpart is not None:
+            G = xpart if G is None else G + xpart
+        return G * u ** (2.0 - p) / p
 
     def G_jet(self, t, r, v):
         return 0.0
@@ -119,6 +133,9 @@ class PowerSumNonlinearity(Nonlinearity):
     def G(self, t, r, v):
         return self._terms(v, 0)
 
+    def G_vpart(self, v):
+        return self._terms(v, 0)
+
     def G_v(self, t, r, v):
         return self._terms(v, 1)
 
@@ -140,6 +157,12 @@ class ForcingNonlinearity(Nonlinearity):
         self.jet_orders = profile.orders
 
     def G(self, t, r, v):
+        return self.profile(r, t)
+
+    def G_vpart(self, v):
+        return None
+
+    def G_xpart(self, t, r):
         return self.profile(r, t)
 
     def G_t(self, t, r, v):
@@ -171,6 +194,12 @@ class CompositeNonlinearity(Nonlinearity):
 
     G, G_v, G_vv, G_xv, G_t, G_jet = map(_summed, ("G", "G_v", "G_vv", "G_xv", "G_t", "G_jet"))
     del _summed
+
+    def G_vpart(self, v):
+        return self.power.G_vpart(v)
+
+    def G_xpart(self, t, r):
+        return self.forcing.G_xpart(t, r)
 
     def G_x_partials(self, t, r, v):
         return tuple(a + b for a, b in zip(self.power.G_x_partials(t, r, v),
@@ -316,12 +345,46 @@ def _cell_masses(J, r_nodes, dr, r_max, t):
     return (hi - lo) / 6.0 * (J(lo, t) + 4.0 * J(0.5 * (lo + hi), t) + J(hi, t))
 
 
+def _tridiagonal_solve(lower, diag, upper, rhs, t: float):
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``lower``, ``diag``, ``upper`` for ``rhs``: LAPACK dgtsv's elimination and
+    back substitution in Python floats, in dgtsv's operation order, so its
+    solutions are bit-identical to LAPACK's.  dgtsv would swap rows where a
+    pivot is smaller than the entry below it; step's M-matrix never needs
+    that, so such a pivot, a zero pivot and non-finite input are refused with
+    a SolverError naming the step time t.  (dgtsv's back substitution also
+    subtracts the zeroed sub-diagonal times a solution entry, which can only
+    turn a zero's sign; it is left out.)"""
+    def refuse(why):
+        return SolverError(f"linear solve failed at t = {t:.6g}: {why}")
+
+    if not all(np.all(np.isfinite(a)) for a in (lower, diag, upper, rhs)):
+        raise refuse("non-finite matrix or right side")
+    dl, d, du, b = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(len(dl)):
+        if d[i] == 0.0 or abs(d[i]) < abs(dl[i]):
+            raise refuse(f"pivot {d[i]!r} in row {i} is smaller than the entry {dl[i]!r} below it"
+                         if d[i] else f"zero pivot in row {i}")
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    if d[-1] == 0.0:
+        raise refuse(f"zero pivot in row {len(d) - 1}")
+    b[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+    return np.array(b)
+
+
 def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
-         t: float, dt: float):
+         t: float, dt: float, xpart):
     """One semi-implicit step from t to t + dt; returns (u_new, clamp_count).
 
-    The volume density ``geom.volume_density`` is evaluated at t + dt on
-    whole arrays: the faces, and each of the cells' three Simpson points.
+    ``xpart`` is the forcing's x-part ``params.nonlinearity.G_xpart(t, r)`` at
+    the nodes (None where the forcing has none); :func:`solve` evaluates it
+    for all steps at once.  The volume density ``geom.volume_density`` is
+    evaluated at t + dt on whole arrays: the faces, and each of the cells'
+    three Simpson points.
     """
     r = grid.r
     dr = grid.dr
@@ -334,28 +397,20 @@ def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
     a2 = float(geom.conformal(0.0, t_new)) ** 2
     w = Jf * kappa / (a2 * dr)
 
-    src = params.nonlinearity.source(t, r, u, params.p)
+    src = params.nonlinearity.source(u, params.p, xpart)
 
-    # banded rows: upper, diagonal, lower; no-flux at the pole/inner face is
-    # automatic, since no flux term is added there
-    ab = np.zeros((3, len(r)))
-    ab[0, 1:] = ab[2, :-1] = -w
-    ab[1] = masses / dt
-    ab[1, 1:] += w
-    ab[1, :-1] += w
+    # no-flux at the pole/inner face is automatic, since no flux term is
+    # added there
+    lower = upper = -w
+    diag = masses / dt
+    diag[1:] += w
+    diag[:-1] += w
     rhs = masses / dt * u + masses * src
     if params.outer_boundary == "dirichlet-oracle":
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
+        diag[-1] = 1.0
+        lower = np.append(lower[:-1], 0.0)
         rhs[-1] = float(params.oracle(grid.r_max, t_new))
-    # imported here: scipy.linalg is a third of the CLI's import time, and
-    # only solves use it; solve imports it first, so no step pays for it
-    from scipy.linalg import solve_banded
-
-    try:
-        u_new = solve_banded((1, 1), ab, rhs)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        raise SolverError(f"linear solve failed at t = {t_new:.6g}: {exc}")
+    u_new = _tridiagonal_solve(lower, diag, upper, rhs, t_new)
     if not np.all(np.isfinite(u_new)):
         raise SolverError(f"non-finite state at t = {t_new:.6g}")
     clamped = u_new < params.positivity_floor
@@ -375,14 +430,17 @@ def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
         raise SolverError("initial data below the positivity floor")
     U = np.zeros((grid.n_r, grid.n_t))
     U[:, 0] = u
-    clamps = 0
-    from scipy.linalg import solve_banded  # noqa: F401  (for step, before the loop)
+    steps = []  # (time node, start time, dt) of every step, in order
     for j in range(1, grid.n_t):
         t_prev = t_nodes[j - 1]
         sub_dt = (t_nodes[j] - t_prev) / params.substeps
-        for s in range(params.substeps):
-            u, c = step(u, geom, params, grid, t_prev + s * sub_dt, sub_dt)
-            clamps += c
+        steps += [(j, t_prev + s * sub_dt, sub_dt) for s in range(params.substeps)]
+    # the forcing's x-part at every node and step start time, in one evaluation
+    xpart = params.nonlinearity.G_xpart(np.array([t for _, t, _ in steps]), r[:, None])
+    clamps = 0
+    for k, (j, t, dt) in enumerate(steps):
+        u, c = step(u, geom, params, grid, t, dt, None if xpart is None else xpart[:, k])
+        clamps += c
         U[:, j] = u
     total = grid.n_r * (grid.n_t - 1) * params.substeps
     frac = clamps / total

@@ -151,6 +151,10 @@ BAD_VALUES = [
     ("solution.expr", "__import__('os').getcwd()"), ("geometry.potential", "tan(r)"),
     ("solution.expr", "1e400*r + 2"), ("solution.expr", "2 + 1j*r"),
     ("solution.expr", "2**2**2**2**2"), ("solution.expr", "2 + r^2"),
+    # fields with no series at the pole, and an odd field whose closure
+    # forcing has none
+    ("solution.expr", "2 + sqrt(r**2)"), ("solution.expr", "cos(r)/r"),
+    ("solution.expr", "2 + r"),
     # choices read from the geometry and pde objects, and a mode the warp does
     # not admit (the euclidean warp vanishes at r = 0, so it has no annulus)
     ("geometry.mode", "foo"), ("geometry.mode", ["pole"]), ("pde.boundary", "foo"),
@@ -177,6 +181,18 @@ def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert err.startswith(f"configuration error: {key}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-estimate", "check-identities"])
+def test_field_without_pole_series_names_its_key(tmp_path, capsys, command):
+    # the partials the checks take at r = 0 are taken when the config is parsed
+    doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
+    doc["solution"]["expr"] = "2 + sqrt(r**2)"
+    code = main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: solution.expr: no series at the pole r = 0")
 
 
 @pytest.mark.parametrize("geometry, key", [
@@ -233,10 +249,13 @@ def test_zero_potential_with_a_drift_stays_constant():
     assert geom.potential.is_constant() and geom.family == "static-warp"
 
 
-def test_sqrt_of_a_square_fails_at_the_pole_not_at_parse(tmp_path, capsys):
-    # sqrt(r**2) is |r|: read as given, refused once the pole needs its series
+def test_sqrt_of_a_square_is_refused_at_parse_with_its_key(tmp_path, capsys):
+    # sqrt(r**2) is |r|: it compiles, but a pole geometry needs its series at
+    # r = 0, which the parse takes
     doc = barenblatt_doc(solution={"kind": "manufactured", "expr": "2 + sqrt(r**2)"})
-    parse_scenario(doc)
+    with pytest.raises(ConfigError) as info:
+        parse_scenario(doc)
+    assert info.value.path == "solution.expr"
     code = main(["check-estimate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
@@ -653,13 +672,19 @@ def test_cli_numerical_failure_exit(tmp_path):
     assert code == 3
 
 
-def test_cli_import_leaves_out_scipy_linalg():
-    # only solves need solve_banded; every other command skips its import
-    code = "import sys, harnacklab.cli; print('scipy.linalg' in sys.modules)"
+def test_cli_solve_and_numeric_check_never_load_scipy(tmp_path):
+    # the solver's tridiagonal step is numpy and Python floats; scipy is a
+    # test oracle only
+    cfg = str(CONFIGS / "numeric-gaussian.json")
+    code = "\n".join([
+        "import sys, harnacklab.cli as cli",
+        *(f"assert cli.main([{cmd!r}, '--config', {cfg!r}, '--out', {str(tmp_path / cmd)!r}]) == 0"
+          for cmd in ("solve", "check-estimate")),
+        "print('scipy' in sys.modules)"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip().splitlines()[-1] == "False"
 
 
 def test_cli_commands_never_load_sympy(tmp_path):

@@ -6,9 +6,9 @@ from harnacklab.solver import (Nonlinearity, PdeParams,
                                PowerSumNonlinearity, SolverError,
                                barenblatt_exponents, barenblatt_oracle,
                                barenblatt_support_radius, manufactured_forcing,
-                               pressure, pressure_inverse, rescale_nonlinearity,
-                               _cell_masses, solve, step, validate_barenblatt,
-                               weighted_mass)
+                               power_sum_with_closure, pressure, pressure_inverse,
+                               rescale_nonlinearity, _cell_masses, _tridiagonal_solve,
+                               solve, step, validate_barenblatt, weighted_mass)
 from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
@@ -165,10 +165,92 @@ def test_one_step_tracks_oracle():
     oracle = lambda r, t: barenblatt_oracle(2, 2.0, 1.0, r, t)
     params = _pde(geom, 2.0, Nonlinearity(), oracle)
     u0 = oracle(grid.r, grid.t[0])
-    u1, clamps = step(u0, geom, params, grid, grid.t[0], grid.dt)
+    xpart = params.nonlinearity.G_xpart(grid.t[0], grid.r)
+    u1, clamps = step(u0, geom, params, grid, grid.t[0], grid.dt, xpart)
     err = np.max(np.abs(u1 - oracle(grid.r, grid.t[1])))
     assert clamps == 0
     assert err <= 5.0 * (grid.dt**2 + grid.dt * grid.dr**2)
+
+
+def _step_shaped_system(rng, n, dirichlet):
+    """A system shaped like step's: masses/dt on the diagonal plus the face
+    weights, which span 12 decades, on both sides; optionally the Dirichlet
+    last row."""
+    w = 10.0 ** rng.uniform(-6.0, 6.0, n - 1)
+    diag = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    diag[1:] += w
+    diag[:-1] += w
+    lower, upper = -w, -w
+    rhs = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    if dirichlet:
+        diag[-1] = 1.0
+        lower = np.append(lower[:-1], 0.0)
+    return lower, diag, upper, rhs
+
+
+def test_tridiagonal_solve_matches_lapack_bit_for_bit():
+    # scipy's solve_banded((1, 1), ...) calls LAPACK dgtsv: a test oracle only
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(13)
+    for k in range(300):
+        n = int(rng.integers(5, 601))
+        lower, diag, upper, rhs = _step_shaped_system(rng, n, dirichlet=k % 2 == 1)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        assert np.array_equal(_tridiagonal_solve(lower, diag, upper, rhs, 0.0),
+                              solve_banded((1, 1), ab, rhs))
+
+
+@pytest.mark.parametrize("case", ["interchange pivot", "zero pivot", "zero last pivot",
+                                  "nan rhs", "inf diagonal"])
+def test_tridiagonal_solve_refusals(case):
+    lower, diag, upper, rhs = np.full(3, -1.0), np.full(4, 3.0), np.full(3, -1.0), np.ones(4)
+    if case == "interchange pivot":
+        lower[1] = -8.0       # row 1's pivot, 3 - 1/3, is below |-8|: dgtsv would swap
+    elif case == "zero pivot":
+        diag[0], lower[0] = 0.0, 0.0
+    elif case == "zero last pivot":
+        diag[-1] = 1.0 / (3.0 - 1.0 / (3.0 - 1.0 / 3.0))
+    elif case == "nan rhs":
+        rhs[2] = np.nan
+    else:
+        diag[1] = np.inf
+    with pytest.raises(SolverError, match="t = 0.25"):
+        _tridiagonal_solve(lower, diag, upper, rhs, 0.25)
+
+
+@pytest.mark.parametrize("with_power", [False, True])
+def test_solve_evaluates_forcing_once(monkeypatch, bump_profile, with_power):
+    # the x-part of the forcing is evaluated for every step at once, and each
+    # of its columns equals that step's own evaluation bit for bit
+    geom = make_geometry("euclidean", n=3)
+    p = 2.0
+    if with_power:
+        nl = power_sum_with_closure(PowerSumNonlinearity(B=[-0.5], b=[1.0]), bump_profile, geom, p)
+        forcing = nl.forcing.profile
+    else:
+        nl = manufactured_forcing(bump_profile, geom, p)
+        forcing = nl.profile
+    oracle = lambda r, t: pressure_inverse(bump_profile(r, t), p)
+    grid = Grid(n_r=33, n_t=65, r_max=2.0, t0=0.5, duration=1.0)
+    params = _pde(geom, p, nl, oracle, substeps=2)
+    calls = []
+    table = symfun.Profile.table
+
+    def counting(self, *args):
+        calls.append(self is forcing)
+        return table(self, *args)
+
+    monkeypatch.setattr(symfun.Profile, "table", counting)
+    solve(oracle, geom, params, grid)
+    assert sum(calls) == 1
+    monkeypatch.undo()
+    starts = [t0 + s * (t1 - t0) / 2 for t0, t1 in zip(grid.t[:-1], grid.t[1:]) for s in (0, 1)]
+    xpart = nl.G_xpart(np.array(starts), grid.r[:, None])
+    assert xpart.shape == (grid.n_r, 128)
+    for k in (0, 1, 77, 127):
+        assert np.array_equal(xpart[:, k], forcing(grid.r, starts[k]))
 
 
 def test_manufactured_solution_tracked(bump_profile):
