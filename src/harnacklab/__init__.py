@@ -6,9 +6,8 @@ from .fields import Grid, ScalarField, convergence_order, diff
 from .geometry import (Cylinder, GeometryBounds, WarpedGeometry, bakry_emery_eigs,
                        curvature_eigs, extract_bounds, metric_speed_eigs)
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
-from .solver import (Nonlinearity, PdeParams, PowerSumNonlinearity, barenblatt_oracle,
-                     manufactured_forcing, pressure, pressure_inverse,
-                     rescale_nonlinearity, solve)
+from .solver import (Nonlinearity, PdeParams, barenblatt_oracle, manufactured_forcing,
+                     pressure, pressure_inverse, solve)
 from .symfun import Profile
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ the aggregated geometry/forcing terms scale with the Harnack exponent alpha
 sqrt(b alpha)).  Each family comes in a local form (cylinder of radius R,
 with cutoff-localization terms) and a global form (suprema over the whole
 domain; flagged as truncated when the computational domain is finite).
-Static-geometry forms arise from the vanishing-eps limit.
+Static-geometry forms arise from the vanishing-eps limit.  The forcing G is
+separable (a power sum in v plus a forcing in (x, t)), so no term carries a
+mixed x-v partial of G.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .geometry import Cylinder, GeometryBounds, WarpedGeometry, extract_bounds
 from .params import HarnackParams
-from .solver import Nonlinearity, PowerSumNonlinearity
+from .solver import Nonlinearity
 
 
 class EstimateError(ValueError):
@@ -171,7 +173,6 @@ class SupSamples:
     G_v: np.ndarray
     G_vv: np.ndarray
     G_x_norm: np.ndarray
-    G_xv_norm: np.ndarray
     lap_Gx: np.ndarray
     alpha: np.ndarray
     alpha_p: np.ndarray
@@ -208,7 +209,6 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
         G_v=nl.G_v(t_in, r_in, v),
         G_vv=nl.G_vv(t_in, r_in, v),
         G_x_norm=np.abs(G_x) / a,
-        G_xv_norm=np.abs(nl.G_xv(t_in, r_in, v)) / a,
         lap_Gx=lap_Gx,
         alpha=coeffs.alpha_at(tau),
         alpha_p=coeffs.alpha_prime_at(tau),
@@ -240,15 +240,14 @@ def sup_quantities(samples: SupSamples, bounds: GeometryBounds, params: HarnackP
     q0 = float(np.max(be - al * s.G / s.v))
     if family == "first":
         q1 = _clamped_sup(s.G_v + alp / al - 2.0 * be / (b * al**2) + cst["K"])
-        bracket2 = (al - 1.0) * s.G_x_norm / s.v + al * (p - 1) * s.G_xv_norm + cst["L"]
+        bracket2 = (al - 1.0) * s.G_x_norm / s.v + cst["L"]
         q3 = _clamped_sup(be * s.G_v - al * (p - 1) * s.lap_Gx
                           + (be / al) * (alp - be / (b * al)) - bep + Mterm)
         bracket4 = ((al - 1.0) * (s.G / s.v - s.G_v) - al * (p - 1) * s.v * s.G_vv
                     - 2.0 * (al - 1.0) * be / (b * al**2) - alp / al + cst["N"])
     else:
         q1 = _clamped_sup(s.G_v - 2.0 * be / (b * al**2) + cst["K"])
-        bracket2 = ((al - 1.0) / al * s.G_x_norm / s.v + (p - 1) * s.G_xv_norm
-                    + cst["L"] / al)
+        bracket2 = (al - 1.0) / al * s.G_x_norm / s.v + cst["L"] / al
         q3 = _clamped_sup((be / al) * s.G_v - (p - 1) * s.lap_Gx
                           + (be / al**2) * (alp - be / (b * al)) - bep / al + Mterm)
         bracket4 = ((al - 1.0) / al * (s.G / s.v - s.G_v) - (p - 1) * s.v * s.G_vv
@@ -321,7 +320,7 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
     # they are only sound for x-independent forcing on static data, so refuse
     # scenarios that carry either kind of extra structure
     s = samples
-    if float(np.max(s.G_x_norm)) > 0 or float(np.max(s.G_xv_norm)) > 0:
+    if float(np.max(s.G_x_norm)) > 0:
         raise EstimateError("static estimate forms require x-independent forcing")
     if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
         raise EstimateError("static estimate forms require zero evolution bounds")
@@ -595,25 +594,25 @@ class NonlinearityConditions:
                 and (not self.convexity_exponents or self.convexity_scan))
 
 
-def nonlinearity_conditions(power: PowerSumNonlinearity, p: float, alpha: float,
+def nonlinearity_conditions(nl: Nonlinearity, p: float, alpha: float,
                             v_grid=None, tol: float = 1e-12) -> NonlinearityConditions:
-    """Exponent ranges and a numeric scan for the two structure conditions.
+    """Exponent ranges and a numeric scan for the two structure conditions on
+    the power sum of ``nl`` (its forcing is never evaluated).
 
     Condition 1: dG/dv <= 0.  Condition 2:
     alpha (p-1) v G_vv - (alpha-1)(G/v - G_v) >= 0.
     """
     if alpha <= 1:
         raise EstimateError("conditions are stated for alpha > 1")
-    a_active = [ex for coef, ex in zip(power.A, power.a) if coef > 0]
-    b_active = [ex for coef, ex in zip(power.B, power.bexp) if coef < 0]
+    a_active = [ex for coef, ex in zip(nl.A, nl.a) if coef > 0]
+    b_active = [ex for coef, ex in zip(nl.B, nl.b) if coef < 0]
     slope_exp = all(ex <= 0 for ex in a_active) and all(ex >= 0 for ex in b_active)
     cap = (1.0 - alpha) / (alpha * (p - 1.0))
     convex_exp = all(ex <= cap for ex in a_active) and all(0.0 <= ex <= 1.0 for ex in b_active)
 
     v = np.asarray(v_grid if v_grid is not None else np.geomspace(0.1, 10.0, 181), dtype=float)
-    G = power.G(0.0, 0.0, v)
-    G_v = power.G_v(0.0, 0.0, v)
-    G_vv = power.G_vv(0.0, 0.0, v)
+    G, G_v, G_vv = (np.zeros_like(v) if part is None else part
+                    for part in (nl.G_vpart(v, k) for k in range(3)))
     slope_scan = bool(np.all(G_v <= tol * np.maximum(1.0, np.abs(G_v).max())))
     expr = alpha * (p - 1) * v * G_vv - (alpha - 1) * (G / v - G_v)
     convex_scan = bool(np.all(expr >= -tol * np.maximum(1.0, np.abs(expr).max())))

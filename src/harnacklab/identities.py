@@ -216,12 +216,9 @@ class TermTable(_RadialTerms):
         self.G, self.G_x, self.G_xx, self.lap_Gx = nonlinearity.G_x_partials(tt, rr, self.v)
         self.G_v = nonlinearity.G_v(tt, rr, self.v)
         self.G_vv = nonlinearity.G_vv(tt, rr, self.v)
-        self.G_xv = nonlinearity.G_xv(tt, rr, self.v)
         self.G_x_norm = np.abs(self.G_x) / self.a
-        self.G_xv_norm = np.abs(self.G_xv) / self.a
         self.gradG_pair = (self.G_x + self.G_v * self.v_r) * self.v_r / self.a2
-        self.lap_G_full = (self.lap_Gx + 2 * self.G_xv * self.v_r / self.a2
-                           + self.G_vv * self.grad2 + self.G_v * self.lap_v)
+        self.lap_G_full = self.lap_Gx + self.G_vv * self.grad2 + self.G_v * self.lap_v
 
         coeffs = params.coeffs
         self.alpha = coeffs.alpha_at(tt)
@@ -283,8 +280,7 @@ class TermTable(_RadialTerms):
         G, G_v = self.G, self.G_v
         C_r = self.G_x + G_v * v_r
         C_t = nl.G_t(tt, rr, v) + G_v * v_t
-        C_rr = (self.G_xx + 2 * self.G_xv * v_r
-                + self.G_vv * v_r**2 + G_v * v_rr)
+        C_rr = self.G_xx + self.G_vv * v_r**2 + G_v * v_rr
         W = self.grad2
         W_r = 2 * v_r * v_rr / a2
         W_rr = 2 * (v_rr**2 + v_r * v_rrr) / a2
@@ -480,7 +476,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
                - alp / al - 2 * (al - 1) * be / (b * al**2)) * (tt.grad2 / tt.v)
             - 2 * (p - 1) * tt.ric_m_vv
             + al * (p - 1) * tt.divh_pair
-            + 2 * ((al - 1) * tt.G_x_norm / tt.v + al * (p - 1) * tt.G_xv_norm) * tt.grad_norm
+            + 2 * ((al - 1) * tt.G_x_norm / tt.v) * tt.grad_norm
             + al * (p - 1) * tt.phit_pair
             - 2 * al * (p - 1) * tt.h_phi_pair
             - al * (p - 1) * tt.lap_Gx
@@ -502,7 +498,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
             + (2 * (p - 1) * tt.v * ((m - 1) * k + k2) + 2 * (al - 1) * k_hi
                + (al - 1) * (tt.G / tt.v - tt.G_v) - al * (p - 1) * tt.v * tt.G_vv
                - 2 * (al - 1) * be / (b * al**2) - alp / al) * (tt.grad2 / tt.v)
-            + (2 * (al - 1) * tt.G_x_norm / tt.v + 2 * al * (p - 1) * tt.G_xv_norm
+            + (2 * (al - 1) * tt.G_x_norm / tt.v
                + al * (p - 1) * l2 + 2 * al * (p - 1) * k_lo * l1) * tt.grad_norm
             + al**2 * (p - 1) * n * ((k_lo + k_hi) ** 2 + 2 * k2)
             - al * (p - 1) * tt.lap_Gx

@@ -20,11 +20,10 @@ from .geometry import MODES, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
 from .jets import PoleEvaluationError
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
-from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, PowerSumNonlinearity,
-                     SolveResult, barenblatt_oracle, barenblatt_pressure_profile,
-                     barenblatt_support_radius, manufactured_forcing,
-                     power_sum_with_closure, pressure_inverse, solve,
-                     validate_barenblatt)
+from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, SolveResult, SolverError,
+                     barenblatt_oracle, barenblatt_pressure_profile,
+                     barenblatt_support_radius, manufactured_forcing, pressure_inverse,
+                     solve, validate_barenblatt)
 from .symfun import ExpressionError, Profile
 
 
@@ -216,24 +215,27 @@ def parse_alpha_beta(doc: dict, b: float, path: str) -> AlphaBeta:
     return constant_alpha_beta(alpha, read_number(beta, f"{path}.beta"))
 
 
-def parse_nonlinearity(doc, path: str):
-    """Returns (form, power-part or None); closure forcing is attached later."""
+def parse_nonlinearity(doc, path: str) -> Nonlinearity:
+    """The power-sum terms (none for form zero); the closure forcing of a
+    manufactured field is attached later."""
     if doc is None:
-        return "zero", None
+        return Nonlinearity()
     _check_keys(doc, {"form", "A", "a", "B", "b"}, path)
     form = _require(doc, "form", path)
+    if form not in ("zero", "power-sum"):
+        raise ConfigError(f"{path}.form", f"unknown nonlinearity form {form!r}")
+    terms = {key: doc[key] for key in ("A", "a", "B", "b") if key in doc}
     if form == "zero":
-        return "zero", None
-    if form == "power-sum":
-        try:
-            power = PowerSumNonlinearity(
-                A=doc.get("A", ()), a=doc.get("a", ()),
-                B=doc.get("B", ()), b=doc.get("b", ()),
-            )
-        except Exception as exc:
-            raise ConfigError(path, str(exc))
-        return "power-sum", power
-    raise ConfigError(f"{path}.form", f"unknown nonlinearity form {form!r}")
+        if terms:
+            raise ConfigError(f"{path}.{next(iter(terms))}", "form 'zero' takes no power-sum terms")
+        return Nonlinearity()
+    if not terms:
+        raise ConfigError(path, "a power-sum needs at least one term")
+    try:
+        return Nonlinearity(**{key: _read_list(value, f"{path}.{key}", read_number)
+                               for key, value in terms.items()})
+    except SolverError as exc:
+        raise ConfigError(path, str(exc))
 
 
 @dataclass
@@ -316,7 +318,7 @@ def parse_scenario(doc: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError("pde.grid", str(exc))
 
-    form, power = parse_nonlinearity(pde_doc.get("nonlinearity"), "pde.nonlinearity")
+    power = parse_nonlinearity(pde_doc.get("nonlinearity"), "pde.nonlinearity")
 
     sol_doc = _require(doc, "solution", "")
     _check_keys(sol_doc, {"kind", "mass_const", "expr", "catalog", "base"}, "solution")
@@ -324,7 +326,7 @@ def parse_scenario(doc: dict) -> Scenario:
                         ("barenblatt", "manufactured", "numeric"))
 
     def _barenblatt():
-        if form != "zero":
+        if power.form != "zero":
             raise ConfigError("pde.nonlinearity",
                               "the self-similar oracle requires zero forcing")
         flat = geom.is_static and geom.warp.source == "r" and geom.potential.is_constant()
@@ -351,10 +353,7 @@ def parse_scenario(doc: dict) -> Scenario:
         else:
             key = _read_choice(sol_doc.get("catalog", "bump"), path, MANUFACTURED_CATALOG)
             profile = _expr(MANUFACTURED_CATALOG[key], path, "manufactured_pressure")
-        if power is None:
-            forcing = manufactured_forcing(profile, geom, p)
-        else:
-            forcing = power_sum_with_closure(power, profile, geom, p)
+        forcing = manufactured_forcing(profile, geom, p, power)
         if geom.mode == "pole":
             _check_pole_series(profile, forcing, grid.r[:2], t0, path)
         return profile, _oracle_from_profile(profile, p), forcing

@@ -1,19 +1,22 @@
 """Positive radial solutions of the weighted slow diffusion equation.
 
-Solves d(u)/dt = Delta_phi(u^p) + N(t, x, u) for strictly positive data with
-a conservative finite-volume space discretization and semi-implicit time
-stepping: the diffusion coefficient p u^(p-1) is frozen at the current state
-(lagged linearization), the resulting linear diffusion solved implicitly, and
-the source term taken explicitly.  Each step's linear system is a
-tridiagonal M-matrix, solved by LAPACK dgtsv's elimination transcribed to
-Python floats (no pivoting).  A solve evaluates the forcing's x-dependent
-part once, at every node and every step's start time.  Exact solutions (the
-self-similar source solution and manufactured pressure fields) provide the
-discretization oracles.
+Solves d(u)/dt = Delta_phi(u^p) + N(t, x, u) for strictly positive data.  N
+has one shape, :class:`Nonlinearity`: in pressure form it is
+G = sum A_j v^a_j + sum B_j v^b_j + f(x, t), a power sum in v plus a forcing
+in (x, t).  The scheme is a conservative finite-volume space discretization
+with semi-implicit time stepping: the diffusion coefficient p u^(p-1) is
+frozen at the current state (lagged linearization), the resulting linear
+diffusion solved implicitly, and the source term taken explicitly.  Each
+step's linear system is a tridiagonal M-matrix, solved by LAPACK dgtsv's
+elimination transcribed to Python floats (no pivoting).  A solve evaluates
+the forcing once, at every node and every step's start time.  Exact
+solutions (the self-similar source solution and manufactured pressure
+fields) provide the discretization oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +32,7 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# pressure transform and nonlinearity forms
+# pressure transform and the nonlinearity
 # ---------------------------------------------------------------------------
 
 def pressure(u, p: float):
@@ -47,188 +50,109 @@ def pressure_inverse(v, p: float):
     return ((p - 1) * v / p) ** (1.0 / (p - 1))
 
 
-def rescale_nonlinearity(source, p: float, t, r, v):
-    """Map a source-form N(t, x, u) evaluator to the pressure-form value."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0):
-        raise SolverError("rescaled nonlinearity requires positive v")
-    u = pressure_inverse(v, p)
-    return p * u ** (p - 2) * np.asarray(source(t, r, u), dtype=float)
+def _sum(vpart, xpart, *like):
+    """vpart + xpart with an absent (None) part left out, never added as
+    zeros (which would turn a -0.0 into +0.0); zeros shaped like the
+    broadcast of ``like`` when both are absent."""
+    if vpart is None:
+        return np.zeros(np.broadcast_shapes(*map(np.shape, like))) if xpart is None else xpart
+    return vpart if xpart is None else vpart + xpart
 
 
 class Nonlinearity:
-    """Zero forcing; base class fixing the pressure-form interface.
+    """G(t, x, v) = sum_j A_j v^a_j + sum_j B_j v^b_j + f(x, t), with A_j >= 0
+    and B_j <= 0: a power sum in v plus a forcing profile f (None: absent).
 
-    ``G(t, r, v)`` is the rescaled forcing entering the pressure equation
-    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G, and ``G_v``, ``G_vv`` are
-    its v-partials.  G is the sum of a v-part ``G_vpart(v)`` and an x-part
-    ``G_xpart(t, r)``, either of which may be None (absent).
+    G is the rescaled forcing entering the pressure equation
+    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G; ``G_v``, ``G_vv`` are its
+    v-partials (the power sum's) and ``G_t`` its explicit time partial at
+    frozen (x, v) (the forcing's).  ``G_vpart(v)`` is the power sum (on
+    arrays or jets) and ``G_xpart(t, r)`` the forcing, None where absent.
     ``G_x_partials`` gives G with its coordinate r-partials G_x, G_xx at
     frozen v (callers convert to metric norms) and the weighted Laplacian
     ``lap_phi_Gx`` of the frozen-v spatial slice, all from one evaluation.
-    ``G_xv`` is the mixed partial, ``G_t`` the explicit time partial at
-    frozen (x, v), and ``G_jet`` is G on series, taking at most
-    ``jet_orders`` r- and t-derivatives.  Here all of them vanish; subclasses
-    override the ones their forcing excites.
+    ``G_jet`` is G on series, taking at most ``jet_orders`` r- and
+    t-derivatives.  G is separable, so its mixed x-v partial vanishes.
+    ``form`` names the parts present: "zero", "power-sum", "separable-x" or
+    "power-sum+separable-x".
     """
 
-    form = "zero"
-    jet_orders = (0, 0)
-
-    def _zero(self, t, r, v):
-        return np.zeros(np.broadcast_shapes(np.shape(t), np.shape(r), np.shape(v)))
-
-    G = G_v = G_vv = G_xv = G_t = _zero
-
-    def G_vpart(self, v):
-        return np.zeros_like(v)
-
-    def G_xpart(self, t, r):
-        return None
-
-    def G_x_partials(self, t, r, v):
-        """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""
-        zero = self._zero(t, r, v)
-        return self.G(t, r, v), zero, zero, zero
-
-    def source(self, u, p: float, xpart):
-        """Source form N = G u^(2-p) / p, with G the v-part at v = pressure(u, p)
-        plus ``xpart``, the x-part at the nodes of u (None where there is none)."""
-        u = np.asarray(u, dtype=float)
-        G = self.G_vpart(pressure(u, p))
-        if xpart is not None:
-            G = xpart if G is None else G + xpart
-        return G * u ** (2.0 - p) / p
-
-    def G_jet(self, t, r, v):
-        return 0.0
-
-
-class PowerSumNonlinearity(Nonlinearity):
-    """G(v) = sum A_j v^a_j + sum B_j v^b_j with A_j >= 0 and B_j <= 0."""
-
-    form = "power-sum"
-
-    def __init__(self, A=(), a=(), B=(), b=()):
-        self.A = np.asarray(A, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.B = np.asarray(B, dtype=float)
-        self.bexp = np.asarray(b, dtype=float)
-        if self.A.shape != self.a.shape or self.B.shape != self.bexp.shape:
+    def __init__(self, A=(), a=(), B=(), b=(), forcing: Profile | None = None,
+                 geom: WarpedGeometry | None = None):
+        self.A, self.a, self.B, self.b = (np.asarray(x, dtype=float) for x in (A, a, B, b))
+        if self.A.shape != self.a.shape or self.B.shape != self.b.shape:
             raise SolverError("coefficient/exponent lists must pair up")
         if np.any(self.A < 0) or np.any(self.B > 0):
             raise SolverError("power-sum form requires A_j >= 0 and B_j <= 0")
+        if forcing is not None and geom is None:
+            raise SolverError("a forcing needs the geometry of its weighted Laplacian")
+        self.terms = tuple(zip((*self.A, *self.B), (*self.a, *self.b)))
+        self.forcing, self.geom = forcing, geom
+        self.jet_orders = (0, 0) if forcing is None else forcing.orders
+        self.form = "+".join(name for name, present in (("power-sum", bool(self.terms)),
+                                                        ("separable-x", forcing is not None))
+                             if present) or "zero"
 
-    def _pairs(self):
-        return zip((*self.A, *self.B), (*self.a, *self.bexp))
+    def G_vpart(self, v, shift: int = 0):
+        """The shift-th v-partial of the power sum at v; None without terms."""
+        if not self.terms:
+            return None
+        return sum(coef * math.prod(ex - j for j in range(shift)) * v ** (ex - shift)
+                   for coef, ex in self.terms)
 
-    def _terms(self, v, shift: int):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for coef, ex in self._pairs():
-            fac = np.prod([ex - j for j in range(shift)]) if shift else 1.0
-            out += coef * fac * v ** (ex - shift)
-        return out
+    def G_xpart(self, t, r):
+        return None if self.forcing is None else self.forcing(r, t)
 
     def G(self, t, r, v):
-        return self._terms(v, 0)
-
-    def G_vpart(self, v):
-        return self._terms(v, 0)
+        return _sum(self.G_vpart(v), self.G_xpart(t, r), t, r, v)
 
     def G_v(self, t, r, v):
-        return self._terms(v, 1)
+        return _sum(self.G_vpart(v, 1), None, t, r, v)
 
     def G_vv(self, t, r, v):
-        return self._terms(v, 2)
-
-    def G_jet(self, t, r, v):
-        return sum(coef * v**ex for coef, ex in self._pairs())
-
-
-class ForcingNonlinearity(Nonlinearity):
-    """Purely x-dependent forcing G(t, x); v-partials vanish identically."""
-
-    form = "separable-x"
-
-    def __init__(self, profile: Profile, geom: WarpedGeometry):
-        self.profile = profile
-        self.geom = geom
-        self.jet_orders = profile.orders
-
-    def G(self, t, r, v):
-        return self.profile(r, t)
-
-    def G_vpart(self, v):
-        return None
-
-    def G_xpart(self, t, r):
-        return self.profile(r, t)
+        return _sum(self.G_vpart(v, 2), None, t, r, v)
 
     def G_t(self, t, r, v):
-        return self.profile.at(0, 1, r, t)
+        return _sum(None, None, t, r, v) if self.forcing is None else self.forcing.at(0, 1, r, t)
 
     def G_x_partials(self, t, r, v):
-        G, G_x, G_xx = self.profile.table(2, 0, r, t)[:, 0]
-        return G, G_x, G_xx, phi_laplacian_eval(self.geom, r, t, G_x, G_xx)
+        """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""
+        if self.forcing is None:
+            zero = _sum(None, None, t, r, v)
+            return self.G(t, r, v), zero, zero, zero
+        f, f_x, f_xx = self.forcing.table(2, 0, r, t)[:, 0]
+        return (_sum(self.G_vpart(v), f), f_x, f_xx,
+                phi_laplacian_eval(self.geom, r, t, f_x, f_xx))
 
     def G_jet(self, t, r, v):
-        return self.profile.jet(r, t)
+        xpart = None if self.forcing is None else self.forcing.jet(r, t)
+        return 0.0 if xpart is None and not self.terms else _sum(self.G_vpart(v), xpart)
+
+    def source(self, u, p: float, xpart):
+        """Source form N = G u^(2-p) / p, with G the power sum at
+        v = pressure(u, p) plus ``xpart``, the forcing at the nodes of u
+        (None where there is none)."""
+        u = np.asarray(u, dtype=float)
+        return _sum(self.G_vpart(pressure(u, p)), xpart, u) * u ** (2.0 - p) / p
 
 
-class CompositeNonlinearity(Nonlinearity):
-    """Sum of a v-dependent power-sum part and an x-dependent forcing part:
-    each of G and its partials is the sum of the two parts' own."""
+def manufactured_forcing(v_exact: Profile, geom: WarpedGeometry, p: float,
+                         power: Nonlinearity | None = None) -> Nonlinearity:
+    """The power-sum terms of ``power`` (none when None) plus the forcing
+    f = d(v)/dt - (p-1) v Delta_phi v - |grad v|^2 - (the power sum) that
+    makes ``v_exact`` an exact pressure solution; every partial of f comes
+    from arithmetic on the series of v and the geometry."""
+    power = Nonlinearity() if power is None else power
 
-    form = "power-sum+separable-x"
-
-    def __init__(self, power: PowerSumNonlinearity, forcing: ForcingNonlinearity):
-        self.power = power
-        self.forcing = forcing
-        self.jet_orders = forcing.jet_orders
-
-    def _summed(name):
-        def term(self, t, r, v):
-            return getattr(self.power, name)(t, r, v) + getattr(self.forcing, name)(t, r, v)
-        return term
-
-    G, G_v, G_vv, G_xv, G_t, G_jet = map(_summed, ("G", "G_v", "G_vv", "G_xv", "G_t", "G_jet"))
-    del _summed
-
-    def G_vpart(self, v):
-        return self.power.G_vpart(v)
-
-    def G_xpart(self, t, r):
-        return self.forcing.G_xpart(t, r)
-
-    def G_x_partials(self, t, r, v):
-        return tuple(a + b for a, b in zip(self.power.G_x_partials(t, r, v),
-                                           self.forcing.G_x_partials(t, r, v)))
-
-
-def _closure(v_exact: Profile, geom: WarpedGeometry, p: float,
-             power: PowerSumNonlinearity | None = None) -> Profile:
-    """G = d(v)/dt - (p-1) v Delta_phi v - |grad v|^2 (less the power-sum
-    part), by arithmetic on the series of v and the geometry."""
     def closure(r, t):
         v = v_exact.jet(r, t)
         G = (d_t(v) - (p - 1) * v * geom.phi_laplacian_jet(v, r, t)
              - d_r(v) ** 2 / geom.conformal.jet(r, t) ** 2)
-        return G if power is None else G - power.G_jet(t, r, v)
+        vpart = power.G_vpart(v)
+        return G if vpart is None else G - vpart
 
-    return Profile.of_jets(closure, np.add(v_exact.orders, (2, 1)), "closure_forcing")
-
-
-def manufactured_forcing(v_exact: Profile, geom: WarpedGeometry, p: float) -> ForcingNonlinearity:
-    """Forcing that makes ``v_exact`` an exact pressure solution; its every
-    partial comes from the series of v."""
-    return ForcingNonlinearity(_closure(v_exact, geom, p), geom)
-
-
-def power_sum_with_closure(power: PowerSumNonlinearity, v_exact: Profile,
-                           geom: WarpedGeometry, p: float) -> CompositeNonlinearity:
-    """Closure forcing for a target pressure field on top of a power-sum term."""
-    return CompositeNonlinearity(power, ForcingNonlinearity(_closure(v_exact, geom, p, power), geom))
+    forcing = Profile.of_jets(closure, np.add(v_exact.orders, (2, 1)), "closure_forcing")
+    return Nonlinearity(power.A, power.a, power.B, power.b, forcing=forcing, geom=geom)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,9 @@ from harnacklab.identities import (AnalyticSolution, GridSolution,
                                    quotient_rule_residual, variant_label)
 from harnacklab.params import (AlphaBeta, HarnackParams, constant_alpha_beta,
                                preset_alpha_beta, preset_ode_residuals)
-from harnacklab.solver import (Nonlinearity, PdeParams, PowerSumNonlinearity,
-                               barenblatt_oracle, barenblatt_pressure_profile,
-                               manufactured_forcing, pressure_inverse, solve,
-                               validate_barenblatt, weighted_mass)
+from harnacklab.solver import (Nonlinearity, PdeParams, barenblatt_oracle,
+                               barenblatt_pressure_profile, manufactured_forcing,
+                               pressure_inverse, solve, validate_barenblatt, weighted_mass)
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry
@@ -248,13 +247,12 @@ def test_criterion_5_static_consistency():
         n_nodes = 20
         v = rng.uniform(0.2, 3.0, n_nodes)
         tau_nodes = rng.uniform(0.05, 1.0, n_nodes)
-        power = PowerSumNonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
-                                     B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
+        power = Nonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
+                             B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
         zeros = np.zeros(n_nodes)
         samples = SupSamples(r=zeros, t_abs=tau_nodes, tau=tau_nodes, v=v,
                              G=power.G(0, 0, v), G_v=power.G_v(0, 0, v),
-                             G_vv=power.G_vv(0, 0, v), G_x_norm=zeros,
-                             G_xv_norm=zeros, lap_Gx=zeros,
+                             G_vv=power.G_vv(0, 0, v), G_x_norm=zeros, lap_Gx=zeros,
                              alpha=coeffs.alpha_at(tau_nodes),
                              alpha_p=coeffs.alpha_prime_at(tau_nodes),
                              beta=zeros, beta_p=zeros)

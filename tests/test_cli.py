@@ -159,17 +159,33 @@ BAD_VALUES = [
     # not admit (the euclidean warp vanishes at r = 0, so it has no annulus)
     ("geometry.mode", "foo"), ("geometry.mode", ["pole"]), ("pde.boundary", "foo"),
     ("geometry", {"preset": "euclidean", "n": 2, "r_max": 2.0, "mode": "annulus"}),
+    # power-sum terms that are not finite numbers, terms on form zero, and a
+    # power-sum with no terms
+    ("pde.nonlinearity.B", ["-0.5"]), ("pde.nonlinearity.B", [False]),
+    ("pde.nonlinearity.b", [True]), ("pde.nonlinearity.b", ["1"]),
+    ("pde.nonlinearity.A", [float("inf")]), ("pde.nonlinearity.B", [-float("inf")]),
+    ("pde.nonlinearity.b", [float("nan")]), ("pde.nonlinearity.b", [1e999]),
+    ("pde.nonlinearity.a", [2.0]), ("pde.nonlinearity", {"form": "power-sum"}),
 ]
 
-# keys that only the manufactured or numeric kind reads
+# the terms of a power-sum: every key but "a", which is set on the default
+# form zero
+POWER_SUM = {"form": "power-sum", "A": [1.0], "a": [-1.0], "B": [-0.5], "b": [1.0]}
+TERM_KEYS = ("pde.nonlinearity.A", "pde.nonlinearity.B", "pde.nonlinearity.b")
+
+# keys that only the manufactured or numeric kind reads, and the power-sum
+# keys, which the self-similar oracle refuses
 KIND_READING = {"solution.expr": "manufactured", "solution.catalog": "manufactured",
-                "solution.base": "numeric"}
+                "solution.base": "numeric", "pde.nonlinearity": "manufactured",
+                **dict.fromkeys(TERM_KEYS, "manufactured")}
 
 
 @pytest.mark.parametrize("key, value", BAD_VALUES, ids=lambda x: json.dumps(x))
 def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     doc = barenblatt_doc()
     doc["solution"]["kind"] = KIND_READING.get(key, "barenblatt")
+    if key in TERM_KEYS:
+        doc["pde"]["nonlinearity"] = dict(POWER_SUM)
     *parents, leaf = key.split(".")
     node = doc
     for part in parents:

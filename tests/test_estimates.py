@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (EstimateError, aggregate_M,
+from harnacklab.estimates import (VARIANTS, EstimateError, SupSamples, aggregate_M,
                                   aggregate_constants, collect_sup_samples,
                                   cutoff_profile, eps_scan, estimate_lhs,
                                   estimate_scope, localized_diagnostic,
@@ -12,8 +13,8 @@ from harnacklab.estimates import (EstimateError, aggregate_M,
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
-from harnacklab.solver import (Nonlinearity, PowerSumNonlinearity,
-                               barenblatt_pressure_profile, manufactured_forcing)
+from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
+                               manufactured_forcing)
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry, params_for
@@ -203,6 +204,60 @@ def test_local_rhs_finite_for_each_admissible_eps():
     assert len(set(values)) >= 1  # eps sensitivity recorded by the caller
 
 
+def test_rhs_nondecreasing_in_each_sup_quantity():
+    # a pass is conservative because grid sups are lower bounds of the true
+    # ones and the right side never falls as a sup rises: raising any one of
+    # q1..q4, or |grad G| at any node (through q2), never lowers it at any tau
+    from harnacklab.params import AlphaBeta
+
+    rng = np.random.default_rng(715)
+    cut = cutoff_profile()
+    tau = np.linspace(0.01, 1.0, 40)
+    keys = ("q1", "q2", "q3", "q4")
+    for _ in range(12):
+        coeffs = AlphaBeta(Profile(f"{rng.uniform(1.1, 3.0)!r} + {rng.uniform(0, 0.5)!r}*t",
+                                   "alpha"),
+                           Profile(f"{rng.uniform(-0.4, 0.6)!r}", "beta"))
+        params = HarnackParams(p=rng.uniform(1.2, 3.5), m=rng.uniform(2.0, 6.0), coeffs=coeffs)
+        bounds = GeometryBounds(*rng.uniform(0.0, 0.8, 6))
+        n_nodes = 16
+        nodes = np.sort(rng.uniform(0.05, 1.0, n_nodes))
+        samples = SupSamples(
+            r=rng.uniform(0, 1, n_nodes), t_abs=nodes, tau=nodes,
+            v=rng.uniform(0.3, 2.5, n_nodes), G=rng.normal(0, 0.5, n_nodes),
+            G_v=rng.normal(0, 0.5, n_nodes), G_vv=rng.normal(0, 0.5, n_nodes),
+            G_x_norm=rng.uniform(0, 0.5, n_nodes), lap_Gx=rng.normal(0, 0.5, n_nodes),
+            alpha=coeffs.alpha_at(nodes), alpha_p=coeffs.alpha_prime_at(nodes),
+            beta=coeffs.beta_at(nodes), beta_p=coeffs.beta_prime_at(nodes),
+        )
+        radius = rng.uniform(0.4, 1.5)
+        for variant in (v for v in VARIANTS if not v.startswith("static")):
+            family, scope = variant_kind(variant)
+            eps = rng.uniform(0.1, 0.9) * params.eps_ceiling(nodes, family)
+
+            def quantities(s):
+                return sup_quantities(s, bounds, params, 2, radius, cut, eps,
+                                      family=family, scope=scope)
+
+            def rhs(q, s=samples):
+                return rhs_bound(variant, q, s, bounds, params, radius, cut, tau)
+
+            # the sampled q's, and q's at, near and far from zero
+            q = quantities(samples)
+            points = [q] + [{**q, **dict(zip(keys, rng.choice([0.0, 1e-3, 0.3, 5.0], 4)))}
+                            for _ in range(3)]
+            for point in points:
+                base = rhs(point)
+                for key in keys:
+                    for step in (1e-9, rng.uniform(0, 2)):
+                        out = rhs({**point, key: point[key] + step})
+                        assert np.all(out >= base), (variant, key, point)
+            steeper = rng.uniform(0, 1) * (np.arange(n_nodes) == rng.integers(n_nodes))
+            up = dataclasses.replace(samples, G_x_norm=samples.G_x_norm + steeper)
+            q_up = quantities(up)
+            assert q_up["q2"] >= q["q2"] and np.all(rhs(q_up, up) >= rhs(q)), variant
+
+
 def test_static_rhs_formula_cross_check():
     # independent transcription of the static-first local display at one point
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
@@ -245,14 +300,14 @@ def test_static_consistency_vanishing_eps():
         n_nodes = 24
         v = rng.uniform(0.2, 3.0, n_nodes)
         tau_nodes = rng.uniform(0.05, 1.0, n_nodes)
-        power = PowerSumNonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
-                                     B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
+        power = Nonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
+                             B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
         from harnacklab.estimates import SupSamples
         zeros = np.zeros(n_nodes)
         samples = SupSamples(
             r=zeros, t_abs=tau_nodes, tau=tau_nodes, v=v,
             G=power.G(0, 0, v), G_v=power.G_v(0, 0, v), G_vv=power.G_vv(0, 0, v),
-            G_x_norm=zeros, G_xv_norm=zeros, lap_Gx=zeros,
+            G_x_norm=zeros, lap_Gx=zeros,
             alpha=params.coeffs.alpha_at(tau_nodes),
             alpha_p=params.coeffs.alpha_prime_at(tau_nodes),
             beta=zeros, beta_p=zeros,
@@ -365,14 +420,13 @@ def test_estimate_lhs_is_scaled_harnack_quantity():
 # ---------------------------------------------------------------------------
 
 def test_conditions_zero_forcing():
-    power = PowerSumNonlinearity()
-    cond = nonlinearity_conditions(power, 2.0, 2.0)
+    cond = nonlinearity_conditions(Nonlinearity(), 2.0, 2.0)
     assert cond.slope_nonpositive_exponents and cond.convexity_exponents
     assert cond.consistent
 
 
 def test_conditions_admissible_exponents():
-    power = PowerSumNonlinearity(A=[1.0], a=[-1.0], B=[-2.0], b=[0.5])
+    power = Nonlinearity(A=[1.0], a=[-1.0], B=[-2.0], b=[0.5])
     cond = nonlinearity_conditions(power, 2.0, 2.0)
     assert cond.slope_nonpositive_exponents and cond.slope_nonpositive_scan
     # a_1 = -1 <= (1-2)/(2*(2-1)) = -1/2 and b_1 = 0.5 in [0, 1]
@@ -381,11 +435,22 @@ def test_conditions_admissible_exponents():
 
 
 def test_conditions_violating_exponents_detected():
-    power = PowerSumNonlinearity(A=[1.0], a=[2.0])
+    power = Nonlinearity(A=[1.0], a=[2.0])
     cond = nonlinearity_conditions(power, 2.0, 2.0)
     assert not cond.slope_nonpositive_exponents
     assert not cond.slope_nonpositive_scan
     assert cond.consistent
+
+
+def test_conditions_read_the_power_sum_only():
+    # the conditions are on the v-part; a forcing that is large at (0, 0)
+    # would break the convexity scan if it were evaluated there
+    terms = {"A": [1.0], "a": [-1.0], "B": [-2.0], "b": [0.5]}
+    forcing = Profile("1e6*exp(-r**2 - t)", "f")
+    composite = Nonlinearity(**terms, forcing=forcing, geom=make_geometry("euclidean", n=2))
+    cond = nonlinearity_conditions(composite, 2.0, 2.0)
+    assert cond == nonlinearity_conditions(Nonlinearity(**terms), 2.0, 2.0)
+    assert cond.convexity_scan and cond.slope_nonpositive_scan
 
 
 def test_localized_diagnostic_examples():
@@ -411,11 +476,9 @@ def test_localized_diagnostic_examples():
 def _powerlaw_static_setup():
     geom = make_geometry("hyperbolic", n=2)
     prof = Profile("2*exp(-t/2)", "v")  # solves v_t = G(v) with G = -v/2
-    power = PowerSumNonlinearity(B=[-0.5], b=[1.0])
-    from harnacklab.solver import power_sum_with_closure
-
+    power = Nonlinearity(B=[-0.5], b=[1.0])
     params = HarnackParams(p=2.5, m=2.0, coeffs=constant_alpha_beta(2.0))
-    nl = power_sum_with_closure(power, prof, geom, params.p)
+    nl = manufactured_forcing(prof, geom, params.p, power)
     return geom, prof, params, nl
 
 
@@ -443,11 +506,9 @@ def test_static_variants_refuse_x_dependent_forcing(bump_profile):
 def test_static_variants_refuse_evolving_bounds():
     geom = make_geometry("euclidean", n=2, conformal="exp(t/10)")
     prof = Profile("2*exp(-t/2)", "v")
-    power = PowerSumNonlinearity(B=[-0.5], b=[1.0])
-    from harnacklab.solver import power_sum_with_closure
-
+    power = Nonlinearity(B=[-0.5], b=[1.0])
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    nl = power_sum_with_closure(power, prof, geom, params.p)
+    nl = manufactured_forcing(prof, geom, params.p, power)
     with pytest.raises(EstimateError):
         scope = estimate_scope(AnalyticSolution(prof), geom, params, nl,
                                Cylinder(0.5, 0.5, 1.5), 0.5, "global")
@@ -457,7 +518,7 @@ def test_static_variants_refuse_evolving_bounds():
 def test_admissible_power_family_dominated_by_aggregates():
     # slope and convexity conditions push q1 below K and q4 below sqrt(F) N
     geom, prof, params, nl = _powerlaw_static_setup()
-    cond = nonlinearity_conditions(nl.power, params.p, 2.0)
+    cond = nonlinearity_conditions(nl, params.p, 2.0)
     assert cond.slope_nonpositive_exponents and cond.convexity_exponents
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 1.0, 2.0)
@@ -589,7 +650,6 @@ def test_x_dependent_forcing_activates_gradient_quantities():
     s = samples
     brute = float(np.sqrt((1.5) ** 1.5 * s.v_sup / np.sqrt(eps))
                   * np.max((s.alpha - 1) * s.G_x_norm / s.v
-                           + s.alpha * (params.p - 1) * s.G_xv_norm
                            + s.alpha * (params.p - 1) * bounds.l2 / 2
                            + s.alpha * (params.p - 1) * bounds.k_lo * bounds.l1))
     assert q["q2"] == pytest.approx(brute, rel=1e-12)

@@ -9,10 +9,8 @@ from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError
                                    inequality_margin, pressure_equation_residual,
                                    quotient_rule_residual, variant_label)
 from harnacklab.params import AlphaBeta, HarnackParams
-from harnacklab.solver import (Nonlinearity, PowerSumNonlinearity,
-                               barenblatt_pressure_profile, manufactured_forcing,
-                               power_sum_with_closure, pressure_inverse, PdeParams,
-                               solve)
+from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
+                               manufactured_forcing, pressure_inverse, PdeParams, solve)
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry, params_for, sample_points
@@ -253,8 +251,8 @@ def test_harnack_quantity_affine_structure(euclid3, bump_profile):
 # ---------------------------------------------------------------------------
 
 def _mixed_nl(profile, geom, p):
-    power = PowerSumNonlinearity(A=[0.3], a=[-1.0], B=[-0.5], b=[0.5])
-    return power_sum_with_closure(power, profile, geom, p)
+    power = Nonlinearity(A=[0.3], a=[-1.0], B=[-0.5], b=[0.5])
+    return manufactured_forcing(profile, geom, p, power)
 
 
 @pytest.mark.parametrize("kind,m,potential", [

@@ -147,7 +147,7 @@ def test_warp_quotient_at_the_pole_matches_sympy_series():
 
 def test_hyperbolic_bump_forcing_pole_values(bump_profile):
     geom = make_geometry("hyperbolic", n=2)
-    forcing = manufactured_forcing(bump_profile, geom, 2.5).profile
+    forcing = manufactured_forcing(bump_profile, geom, 2.5).forcing
     zero = np.zeros_like(TS)
     # direct evaluation is 0/0 at the pole, so these values come from the series
     direct = sp.lambdify((R, T), symbolic_closure(sym(bump_profile), geom, 2.5),
@@ -168,7 +168,7 @@ def test_hyperbolic_bump_forcing_pole_values(bump_profile):
 def test_pole_node_among_others_cancels_at_that_node(bump_profile):
     # in one series over r = 0 and r = 0.3, the division by psi cancels at the
     # pole node alone, and agrees there with the series about r = 0
-    forcing = manufactured_forcing(bump_profile, make_geometry("hyperbolic", n=2), 2.5).profile
+    forcing = manufactured_forcing(bump_profile, make_geometry("hyperbolic", n=2), 2.5).forcing
     r, t = np.array([0.0, 0.0, 0.0, 0.3]), np.array([*TS, 1.0])
     with np.errstate(all="ignore"):  # the plain quotient's 0/0 at the pole node
         value = partial(forcing.jet(*variables(r, t, 3, 2)), 0, 0)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from harnacklab.fields import Grid, convergence_order
-from harnacklab.solver import (Nonlinearity, PdeParams,
-                               PowerSumNonlinearity, SolverError,
+from harnacklab.geometry import phi_laplacian_eval
+from harnacklab.solver import (Nonlinearity, PdeParams, SolverError,
                                barenblatt_exponents, barenblatt_oracle,
                                barenblatt_support_radius, manufactured_forcing,
-                               power_sum_with_closure, pressure, pressure_inverse,
-                               rescale_nonlinearity, _cell_masses, _tridiagonal_solve,
+                               pressure, pressure_inverse, _cell_masses, _tridiagonal_solve,
                                solve, step, validate_barenblatt, weighted_mass)
 from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
@@ -41,29 +40,69 @@ def test_pressure_rejects_nonpositive():
         pressure_inverse(0.0, 2.0)
 
 
-def test_rescale_nonlinearity_examples():
-    assert rescale_nonlinearity(lambda t, r, u: 0.0 * u, 2.0, 0.0, 0.0, 3.0) == 0.0
-    # N(u) = u with p = 2 becomes G(v) = v
-    v = np.array([0.5, 1.0, 4.0])
-    out = rescale_nonlinearity(lambda t, r, u: u, 2.0, 0.0, 0.0, v)
-    assert np.allclose(out, v, rtol=1e-14)
-    # N(u) = u^2 with p = 2 becomes G(v) = v^2 / 2
-    out = rescale_nonlinearity(lambda t, r, u: u**2, 2.0, 0.0, 0.0, v)
-    assert np.allclose(out, v**2 / 2, rtol=1e-14)
-    with pytest.raises(SolverError):
-        rescale_nonlinearity(lambda t, r, u: u, 2.0, 0.0, 0.0, -1.0)
-
-
 def test_power_sum_validation_and_partials():
     with pytest.raises(SolverError):
-        PowerSumNonlinearity(A=[-1.0], a=[1.0])
+        Nonlinearity(A=[-1.0], a=[1.0])
     with pytest.raises(SolverError):
-        PowerSumNonlinearity(B=[1.0], b=[1.0])
-    nl = PowerSumNonlinearity(A=[2.0], a=[-1.0], B=[-3.0], b=[0.5])
+        Nonlinearity(B=[1.0], b=[1.0])
+    nl = Nonlinearity(A=[2.0], a=[-1.0], B=[-3.0], b=[0.5])
     v = np.array([0.5, 1.0, 2.0])
     assert np.allclose(nl.G(0, 0, v), 2 * v**-1 - 3 * v**0.5)
     assert np.allclose(nl.G_v(0, 0, v), -2 * v**-2 - 1.5 * v**-0.5)
     assert np.allclose(nl.G_vv(0, 0, v), 4 * v**-3 + 0.75 * v**-1.5)
+
+
+TERMS = {"A": [2.0], "a": [-1.0], "B": [-3.0], "b": [0.5]}
+
+
+def _same(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("terms, with_forcing, form", [
+    ({}, False, "zero"),
+    (TERMS, False, "power-sum"),
+    ({}, True, "separable-x"),
+    (TERMS, True, "power-sum+separable-x"),
+], ids=["none", "terms", "forcing", "both"])
+def test_nonlinearity_is_its_present_parts(terms, with_forcing, form):
+    # G and each partial are the parts present evaluated on their own, an
+    # absent part left out rather than added as zeros: the forcing and its
+    # t-partial are -0.0 at the pole, which an added +0.0 would flip
+    geom = make_geometry("gaussian", n=2, m=4)
+    f = Profile("-sin(r)*exp(t) - r**2/3", "f") if with_forcing else None
+    nl = Nonlinearity(**terms, forcing=f, geom=geom if with_forcing else None)
+    assert nl.form == form
+    r, t = np.meshgrid(np.linspace(0.0, 1.5, 7), np.linspace(0.5, 1.5, 4), indexing="ij")
+    v = 1.5 + np.cos(r + t)
+    p = 2.5
+    u = pressure_inverse(v, p)
+    zero = np.zeros_like(v)
+
+    def power(w):
+        return 2.0 * w**-1.0 - 3.0 * w**0.5
+
+    def both(vpart, xpart, empty=zero):
+        parts = [part for part, present in ((vpart, bool(terms)), (xpart, with_forcing))
+                 if present]
+        return sum(parts[1:], parts[0]) if parts else empty
+
+    fx = f.table(2, 0, r, t)[:, 0] if with_forcing else (None, zero, zero)
+    assert _same(nl.G(t, r, v), both(power(v), f(r, t) if with_forcing else None))
+    G, G_x, G_xx, lap = nl.G_x_partials(t, r, v)
+    assert _same(G, both(power(v), fx[0]))
+    assert _same(G_x, fx[1]) and _same(G_xx, fx[2])
+    assert _same(lap, phi_laplacian_eval(geom, r, t, fx[1], fx[2]) if with_forcing else zero)
+    assert _same(nl.G_t(t, r, v), f.at(0, 1, r, t) if with_forcing else zero)
+    xpart = nl.G_xpart(t, r)
+    assert _same(xpart, f(r, t)) if with_forcing else xpart is None
+    assert _same(nl.source(u, p, xpart), both(power(pressure(u, p)), xpart) * u ** (2.0 - p) / p)
+    V = Profile("1.5 + cos(r + t)", "v")
+    got = Profile.of_jets(lambda r, t: V.jet(r, t) + nl.G_jet(t, r, V.jet(r, t)), (0, 0), "got")
+    want = Profile.of_jets(lambda r, t: V.jet(r, t) + both(
+        power(V.jet(r, t)), f.jet(r, t) if with_forcing else None, 0.0), (0, 0), "want")
+    assert _same(got.table(1, 1, r, t), want.table(1, 1, r, t))
 
 
 def test_barenblatt_exponents_and_values():
@@ -227,11 +266,10 @@ def test_solve_evaluates_forcing_once(monkeypatch, bump_profile, with_power):
     geom = make_geometry("euclidean", n=3)
     p = 2.0
     if with_power:
-        nl = power_sum_with_closure(PowerSumNonlinearity(B=[-0.5], b=[1.0]), bump_profile, geom, p)
-        forcing = nl.forcing.profile
+        nl = manufactured_forcing(bump_profile, geom, p, Nonlinearity(B=[-0.5], b=[1.0]))
     else:
         nl = manufactured_forcing(bump_profile, geom, p)
-        forcing = nl.profile
+    forcing = nl.forcing
     oracle = lambda r, t: pressure_inverse(bump_profile(r, t), p)
     grid = Grid(n_r=33, n_t=65, r_max=2.0, t0=0.5, duration=1.0)
     params = _pde(geom, p, nl, oracle, substeps=2)
@@ -273,7 +311,7 @@ def test_manufactured_solution_tracked(bump_profile):
 def test_positivity_floor_and_clamp_stats():
     geom = make_geometry("euclidean", n=2)
     grid = Grid(n_r=33, n_t=9, r_max=2.0, t0=0.0, duration=0.5)
-    sink = PowerSumNonlinearity(B=[-40.0], b=[1.0])  # strong decay forcing
+    sink = Nonlinearity(B=[-40.0], b=[1.0])  # strong decay forcing
     params = _pde(geom, 2.0, sink, None, floor=0.05, boundary="neumann-zero")
     result = solve(lambda r, t: np.full_like(r, 0.06), geom, params, grid)
     assert np.min(result.u.values) >= 0.05

@@ -151,7 +151,7 @@ def test_derived_fields_match_the_symbolic_route(field, kind, kw):
     rng = np.random.default_rng(11)
     r = rng.uniform(*_DERIVED_R, 400)
     t = rng.uniform(0.2, 1.5, 400)
-    derived = {"closure": (manufactured_forcing(v, geom, 2.5).profile,
+    derived = {"closure": (manufactured_forcing(v, geom, 2.5).forcing,
                            symbolic_closure(sym(v), geom, 2.5)),
                "lap_phi": (geom.phi_laplacian(v), symbolic_phi_laplacian(geom, sym(v)))}
     for name, (prof, expr) in derived.items():
@@ -169,7 +169,7 @@ def test_closure_near_the_pole_against_40_digits(r0):
     v = Profile(MANUFACTURED_CATALOG["bump"], "bump")
     ts = np.array([0.5, 1.0, 1.5])
     funs = _symbolic_partials(symbolic_closure(sym(v), geom, 2.5), modules="mpmath")
-    forcing = manufactured_forcing(v, geom, 2.5).profile
+    forcing = manufactured_forcing(v, geom, 2.5).forcing
     with mpmath.workdps(40):
         for key, fun in funs.items():
             ref = np.array([float(fun(mpmath.mpf(r0), mpmath.mpf(float(t)))) for t in ts])

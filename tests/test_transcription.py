@@ -44,7 +44,6 @@ def synthetic_setup(rng, constant_alpha=False):
         G_v=rng.normal(0, 0.5, n_nodes),
         G_vv=rng.normal(0, 0.5, n_nodes),
         G_x_norm=rng.uniform(0, 0.5, n_nodes),
-        G_xv_norm=rng.uniform(0, 0.5, n_nodes),
         lap_Gx=rng.normal(0, 0.5, n_nodes),
         alpha=coeffs.alpha_at(tau), alpha_p=coeffs.alpha_prime_at(tau),
         beta=coeffs.beta_at(tau), beta_p=coeffs.beta_prime_at(tau),
@@ -70,8 +69,7 @@ def reference_quantities(params, bounds, s, n_dim, radius, eps, family):
         F = b * al**2 / (4 * (al - 1) ** 2 - 2 * eps * b * al**2)
         q0 = np.max(be - al * s.G / s.v)
         q1 = max(0.0, np.max(s.G_v + alp / al - 2 * be / (b * al**2) + K))
-        q2 = math.sqrt(E) * np.max((al - 1) * s.G_x_norm / s.v
-                                   + al * (p - 1) * s.G_xv_norm + L)
+        q2 = math.sqrt(E) * np.max((al - 1) * s.G_x_norm / s.v + L)
         q3 = max(0.0, np.max(be * s.G_v - al * (p - 1) * s.lap_Gx
                              + (be / al) * (alp - be / (b * al)) - bep + M))
         q4 = max(0.0, np.max(np.sqrt(F) * ((al - 1) * (s.G / s.v - s.G_v)
@@ -85,8 +83,7 @@ def reference_quantities(params, bounds, s, n_dim, radius, eps, family):
         F = b * al**3 / (4 * (al - 1) ** 2 - 2 * eps * b * al**3)
         q0 = np.max(be - al * s.G / s.v)
         q1 = max(0.0, np.max(s.G_v - 2 * be / (b * al**2) + K))
-        q2 = math.sqrt(E) * np.max((al - 1) / al * s.G_x_norm / s.v
-                                   + (p - 1) * s.G_xv_norm + L / al)
+        q2 = math.sqrt(E) * np.max((al - 1) / al * s.G_x_norm / s.v + L / al)
         q3 = max(0.0, np.max((be / al) * s.G_v - (p - 1) * s.lap_Gx
                              + (be / al**2) * (alp - be / (b * al)) - bep / al + M))
         q4 = max(0.0, np.max(np.sqrt(F) * ((al - 1) / al * (s.G / s.v - s.G_v)
