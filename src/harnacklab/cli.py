@@ -58,43 +58,75 @@ def _write_summary(out: Path, lines, payload):
 _CSV_CHUNK_ROWS = 4096
 
 
-def _table(n: int, header, objects=()) -> np.ndarray:
-    """An empty ``n``-row table for :func:`_write_csv`: one field per header
-    name, float64 except the ``objects`` fields, which hold any value."""
-    return np.empty(n, dtype=[(name, object if name in objects else np.float64)
-                              for name in header])
+class _Blocks:
+    """The data rows of a CSV file as column blocks, for :func:`_write_csv`.
+
+    A block is ``(n, columns)``: a row count and one column per header name,
+    each a float64 array, an object array or one value repeated down the
+    block.  ``len`` is the number of rows, summed over the blocks.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def __len__(self):
+        return sum(n for n, _ in self.blocks)
+
+    def __iter__(self):
+        return iter(self.blocks)
 
 
-def _csv_cells(values: list, text: dict) -> list:
-    """The csv text of each of ``values``, ``_fmt``-ing and quoting each distinct
-    object once; ``text`` maps ``id`` to text, so 0.0 and -0.0 stay apart."""
+def _objects(values) -> np.ndarray:
+    """An object array holding each of ``values`` as it is, a list included."""
+    return np.fromiter(values, dtype=object)
+
+
+def _csv_text(value) -> str:
+    """The csv text of one cell: ``_fmt(value)``, quoted where csv needs it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((_fmt(value), ""))
+    return buf.getvalue()[:-3]  # less the empty field's "," and "\r\n"
+
+
+def _csv_cells(values: list, texts: dict) -> list:
+    """The csv text of each of ``values``, made once per distinct object.
+    ``texts`` maps ``id`` to (object, text): keyed by id, 0.0 and -0.0 stay
+    apart, and holding the object keeps its id from being reused."""
     for key, value in dict(zip(map(id, values), values)).items():
-        if key not in text:
-            buf = io.StringIO()
-            csv.writer(buf).writerow((_fmt(value), ""))
-            text[key] = buf.getvalue()[:-3]  # less the empty field's "," and "\r\n"
-    return list(map(text.__getitem__, map(id, values)))
+        if key not in texts:
+            texts[key] = value, _csv_text(value)
+    return [texts[key][1] for key in map(id, values)]
 
 
 def _write_csv(path: Path, header, rows):
-    """Write ``rows``, a table from :func:`_table`, as CSV under ``header``.
+    """Write ``rows``, a :class:`_Blocks`, as CSV under ``header``.
 
-    A float64 cell prints as ``%.12g``, which is what ``_fmt`` gives a float;
-    any other cell is ``_fmt``-ed and quoted once per distinct object.  Rows
-    are formatted and written ``_CSV_CHUNK_ROWS`` at a time.
+    A float64 array prints as ``%.12g``, which is what ``_fmt`` gives a float.
+    Any other cell is ``_fmt``-ed and quoted once: a repeated value once per
+    block, an array's cells once per distinct object in the write.  Rows are
+    formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the text held at
+    once does not grow with the row count.
     """
-    names = rows.dtype.names
-    floats = [rows.dtype[name] == np.float64 for name in names]
-    row_format = ",".join("%.12g" if f else "%s" for f in floats) + "\r\n"
-    texts = {name: {} for name in names}
+    texts = [{} for _ in header]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
-            columns = [chunk[name].tolist() if f else _csv_cells(chunk[name].tolist(), texts[name])
-                       for name, f in zip(names, floats)]
-            fh.write("".join(map(row_format.__mod__, zip(*columns))))
+        for n, columns in rows:
+            if len(columns) != len(header) or any(
+                    isinstance(col, np.ndarray) and len(col) != n for col in columns):
+                raise ValueError(f"a column block needs {len(header)} columns of {n} rows")
+            arrays = [(col, text) for col, text in zip(columns, texts)
+                      if isinstance(col, np.ndarray)]
+            row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")
+                                  if isinstance(col, np.ndarray)
+                                  else _csv_text(col).replace("%", "%%")
+                                  for col in columns) + "\r\n"
+            for start in range(0, n, _CSV_CHUNK_ROWS):
+                stop = min(n, start + _CSV_CHUNK_ROWS)
+                cells = [col[start:stop].tolist() if col.dtype == np.float64
+                         else _csv_cells(col[start:stop].tolist(), text) for col, text in arrays]
+                fh.write("".join(map(row_format.__mod__,
+                                     zip(*cells) if cells else [()] * (stop - start))))
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +137,8 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
     result = sc.run_solver()
     grid = sc.grid
     rr, tt = grid.mesh()
-    header = ("r", "t", "u", "v")
-    table = _table(rr.size, header)
-    for name, values in zip(header, (rr, tt, result.u.values, result.v.values)):
-        table[name] = values.ravel()
-    _write_csv(out / "solution.csv", header, table)
+    columns = [values.ravel() for values in (rr, tt, result.u.values, result.v.values)]
+    _write_csv(out / "solution.csv", ("r", "t", "u", "v"), _Blocks([(rr.size, columns)]))
 
     lines = [f"scenario: {sc.name}", "command: solve",
              f"grid: {grid.n_r} x {grid.n_t}  dr={grid.dr:.6g}  dt={grid.dt:.6g}",
@@ -213,13 +242,13 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
                          "run both evolving families to single one out")
 
     header = ("check", "max", "mean", "scale", "threshold", "status")
-    table = _table(len(status), header, objects=("check", "mean", "status"))
     gated = [(n, v, s, th) for n, v, _, s, th in checks] + margin_rows
-    for name, column in zip(("check", "max", "scale", "threshold"), zip(*gated)):
-        table[name] = column
-    table["mean"] = [mu for _, _, mu, _, _ in checks] + [""] * len(margin_rows)
-    table["status"] = status
-    _write_csv(out / "residuals.csv", header, table)
+    names, maxima, scales, thresholds = zip(*gated)
+    means = [mu for _, _, mu, _, _ in checks] + [""] * len(margin_rows)
+    columns = (_objects(names), np.array(maxima, dtype=float), _objects(means),
+               np.array(scales, dtype=float), np.array(thresholds, dtype=float),
+               _objects(status))
+    _write_csv(out / "residuals.csv", header, _Blocks([(len(status), columns)]))
     payload = {
         "scenario": sc.name, "command": "check-identities",
         "checks": ([{"name": n, "max": v, "mean": mu, "scale": s, "threshold": th}
@@ -239,14 +268,10 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
     reports = estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0)
 
     header = ("variant", "eps", "r", "t", "lhs", "rhs", "margin")
-    table = _table(sum(rep.margin.size for rep in reports), header, objects=header[:2])
-    start = 0
-    for rep in reports:
-        part, start = table[start:start + rep.margin.size], start + rep.margin.size
-        for name, values in zip(header, (rep.variant, "" if rep.eps is None else rep.eps,
-                                         rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin)):
-            part[name] = values
-    _write_csv(out / "report.csv", header, table)
+    _write_csv(out / "report.csv", header, _Blocks(
+        (rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps,
+                           rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin))
+        for rep in reports))
 
     total_violations = sum(len(rep.violations) for rep in reports)
     lines = [f"scenario: {sc.name}", "command: check-estimate",
@@ -300,7 +325,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
                "pairs": len(pairs), "v_inf": v_inf, "families": {}}
     header = ("family", "r1", "tau1", "r2", "tau2", "energy", "ratio", "bound",
               "margin", "log_integral_margin", "status")
-    tables = []
+    blocks = []
     violations = 0
     for family in ("first", "second"):
         eps = 0.5 * params.eps_ceiling(sc.tau_probe, family)
@@ -320,13 +345,11 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
             "worst_margin": worst, "worst_log_integral_margin": worst_log,
             "log_integral_violations": log_viol,
         }
-        table = _table(len(rep["rows"]), header, objects=("family", "status"))
-        table["family"] = family
-        for name in header[1:-1]:
-            table[name] = [row[name] for row in rep["rows"]]
-        table["status"] = ["pass" if row["passed"] else "FAIL" for row in rep["rows"]]
-        tables.append(table)
-    _write_csv(out / "pairs.csv", header, np.concatenate(tables))
+        rows = rep["rows"]
+        blocks.append((len(rows), (
+            family, *(np.array([row[name] for row in rows], dtype=float) for name in header[1:-1]),
+            _objects("pass" if row["passed"] else "FAIL" for row in rows))))
+    _write_csv(out / "pairs.csv", header, _Blocks(blocks))
     lines.append(f"total violations: {violations}")
     payload["violations"] = violations
     _write_summary(out, lines, payload)
@@ -390,12 +413,10 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
         results = [one(c) for c in combos]
 
     header = tuple(names) + ("min_margin", "violations", "runtime_s")
-    table = _table(len(results), header, objects=tuple(names) + header[-2:])
     combo_rows, margins, viols, runtimes = zip(*results)
-    for name, column in zip(header, [*zip(*combo_rows), margins, viols,
-                                     [f"{runtime:.3f}" for runtime in runtimes]]):
-        table[name] = column
-    _write_csv(out / "sweep.csv", header, table)
+    columns = (*map(_objects, zip(*combo_rows)), np.array(margins, dtype=float),
+               _objects(viols), _objects(f"{runtime:.3f}" for runtime in runtimes))
+    _write_csv(out / "sweep.csv", header, _Blocks([(len(results), columns)]))
     total_violations = sum(viols)
     lines = ["command: sweep", f"axes: {names}", f"combinations: {len(combos)}",
              f"total violations: {total_violations}"]

@@ -9,9 +9,10 @@ frozen at the current state (lagged linearization), the resulting linear
 diffusion solved implicitly, and the source term taken explicitly.  Each
 step's linear system is a tridiagonal M-matrix, solved by LAPACK dgtsv's
 elimination transcribed to Python floats (no pivoting).  A solve evaluates
-the forcing once, at every node and every step's start time.  Exact
-solutions (the self-similar source solution and manufactured pressure
-fields) provide the discretization oracles.
+the forcing once, at every node and every step's start time, and the
+geometry (face densities, cell masses, conformal factor) once, at every
+step's end time.  Exact solutions (the self-similar source solution and
+manufactured pressure fields) provide the discretization oracles.
 """
 
 from __future__ import annotations
@@ -263,10 +264,20 @@ class SolveResult:
 
 def _cell_masses(J, r_nodes, dr, r_max, t):
     """Simpson masses of J(., t) over the cells [r - dr/2, r + dr/2] clipped
-    to [0, r_max], for all nodes at once."""
+    to [0, r_max], for all nodes (broadcast against the times t) at once."""
     lo = np.maximum(r_nodes - dr / 2, 0.0)
     hi = np.minimum(r_nodes + dr / 2, r_max)
     return (hi - lo) / 6.0 * (J(lo, t) + 4.0 * J(0.5 * (lo + hi), t) + J(hi, t))
+
+
+def _step_geometry(geom: WarpedGeometry, grid: Grid, t_ends):
+    """What a step needs of the geometry at each of the times ``t_ends``: the
+    volume density at the cell faces, the cells' Simpson masses (one column
+    per time each) and the conformal factor at the pole (one entry per time)."""
+    J = geom.volume_density
+    faces = J((grid.r[:-1] + grid.dr / 2)[:, None], t_ends)
+    masses = _cell_masses(J, grid.r[:, None], grid.dr, grid.r_max, t_ends)
+    return faces, masses, geom.conformal(0.0, t_ends)
 
 
 def _tridiagonal_solve(lower, diag, upper, rhs, t: float):
@@ -300,26 +311,20 @@ def _tridiagonal_solve(lower, diag, upper, rhs, t: float):
     return np.array(b)
 
 
-def step(u: np.ndarray, geom: WarpedGeometry, params: PdeParams, grid: Grid,
-         t: float, dt: float, xpart):
+def step(u: np.ndarray, params: PdeParams, grid: Grid, t: float, dt: float,
+         xpart, faces, masses, a):
     """One semi-implicit step from t to t + dt; returns (u_new, clamp_count).
 
     ``xpart`` is the forcing's x-part ``params.nonlinearity.G_xpart(t, r)`` at
-    the nodes (None where the forcing has none); :func:`solve` evaluates it
-    for all steps at once.  The volume density ``geom.volume_density`` is
-    evaluated at t + dt on whole arrays: the faces, and each of the cells'
-    three Simpson points.
+    the nodes (None where the forcing has none).  ``faces``, ``masses`` and
+    ``a`` are one time's column of :func:`_step_geometry` at t + dt.
+    :func:`solve` evaluates both for all steps at once.
     """
-    r = grid.r
     dr = grid.dr
     t_new = t + dt
-    J = geom.volume_density
-    Jf = J(r[:-1] + dr / 2, t_new)
-    masses = _cell_masses(J, r, dr, grid.r_max, t_new)
-
     kappa = params.p * (0.5 * (u[:-1] + u[1:])) ** (params.p - 1)
-    a2 = float(geom.conformal(0.0, t_new)) ** 2
-    w = Jf * kappa / (a2 * dr)
+    a2 = float(a) ** 2
+    w = faces * kappa / (a2 * dr)
 
     src = params.nonlinearity.source(u, params.p, xpart)
 
@@ -359,11 +364,14 @@ def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
         t_prev = t_nodes[j - 1]
         sub_dt = (t_nodes[j] - t_prev) / params.substeps
         steps += [(j, t_prev + s * sub_dt, sub_dt) for s in range(params.substeps)]
-    # the forcing's x-part at every node and step start time, in one evaluation
+    # the forcing's x-part at every node and step start time, and the
+    # geometry at every step end time, each in one evaluation
     xpart = params.nonlinearity.G_xpart(np.array([t for _, t, _ in steps]), r[:, None])
+    faces, masses, a = _step_geometry(geom, grid, np.array([t + dt for _, t, dt in steps]))
     clamps = 0
     for k, (j, t, dt) in enumerate(steps):
-        u, c = step(u, geom, params, grid, t, dt, None if xpart is None else xpart[:, k])
+        u, c = step(u, params, grid, t, dt, None if xpart is None else xpart[:, k],
+                    faces[:, k], masses[:, k], a[k])
         clamps += c
         U[:, j] = u
     total = grid.n_r * (grid.n_t - 1) * params.substeps

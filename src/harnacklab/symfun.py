@@ -117,6 +117,9 @@ def compile_expression(text: str):
 # jet lengths beyond the nr + 1 coefficients a pole value needs: each
 # cancelled 0/0 quotient uses coefficients up, and a shortfall retries once
 _POLE_EXTRA = (3, 11)
+# nodes per series evaluation in Profile.table: bounds the coefficient arrays
+# held at once (a (2, 0) table of a closure forcing holds about 0.5 kB a node)
+_BLOCK_NODES = 4096
 
 
 class Profile:
@@ -160,9 +163,10 @@ class Profile:
         return not self.coords
 
     # -- evaluation ----------------------------------------------------------
-    def _table(self, nr, nt, r, t, shape, extra=0):
-        """The (i <= nr, j <= nt) partials off the series about (r, t), and
-        whether cancelled 0/0 quotients left enough coefficients for all."""
+    def _partials(self, nr, nt, r, t, into, extra=0) -> bool:
+        """Write the (i <= nr, j <= nt) partials off the series about (r, t)
+        into ``into``, and say whether cancelled 0/0 quotients left enough
+        coefficients for all."""
         kr, kt = self.orders
         try:
             with np.errstate(all="ignore"):
@@ -173,17 +177,33 @@ class Profile:
                     values = [partial(out, i, j) for i in range(nr + 1) for j in range(nt + 1)]
         except PoleEvaluationError as exc:
             raise PoleEvaluationError(f"profile {self.name!r} deriv {(nr, nt)}: {exc}") from None
-        table = np.empty((nr + 1, nt + 1, *shape))
         for ij, value in zip(np.ndindex(nr + 1, nt + 1), values):
-            table[ij] = np.nan if value is None else value
-        return table, all(value is not None for value in values)
+            into[ij] = np.nan if value is None else value
+        return all(value is not None for value in values)
 
     def table(self, nr, nt, r, t):
         """Every (i, j) partial with i <= nr and j <= nt at broadcast arrays
-        r, t, from one evaluation: an array of shape (nr + 1, nt + 1, *shape)."""
+        r, t: an array of shape (nr + 1, nt + 1, *shape).
+
+        More than ``_BLOCK_NODES`` nodes are evaluated over consecutive
+        blocks of that many nodes of the raveled (r, t), each written into
+        the output, so the series coefficients held at once do not grow with
+        the node count; the values do not depend on the blocks.  Pole nodes
+        whose partials are not finite are then evaluated again together, from
+        the series about r = 0.
+        """
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(r.shape, t.shape)
-        out, _ = self._table(nr, nt, r, t, shape)
+        out = np.empty((nr + 1, nt + 1, *shape))
+        size = math.prod(shape)
+        if size <= _BLOCK_NODES:  # one block: the nodes as they are
+            self._partials(nr, nt, r, t, out)
+        else:
+            flat = out.reshape(nr + 1, nt + 1, size)
+            r_all, t_all = np.broadcast_to(r, shape).flat, np.broadcast_to(t, shape).flat
+            for start in range(0, size, _BLOCK_NODES):
+                block = slice(start, start + _BLOCK_NODES)
+                self._partials(nr, nt, r_all[block], t_all[block], flat[:, :, block])
         bad = ~np.all(np.isfinite(out), axis=(0, 1))
         if np.any(bad):
             at_pole = bad & (np.broadcast_to(r, shape) == 0.0)
@@ -192,9 +212,9 @@ class Profile:
                 raise FloatingPointError(f"profile {self.name!r} deriv {(nr, nt)} non-finite "
                                          f"away from the pole (first at index {tuple(where)})")
             t_pole = np.broadcast_to(t, shape)[at_pole]
+            pole = np.empty((nr + 1, nt + 1, t_pole.size))
             for extra in _POLE_EXTRA:
-                pole, complete = self._table(nr, nt, 0.0, t_pole, t_pole.shape, extra)
-                if complete:
+                if self._partials(nr, nt, 0.0, t_pole, pole, extra):
                     break
             else:
                 raise PoleEvaluationError(

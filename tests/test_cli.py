@@ -333,33 +333,70 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     labels = [others[i % len(others)] for i in range(n)]
     mixed = [float(i) / 7 if i % 3 else i for i in range(n)]
     header = ("x", "label", "y", "mixed, quoted")
-    table = cli._table(n, header, objects=("label", "mixed, quoted"))
-    table["x"] = floats
-    table["label"] = labels
-    table["y"] = floats[::-1]
-    table["mixed, quoted"] = mixed
-    cli._write_csv(tmp_path / "new.csv", header, table)
+    columns = (np.array(floats), cli._objects(labels), np.array(floats[::-1]), cli._objects(mixed))
+    # two blocks, split off the chunk grid, share the writer's text of each object
+    split = cli._CSV_CHUNK_ROWS + 903
+    rows = cli._Blocks([(split, [col[:split] for col in columns]),
+                        (n - split, [col[split:] for col in columns])])
+    assert len(rows) == n
+    cli._write_csv(tmp_path / "new.csv", header, rows)
     _per_cell_csv(tmp_path / "old.csv", header, zip(floats, labels, floats[::-1], mixed))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def test_write_csv_report_blocks_match_per_cell_writer(tmp_path):
+    # report.csv's shape: each block repeats its labels down its rows, and the
+    # nodes' arrays may be shared by several blocks
+    r = np.array([0.0, -0.0, 0.5, np.nan, 1e-300, -2.5, 1 / 3])
+    lhs = np.array([-0.0, 0.0, np.nan, np.inf, 7.0, 1e16, -1e-7])
+    blocks = [(7, ("first-local", 0.25, r, lhs)),
+              (7, ("first-global", "", r, lhs[::-1].copy())),
+              (0, ("empty", 1.0, r[:0], lhs[:0])),
+              (3, ('say "x,y"', -0.0, r[2:5], lhs[:3])),
+              (2, ("100%", 0.0, r[:2], lhs[5:])),
+              (2, ("nan", np.nan, lhs[:2], r[:2])),
+              (2, (True, 1, r[3:5], r[5:]))]
+    header = ("variant", "eps", "r", "lhs")
+    rows = cli._Blocks(blocks)
+    assert len(rows) == 23
+    cli._write_csv(tmp_path / "new.csv", header, rows)
+    expanded = [(variant, eps, x, y) for n, (variant, eps, xs, ys) in blocks
+                for x, y in zip(xs.tolist(), ys.tolist())]
+    _per_cell_csv(tmp_path / "old.csv", header, expanded)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_refuses_a_ragged_block(tmp_path):
+    with pytest.raises(ValueError, match="2 columns of 3 rows"):
+        cli._write_csv(tmp_path / "bad.csv", ("a", "b"), cli._Blocks([(3, ("x", np.zeros(2)))]))
+    with pytest.raises(ValueError, match="2 columns of 3 rows"):
+        cli._write_csv(tmp_path / "bad.csv", ("a", "b"), cli._Blocks([(3, (np.zeros(3),))]))
+
+
 def test_write_csv_streams_in_chunks(tmp_path):
-    # 200,000 rows of 5 floats are 14.6 MB of CSV.  Under tracemalloc
-    # (CPython 3.11) the per-cell writer peaked at 0.15 MB and this writer at
-    # 1.5 MB; formatting all rows at once peaks at 71 MB, and 16,384-row
-    # chunks at 5.8 MB.
-    n, header = 200_000, tuple("abcde")
-    table = cli._table(n, header)
+    # One block of 24,000 rows: two repeated labels, three float columns and
+    # an object column cycling through values that are equal as keys but
+    # print apart.  Under tracemalloc (CPython 3.11) this writer peaks at
+    # 1.0 MB; formatting the whole block at once peaks at 8.6 MB.
+    n = 24_000
     rng = np.random.default_rng(3)
-    for name in header:
-        table[name] = rng.standard_normal(n)
+    x, y, z = (rng.standard_normal(n) for _ in range(3))
+    cycle = [0.0, -0.0, 1, True, "a,b"]
+    mixed = cli._objects(cycle[i % len(cycle)] for i in range(n))
+    header = ("variant", "x", "eps", "y", "z", "mixed")
+    rows = cli._Blocks([(n, ("first-global", x, 0.25, y, z, mixed))])
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "table.csv", header, table)
+        cli._write_csv(tmp_path / "table.csv", header, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    with open(tmp_path / "table.csv", newline="") as fh:
+        written = list(csv.reader(fh))
+    assert len(written) == n + 1
+    assert [row[1] for row in written[1:]] == [f"{value:.12g}" for value in x.tolist()]
+    assert [row[-1] for row in written[1:]] == [cli._fmt(value) for value in mixed]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from harnacklab.geometry import phi_laplacian_eval
 from harnacklab.solver import (Nonlinearity, PdeParams, SolverError,
                                barenblatt_exponents, barenblatt_oracle,
                                barenblatt_support_radius, manufactured_forcing,
-                               pressure, pressure_inverse, _cell_masses, _tridiagonal_solve,
-                               solve, step, validate_barenblatt, weighted_mass)
+                               pressure, pressure_inverse, _cell_masses, _step_geometry,
+                               _tridiagonal_solve, solve, step, validate_barenblatt,
+                               weighted_mass)
 from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
@@ -205,7 +206,9 @@ def test_one_step_tracks_oracle():
     params = _pde(geom, 2.0, Nonlinearity(), oracle)
     u0 = oracle(grid.r, grid.t[0])
     xpart = params.nonlinearity.G_xpart(grid.t[0], grid.r)
-    u1, clamps = step(u0, geom, params, grid, grid.t[0], grid.dt, xpart)
+    faces, masses, a = _step_geometry(geom, grid, np.array([grid.t[0] + grid.dt]))
+    u1, clamps = step(u0, params, grid, grid.t[0], grid.dt, xpart,
+                      faces[:, 0], masses[:, 0], a[0])
     err = np.max(np.abs(u1 - oracle(grid.r, grid.t[1])))
     assert clamps == 0
     assert err <= 5.0 * (grid.dt**2 + grid.dt * grid.dr**2)
@@ -289,6 +292,40 @@ def test_solve_evaluates_forcing_once(monkeypatch, bump_profile, with_power):
     assert xpart.shape == (grid.n_r, 128)
     for k in (0, 1, 77, 127):
         assert np.array_equal(xpart[:, k], forcing(grid.r, starts[k]))
+
+
+@pytest.mark.parametrize("label", ["euclidean", "conformal", "warp"])
+def test_solve_evaluates_step_geometry_once(monkeypatch, label):
+    # the face densities, cell masses and pole conformal factor are evaluated
+    # for every step end time at once, and each column equals that step's own
+    # evaluation bit for bit
+    if label == "warp":
+        geom = make_geometry("warp", n=3, m=4, potential="r**2*(1 + t/9)/2")
+    else:
+        geom = make_geometry("euclidean", n=2,
+                             conformal="exp(-t/10)" if label == "conformal" else "1")
+    grid = Grid(n_r=33, n_t=17, r_max=2.0, t0=0.5, duration=1.0, pole=label != "warp")
+    params = _pde(geom, 2.0, Nonlinearity(), None, boundary="neumann-zero", substeps=2)
+    J = geom.volume_density
+    calls = []
+    table = symfun.Profile.table
+
+    def counting(self, *args):
+        calls.append(self.name)
+        return table(self, *args)
+
+    monkeypatch.setattr(symfun.Profile, "table", counting)
+    solve(lambda r, t: 1.0 + np.exp(-(r**2)), geom, params, grid)
+    assert sorted(calls) == ["a"] + ["volume_density"] * 4
+    monkeypatch.undo()
+    ends = np.array([t0 + s * (t1 - t0) / 2 + (t1 - t0) / 2
+                     for t0, t1 in zip(grid.t[:-1], grid.t[1:]) for s in (0, 1)])
+    faces, masses, a = _step_geometry(geom, grid, ends)
+    assert faces.shape == (grid.n_r - 1, 32) and masses.shape == (grid.n_r, 32)
+    for k in (0, 1, 17, 31):
+        assert np.array_equal(faces[:, k], J(grid.r[:-1] + grid.dr / 2, ends[k]))
+        assert np.array_equal(masses[:, k], _cell_masses(J, grid.r, grid.dr, grid.r_max, ends[k]))
+        assert float(a[k]) == float(geom.conformal(0.0, ends[k]))
 
 
 def test_manufactured_solution_tracked(bump_profile):

@@ -1,10 +1,14 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
 from harnacklab.params import preset_alpha_beta
-from harnacklab.scenarios import MANUFACTURED_CATALOG
+from harnacklab.scenarios import MANUFACTURED_CATALOG, load_scenario
 from harnacklab.solver import manufactured_forcing
 from harnacklab import symfun
 from harnacklab.symfun import (ExpressionError, PoleEvaluationError, Profile,
@@ -231,3 +235,87 @@ def test_sqrt_of_a_square_is_read_and_refused_only_at_the_pole():
     assert prof.at(1, 0, r, t) == pytest.approx(np.ones(2), rel=1e-15)
     with pytest.raises(PoleEvaluationError, match="singular at r = 0"):
         prof.at(1, 0, np.zeros(1), np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+BLOCK_SCENARIOS = [path for path in sorted((ROOT / "configs").glob("*.json"))
+                   if "template" not in json.loads(path.read_text())]
+BLOCK_SCENARIOS.append(ROOT / "perfbench" / "inputs" / "hyperbolic-bump.json")
+
+
+def _block_cases():
+    """(id, profile, r, t): every scenario's closure forcing, and on pole
+    geometries the weighted Laplacian of its pressure field, on a grid whose
+    first row is the pole."""
+    cases = []
+    for path in BLOCK_SCENARIOS:
+        sc = load_scenario(path)
+        geom = sc.geom
+        r_lo = 0.0 if geom.mode == "pole" else geom.r_max / 64
+        r = np.linspace(r_lo, 0.95 * geom.r_max, 9)[:, None]
+        t = np.linspace(sc.t0 + sc.duration / 64, sc.t_hi, 5)
+        if sc.nonlinearity.forcing is not None:
+            cases.append(pytest.param(sc.nonlinearity.forcing, r, t, id=f"{path.stem}-forcing"))
+        if geom.mode == "pole":
+            cases.append(pytest.param(geom.phi_laplacian(sc.v_profile), r, t,
+                                      id=f"{path.stem}-lap_phi"))
+    return cases
+
+
+@pytest.mark.parametrize("prof, r, t", _block_cases())
+def test_table_is_bit_equal_under_any_block_partition(monkeypatch, prof, r, t):
+    # one node per block (each pole node alone), 4 nodes (blocks that split
+    # the pole row from the next), one t-row per block (the first block holds
+    # exactly the r = 0 nodes of a pole grid) and every node in one block
+    tables = {}
+    for nodes in (1, 4, t.size, r.size * t.size):
+        monkeypatch.setattr(symfun, "_BLOCK_NODES", nodes)
+        tables[nodes] = prof.table(2, 1, r, t)
+    whole = tables.pop(r.size * t.size)
+    assert whole.shape == (3, 2, r.size, t.size) and np.all(np.isfinite(whole))
+    for nodes, table in tables.items():
+        assert np.array_equal(table, whole, equal_nan=True), nodes
+
+
+def test_table_evaluates_blocks_of_bounded_size(monkeypatch):
+    # the nodes of a (3, 10) grid evaluated 4 at a time: three blocks of the
+    # raveled (r, t), in order, the last one short
+    prof = Profile("r**2*t + sin(r)")
+    seen = []
+    jet = prof.jet
+
+    def recording(r, t):
+        seen.append(np.array(r.c[0] if hasattr(r, "c") else r))
+        return jet(r, t)
+
+    monkeypatch.setattr(symfun, "_BLOCK_NODES", 12)
+    monkeypatch.setattr(prof, "jet", recording)
+    r, t = np.linspace(0.1, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 10)
+    table = prof.table(1, 1, r, t)
+    assert [block.size for block in seen] == [12, 12, 6]
+    assert np.array_equal(np.concatenate(seen), np.broadcast_to(r, (3, 10)).ravel())
+    assert table.shape == (2, 2, 3, 10)
+    assert np.array_equal(table[0, 0], r**2 * t + np.sin(r))
+
+
+def test_forcing_table_memory_is_bounded():
+    # forcing.table(2, 0) on the solve grid of configs/numeric-gaussian.json
+    # (257 x 128 nodes): evaluated in one piece its series peaked 16.6 MB
+    # above the start under tracemalloc (CPython 3.11), and the forcing's
+    # value alone 9.1 MB; in 4096-node blocks the (2, 0) table peaks at 2.9 MB
+    sc = load_scenario(ROOT / "configs" / "numeric-gaussian.json")
+    forcing, grid = sc.nonlinearity.forcing, sc.grid
+    r, t = grid.r[:, None], grid.t[:-1]
+    forcing.table(2, 0, r[:2], t[:2])  # compile and warm the code paths
+    tracemalloc.start()
+    try:
+        table = forcing.table(2, 0, r, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (3, 1, 257, 128) and np.all(np.isfinite(table))
+    assert peak <= 9.1 * 2**20 / 3
