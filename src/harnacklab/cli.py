@@ -112,9 +112,6 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         for n, columns in rows:
-            if len(columns) != len(header) or any(
-                    isinstance(col, np.ndarray) and len(col) != n for col in columns):
-                raise ValueError(f"a column block needs {len(header)} columns of {n} rows")
             arrays = [(col, text) for col, text in zip(columns, texts)
                       if isinstance(col, np.ndarray)]
             row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")

@@ -366,13 +366,6 @@ def test_write_csv_report_blocks_match_per_cell_writer(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_write_csv_refuses_a_ragged_block(tmp_path):
-    with pytest.raises(ValueError, match="2 columns of 3 rows"):
-        cli._write_csv(tmp_path / "bad.csv", ("a", "b"), cli._Blocks([(3, ("x", np.zeros(2)))]))
-    with pytest.raises(ValueError, match="2 columns of 3 rows"):
-        cli._write_csv(tmp_path / "bad.csv", ("a", "b"), cli._Blocks([(3, (np.zeros(3),))]))
-
-
 def test_write_csv_streams_in_chunks(tmp_path):
     # One block of 24,000 rows: two repeated labels, three float columns and
     # an object column cycling through values that are equal as keys but
