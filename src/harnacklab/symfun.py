@@ -185,18 +185,21 @@ class Profile:
         """Every (i, j) partial with i <= nr and j <= nt at broadcast arrays
         r, t: an array of shape (nr + 1, nt + 1, *shape).
 
-        More than ``_BLOCK_NODES`` nodes are evaluated over consecutive
-        blocks of that many nodes of the raveled (r, t), each written into
-        the output, so the series coefficients held at once do not grow with
-        the node count; the values do not depend on the blocks.  Pole nodes
-        whose partials are not finite are then evaluated again together, from
-        the series about r = 0.
+        Series at more than ``_BLOCK_NODES`` nodes are evaluated over
+        consecutive blocks of that many nodes of the raveled (r, t), each
+        written into the output, so the coefficients held at once do not grow
+        with the node count.  A quotient's zero tests reduce over the nodes of one
+        block, so a block (say, of pole nodes only) may cancel by another
+        branch than the whole would; on every shipped profile each partition
+        gives the same bits.  Pole nodes whose partials are not finite are
+        then evaluated again together, from the series about r = 0.
         """
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(r.shape, t.shape)
         out = np.empty((nr + 1, nt + 1, *shape))
         size = math.prod(shape)
-        if size <= _BLOCK_NODES:  # one block: the nodes as they are
+        # one block, or a value that builds no series: the nodes as they are
+        if size <= _BLOCK_NODES or (nr, nt) == (0, 0) == self.orders:
             self._partials(nr, nt, r, t, out)
         else:
             flat = out.reshape(nr + 1, nt + 1, size)
