@@ -325,7 +325,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
     blocks = []
     violations = 0
     for family in ("first", "second"):
-        eps = 0.5 * params.eps_ceiling(sc.tau_probe, family)
+        eps = 0.5 * params.eps_ceiling(samples.tau, family)
         q = sup_quantities(samples, bounds, params, geom.n, ver["radius"], cutoff,
                            eps, family=family, scope="global")
         rep = verify_harnack(sol, geom, params, q, pairs, sc.t0, v_inf,

@@ -1,18 +1,19 @@
 """Gradient-estimate constants, right-hand sides and pointwise verification.
 
-Two families of estimates are verified.  Both bound the same quantity
+Two families of estimates bound the same quantity
 
     |grad v|^2 / (alpha v) - (dv/dt)/v + G/v - beta/alpha
 
-for a positive pressure field v on a space-time cylinder; they differ in how
-the aggregated geometry/forcing terms scale with the Harnack exponent alpha
-(the "first" family aggregates with sqrt(b), the "second" with
-sqrt(b alpha)).  Each family comes in a local form (cylinder of radius R,
-with cutoff-localization terms) and a global form (suprema over the whole
-domain; flagged as truncated when the computational domain is finite).
-Static-geometry forms arise from the vanishing-eps limit.  The forcing G is
-separable (a power sum in v plus a forcing in (x, t)), so no term carries a
-mixed x-v partial of G.
+for a positive pressure field v on a space-time cylinder.  They differ by a
+weight w (``params.family_weight``), 1 for the "first" family and alpha for
+the "second": the eps ceiling is 2(alpha-1)^2/(b alpha^2 w), the brackets of
+:func:`estimate_brackets` and the aggregates are divided by w (their k2 terms
+aside), the right side aggregates with sqrt(b w), and only the first family's
+slope carries alpha'/alpha.  Each family has a local form (cylinder of radius
+R, with cutoff-localization terms), a global form (suprema over the whole
+domain; truncated when the domain is finite) and a static form (the
+vanishing-eps limit).  The forcing G is a power sum in v plus a forcing in
+(x, t), so no term carries a mixed x-v partial of G.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Cylinder, GeometryBounds, WarpedGeometry, extract_bounds
-from .params import HarnackParams
+from .params import HarnackParams, family_weight
 from .solver import Nonlinearity
 
 
@@ -99,21 +100,21 @@ def cutoff_profile() -> CutoffProfile:
 # aggregate constants
 # ---------------------------------------------------------------------------
 
-def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup: float,
+def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
                         radius: float, cutoff: CutoffProfile, tau, eps,
                         family: str = "first", scope: str = "local") -> dict:
-    """The six aggregate coefficients as arrays over the estimate clock tau.
+    """The five aggregate coefficients K, L, E, F and N as arrays over the
+    estimate clock tau; the sixth, M, is :func:`aggregate_M`.
 
     ``eps`` may be None for the vanishing-eps limit, in which case the
     Young-inequality coefficient attached to the forcing-gradient block
     (``E``) is infinite and callers must check that its bracket vanishes.
     """
-    if family not in ("first", "second"):
-        raise EstimateError(f"unknown estimate family {family!r}")
     if scope not in ("local", "global"):
         raise EstimateError(f"unknown scope {scope!r}")
     tau = np.asarray(tau, dtype=float)
     al = params.coeffs.alpha_at(tau)
+    w = family_weight(family, al)
     b = params.b
     p, m = params.p, params.m
     c1 = cutoff.c1
@@ -127,34 +128,46 @@ def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup: fl
         K = K * np.ones_like(al)
     L = al * (p - 1) * bounds.l2 / 2.0 + al * (p - 1) * bounds.k_lo * bounds.l1
     if eps is None:
-        E = math.inf
-        denom_first = 4.0 * (al - 1.0) ** 2
-        denom_second = 4.0 * (al - 1.0) ** 2
+        E, young = math.inf, 0.0
     else:
         params.require_eps(eps, tau, mode=family)
-        E = (1.5) ** 1.5 * v_sup / math.sqrt(eps)
-        denom_first = 4.0 * (al - 1.0) ** 2 - 2.0 * eps * b * al**2
-        denom_second = 4.0 * (al - 1.0) ** 2 - 2.0 * eps * b * al**3
-    out = {"K": K, "L": L, "E": E}
-    if family == "first":
-        out["F"] = b * al**2 / denom_first
-        out["N"] = 2.0 * (p - 1) * v_sup * ((m - 1) * bounds.k + bounds.k2) + 2.0 * (al - 1.0) * bounds.k_hi
-    else:
-        out["F"] = b * al**3 / denom_second
-        out["N"] = (2.0 * (p - 1) * v_sup * ((m - 1) * bounds.k / al + bounds.k2)
-                    + 2.0 * (al - 1.0) * bounds.k_hi / al)
-    return out
+        E, young = (1.5) ** 1.5 * v_sup / math.sqrt(eps), 2.0 * eps * b * al**2 * w
+    return {
+        "K": K, "L": L, "E": E,
+        "F": b * al**2 * w / (4.0 * (al - 1.0) ** 2 - young),
+        "N": (2.0 * (p - 1) * v_sup * ((m - 1) * bounds.k + w * bounds.k2)
+              + 2.0 * (al - 1.0) * bounds.k_hi) / w,
+    }
 
 
 def aggregate_M(bounds: GeometryBounds, params: HarnackParams, n_dim: int, tau,
                 family: str = "first"):
     """Metric-speed aggregate entering the clamped zeroth-order block."""
     al = params.coeffs.alpha_at(np.asarray(tau, dtype=float))
-    p = params.p
-    pair = (bounds.k_lo + bounds.k_hi) ** 2
-    if family == "first":
-        return al**2 * (p - 1) * n_dim * (pair + 2.0 * bounds.k2)
-    return (p - 1) * n_dim * (al * pair + 2.0 * bounds.k2)
+    w = family_weight(family, al)
+    return al**2 / w * (params.p - 1) * n_dim * ((bounds.k_lo + bounds.k_hi) ** 2
+                                                 + 2.0 * bounds.k2 / w)
+
+
+def _family_slope(family: str, s):
+    """G_v with the first family's alpha'/alpha term."""
+    return s.G_v + s.alpha_p / s.alpha if family == "first" else s.G_v
+
+
+def estimate_brackets(s, params: HarnackParams, family: str, L=0.0, N=0.0, M=0.0):
+    """The brackets (slope, grad, const, quad) of the completed square in F,
+    pointwise on sup samples or a term table ``s``, with the aggregates L, N
+    and M of the extracted bounds (zero by default)."""
+    b, p = params.b, params.p
+    al, alp, be = s.alpha, s.alpha_p, s.beta
+    w = family_weight(family, al)
+    slope = _family_slope(family, s) - 2.0 * be / (b * al**2)
+    grad = ((al - 1.0) * s.G_x_norm / s.v + L) / w
+    const = (be * s.G_v - al * (p - 1) * s.lap_Gx
+             + (be / al) * (alp - be / (b * al)) - s.beta_p) / w + M
+    quad = ((al - 1.0) * (s.G / s.v - s.G_v) - al * (p - 1) * s.v * s.G_vv
+            - 2.0 * (al - 1.0) * be / (b * al**2) - alp / al) / w + N
+    return slope, grad, const, quad
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +209,7 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
     if not np.any(mask):
         raise EstimateError("sup cylinder misses the solution grid")
     r_in, t_in = rr[mask], tt[mask]
-    v = solution.part(0, 0, rr, tt, mask)
+    v = solution.table(0, 0, rr, tt, mask)[0, 0]
     if np.any(v <= 0):
         raise EstimateError("pressure field not positive on the sup cylinder")
     tau = t_in - t0_clock
@@ -231,34 +244,18 @@ def sup_quantities(samples: SupSamples, bounds: GeometryBounds, params: HarnackP
     these are the mu's, for the "second" family the lambda's.
     """
     s = samples
-    b = params.b
-    p, m = params.p, params.m
     cst = aggregate_constants(bounds, params, s.v_sup, radius, cutoff, s.tau, eps,
                               family=family, scope=scope)
-    al, alp, be, bep = s.alpha, s.alpha_p, s.beta, s.beta_p
-    Mterm = aggregate_M(bounds, params, n_dim, s.tau, family=family)
-    q0 = float(np.max(be - al * s.G / s.v))
-    if family == "first":
-        q1 = _clamped_sup(s.G_v + alp / al - 2.0 * be / (b * al**2) + cst["K"])
-        bracket2 = (al - 1.0) * s.G_x_norm / s.v + cst["L"]
-        q3 = _clamped_sup(be * s.G_v - al * (p - 1) * s.lap_Gx
-                          + (be / al) * (alp - be / (b * al)) - bep + Mterm)
-        bracket4 = ((al - 1.0) * (s.G / s.v - s.G_v) - al * (p - 1) * s.v * s.G_vv
-                    - 2.0 * (al - 1.0) * be / (b * al**2) - alp / al + cst["N"])
-    else:
-        q1 = _clamped_sup(s.G_v - 2.0 * be / (b * al**2) + cst["K"])
-        bracket2 = (al - 1.0) / al * s.G_x_norm / s.v + cst["L"] / al
-        q3 = _clamped_sup((be / al) * s.G_v - (p - 1) * s.lap_Gx
-                          + (be / al**2) * (alp - be / (b * al)) - bep / al + Mterm)
-        bracket4 = ((al - 1.0) / al * (s.G / s.v - s.G_v) - (p - 1) * s.v * s.G_vv
-                    - 2.0 * (al - 1.0) * be / (b * al**3) - alp / al**2 + cst["N"])
-    sup2 = float(np.max(bracket2))
-    if math.isinf(cst["E"]):
-        q2 = 0.0 if sup2 <= 0.0 else math.inf
-    else:
-        q2 = math.sqrt(cst["E"]) * sup2
-    q2 = max(0.0, q2)
-    q4 = _clamped_sup(np.sqrt(cst["F"]) * bracket4)
+    slope, grad, const, quad = estimate_brackets(
+        s, params, family, cst["L"], cst["N"],
+        aggregate_M(bounds, params, n_dim, s.tau, family=family))
+    q0 = float(np.max(s.beta - s.alpha * s.G / s.v))
+    q1 = _clamped_sup(slope + cst["K"])
+    # a vanishing grad bracket needs no Young coefficient, even an infinite one
+    sup2 = float(np.max(grad))
+    q2 = math.sqrt(cst["E"]) * sup2 if sup2 > 0.0 else 0.0
+    q3 = _clamped_sup(const)
+    q4 = _clamped_sup(np.sqrt(cst["F"]) * quad)
     return {"q0": q0, "q1": q1, "q2": q2, "q3": q3, "q4": q4,
             "family": family, "scope": scope, "eps": eps, "v_sup": s.v_sup}
 
@@ -303,6 +300,7 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
         raise EstimateError("the estimate right side requires tau > 0")
     b = params.b
     p, m = params.p, params.m
+    family = q["family"]
     al = params.coeffs.alpha_at(tau)
     base = b * al / tau
     v_sup = samples.v_sup
@@ -310,8 +308,7 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
 
     if not variant.startswith("static"):
         agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
-        root = np.sqrt(b) if q["family"] == "first" else np.sqrt(b * al)
-        rhs = base + b * al * q["q1"] + root * np.sqrt(agg)
+        rhs = base + b * al * q["q1"] + np.sqrt(b * family_weight(family, al)) * np.sqrt(agg)
         if q["scope"] == "local":
             rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
         return rhs
@@ -325,32 +322,22 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
     if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
         raise EstimateError("static estimate forms require zero evolution bounds")
     al_s, alp_s = s.alpha, s.alpha_p
-    # the family picks the slope term, the last sup and its weight; the
-    # local scope adds the cutoff slope and the localization term
+    # the last sup is divided by sqrt(w) and weighted by b sqrt(w); the local
+    # scope adds the cutoff slope and the localization term
     drift = 2.0 * al_s * (p - 1) * v_sup * (m - 1) * k - alp_s
-    if variant.startswith("static-first"):
-        slope = s.G_v + alp_s / al_s
-        sup_last = _clamped_sup(
-            (al_s / 2.0) * (s.G / s.v - s.G_v)
-            - al_s**2 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
-            + drift / (2.0 * (al_s - 1.0))
-        )
-        weight = b
-    else:
-        slope = s.G_v
-        sup_last = _clamped_sup(
-            (np.sqrt(al_s) / 2.0) * (s.G / s.v - s.G_v)
-            - al_s**1.5 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
-            + drift / (2.0 * np.sqrt(al_s) * (al_s - 1.0))
-        )
-        weight = b * np.sqrt(al)
+    sup_last = _clamped_sup(
+        ((al_s / 2.0) * (s.G / s.v - s.G_v)
+         - al_s**2 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
+         + drift / (2.0 * (al_s - 1.0))) / np.sqrt(family_weight(family, al_s))
+    )
+    slope = _family_slope(family, s)
     local = variant.endswith("local")
     if local:
         slope = slope + b * al_s**2 * p**2 * v_sup * cutoff.c1**2 / (2.0 * (al_s - 1.0) * radius**2)
     rhs = base + b * al * _clamped_sup(slope)
     if local:
         rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
-    return rhs + weight * sup_last
+    return rhs + b * np.sqrt(family_weight(family, al)) * sup_last
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +399,8 @@ def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
     mesh (rr, tt) that ``mask`` selects, on the clock tau = t - t0_clock."""
     r, t_abs = rr[mask], tt[mask]
     tau = t_abs - t0_clock
-    part = solution.part
-    v = part(0, 0, rr, tt, mask)
-    v_r = part(1, 0, rr, tt, mask)
-    v_t = part(0, 1, rr, tt, mask)
+    part = solution.table(1, 1, rr, tt, mask)
+    v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
     a2 = geom.conformal(r, t_abs) ** 2
     al = params.coeffs.alpha_at(tau)
     be = params.coeffs.beta_at(tau)
@@ -554,15 +539,17 @@ def estimate_matrix(sc, rhs_scale: float = 1.0) -> list[VerificationReport]:
     reports = []
     for variant in ver["variants"]:
         family, scope = variant_kind(variant)
+        if scope not in scopes:
+            scopes[scope] = estimate_scope(
+                sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, scope,
+                density=ver["sup_density"], eval_density=ver["eval_density"])
         if variant.startswith("static"):
             eps_values = [None]
         else:
-            eps_values = eps_scan(sc.params, sc.tau_probe, family, ver["eps_fractions"])
+            # the ceiling on the clock times the admissibility check reads
+            eps_values = eps_scan(sc.params, scopes[scope].samples.tau, family,
+                                  ver["eps_fractions"])
         for eps in eps_values:
-            if scope not in scopes:
-                scopes[scope] = estimate_scope(
-                    sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, scope,
-                    density=ver["sup_density"], eval_density=ver["eval_density"])
             reports.append(verify_estimate(
                 scopes[scope], variant, eps=eps, cutoff=cutoff,
                 tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale))
@@ -636,10 +623,8 @@ def localized_diagnostic(solution, geom: WarpedGeometry, params: HarnackParams,
     sup_cyl.require_inside(geom)
     rr, tt, inside = solution.sample(sup_cyl, geom, density)
     tau = tt - t0_clock
-    part = solution.part
-    v = part(0, 0, rr, tt)
-    v_r = part(1, 0, rr, tt)
-    v_t = part(0, 1, rr, tt)
+    part = solution.table(1, 1, rr, tt)
+    v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
     a = geom.conformal(rr, tt)
     al = params.coeffs.alpha_at(tau)
     be = params.coeffs.beta_at(tau)

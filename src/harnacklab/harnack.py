@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .geometry import WarpedGeometry
-from .params import HarnackParams
+from .params import HarnackParams, family_weight
 
 
 class HarnackError(ValueError):
@@ -68,9 +68,8 @@ def _constant_alpha(params: HarnackParams) -> float:
 def harnack_constant(quantities: dict, alpha: float, b: float) -> float:
     """H from the sup-quantities of the matching global estimate."""
     agg = quantities["q2"] ** (4.0 / 3.0) + quantities["q3"] + quantities["q4"] ** 2
-    if quantities["family"] == "first":
-        return quantities["q0"] + b * alpha**2 * quantities["q1"] + alpha * math.sqrt(b) * math.sqrt(agg)
-    return quantities["q0"] + b * alpha**2 * quantities["q1"] + math.sqrt(b * alpha**3) * math.sqrt(agg)
+    root = math.sqrt(b * family_weight(quantities["family"], alpha))
+    return quantities["q0"] + b * alpha**2 * quantities["q1"] + alpha * root * math.sqrt(agg)
 
 
 def harnack_log_bound(H: float, alpha: float, b: float, energy: float,

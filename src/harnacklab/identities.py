@@ -23,6 +23,7 @@ import itertools
 import numpy as np
 
 from .fields import ScalarField, diff
+from .estimates import aggregate_M, aggregate_constants, cutoff_profile, estimate_brackets
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
                        bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
                        potential_radial_slope)
@@ -45,9 +46,10 @@ class _SolutionHandle:
 
     A handle says which nodes a cylinder is sampled on (:meth:`nodes`) and
     which points a term table covers (:meth:`points`), gives the partials of
-    v at the masked nodes of a mesh (:meth:`part`) and the value of v at
-    arbitrary points (:meth:`value`), so callers never need to know whether
-    v is a closed form or a grid solve.
+    v at the masked nodes of a mesh (:meth:`table`, indexed ``[i, j]`` for
+    d^i/dr^i d^j/dt^j v) and the value of v at arbitrary points
+    (:meth:`value`), so callers never need to know whether v is a closed
+    form or a grid solve.
     """
 
     def sample(self, cyl: Cylinder, geom: WarpedGeometry, density):
@@ -73,10 +75,11 @@ class AnalyticSolution(_SolutionHandle):
     def nodes(self, cyl: Cylinder, geom: WarpedGeometry, density):
         return cyl.sample_nodes(geom, *density)
 
-    def part(self, nr, nt, rr, tt, mask=...):
-        """d^nr/dr^nr d^nt/dt^nt v at the nodes of (rr, tt) that ``mask``
-        selects (by default every node, in mesh shape)."""
-        return self.profile.at(nr, nt, rr[mask], tt[mask])
+    def table(self, nr, nt, rr, tt, mask=...):
+        """Every partial up to order (nr, nt) at the nodes of (rr, tt) that
+        ``mask`` selects (by default every node, in mesh shape), from one
+        series evaluation."""
+        return self.profile.table(nr, nt, rr[mask], tt[mask])
 
     def value(self, r, t):
         return self.profile.at(0, 0, np.asarray(r, dtype=float), np.asarray(t, dtype=float))
@@ -94,15 +97,10 @@ class GridSolution(_SolutionHandle):
         self._cache = {(0, 0): field}
 
     def _field(self, nr, nt) -> ScalarField:
-        key = (nr, nt)
-        if key not in self._cache:
-            if nt > 0:
-                base = self._field(nr, nt - 1)
-                self._cache[key] = diff(base, "d_t")
-            else:
-                base = self._field(nr - 1, 0)
-                self._cache[key] = diff(base, "d_r")
-        return self._cache[key]
+        if (nr, nt) not in self._cache:
+            self._cache[nr, nt] = (diff(self._field(nr, nt - 1), "d_t") if nt > 0
+                                   else diff(self._field(nr - 1, 0), "d_r"))
+        return self._cache[nr, nt]
 
     def points(self, r=None, t=None):
         return self.field.grid.mesh()
@@ -111,8 +109,10 @@ class GridSolution(_SolutionHandle):
         grid = self.field.grid
         return grid.r, grid.t
 
-    def part(self, nr, nt, rr=None, tt=None, mask=...):
-        return self._field(nr, nt).values[mask]
+    def table(self, nr, nt, rr=None, tt=None, mask=...):
+        """The partials at the masked grid nodes; each stencil field is built
+        when it is first read."""
+        return _Stencils(self, mask)
 
     def value(self, r, t):
         """Bilinear interpolation of the field at off-node points."""
@@ -130,6 +130,14 @@ class GridSolution(_SolutionHandle):
                 + wr * (1 - wt) * vals[i0 + 1, j0]
                 + (1 - wr) * wt * vals[i0, j0 + 1]
                 + wr * wt * vals[i0 + 1, j0 + 1])
+
+
+class _Stencils:
+    def __init__(self, solution: GridSolution, mask):
+        self.solution, self.mask = solution, mask
+
+    def __getitem__(self, order):
+        return self.solution._field(*order).values[self.mask]
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +205,12 @@ class TermTable(_RadialTerms):
             raise IdentityError(
                 f"params.m = {m} disagrees with the geometry's m = {geom.m}")
 
-        part = solution.part
-        self.v = part(0, 0, rr, tt)
+        # the chain-rule route reads partials up to (3, 0), (2, 1) and (0, 2)
+        part = self.partials = solution.table(3, 2, rr, tt)
+        self.v = part[0, 0]
         if np.any(self.v <= 0):
             raise IdentityError("pressure field not positive on the requested points")
-        self.v_r = part(1, 0, rr, tt)
-        self.v_rr = part(2, 0, rr, tt)
-        self.v_t = part(0, 1, rr, tt)
+        self.v_r, self.v_rr, self.v_t = part[1, 0], part[2, 0], part[0, 1]
 
         super().__init__(geom, rr, tt, self.v_r, self.v_rr)
         self.grad_norm = np.abs(self.v_r) / self.a
@@ -268,12 +275,9 @@ class TermTable(_RadialTerms):
         total derivatives of that composition.
         """
         rr, tt = self.r, self.t
-        part = self.solution.part
+        part = self.partials
         v, v_r, v_rr, v_t = self.v, self.v_r, self.v_rr, self.v_t
-        v_rt = part(1, 1, rr, tt)
-        v_tt = part(0, 2, rr, tt)
-        v_rrr = part(3, 0, rr, tt)
-        v_rrt = part(2, 1, rr, tt)
+        v_rt, v_tt, v_rrr, v_rrt = part[1, 1], part[0, 2], part[3, 0], part[2, 1]
         a, a2 = self.a, self.a2
         a_rate = self.geom.conformal.at(0, 1, rr, tt) / a
         nl = self.nl
@@ -437,8 +441,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     """Upper bounds for L[F]: raw curvature stage, completed-square stage in
     F, and the stage with the geometric bounds substituted."""
     p, m, n = tt.params.p, tt.params.m, tt.geom.n
-    al, alp, be, bep = tt.alpha, tt.alpha_p, tt.beta, tt.beta_p
-    b = tt.b
+    al, alp, b = tt.alpha, tt.alpha_p, tt.b
     if np.any(al < 1.0):
         raise IdentityError("inequality stages require alpha >= 1")
     if stage == "pointwise":
@@ -461,52 +464,37 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
             + (al - 1) * (tt.grad2 / tt.v) * (tt.G / tt.v)
             + alp * tt.G / tt.v
             - alp * tt.v_t / tt.v
-            - bep
+            - tt.beta_p
         )
+    # the completed square in F over the estimate's brackets: with the metric's
+    # pointwise terms, or with the aggregates of the bounds (v for sup v)
     if stage == "quadratic":
-        return (
-            -tt.F**2 / (b * al**2)
-            - 2 * (al - 1) / (b * al**2) * (tt.grad2 / tt.v) * tt.F
-            + (tt.G_v - 2 * be / (b * al**2) + alp / al) * tt.F
-            + 2 * p * tt.gradF_pair
-            - (al - 1) ** 2 / (b * al**2) * (tt.grad2 / tt.v) ** 2
-            + (2 / tt.v) * (al - 1) * tt.h_vv
-            + (p - 1) * al**2 * tt.h_norm2
-            + ((al - 1) * (tt.G / tt.v - tt.G_v) - al * (p - 1) * tt.v * tt.G_vv
-               - alp / al - 2 * (al - 1) * be / (b * al**2)) * (tt.grad2 / tt.v)
-            - 2 * (p - 1) * tt.ric_m_vv
-            + al * (p - 1) * tt.divh_pair
-            + 2 * ((al - 1) * tt.G_x_norm / tt.v) * tt.grad_norm
-            + al * (p - 1) * tt.phit_pair
-            - 2 * al * (p - 1) * tt.h_phi_pair
-            - al * (p - 1) * tt.lap_Gx
-            + be * tt.G_v
-            - (be / al) * (be / (b * al) - alp)
-            - bep
-        )
-    if stage == "bounded":
-        if bounds is None:
-            raise IdentityError("bounded stage needs extracted geometry bounds")
-        k, k_lo, k_hi, k2 = bounds.k, bounds.k_lo, bounds.k_hi, bounds.k2
-        l1, l2 = bounds.l1, bounds.l2
-        return (
-            -tt.F**2 / (b * al**2)
-            - 2 * (al - 1) / (b * al**2) * (tt.grad2 / tt.v) * tt.F
-            + (alp / al - 2 * be / (b * al**2) + tt.G_v) * tt.F
-            + 2 * p * tt.gradF_pair
-            - (al - 1) ** 2 / (b * al**2) * (tt.grad2 / tt.v) ** 2
-            + (2 * (p - 1) * tt.v * ((m - 1) * k + k2) + 2 * (al - 1) * k_hi
-               + (al - 1) * (tt.G / tt.v - tt.G_v) - al * (p - 1) * tt.v * tt.G_vv
-               - 2 * (al - 1) * be / (b * al**2) - alp / al) * (tt.grad2 / tt.v)
-            + (2 * (al - 1) * tt.G_x_norm / tt.v
-               + al * (p - 1) * l2 + 2 * al * (p - 1) * k_lo * l1) * tt.grad_norm
-            + al**2 * (p - 1) * n * ((k_lo + k_hi) ** 2 + 2 * k2)
-            - al * (p - 1) * tt.lap_Gx
-            + be * tt.G_v
-            - (be / al) * (be / (b * al) - alp)
-            - bep
-        )
-    raise IdentityError(f"unknown inequality stage {stage!r}")
+        aggregates = {}
+        metric = ((2 / tt.v) * (al - 1) * tt.h_vv + (p - 1) * al**2 * tt.h_norm2
+                  - 2 * (p - 1) * tt.ric_m_vv + al * (p - 1) * tt.divh_pair
+                  + al * (p - 1) * tt.phit_pair - 2 * al * (p - 1) * tt.h_phi_pair)
+    elif stage != "bounded":
+        raise IdentityError(f"unknown inequality stage {stage!r}")
+    elif bounds is None:
+        raise IdentityError("bounded stage needs extracted geometry bounds")
+    else:
+        cst = aggregate_constants(bounds, tt.params, tt.v, 0.0, cutoff_profile(), tt.t, None,
+                                  scope="global")
+        aggregates = {"L": cst["L"], "N": cst["N"], "M": aggregate_M(bounds, tt.params, n, tt.t)}
+        metric = 0.0
+    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", **aggregates)
+    y = tt.grad2 / tt.v
+    return (
+        -tt.F**2 / (b * al**2)
+        - 2 * (al - 1) / (b * al**2) * y * tt.F
+        + slope * tt.F
+        + 2 * p * tt.gradF_pair
+        - (al - 1) ** 2 / (b * al**2) * y**2
+        + quad * y
+        + 2 * grad * tt.grad_norm
+        + const
+        + metric
+    )
 
 
 def inequality_margin(stage: str, solution, geom, params, nonlinearity,

@@ -23,10 +23,6 @@ class AlphaBeta:
     gamma: float | None = None
     flags: tuple = ()
 
-    @property
-    def is_constant(self) -> bool:
-        return self.alpha.time_independent and self.beta.time_independent
-
     def alpha_at(self, t):
         return self.alpha(np.zeros_like(np.asarray(t, dtype=float)), t)
 
@@ -149,6 +145,17 @@ def preset_ode_residuals(pair: AlphaBeta, which: str, b: float, t) -> dict[str, 
     raise ParamError(f"unknown preset {which!r}")
 
 
+def family_weight(family: str, alpha):
+    """The weight w of an estimate family: 1 for the first, alpha for the
+    second.  Besides w, only the first family's alpha'/alpha slope term
+    (``estimates.estimate_brackets``) tells the two apart."""
+    if family == "first":
+        return 1.0
+    if family == "second":
+        return alpha
+    raise ParamError(f"unknown estimate family {family!r}")
+
+
 @dataclass(frozen=True)
 class HarnackParams:
     """Exponents and coefficient functions entering the gradient estimates."""
@@ -169,19 +176,14 @@ class HarnackParams:
         return mp / (1.0 + mp)
 
     def eps_ceiling(self, t, mode: str = "first") -> float:
-        """Largest admissible eps over a time grid, per estimate family."""
+        """Largest admissible eps over a time grid for the estimate family
+        ``mode``: the minimum of 2(alpha-1)^2/(b alpha^2 w)."""
         a = self.coeffs.alpha_at(t)
-        if mode == "first":
-            cap = 2 * (a - 1) ** 2 / (self.b * a**2)
-        elif mode == "second":
-            cap = 2 * (a - 1) ** 2 / (self.b * a**3)
-        else:
-            raise ParamError(f"unknown estimate family {mode!r}")
-        return float(np.min(cap))
+        return float(np.min(2 * (a - 1) ** 2 / (self.b * a**2 * family_weight(mode, a))))
 
     def require_eps(self, eps: float, t, mode: str = "first"):
         cap = self.eps_ceiling(t, mode)
-        bound = "2(alpha-1)^2/(b alpha^2)" if mode == "first" else "2(alpha-1)^2/(b alpha^3)"
+        bound = "2(alpha-1)^2/(b alpha^2)/w"
         if cap <= 0:
             raise ParamError(
                 f"no admissible eps: {bound} vanishes on the window because "
@@ -189,5 +191,6 @@ class HarnackParams:
             )
         if not 0 < eps < cap:
             raise ParamError(
-                f"eps = {eps:.6g} violates 0 < eps < {bound} = {cap:.6g} for the {mode} estimate"
+                f"eps = {eps:.6g} violates 0 < eps < {bound} = {cap:.6g} for the {mode} "
+                "estimate (w = 1 for the first family, alpha for the second)"
             )

@@ -47,7 +47,8 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def read_number(value, where: str, integer: bool = False, above=None, at_least=None):
+def read_number(value, where: str, integer: bool = False, above=None, at_least=None,
+                below=None):
     """A config value as a finite float (an int when ``integer``), range-checked.
 
     Strings, null, lists and booleans are rejected with the key path, so a
@@ -63,6 +64,8 @@ def read_number(value, where: str, integer: bool = False, above=None, at_least=N
         raise ConfigError(where, f"must exceed {above:g} (got {value:g})")
     if at_least is not None and not value >= at_least:
         raise ConfigError(where, f"must be >= {at_least:g} (got {value:g})")
+    if below is not None and not value < below:
+        raise ConfigError(where, f"must be below {below:g} (got {value:g})")
     return value if integer else float(value)
 
 
@@ -260,11 +263,6 @@ class Scenario:
     def t_hi(self) -> float:
         return self.t0 + self.duration
 
-    @property
-    def tau_probe(self) -> np.ndarray:
-        """Clock times on which alpha's admissibility and the eps ceilings are probed."""
-        return np.linspace(self.duration / 256, self.duration, 64)
-
     def analytic_handle(self) -> AnalyticSolution:
         return AnalyticSolution(self.v_profile)
 
@@ -383,8 +381,8 @@ def parse_scenario(doc: dict) -> Scenario:
 
     ver_doc = doc.get("verification", {})
     _check_keys(ver_doc, {"variants", "radius", "tolerance_factor", "pairs",
-                          "sup_density", "eval_density", "eps_fractions",
-                          "harnack_tolerance_factor"}, "verification")
+                          "sup_density", "eval_density", "harnack_tolerance_factor"},
+                 "verification")
     variants = _read_list(ver_doc.get("variants", list(DEFAULTS["variants"])),
                           "verification.variants")
     from .estimates import VARIANTS
@@ -403,8 +401,10 @@ def parse_scenario(doc: dict) -> Scenario:
         "pairs": setting("pairs", integer=True, at_least=1),
         "sup_density": _read_density(ver_doc, "sup_density", "verification"),
         "eval_density": _read_density(ver_doc, "eval_density", "verification"),
-        "eps_fractions": tuple(_read_list(harnack.get("eps_fractions", DEFAULTS["eps_fractions"]),
-                                          "harnack.eps_fractions", read_number)),
+        # fractions of the eps ceiling, which is itself excluded
+        "eps_fractions": tuple(_read_list(
+            harnack.get("eps_fractions", DEFAULTS["eps_fractions"]), "harnack.eps_fractions",
+            lambda x, where: read_number(x, where, above=0, below=1))),
     }
 
     try:
@@ -417,7 +417,7 @@ def parse_scenario(doc: dict) -> Scenario:
         pde=pde, verification=verification, t0=t0, duration=duration,
         numeric_base=numeric_base,
     )
-    coeffs.check_admissible(sc.tau_probe)
+    coeffs.check_admissible(np.linspace(duration / 256, duration, 64))
     return sc
 
 

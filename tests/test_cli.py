@@ -130,6 +130,10 @@ BAD_VALUES = [
     ("pde.p", [2]),
     # a check that runs nothing is never a pass
     ("verification.variants", []), ("harnack.eps_fractions", []), ("verification.pairs", 0),
+    # eps fractions outside (0, 1): the ceiling itself is not admissible; the
+    # fractions are read under harnack only
+    ("harnack.eps_fractions", [1.0]), ("harnack.eps_fractions", [0]),
+    ("harnack.eps_fractions", [-0.5]), ("verification.eps_fractions", [0.5]),
     ("verification.sup_density", [1, 1]), ("verification.sup_density", 65),
     ("verification.eval_density", [1, 1]), ("verification.eval_density", 65),
     ("verification.tolerance_factor", -1), ("verification.harnack_tolerance_factor", -1),
@@ -689,6 +693,16 @@ def test_preset_alpha_scenario_with_clock_offset(tmp_path):
         verification={"radius": 0.9, "variants": ["first-local", "first-global"]},
     )
     doc["pde"].pop("nonlinearity")
+    cfg = write_config(tmp_path, doc)
+    assert main(["check-estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_preset_alpha_eps_fraction_near_one_is_admissible(tmp_path):
+    # the eps scan takes its ceiling on the clock times the admissibility
+    # check reads (from tau = 0, where the preset's ceiling is smallest)
+    doc = json.loads((CONFIGS / "gaussian-conformal.json").read_text())
+    doc["harnack"]["alpha"] = {"preset": "exp", "gamma": 1, "clock_offset": 0.5}
+    doc["harnack"]["eps_fractions"] = [0.999]
     cfg = write_config(tmp_path, doc)
     assert main(["check-estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 

@@ -150,7 +150,8 @@ def _grid_table(v, geom, params, nl=None):
 def test_solution_handles_sample_part_and_value(euclid3, bump_profile):
     # each handle gives bit for bit what its callers used to compute from it:
     # the grid its stencil fields indexed by the mask, the closed form its
-    # derivative table at the masked cylinder nodes
+    # derivative table at the masked cylinder nodes; one table holds every
+    # order, and the grid builds only the stencil fields that are read
     cyl = Cylinder(1.2, 0.6, 1.3)
     orders = ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
 
@@ -165,9 +166,11 @@ def test_solution_handles_sample_part_and_value(euclid3, bump_profile):
     v_r = diff(v, "d_r")
     stencil = {(0, 0): v, (1, 0): v_r, (2, 0): diff(v_r, "d_r"),
                (0, 1): diff(v, "d_t"), (1, 1): diff(v_r, "d_t")}
+    part, whole = sol.table(2, 1, rr, tt, mask), sol.table(2, 1, rr, tt)
     for nr, nt in orders:
-        assert np.array_equal(sol.part(nr, nt, rr, tt, mask), stencil[nr, nt].values[mask])
-        assert np.array_equal(sol.part(nr, nt, rr, tt), stencil[nr, nt].values)
+        assert np.array_equal(part[nr, nt], stencil[nr, nt].values[mask])
+        assert np.array_equal(whole[nr, nt], stencil[nr, nt].values)
+    assert set(sol._cache) == set(orders)
     # point values interpolate bilinearly: node values at nodes, the corner
     # mean at a cell centre
     i, j = 20, 10
@@ -183,9 +186,9 @@ def test_solution_handles_sample_part_and_value(euclid3, bump_profile):
     assert np.array_equal(tt, np.broadcast_to(t_nodes[None, :], mask.shape))
     assert np.array_equal(mask, cyl.mask(r_nodes, t_nodes, euclid3))
     assert 0 < mask.sum() < mask.size
+    part = sol.table(2, 1, rr, tt, mask)
     for nr, nt in orders:
-        assert np.array_equal(sol.part(nr, nt, rr, tt, mask),
-                              bump_profile.at(nr, nt, rr[mask], tt[mask]))
+        assert np.array_equal(part[nr, nt], bump_profile.at(nr, nt, rr[mask], tt[mask]))
     r, t = np.array([0.0, 0.3, 1.7]), np.array([0.6, 0.9, 1.3])
     assert np.array_equal(sol.value(r, t), bump_profile.at(0, 0, r, t))
 

@@ -13,11 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (SupSamples, aggregate_M, aggregate_constants,
-                                  cutoff_profile, rhs_bound, sup_quantities)
+from harnacklab.estimates import (VARIANTS, SupSamples, aggregate_M, aggregate_constants,
+                                  cutoff_profile, rhs_bound, sup_quantities, variant_kind)
 from harnacklab.geometry import GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
+from harnacklab.solver import Nonlinearity
 from harnacklab.symfun import Profile, constant_profile
 
 
@@ -190,3 +191,100 @@ def test_harnack_bound_matches_reference():
                      + H * (t2 - t1) / alpha)
             * (t2 / t1) ** (params.b * alpha))
     assert math.exp(log_bound) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the two families: the second is the first with weight w = alpha
+# ---------------------------------------------------------------------------
+
+FAMILY_PAIRS = [(v, v.replace("first", "second")) for v in VARIANTS if "first" in v]
+
+
+def family_setup(rng, static, alpha_p=0.0, k2=0.0):
+    """Sup samples of a power sum plus an x-forcing, with beta != 0, at a
+    constant alpha that is not a power of two (so no scaling by w is exact).
+
+    ``alpha_p`` enters through the samples only, so both eps ceilings stay
+    those of constant alpha.  The static forms take x-independent forcing
+    and zero evolution bounds.
+    """
+    p, m = rng.uniform(1.3, 3.2), rng.uniform(2.2, 5.5)
+    alpha = rng.uniform(1.3, 3.0)
+    assert alpha != 2.0
+    beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.6)
+    params = HarnackParams(p=p, m=m, coeffs=constant_alpha_beta(alpha, beta))
+    evolving = 0.0 if static else 1.0
+    bounds = GeometryBounds(k=rng.uniform(0.05, 1.0), k_lo=evolving * rng.uniform(0.3, 0.6),
+                            k_hi=evolving * rng.uniform(0.05, 0.6), k2=k2,
+                            l1=rng.uniform(0.05, 0.8), l2=evolving * rng.uniform(0.05, 0.8))
+    nl = Nonlinearity(A=[rng.uniform(1.0, 2.0)], a=[rng.uniform(0.5, 1.5)],
+                      B=[-rng.uniform(0.05, 0.3)], b=[rng.uniform(0.2, 0.9)])
+    n_nodes = 23
+    tau = np.sort(rng.uniform(0.05, 1.0, n_nodes))
+    v = rng.uniform(0.3, 2.5, n_nodes)
+    full = lambda value: np.full(n_nodes, value)
+    samples = SupSamples(
+        r=rng.uniform(0, 1, n_nodes), t_abs=tau, tau=tau, v=v,
+        G=nl.G_vpart(v) + rng.normal(0, 0.5, n_nodes),
+        G_v=nl.G_vpart(v, 1), G_vv=nl.G_vpart(v, 2),
+        G_x_norm=evolving * rng.uniform(0, 0.5, n_nodes),
+        lap_Gx=evolving * rng.normal(0, 0.2, n_nodes),
+        alpha=full(alpha), alpha_p=full(alpha_p), beta=full(beta), beta_p=full(0.0),
+    )
+    # the slope sups stay unclamped, so alpha'/alpha shifts them exactly
+    assert np.max(samples.G_v) > 0
+    return params, bounds, samples, int(rng.integers(2, 4)), rng.uniform(0.4, 1.5)
+
+
+def family_rhs(variant, setup, fraction, tau):
+    """The variant's quantities and right side, at ``fraction`` of its
+    family's eps ceiling (the static forms take the vanishing-eps limit)."""
+    params, bounds, samples, n_dim, radius = setup
+    family, scope = variant_kind(variant)
+    eps = (None if variant.startswith("static")
+           else fraction * params.eps_ceiling(samples.tau, family))
+    cut = cutoff_profile()
+    q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+                       family=family, scope=scope)
+    return q, rhs_bound(variant, q, samples, bounds, params, radius, cut, tau)
+
+
+def test_families_agree_at_matched_eps_fractions_when_alpha_constant_and_k2_zero():
+    # the second family's ceiling is the first's over alpha; at the same
+    # fraction, E grows by sqrt(alpha) and F by alpha, the brackets shrink
+    # by 1/alpha, and the root sqrt(b alpha) restores the first's right side
+    rng = np.random.default_rng(4242)
+    tau = np.linspace(0.05, 1.0, 9)
+    for trial in range(6):
+        for first, second in FAMILY_PAIRS:
+            setup = family_setup(rng, static=first.startswith("static"))
+            params, samples = setup[0], setup[2]
+            alpha = samples.alpha[0]
+            assert params.eps_ceiling(tau, "second") == pytest.approx(
+                params.eps_ceiling(tau, "first") / alpha, rel=1e-14)
+            for fraction in (0.1, 0.5, 0.9):
+                q1, rhs1 = family_rhs(first, setup, fraction, tau)
+                q2, rhs2 = family_rhs(second, setup, fraction, tau)
+                assert q2["q1"] == pytest.approx(q1["q1"], rel=1e-13)
+                assert q2["q3"] == pytest.approx(q1["q3"] / alpha, rel=1e-13, abs=1e-15)
+                assert np.allclose(rhs2, rhs1, rtol=1e-12, atol=0), (trial, first, fraction)
+
+
+def test_families_part_when_k2_positive_or_alpha_moves():
+    # k2 enters N and M without the 1/w weight, so the map breaks; alpha'
+    # enters only the first family's slope, as alpha'/alpha, so the first
+    # right side exceeds the second by b alpha (alpha'/alpha) = b alpha'
+    rng = np.random.default_rng(4243)
+    tau = np.linspace(0.05, 1.0, 9)
+    for trial in range(3):
+        for first, second in FAMILY_PAIRS:
+            static = first.startswith("static")
+            if not static:  # the static forms refuse k2 > 0
+                setup = family_setup(rng, static, k2=rng.uniform(0.05, 0.4))
+                rhs1, rhs2 = (family_rhs(v, setup, 0.5, tau)[1] for v in (first, second))
+                assert np.all(np.abs(rhs1 - rhs2) > 1e-9 * np.abs(rhs1)), (trial, first)
+            alpha_p = rng.uniform(0.1, 0.5)
+            setup = family_setup(rng, static, alpha_p=alpha_p)
+            rhs1, rhs2 = (family_rhs(v, setup, 0.5, tau)[1] for v in (first, second))
+            assert np.allclose(rhs1 - rhs2, setup[0].b * alpha_p, rtol=0,
+                               atol=1e-12 * np.max(np.abs(rhs1))), (trial, first)

@@ -18,7 +18,12 @@ Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
   under the identity residual gates;
 * ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``, once serial and
   once with ``--workers 2`` (the thread-pool path; its out-dir digest must
-  equal the serial line's).
+  equal the serial line's);
+* ``check-estimate`` and ``check-harnack`` on ``configs/gaussian-conformal.json``
+  with ``harnack.alpha`` set to 3.  Every shipped config has alpha = 2, where
+  the second estimate family's weight w = alpha scales exactly in floating
+  point; at alpha = 3 it does not.  The derived config is written to
+  ``OUT_DIR/gaussian-conformal-alpha3.json``.
 
 Each command writes into its own directory under OUT_DIR.  The printed line
 holds the command's label, its exit code, the sha256 of its stdout and of its
@@ -49,8 +54,18 @@ from run import CHILD_BLAS_THREADS, CHILD_HASH_SEED, output_digest  # noqa: E402
 SCENARIO_COMMANDS = ("solve", "check-identities", "check-estimate", "check-harnack")
 
 
-def commands():
-    """(label, cli arguments) of every command, config paths relative to ROOT."""
+def derived_config(base: Path) -> Path:
+    """Write gaussian-conformal at alpha = 3 under ``base`` and return its path."""
+    doc = json.loads((ROOT / "configs" / "gaussian-conformal.json").read_text())
+    doc["harnack"]["alpha"] = 3.0
+    path = base / "gaussian-conformal-alpha3.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+def commands(alpha3: Path):
+    """(label, cli arguments) of every command, config paths relative to ROOT
+    but for ``alpha3``, the path of the derived alpha = 3 config."""
     out = []
     for path in sorted((ROOT / "configs").glob("*.json")):
         rel = str(path.relative_to(ROOT))
@@ -72,6 +87,8 @@ def commands():
     out.append(("sweep:sweep-p-alpha-wide --workers 2",
                 ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json",
                  "--workers", "2"]))
+    for sub in ("check-estimate", "check-harnack"):
+        out.append((f"{sub}:gaussian-conformal alpha=3", [sub, "--config", str(alpha3)]))
     return out
 
 
@@ -84,10 +101,11 @@ def main(argv: list[str]) -> int:
         print("usage: output_manifest.py OUT_DIR", file=sys.stderr)
         return 2
     base = Path(argv[0]).resolve()
+    base.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=CHILD_HASH_SEED,
                **CHILD_BLAS_THREADS)
     lines = []
-    for label, args in commands():
+    for label, args in commands(derived_config(base)):
         out = base / label.replace(":", ".").replace(" ", "_")
         out.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run([sys.executable, "-m", "harnacklab.cli", *args,
