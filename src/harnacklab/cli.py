@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimates import cutoff_profile, estimate_matrix, scope_suprema, sup_quantities
+from .estimates import cutoff_profile, estimate_matrix, reduce_suprema, scope_suprema
 from .geometry import Cylinder, extract_bounds
 from .harnack import sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
@@ -63,17 +63,20 @@ class _Blocks:
 
     A block is ``(n, columns)``: a row count and one column per header name,
     each a float64 array, an object array or one value repeated down the
-    block.  ``len`` is the number of rows, summed over the blocks.
+    block.  The blocks are read once, as they are written, so a generator
+    may make each when it is needed.  ``len`` is the number of rows written.
     """
 
     def __init__(self, blocks):
-        self.blocks = list(blocks)
+        self.blocks, self.rows = blocks, 0
 
     def __len__(self):
-        return sum(n for n, _ in self.blocks)
+        return self.rows
 
     def __iter__(self):
-        return iter(self.blocks)
+        for n, columns in self.blocks:
+            yield n, columns
+            self.rows += n
 
 
 def _objects(values) -> np.ndarray:
@@ -105,25 +108,33 @@ def _write_csv(path: Path, header, rows):
     Any other cell is ``_fmt``-ed and quoted once: a repeated value once per
     block, an array's cells once per distinct object in the write.  Rows are
     formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the text held at
-    once does not grow with the row count.
+    once does not grow with the row count.  They go to ``path`` only once all
+    are written: a block that fails to be made (check-estimate makes each
+    report as it is written) leaves no file behind.
     """
     texts = [{} for _ in header]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        for n, columns in rows:
-            arrays = [(col, text) for col, text in zip(columns, texts)
-                      if isinstance(col, np.ndarray)]
-            row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")
-                                  if isinstance(col, np.ndarray)
-                                  else _csv_text(col).replace("%", "%%")
-                                  for col in columns) + "\r\n"
-            for start in range(0, n, _CSV_CHUNK_ROWS):
-                stop = min(n, start + _CSV_CHUNK_ROWS)
-                cells = [col[start:stop].tolist() if col.dtype == np.float64
-                         else _csv_cells(col[start:stop].tolist(), text) for col, text in arrays]
-                fh.write("".join(map(row_format.__mod__,
-                                     zip(*cells) if cells else [()] * (stop - start))))
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", newline="") as fh:
+            csv.writer(fh).writerow(header)
+            for n, columns in rows:
+                arrays = [(col, text) for col, text in zip(columns, texts)
+                          if isinstance(col, np.ndarray)]
+                row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")
+                                      if isinstance(col, np.ndarray)
+                                      else _csv_text(col).replace("%", "%%")
+                                      for col in columns) + "\r\n"
+                for start in range(0, n, _CSV_CHUNK_ROWS):
+                    stop = min(n, start + _CSV_CHUNK_ROWS)
+                    cells = [col[start:stop].tolist() if col.dtype == np.float64
+                             else _csv_cells(col[start:stop].tolist(), text)
+                             for col, text in arrays]
+                    fh.write("".join(map(row_format.__mod__,
+                                         zip(*cells) if cells else [()] * (stop - start))))
+        partial.replace(path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +273,19 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
 
 def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) -> int:
     ver = sc.verification
-    reports = estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0)
+    reports = []
+
+    def rows():
+        # each report's rows are written as it is made; only its summary stays
+        for rep in estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0):
+            reports.append(rep.summary())
+            yield rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps,
+                                    rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin)
 
     header = ("variant", "eps", "r", "t", "lhs", "rhs", "margin")
-    _write_csv(out / "report.csv", header, _Blocks(
-        (rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps,
-                           rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin))
-        for rep in reports))
+    _write_csv(out / "report.csv", header, _Blocks(rows()))
 
-    total_violations = sum(len(rep.violations) for rep in reports)
+    total_violations = sum(rep["violations"] for rep in reports)
     lines = [f"scenario: {sc.name}", "command: check-estimate",
              f"verification cylinder: radius {ver['radius']:g}, "
              f"t in [{sc.t0:g}, {sc.t_hi:g}] (clock starts at t0)",
@@ -278,42 +293,52 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
     if negative_control:
         lines.append("NEGATIVE CONTROL: right-hand sides scaled by 0.5")
     best = {}
+    eps_text = lambda eps: "limit" if eps is None else f"{eps:.5g}"
     for rep in reports:
-        tag = f"{rep.variant:22s} eps={'limit' if rep.eps is None else f'{rep.eps:.5g}'}"
-        lines.append(f"  {tag:44s} min margin {rep.min_margin:+.6e} at "
-                     f"(r={rep.argmin[0]:.4g}, tau={rep.argmin[1]:.4g})  "
-                     f"violations {len(rep.violations)}")
-        prev = best.get(rep.variant)
-        if prev is None or rep.min_margin > prev.min_margin:
-            best[rep.variant] = rep
+        tag = f"{rep['variant']:22s} eps={eps_text(rep['eps'])}"
+        lines.append(f"  {tag:44s} min margin {rep['min_margin']:+.6e} at "
+                     f"(r={rep['argmin_r']:.4g}, tau={rep['argmin_tau']:.4g})  "
+                     f"violations {rep['violations']}")
+        prev = best.get(rep["variant"])
+        if prev is None or rep["min_margin"] > prev["min_margin"]:
+            best[rep["variant"]] = rep
     for variant, rep in best.items():
-        lines.append(f"  best eps for {variant}: "
-                     f"{'limit' if rep.eps is None else f'{rep.eps:.5g}'} "
-                     f"(min margin {rep.min_margin:+.6e})")
+        lines.append(f"  best eps for {variant}: {eps_text(rep['eps'])} "
+                     f"(min margin {rep['min_margin']:+.6e})")
     lines.append(f"total violations: {total_violations}")
     payload = {
         "scenario": sc.name, "command": "check-estimate",
         "negative_control": negative_control,
-        "reports": [rep.summary() for rep in reports],
+        "reports": reports,
         "violations": total_violations,
     }
     _write_summary(out, lines, payload)
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
+def _harnack_suprema(sc: Scenario, sol):
+    """inf v and both families' global sup-quantities at half their eps
+    ceilings, from one pass over the sup blocks; the sup nodes are not kept."""
+    ver, params = sc.verification, sc.params
+    _, bounds, samples = scope_suprema(sol, sc.geom, params, sc.nonlinearity,
+                                       Cylinder.whole_domain(sc.t0, sc.t_hi), sc.t0,
+                                       "global", ver["sup_density"])
+    requests = [(family, 0.5 * params.eps_ceiling(samples.tau, family))
+                for family in ("first", "second")]
+    return samples.v_inf, reduce_suprema(samples, bounds, params, sc.geom.n, ver["radius"],
+                                         cutoff_profile(), requests, scope="global")
+
+
 def cmd_check_harnack(sc: Scenario, out: Path) -> int:
     sol = sc.solution_handle()
-    geom, params, nl = sc.geom, sc.params, sc.nonlinearity
+    geom, params = sc.geom, sc.params
     if not params.coeffs.alpha.time_independent:
         raise ConfigError("harnack.alpha", "the integrated inequality needs constant alpha")
     ver = sc.verification
-    _, bounds, samples = scope_suprema(sol, geom, params, nl,
-                                       Cylinder.whole_domain(sc.t0, sc.t_hi), sc.t0,
-                                       "global", ver["sup_density"])
-    v_inf = float(np.min(samples.v))
-    cutoff = cutoff_profile()
-    rng = np.random.default_rng(sc.seed)
-    pairs = sample_pairs(rng, ver["pairs"], geom.r_max,
+    v_inf, quantities = _harnack_suprema(sc, sol)
+    # numpy.random is imported on first use, so the pairs are drawn after the
+    # suprema: its memory does not add to theirs
+    pairs = sample_pairs(np.random.default_rng(sc.seed), ver["pairs"], geom.r_max,
                          sc.duration / 64, sc.duration)
 
     lines = [f"scenario: {sc.name}", "command: check-harnack",
@@ -324,10 +349,8 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
               "margin", "log_integral_margin", "status")
     blocks = []
     violations = 0
-    for family in ("first", "second"):
-        eps = 0.5 * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, geom.n, ver["radius"], cutoff,
-                           eps, family=family, scope="global")
+    for q in quantities:
+        family = q["family"]
         rep = verify_harnack(sol, geom, params, q, pairs, sc.t0, v_inf,
                              tolerance_factor=ver["harnack_tolerance_factor"])
         worst = min(row["margin"] for row in rep["rows"])
@@ -397,10 +420,9 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
         for name, value in zip(names, combo):
             _set_path(doc, name, value)
         started = time.time()
-        reports = estimate_matrix(parse_scenario(doc))
-        min_margin = min((rep.min_margin for rep in reports), default=np.inf)
-        violations = sum(len(rep.violations) for rep in reports)
-        return combo, min_margin, violations, time.time() - started
+        counts = [(rep.min_margin, rep.violations) for rep in estimate_matrix(parse_scenario(doc))]
+        min_margin = min((margin for margin, _ in counts), default=np.inf)
+        return combo, min_margin, sum(n for _, n in counts), time.time() - started
 
     results = []
     if workers > 1:

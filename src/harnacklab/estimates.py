@@ -19,10 +19,11 @@ vanishing-eps limit).  The forcing G is a power sum in v plus a forcing in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import symfun
 from .geometry import Cylinder, GeometryBounds, WarpedGeometry, extract_bounds
 from .params import HarnackParams, family_weight
 from .solver import Nonlinearity
@@ -109,11 +110,24 @@ def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
     ``eps`` may be None for the vanishing-eps limit, in which case the
     Young-inequality coefficient attached to the forcing-gradient block
     (``E``) is infinite and callers must check that its bracket vanishes.
+    Any other eps must be admissible on tau.
     """
+    if eps is not None:
+        params.require_eps(eps, tau, mode=family)
+    al = params.coeffs.alpha_at(np.asarray(tau, dtype=float))
+    return _aggregates(bounds, params, v_sup, radius, cutoff, al, eps, family, scope)
+
+
+def _young(v_sup, eps) -> float:
+    """E, the Young coefficient of the forcing-gradient block (inf at eps None)."""
+    return math.inf if eps is None else (1.5) ** 1.5 * v_sup / math.sqrt(eps)
+
+
+def _aggregates(bounds, params, v_sup, radius, cutoff, al, eps, family, scope) -> dict:
+    """:func:`aggregate_constants` at the values ``al`` of alpha, with eps
+    taken as admissible."""
     if scope not in ("local", "global"):
         raise EstimateError(f"unknown scope {scope!r}")
-    tau = np.asarray(tau, dtype=float)
-    al = params.coeffs.alpha_at(tau)
     w = family_weight(family, al)
     b = params.b
     p, m = params.p, params.m
@@ -127,13 +141,9 @@ def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
     else:
         K = K * np.ones_like(al)
     L = al * (p - 1) * bounds.l2 / 2.0 + al * (p - 1) * bounds.k_lo * bounds.l1
-    if eps is None:
-        E, young = math.inf, 0.0
-    else:
-        params.require_eps(eps, tau, mode=family)
-        E, young = (1.5) ** 1.5 * v_sup / math.sqrt(eps), 2.0 * eps * b * al**2 * w
+    young = 0.0 if eps is None else 2.0 * eps * b * al**2 * w
     return {
-        "K": K, "L": L, "E": E,
+        "K": K, "L": L, "E": _young(v_sup, eps),
         "F": b * al**2 * w / (4.0 * (al - 1.0) ** 2 - young),
         "N": (2.0 * (p - 1) * v_sup * ((m - 1) * bounds.k + w * bounds.k2)
               + 2.0 * (al - 1.0) * bounds.k_hi) / w,
@@ -143,7 +153,12 @@ def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
 def aggregate_M(bounds: GeometryBounds, params: HarnackParams, n_dim: int, tau,
                 family: str = "first"):
     """Metric-speed aggregate entering the clamped zeroth-order block."""
-    al = params.coeffs.alpha_at(np.asarray(tau, dtype=float))
+    return _metric_aggregate(bounds, params, n_dim,
+                             params.coeffs.alpha_at(np.asarray(tau, dtype=float)), family)
+
+
+def _metric_aggregate(bounds, params, n_dim, al, family):
+    """:func:`aggregate_M` at the values ``al`` of alpha."""
     w = family_weight(family, al)
     return al**2 / w * (params.p - 1) * n_dim * ((bounds.k_lo + bounds.k_hi) ** 2
                                                  + 2.0 * bounds.k2 / w)
@@ -196,11 +211,69 @@ class SupSamples:
     def v_sup(self) -> float:
         return float(np.max(self.v))
 
+    def blocks(self):
+        """The samples as one block (see :meth:`SupNodes.blocks`)."""
+        yield self
+
+
+def _node_blocks(mask):
+    """Consecutive blocks of at most ``symfun._BLOCK_NODES`` of the nodes
+    ``mask`` selects: the mesh indices of each and its slice of the selected
+    nodes, in mask order."""
+    index = np.flatnonzero(mask)
+    size = symfun._BLOCK_NODES
+    for start in range(0, index.size, size):
+        part = slice(start, start + size)
+        yield np.unravel_index(index[part], mask.shape), part
+
+
+class SupNodes:
+    """The nodes of a sup cylinder with their clock times and pressure.
+
+    The nodes are those ``mask`` selects of the mesh (rr, tt).  The other
+    :class:`SupSamples` fields are evaluated a block of at most
+    ``symfun._BLOCK_NODES`` nodes at a time, so the data held beyond tau and
+    v does not grow with the sup density.
+    """
+
+    def __init__(self, geom: WarpedGeometry, params: HarnackParams, nl: Nonlinearity,
+                 rr, tt, mask, tau, v):
+        self.geom, self.params, self.nl = geom, params, nl
+        self.rr, self.tt, self.mask, self.tau, self.v = rr, tt, mask, tau, v
+        self.v_sup, self.v_inf = float(np.max(v)), float(np.min(v))
+
+    def _samples(self, nodes, part: slice) -> SupSamples:
+        """The samples at the mesh ``nodes``, entries ``part`` of tau and v."""
+        r, t, tau, v = self.rr[nodes], self.tt[nodes], self.tau[part], self.v[part]
+        coeffs, nl = self.params.coeffs, self.nl
+        G, G_x, _, lap_Gx = nl.G_x_partials(t, r, v)
+        return SupSamples(
+            r=r, t_abs=t, tau=tau, v=v,
+            G=G,
+            G_v=nl.G_v(t, r, v),
+            G_vv=nl.G_vv(t, r, v),
+            G_x_norm=np.abs(G_x) / self.geom.conformal(r, t),
+            lap_Gx=lap_Gx,
+            alpha=coeffs.alpha_at(tau),
+            alpha_p=coeffs.alpha_prime_at(tau),
+            beta=coeffs.beta_at(tau),
+            beta_p=coeffs.beta_prime_at(tau),
+        )
+
+    def blocks(self):
+        """The :class:`SupSamples` of consecutive blocks of the nodes."""
+        for nodes, part in _node_blocks(self.mask):
+            yield self._samples(nodes, part)
+
+    def whole(self) -> SupSamples:
+        """The samples of every node in one piece."""
+        return self._samples(self.mask, slice(None))
+
 
 def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
                         nl: Nonlinearity, cyl: Cylinder, t0_clock: float,
-                        density=(129, 65)) -> SupSamples:
-    """Evaluate the sup-relevant quantities on cylinder nodes.
+                        density=(129, 65)) -> SupNodes:
+    """The sup-relevant nodes of a cylinder, with the pressure on them.
 
     ``t0_clock`` is the absolute time at which the estimate clock starts;
     tau = t - t0_clock feeds alpha, beta and the 1/t term.
@@ -208,56 +281,89 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
     rr, tt, mask = solution.sample(cyl, geom, density)
     if not np.any(mask):
         raise EstimateError("sup cylinder misses the solution grid")
-    r_in, t_in = rr[mask], tt[mask]
     v = solution.table(0, 0, rr, tt, mask)[0, 0]
     if np.any(v <= 0):
         raise EstimateError("pressure field not positive on the sup cylinder")
-    tau = t_in - t0_clock
-    a = geom.conformal(r_in, t_in)
-    coeffs = params.coeffs
-    G, G_x, _, lap_Gx = nl.G_x_partials(t_in, r_in, v)
-    return SupSamples(
-        r=r_in, t_abs=t_in, tau=tau, v=v,
-        G=G,
-        G_v=nl.G_v(t_in, r_in, v),
-        G_vv=nl.G_vv(t_in, r_in, v),
-        G_x_norm=np.abs(G_x) / a,
-        lap_Gx=lap_Gx,
-        alpha=coeffs.alpha_at(tau),
-        alpha_p=coeffs.alpha_prime_at(tau),
-        beta=coeffs.beta_at(tau),
-        beta_p=coeffs.beta_prime_at(tau),
-    )
+    return SupNodes(geom, params, nl, rr, tt, mask, tt[mask] - t0_clock, v)
 
 
-def _clamped_sup(values) -> float:
-    return max(0.0, float(np.max(values)))
+def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: HarnackParams,
+               n_dim: int, radius: float, cutoff: CutoffProfile, family: str, scope: str,
+               eps) -> np.ndarray:
+    """The maxima over the nodes of ``s`` that the quantities of (family,
+    scope, eps) are made of, before any clamping; at eps None also those of
+    the static forms: sup |G_x|, the slope and the last bracket."""
+    cst = _aggregates(bounds, params, v_sup, radius, cutoff, s.alpha, eps, family, scope)
+    slope, grad, const, quad = estimate_brackets(
+        s, params, family, cst["L"], cst["N"],
+        _metric_aggregate(bounds, params, n_dim, s.alpha, family))
+    terms = [s.beta - s.alpha * s.G / s.v, slope + cst["K"], grad, const,
+             np.sqrt(cst["F"]) * quad]
+    if eps is None:
+        # the static forms divide the last sup by sqrt(w) and weight it by
+        # b sqrt(w); the local scope adds the cutoff slope
+        b, p, m = params.b, params.p, params.m
+        al, alp = s.alpha, s.alpha_p
+        drift = 2.0 * al * (p - 1) * v_sup * (m - 1) * bounds.k - alp
+        last = (((al / 2.0) * (s.G / s.v - s.G_v)
+                 - al**2 * (p - 1) / (2.0 * (al - 1.0)) * s.v * s.G_vv
+                 + drift / (2.0 * (al - 1.0))) / np.sqrt(family_weight(family, al)))
+        static_slope = _family_slope(family, s)
+        if scope == "local":
+            static_slope = static_slope + (b * al**2 * p**2 * v_sup * cutoff.c1**2
+                                           / (2.0 * (al - 1.0) * radius**2))
+        terms += [s.G_x_norm, static_slope, last]
+    return np.array([np.max(x) for x in terms])
 
 
-def sup_quantities(samples: SupSamples, bounds: GeometryBounds, params: HarnackParams,
+def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim: int,
+                   radius: float, cutoff: CutoffProfile, requests,
+                   scope: str = "local") -> list[dict]:
+    """The :func:`sup_quantities` of each (family, eps) of ``requests`` on one
+    scope, from one pass over ``samples.blocks()``.
+
+    Each block is evaluated once and every maximum is taken from it; a max
+    over blocks is the max over their union, so the quantities do not depend
+    on the partition.  Each eps is checked against the ceiling on every
+    node's clock time before any block is evaluated.
+    """
+    for family, eps in requests:
+        if eps is not None:
+            params.require_eps(eps, samples.tau, mode=family)
+    v_sup = samples.v_sup
+    sups = None
+    for block in samples.blocks():
+        terms = [_sup_terms(block, v_sup, bounds, params, n_dim, radius, cutoff,
+                            family, scope, eps) for family, eps in requests]
+        sups = terms if sups is None else list(map(np.maximum, sups, terms))
+    out = []
+    for (family, eps), terms in zip(requests, sups):
+        q0, sup1, sup2, sup3, sup4, *static = terms.tolist()
+        q = {"q0": q0, "q1": max(0.0, sup1),
+             # a vanishing grad bracket needs no Young coefficient, even an infinite one
+             "q2": math.sqrt(_young(v_sup, eps)) * sup2 if sup2 > 0.0 else 0.0,
+             "q3": max(0.0, sup3), "q4": max(0.0, sup4),
+             "family": family, "scope": scope, "eps": eps, "v_sup": v_sup}
+        if static:
+            q.update(G_x_sup=static[0], static_slope=max(0.0, static[1]),
+                     static_last=max(0.0, static[2]))
+        out.append(q)
+    return out
+
+
+def sup_quantities(samples, bounds: GeometryBounds, params: HarnackParams,
                    n_dim: int, radius: float, cutoff: CutoffProfile, eps,
                    family: str = "first", scope: str = "local") -> dict:
     """The clamped sup-quantities q0..q4 entering the estimate right side.
 
     q0 is the unclamped sup of [beta - alpha G / v] (used by the Harnack
     bound); q1..q4 are the non-negative aggregates.  For the "first" family
-    these are the mu's, for the "second" family the lambda's.
+    these are the mu's, for the "second" family the lambda's.  At eps None
+    (the vanishing-eps limit) the quantities also carry the sups the static
+    forms read.  ``samples`` is a :class:`SupSamples` or :class:`SupNodes`.
     """
-    s = samples
-    cst = aggregate_constants(bounds, params, s.v_sup, radius, cutoff, s.tau, eps,
-                              family=family, scope=scope)
-    slope, grad, const, quad = estimate_brackets(
-        s, params, family, cst["L"], cst["N"],
-        aggregate_M(bounds, params, n_dim, s.tau, family=family))
-    q0 = float(np.max(s.beta - s.alpha * s.G / s.v))
-    q1 = _clamped_sup(slope + cst["K"])
-    # a vanishing grad bracket needs no Young coefficient, even an infinite one
-    sup2 = float(np.max(grad))
-    q2 = math.sqrt(cst["E"]) * sup2 if sup2 > 0.0 else 0.0
-    q3 = _clamped_sup(const)
-    q4 = _clamped_sup(np.sqrt(cst["F"]) * quad)
-    return {"q0": q0, "q1": q1, "q2": q2, "q3": q3, "q4": q4,
-            "family": family, "scope": scope, "eps": eps, "v_sup": s.v_sup}
+    return reduce_suprema(samples, bounds, params, n_dim, radius, cutoff,
+                          [(family, eps)], scope)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +389,12 @@ def variant_kind(variant: str) -> tuple[str, str]:
             "global" if variant.endswith("global") else "local")
 
 
-def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds,
-              params: HarnackParams, radius: float, cutoff: CutoffProfile, tau):
+def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackParams,
+              radius: float, cutoff: CutoffProfile, tau):
     """Estimate right-hand side at clock times tau > 0.
 
-    ``q`` holds the :func:`sup_quantities` of the variant's family and scope;
-    the static forms read only the samples and the bounds.
+    ``q`` holds the :func:`sup_quantities` of the variant's family and scope,
+    at eps None for the static forms.
     """
     if variant not in VARIANTS:
         raise EstimateError(f"unknown estimate variant {variant!r}")
@@ -303,41 +409,30 @@ def rhs_bound(variant: str, q: dict, samples: SupSamples, bounds: GeometryBounds
     family = q["family"]
     al = params.coeffs.alpha_at(tau)
     base = b * al / tau
-    v_sup = samples.v_sup
+    v_sup = q["v_sup"]
     k = bounds.k
+    local = q["scope"] == "local"
 
     if not variant.startswith("static"):
         agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
         rhs = base + b * al * q["q1"] + np.sqrt(b * family_weight(family, al)) * np.sqrt(agg)
-        if q["scope"] == "local":
+        if local:
             rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
         return rhs
 
     # static-geometry forms (vanishing-eps limits with zeroed evolution data);
     # they are only sound for x-independent forcing on static data, so refuse
     # scenarios that carry either kind of extra structure
-    s = samples
-    if float(np.max(s.G_x_norm)) > 0:
+    if q["eps"] is not None:
+        raise EstimateError(f"{variant!r} takes the sup quantities of the vanishing-eps limit")
+    if q["G_x_sup"] > 0:
         raise EstimateError("static estimate forms require x-independent forcing")
     if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
         raise EstimateError("static estimate forms require zero evolution bounds")
-    al_s, alp_s = s.alpha, s.alpha_p
-    # the last sup is divided by sqrt(w) and weighted by b sqrt(w); the local
-    # scope adds the cutoff slope and the localization term
-    drift = 2.0 * al_s * (p - 1) * v_sup * (m - 1) * k - alp_s
-    sup_last = _clamped_sup(
-        ((al_s / 2.0) * (s.G / s.v - s.G_v)
-         - al_s**2 * (p - 1) / (2.0 * (al_s - 1.0)) * s.v * s.G_vv
-         + drift / (2.0 * (al_s - 1.0))) / np.sqrt(family_weight(family, al_s))
-    )
-    slope = _family_slope(family, s)
-    local = variant.endswith("local")
-    if local:
-        slope = slope + b * al_s**2 * p**2 * v_sup * cutoff.c1**2 / (2.0 * (al_s - 1.0) * radius**2)
-    rhs = base + b * al * _clamped_sup(slope)
+    rhs = base + b * al * q["static_slope"]
     if local:
         rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
-    return rhs + b * np.sqrt(family_weight(family, al)) * sup_last
+    return rhs + b * np.sqrt(family_weight(family, al)) * q["static_last"]
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +455,7 @@ class VerificationReport:
     margin: np.ndarray
     tolerance: float
     scale: float
-    violations: list
+    violations: int
     min_margin: float
     argmin: tuple
     constants: dict
@@ -370,7 +465,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return len(self.violations) == 0
+        return self.violations == 0
 
     def summary(self) -> dict:
         return {
@@ -382,7 +477,7 @@ class VerificationReport:
             "min_margin": self.min_margin,
             "argmin_r": self.argmin[0],
             "argmin_tau": self.argmin[1],
-            "violations": len(self.violations),
+            "violations": self.violations,
             "tolerance": self.tolerance,
             "scale": self.scale,
             "v_sup": self.v_sup,
@@ -396,16 +491,20 @@ class VerificationReport:
 
 def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
     """|grad v|^2/(alpha v) - v_t/v + G/v - beta/alpha at the nodes of the
-    mesh (rr, tt) that ``mask`` selects, on the clock tau = t - t0_clock."""
-    r, t_abs = rr[mask], tt[mask]
-    tau = t_abs - t0_clock
-    part = solution.table(1, 1, rr, tt, mask)
-    v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
-    a2 = geom.conformal(r, t_abs) ** 2
-    al = params.coeffs.alpha_at(tau)
-    be = params.coeffs.beta_at(tau)
-    G = nl.G(t_abs, r, v)
-    return v_r**2 / (a2 * al * v) - v_t / v + G / v - be / al
+    mesh (rr, tt) that ``mask`` selects, on the clock tau = t - t0_clock,
+    evaluated a block of nodes at a time."""
+    lhs = np.empty(np.count_nonzero(mask))
+    for nodes, part in _node_blocks(mask):
+        r, t_abs = rr[nodes], tt[nodes]
+        tau = t_abs - t0_clock
+        table = solution.table(1, 1, rr, tt, nodes)
+        v, v_r, v_t = table[0, 0], table[1, 0], table[0, 1]
+        a2 = geom.conformal(r, t_abs) ** 2
+        al = params.coeffs.alpha_at(tau)
+        be = params.coeffs.beta_at(tau)
+        G = nl.G(t_abs, r, v)
+        lhs[part] = v_r**2 / (a2 * al * v) - v_t / v + G / v - be / al
+    return lhs
 
 
 @dataclass
@@ -413,7 +512,8 @@ class EstimateScope:
     """What every report on one scope shares, whatever its family and eps.
 
     The local scope samples its constants on Q_2R and checks the nodes of
-    Q_R; the global scope does both on the whole domain.
+    Q_R; the global scope does both on the whole domain.  ``suprema`` keeps
+    the sup-quantities reduced so far, by (family, eps, cutoff).
     """
 
     name: str
@@ -423,11 +523,25 @@ class EstimateScope:
     t0_clock: float
     density: tuple
     bounds: GeometryBounds
-    samples: SupSamples
+    samples: SupNodes
     r: np.ndarray
     t_abs: np.ndarray
     tau: np.ndarray
     lhs: np.ndarray
+    suprema: dict = field(default_factory=dict, repr=False)
+
+    def quantities(self, requests, cutoff: CutoffProfile) -> list[dict]:
+        """The :func:`sup_quantities` of each (family, eps) of ``requests``
+        on this scope; those not reduced before are reduced together, in one
+        pass over the sup blocks."""
+        keys = [(family, eps, cutoff) for family, eps in requests]
+        new = [key for key in dict.fromkeys(keys) if key not in self.suprema]
+        if new:
+            reduced = reduce_suprema(self.samples, self.bounds, self.params, self.geom.n,
+                                     self.cyl.radius, cutoff, [key[:2] for key in new],
+                                     self.name)
+            self.suprema.update(zip(new, reduced))
+        return [self.suprema[key] for key in keys]
 
 
 def scope_suprema(solution, geom: WarpedGeometry, params: HarnackParams,
@@ -479,23 +593,14 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     cutoff = cutoff or cutoff_profile()
     family, _ = variant_kind(variant)
     params, cyl, bounds, samples = scope.params, scope.cyl, scope.bounds, scope.samples
-    r_in, t_in, tau_in, lhs = scope.r, scope.t_abs, scope.tau, scope.lhs
+    r_in, tau_in, lhs = scope.r, scope.tau, scope.lhs
     # rhs_bound refuses quantities of a scope the variant is not checked on
-    quantities = sup_quantities(samples, bounds, params, scope.geom.n, cyl.radius,
-                                cutoff, eps, family=family, scope=scope.name)
-    rhs = rhs_bound(variant, quantities, samples, bounds, params, cyl.radius,
-                    cutoff, tau_in) * rhs_scale
+    quantities, = scope.quantities([(family, eps)], cutoff)
+    rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, cutoff, tau_in) * rhs_scale
     margin = rhs - lhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
     tol = tolerance_factor * scale
-    bad = margin < -tol
-    violations = [
-        {"r": float(r_in[i]), "t": float(t_in[i]), "tau": float(tau_in[i]),
-         "lhs": float(lhs[i]), "rhs": float(rhs[i]), "margin": float(margin[i])}
-        for i in np.nonzero(bad)[0][:200]
-    ]
     imin = int(np.argmin(margin))
-    v_inf = float(np.min(samples.v))
     density = scope.density
     constants = {
         "b": params.b,
@@ -515,45 +620,48 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     return VerificationReport(
         variant=variant, eps=eps, radius=cyl.radius,
         clock=f"t0={scope.t0_clock:g}",
-        r=r_in, t_abs=t_in, tau=tau_in, lhs=lhs, rhs=rhs, margin=margin,
-        tolerance=tol, scale=scale, violations=violations,
+        r=r_in, t_abs=scope.t_abs, tau=tau_in, lhs=lhs, rhs=rhs, margin=margin,
+        tolerance=tol, scale=scale, violations=int(np.count_nonzero(margin < -tol)),
         min_margin=float(margin[imin]),
         argmin=(float(r_in[imin]), float(tau_in[imin])),
-        constants=constants, v_sup=samples.v_sup, v_inf=v_inf,
+        constants=constants, v_sup=samples.v_sup, v_inf=samples.v_inf,
         flags=tuple(flags),
     )
 
 
-def estimate_matrix(sc, rhs_scale: float = 1.0) -> list[VerificationReport]:
-    """One report per configured variant and eps of a scenario, in config order.
+def estimate_matrix(sc, rhs_scale: float = 1.0):
+    """Yield one report per configured variant and eps of a scenario, in
+    config order.
 
     Static variants take the vanishing-eps limit; the others scan the eps
     fractions of their family's ceiling.  Each scope is built on first use,
-    so errors surface in the order a report-by-report check would raise them.
+    so errors surface in the order a report-by-report check would raise them,
+    and then reduces the suprema of every report on it in one pass over its
+    sup blocks.
     """
     ver = sc.verification
     sol = sc.solution_handle()
     cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
     cutoff = cutoff_profile()
-    scopes = {}
-    reports = []
+    scopes, eps_of = {}, {}
     for variant in ver["variants"]:
-        family, scope = variant_kind(variant)
-        if scope not in scopes:
-            scopes[scope] = estimate_scope(
-                sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, scope,
+        _, name = variant_kind(variant)
+        if name not in scopes:
+            scope = scopes[name] = estimate_scope(
+                sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, name,
                 density=ver["sup_density"], eval_density=ver["eval_density"])
-        if variant.startswith("static"):
-            eps_values = [None]
-        else:
-            # the ceiling on the clock times the admissibility check reads
-            eps_values = eps_scan(sc.params, scopes[scope].samples.tau, family,
-                                  ver["eps_fractions"])
-        for eps in eps_values:
-            reports.append(verify_estimate(
-                scopes[scope], variant, eps=eps, cutoff=cutoff,
-                tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale))
-    return reports
+            on_scope = [v for v in ver["variants"] if variant_kind(v)[1] == name]
+            for other in on_scope:
+                # the ceiling on the clock times the admissibility check reads
+                eps_of[other] = ([None] if other.startswith("static") else
+                                 eps_scan(sc.params, scope.samples.tau, variant_kind(other)[0],
+                                          ver["eps_fractions"]))
+            scope.quantities([(variant_kind(v)[0], eps) for v in on_scope
+                              for eps in eps_of[v]], cutoff)
+        for eps in eps_of[variant]:
+            yield verify_estimate(
+                scopes[name], variant, eps=eps, cutoff=cutoff,
+                tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale)
 
 
 def eps_scan(params: HarnackParams, tau, family: str, fractions=(0.1, 0.5, 0.9)):

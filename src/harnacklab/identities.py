@@ -53,11 +53,13 @@ class _SolutionHandle:
     """
 
     def sample(self, cyl: Cylinder, geom: WarpedGeometry, density):
-        """Mesh (rr, tt) of the nodes ``cyl`` is sampled on and the mask of
-        the nodes inside it."""
+        """Mesh (rr, tt) of the nodes ``cyl`` is sampled on, as read-only
+        broadcast views of the node arrays, and the mask of the nodes inside
+        it."""
         r_nodes, t_nodes = self.nodes(cyl, geom, density)
-        rr, tt = np.meshgrid(r_nodes, t_nodes, indexing="ij")
-        return rr, tt, cyl.mask(r_nodes, t_nodes, geom)
+        mask = cyl.mask(r_nodes, t_nodes, geom)
+        return (np.broadcast_to(r_nodes[:, None], mask.shape),
+                np.broadcast_to(t_nodes[None, :], mask.shape), mask)
 
 
 class AnalyticSolution(_SolutionHandle):

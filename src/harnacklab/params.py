@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jets import PoleEvaluationError
 from .symfun import Profile, constant_profile
 
 
@@ -36,11 +37,19 @@ class AlphaBeta:
         return self.beta.at(0, 1, np.zeros_like(np.asarray(t, dtype=float)), t)
 
     def check_admissible(self, t):
-        a = self.alpha_at(t)
+        """Refuse a pair that is not finite at the times t (with its
+        t-derivatives), or whose alpha does not exceed 1 or decreases."""
+        values = {}
+        for name, at in (("alpha", self.alpha_at), ("alpha'", self.alpha_prime_at),
+                         ("beta", self.beta_at), ("beta'", self.beta_prime_at)):
+            try:
+                values[name] = at(t)
+            except (PoleEvaluationError, FloatingPointError):
+                raise ParamError(f"{name} is not finite on the window") from None
+        a = values["alpha"]
         if np.any(a <= 1.0):
             raise ParamError(f"alpha must exceed 1 on the window (min {np.min(a):.6g})")
-        ap = self.alpha_prime_at(t)
-        if np.any(ap < -1e-12):
+        if np.any(values["alpha'"] < -1e-12):
             raise ParamError("alpha must be nondecreasing")
 
     def shifted(self, t0: float) -> "AlphaBeta":

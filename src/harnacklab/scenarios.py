@@ -19,7 +19,8 @@ from .fields import Grid
 from .geometry import MODES, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
 from .jets import PoleEvaluationError
-from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta
+from .params import (AlphaBeta, HarnackParams, ParamError, constant_alpha_beta,
+                     preset_alpha_beta)
 from .solver import (BOUNDARY_POLICIES, Nonlinearity, PdeParams, SolveResult, SolverError,
                      barenblatt_oracle, barenblatt_pressure_profile,
                      barenblatt_support_radius, manufactured_forcing, pressure_inverse,
@@ -417,7 +418,14 @@ def parse_scenario(doc: dict) -> Scenario:
         pde=pde, verification=verification, t0=t0, duration=duration,
         numeric_base=numeric_base,
     )
-    coeffs.check_admissible(np.linspace(duration / 256, duration, 64))
+    # the estimates read the pair from tau = 0, the first sup-sample time
+    try:
+        coeffs.check_admissible(np.linspace(0.0, duration, 65))
+    except ParamError as exc:
+        raise ConfigError("harnack.alpha", f"{exc}, tau in [0, {duration:g}] on the estimate "
+                                           "clock; a preset starts at alpha = 1, or is "
+                                           "singular, at tau = 0 unless its clock_offset "
+                                           "is positive")
     return sc
 
 

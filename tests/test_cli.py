@@ -14,7 +14,8 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
                             EXIT_VIOLATION, cmd_check_estimate, cmd_check_identities,
                             main, run_sweep)
 from harnacklab.geometry import Cylinder
-from harnacklab.scenarios import GEOMETRY_PRESETS, ConfigError, parse_geometry, parse_scenario
+from harnacklab.scenarios import (GEOMETRY_PRESETS, ConfigError, load_scenario, parse_geometry,
+                                  parse_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -137,6 +138,11 @@ BAD_VALUES = [
     ("verification.sup_density", [1, 1]), ("verification.sup_density", 65),
     ("verification.eval_density", [1, 1]), ("verification.eval_density", 65),
     ("verification.tolerance_factor", -1), ("verification.harnack_tolerance_factor", -1),
+    # preset pairs read from tau = 0, where exp and linear start at alpha = 1
+    # and coth (alpha) and linear (beta) are singular
+    ("harnack.alpha", {"preset": "exp", "gamma": 1}),
+    ("harnack.alpha", {"preset": "coth", "gamma": 1}),
+    ("harnack.alpha", {"preset": "linear", "gamma": 1}),
     # a preset rate that is not a number, or overflows to inf, and a preset that
     # is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
@@ -342,8 +348,8 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     split = cli._CSV_CHUNK_ROWS + 903
     rows = cli._Blocks([(split, [col[:split] for col in columns]),
                         (n - split, [col[split:] for col in columns])])
-    assert len(rows) == n
     cli._write_csv(tmp_path / "new.csv", header, rows)
+    assert len(rows) == n
     _per_cell_csv(tmp_path / "old.csv", header, zip(floats, labels, floats[::-1], mixed))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -362,8 +368,8 @@ def test_write_csv_report_blocks_match_per_cell_writer(tmp_path):
               (2, (True, 1, r[3:5], r[5:]))]
     header = ("variant", "eps", "r", "lhs")
     rows = cli._Blocks(blocks)
-    assert len(rows) == 23
     cli._write_csv(tmp_path / "new.csv", header, rows)
+    assert len(rows) == 23
     expanded = [(variant, eps, x, y) for n, (variant, eps, xs, ys) in blocks
                 for x, y in zip(xs.tolist(), ys.tolist())]
     _per_cell_csv(tmp_path / "old.csv", header, expanded)
@@ -410,9 +416,10 @@ def test_workers_flag_only_on_sweep(tmp_path):
 
 
 def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
-    # bounds and samples depend only on the scope (2 of them by default),
-    # the sup-quantities on the report (4 variants x 3 eps)
-    calls = {"extract_bounds": 0, "collect_sup_samples": 0, "sup_quantities": 0}
+    # bounds and samples depend only on the scope (2 of them by default), and
+    # the sup-quantities of every report on a scope (2 variants x 3 eps) are
+    # reduced in one pass over its sup blocks
+    calls = {"extract_bounds": 0, "collect_sup_samples": 0, "reduce_suprema": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(estimates, name), **kwargs):
             calls[_name] += 1
@@ -427,7 +434,7 @@ def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
     monkeypatch.setattr(estimates, "verify_estimate", recorded)
     sc = parse_scenario(barenblatt_doc())
     assert cmd_check_estimate(sc, tmp_path / "out") == EXIT_OK
-    assert calls == {"extract_bounds": 2, "collect_sup_samples": 2, "sup_quantities": 12}
+    assert calls == {"extract_bounds": 2, "collect_sup_samples": 2, "reduce_suprema": 2}
     assert len(reports) == 12
 
     monkeypatch.undo()
@@ -506,6 +513,38 @@ def test_cli_estimate_pass_and_negative_control(tmp_path):
     payload = json.loads((tmp_path / "nc" / "summary.json").read_text())
     assert payload["violations"] > 0
     assert payload["negative_control"] is True
+
+
+def test_violation_counts_match_report_rows(tmp_path):
+    # every node below -tolerance counts, not only the first 200 of a report
+    out = tmp_path / "nc"
+    code = main(["check-estimate", "--config", str(CONFIGS / "negative-control.json"),
+                 "--out", str(out), "--negative-control"])
+    assert code == EXIT_VIOLATION
+    payload = json.loads((out / "summary.json").read_text())
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    counts = []
+    for rep in payload["reports"]:
+        key = (rep["variant"], "" if rep["eps"] is None else cli._fmt(rep["eps"]))
+        counts.append(sum(1 for row in rows if (row["variant"], row["eps"]) == key
+                          and float(row["margin"]) < -rep["tolerance"]))
+        assert rep["violations"] == counts[-1]
+    assert payload["violations"] == sum(counts) > 200 * len(counts)
+    summary = (out / "summary.txt").read_text()
+    assert f"total violations: {sum(counts)}" in summary
+
+
+def test_check_estimate_error_after_a_written_report_leaves_no_report(tmp_path, capsys):
+    # reports are written as they are made; the static form, refused on
+    # x-dependent forcing, fails after the first report's rows went out
+    doc = json.loads((CONFIGS / "gaussian-conformal.json").read_text())
+    doc["verification"]["variants"] = ["first-local", "static-first-local"]
+    out = tmp_path / "out"
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "static estimate forms require x-independent forcing" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_identities_and_report(tmp_path, capsys):
@@ -707,7 +746,7 @@ def test_preset_alpha_eps_fraction_near_one_is_admissible(tmp_path):
     assert main(["check-estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
-def test_preset_alpha_without_offset_rejected_for_estimates(tmp_path):
+def test_preset_alpha_without_offset_rejected_for_estimates(tmp_path, capsys):
     doc = barenblatt_doc(
         geometry={"preset": "hyperbolic", "n": 2, "r_max": 2.0},
         harnack={"m": 2.0, "alpha": {"preset": "exp", "gamma": 0.3}},
@@ -716,8 +755,13 @@ def test_preset_alpha_without_offset_rejected_for_estimates(tmp_path):
     )
     doc["pde"].pop("nonlinearity")
     cfg = write_config(tmp_path, doc)
-    # alpha reaches 1 at the window start, so no eps is admissible
+    # alpha reaches 1 at the window start, so no eps is admissible: refused
+    # when the config is read, at its key
     assert main(["check-estimate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: harnack.alpha: alpha must exceed 1")
+    assert "clock_offset" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_numerical_failure_exit(tmp_path):
@@ -762,3 +806,54 @@ def test_cli_commands_never_load_sympy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[False, False, False]"
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def _traced_peak(command, *args):
+    """The tracemalloc peak of ``command(*args)`` in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = command(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_check_estimate_memory_is_bounded(tmp_path, monkeypatch):
+    # On configs/numeric-gaussian.json, after the solve, holding every sup
+    # sample and every report until report.csv was written peaked at 16.1 MB
+    # under tracemalloc (CPython 3.11) with this stand-in writer; reducing
+    # the suprema block by block and writing each report as it is made
+    # peaks at 6.2 MB.  (With the real writer: 16.1 against 6.6 MB, but
+    # tracing its 241,920 formatted rows takes ten seconds; its own memory
+    # is bounded by test_write_csv_streams_in_chunks.)
+    sc = load_scenario(CONFIGS / "numeric-gaussian.json")
+    sc.run_solver()
+    written = []
+
+    def drain(path, header, rows):
+        # read each block as the writer does, keeping only its row count
+        for n, columns in rows:
+            assert len(columns) == len(header)
+            written.append(n)
+
+    monkeypatch.setattr(cli, "_write_csv", drain)
+    peak, code = _traced_peak(cmd_check_estimate, sc, tmp_path / "out")
+    assert code == EXIT_OK and sum(written) == 241_920
+    assert peak <= 16.1 * 2**20 / 2
+
+
+def test_check_harnack_memory_is_bounded(tmp_path):
+    # On configs/numeric-gaussian.json, after the solve, check-harnack held
+    # the global scope's sup samples whole: it peaked at 7.9 MB under
+    # tracemalloc (CPython 3.11), and reducing both families' suprema in one
+    # pass over the sup blocks peaks at 3.5 MB
+    sc = load_scenario(CONFIGS / "numeric-gaussian.json")
+    sc.run_solver()
+    peak, code = _traced_peak(cli.cmd_check_harnack, sc, tmp_path / "out")
+    assert code == EXIT_OK
+    assert peak <= 7.9 * 2**20 / 2

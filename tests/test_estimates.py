@@ -1,23 +1,29 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from harnacklab import symfun
 from harnacklab.estimates import (VARIANTS, EstimateError, SupSamples, aggregate_M,
                                   aggregate_constants, collect_sup_samples,
                                   cutoff_profile, eps_scan, estimate_lhs,
                                   estimate_scope, localized_diagnostic,
-                                  nonlinearity_conditions, rhs_bound,
+                                  nonlinearity_conditions, reduce_suprema, rhs_bound,
                                   sup_quantities, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
 from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
                                manufactured_forcing)
+from harnacklab.scenarios import parse_scenario
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import make_geometry, params_for
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +177,59 @@ def test_sup_quantities_nonnegative_and_monotone_in_radius():
         prev = q
 
 
+STREAMED_SCENARIOS = [
+    # x-dependent forcing on an evolving metric, with alpha' and beta nonzero
+    ("gaussian-conformal.json", {"preset": "coth", "gamma": 0.5, "clock_offset": 0.5},
+     "2 + t*exp(-r**2/4)", [v for v in VARIANTS if not v.startswith("static")]),
+    # x-independent forcing on a static metric: the static forms too
+    ("powerlaw-static.json", None, "2*exp(t/2)", list(VARIANTS)),
+]
+
+
+@pytest.mark.parametrize("config, alpha, expr, variants", STREAMED_SCENARIOS,
+                         ids=[config for config, *_ in STREAMED_SCENARIOS])
+def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha, expr,
+                                                      variants):
+    # every maximum is reduced block by block: into 1-node blocks, odd-sized
+    # blocks or one block, the quantities and right sides are those of the
+    # whole samples, bit for bit.  v grows with t, so v_sup sits at the
+    # last time while the brackets peak earlier: a block's own max of v
+    # would lower the sups
+    doc = json.loads((ROOT / "configs" / config).read_text())
+    doc["verification"].update(sup_density=[13, 7], eval_density=[9, 5])
+    doc["solution"] = {"kind": "manufactured", "expr": expr}
+    if alpha is not None:
+        doc["harnack"]["alpha"] = alpha
+    sc = parse_scenario(doc)
+    ver, params, cut = sc.verification, sc.params, cutoff_profile()
+    cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
+    for name in ("local", "global"):
+        scope = estimate_scope(sc.solution_handle(), sc.geom, params, sc.nonlinearity, cyl,
+                               sc.t0, name, density=ver["sup_density"],
+                               eval_density=ver["eval_density"])
+        nodes, whole = scope.samples, scope.samples.whole()
+        assert nodes.v_sup == whole.v_sup and nodes.v_inf == float(np.min(whole.v))
+        requests = [(family, eps) for family in ("first", "second")
+                    for eps in [None, *eps_scan(params, nodes.tau, family,
+                                                ver["eps_fractions"])]]
+        reference = [sup_quantities(whole, scope.bounds, params, sc.geom.n, cyl.radius, cut,
+                                    eps, family=family, scope=name)
+                     for family, eps in requests]
+        for size in (1, 7, nodes.v.size):
+            with monkeypatch.context() as patch:
+                patch.setattr(symfun, "_BLOCK_NODES", size)
+                streamed = reduce_suprema(nodes, scope.bounds, params, sc.geom.n,
+                                          cyl.radius, cut, requests, name)
+            for (family, eps), q, ref in zip(requests, streamed, reference):
+                assert q == ref, (name, size, family, eps)
+                for variant in variants:
+                    if (variant_kind(variant) == (family, name)
+                            and variant.startswith("static") == (eps is None)):
+                        args = (scope.bounds, params, cyl.radius, cut, scope.tau)
+                        assert np.array_equal(rhs_bound(variant, q, *args),
+                                              rhs_bound(variant, ref, *args))
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -180,13 +239,13 @@ def test_global_rhs_collapses_to_leading_term():
     tau = np.array([0.25, 0.5, 1.0])
     q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
                        0.25, family="first", scope="global")
-    out = rhs_bound("first-global", q, samples, bounds, params, cyl.radius,
+    out = rhs_bound("first-global", q, bounds, params, cyl.radius,
                     cutoff_profile(), tau)
     b, al = params.b, 2.0
     assert np.allclose(out, b * al / tau, rtol=1e-14)
     q2 = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
                         0.1, family="second", scope="global")
-    out2 = rhs_bound("second-global", q2, samples, bounds, params, cyl.radius,
+    out2 = rhs_bound("second-global", q2, bounds, params, cyl.radius,
                      cutoff_profile(), tau)
     assert np.allclose(out2, b * al / tau, rtol=1e-14)
 
@@ -197,7 +256,7 @@ def test_local_rhs_finite_for_each_admissible_eps():
     values = []
     for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), "first"):
         q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(), eps)
-        out = rhs_bound("first-local", q, samples, bounds, params, 0.9,
+        out = rhs_bound("first-local", q, bounds, params, 0.9,
                         cutoff_profile(), tau)
         assert np.isfinite(out).all()
         values.append(float(out[0]))
@@ -239,8 +298,8 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
                 return sup_quantities(s, bounds, params, 2, radius, cut, eps,
                                       family=family, scope=scope)
 
-            def rhs(q, s=samples):
-                return rhs_bound(variant, q, s, bounds, params, radius, cut, tau)
+            def rhs(q):
+                return rhs_bound(variant, q, bounds, params, radius, cut, tau)
 
             # the sampled q's, and q's at, near and far from zero
             q = quantities(samples)
@@ -255,7 +314,7 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
             steeper = rng.uniform(0, 1) * (np.arange(n_nodes) == rng.integers(n_nodes))
             up = dataclasses.replace(samples, G_x_norm=samples.G_x_norm + steeper)
             q_up = quantities(up)
-            assert q_up["q2"] >= q["q2"] and np.all(rhs(q_up, up) >= rhs(q)), variant
+            assert q_up["q2"] >= q["q2"] and np.all(rhs(q_up) >= rhs(q)), variant
 
 
 def test_static_rhs_formula_cross_check():
@@ -268,7 +327,7 @@ def test_static_rhs_formula_cross_check():
     radius = 0.9
     k = bounds.k
     q = sup_quantities(samples, bounds, params, geom.n, radius, cut, None)
-    out = rhs_bound("static-first-local", q, samples, bounds, params, radius, cut, tau)
+    out = rhs_bound("static-first-local", q, bounds, params, radius, cut, tau)
     c1, c2 = cut.c1, cut.c2
     sup_first = max(0.0, b * al**2 * p**2 * v_sup * c1**2 / (2 * (al - 1) * radius**2))
     sup_last = max(0.0, float(np.max(
@@ -318,8 +377,8 @@ def test_static_consistency_vanishing_eps():
             family, scope = variant_kind(variant)
             q = sup_quantities(samples, bounds, params, 2, radius, cut, None,
                                family=family, scope=scope)
-            evolving = rhs_bound(variant, q, samples, bounds, params, radius, cut, tau_eval)
-            static = rhs_bound("static-" + variant, q, samples, bounds, params, radius,
+            evolving = rhs_bound(variant, q, bounds, params, radius, cut, tau_eval)
+            static = rhs_bound("static-" + variant, q, bounds, params, radius,
                                cut, tau_eval)
             assert evolving[0] == pytest.approx(static[0], rel=1e-9)
 
@@ -356,7 +415,7 @@ def test_verify_estimate_negative_control():
     assert honest.passed
     control = verify_estimate(scope, "first-global", eps=eps, rhs_scale=0.5)
     assert not control.passed
-    assert len(control.violations) >= 1
+    assert control.violations >= 1
     assert any("negative-control" in f for f in control.flags)
 
 
@@ -647,7 +706,7 @@ def test_x_dependent_forcing_activates_gradient_quantities():
     assert q["q2"] > 0  # |G_x| enters
     assert q["q3"] > 0  # Delta_phi G^x enters
     # brute-force cross-check of q2 against per-node evaluation
-    s = samples
+    s = samples.whole()
     brute = float(np.sqrt((1.5) ** 1.5 * s.v_sup / np.sqrt(eps))
                   * np.max((s.alpha - 1) * s.G_x_norm / s.v
                            + s.alpha * (params.p - 1) * bounds.l2 / 2

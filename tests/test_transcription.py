@@ -134,7 +134,7 @@ def test_local_rhs_matches_reference(variant):
         tau_eval = rng.uniform(0.1, 1.0, 3)
         q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
                            family=family, scope="local")
-        got = rhs_bound(variant, q, samples, bounds, params, radius, cut, tau_eval)
+        got = rhs_bound(variant, q, bounds, params, radius, cut, tau_eval)
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         want = reference_rhs(variant, ref, params, bounds, tau_eval, radius)
         assert np.allclose(got, want, rtol=1e-13), (trial, got, want)
@@ -246,7 +246,7 @@ def family_rhs(variant, setup, fraction, tau):
     cut = cutoff_profile()
     q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
                        family=family, scope=scope)
-    return q, rhs_bound(variant, q, samples, bounds, params, radius, cut, tau)
+    return q, rhs_bound(variant, q, bounds, params, radius, cut, tau)
 
 
 def test_families_agree_at_matched_eps_fractions_when_alpha_constant_and_k2_zero():
