@@ -19,13 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimates import cutoff_profile, estimate_matrix, reduce_suprema, scope_suprema
+from .estimates import estimate_matrix, reduce_suprema, scope_suprema
 from .geometry import Cylinder, extract_bounds
 from .harnack import sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
-                         pressure_equation_residual, quotient_rule_residual,
-                         variant_label)
+                         pressure_equation_residual, quotient_rule_residual)
 from .params import ParamError
 from .scenarios import ConfigError, Scenario, load_scenario, read_number
 from .solver import SolverError, weighted_mass
@@ -215,14 +214,9 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
         margin_rows.append((name, float(np.min(marg)), lpv_scale, -1e-6))
 
     residual_row("weighted-bochner", bochner_residual(sc.v_profile, geom, r, t))
-
-    commutator_table = {}
-    adjudicated = None
     if not geom.metric_static:
-        results = commutator_residual(sc.v_profile, geom, r, t)
-        commutator_table = {variant_label(k): v[0] for k, v in results.items()}
-        winners = sorted(k for k, v in results.items() if v[0] <= 1e-9)
-        adjudicated = [variant_label(k) for k in winners]
+        residual_row("evolving-metric-commutator",
+                     commutator_residual(sc.v_profile, geom, r, t))
 
     lines = [f"scenario: {sc.name}", "command: check-identities",
              f"geometry: {geom.name} ({geom.family}, n={geom.n}, m={geom.m:g})"]
@@ -235,19 +229,6 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
         status.append("pass" if value >= thresh * scale else "FAIL")
         lines.append(f"  {name:42s} min margin {value:+.3e} (scale {scale:.3g})  {status[-1]}")
     failed = status.count("FAIL")
-    if commutator_table:
-        lines.append("  commutator variant residuals:")
-        for label, value in sorted(commutator_table.items()):
-            lines.append(f"    {label:64s} {value:.3e}")
-        lines.append(f"  consistent variant(s) on this scenario: {adjudicated}")
-        if not adjudicated:
-            failed += 1
-            lines.append("  FAIL: no sign convention reproduces the commutator")
-        elif len(adjudicated) == 1:
-            lines.append(f"  adjudicated convention: {adjudicated[0]}")
-        else:
-            lines.append("  note: a single scenario pins only the terms it excites; "
-                         "run both evolving families to single one out")
 
     header = ("check", "max", "mean", "scale", "threshold", "status")
     gated = [(n, v, s, th) for n, v, _, s, th in checks] + margin_rows
@@ -263,8 +244,6 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
                     for n, v, mu, s, th in checks]
                    + [{"name": n, "min_margin": v, "scale": s, "threshold": th}
                       for n, v, s, th in margin_rows]),
-        "commutator": commutator_table,
-        "adjudicated": adjudicated,
         "failed": failed,
     }
     _write_summary(out, lines, payload)
@@ -326,7 +305,7 @@ def _harnack_suprema(sc: Scenario, sol):
     requests = [(family, 0.5 * params.eps_ceiling(samples.tau, family))
                 for family in ("first", "second")]
     return samples.v_inf, reduce_suprema(samples, bounds, params, sc.geom.n, ver["radius"],
-                                         cutoff_profile(), requests, scope="global")
+                                         requests, scope="global")
 
 
 def cmd_check_harnack(sc: Scenario, out: Path) -> int:

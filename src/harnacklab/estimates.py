@@ -93,8 +93,8 @@ class CutoffProfile:
         }
 
 
-def cutoff_profile() -> CutoffProfile:
-    return CutoffProfile()
+# the one cutoff the local estimates are localized with
+CUTOFF = CutoffProfile()
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,8 @@ def cutoff_profile() -> CutoffProfile:
 # ---------------------------------------------------------------------------
 
 def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
-                        radius: float, cutoff: CutoffProfile, tau, eps,
-                        family: str = "first", scope: str = "local") -> dict:
+                        radius: float, tau, eps, family: str = "first",
+                        scope: str = "local") -> dict:
     """The five aggregate coefficients K, L, E, F and N as arrays over the
     estimate clock tau; the sixth, M, is :func:`aggregate_M`.
 
@@ -115,7 +115,7 @@ def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
     if eps is not None:
         params.require_eps(eps, tau, mode=family)
     al = params.coeffs.alpha_at(np.asarray(tau, dtype=float))
-    return _aggregates(bounds, params, v_sup, radius, cutoff, al, eps, family, scope)
+    return _aggregates(bounds, params, v_sup, radius, al, eps, family, scope)
 
 
 def _young(v_sup, eps) -> float:
@@ -123,7 +123,7 @@ def _young(v_sup, eps) -> float:
     return math.inf if eps is None else (1.5) ** 1.5 * v_sup / math.sqrt(eps)
 
 
-def _aggregates(bounds, params, v_sup, radius, cutoff, al, eps, family, scope) -> dict:
+def _aggregates(bounds, params, v_sup, radius, al, eps, family, scope) -> dict:
     """:func:`aggregate_constants` at the values ``al`` of alpha, with eps
     taken as admissible."""
     if scope not in ("local", "global"):
@@ -131,7 +131,7 @@ def _aggregates(bounds, params, v_sup, radius, cutoff, al, eps, family, scope) -
     w = family_weight(family, al)
     b = params.b
     p, m = params.p, params.m
-    c1 = cutoff.c1
+    c1 = CUTOFF.c1
     K = 2.0 * c1 * bounds.k_lo
     if scope == "local":
         if radius <= 0:
@@ -288,12 +288,11 @@ def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,
 
 
 def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: HarnackParams,
-               n_dim: int, radius: float, cutoff: CutoffProfile, family: str, scope: str,
-               eps) -> np.ndarray:
+               n_dim: int, radius: float, family: str, scope: str, eps) -> np.ndarray:
     """The maxima over the nodes of ``s`` that the quantities of (family,
     scope, eps) are made of, before any clamping; at eps None also those of
     the static forms: sup |G_x|, the slope and the last bracket."""
-    cst = _aggregates(bounds, params, v_sup, radius, cutoff, s.alpha, eps, family, scope)
+    cst = _aggregates(bounds, params, v_sup, radius, s.alpha, eps, family, scope)
     slope, grad, const, quad = estimate_brackets(
         s, params, family, cst["L"], cst["N"],
         _metric_aggregate(bounds, params, n_dim, s.alpha, family))
@@ -310,15 +309,14 @@ def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: Harn
                  + drift / (2.0 * (al - 1.0))) / np.sqrt(family_weight(family, al)))
         static_slope = _family_slope(family, s)
         if scope == "local":
-            static_slope = static_slope + (b * al**2 * p**2 * v_sup * cutoff.c1**2
+            static_slope = static_slope + (b * al**2 * p**2 * v_sup * CUTOFF.c1**2
                                            / (2.0 * (al - 1.0) * radius**2))
         terms += [s.G_x_norm, static_slope, last]
     return np.array([np.max(x) for x in terms])
 
 
 def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim: int,
-                   radius: float, cutoff: CutoffProfile, requests,
-                   scope: str = "local") -> list[dict]:
+                   radius: float, requests, scope: str = "local") -> list[dict]:
     """The :func:`sup_quantities` of each (family, eps) of ``requests`` on one
     scope, from one pass over ``samples.blocks()``.
 
@@ -333,8 +331,8 @@ def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim
     v_sup = samples.v_sup
     sups = None
     for block in samples.blocks():
-        terms = [_sup_terms(block, v_sup, bounds, params, n_dim, radius, cutoff,
-                            family, scope, eps) for family, eps in requests]
+        terms = [_sup_terms(block, v_sup, bounds, params, n_dim, radius, family, scope, eps)
+                 for family, eps in requests]
         sups = terms if sups is None else list(map(np.maximum, sups, terms))
     out = []
     for (family, eps), terms in zip(requests, sups):
@@ -352,8 +350,8 @@ def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim
 
 
 def sup_quantities(samples, bounds: GeometryBounds, params: HarnackParams,
-                   n_dim: int, radius: float, cutoff: CutoffProfile, eps,
-                   family: str = "first", scope: str = "local") -> dict:
+                   n_dim: int, radius: float, eps, family: str = "first",
+                   scope: str = "local") -> dict:
     """The clamped sup-quantities q0..q4 entering the estimate right side.
 
     q0 is the unclamped sup of [beta - alpha G / v] (used by the Harnack
@@ -362,8 +360,7 @@ def sup_quantities(samples, bounds: GeometryBounds, params: HarnackParams,
     (the vanishing-eps limit) the quantities also carry the sups the static
     forms read.  ``samples`` is a :class:`SupSamples` or :class:`SupNodes`.
     """
-    return reduce_suprema(samples, bounds, params, n_dim, radius, cutoff,
-                          [(family, eps)], scope)[0]
+    return reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], scope)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,8 @@ VARIANTS = (
 )
 
 
-def _localization_term(params: HarnackParams, al, v_sup, radius, k, m, cutoff):
-    c1, c2 = cutoff.c1, cutoff.c2
+def _localization_term(params: HarnackParams, al, v_sup, radius, k, m):
+    c1, c2 = CUTOFF.c1, CUTOFF.c2
     return (params.b * (params.p - 1) * al * (v_sup / radius**2)
             * (c2 + (m - 1) * c1 * (1.0 + radius * math.sqrt(k)) + 2.0 * c1**2))
 
@@ -390,7 +387,7 @@ def variant_kind(variant: str) -> tuple[str, str]:
 
 
 def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackParams,
-              radius: float, cutoff: CutoffProfile, tau):
+              radius: float, tau):
     """Estimate right-hand side at clock times tau > 0.
 
     ``q`` holds the :func:`sup_quantities` of the variant's family and scope,
@@ -417,7 +414,7 @@ def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackPara
         agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
         rhs = base + b * al * q["q1"] + np.sqrt(b * family_weight(family, al)) * np.sqrt(agg)
         if local:
-            rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
+            rhs = rhs + _localization_term(params, al, v_sup, radius, k, m)
         return rhs
 
     # static-geometry forms (vanishing-eps limits with zeroed evolution data);
@@ -431,7 +428,7 @@ def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackPara
         raise EstimateError("static estimate forms require zero evolution bounds")
     rhs = base + b * al * q["static_slope"]
     if local:
-        rhs = rhs + _localization_term(params, al, v_sup, radius, k, m, cutoff)
+        rhs = rhs + _localization_term(params, al, v_sup, radius, k, m)
     return rhs + b * np.sqrt(family_weight(family, al)) * q["static_last"]
 
 
@@ -513,7 +510,7 @@ class EstimateScope:
 
     The local scope samples its constants on Q_2R and checks the nodes of
     Q_R; the global scope does both on the whole domain.  ``suprema`` keeps
-    the sup-quantities reduced so far, by (family, eps, cutoff).
+    the sup-quantities reduced so far, by (family, eps).
     """
 
     name: str
@@ -530,18 +527,16 @@ class EstimateScope:
     lhs: np.ndarray
     suprema: dict = field(default_factory=dict, repr=False)
 
-    def quantities(self, requests, cutoff: CutoffProfile) -> list[dict]:
+    def quantities(self, requests) -> list[dict]:
         """The :func:`sup_quantities` of each (family, eps) of ``requests``
         on this scope; those not reduced before are reduced together, in one
         pass over the sup blocks."""
-        keys = [(family, eps, cutoff) for family, eps in requests]
-        new = [key for key in dict.fromkeys(keys) if key not in self.suprema]
+        new = [key for key in dict.fromkeys(requests) if key not in self.suprema]
         if new:
             reduced = reduce_suprema(self.samples, self.bounds, self.params, self.geom.n,
-                                     self.cyl.radius, cutoff, [key[:2] for key in new],
-                                     self.name)
+                                     self.cyl.radius, new, self.name)
             self.suprema.update(zip(new, reduced))
-        return [self.suprema[key] for key in keys]
+        return [self.suprema[key] for key in requests]
 
 
 def scope_suprema(solution, geom: WarpedGeometry, params: HarnackParams,
@@ -582,7 +577,6 @@ def estimate_scope(solution, geom: WarpedGeometry, params: HarnackParams,
 
 
 def verify_estimate(scope: EstimateScope, variant: str, eps=None,
-                    cutoff: CutoffProfile | None = None,
                     tolerance_factor: float = 1e-6,
                     rhs_scale: float = 1.0) -> VerificationReport:
     """Check one variant at one eps on its scope; margins = rhs - lhs >= -tol.
@@ -590,13 +584,12 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     ``rhs_scale`` != 1 is the negative-control hook: scaling the right side
     down must produce violations on honest scenarios.
     """
-    cutoff = cutoff or cutoff_profile()
     family, _ = variant_kind(variant)
     params, cyl, bounds, samples = scope.params, scope.cyl, scope.bounds, scope.samples
     r_in, tau_in, lhs = scope.r, scope.tau, scope.lhs
     # rhs_bound refuses quantities of a scope the variant is not checked on
-    quantities, = scope.quantities([(family, eps)], cutoff)
-    rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, cutoff, tau_in) * rhs_scale
+    quantities, = scope.quantities([(family, eps)])
+    rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, tau_in) * rhs_scale
     margin = rhs - lhs
     scale = max(1.0, float(np.max(np.abs(lhs))))
     tol = tolerance_factor * scale
@@ -606,7 +599,7 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
         "b": params.b,
         "eps": None if eps is None else float(eps),
         **bounds.as_dict(),
-        "c1": cutoff.c1, "c2": cutoff.c2,
+        "c1": CUTOFF.c1, "c2": CUTOFF.c2,
         "v_sup": samples.v_sup,
         "q0": quantities["q0"], "q1": quantities["q1"], "q2": quantities["q2"],
         "q3": quantities["q3"], "q4": quantities["q4"],
@@ -642,7 +635,6 @@ def estimate_matrix(sc, rhs_scale: float = 1.0):
     ver = sc.verification
     sol = sc.solution_handle()
     cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
-    cutoff = cutoff_profile()
     scopes, eps_of = {}, {}
     for variant in ver["variants"]:
         _, name = variant_kind(variant)
@@ -657,10 +649,10 @@ def estimate_matrix(sc, rhs_scale: float = 1.0):
                                  eps_scan(sc.params, scope.samples.tau, variant_kind(other)[0],
                                           ver["eps_fractions"]))
             scope.quantities([(variant_kind(v)[0], eps) for v in on_scope
-                              for eps in eps_of[v]], cutoff)
+                              for eps in eps_of[v]])
         for eps in eps_of[variant]:
             yield verify_estimate(
-                scopes[name], variant, eps=eps, cutoff=cutoff,
+                scopes[name], variant, eps=eps,
                 tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale)
 
 
@@ -712,50 +704,3 @@ def nonlinearity_conditions(nl: Nonlinearity, p: float, alpha: float,
     expr = alpha * (p - 1) * v * G_vv - (alpha - 1) * (G / v - G_v)
     convex_scan = bool(np.all(expr >= -tol * np.maximum(1.0, np.abs(expr).max())))
     return NonlinearityConditions(slope_exp, convex_exp, slope_scan, convex_scan)
-
-
-# ---------------------------------------------------------------------------
-# localized diagnostic
-# ---------------------------------------------------------------------------
-
-def localized_diagnostic(solution, geom: WarpedGeometry, params: HarnackParams,
-                         nl: Nonlinearity, cutoff: CutoffProfile, radius: float,
-                         cyl: Cylinder, t0_clock: float, density=(97, 49)) -> dict:
-    """Maximum of the localized quantity tau * eta * F over the 2R cylinder.
-
-    Reports the maximizer and discrete first-order information there: at an
-    interior maximum the stencil gradient is small and the neighbours do not
-    exceed the maximum.
-    """
-    sup_cyl = Cylinder(2.0 * radius, cyl.t_lo, cyl.t_hi)
-    sup_cyl.require_inside(geom)
-    rr, tt, inside = solution.sample(sup_cyl, geom, density)
-    tau = tt - t0_clock
-    part = solution.table(1, 1, rr, tt)
-    v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
-    a = geom.conformal(rr, tt)
-    al = params.coeffs.alpha_at(tau)
-    be = params.coeffs.beta_at(tau)
-    G = nl.G(tt, rr, v)
-    F = v_r**2 / (a**2 * v) - al * v_t / v + al * G / v - be
-    rho = a * rr
-    eta = cutoff.value(rho / radius)
-    Gq = np.where(inside & (tau >= 0), tau * eta * F, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(Gq)), Gq.shape)
-    gmax = float(Gq[i, j])
-    neighbours = []
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        ii, jj = i + di, j + dj
-        if 0 <= ii < Gq.shape[0] and 0 <= jj < Gq.shape[1] and np.isfinite(Gq[ii, jj]):
-            neighbours.append(float(Gq[ii, jj]))
-    interior_in_r = 0 < i < Gq.shape[0] - 1 and np.isfinite(Gq[i - 1, j]) and np.isfinite(Gq[i + 1, j])
-    grad_r = (Gq[i + 1, j] - Gq[i - 1, j]) / (2 * (rr[1, 0] - rr[0, 0])) if interior_in_r else 0.0
-    return {
-        "max": gmax,
-        "arg_r": float(rr[i, j]),
-        "arg_tau": float(tau[i, j]),
-        "rho_over_R": float(rho[i, j] / radius),
-        "neighbours_below": bool(all(nv <= gmax + 1e-12 for nv in neighbours)),
-        "stencil_grad_r": float(grad_r),
-        "eta_at_max": float(eta[i, j]),
-    }

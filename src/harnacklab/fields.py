@@ -81,11 +81,6 @@ class ScalarField:
         if self.positive and np.any(vals <= 0):
             raise FieldError("field tagged positive has non-positive entries")
 
-    @staticmethod
-    def from_function(fun, grid: Grid, parity: str = "even", positive: bool = False) -> "ScalarField":
-        rr, tt = grid.mesh()
-        return ScalarField(fun(rr, tt), grid, parity=parity, positive=positive)
-
 
 def _d1(vals, h, axis, pole, parity):
     a = np.moveaxis(vals, axis, 0)

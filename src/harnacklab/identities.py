@@ -18,12 +18,10 @@ Laplacian through :func:`geometry.phi_laplacian_eval`.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .fields import ScalarField, diff
-from .estimates import aggregate_M, aggregate_constants, cutoff_profile, estimate_brackets
+from .estimates import aggregate_M, aggregate_constants, estimate_brackets
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
                        bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
                        potential_radial_slope)
@@ -184,22 +182,16 @@ class _RadialTerms:
 class TermTable(_RadialTerms):
     """All pointwise quantities entering the identities, on one point set.
 
-    ``f_route`` selects how the derivatives of the Harnack quantity F are
-    produced in analytic mode: ``"chain"`` composes them from the solution's
-    partial table with explicit product/quotient rules, ``"jet"`` builds F
-    itself by arithmetic on the series of v, a, alpha, beta and G and reads
-    its partials off (an independent check of the chain-rule transcription).
+    In analytic mode the derivatives of the Harnack quantity F are composed
+    from the solution's partial table with explicit product/quotient rules.
     """
 
     def __init__(self, solution, geom: WarpedGeometry, params: HarnackParams,
-                 nonlinearity: Nonlinearity, r=None, t=None, f_route: str = "chain"):
+                 nonlinearity: Nonlinearity, r=None, t=None):
         self.geom = geom
         self.params = params
         self.nl = nonlinearity
         self.solution = solution
-        if f_route not in ("chain", "jet"):
-            raise IdentityError(f"unknown f_route {f_route!r}; choose 'chain' or 'jet'")
-        self.f_route = f_route
         rr, tt = solution.points(r, t)
         self.r, self.t = rr, tt
         n, m, p = geom.n, params.m, params.p
@@ -207,7 +199,7 @@ class TermTable(_RadialTerms):
             raise IdentityError(
                 f"params.m = {m} disagrees with the geometry's m = {geom.m}")
 
-        # the chain-rule route reads partials up to (3, 0), (2, 1) and (0, 2)
+        # the chain rule reads partials up to (3, 0), (2, 1) and (0, 2)
         part = self.partials = solution.table(3, 2, rr, tt)
         self.v = part[0, 0]
         if np.any(self.v <= 0):
@@ -242,31 +234,17 @@ class TermTable(_RadialTerms):
 
     # -- F derivatives -------------------------------------------------------
     def _assemble_F_derivatives(self):
-        geom, params = self.geom, self.params
         if isinstance(self.solution, GridSolution):
             grid = self.solution.field.grid
             F_field = ScalarField(self.F, grid, parity="even")
             F_r = diff(F_field, "d_r")
             self.F_r = F_r.values
             self.F_t = diff(F_field, "d_t").values
-            self.lap_F = phi_laplacian_eval(geom, self.r, self.t, self.F_r,
+            self.lap_F = phi_laplacian_eval(self.geom, self.r, self.t, self.F_r,
                                             diff(F_r, "d_r").values)
-        elif self.f_route == "jet":
-            v, a, nl, coeffs = self.solution.profile, geom.conformal, self.nl, params.coeffs
-
-            def harnack_quantity(r, t):
-                V, al = v.jet(r, t), coeffs.alpha.jet(r, t)
-                return (d_r(V) ** 2 / (a.jet(r, t) ** 2 * V) - al * d_t(V) / V
-                        + al * nl.G_jet(t, r, V) / V - coeffs.beta.jet(r, t))
-
-            F = Profile.of_jets(harnack_quantity, np.maximum(np.add(v.orders, (1, 1)),
-                                                             nl.jet_orders), "harnack_quantity")
-            F_part = F.table(1, 1, self.r, self.t)
-            self.F_r, self.F_t = F_part[1, 0], F_part[0, 1]
-            self.lap_F = geom.phi_laplacian(F)(self.r, self.t)
         else:
             self._chain_rule_F()
-        self.LpvF = self.F_t - (params.p - 1) * self.v * self.lap_F
+        self.LpvF = self.F_t - (self.params.p - 1) * self.v * self.lap_F
         self.gradF_pair = self.F_r * self.v_r / self.a2
 
     def _chain_rule_F(self):
@@ -333,27 +311,17 @@ def quotient_rule_residual(f: Profile, g: Profile, v: Profile,
     return lhs - rhs
 
 
-_COMMUTATOR_TERMS = ("hessian_trace", "divergence", "potential_speed", "potential_mixed")
+# the signs of the four terms that reproduce the commutator on both evolving
+# families; the reference orientation (+,+,+,+) does not
+COMMUTATOR_SIGNS = (-1, 1, 1, 1)
 
 
-def commutator_variants():
-    """All sign conventions for the four evolving-metric commutator terms."""
-    return list(itertools.product((1, -1), repeat=4))
-
-
-def variant_label(signs) -> str:
-    return ",".join(f"{name}:{'+' if s > 0 else '-'}"
-                    for name, s in zip(_COMMUTATOR_TERMS, signs))
-
-
-def commutator_residual(v: Profile, geom: WarpedGeometry, r, t, variants=None):
-    """Residuals of d/dt(Delta_phi v) - Delta_phi(dv/dt) against sign variants.
-
-    The reference orientation (+,+,+,+) is
+def commutator_terms(v: Profile, geom: WarpedGeometry, r, t):
+    """d/dt(Delta_phi v) - Delta_phi(dv/dt), and the four terms of the
+    reference orientation (+,+,+,+)
         2<h, Hess v> - <2 div h - grad Tr h, grad v>
-        + 2 h(grad phi, grad v) - <grad d(phi)/dt, grad v>,
-    and each variant flips the sign of one or more of the four terms.  The
-    checker reports every variant's residual rather than assuming one.
+        + 2 h(grad phi, grad v) - <grad d(phi)/dt, grad v>
+    (Hessian trace, divergence, potential speed and mixed potential term).
     """
     rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
     v_t = Profile.of_jets(lambda r, t: d_t(v.jet(r, t)), np.add(v.orders, (0, 1)), "v_t")
@@ -361,24 +329,14 @@ def commutator_residual(v: Profile, geom: WarpedGeometry, r, t, variants=None):
 
     _, v_r, v_rr = v.table(2, 0, rr, tt)[:, 0]
     h = _RadialTerms(geom, rr, tt, v_r, v_rr)
-    results = {}
-    for signs in (variants or commutator_variants()):
-        s1, s2, s3, s4 = signs
-        rhs = s1 * 2 * h.h_hess - s2 * h.divh_pair + s3 * 2 * h.h_phi_pair - s4 * h.phit_pair
-        res = lhs - rhs
-        results[signs] = (float(np.max(np.abs(res))), res)
-    return results
+    return lhs, (2 * h.h_hess, -h.divh_pair, 2 * h.h_phi_pair, -h.phit_pair)
 
 
-def adjudicate_commutator(v: Profile, geoms, r, t, tol: float = 1e-9):
-    """Find the sign variants consistent across a battery of geometries."""
-    worst = {}
-    for geom in geoms:
-        res = commutator_residual(v, geom, r, t)
-        for signs, (mx, _) in res.items():
-            worst[signs] = max(worst.get(signs, 0.0), mx)
-    passing = sorted(signs for signs, mx in worst.items() if mx <= tol)
-    return passing, worst
+def commutator_residual(v: Profile, geom: WarpedGeometry, r, t):
+    """Residual of the commutator with the terms signed by
+    :data:`COMMUTATOR_SIGNS`."""
+    lhs, terms = commutator_terms(v, geom, r, t)
+    return lhs - sum(sign * term for sign, term in zip(COMMUTATOR_SIGNS, terms))
 
 
 def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
@@ -480,8 +438,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     elif bounds is None:
         raise IdentityError("bounded stage needs extracted geometry bounds")
     else:
-        cst = aggregate_constants(bounds, tt.params, tt.v, 0.0, cutoff_profile(), tt.t, None,
-                                  scope="global")
+        cst = aggregate_constants(bounds, tt.params, tt.v, 0.0, tt.t, None, scope="global")
         aggregates = {"L": cst["L"], "N": cst["N"], "M": aggregate_M(bounds, tt.params, n, tt.t)}
         metric = 0.0
     slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", **aggregates)

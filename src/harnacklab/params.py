@@ -20,7 +20,6 @@ class AlphaBeta:
 
     alpha: Profile
     beta: Profile
-    label: str = "custom"
     gamma: float | None = None
     flags: tuple = ()
 
@@ -58,19 +57,13 @@ class AlphaBeta:
             return self
         shift = lambda prof: prof if prof.time_independent else Profile.of_jets(
             lambda r, t: prof.jet(r, t - t0), prof.orders, prof.name)
-        return AlphaBeta(
-            shift(self.alpha), shift(self.beta),
-            label=f"{self.label} shifted by {t0:g}",
-            gamma=self.gamma,
-            flags=self.flags,
-        )
+        return AlphaBeta(shift(self.alpha), shift(self.beta), gamma=self.gamma, flags=self.flags)
 
 
 def constant_alpha_beta(alpha: float, beta: float = 0.0) -> AlphaBeta:
     if alpha <= 1.0:
         raise ParamError(f"alpha must exceed 1, got {alpha}")
-    return AlphaBeta(constant_profile(alpha, "alpha"), constant_profile(beta, "beta"),
-                     label=f"const(alpha={alpha:g}, beta={beta:g})")
+    return AlphaBeta(constant_profile(alpha, "alpha"), constant_profile(beta, "beta"))
 
 
 PRESETS = ("exp", "coth", "linear")
@@ -108,7 +101,7 @@ def preset_alpha_beta(which: str, gamma: float, b: float, degenerate_delta: floa
             raise ParamError("linear preset requires gamma > 0")
         alpha = Profile(f"1 + {2 * g / 3!r}*t", "alpha")
         beta = Profile(f"{b!r}*(1/t + {g!r} + {g**2 / 3!r}*t)", "beta")
-    return AlphaBeta(alpha, beta, label=f"{which}(gamma={gamma:g})", gamma=gamma, flags=flags)
+    return AlphaBeta(alpha, beta, gamma=gamma, flags=flags)
 
 
 def preset_ode_residuals(pair: AlphaBeta, which: str, b: float, t) -> dict[str, dict]:

@@ -200,9 +200,10 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
 
 def parse_alpha_beta(doc: dict, b: float, path: str) -> AlphaBeta:
     alpha = doc.get("alpha", 2.0)
-    beta = doc.get("beta", 0.0)
     if isinstance(alpha, dict):
         _check_keys(alpha, {"preset", "gamma", "clock_offset"}, f"{path}.alpha")
+        if "beta" in doc:
+            raise ConfigError(f"{path}.beta", "a preset alpha fixes beta")
         which = _require(alpha, "preset", f"{path}.alpha")
         gamma = read_number(_require(alpha, "gamma", f"{path}.alpha"), f"{path}.alpha.gamma")
         # every preset starts at alpha = 1, where no eps is admissible; a
@@ -216,7 +217,7 @@ def parse_alpha_beta(doc: dict, b: float, path: str) -> AlphaBeta:
             raise ConfigError(f"{path}.alpha", str(exc))
         return pair.shifted(-offset) if offset else pair
     alpha = read_number(alpha, f"{path}.alpha", above=1)
-    return constant_alpha_beta(alpha, read_number(beta, f"{path}.beta"))
+    return constant_alpha_beta(alpha, read_number(doc.get("beta", 0.0), f"{path}.beta"))
 
 
 def parse_nonlinearity(doc, path: str) -> Nonlinearity:

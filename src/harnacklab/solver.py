@@ -72,8 +72,7 @@ class Nonlinearity:
     ``G_x_partials`` gives G with its coordinate r-partials G_x, G_xx at
     frozen v (callers convert to metric norms) and the weighted Laplacian
     ``lap_phi_Gx`` of the frozen-v spatial slice, all from one evaluation.
-    ``G_jet`` is G on series, taking at most ``jet_orders`` r- and
-    t-derivatives.  G is separable, so its mixed x-v partial vanishes.
+    G is separable, so its mixed x-v partial vanishes.
     ``form`` names the parts present: "zero", "power-sum", "separable-x" or
     "power-sum+separable-x".
     """
@@ -89,7 +88,6 @@ class Nonlinearity:
             raise SolverError("a forcing needs the geometry of its weighted Laplacian")
         self.terms = tuple(zip((*self.A, *self.B), (*self.a, *self.b)))
         self.forcing, self.geom = forcing, geom
-        self.jet_orders = (0, 0) if forcing is None else forcing.orders
         self.form = "+".join(name for name, present in (("power-sum", bool(self.terms)),
                                                         ("separable-x", forcing is not None))
                              if present) or "zero"
@@ -124,10 +122,6 @@ class Nonlinearity:
         f, f_x, f_xx = self.forcing.table(2, 0, r, t)[:, 0]
         return (_sum(self.G_vpart(v), f), f_x, f_xx,
                 phi_laplacian_eval(self.geom, r, t, f_x, f_xx))
-
-    def G_jet(self, t, r, v):
-        xpart = None if self.forcing is None else self.forcing.jet(r, t)
-        return 0.0 if xpart is None and not self.terms else _sum(self.G_vpart(v), xpart)
 
     def source(self, u, p: float, xpart):
         """Source form N = G u^(2-p) / p, with G the power sum at

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from harnacklab.fields import ScalarField
 from harnacklab.geometry import WarpedGeometry
+from harnacklab.identities import commutator_terms
 from harnacklab.params import HarnackParams, constant_alpha_beta
+from harnacklab.solver import _sum
 from harnacklab.symfun import Profile
 
 # the oracle's coordinates: sympy reads the same expression strings as the code
@@ -115,3 +120,54 @@ def profile_of(expr, name=""):
     so each Float is first written as the rational it equals exactly."""
     exact = expr.xreplace({x: sp.Rational(float(x)) for x in expr.atoms(sp.Float)})
     return Profile(str(exact), name)
+
+
+def G_jet(nl, t, r, v):
+    """G of the Nonlinearity ``nl`` on series, at the jet ``v``; it takes at
+    most the forcing's orders of r- and t-derivatives."""
+    xpart = None if nl.forcing is None else nl.forcing.jet(r, t)
+    return 0.0 if xpart is None and not nl.terms else _sum(nl.G_vpart(v), xpart)
+
+
+def field_from_function(fun, grid, parity="even", positive=False):
+    """The grid field of ``fun(r, t)`` on the mesh of ``grid``."""
+    rr, tt = grid.mesh()
+    return ScalarField(fun(rr, tt), grid, parity=parity, positive=positive)
+
+
+# ---------------------------------------------------------------------------
+# the commutator's sign conventions, searched here; the checks apply one
+# ---------------------------------------------------------------------------
+
+COMMUTATOR_TERMS = ("hessian_trace", "divergence", "potential_speed", "potential_mixed")
+
+
+def commutator_variants():
+    """All sign conventions for the four evolving-metric commutator terms."""
+    return list(itertools.product((1, -1), repeat=4))
+
+
+def variant_label(signs) -> str:
+    return ",".join(f"{name}:{'+' if s > 0 else '-'}"
+                    for name, s in zip(COMMUTATOR_TERMS, signs))
+
+
+def commutator_variant_residuals(v, geom, r, t):
+    """(max |residual|, residual) of the commutator under every sign
+    convention, keyed by its signs."""
+    lhs, terms = commutator_terms(v, geom, r, t)
+    results = {}
+    for signs in commutator_variants():
+        res = lhs - sum(s * term for s, term in zip(signs, terms))
+        results[signs] = (float(np.max(np.abs(res))), res)
+    return results
+
+
+def adjudicate_commutator(v, geoms, r, t, tol: float = 1e-9):
+    """Find the sign variants consistent across a battery of geometries."""
+    worst = {}
+    for geom in geoms:
+        for signs, (mx, _) in commutator_variant_residuals(v, geom, r, t).items():
+            worst[signs] = max(worst.get(signs, 0.0), mx)
+    passing = sorted(signs for signs, mx in worst.items() if mx <= tol)
+    return passing, worst

@@ -11,18 +11,16 @@ import numpy as np
 import pytest
 
 from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
-from harnacklab.estimates import (collect_sup_samples, cutoff_profile, eps_scan,
+from harnacklab.estimates import (collect_sup_samples, eps_scan,
                                   estimate_scope, sup_quantities, variant_kind,
                                   verify_estimate, aggregate_M,
                                   aggregate_constants, rhs_bound)
 from harnacklab.fields import Grid, convergence_order
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.harnack import sample_pairs, verify_harnack
-from harnacklab.identities import (AnalyticSolution, GridSolution,
-                                   adjudicate_commutator, bochner_residual,
+from harnacklab.identities import (AnalyticSolution, GridSolution, bochner_residual,
                                    harnack_evolution_residual,
-                                   pressure_equation_residual,
-                                   quotient_rule_residual, variant_label)
+                                   pressure_equation_residual, quotient_rule_residual)
 from harnacklab.params import (AlphaBeta, HarnackParams, constant_alpha_beta,
                                preset_alpha_beta, preset_ode_residuals)
 from harnacklab.solver import (Nonlinearity, PdeParams, barenblatt_oracle,
@@ -30,7 +28,7 @@ from harnacklab.solver import (Nonlinearity, PdeParams, barenblatt_oracle,
                                pressure_inverse, solve, validate_barenblatt, weighted_mass)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import make_geometry
+from conftest import adjudicate_commutator, make_geometry, variant_label
 
 
 def report(criterion, ok, detail):
@@ -229,7 +227,6 @@ def test_criterion_5_static_consistency():
     from harnacklab.estimates import SupSamples
 
     rng = np.random.default_rng(77)
-    cut = cutoff_profile()
     worst = 0.0
     pairs = [("first-local", "static-first-local"),
              ("first-global", "static-first-global"),
@@ -260,10 +257,10 @@ def test_criterion_5_static_consistency():
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
         for evolving, static in pairs:
             family, scope = variant_kind(evolving)
-            q = sup_quantities(samples, bounds, params, 2, radius, cut, None,
+            q = sup_quantities(samples, bounds, params, 2, radius, None,
                                family=family, scope=scope)
-            a = rhs_bound(evolving, q, bounds, params, radius, cut, tau_eval)
-            b = rhs_bound(static, q, bounds, params, radius, cut, tau_eval)
+            a = rhs_bound(evolving, q, bounds, params, radius, tau_eval)
+            b = rhs_bound(static, q, bounds, params, radius, tau_eval)
             worst = max(worst, abs(a[0] - b[0]) / max(1.0, abs(b[0])))
     report(5, worst <= 1e-9,
            f"vanishing-eps limits match the static forms at 100 random points "
@@ -300,7 +297,7 @@ def test_criterion_6_harnack_pairs():
         tau_probe = np.linspace(0.01, 1.0, 64)
         for family in ("first", "second"):
             eps = 0.5 * params.eps_ceiling(tau_probe, family)
-            q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
+            q = sup_quantities(samples, bounds, params, geom.n, 0.9,
                                eps, family=family, scope="global")
             rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf,
                                  tolerance_factor=1e-8)
@@ -343,12 +340,11 @@ def test_criterion_8_sup_quantity_collapse():
     cyl = Cylinder(1.2, 0.5, 1.5)
     bounds = extract_bounds(geom, cyl)
     samples = collect_sup_samples(sol, geom, params, Nonlinearity(), cyl, 0.5)
-    cut = cutoff_profile()
     worst = 0.0
     for family in ("first", "second"):
         eps = 0.2 * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, geom.n, 0.6, cut, eps, family=family)
-        cst = aggregate_constants(bounds, params, samples.v_sup, 0.6, cut,
+        q = sup_quantities(samples, bounds, params, geom.n, 0.6, eps, family=family)
+        cst = aggregate_constants(bounds, params, samples.v_sup, 0.6,
                                   samples.tau, eps, family=family)
         al = params.coeffs.alpha_at(samples.tau)
         M_term = aggregate_M(bounds, params, geom.n, samples.tau, family=family)

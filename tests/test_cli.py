@@ -239,6 +239,18 @@ def test_geometry_key_another_would_replace_rejected(tmp_path, capsys, geometry,
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
 
 
+@pytest.mark.parametrize("beta", [0.5, "abc", None], ids=json.dumps)
+def test_harnack_beta_beside_preset_alpha_rejected(tmp_path, capsys, beta):
+    # a preset alpha comes with its own beta; a given one would be ignored
+    doc = json.loads((CONFIGS / "gaussian-conformal.json").read_text())
+    doc["harnack"].update(alpha={"preset": "exp", "gamma": 1, "clock_offset": 0.5}, beta=beta)
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "configuration error: harnack.beta: a preset alpha fixes beta")
+
+
 @pytest.mark.parametrize("geometry, name", [
     ({"preset": "linear-warp(0.2)"}, "linear-warp(0.2)"),
     ({"preset": "gaussian-weight", "conformal_rate": 0.1, "potential_drift": 0.1},
@@ -460,6 +472,39 @@ def test_check_identities_builds_one_term_table(tmp_path, monkeypatch):
     monkeypatch.setattr(identities.TermTable, "__init__", counted)
     assert cmd_check_identities(parse_scenario(barenblatt_doc()), tmp_path / "out") == EXIT_OK
     assert len(builds) == 1
+
+
+def _commutator_rows(out):
+    lines = [line for line in (out / "summary.txt").read_text().splitlines()
+             if "evolving-metric-commutator" in line]
+    checks = [c for c in json.loads((out / "summary.json").read_text())["checks"]
+              if c["name"] == "evolving-metric-commutator"]
+    with open(out / "residuals.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["check"] == "evolving-metric-commutator"]
+    return lines, checks, rows
+
+
+@pytest.mark.parametrize("config", ["gaussian-conformal", "evolving-warp-identities"])
+def test_check_identities_gates_one_commutator_convention(tmp_path, config):
+    out = tmp_path / "out"
+    assert main(["check-identities", "--config", str(CONFIGS / f"{config}.json"),
+                 "--out", str(out)]) == EXIT_OK
+    lines, checks, rows = _commutator_rows(out)
+    assert len(lines) == len(checks) == len(rows) == 1
+    assert lines[0].endswith("pass") and rows[0]["status"] == "pass"
+    assert checks[0]["max"] <= 1e-9 and checks[0]["threshold"] == 1e-9
+
+
+def test_commutator_gate_fails_on_the_reference_orientation(tmp_path, monkeypatch):
+    # (+,+,+,+) misses the commutator on the conformal family by about 0.1
+    monkeypatch.setattr(identities, "COMMUTATOR_SIGNS", (1, 1, 1, 1))
+    out = tmp_path / "out"
+    assert main(["check-identities", "--config", str(CONFIGS / "gaussian-conformal.json"),
+                 "--out", str(out)]) == EXIT_VIOLATION
+    lines, checks, rows = _commutator_rows(out)
+    assert lines[0].endswith("FAIL") and rows[0]["status"] == "FAIL"
+    assert checks[0]["max"] > 1e-3
+    assert json.loads((out / "summary.json").read_text())["failed"] == 1
 
 
 def test_cli_config_error_exit(tmp_path):

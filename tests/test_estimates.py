@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from harnacklab import symfun
-from harnacklab.estimates import (VARIANTS, EstimateError, SupSamples, aggregate_M,
+from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, SupSamples, aggregate_M,
                                   aggregate_constants, collect_sup_samples,
-                                  cutoff_profile, eps_scan, estimate_lhs,
-                                  estimate_scope, localized_diagnostic,
+                                  eps_scan, estimate_lhs, estimate_scope,
                                   nonlinearity_conditions, reduce_suprema, rhs_bound,
                                   sup_quantities, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
@@ -31,16 +30,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # ---------------------------------------------------------------------------
 
 def test_cutoff_shape():
-    cut = cutoff_profile()
-    assert cut.value(0.5) == 1.0
-    assert cut.value(3.0) == 0.0
+    assert CUTOFF.value(0.5) == 1.0
+    assert CUTOFF.value(3.0) == 0.0
     s = np.linspace(0, 2.5, 101)
-    assert np.all((cut.value(s) >= 0) & (cut.value(s) <= 1))
+    assert np.all((CUTOFF.value(s) >= 0) & (CUTOFF.value(s) <= 1))
 
 
 def test_cutoff_certification():
-    cut = cutoff_profile()
-    cert = cut.certify()
+    cert = CUTOFF.certify()
     assert cert["c1"] == pytest.approx(math.pi)
     assert cert["c2"] == pytest.approx(math.pi**2 / 2)
     assert cert["slope_margin"] >= -1e-12
@@ -57,7 +54,7 @@ def test_cutoff_certification():
 def test_constant_K_example():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=1.0, radius=1.0,
-                              cutoff=cutoff_profile(), tau=np.array([0.7]), eps=0.5)
+                              tau=np.array([0.7]), eps=0.5)
     # pi^2 * (2/3) * 4 * 4 * 1 / (2 * 1 * 1)
     assert cst["K"][0] == pytest.approx(16 * math.pi**2 / 3, rel=1e-12)
 
@@ -65,14 +62,14 @@ def test_constant_K_example():
 def test_constant_E_example():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=1.0, radius=1.0,
-                              cutoff=cutoff_profile(), tau=np.array([0.7]), eps=0.5)
+                              tau=np.array([0.7]), eps=0.5)
     assert cst["E"] == pytest.approx(1.5**1.5 / math.sqrt(0.5), rel=1e-12)
 
 
 def test_constants_vanish_with_zero_data():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=0.0, radius=1.0,
-                              cutoff=cutoff_profile(), tau=np.array([0.5]), eps=0.1)
+                              tau=np.array([0.5]), eps=0.1)
     assert cst["K"][0] == 0.0 and np.all(cst["L"] == 0.0) and np.all(cst["N"] == 0.0)
     M = aggregate_M(GeometryBounds.zero(), params, 2, np.array([0.5]))
     assert np.all(M == 0.0)
@@ -85,8 +82,7 @@ def test_full_formula_cross_check():
     params = HarnackParams(p=p, m=m, coeffs=constant_alpha_beta(al))
     b = m * (p - 1) / (1 + m * (p - 1))
     v_sup, radius, eps = 1.7, 0.8, 0.05
-    cut = cutoff_profile()
-    cst = aggregate_constants(b_geo, params, v_sup, radius, cut, np.array([1.0]), eps)
+    cst = aggregate_constants(b_geo, params, v_sup, radius, np.array([1.0]), eps)
     c1 = math.pi
     assert cst["K"][0] == pytest.approx(
         2 * c1 * 0.2 + c1**2 * b * al**2 * p**2 * v_sup / (2 * (al - 1) * radius**2))
@@ -94,7 +90,7 @@ def test_full_formula_cross_check():
     assert cst["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 + 0.1)
                                         + 2 * (al - 1) * 0.5)
     assert cst["F"][0] == pytest.approx(b * al**2 / (4 * (al - 1) ** 2 - 2 * eps * b * al**2))
-    tilde = aggregate_constants(b_geo, params, v_sup, radius, cut, np.array([1.0]), eps,
+    tilde = aggregate_constants(b_geo, params, v_sup, radius, np.array([1.0]), eps,
                                 family="second")
     assert tilde["F"][0] == pytest.approx(b * al**3 / (4 * (al - 1) ** 2 - 2 * eps * b * al**3))
     assert tilde["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 / al + 0.1)
@@ -108,7 +104,7 @@ def test_full_formula_cross_check():
 def test_inadmissible_eps_names_bound():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     with pytest.raises(Exception) as err:
-        aggregate_constants(GeometryBounds.zero(), params, 1.0, 1.0, cutoff_profile(),
+        aggregate_constants(GeometryBounds.zero(), params, 1.0, 1.0,
                             np.array([0.5]), eps=10.0)
     assert "alpha" in str(err.value)
 
@@ -134,11 +130,10 @@ def test_sup_quantity_collapse_zero_forcing(family):
     # collapse to (K, sqrt(E) L, M, sqrt(F) N) exactly (lambda analogues
     # carry the 1/alpha weights inside L and the tilde constants)
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
-    cut = cutoff_profile()
     eps = 0.25
     radius = 0.9
-    q = sup_quantities(samples, bounds, params, geom.n, radius, cut, eps, family=family)
-    cst = aggregate_constants(bounds, params, samples.v_sup, radius, cut,
+    q = sup_quantities(samples, bounds, params, geom.n, radius, eps, family=family)
+    cst = aggregate_constants(bounds, params, samples.v_sup, radius,
                               samples.tau, eps, family=family)
     al = params.coeffs.alpha_at(samples.tau)
     M_term = aggregate_M(bounds, params, geom.n, samples.tau, family=family)
@@ -158,14 +153,13 @@ def test_sup_quantities_nonnegative_and_monotone_in_radius():
     params = params_for(geom, p=2.0)
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
-    cut = cutoff_profile()
     prev = None
     for radius in (0.4, 0.6, 0.8):
         cyl = Cylinder(radius, 0.5, 1.5)
         bounds = extract_bounds(geom, cyl, grid_density=(257, 33))
         samples = collect_sup_samples(sol, geom, params, nl, cyl, 0.5,
                                       density=(257, 33))
-        q = sup_quantities(samples, bounds, params, geom.n, radius, cut, eps=0.05)
+        q = sup_quantities(samples, bounds, params, geom.n, radius, eps=0.05)
         for key in ("q1", "q2", "q3", "q4"):
             assert q[key] >= 0.0
             if prev is not None:
@@ -201,7 +195,7 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
     if alpha is not None:
         doc["harnack"]["alpha"] = alpha
     sc = parse_scenario(doc)
-    ver, params, cut = sc.verification, sc.params, cutoff_profile()
+    ver, params = sc.verification, sc.params
     cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
     for name in ("local", "global"):
         scope = estimate_scope(sc.solution_handle(), sc.geom, params, sc.nonlinearity, cyl,
@@ -212,20 +206,20 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
         requests = [(family, eps) for family in ("first", "second")
                     for eps in [None, *eps_scan(params, nodes.tau, family,
                                                 ver["eps_fractions"])]]
-        reference = [sup_quantities(whole, scope.bounds, params, sc.geom.n, cyl.radius, cut,
+        reference = [sup_quantities(whole, scope.bounds, params, sc.geom.n, cyl.radius,
                                     eps, family=family, scope=name)
                      for family, eps in requests]
         for size in (1, 7, nodes.v.size):
             with monkeypatch.context() as patch:
                 patch.setattr(symfun, "_BLOCK_NODES", size)
                 streamed = reduce_suprema(nodes, scope.bounds, params, sc.geom.n,
-                                          cyl.radius, cut, requests, name)
+                                          cyl.radius, requests, name)
             for (family, eps), q, ref in zip(requests, streamed, reference):
                 assert q == ref, (name, size, family, eps)
                 for variant in variants:
                     if (variant_kind(variant) == (family, name)
                             and variant.startswith("static") == (eps is None)):
-                        args = (scope.bounds, params, cyl.radius, cut, scope.tau)
+                        args = (scope.bounds, params, cyl.radius, scope.tau)
                         assert np.array_equal(rhs_bound(variant, q, *args),
                                               rhs_bound(variant, ref, *args))
 
@@ -237,16 +231,16 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
 def test_global_rhs_collapses_to_leading_term():
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
     tau = np.array([0.25, 0.5, 1.0])
-    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
+    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
                        0.25, family="first", scope="global")
     out = rhs_bound("first-global", q, bounds, params, cyl.radius,
-                    cutoff_profile(), tau)
+                    tau)
     b, al = params.b, 2.0
     assert np.allclose(out, b * al / tau, rtol=1e-14)
-    q2 = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cutoff_profile(),
+    q2 = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
                         0.1, family="second", scope="global")
     out2 = rhs_bound("second-global", q2, bounds, params, cyl.radius,
-                     cutoff_profile(), tau)
+                     tau)
     assert np.allclose(out2, b * al / tau, rtol=1e-14)
 
 
@@ -255,9 +249,9 @@ def test_local_rhs_finite_for_each_admissible_eps():
     tau = np.array([0.5])
     values = []
     for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), "first"):
-        q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(), eps)
+        q = sup_quantities(samples, bounds, params, geom.n, 0.9, eps)
         out = rhs_bound("first-local", q, bounds, params, 0.9,
-                        cutoff_profile(), tau)
+                        tau)
         assert np.isfinite(out).all()
         values.append(float(out[0]))
     assert len(set(values)) >= 1  # eps sensitivity recorded by the caller
@@ -270,7 +264,6 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
     from harnacklab.params import AlphaBeta
 
     rng = np.random.default_rng(715)
-    cut = cutoff_profile()
     tau = np.linspace(0.01, 1.0, 40)
     keys = ("q1", "q2", "q3", "q4")
     for _ in range(12):
@@ -295,11 +288,11 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
             eps = rng.uniform(0.1, 0.9) * params.eps_ceiling(nodes, family)
 
             def quantities(s):
-                return sup_quantities(s, bounds, params, 2, radius, cut, eps,
+                return sup_quantities(s, bounds, params, 2, radius, eps,
                                       family=family, scope=scope)
 
             def rhs(q):
-                return rhs_bound(variant, q, bounds, params, radius, cut, tau)
+                return rhs_bound(variant, q, bounds, params, radius, tau)
 
             # the sampled q's, and q's at, near and far from zero
             q = quantities(samples)
@@ -320,15 +313,14 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
 def test_static_rhs_formula_cross_check():
     # independent transcription of the static-first local display at one point
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
-    cut = cutoff_profile()
     tau = np.array([0.5])
     p, m, al, b = params.p, params.m, 2.0, params.b
     v_sup = samples.v_sup
     radius = 0.9
     k = bounds.k
-    q = sup_quantities(samples, bounds, params, geom.n, radius, cut, None)
-    out = rhs_bound("static-first-local", q, bounds, params, radius, cut, tau)
-    c1, c2 = cut.c1, cut.c2
+    q = sup_quantities(samples, bounds, params, geom.n, radius, None)
+    out = rhs_bound("static-first-local", q, bounds, params, radius, tau)
+    c1, c2 = CUTOFF.c1, CUTOFF.c2
     sup_first = max(0.0, b * al**2 * p**2 * v_sup * c1**2 / (2 * (al - 1) * radius**2))
     sup_last = max(0.0, float(np.max(
         (al / 2) * 0.0 - 0.0 + (2 * al * (p - 1) * v_sup * (m - 1) * k - 0.0) / (2 * (al - 1)))))
@@ -343,7 +335,6 @@ def test_static_consistency_vanishing_eps():
     # the vanishing-eps limit of the evolving estimates with zeroed evolution
     # bounds reproduces the static forms at random parameter points
     rng = np.random.default_rng(42)
-    cut = cutoff_profile()
     for trial in range(100):
         p = rng.uniform(1.2, 3.5)
         m = rng.uniform(2.0, 6.0)
@@ -375,11 +366,11 @@ def test_static_consistency_vanishing_eps():
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
         for variant in ("first-local", "second-local", "first-global", "second-global"):
             family, scope = variant_kind(variant)
-            q = sup_quantities(samples, bounds, params, 2, radius, cut, None,
+            q = sup_quantities(samples, bounds, params, 2, radius, None,
                                family=family, scope=scope)
-            evolving = rhs_bound(variant, q, bounds, params, radius, cut, tau_eval)
+            evolving = rhs_bound(variant, q, bounds, params, radius, tau_eval)
             static = rhs_bound("static-" + variant, q, bounds, params, radius,
-                               cut, tau_eval)
+                               tau_eval)
             assert evolving[0] == pytest.approx(static[0], rel=1e-9)
 
 
@@ -512,14 +503,54 @@ def test_conditions_read_the_power_sum_only():
     assert cond.convexity_scan and cond.slope_nonpositive_scan
 
 
+def localized_diagnostic(solution, geom, params, nl, radius, cyl, t0_clock, density=(97, 49)):
+    """Maximum of the localized quantity tau * eta * F over the 2R cylinder.
+
+    Reports the maximizer and discrete first-order information there: at an
+    interior maximum the stencil gradient is small and the neighbours do not
+    exceed the maximum.
+    """
+    sup_cyl = Cylinder(2.0 * radius, cyl.t_lo, cyl.t_hi)
+    sup_cyl.require_inside(geom)
+    rr, tt, inside = solution.sample(sup_cyl, geom, density)
+    tau = tt - t0_clock
+    part = solution.table(1, 1, rr, tt)
+    v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
+    a = geom.conformal(rr, tt)
+    al = params.coeffs.alpha_at(tau)
+    be = params.coeffs.beta_at(tau)
+    G = nl.G(tt, rr, v)
+    F = v_r**2 / (a**2 * v) - al * v_t / v + al * G / v - be
+    rho = a * rr
+    eta = CUTOFF.value(rho / radius)
+    Gq = np.where(inside & (tau >= 0), tau * eta * F, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(Gq)), Gq.shape)
+    gmax = float(Gq[i, j])
+    neighbours = []
+    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        ii, jj = i + di, j + dj
+        if 0 <= ii < Gq.shape[0] and 0 <= jj < Gq.shape[1] and np.isfinite(Gq[ii, jj]):
+            neighbours.append(float(Gq[ii, jj]))
+    interior_in_r = 0 < i < Gq.shape[0] - 1 and np.isfinite(Gq[i - 1, j]) and np.isfinite(Gq[i + 1, j])
+    grad_r = (Gq[i + 1, j] - Gq[i - 1, j]) / (2 * (rr[1, 0] - rr[0, 0])) if interior_in_r else 0.0
+    return {
+        "max": gmax,
+        "arg_r": float(rr[i, j]),
+        "arg_tau": float(tau[i, j]),
+        "rho_over_R": float(rho[i, j] / radius),
+        "neighbours_below": bool(all(nv <= gmax + 1e-12 for nv in neighbours)),
+        "stencil_grad_r": float(grad_r),
+        "eta_at_max": float(eta[i, j]),
+    }
+
+
 def test_localized_diagnostic_examples():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cut = cutoff_profile()
     cyl = Cylinder(0.9, 1.0, 2.0)
     diag = localized_diagnostic(AnalyticSolution(prof), geom, params, Nonlinearity(),
-                                cut, 0.9, cyl, 1.0)
+                                0.9, cyl, 1.0)
     # the maximizer sits strictly inside the doubled cylinder
     assert diag["rho_over_R"] < 2.0
     assert diag["neighbours_below"]
@@ -583,10 +614,9 @@ def test_admissible_power_family_dominated_by_aggregates():
     cyl = Cylinder(0.9, 1.0, 2.0)
     bounds = extract_bounds(geom, cyl.scaled(2.0))
     samples = collect_sup_samples(sol, geom, params, nl, cyl.scaled(2.0), 1.0)
-    cut = cutoff_profile()
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, cut, eps)
-    cst = aggregate_constants(bounds, params, samples.v_sup, cyl.radius, cut,
+    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, eps)
+    cst = aggregate_constants(bounds, params, samples.v_sup, cyl.radius,
                               samples.tau, eps)
     assert q["q1"] <= float(np.max(cst["K"])) + 1e-14
     assert q["q4"] <= float(np.max(np.sqrt(cst["F"]) * cst["N"])) + 1e-14
@@ -702,7 +732,7 @@ def test_x_dependent_forcing_activates_gradient_quantities():
     samples = collect_sup_samples(sol, geom, params, nl, cyl.scaled(2.0), 0.5)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
     q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                       cutoff_profile(), eps)
+                       eps)
     assert q["q2"] > 0  # |G_x| enters
     assert q["q3"] > 0  # Delta_phi G^x enters
     # brute-force cross-check of q2 against per-node evaluation

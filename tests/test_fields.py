@@ -4,7 +4,7 @@ import pytest
 from harnacklab.fields import FieldError, Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import Cylinder, phi_laplacian_eval
 
-from conftest import make_geometry
+from conftest import field_from_function, make_geometry
 
 
 def grid(n_r=65, n_t=17, r_max=2.0, t0=0.0, duration=1.0, pole=True):
@@ -23,15 +23,15 @@ def test_grid_invariants():
 
 def test_diff_exact_on_linear_and_quadratic():
     g = grid(pole=False)
-    f = ScalarField.from_function(lambda r, t: 3 * r, g)
+    f = field_from_function(lambda r, t: 3 * r, g)
     assert np.allclose(diff(f, "d_r").values, 3.0, atol=1e-12)
-    q = ScalarField.from_function(lambda r, t: r**2, g)
+    q = field_from_function(lambda r, t: r**2, g)
     assert np.allclose(diff(q, "d_rr").values, 2.0, atol=1e-10)
 
 
 def test_diff_time_direction():
     g = grid()
-    f = ScalarField.from_function(lambda r, t: 2 * t + r**2, g)
+    f = field_from_function(lambda r, t: 2 * t + r**2, g)
     assert np.allclose(diff(f, "d_t").values, 2.0, atol=1e-12)
 
 
@@ -52,7 +52,7 @@ def test_diff_order_two_on_sine():
     errs = []
     for n_r in (33, 65, 129, 257):
         g = Grid(n_r=n_r, n_t=4, r_max=2.0, t0=0.0, duration=1.0, pole=False)
-        f = ScalarField.from_function(lambda r, t: np.sin(r), g)
+        f = field_from_function(lambda r, t: np.sin(r), g)
         d = diff(f, "d_r").values[:, 0]
         errs.append((g.dr, np.max(np.abs(d - np.cos(g.r)))))
     order = convergence_order(errs)
@@ -61,7 +61,7 @@ def test_diff_order_two_on_sine():
 
 def test_pole_symmetry_even_field():
     g = grid()
-    f = ScalarField.from_function(lambda r, t: np.cos(r), g)
+    f = field_from_function(lambda r, t: np.cos(r), g)
     d = diff(f, "d_r")
     assert np.allclose(d.values[0], 0.0)
     assert d.parity == "odd"
@@ -79,14 +79,14 @@ def test_weighted_laplacian_constant_is_zero():
     for kind in ("euclidean", "hyperbolic", "gaussian"):
         geom = make_geometry(kind, n=3, m=5)
         g = grid()
-        f = ScalarField.from_function(lambda r, t: np.full_like(r, 4.2), g)
+        f = field_from_function(lambda r, t: np.full_like(r, 4.2), g)
         assert np.max(np.abs(stencil_laplacian(f, geom))) <= 1e-10
 
 
 def test_weighted_laplacian_euclid_quadratic():
     geom = make_geometry("euclidean", n=3)
     g = grid()
-    f = ScalarField.from_function(lambda r, t: r**2, g)
+    f = field_from_function(lambda r, t: r**2, g)
     out = stencil_laplacian(f, geom)
     assert np.max(np.abs(out[:-1] - 6.0)) <= 1e-8
 
@@ -94,7 +94,7 @@ def test_weighted_laplacian_euclid_quadratic():
 def test_weighted_laplacian_gaussian_quadratic():
     geom = make_geometry("gaussian", n=2, m=4)
     g = grid()
-    f = ScalarField.from_function(lambda r, t: r**2, g)
+    f = field_from_function(lambda r, t: r**2, g)
     out = stencil_laplacian(f, geom)
     rr, _ = g.mesh()
     assert np.max(np.abs(out[:-1] - (4.0 - 2.0 * rr[:-1] ** 2))) <= 1e-8
@@ -152,5 +152,5 @@ def test_weighted_laplacian_constant_on_evolving_families():
     for geom in (conf, warp):
         g = Grid(n_r=33, n_t=9, r_max=2.0, t0=0.2, duration=1.0,
                  pole=(geom.mode == "pole"))
-        f = ScalarField.from_function(lambda r, t: np.full_like(r, 2.5), g)
+        f = field_from_function(lambda r, t: np.full_like(r, 2.5), g)
         assert np.max(np.abs(stencil_laplacian(f, geom))) <= 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab.fields import Grid, ScalarField, convergence_order, diff
+from harnacklab.fields import Grid, convergence_order, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  WarpedGeometry, angular_drift_product,
                                  bakry_emery_eigs, curvature_eigs, extract_bounds,
@@ -9,7 +9,7 @@ from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  potential_radial_slope)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import make_geometry
+from conftest import field_from_function, make_geometry
 
 
 def test_flat_space_is_ricci_flat():
@@ -124,7 +124,7 @@ def test_phi_laplacian_stencil_and_table_routes_agree(kind, m, bump_profile):
     rows, pole_rows = [], []
     for n_r in (33, 65, 129):
         g = Grid(n_r=n_r, n_t=5, r_max=2.0, t0=0.5, duration=1.0)
-        f = ScalarField.from_function(bump_profile, g)
+        f = field_from_function(bump_profile, g)
         rr, tt = g.mesh()
         stencil = phi_laplacian_eval(geom, rr, tt, diff(f, "d_r").values, diff(f, "d_rr").values)
         table = phi_laplacian_eval(geom, rr, tt, bump_profile.at(1, 0, rr, tt),

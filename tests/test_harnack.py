@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from harnacklab.estimates import collect_sup_samples, cutoff_profile, sup_quantities
+from harnacklab.estimates import collect_sup_samples, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
 from harnacklab import harnack
 from harnacklab.harnack import (HarnackError, _constant_alpha, harnack_constant,
@@ -62,7 +62,7 @@ def test_conformal_bound_margin_within_log_integral_margin():
     samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
     eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), "first")
     q = sup_quantities(samples, extract_bounds(geom, full), params, geom.n, 0.9,
-                       cutoff_profile(), eps, family="first", scope="global")
+                       eps, family="first", scope="global")
     pairs = sample_pairs(np.random.default_rng(31), 60, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, float(np.min(samples.v)))
     assert all(row["margin"] <= row["log_integral_margin"] + 1e-12 for row in rep["rows"])
@@ -77,7 +77,7 @@ def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
     bounds = extract_bounds(geom, full)
     samples = collect_sup_samples(sol, geom, params, Nonlinearity(), full, 1.0)
     eps = 0.25 * params.eps_ceiling(np.linspace(0.05, t_hi - 1.0, 33), family)
-    q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(), eps,
+    q = sup_quantities(samples, bounds, params, geom.n, 0.9, eps,
                        family=family, scope="global")
     v_inf = float(np.min(samples.v))
     return geom, prof, params, sol, q, v_inf
@@ -208,7 +208,7 @@ def test_degenerate_pair_reduces_to_time_ratio():
     full = Cylinder(1e18, 0.5, 1.5)
     bounds = extract_bounds(geom, full)
     samples = collect_sup_samples(sol, geom, params, nl, full, 0.5)
-    q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
+    q = sup_quantities(samples, bounds, params, geom.n, 0.9,
                        0.05, scope="global")
     v_inf = float(np.min(samples.v))
     rep = verify_harnack(sol, geom, params, q, [(0.4, 0.3, 0.4, 0.6)], 0.5, v_inf)
@@ -293,7 +293,7 @@ def test_harnack_follows_global_estimate_same_constants():
         bounds = extract_bounds(geom, full)
         samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
         q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                           cutoff_profile(), eps, family=family, scope="global")
+                           eps, family=family, scope="global")
         rng = np.random.default_rng(31)
         pairs = sample_pairs(rng, 60, geom.r_max, 0.05, 1.0)
         rep = verify_harnack(sol, geom, params, q, pairs, 1.0,
@@ -317,7 +317,7 @@ def test_families_coincide_for_plain_forcing_at_matched_eps_fraction():
     values = {}
     for family in ("first", "second"):
         eps = 0.5 * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, geom.n, 0.9, cutoff_profile(),
+        q = sup_quantities(samples, bounds, params, geom.n, 0.9,
                            eps, family=family, scope="global")
         values[family] = harnack_constant(q, _constant_alpha(params), params.b)
     assert values["first"] == pytest.approx(values["second"], rel=1e-12)

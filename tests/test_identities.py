@@ -4,16 +4,18 @@ import pytest
 from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
-                                   TermTable, adjudicate_commutator, bochner_residual,
-                                   commutator_residual, harnack_evolution_residual,
+                                   TermTable, bochner_residual, harnack_evolution_residual,
                                    inequality_margin, pressure_equation_residual,
-                                   quotient_rule_residual, variant_label)
+                                   quotient_rule_residual)
+from harnacklab.jets import d_r, d_t
 from harnacklab.params import AlphaBeta, HarnackParams
 from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
                                manufactured_forcing, pressure_inverse, PdeParams, solve)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import make_geometry, params_for, sample_points
+from conftest import (G_jet, adjudicate_commutator, commutator_variant_residuals,
+                      field_from_function, make_geometry, params_for, sample_points,
+                      variant_label)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +86,7 @@ def test_quotient_rule_rejects_vanishing_denominator(euclid3, bump_profile):
 
 def test_commutator_static_all_variants_vanish(bump_profile, gaussian2):
     r, t = sample_points(include_pole=False)
-    results = commutator_residual(bump_profile, gaussian2, r, t)
+    results = commutator_variant_residuals(bump_profile, gaussian2, r, t)
     assert all(v[0] <= 1e-13 for v in results.values())
 
 
@@ -101,7 +103,7 @@ def test_commutator_single_family_underdetermines(bump_profile, conformal_gaussi
     # the conformal family cannot excite the divergence term, so two sign
     # conventions survive on it alone
     r, t = sample_points(include_pole=False)
-    results = commutator_residual(bump_profile, conformal_gaussian, r, t)
+    results = commutator_variant_residuals(bump_profile, conformal_gaussian, r, t)
     winners = [k for k, v in results.items() if v[0] <= 1e-9]
     assert len(winners) == 2
     assert all(k[0] == -1 for k in winners)
@@ -140,7 +142,7 @@ def test_bochner_hyperbolic_cosh():
 
 def _grid_field(fun, n_r=65, n_t=33, r_max=2.0, t0=0.5, duration=1.0):
     g = Grid(n_r=n_r, n_t=n_t, r_max=r_max, t0=t0, duration=duration)
-    return ScalarField.from_function(fun, g, positive=True)
+    return field_from_function(fun, g, positive=True)
 
 
 def _grid_table(v, geom, params, nl=None):
@@ -195,7 +197,7 @@ def test_solution_handles_sample_part_and_value(euclid3, bump_profile):
 
 def test_op_lpv_constant_and_linearity(euclid3, bump_profile):
     v = _grid_field(lambda r, t: bump_profile(r, t))
-    const = ScalarField.from_function(lambda r, t: np.full_like(r, 2.0), v.grid)
+    const = field_from_function(lambda r, t: np.full_like(r, 2.0), v.grid)
     table = _grid_table(const, euclid3, params_for(euclid3, p=2.0))
     assert np.max(np.abs(table.v_t - table.v * table.lap_v)) <= 1e-10
     assert np.max(np.abs(table.LpvF)) <= 1e-10
@@ -308,24 +310,33 @@ def test_evolution_identity_spatially_constant():
     assert np.max(np.abs(res)) <= 1e-9
 
 
+def _jet_route(v, geom, params, nl, r, t):
+    """F_r and L[F] with F built by arithmetic on the series of v, a, alpha,
+    beta and G and its partials read off: an oracle for the chain rule."""
+    a, coeffs = geom.conformal, params.coeffs
+
+    def harnack_quantity(r, t):
+        V, al = v.jet(r, t), coeffs.alpha.jet(r, t)
+        return (d_r(V) ** 2 / (a.jet(r, t) ** 2 * V) - al * d_t(V) / V
+                + al * G_jet(nl, t, r, V) / V - coeffs.beta.jet(r, t))
+
+    forcing_orders = (0, 0) if nl.forcing is None else nl.forcing.orders
+    F = Profile.of_jets(harnack_quantity, np.maximum(np.add(v.orders, (1, 1)), forcing_orders),
+                        "harnack_quantity")
+    rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    F_part = F.table(1, 1, rr, tt)
+    lap_F = geom.phi_laplacian(F)(rr, tt)
+    return F_part[1, 0], F_part[0, 1] - (params.p - 1) * v(rr, tt) * lap_F
+
+
 def test_chain_rule_matches_jet_route(bump_profile, conformal_gaussian):
     params = params_for(conformal_gaussian, p=2.5)
     nl = _mixed_nl(bump_profile, conformal_gaussian, params.p)
     r, t = sample_points(include_pole=False)
-    chain = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl,
-                      r=r, t=t, f_route="chain")
-    jet = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl,
-                    r=r, t=t, f_route="jet")
-    assert np.max(np.abs(chain.LpvF - jet.LpvF)) <= 1e-10
-    assert np.max(np.abs(chain.F_r - jet.F_r)) <= 1e-12
-
-
-def test_unknown_f_route_is_refused(bump_profile, conformal_gaussian):
-    params = params_for(conformal_gaussian, p=2.5)
-    r, t = sample_points(include_pole=False)
-    with pytest.raises(IdentityError, match="f_route"):
-        TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, Nonlinearity(),
-                  r=r, t=t, f_route="symbolic")
+    chain = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl, r=r, t=t)
+    jet_F_r, jet_LpvF = _jet_route(bump_profile, conformal_gaussian, params, nl, r, t)
+    assert np.max(np.abs(chain.LpvF - jet_LpvF)) <= 1e-10
+    assert np.max(np.abs(chain.F_r - jet_F_r)) <= 1e-12
 
 
 def _numeric_residual(n_r, n_t, prof, geom, params, nl):

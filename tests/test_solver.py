@@ -13,7 +13,7 @@ from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
 
-from conftest import make_geometry
+from conftest import G_jet, make_geometry
 
 
 def test_pressure_examples_and_roundtrip():
@@ -100,7 +100,7 @@ def test_nonlinearity_is_its_present_parts(terms, with_forcing, form):
     assert _same(xpart, f(r, t)) if with_forcing else xpart is None
     assert _same(nl.source(u, p, xpart), both(power(pressure(u, p)), xpart) * u ** (2.0 - p) / p)
     V = Profile("1.5 + cos(r + t)", "v")
-    got = Profile.of_jets(lambda r, t: V.jet(r, t) + nl.G_jet(t, r, V.jet(r, t)), (0, 0), "got")
+    got = Profile.of_jets(lambda r, t: V.jet(r, t) + G_jet(nl, t, r, V.jet(r, t)), (0, 0), "got")
     want = Profile.of_jets(lambda r, t: V.jet(r, t) + both(
         power(V.jet(r, t)), f.jet(r, t) if with_forcing else None, 0.0), (0, 0), "want")
     assert _same(got.table(1, 1, r, t), want.table(1, 1, r, t))

@@ -1,5 +1,8 @@
+import ast
 import importlib.util
 import json
+import shutil
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -75,3 +78,81 @@ def test_compare_outputs_flags_non_numeric_differences(tmp_path, capsys, changes
 def test_compare_outputs_usage(tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path)]) == 2
     assert compare_outputs.main([str(tmp_path), str(tmp_path / "missing")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# dead-API guard
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "harnacklab"
+
+# definitions in src/ that nothing else in src/ reads, each with its reason
+UNREAD_ALLOWED = {
+    "estimates.nonlinearity_conditions": "the hypotheses ledger's structure-condition line",
+    "estimates.NonlinearityConditions.consistent": "the same ledger line reads it",
+    "estimates.CutoffProfile.certify": "the hypotheses ledger's cutoff line",
+    "params.preset_ode_residuals": "the hypotheses ledger's preset line",
+    "identities.inequality_margin": "perfbench's trace shim wraps it",
+    "estimates.sup_quantities": "perfbench's trace shim counts its calls",
+    "estimates.SupNodes.whole": "test seam: the blocks' one-piece reference",
+    "estimates.VerificationReport.passed": "test seam: a report's verdict",
+}
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def unread_definitions(src: Path) -> set:
+    """The qualified names (module.Class.name) of the non-dunder ``def`` and
+    ``class`` statements in ``src/*.py`` whose name is read nowhere else in
+    those files, as a ``Name``, an ``Attribute`` or an import alias.  A read
+    inside the definition itself (a recursive call) does not count."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(src.glob("*.py"))}
+    defs = []                       # (qualified name, name, module, first line, last line)
+
+    def collect(node, module, prefix):
+        # definitions are statements, so only statement blocks are searched
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _DEFINITIONS):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    defs.append((f"{prefix}.{child.name}", child.name, module,
+                                 child.lineno, child.end_lineno))
+                collect(child, module, f"{prefix}.{child.name}")
+            elif isinstance(child, _BLOCKS):
+                collect(child, module, prefix)
+
+    for module, tree in trees.items():
+        collect(tree, module, module)
+    names = {name for _, name, *_ in defs}
+    reads = defaultdict(list)       # name -> [(module, line)]
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            kind = type(node)
+            if kind is ast.Name:
+                name = node.id
+            elif kind is ast.Attribute:
+                name = node.attr
+            elif kind is ast.alias:
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in names:
+                reads[name].append((module, node.lineno))
+    return {qualified for qualified, name, module, first, last in defs
+            if all(where == module and first <= line <= last for where, line in reads[name])}
+
+
+def test_src_has_no_unread_definitions():
+    unread = unread_definitions(SRC)
+    assert unread - set(UNREAD_ALLOWED) == set(), "defined in src/ but read nowhere there"
+    assert set(UNREAD_ALLOWED) - unread == set(), "allowed as unread but read in src/"
+
+
+def test_unread_definition_guard_flags_an_added_def(tmp_path):
+    copy = tmp_path / "harnacklab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "estimates.py", "a") as fh:
+        fh.write("\n\ndef _never_read(x):\n    return _never_read(x - 1) if x else 0\n")
+    assert unread_definitions(copy) == set(UNREAD_ALLOWED) | {"estimates._never_read"}

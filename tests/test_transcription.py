@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from harnacklab.estimates import (VARIANTS, SupSamples, aggregate_M, aggregate_constants,
-                                  cutoff_profile, rhs_bound, sup_quantities, variant_kind)
+                                  rhs_bound, sup_quantities, variant_kind)
 from harnacklab.geometry import GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
@@ -112,11 +112,10 @@ def reference_rhs(variant, ref, params, bounds, tau, radius):
 @pytest.mark.parametrize("family", ["first", "second"])
 def test_sup_quantities_match_reference(family):
     rng = np.random.default_rng(314)
-    cut = cutoff_profile()
     for trial in range(40):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                            family=family, scope="local")
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         for key in ("q0", "q1", "q2", "q3", "q4"):
@@ -126,15 +125,14 @@ def test_sup_quantities_match_reference(family):
 @pytest.mark.parametrize("variant", ["first-local", "second-local"])
 def test_local_rhs_matches_reference(variant):
     rng = np.random.default_rng(2718)
-    cut = cutoff_profile()
     family = "second" if "second" in variant else "first"
     for trial in range(40):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
         tau_eval = rng.uniform(0.1, 1.0, 3)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                            family=family, scope="local")
-        got = rhs_bound(variant, q, bounds, params, radius, cut, tau_eval)
+        got = rhs_bound(variant, q, bounds, params, radius, tau_eval)
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         want = reference_rhs(variant, ref, params, bounds, tau_eval, radius)
         assert np.allclose(got, want, rtol=1e-13), (trial, got, want)
@@ -143,10 +141,9 @@ def test_local_rhs_matches_reference(variant):
 def test_global_rhs_drops_radius_term_in_leading_constant():
     # global scope replaces K by its cutoff-time part only
     rng = np.random.default_rng(999)
-    cut = cutoff_profile()
     params, bounds, samples, n_dim, radius = synthetic_setup(rng)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                        family="first", scope="global")
     s = samples
     b = params.b
@@ -159,11 +156,10 @@ def test_global_rhs_drops_radius_term_in_leading_constant():
 @pytest.mark.parametrize("family", ["first", "second"])
 def test_harnack_constant_matches_reference(family):
     rng = np.random.default_rng(1618)
-    cut = cutoff_profile()
     for trial in range(25):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng, constant_alpha=True)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                            family=family, scope="global")
         alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
         b = params.b
@@ -178,10 +174,9 @@ def test_harnack_constant_matches_reference(family):
 
 def test_harnack_bound_matches_reference():
     rng = np.random.default_rng(577)
-    cut = cutoff_profile()
     params, bounds, samples, n_dim, radius = synthetic_setup(rng, constant_alpha=True)
     eps = 0.4 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                        family="first", scope="global")
     energy, v_inf, t1, t2 = 0.7, 0.4, 0.3, 0.9
     alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
@@ -243,10 +238,9 @@ def family_rhs(variant, setup, fraction, tau):
     family, scope = variant_kind(variant)
     eps = (None if variant.startswith("static")
            else fraction * params.eps_ceiling(samples.tau, family))
-    cut = cutoff_profile()
-    q = sup_quantities(samples, bounds, params, n_dim, radius, cut, eps,
+    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
                        family=family, scope=scope)
-    return q, rhs_bound(variant, q, bounds, params, radius, cut, tau)
+    return q, rhs_bound(variant, q, bounds, params, radius, tau)
 
 
 def test_families_agree_at_matched_eps_fractions_when_alpha_constant_and_k2_zero():
