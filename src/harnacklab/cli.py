@@ -332,8 +332,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
         family = q["family"]
         rep = verify_harnack(sol, geom, params, q, pairs, sc.t0, v_inf,
                              tolerance_factor=ver["harnack_tolerance_factor"])
-        worst = min(row["margin"] for row in rep["rows"])
-        worst_log = min(row["log_integral_margin"] for row in rep["rows"])
+        worst, worst_log = float(np.min(rep["margin"])), float(np.min(rep["log_integral_margin"]))
         log_viol = rep["log_integral_violations"]
         violations += rep["violations"] + log_viol
         lines.append(f"  family {family:6s}: H = {rep['H']:.6g}, "
@@ -344,10 +343,8 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
             "worst_margin": worst, "worst_log_integral_margin": worst_log,
             "log_integral_violations": log_viol,
         }
-        rows = rep["rows"]
-        blocks.append((len(rows), (
-            family, *(np.array([row[name] for row in rows], dtype=float) for name in header[1:-1]),
-            _objects("pass" if row["passed"] else "FAIL" for row in rows))))
+        blocks.append((len(pairs), (family, *(rep[name] for name in header[1:-1]),
+                                    np.where(rep["passed"], "pass", "FAIL").astype(object))))
     _write_csv(out / "pairs.csv", header, _Blocks(blocks))
     lines.append(f"total violations: {violations}")
     payload["violations"] = violations

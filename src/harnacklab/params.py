@@ -21,7 +21,6 @@ class AlphaBeta:
     alpha: Profile
     beta: Profile
     gamma: float | None = None
-    flags: tuple = ()
 
     def alpha_at(self, t):
         return self.alpha(np.zeros_like(np.asarray(t, dtype=float)), t)
@@ -57,7 +56,7 @@ class AlphaBeta:
             return self
         shift = lambda prof: prof if prof.time_independent else Profile.of_jets(
             lambda r, t: prof.jet(r, t - t0), prof.orders, prof.name)
-        return AlphaBeta(shift(self.alpha), shift(self.beta), gamma=self.gamma, flags=self.flags)
+        return AlphaBeta(shift(self.alpha), shift(self.beta), gamma=self.gamma)
 
 
 def constant_alpha_beta(alpha: float, beta: float = 0.0) -> AlphaBeta:
@@ -69,39 +68,30 @@ def constant_alpha_beta(alpha: float, beta: float = 0.0) -> AlphaBeta:
 PRESETS = ("exp", "coth", "linear")
 
 
-def preset_alpha_beta(which: str, gamma: float, b: float, degenerate_delta: float = 1e-6) -> AlphaBeta:
+def preset_alpha_beta(which: str, gamma: float, b: float) -> AlphaBeta:
     """The three special coefficient pairs with their defining ODEs.
 
-    ``gamma`` plays the role of the aggregate rate (m-1) k (p-1) sup(v); the
-    coth and linear presets are singular at t = 0 and must be evaluated at
-    t > 0.  With gamma = 0 the exponential preset degenerates to alpha == 1;
-    the returned pair substitutes alpha = 1 + degenerate_delta and flags it.
+    ``gamma`` plays the role of the aggregate rate (m-1) k (p-1) sup(v) and
+    must be positive: at gamma = 0 the exponential preset is alpha == 1,
+    where no eps is admissible.  The coth and linear presets are singular at
+    t = 0 and must be evaluated at t > 0.
     """
     if which not in PRESETS:
         raise ParamError(f"unknown alpha/beta preset {which!r}")
-    if gamma < 0:
-        raise ParamError("gamma must be non-negative")
+    if gamma <= 0:
+        raise ParamError(f"{which} preset requires gamma > 0")
     g, b = float(gamma), float(b)
-    flags = ()
     if which == "exp":
-        if gamma == 0:
-            alpha = constant_profile(1.0 + degenerate_delta, "alpha")
-            flags = ("degenerate-alpha-substituted",)
-        else:
-            alpha = Profile(f"exp({2 * g!r}*t)", "alpha")
+        alpha = Profile(f"exp({2 * g!r}*t)", "alpha")
         beta = constant_profile(0.0, "beta")
     elif which == "coth":
-        if gamma == 0:
-            raise ParamError("coth preset requires gamma > 0")
         s, c = f"sinh({g!r}*t)", f"cosh({g!r}*t)"
         alpha = Profile(f"1 + ({c}*{s} - {g!r}*t)/{s}**2", "alpha")
         beta = Profile(f"{b * g!r}*(coth({g!r}*t) + 1)", "beta")
     else:
-        if gamma == 0:
-            raise ParamError("linear preset requires gamma > 0")
         alpha = Profile(f"1 + {2 * g / 3!r}*t", "alpha")
         beta = Profile(f"{b!r}*(1/t + {g!r} + {g**2 / 3!r}*t)", "beta")
-    return AlphaBeta(alpha, beta, gamma=gamma, flags=flags)
+    return AlphaBeta(alpha, beta, gamma=gamma)
 
 
 def preset_ode_residuals(pair: AlphaBeta, which: str, b: float, t) -> dict[str, dict]:

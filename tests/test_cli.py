@@ -143,6 +143,8 @@ BAD_VALUES = [
     ("harnack.alpha", {"preset": "exp", "gamma": 1}),
     ("harnack.alpha", {"preset": "coth", "gamma": 1}),
     ("harnack.alpha", {"preset": "linear", "gamma": 1}),
+    # at gamma 0 the exp preset is alpha == 1 on every clock
+    ("harnack.alpha", {"preset": "exp", "gamma": 0, "clock_offset": 0.5}),
     # a preset rate that is not a number, or overflows to inf, and a preset that
     # is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),

@@ -50,9 +50,24 @@ def test_path_energy_conformal_closed_form():
     assert energy <= _straight_energy(geom, 0.2, 0.5, 1.4, 1.5)
 
 
+def test_pair_arrays_match_single_pairs():
+    # on an evolving conformal factor each pair's entry of the array route
+    # is, bit for bit, the value of the same call on that pair alone
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    pairs = sample_pairs(np.random.default_rng(3), 40, geom.r_max, 0.05, 1.0)
+    r1, tau1, r2, tau2 = np.array(pairs).T
+    log_ratio = np.linspace(-0.5, 0.5, len(pairs))
+    energy = path_energy(geom, r1, tau1 + 1.0, r2, tau2 + 1.0)
+    margin = log_integral_margin(log_ratio, geom, 2.0, 0.6, 0.3, 1.5, r1, tau1, r2, tau2, 1.0)
+    for k, (a1, s1, a2, s2) in enumerate(pairs):
+        assert energy[k] == path_energy(geom, a1, s1 + 1.0, a2, s2 + 1.0)
+        assert margin[k] == log_integral_margin(log_ratio[k], geom, 2.0, 0.6, 0.3, 1.5,
+                                                a1, s1, a2, s2, 1.0)
+
+
 def test_conformal_bound_margin_within_log_integral_margin():
     # the straight path of the log-integral step costs at least the infimum,
-    # so each row's bound margin is at most its log-integral margin
+    # so each pair's bound margin is at most its log-integral margin
     geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
     prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
     params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
@@ -65,7 +80,7 @@ def test_conformal_bound_margin_within_log_integral_margin():
                        eps, family="first", scope="global")
     pairs = sample_pairs(np.random.default_rng(31), 60, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, float(np.min(samples.v)))
-    assert all(row["margin"] <= row["log_integral_margin"] + 1e-12 for row in rep["rows"])
+    assert np.all(rep["margin"] <= rep["log_integral_margin"] + 1e-12)
 
 
 def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
@@ -124,10 +139,9 @@ def test_harnack_bound_overflow_stays_in_log_space(monkeypatch):
     expect = 2.0 * 1e4 / (4 * v_inf * 0.01) + params.b * 2.0 * math.log(0.51 / 0.5)
     assert log_bound == pytest.approx(expect, rel=1e-12)
     monkeypatch.setattr(harnack, "path_energy", lambda *args: 1e4)
-    row = verify_harnack(sol, geom, params, q, [(0.3, 0.5, 0.3, 0.51)], 1.0,
-                         v_inf)["rows"][0]
-    assert row["bound"] == math.inf
-    assert row["margin"] == pytest.approx(expect - math.log(row["ratio"]), rel=1e-12)
+    rep = verify_harnack(sol, geom, params, q, [(0.3, 0.5, 0.3, 0.51)], 1.0, v_inf)
+    assert rep["bound"][0] == math.inf
+    assert rep["margin"][0] == pytest.approx(expect - math.log(rep["ratio"][0]), rel=1e-12)
 
 
 def test_harnack_bound_validation():
@@ -136,6 +150,10 @@ def test_harnack_bound_validation():
         verify_harnack(sol, geom, params, q, [(0.0, 0.5, 0.0, 1.0)], 1.0, -1.0)
     with pytest.raises(HarnackError):
         verify_harnack(sol, geom, params, q, [(0.0, 1.0, 0.0, 0.5)], 1.0, v_inf)
+    # v below zero between the sampled nodes has no logarithm
+    dips = AnalyticSolution(Profile("r - 1", "v"))
+    with pytest.raises(HarnackError, match="both ends"):
+        verify_harnack(dips, geom, params, q, [(1.5, 0.5, 0.5, 1.0)], 1.0, v_inf)
 
 
 @pytest.mark.parametrize("family", ["first", "second"])
@@ -145,12 +163,13 @@ def test_verify_harnack_barenblatt(family):
     pairs = sample_pairs(rng, 120, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
     assert rep["violations"] == 0
-    assert all(row["passed"] for row in rep["rows"])
+    assert rep["passed"].shape == (len(pairs),) and np.all(rep["passed"])
 
 
 def test_verify_harnack_rows_carry_log_integral_margin(monkeypatch):
-    # one loop over pairs: each pair evaluates v twice, and its row carries
-    # the same log-integral margin a standalone call gives
+    # the pairs are checked as arrays: v is evaluated once at all first and
+    # once at all second endpoints, and every column entry is, bit for bit,
+    # what the scalar route gives on that pair alone
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
     pairs = sample_pairs(np.random.default_rng(5), 30, geom.r_max, 0.05, 1.0)
     calls = []
@@ -161,14 +180,42 @@ def test_verify_harnack_rows_carry_log_integral_margin(monkeypatch):
 
     monkeypatch.setattr(sol, "value", counted)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
-    assert len(calls) == 2 * len(pairs)
+    assert len(calls) == 2
     assert rep["log_integral_violations"] == 0
     alpha, b = _constant_alpha(params), params.b
     H = harnack_constant(q, alpha, b)
-    for (r1, tau1, r2, tau2), row in zip(pairs, rep["rows"]):
+    for k, (r1, tau1, r2, tau2) in enumerate(pairs):
+        energy = path_energy(geom, r1, tau1 + 1.0, r2, tau2 + 1.0)
+        log_bound = harnack_log_bound(H, alpha, b, energy, v_inf, tau1, tau2)
         lr = _log_ratio(sol, r1, tau1 + 1.0, r2, tau2 + 1.0)
         alone = log_integral_margin(lr, geom, alpha, b, H, v_inf, r1, tau1, r2, tau2, 1.0)
-        assert row["log_integral_margin"] == alone
+        assert (rep["r1"][k], rep["tau1"][k], rep["r2"][k], rep["tau2"][k]) == (r1, tau1, r2, tau2)
+        assert rep["energy"][k] == energy
+        assert rep["margin"][k] == log_bound - lr
+        assert rep["log_integral_margin"][k] == alone
+
+
+@pytest.mark.parametrize("n_pairs", [1, 30])
+def test_verify_harnack_profile_evaluations_do_not_grow_with_pairs(monkeypatch, n_pairs):
+    # alpha once, the conformal factor a at the path energies' panel nodes,
+    # at their midpoints and on the log-integral paths, and v once at each end
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
+    params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
+    sol = AnalyticSolution(prof)
+    q = {"q0": 0.1, "q1": 0.1, "q2": 0.1, "q3": 0.1, "q4": 0.1, "family": "first"}
+    pairs = sample_pairs(np.random.default_rng(7), n_pairs, geom.r_max, 0.05, 1.0)
+    tables = []
+    table = Profile.table
+
+    def counted(self, *args):
+        tables.append(self.name)
+        return table(self, *args)
+
+    monkeypatch.setattr(Profile, "table", counted)
+    rep = verify_harnack(sol, geom, params, q, pairs, 1.0, 1.0)
+    assert rep["margin"].shape == (n_pairs,)
+    assert sorted(tables) == ["a", "a", "a", "alpha", "v", "v"]
 
 
 def test_verify_harnack_computes_constants_once(monkeypatch):
@@ -212,15 +259,14 @@ def test_degenerate_pair_reduces_to_time_ratio():
                        0.05, scope="global")
     v_inf = float(np.min(samples.v))
     rep = verify_harnack(sol, geom, params, q, [(0.4, 0.3, 0.4, 0.6)], 0.5, v_inf)
-    row = rep["rows"][0]
-    assert row["energy"] == pytest.approx(0.0, abs=1e-14)
+    assert rep["energy"][0] == pytest.approx(0.0, abs=1e-14)
     # ratio v(t1)/v(t2) > 1 (decaying field) and the bound still covers it
-    assert row["ratio"] > 1.0
-    assert row["passed"]
+    assert rep["ratio"][0] > 1.0
+    assert rep["passed"][0]
 
 
 def _log_ratio(sol, r1, t1, r2, t2):
-    return math.log(float(sol.value(r1, t1))) - math.log(float(sol.value(r2, t2)))
+    return np.log(sol.value(r1, t1)) - np.log(sol.value(r2, t2))
 
 
 def test_log_integral_examples():
@@ -270,7 +316,7 @@ def test_harnack_harness_can_fail():
     rep = verify_harnack(sol, geom, params, broken,
                          [(0.0, 0.5, 1.8, 0.55)], 0.0, v_inf=1e6)
     assert rep["violations"] == 1
-    assert not rep["rows"][0]["passed"]
+    assert not rep["passed"][0]
 
 
 def test_harnack_follows_global_estimate_same_constants():

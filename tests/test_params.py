@@ -55,12 +55,11 @@ def test_preset_alpha_above_one_for_positive_time():
         assert np.all(pair.alpha_at(t) > 1.0)
 
 
-def test_degenerate_gamma_flagged():
-    pair = preset_alpha_beta("exp", 0.0, 2.0 / 3.0)
-    assert "degenerate-alpha-substituted" in pair.flags
-    assert pair.alpha_at(np.array([0.3]))[0] > 1.0
-    with pytest.raises(ParamError):
-        preset_alpha_beta("coth", 0.0, 2.0 / 3.0)
+@pytest.mark.parametrize("which", ["exp", "coth", "linear"])
+def test_preset_refuses_gamma_zero(which):
+    # at gamma 0 the exp preset is alpha == 1, where no eps is admissible
+    with pytest.raises(ParamError, match=f"^{which} preset requires gamma > 0$"):
+        preset_alpha_beta(which, 0.0, 2.0 / 3.0)
 
 
 def test_shifted_clock():

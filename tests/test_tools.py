@@ -156,3 +156,49 @@ def test_unread_definition_guard_flags_an_added_def(tmp_path):
     with open(copy / "estimates.py", "a") as fh:
         fh.write("\n\ndef _never_read(x):\n    return _never_read(x - 1) if x else 0\n")
     assert unread_definitions(copy) == set(UNREAD_ALLOWED) | {"estimates._never_read"}
+
+
+# ---------------------------------------------------------------------------
+# unused-import guard
+# ---------------------------------------------------------------------------
+
+ROOT = SRC.parent.parent
+IMPORT_DIRS = (SRC, ROOT / "tests", ROOT / "tools")
+
+
+def unused_imports(dirs) -> set:
+    """(file name, line, name) of each name an import statement binds in
+    ``dirs/*.py`` that its own file never reads as a ``Name``.  An
+    ``__init__.py`` (its imports are re-exports), ``from __future__`` and a
+    statement marked ``# noqa: F401`` are exempt."""
+    found = set()
+    for path in sorted(p for d in dirs for p in d.glob("*.py") if p.name != "__init__.py"):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        reads = {node.id for node in ast.walk(tree) if type(node) is ast.Name}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in reads:
+                    found.add((path.name, node.lineno, name))
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports(IMPORT_DIRS) == set()
+
+
+def test_unused_import_guard_flags_an_added_import(tmp_path):
+    for d in IMPORT_DIRS:
+        shutil.copytree(d, tmp_path / d.name, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "tests" / "test_params.py", "a") as fh:
+        fh.write("\nfrom harnacklab.harnack import sample_pairs as _never_read\n")
+    line = len((tmp_path / "tests" / "test_params.py").read_text().splitlines())
+    assert unused_imports(tmp_path / d.name for d in IMPORT_DIRS) == {
+        ("test_params.py", line, "_never_read")}

@@ -13,13 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (VARIANTS, SupSamples, aggregate_M, aggregate_constants,
-                                  rhs_bound, sup_quantities, variant_kind)
+from harnacklab.estimates import (VARIANTS, SupSamples, rhs_bound, sup_quantities,
+                                  variant_kind)
 from harnacklab.geometry import GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
 from harnacklab.solver import Nonlinearity
-from harnacklab.symfun import Profile, constant_profile
+from harnacklab.symfun import Profile
 
 
 def synthetic_setup(rng, constant_alpha=False):
