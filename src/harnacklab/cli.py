@@ -14,14 +14,13 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .estimates import estimate_matrix, reduce_suprema, scope_suprema
 from .geometry import Cylinder, extract_bounds
-from .harnack import sample_pairs, verify_harnack
+from .harnack import Pcg64, sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual)
@@ -315,9 +314,7 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
         raise ConfigError("harnack.alpha", "the integrated inequality needs constant alpha")
     ver = sc.verification
     v_inf, quantities = _harnack_suprema(sc, sol)
-    # numpy.random is imported on first use, so the pairs are drawn after the
-    # suprema: its memory does not add to theirs
-    pairs = sample_pairs(np.random.default_rng(sc.seed), ver["pairs"], geom.r_max,
+    pairs = sample_pairs(Pcg64(sc.seed), ver["pairs"], geom.r_max,
                          sc.duration / 64, sc.duration)
 
     lines = [f"scenario: {sc.name}", "command: check-harnack",
@@ -400,8 +397,8 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
         min_margin = min((margin for margin, _ in counts), default=np.inf)
         return combo, min_margin, sum(n for _, n in counts), time.time() - started
 
-    results = []
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(one, combos))
     else:
@@ -469,6 +466,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         if args.command == "report":
             return cmd_report(out)
+        if args.seed is not None:
+            read_number(args.seed, "--seed", integer=True, at_least=0)
         if args.command == "sweep":
             with open(args.config) as fh:
                 sweep_doc = json.load(fh)

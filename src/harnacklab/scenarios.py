@@ -284,7 +284,7 @@ def parse_scenario(doc: dict) -> Scenario:
                "verification"}
     _check_keys(doc, allowed, "")
     name = doc.get("name", "scenario")
-    seed = read_number(doc.get("seed", 20260809), "seed", integer=True)
+    seed = read_number(doc.get("seed", 20260809), "seed", integer=True, at_least=0)
 
     harnack = doc.get("harnack", {})
     _check_keys(harnack, {"m", "alpha", "beta", "eps_fractions"}, "harnack")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -178,6 +179,8 @@ BAD_VALUES = [
     ("pde.nonlinearity.A", [float("inf")]), ("pde.nonlinearity.B", [-float("inf")]),
     ("pde.nonlinearity.b", [float("nan")]), ("pde.nonlinearity.b", [1e999]),
     ("pde.nonlinearity.a", [2.0]), ("pde.nonlinearity", {"form": "power-sum"}),
+    # the Harnack pairs' generator is seeded by a non-negative integer
+    ("seed", -3),
 ]
 
 # the terms of a power-sum: every key but "a", which is set on the default
@@ -630,6 +633,25 @@ def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
         assert any(row["bound"] == "inf" for row in csv.DictReader(fh))
 
 
+@pytest.mark.parametrize("case", ["short-clock", "negative-seed"])
+def test_cli_harnack_refuses_pairs_it_cannot_draw(tmp_path, capsys, case):
+    # on a clock no longer than the pairs' least time gap the draws would
+    # never end; a negative seed seeds no generator
+    args = ["--config", str(CONFIGS / "barenblatt.json")]
+    if case == "short-clock":
+        doc = json.loads((CONFIGS / "barenblatt.json").read_text())
+        doc["time"]["duration"] = 0.001
+        args = ["--config", write_config(tmp_path, doc)]
+    else:
+        args += ["--seed", "-3"]
+    started = time.perf_counter()
+    code = main(["check-harnack", *args, "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG and time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: "
+                          + ("no two pair times" if case == "short-clock" else "--seed: "))
+
+
 def test_cli_solve_writes_solution(tmp_path):
     cfg = write_config(tmp_path, barenblatt_doc())
     out = tmp_path / "solve"
@@ -840,19 +862,25 @@ def test_cli_solve_and_numeric_check_never_load_scipy(tmp_path):
 
 
 def test_cli_commands_never_load_sympy(tmp_path):
-    # expressions are compiled from their strings; sympy is a test oracle only
+    # expressions are compiled from their strings and the Harnack pairs are
+    # drawn by harnack.Pcg64: sympy and numpy.random are test oracles only.
+    # The thread pool is imported by a sweep with --workers > 1 only.
+    modules = ["sympy", "numpy.random", "concurrent.futures"]
     runs = [["check-estimate", "--config", str(CONFIGS / "gaussian-conformal.json")],
-            ["check-identities", "--config", str(CONFIGS / "evolving-warp-identities.json")]]
+            ["check-identities", "--config", str(CONFIGS / "evolving-warp-identities.json")],
+            ["check-harnack", "--config", str(CONFIGS / "barenblatt.json")],
+            ["sweep", "--config", str(CONFIGS / "sweep-p-alpha.json")]]
     code = "\n".join([
         "import sys, harnacklab.cli as cli",
-        "loaded = ['sympy' in sys.modules]",
-        *(f"loaded.append(cli.main({argv + ['--out', str(tmp_path / str(i))]!r}) != 0 "
-          "or 'sympy' in sys.modules)" for i, argv in enumerate(runs)),
-        "print(loaded)"])
+        f"loaded = lambda: [name for name in {modules!r} if name in sys.modules]",
+        "runs = [(0, loaded())]",
+        *(f"runs.append((cli.main({argv + ['--out', str(tmp_path / str(i))]!r}), loaded()))"
+          for i, argv in enumerate(runs)),
+        "print(runs)"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[False, False, False]"
+    assert out.strip() == repr([(EXIT_OK, [])] * (1 + len(runs)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from harnacklab.estimates import collect_sup_samples, sup_quantities
 from harnacklab.geometry import Cylinder, extract_bounds
 from harnacklab import harnack
-from harnacklab.harnack import (HarnackError, _constant_alpha, harnack_constant,
+from harnacklab.harnack import (HarnackError, Pcg64, _constant_alpha, harnack_constant,
                                 harnack_log_bound, log_integral_margin, path_energy,
                                 sample_pairs, verify_harnack)
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
+from harnacklab.scenarios import load_scenario
 from harnacklab.solver import Nonlinearity, barenblatt_pressure_profile, manufactured_forcing
 from harnacklab.symfun import Profile
 
@@ -301,6 +303,42 @@ def test_sampled_pairs_are_reproducible():
     p2 = sample_pairs(np.random.default_rng(9), 50, 2.0, 0.1, 1.0)
     assert p1 == p2
     assert all(t1 < t2 for _, t1, _, t2 in p1)
+
+
+def test_pcg64_is_numpys_default_rng_stream():
+    # one to five 32-bit seed words: the pool of four is padded, filled or
+    # mixed on
+    for seed in [*range(201), 2**32 - 1, 2**32, 2**64, 3 * 2**128 + 12345]:
+        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
+        for k in range(40):
+            lo, hi = 0.01 * k, 1.0 + 2.5 * k
+            assert ours.uniform(lo, hi, 2) == numpys.uniform(lo, hi, size=2).tolist(), seed
+
+
+@pytest.mark.parametrize("config", sorted(
+    path for path in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
+    if not path.name.startswith("sweep")), ids=lambda path: path.stem)
+@pytest.mark.parametrize("seed", [None, 40])
+def test_sample_pairs_match_numpy_at_shipped_seeds(config, seed):
+    # the pairs check-harnack draws, at the config's seed and at seed 40
+    sc = load_scenario(config)
+    seed = sc.seed if seed is None else seed
+    args = (sc.verification["pairs"], sc.geom.r_max, sc.duration / 64, sc.duration)
+    assert sample_pairs(Pcg64(seed), *args) == sample_pairs(np.random.default_rng(seed), *args)
+
+
+def test_sample_pairs_refuses_a_window_no_wider_than_the_gap():
+    # no two times in the window are min_gap apart: refused before any draw,
+    # where the rejection loop would never end
+    class NoDraws:
+        def uniform(self, low, high, size):
+            raise AssertionError("drew from the generator")
+
+    for tau_hi in (1e-3, 0.5e-3):
+        with pytest.raises(HarnackError, match="too short"):
+            sample_pairs(NoDraws(), 10, 1.0, 0.0, tau_hi, min_gap=1e-3)
+    with pytest.raises(HarnackError, match="non-negative"):
+        Pcg64(-3)
 
 
 def test_harnack_harness_can_fail():
