@@ -637,19 +637,16 @@ def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
 def test_cli_harnack_refuses_pairs_it_cannot_draw(tmp_path, capsys, case):
     # on a clock no longer than the pairs' least time gap the draws would
     # never end; a negative seed seeds no generator
-    args = ["--config", str(CONFIGS / "barenblatt.json")]
     if case == "short-clock":
         doc = json.loads((CONFIGS / "barenblatt.json").read_text())
         doc["time"]["duration"] = 0.001
-        args = ["--config", write_config(tmp_path, doc)]
+        args, message = ["--config", write_config(tmp_path, doc)], "no two pair times"
     else:
-        args += ["--seed", "-3"]
+        args, message = ["--config", str(CONFIGS / "barenblatt.json"), "--seed", "-3"], "--seed: "
     started = time.perf_counter()
     code = main(["check-harnack", *args, "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG and time.perf_counter() - started < 5.0
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: "
-                          + ("no two pair times" if case == "short-clock" else "--seed: "))
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
 
 def test_cli_solve_writes_solution(tmp_path):
