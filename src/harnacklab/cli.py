@@ -1,4 +1,4 @@
-"""Command-line interface: scenario commands, reports and parameter sweeps.
+"""Command-line interface: scenario commands and parameter sweeps.
 
 Exit codes: 0 all checks passed, 1 at least one inequality violation,
 2 configuration error, 3 numerical failure (including arithmetic errors),
@@ -18,14 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimates import estimate_matrix, reduce_suprema, scope_suprema
+from .estimates import EstimateScope, estimate_matrix
 from .geometry import Cylinder, extract_bounds
 from .harnack import Pcg64, sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual)
 from .params import ParamError
-from .scenarios import ConfigError, Scenario, load_scenario, read_number
+from .scenarios import (ConfigError, Scenario, _check_keys, load_scenario, read_config,
+                        read_number)
 from .solver import SolverError, weighted_mass
 from .symfun import Profile
 
@@ -294,26 +295,19 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
-def _harnack_suprema(sc: Scenario, sol):
-    """inf v and both families' global sup-quantities at half their eps
-    ceilings, from one pass over the sup blocks; the sup nodes are not kept."""
-    ver, params = sc.verification, sc.params
-    _, bounds, samples = scope_suprema(sol, sc.geom, params, sc.nonlinearity,
-                                       Cylinder.whole_domain(sc.t0, sc.t_hi), sc.t0,
-                                       "global", ver["sup_density"])
-    requests = [(family, 0.5 * params.eps_ceiling(samples.tau, family))
-                for family in ("first", "second")]
-    return samples.v_inf, reduce_suprema(samples, bounds, params, sc.geom.n, ver["radius"],
-                                         requests, scope="global")
-
-
 def cmd_check_harnack(sc: Scenario, out: Path) -> int:
     sol = sc.solution_handle()
     geom, params = sc.geom, sc.params
     if not params.coeffs.alpha.time_independent:
         raise ConfigError("harnack.alpha", "the integrated inequality needs constant alpha")
     ver = sc.verification
-    v_inf, quantities = _harnack_suprema(sc, sol)
+    # check-estimate's global scope, without its verification nodes
+    scope = EstimateScope(sol, geom, params, sc.nonlinearity,
+                          Cylinder(ver["radius"], sc.t0, sc.t_hi), sc.t0, "global",
+                          ver["sup_density"])
+    v_inf = scope.samples.v_inf
+    quantities = scope.quantities([(family, 0.5 * params.eps_ceiling(scope.samples.tau, family))
+                                   for family in ("first", "second")])
     pairs = sample_pairs(Pcg64(sc.seed), ver["pairs"], geom.r_max,
                          sc.duration / 64, sc.duration)
 
@@ -365,9 +359,7 @@ def _set_path(doc: dict, dotted: str, value):
 
 
 def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
-    for key in sweep_doc:
-        if key not in ("template", "axes", "cap", "command"):
-            raise ConfigError(f"sweep.{key}", "unknown key")
+    _check_keys(sweep_doc, ("template", "axes", "cap", "command"), "sweep")
     template = sweep_doc.get("template")
     if not isinstance(template, dict):
         raise ConfigError("sweep.template", "missing scenario template")
@@ -375,12 +367,12 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
     if command != "check-estimate":
         raise ConfigError("sweep.command", f"sweeps only drive check-estimate, got {command!r}")
     axes = sweep_doc.get("axes", {})
-    if not axes:
-        raise ConfigError("sweep.axes", "need at least one axis")
+    if not isinstance(axes, dict) or not axes:
+        raise ConfigError("sweep.axes", f"need an object of at least one axis, got {axes!r}")
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{name}", "axis must be a non-empty list")
-    cap = read_number(sweep_doc.get("cap", 64), "sweep.cap", integer=True)
+    cap = read_number(sweep_doc.get("cap", 64), "sweep.cap", integer=True, at_least=1)
     names = list(axes.keys())
     combos = list(itertools.product(*(axes[n] for n in names)))
     if len(combos) > cap:
@@ -420,20 +412,6 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
     return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
 
 
-def cmd_report(out: Path) -> int:
-    path = out / "summary.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no summary.json under {out}")
-    payload = json.loads(path.read_text())
-    text = (out / "summary.txt")
-    if text.exists():
-        sys.stdout.write(text.read_text())
-    else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -455,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check-estimate":
             cp.add_argument("--negative-control", action="store_true",
                             help="scale right-hand sides by 0.5; the check must fail")
-    rp = sub.add_parser("report")
-    rp.add_argument("--out", required=True)
     return parser
 
 
@@ -464,14 +440,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = Path(args.out)
-        if args.command == "report":
-            return cmd_report(out)
         if args.seed is not None:
             read_number(args.seed, "--seed", integer=True, at_least=0)
         if args.command == "sweep":
-            with open(args.config) as fh:
-                sweep_doc = json.load(fh)
-            return run_sweep(sweep_doc, out, workers=args.workers)
+            return run_sweep(read_config(args.config), out, workers=args.workers)
         sc = load_scenario(args.config)
         if args.seed is not None:
             sc.seed = args.seed
@@ -487,7 +459,7 @@ def main(argv=None) -> int:
     except (SolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigError, ParamError, ValueError) as exc:

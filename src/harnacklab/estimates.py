@@ -19,7 +19,7 @@ vanishing-eps limit).  The forcing G is a power sum in v plus a forcing in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,31 +101,22 @@ CUTOFF = CutoffProfile()
 # aggregate constants
 # ---------------------------------------------------------------------------
 
-def aggregate_constants(bounds: GeometryBounds, params: HarnackParams, v_sup,
-                        radius: float, tau, eps, family: str = "first",
-                        scope: str = "local") -> dict:
-    """The five aggregate coefficients K, L, E, F and N as arrays over the
-    estimate clock tau; the sixth, M, is :func:`aggregate_M`.
-
-    ``eps`` may be None for the vanishing-eps limit, in which case the
-    Young-inequality coefficient attached to the forcing-gradient block
-    (``E``) is infinite and callers must check that its bracket vanishes.
-    Any other eps must be admissible on tau.
-    """
-    if eps is not None:
-        params.require_eps(eps, tau, mode=family)
-    al = params.coeffs.alpha_at(np.asarray(tau, dtype=float))
-    return _aggregates(bounds, params, v_sup, radius, al, eps, family, scope)
-
-
 def _young(v_sup, eps) -> float:
     """E, the Young coefficient of the forcing-gradient block (inf at eps None)."""
     return math.inf if eps is None else (1.5) ** 1.5 * v_sup / math.sqrt(eps)
 
 
-def _aggregates(bounds, params, v_sup, radius, al, eps, family, scope) -> dict:
-    """:func:`aggregate_constants` at the values ``al`` of alpha, with eps
-    taken as admissible."""
+def aggregates(bounds: GeometryBounds, params: HarnackParams, v_sup, radius: float, al,
+               eps, family: str = "first", scope: str = "local") -> dict:
+    """The five aggregate coefficients K, L, E, F and N at the values ``al``
+    of alpha; the sixth, M, is :func:`metric_aggregate`.
+
+    ``eps`` may be None for the vanishing-eps limit, in which case the
+    Young-inequality coefficient attached to the forcing-gradient block
+    (``E``) is infinite and callers must check that its bracket vanishes.
+    Any other eps is taken as admissible: :func:`reduce_suprema` checks it
+    against the ceiling on every node's clock time.
+    """
     if scope not in ("local", "global"):
         raise EstimateError(f"unknown scope {scope!r}")
     w = family_weight(family, al)
@@ -150,15 +141,10 @@ def _aggregates(bounds, params, v_sup, radius, al, eps, family, scope) -> dict:
     }
 
 
-def aggregate_M(bounds: GeometryBounds, params: HarnackParams, n_dim: int, tau,
-                family: str = "first"):
-    """Metric-speed aggregate entering the clamped zeroth-order block."""
-    return _metric_aggregate(bounds, params, n_dim,
-                             params.coeffs.alpha_at(np.asarray(tau, dtype=float)), family)
-
-
-def _metric_aggregate(bounds, params, n_dim, al, family):
-    """:func:`aggregate_M` at the values ``al`` of alpha."""
+def metric_aggregate(bounds: GeometryBounds, params: HarnackParams, n_dim: int, al,
+                     family: str = "first"):
+    """Metric-speed aggregate M entering the clamped zeroth-order block, at
+    the values ``al`` of alpha."""
     w = family_weight(family, al)
     return al**2 / w * (params.p - 1) * n_dim * ((bounds.k_lo + bounds.k_hi) ** 2
                                                  + 2.0 * bounds.k2 / w)
@@ -292,10 +278,10 @@ def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: Harn
     """The maxima over the nodes of ``s`` that the quantities of (family,
     scope, eps) are made of, before any clamping; at eps None also those of
     the static forms: sup |G_x|, the slope and the last bracket."""
-    cst = _aggregates(bounds, params, v_sup, radius, s.alpha, eps, family, scope)
+    cst = aggregates(bounds, params, v_sup, radius, s.alpha, eps, family, scope)
     slope, grad, const, quad = estimate_brackets(
         s, params, family, cst["L"], cst["N"],
-        _metric_aggregate(bounds, params, n_dim, s.alpha, family))
+        metric_aggregate(bounds, params, n_dim, s.alpha, family))
     terms = [s.beta - s.alpha * s.G / s.v, slope + cst["K"], grad, const,
              np.sqrt(cst["F"]) * quad]
     if eps is None:
@@ -317,8 +303,15 @@ def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: Harn
 
 def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim: int,
                    radius: float, requests, scope: str = "local") -> list[dict]:
-    """The :func:`sup_quantities` of each (family, eps) of ``requests`` on one
-    scope, from one pass over ``samples.blocks()``.
+    """The clamped sup-quantities q0..q4 entering the estimate right side, for
+    each (family, eps) of ``requests`` on one scope, from one pass over
+    ``samples.blocks()``.
+
+    q0 is the unclamped sup of [beta - alpha G / v] (used by the Harnack
+    bound); q1..q4 are the non-negative aggregates.  For the "first" family
+    these are the mu's, for the "second" family the lambda's.  At eps None
+    (the vanishing-eps limit) the quantities also carry the sups the static
+    forms read.  ``samples`` is a :class:`SupSamples` or :class:`SupNodes`.
 
     Each block is evaluated once and every maximum is taken from it; a max
     over blocks is the max over their union, so the quantities do not depend
@@ -349,20 +342,6 @@ def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim
     return out
 
 
-def sup_quantities(samples, bounds: GeometryBounds, params: HarnackParams,
-                   n_dim: int, radius: float, eps, family: str = "first",
-                   scope: str = "local") -> dict:
-    """The clamped sup-quantities q0..q4 entering the estimate right side.
-
-    q0 is the unclamped sup of [beta - alpha G / v] (used by the Harnack
-    bound); q1..q4 are the non-negative aggregates.  For the "first" family
-    these are the mu's, for the "second" family the lambda's.  At eps None
-    (the vanishing-eps limit) the quantities also carry the sups the static
-    forms read.  ``samples`` is a :class:`SupSamples` or :class:`SupNodes`.
-    """
-    return reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], scope)[0]
-
-
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
@@ -390,7 +369,7 @@ def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackPara
               radius: float, tau):
     """Estimate right-hand side at clock times tau > 0.
 
-    ``q`` holds the :func:`sup_quantities` of the variant's family and scope,
+    ``q`` holds the :func:`reduce_suprema` of the variant's family and scope,
     at eps None for the static forms.
     """
     if variant not in VARIANTS:
@@ -504,31 +483,49 @@ def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
     return lhs
 
 
-@dataclass
 class EstimateScope:
     """What every report on one scope shares, whatever its family and eps.
 
     The local scope samples its constants on Q_2R and checks the nodes of
-    Q_R; the global scope does both on the whole domain.  ``suprema`` keeps
-    the sup-quantities reduced so far, by (family, eps).
+    Q_R; the global scope does both on the whole domain.  A scope extracts
+    its geometric bounds and collects its sup nodes when it is built;
+    ``suprema`` keeps the sup-quantities reduced so far, by (family, eps).
     """
 
-    name: str
-    geom: WarpedGeometry
-    params: HarnackParams
-    cyl: Cylinder
-    t0_clock: float
-    density: tuple
-    bounds: GeometryBounds
-    samples: SupNodes
-    r: np.ndarray
-    t_abs: np.ndarray
-    tau: np.ndarray
-    lhs: np.ndarray
-    suprema: dict = field(default_factory=dict, repr=False)
+    def __init__(self, solution, geom: WarpedGeometry, params: HarnackParams,
+                 nl: Nonlinearity, cyl: Cylinder, t0_clock: float, scope: str,
+                 density=(129, 65)):
+        if scope == "local":
+            cyl.require_inside(geom, factor=2.0)
+            self.sup_cyl = cyl.scaled(2.0)
+        elif scope == "global":
+            self.sup_cyl = Cylinder.whole_domain(cyl.t_lo, cyl.t_hi)
+        else:
+            raise EstimateError(f"unknown scope {scope!r}")
+        self.solution, self.geom, self.params, self.nl = solution, geom, params, nl
+        self.name, self.cyl, self.t0_clock, self.density = scope, cyl, t0_clock, density
+        self.bounds = extract_bounds(geom, self.sup_cyl, grid_density=density)
+        self.samples = collect_sup_samples(solution, geom, params, nl, self.sup_cyl,
+                                           t0_clock, density=density)
+        self.suprema = {}
+
+    def with_nodes(self, eval_density=(65, 33)) -> "EstimateScope":
+        """This scope with the verification nodes :func:`verify_estimate`
+        checks, at ``eval_density`` and positive clock time, and the left-hand
+        side on them."""
+        eval_cyl = self.cyl if self.name == "local" else self.sup_cyl
+        rr, tt, mask = self.solution.sample(eval_cyl, self.geom, eval_density)
+        mask = mask & (tt - self.t0_clock > 1e-12)
+        if not np.any(mask):
+            raise EstimateError("no verification nodes with positive clock time")
+        self.r, self.t_abs = rr[mask], tt[mask]
+        self.tau = self.t_abs - self.t0_clock
+        self.lhs = estimate_lhs(self.solution, self.geom, self.params, self.nl, rr, tt, mask,
+                                self.t0_clock)
+        return self
 
     def quantities(self, requests) -> list[dict]:
-        """The :func:`sup_quantities` of each (family, eps) of ``requests``
+        """The :func:`reduce_suprema` of each (family, eps) of ``requests``
         on this scope; those not reduced before are reduced together, in one
         pass over the sup blocks."""
         new = [key for key in dict.fromkeys(requests) if key not in self.suprema]
@@ -537,43 +534,6 @@ class EstimateScope:
                                      self.cyl.radius, new, self.name)
             self.suprema.update(zip(new, reduced))
         return [self.suprema[key] for key in requests]
-
-
-def scope_suprema(solution, geom: WarpedGeometry, params: HarnackParams,
-                  nl: Nonlinearity, cyl: Cylinder, t0_clock: float, scope: str,
-                  density=(129, 65)):
-    """The sup cylinder of ``scope`` around ``cyl``, with the geometric bounds
-    and the sampled data on it."""
-    if scope == "local":
-        cyl.require_inside(geom, factor=2.0)
-        sup_cyl = cyl.scaled(2.0)
-    elif scope == "global":
-        sup_cyl = Cylinder.whole_domain(cyl.t_lo, cyl.t_hi)
-    else:
-        raise EstimateError(f"unknown scope {scope!r}")
-    bounds = extract_bounds(geom, sup_cyl, grid_density=density)
-    samples = collect_sup_samples(solution, geom, params, nl, sup_cyl, t0_clock,
-                                  density=density)
-    return sup_cyl, bounds, samples
-
-
-def estimate_scope(solution, geom: WarpedGeometry, params: HarnackParams,
-                   nl: Nonlinearity, cyl: Cylinder, t0_clock: float, scope: str,
-                   density=(129, 65), eval_density=(65, 33)) -> EstimateScope:
-    """Constants, verification nodes and left-hand side of one scope."""
-    sup_cyl, bounds, samples = scope_suprema(solution, geom, params, nl, cyl,
-                                             t0_clock, scope, density)
-    eval_cyl = cyl if scope == "local" else sup_cyl
-    rr, tt, mask = solution.sample(eval_cyl, geom, eval_density)
-    mask = mask & (tt - t0_clock > 1e-12)
-    if not np.any(mask):
-        raise EstimateError("no verification nodes with positive clock time")
-    r_in, t_in = rr[mask], tt[mask]
-    lhs = estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock)
-    return EstimateScope(name=scope, geom=geom, params=params, cyl=cyl,
-                         t0_clock=t0_clock, density=density, bounds=bounds,
-                         samples=samples, r=r_in, t_abs=t_in, tau=t_in - t0_clock,
-                         lhs=lhs)
 
 
 def verify_estimate(scope: EstimateScope, variant: str, eps=None,
@@ -639,9 +599,9 @@ def estimate_matrix(sc, rhs_scale: float = 1.0):
     for variant in ver["variants"]:
         _, name = variant_kind(variant)
         if name not in scopes:
-            scope = scopes[name] = estimate_scope(
+            scope = scopes[name] = EstimateScope(
                 sol, sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0, name,
-                density=ver["sup_density"], eval_density=ver["eval_density"])
+                density=ver["sup_density"]).with_nodes(ver["eval_density"])
             on_scope = [v for v in ver["variants"] if variant_kind(v)[1] == name]
             for other in on_scope:
                 # the ceiling on the clock times the admissibility check reads

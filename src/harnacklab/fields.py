@@ -1,10 +1,11 @@
 """Uniform space-time grids, finite-difference stencils and convergence orders.
 
-All stencils are second order: centered in the interior, one-sided
-three/four-point at boundaries, and symmetry-based at the pole.  Fields on a
-pole grid are radial restrictions of smooth rotationally symmetric functions,
-so scalar fields are even in r and their first radial derivatives odd; the
-pole stencils encode that parity.
+The first-derivative stencils are second order: centered in the interior,
+one-sided three-point at boundaries, and symmetry-based at the pole.  A second
+r-partial is d_r applied twice, which is second order but at the outer two
+nodes, where it is first order.  Fields on a pole grid are radial restrictions
+of smooth rotationally symmetric functions, so scalar fields are even in r and
+their first radial derivatives odd; the pole stencils encode that parity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIFF_KINDS = ("d_r", "d_rr", "d_t")
+DIFF_KINDS = ("d_r", "d_t")
 
 
 class FieldError(ValueError):
@@ -95,36 +96,17 @@ def _d1(vals, h, axis, pole, parity):
     return np.moveaxis(out, 0, axis)
 
 
-def _d2(vals, h, axis, pole, parity):
-    a = np.moveaxis(vals, axis, 0)
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - 2 * a[1:-1] + a[:-2]) / h**2
-    if pole:
-        out[0] = 2 * (a[1] - a[0]) / h**2 if parity == "even" else 0.0
-    else:
-        out[0] = (2 * a[0] - 5 * a[1] + 4 * a[2] - a[3]) / h**2
-    out[-1] = (2 * a[-1] - 5 * a[-2] + 4 * a[-3] - a[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
-
-
 def diff(fld: ScalarField, which: str) -> ScalarField:
-    """Second-order finite difference of a field."""
+    """Second-order finite difference of a field in r or t (a :class:`Grid`
+    has enough nodes for either); d_r flips the parity about the pole."""
     if which not in DIFF_KINDS:
         raise FieldError(f"unknown derivative {which!r}")
     g = fld.grid
     if which == "d_t":
-        if g.n_t < 4:
-            raise FieldError("too few time nodes to differentiate")
         vals = _d1(fld.values, g.dt, 1, pole=False, parity=fld.parity)
         return ScalarField(vals, g, parity=fld.parity)
-    if g.n_r < 4:
-        raise FieldError("too few radial nodes to differentiate")
-    if which == "d_r":
-        vals = _d1(fld.values, g.dr, 0, pole=g.pole, parity=fld.parity)
-        flipped = "odd" if fld.parity == "even" else "even"
-        return ScalarField(vals, g, parity=flipped)
-    vals = _d2(fld.values, g.dr, 0, pole=g.pole, parity=fld.parity)
-    return ScalarField(vals, g, parity=fld.parity)
+    vals = _d1(fld.values, g.dr, 0, pole=g.pole, parity=fld.parity)
+    return ScalarField(vals, g, parity="odd" if fld.parity == "even" else "even")
 
 
 def convergence_order(samples) -> float:

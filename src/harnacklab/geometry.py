@@ -331,10 +331,6 @@ class GeometryBounds:
             "k2": self.k2, "l1": self.l1, "l2": self.l2,
         }
 
-    @staticmethod
-    def zero() -> "GeometryBounds":
-        return GeometryBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 def extract_bounds(geom: WarpedGeometry, cyl: Cylinder, grid_density=(129, 65)) -> GeometryBounds:
     """Grid suprema of the six geometric bound constants over a cylinder."""

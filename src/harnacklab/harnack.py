@@ -155,22 +155,34 @@ class Pcg64:
         return out
 
 
+# draws allowed for one pair before its time window is refused
+PAIR_DRAWS = 1000
+
+
 def sample_pairs(rng, n_pairs: int, r_max: float,
                  tau_lo: float, tau_hi: float, min_gap: float = 1e-3):
     """Seeded random space-time pairs with strictly increasing times, drawn
     from ``rng``: a :class:`Pcg64` or anything else with
-    ``uniform(low, high, size)``, such as a numpy Generator."""
+    ``uniform(low, high, size)``, such as a numpy Generator.
+
+    A pair whose times are less than ``min_gap`` apart is drawn again, at
+    most ``PAIR_DRAWS`` times per pair: a window only just wider than the gap
+    is refused instead of drawn from for minutes.
+    """
+    window = f"no two pair times in [{tau_lo:g}, {tau_hi:g}] are {min_gap:g} apart"
     if not tau_hi - tau_lo > min_gap:
-        raise HarnackError(f"no two pair times in [{tau_lo:g}, {tau_hi:g}] are "
-                           f"{min_gap:g} apart: the time window is too short")
+        raise HarnackError(f"{window}: the time window is too short")
     pairs = []
-    while len(pairs) < n_pairs:
-        r1, r2 = rng.uniform(0.0, r_max, size=2)
-        ta, tb = rng.uniform(tau_lo, tau_hi, size=2)
-        t1, t2 = min(ta, tb), max(ta, tb)
-        if t2 - t1 < min_gap:
-            continue
-        pairs.append((float(r1), float(t1), float(r2), float(t2)))
+    for _ in range(n_pairs):
+        for _ in range(PAIR_DRAWS):
+            r1, r2 = rng.uniform(0.0, r_max, size=2)
+            ta, tb = rng.uniform(tau_lo, tau_hi, size=2)
+            t1, t2 = min(ta, tb), max(ta, tb)
+            if t2 - t1 >= min_gap:
+                pairs.append((float(r1), float(t1), float(r2), float(t2)))
+                break
+        else:
+            raise HarnackError(f"{window} in {PAIR_DRAWS} draws: the time window is too short")
     return pairs
 
 

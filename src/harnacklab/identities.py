@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, diff
-from .estimates import aggregate_M, aggregate_constants, estimate_brackets
+from .estimates import aggregates, estimate_brackets, metric_aggregate
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
                        bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
                        potential_radial_slope)
@@ -429,7 +429,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     # the completed square in F over the estimate's brackets: with the metric's
     # pointwise terms, or with the aggregates of the bounds (v for sup v)
     if stage == "quadratic":
-        aggregates = {}
+        agg = {}
         metric = ((2 / tt.v) * (al - 1) * tt.h_vv + (p - 1) * al**2 * tt.h_norm2
                   - 2 * (p - 1) * tt.ric_m_vv + al * (p - 1) * tt.divh_pair
                   + al * (p - 1) * tt.phit_pair - 2 * al * (p - 1) * tt.h_phi_pair)
@@ -438,10 +438,10 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     elif bounds is None:
         raise IdentityError("bounded stage needs extracted geometry bounds")
     else:
-        cst = aggregate_constants(bounds, tt.params, tt.v, 0.0, tt.t, None, scope="global")
-        aggregates = {"L": cst["L"], "N": cst["N"], "M": aggregate_M(bounds, tt.params, n, tt.t)}
+        cst = aggregates(bounds, tt.params, tt.v, 0.0, al, None, scope="global")
+        agg = {"L": cst["L"], "N": cst["N"], "M": metric_aggregate(bounds, tt.params, n, al)}
         metric = 0.0
-    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", **aggregates)
+    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", **agg)
     y = tt.grad2 / tt.v
     return (
         -tt.F**2 / (b * al**2)
@@ -455,10 +455,3 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
         + metric
     )
 
-
-def inequality_margin(stage: str, solution, geom, params, nonlinearity,
-                      bounds=None, r=None, t=None, sharper_static: bool = False):
-    """RHS(stage) - L[F]; non-negative on exact solutions."""
-    table = TermTable(solution, geom, params, nonlinearity, r=r, t=t)
-    rhs = inequality_rhs(stage, table, bounds=bounds, sharper_static=sharper_static)
-    return rhs - table.LpvF, table

@@ -258,7 +258,6 @@ class Scenario:
     verification: dict
     t0: float
     duration: float
-    numeric_base: str = ""
     _solve_cache: SolveResult | None = field(default=None, repr=False)
 
     @property
@@ -356,16 +355,16 @@ def parse_scenario(doc: dict) -> Scenario:
         forcing = manufactured_forcing(profile, geom, p, power)
         if geom.mode == "pole":
             _check_pole_series(profile, forcing, grid.r[:2], t0, path)
+        # the oracle turns the pressure back into u, which needs it positive
+        if not np.all(profile(grid.r, t0) > 0):
+            raise ConfigError(path, f"the pressure must be positive, and is not at t0 = {t0:g}")
         return profile, _oracle_from_profile(profile, p), forcing
 
     setups = {"barenblatt": _barenblatt, "manufactured": _manufactured}
-    numeric_base = ""
-    if kind == "numeric":
-        numeric_base = _read_choice(sol_doc.get("base", "manufactured"), "solution.base",
-                                    setups)
-        v_profile, oracle_u, nl = setups[numeric_base]()
-    else:
-        v_profile, oracle_u, nl = setups[kind]()
+    # a numeric solve starts from the closed form of its base
+    base = (_read_choice(sol_doc.get("base", "manufactured"), "solution.base", setups)
+            if kind == "numeric" else kind)
+    v_profile, oracle_u, nl = setups[base]()
 
     floor_frac = read_number(pde_doc.get("floor_fraction", DEFAULTS["floor_fraction"]),
                              "pde.floor_fraction")
@@ -417,7 +416,6 @@ def parse_scenario(doc: dict) -> Scenario:
         name=name, seed=seed, geom=geom, params=params, nonlinearity=nl,
         grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u,
         pde=pde, verification=verification, t0=t0, duration=duration,
-        numeric_base=numeric_base,
     )
     # the estimates read the pair from tau = 0, the first sup-sample time
     try:
@@ -451,10 +449,15 @@ def _oracle_from_profile(v_profile: Profile, p: float):
     return oracle
 
 
-def load_scenario(path) -> Scenario:
+def read_config(path):
+    """The JSON document in the file ``path``; invalid JSON is a
+    configuration error naming the file."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}")
-    return parse_scenario(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(read_config(path))

@@ -10,10 +10,9 @@ import time
 import numpy as np
 
 from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
-from harnacklab.estimates import (collect_sup_samples, eps_scan,
-                                  estimate_scope, sup_quantities, variant_kind,
-                                  verify_estimate, aggregate_M,
-                                  aggregate_constants, rhs_bound)
+from harnacklab.estimates import (EstimateScope, aggregates, collect_sup_samples, eps_scan,
+                                  metric_aggregate, reduce_suprema, rhs_bound, variant_kind,
+                                  verify_estimate)
 from harnacklab.fields import Grid, convergence_order
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.harnack import sample_pairs, verify_harnack
@@ -206,8 +205,8 @@ def test_criterion_4_estimate_matrix():
         for variant in ("first-local", "first-global", "second-local", "second-global"):
             family = "second" if "second" in variant else "first"
             for eps in eps_scan(sc.params, tau_probe, family, (0.1, 0.5, 0.9)):
-                scope = estimate_scope(sol, sc.geom, sc.params, sc.nonlinearity, cyl,
-                                       sc.t0, variant_kind(variant)[1])
+                scope = EstimateScope(sol, sc.geom, sc.params, sc.nonlinearity, cyl,
+                                      sc.t0, variant_kind(variant)[1]).with_nodes()
                 rep = verify_estimate(scope, variant, eps=eps, tolerance_factor=1e-6)
                 n_checks += 1
                 worst = min(worst, rep.min_margin)
@@ -256,8 +255,7 @@ def test_criterion_5_static_consistency():
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
         for evolving, static in pairs:
             family, scope = variant_kind(evolving)
-            q = sup_quantities(samples, bounds, params, 2, radius, None,
-                               family=family, scope=scope)
+            q = reduce_suprema(samples, bounds, params, 2, radius, [(family, None)], scope)[0]
             a = rhs_bound(evolving, q, bounds, params, radius, tau_eval)
             b = rhs_bound(static, q, bounds, params, radius, tau_eval)
             worst = max(worst, abs(a[0] - b[0]) / max(1.0, abs(b[0])))
@@ -296,8 +294,7 @@ def test_criterion_6_harnack_pairs():
         tau_probe = np.linspace(0.01, 1.0, 64)
         for family in ("first", "second"):
             eps = 0.5 * params.eps_ceiling(tau_probe, family)
-            q = sup_quantities(samples, bounds, params, geom.n, 0.9,
-                               eps, family=family, scope="global")
+            q, = reduce_suprema(samples, bounds, params, geom.n, 0.9, [(family, eps)], "global")
             rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf,
                                  tolerance_factor=1e-8)
             assert rep["violations"] == 0, (name, family)
@@ -341,11 +338,10 @@ def test_criterion_8_sup_quantity_collapse():
     worst = 0.0
     for family in ("first", "second"):
         eps = 0.2 * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, geom.n, 0.6, eps, family=family)
-        cst = aggregate_constants(bounds, params, samples.v_sup, 0.6,
-                                  samples.tau, eps, family=family)
+        q = reduce_suprema(samples, bounds, params, geom.n, 0.6, [(family, eps)])[0]
         al = params.coeffs.alpha_at(samples.tau)
-        M_term = aggregate_M(bounds, params, geom.n, samples.tau, family=family)
+        cst = aggregates(bounds, params, samples.v_sup, 0.6, al, eps, family=family)
+        M_term = metric_aggregate(bounds, params, geom.n, al, family=family)
         L_eff = cst["L"] if family == "first" else cst["L"] / al
         targets = {
             "q1": float(np.max(cst["K"])),

@@ -121,7 +121,6 @@ def test_parse_barenblatt_oracle_rejections(solution, change, path):
 def test_parse_barenblatt_oracle_kinds(solution):
     sc = parse_scenario(barenblatt_doc(solution=dict(solution)))
     assert sc.solution_kind == solution["kind"]
-    assert sc.numeric_base == solution.get("base", "")
     assert sc.v_profile is not None and sc.pde is not None
     assert sc.nonlinearity.form == "zero"
 
@@ -181,6 +180,8 @@ BAD_VALUES = [
     ("pde.nonlinearity.a", [2.0]), ("pde.nonlinearity", {"form": "power-sum"}),
     # the Harnack pairs' generator is seeded by a non-negative integer
     ("seed", -3),
+    # the pressure of a manufactured field is positive where the oracle reads it
+    ("solution.expr", -1), ("solution.expr", "1 - r**2"),
 ]
 
 # the terms of a power-sum: every key but "a", which is set on the default
@@ -334,6 +335,32 @@ def test_sweep_cap_must_be_an_integer(tmp_path):
     assert err.value.path == "sweep.cap"
 
 
+@pytest.mark.parametrize("change, key", [
+    (5, "sweep"), ([], "sweep"), ("sweep", "sweep"),
+    ({"axes": [1]}, "sweep.axes"), ({"axes": "pde.p"}, "sweep.axes"),
+    ({"cap": 0}, "sweep.cap"), ({"cap": -2}, "sweep.cap"),
+], ids=json.dumps)
+def test_sweep_document_of_the_wrong_shape_names_its_key(tmp_path, capsys, change, key):
+    # a document or axes that is not an object, and a cap below 1, are
+    # refused at their key before any combination runs
+    doc = {**sweep_doc(), **change} if isinstance(change, dict) else change
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack", "sweep"])
+def test_malformed_config_json_is_a_config_error(tmp_path, capsys, command):
+    # every command reads its file through one loader, which names the file
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"template": ')
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: invalid JSON")
+
+
 # ---------------------------------------------------------------------------
 # CSV writer
 # ---------------------------------------------------------------------------
@@ -458,10 +485,10 @@ def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
     ver = sc.verification
     cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
     for rep in reports:
-        scope = estimates.estimate_scope(
+        scope = estimates.EstimateScope(
             sc.solution_handle(), sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0,
             estimates.variant_kind(rep.variant)[1], density=ver["sup_density"],
-            eval_density=ver["eval_density"])
+        ).with_nodes(ver["eval_density"])
         alone = estimates.verify_estimate(scope, rep.variant, eps=rep.eps,
                                           tolerance_factor=ver["tolerance_factor"])
         assert np.array_equal(rep.margin, alone.margin), (rep.variant, rep.eps)
@@ -597,14 +624,17 @@ def test_check_estimate_error_after_a_written_report_leaves_no_report(tmp_path, 
     assert list(out.iterdir()) == []
 
 
-def test_cli_identities_and_report(tmp_path, capsys):
+def test_cli_identities(tmp_path):
     cfg = write_config(tmp_path, barenblatt_doc())
     out = tmp_path / "id"
     assert main(["check-identities", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert (out / "residuals.csv").exists()
-    assert main(["report", "--out", str(out)]) == EXIT_OK
-    captured = capsys.readouterr()
-    assert "check-identities" in captured.out
+
+
+def test_report_command_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as err:
+        main(["report", "--out", str(tmp_path)])
+    assert err.value.code == 2
 
 
 def test_cli_harnack(tmp_path):
@@ -633,13 +663,14 @@ def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
         assert any(row["bound"] == "inf" for row in csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("case", ["short-clock", "negative-seed"])
+@pytest.mark.parametrize("case", ["short-clock", "near-gap-clock", "negative-seed"])
 def test_cli_harnack_refuses_pairs_it_cannot_draw(tmp_path, capsys, case):
     # on a clock no longer than the pairs' least time gap the draws would
-    # never end; a negative seed seeds no generator
-    if case == "short-clock":
+    # never end, and on one only just longer they would take minutes; a
+    # negative seed seeds no generator
+    if case != "negative-seed":
         doc = json.loads((CONFIGS / "barenblatt.json").read_text())
-        doc["time"]["duration"] = 0.001
+        doc["time"]["duration"] = 0.001 if case == "short-clock" else 0.00102
         args, message = ["--config", write_config(tmp_path, doc)], "no two pair times"
     else:
         args, message = ["--config", str(CONFIGS / "barenblatt.json"), "--seed", "-3"], "--seed: "

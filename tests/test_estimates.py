@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from harnacklab import symfun
-from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, SupSamples, aggregate_M,
-                                  aggregate_constants, collect_sup_samples,
-                                  eps_scan, estimate_lhs, estimate_scope,
-                                  nonlinearity_conditions, reduce_suprema, rhs_bound,
-                                  sup_quantities, variant_kind, verify_estimate)
+from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, EstimateScope, SupSamples,
+                                  aggregates, collect_sup_samples, eps_scan, estimate_lhs,
+                                  metric_aggregate, nonlinearity_conditions, reduce_suprema,
+                                  rhs_bound, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
@@ -23,6 +22,7 @@ from harnacklab.symfun import Profile, constant_profile
 from conftest import make_geometry, params_for
 
 ROOT = Path(__file__).resolve().parent.parent
+ZERO_BOUNDS = GeometryBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -53,25 +53,25 @@ def test_cutoff_certification():
 
 def test_constant_K_example():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=1.0, radius=1.0,
-                              tau=np.array([0.7]), eps=0.5)
+    cst = aggregates(ZERO_BOUNDS, params, v_sup=1.0, radius=1.0,
+                     al=params.coeffs.alpha_at(np.array([0.7])), eps=0.5)
     # pi^2 * (2/3) * 4 * 4 * 1 / (2 * 1 * 1)
     assert cst["K"][0] == pytest.approx(16 * math.pi**2 / 3, rel=1e-12)
 
 
 def test_constant_E_example():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=1.0, radius=1.0,
-                              tau=np.array([0.7]), eps=0.5)
+    cst = aggregates(ZERO_BOUNDS, params, v_sup=1.0, radius=1.0,
+                     al=params.coeffs.alpha_at(np.array([0.7])), eps=0.5)
     assert cst["E"] == pytest.approx(1.5**1.5 / math.sqrt(0.5), rel=1e-12)
 
 
 def test_constants_vanish_with_zero_data():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cst = aggregate_constants(GeometryBounds.zero(), params, v_sup=0.0, radius=1.0,
-                              tau=np.array([0.5]), eps=0.1)
+    al = params.coeffs.alpha_at(np.array([0.5]))
+    cst = aggregates(ZERO_BOUNDS, params, v_sup=0.0, radius=1.0, al=al, eps=0.1)
     assert cst["K"][0] == 0.0 and np.all(cst["L"] == 0.0) and np.all(cst["N"] == 0.0)
-    M = aggregate_M(GeometryBounds.zero(), params, 2, np.array([0.5]))
+    M = metric_aggregate(ZERO_BOUNDS, params, 2, al)
     assert np.all(M == 0.0)
 
 
@@ -82,7 +82,8 @@ def test_full_formula_cross_check():
     params = HarnackParams(p=p, m=m, coeffs=constant_alpha_beta(al))
     b = m * (p - 1) / (1 + m * (p - 1))
     v_sup, radius, eps = 1.7, 0.8, 0.05
-    cst = aggregate_constants(b_geo, params, v_sup, radius, np.array([1.0]), eps)
+    alpha = params.coeffs.alpha_at(np.array([1.0]))
+    cst = aggregates(b_geo, params, v_sup, radius, alpha, eps)
     c1 = math.pi
     assert cst["K"][0] == pytest.approx(
         2 * c1 * 0.2 + c1**2 * b * al**2 * p**2 * v_sup / (2 * (al - 1) * radius**2))
@@ -90,22 +91,20 @@ def test_full_formula_cross_check():
     assert cst["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 + 0.1)
                                         + 2 * (al - 1) * 0.5)
     assert cst["F"][0] == pytest.approx(b * al**2 / (4 * (al - 1) ** 2 - 2 * eps * b * al**2))
-    tilde = aggregate_constants(b_geo, params, v_sup, radius, np.array([1.0]), eps,
-                                family="second")
+    tilde = aggregates(b_geo, params, v_sup, radius, alpha, eps, family="second")
     assert tilde["F"][0] == pytest.approx(b * al**3 / (4 * (al - 1) ** 2 - 2 * eps * b * al**3))
     assert tilde["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 / al + 0.1)
                                           + 2 * (al - 1) * 0.5 / al)
-    M1 = aggregate_M(b_geo, params, 2, np.array([1.0]))
+    M1 = metric_aggregate(b_geo, params, 2, alpha)
     assert M1[0] == pytest.approx(al**2 * (p - 1) * 2 * ((0.2 + 0.5) ** 2 + 2 * 0.1))
-    M2 = aggregate_M(b_geo, params, 2, np.array([1.0]), family="second")
+    M2 = metric_aggregate(b_geo, params, 2, alpha, family="second")
     assert M2[0] == pytest.approx((p - 1) * 2 * (al * (0.2 + 0.5) ** 2 + 2 * 0.1))
 
 
 def test_inadmissible_eps_names_bound():
-    params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
+    geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
     with pytest.raises(Exception) as err:
-        aggregate_constants(GeometryBounds.zero(), params, 1.0, 1.0,
-                            np.array([0.5]), eps=10.0)
+        reduce_suprema(samples, bounds, params, geom.n, 1.0, [("first", 0.1), ("first", 10.0)])
     assert "alpha" in str(err.value)
 
 
@@ -132,11 +131,10 @@ def test_sup_quantity_collapse_zero_forcing(family):
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
     eps = 0.25
     radius = 0.9
-    q = sup_quantities(samples, bounds, params, geom.n, radius, eps, family=family)
-    cst = aggregate_constants(bounds, params, samples.v_sup, radius,
-                              samples.tau, eps, family=family)
+    q = reduce_suprema(samples, bounds, params, geom.n, radius, [(family, eps)])[0]
     al = params.coeffs.alpha_at(samples.tau)
-    M_term = aggregate_M(bounds, params, geom.n, samples.tau, family=family)
+    cst = aggregates(bounds, params, samples.v_sup, radius, al, eps, family=family)
+    M_term = metric_aggregate(bounds, params, geom.n, al, family=family)
     assert q["q0"] == pytest.approx(0.0, abs=1e-15)
     assert q["q1"] == pytest.approx(float(np.max(cst["K"])), rel=1e-12)
     L_eff = cst["L"] if family == "first" else cst["L"] / al
@@ -159,7 +157,7 @@ def test_sup_quantities_nonnegative_and_monotone_in_radius():
         bounds = extract_bounds(geom, cyl, grid_density=(257, 33))
         samples = collect_sup_samples(sol, geom, params, nl, cyl, 0.5,
                                       density=(257, 33))
-        q = sup_quantities(samples, bounds, params, geom.n, radius, eps=0.05)
+        q = reduce_suprema(samples, bounds, params, geom.n, radius, [("first", 0.05)])[0]
         for key in ("q1", "q2", "q3", "q4"):
             assert q[key] >= 0.0
             if prev is not None:
@@ -198,17 +196,16 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
     ver, params = sc.verification, sc.params
     cyl = Cylinder(ver["radius"], sc.t0, sc.t_hi)
     for name in ("local", "global"):
-        scope = estimate_scope(sc.solution_handle(), sc.geom, params, sc.nonlinearity, cyl,
-                               sc.t0, name, density=ver["sup_density"],
-                               eval_density=ver["eval_density"])
+        scope = EstimateScope(sc.solution_handle(), sc.geom, params, sc.nonlinearity, cyl,
+                              sc.t0, name, density=ver["sup_density"])
+        scope.with_nodes(ver["eval_density"])
         nodes, whole = scope.samples, scope.samples.whole()
         assert nodes.v_sup == whole.v_sup and nodes.v_inf == float(np.min(whole.v))
         requests = [(family, eps) for family in ("first", "second")
                     for eps in [None, *eps_scan(params, nodes.tau, family,
                                                 ver["eps_fractions"])]]
-        reference = [sup_quantities(whole, scope.bounds, params, sc.geom.n, cyl.radius,
-                                    eps, family=family, scope=name)
-                     for family, eps in requests]
+        reference = [reduce_suprema(whole, scope.bounds, params, sc.geom.n, cyl.radius,
+                                    [request], name)[0] for request in requests]
         for size in (1, 7, nodes.v.size):
             with monkeypatch.context() as patch:
                 patch.setattr(symfun, "_BLOCK_NODES", size)
@@ -231,14 +228,14 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
 def test_global_rhs_collapses_to_leading_term():
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
     tau = np.array([0.25, 0.5, 1.0])
-    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                       0.25, family="first", scope="global")
+    q, = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [("first", 0.25)],
+                        "global")
     out = rhs_bound("first-global", q, bounds, params, cyl.radius,
                     tau)
     b, al = params.b, 2.0
     assert np.allclose(out, b * al / tau, rtol=1e-14)
-    q2 = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                        0.1, family="second", scope="global")
+    q2, = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [("second", 0.1)],
+                         "global")
     out2 = rhs_bound("second-global", q2, bounds, params, cyl.radius,
                      tau)
     assert np.allclose(out2, b * al / tau, rtol=1e-14)
@@ -249,7 +246,7 @@ def test_local_rhs_finite_for_each_admissible_eps():
     tau = np.array([0.5])
     values = []
     for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), "first"):
-        q = sup_quantities(samples, bounds, params, geom.n, 0.9, eps)
+        q = reduce_suprema(samples, bounds, params, geom.n, 0.9, [("first", eps)])[0]
         out = rhs_bound("first-local", q, bounds, params, 0.9,
                         tau)
         assert np.isfinite(out).all()
@@ -288,8 +285,7 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
             eps = rng.uniform(0.1, 0.9) * params.eps_ceiling(nodes, family)
 
             def quantities(s):
-                return sup_quantities(s, bounds, params, 2, radius, eps,
-                                      family=family, scope=scope)
+                return reduce_suprema(s, bounds, params, 2, radius, [(family, eps)], scope)[0]
 
             def rhs(q):
                 return rhs_bound(variant, q, bounds, params, radius, tau)
@@ -318,7 +314,7 @@ def test_static_rhs_formula_cross_check():
     v_sup = samples.v_sup
     radius = 0.9
     k = bounds.k
-    q = sup_quantities(samples, bounds, params, geom.n, radius, None)
+    q = reduce_suprema(samples, bounds, params, geom.n, radius, [("first", None)])[0]
     out = rhs_bound("static-first-local", q, bounds, params, radius, tau)
     c1, c2 = CUTOFF.c1, CUTOFF.c2
     sup_first = max(0.0, b * al**2 * p**2 * v_sup * c1**2 / (2 * (al - 1) * radius**2))
@@ -366,8 +362,7 @@ def test_static_consistency_vanishing_eps():
         tau_eval = np.array([rng.uniform(0.1, 1.0)])
         for variant in ("first-local", "second-local", "first-global", "second-global"):
             family, scope = variant_kind(variant)
-            q = sup_quantities(samples, bounds, params, 2, radius, None,
-                               family=family, scope=scope)
+            q = reduce_suprema(samples, bounds, params, 2, radius, [(family, None)], scope)[0]
             evolving = rhs_bound(variant, q, bounds, params, radius, tau_eval)
             static = rhs_bound("static-" + variant, q, bounds, params, radius,
                                tau_eval)
@@ -387,8 +382,8 @@ def test_verify_estimate_barenblatt_all_variants():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         for eps in eps_scan(params, np.linspace(0.01, 1.0, 33), family):
-            scope = estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0,
-                                   variant_kind(variant)[1])
+            scope = EstimateScope(sol, geom, params, Nonlinearity(), cyl, 1.0,
+                                  variant_kind(variant)[1]).with_nodes()
             rep = verify_estimate(scope, variant, eps=eps)
             assert rep.passed
             assert rep.min_margin > 0
@@ -401,7 +396,7 @@ def test_verify_estimate_negative_control():
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 1.0, 10.0)
     eps = 0.5 * params.eps_ceiling(np.linspace(0.05, 9.0, 64), "first")
-    scope = estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "global")
+    scope = EstimateScope(sol, geom, params, Nonlinearity(), cyl, 1.0, "global").with_nodes()
     honest = verify_estimate(scope, "first-global", eps=eps)
     assert honest.passed
     control = verify_estimate(scope, "first-global", eps=eps, rhs_scale=0.5)
@@ -416,10 +411,9 @@ def test_verify_estimate_deterministic():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 1.0, 2.0)
-    rep1 = verify_estimate(estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "local"),
-                           "first-local", eps=0.05)
-    rep2 = verify_estimate(estimate_scope(sol, geom, params, Nonlinearity(), cyl, 1.0, "local"),
-                           "first-local", eps=0.05)
+    scopes = [EstimateScope(sol, geom, params, Nonlinearity(), cyl, 1.0, "local").with_nodes()
+              for _ in range(2)]
+    rep1, rep2 = (verify_estimate(scope, "first-local", eps=0.05) for scope in scopes)
     assert np.array_equal(rep1.margin, rep2.margin)
     assert rep1.min_margin == rep2.min_margin
 
@@ -431,7 +425,7 @@ def test_constant_in_space_solution_positive_margin():
     nl = manufactured_forcing(prof, geom, params.p)
     sol = AnalyticSolution(prof)
     cyl = Cylinder(0.9, 0.5, 1.5)
-    rep = verify_estimate(estimate_scope(sol, geom, params, nl, cyl, 0.5, "global"),
+    rep = verify_estimate(EstimateScope(sol, geom, params, nl, cyl, 0.5, "global").with_nodes(),
                           "first-global", eps=0.1)
     assert rep.passed and rep.min_margin > 0
 
@@ -440,8 +434,8 @@ def test_truncated_global_flagged():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    scope = estimate_scope(AnalyticSolution(prof), geom, params, Nonlinearity(),
-                           Cylinder(0.9, 1.0, 2.0), 1.0, "global")
+    scope = EstimateScope(AnalyticSolution(prof), geom, params, Nonlinearity(),
+                          Cylinder(0.9, 1.0, 2.0), 1.0, "global").with_nodes()
     rep = verify_estimate(scope, "first-global", eps=0.1)
     assert "truncated-global" in rep.flags
     # a local variant must not be checked with the whole-domain constants
@@ -578,7 +572,8 @@ def test_static_variants_verify_on_power_law_scenario():
     cyl = Cylinder(0.9, 1.0, 2.0)
     for variant in ("static-first-local", "static-first-global",
                     "static-second-local", "static-second-global"):
-        scope = estimate_scope(sol, geom, params, nl, cyl, 1.0, variant_kind(variant)[1])
+        scope = EstimateScope(sol, geom, params, nl, cyl, 1.0,
+                              variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=None)
         assert rep.passed and rep.min_margin > 0
 
@@ -588,8 +583,8 @@ def test_static_variants_refuse_x_dependent_forcing(bump_profile):
     params = HarnackParams(p=2.5, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(bump_profile, geom, params.p)
     with pytest.raises(EstimateError):
-        scope = estimate_scope(AnalyticSolution(bump_profile), geom, params, nl,
-                               Cylinder(0.9, 0.5, 1.5), 0.5, "global")
+        scope = EstimateScope(AnalyticSolution(bump_profile), geom, params, nl,
+                              Cylinder(0.9, 0.5, 1.5), 0.5, "global").with_nodes()
         verify_estimate(scope, "static-first-global", eps=None)
 
 
@@ -600,8 +595,8 @@ def test_static_variants_refuse_evolving_bounds():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     nl = manufactured_forcing(prof, geom, params.p, power)
     with pytest.raises(EstimateError):
-        scope = estimate_scope(AnalyticSolution(prof), geom, params, nl,
-                               Cylinder(0.5, 0.5, 1.5), 0.5, "global")
+        scope = EstimateScope(AnalyticSolution(prof), geom, params, nl,
+                              Cylinder(0.5, 0.5, 1.5), 0.5, "global").with_nodes()
         verify_estimate(scope, "static-first-global", eps=None)
 
 
@@ -615,9 +610,9 @@ def test_admissible_power_family_dominated_by_aggregates():
     bounds = extract_bounds(geom, cyl.scaled(2.0))
     samples = collect_sup_samples(sol, geom, params, nl, cyl.scaled(2.0), 1.0)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius, eps)
-    cst = aggregate_constants(bounds, params, samples.v_sup, cyl.radius,
-                              samples.tau, eps)
+    q = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [("first", eps)])[0]
+    cst = aggregates(bounds, params, samples.v_sup, cyl.radius,
+                     params.coeffs.alpha_at(samples.tau), eps)
     assert q["q1"] <= float(np.max(cst["K"])) + 1e-14
     assert q["q4"] <= float(np.max(np.sqrt(cst["F"]) * cst["N"])) + 1e-14
 
@@ -637,7 +632,8 @@ def test_verify_estimate_evolving_warp_exercises_speed_gradient():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
+                              variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed, (variant, rep.min_margin)
 
@@ -656,7 +652,8 @@ def test_verify_estimate_nonzero_beta_and_time_dependent_alpha():
     for variant in ("first-local", "first-global", "second-local", "second-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
+                              variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed, (variant, rep.min_margin)
 
@@ -695,7 +692,8 @@ def test_verify_estimate_sphere_cap():
     for variant in ("first-local", "second-local", "first-global"):
         family = "second" if "second" in variant else "first"
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        scope = estimate_scope(sol, geom, params, nl, cyl, 0.5, variant_kind(variant)[1])
+        scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
+                              variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
         assert rep.passed
 
@@ -715,8 +713,8 @@ def test_report_records_sampling_density():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    scope = estimate_scope(AnalyticSolution(prof), geom, params, Nonlinearity(),
-                           Cylinder(0.9, 1.0, 2.0), 1.0, "global", density=(97, 49))
+    scope = EstimateScope(AnalyticSolution(prof), geom, params, Nonlinearity(),
+                          Cylinder(0.9, 1.0, 2.0), 1.0, "global", density=(97, 49)).with_nodes()
     rep = verify_estimate(scope, "first-global", eps=0.1)
     assert rep.constants["sup_density"] == "97x49"
 
@@ -731,8 +729,7 @@ def test_x_dependent_forcing_activates_gradient_quantities():
     bounds = extract_bounds(geom, cyl.scaled(2.0))
     samples = collect_sup_samples(sol, geom, params, nl, cyl.scaled(2.0), 0.5)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                       eps)
+    q = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [("first", eps)])[0]
     assert q["q2"] > 0  # |G_x| enters
     assert q["q3"] > 0  # Delta_phi G^x enters
     # brute-force cross-check of q2 against per-node evaluation

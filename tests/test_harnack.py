@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab.estimates import collect_sup_samples, sup_quantities
+from harnacklab.estimates import collect_sup_samples, reduce_suprema
 from harnacklab.geometry import Cylinder, extract_bounds
 from harnacklab import harnack
 from harnacklab.harnack import (HarnackError, Pcg64, _constant_alpha, harnack_constant,
@@ -78,8 +78,8 @@ def test_conformal_bound_margin_within_log_integral_margin():
     full = Cylinder(1e18, 1.0, 2.0)
     samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
     eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), "first")
-    q = sup_quantities(samples, extract_bounds(geom, full), params, geom.n, 0.9,
-                       eps, family="first", scope="global")
+    q, = reduce_suprema(samples, extract_bounds(geom, full), params, geom.n, 0.9,
+                        [("first", eps)], "global")
     pairs = sample_pairs(np.random.default_rng(31), 60, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, float(np.min(samples.v)))
     assert np.all(rep["margin"] <= rep["log_integral_margin"] + 1e-12)
@@ -94,8 +94,7 @@ def _barenblatt_quantities(alpha=2.0, t_hi=2.0, family="first"):
     bounds = extract_bounds(geom, full)
     samples = collect_sup_samples(sol, geom, params, Nonlinearity(), full, 1.0)
     eps = 0.25 * params.eps_ceiling(np.linspace(0.05, t_hi - 1.0, 33), family)
-    q = sup_quantities(samples, bounds, params, geom.n, 0.9, eps,
-                       family=family, scope="global")
+    q = reduce_suprema(samples, bounds, params, geom.n, 0.9, [(family, eps)], "global")[0]
     v_inf = float(np.min(samples.v))
     return geom, prof, params, sol, q, v_inf
 
@@ -257,8 +256,7 @@ def test_degenerate_pair_reduces_to_time_ratio():
     full = Cylinder(1e18, 0.5, 1.5)
     bounds = extract_bounds(geom, full)
     samples = collect_sup_samples(sol, geom, params, nl, full, 0.5)
-    q = sup_quantities(samples, bounds, params, geom.n, 0.9,
-                       0.05, scope="global")
+    q = reduce_suprema(samples, bounds, params, geom.n, 0.9, [("first", 0.05)], "global")[0]
     v_inf = float(np.min(samples.v))
     rep = verify_harnack(sol, geom, params, q, [(0.4, 0.3, 0.4, 0.6)], 0.5, v_inf)
     assert rep["energy"][0] == pytest.approx(0.0, abs=1e-14)
@@ -360,7 +358,7 @@ def test_harnack_harness_can_fail():
 def test_harnack_follows_global_estimate_same_constants():
     # whenever the truncated-global estimate passes, the integrated
     # comparison built from the same sup-quantities passes as well
-    from harnacklab.estimates import estimate_scope, verify_estimate
+    from harnacklab.estimates import EstimateScope, verify_estimate
 
     geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
     prof = Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
@@ -371,13 +369,14 @@ def test_harnack_follows_global_estimate_same_constants():
     full = Cylinder(1e18, 1.0, 2.0)
     for family, variant in (("first", "first-global"), ("second", "second-global")):
         eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), family)
-        est = verify_estimate(estimate_scope(sol, geom, params, nl, cyl, 1.0, "global"),
+        scope = EstimateScope(sol, geom, params, nl, cyl, 1.0, "global").with_nodes()
+        est = verify_estimate(scope,
                               variant, eps=eps)
         assert est.passed
         bounds = extract_bounds(geom, full)
         samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
-        q = sup_quantities(samples, bounds, params, geom.n, cyl.radius,
-                           eps, family=family, scope="global")
+        q, = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [(family, eps)],
+                            "global")
         rng = np.random.default_rng(31)
         pairs = sample_pairs(rng, 60, geom.r_max, 0.05, 1.0)
         rep = verify_harnack(sol, geom, params, q, pairs, 1.0,
@@ -401,8 +400,7 @@ def test_families_coincide_for_plain_forcing_at_matched_eps_fraction():
     values = {}
     for family in ("first", "second"):
         eps = 0.5 * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, geom.n, 0.9,
-                           eps, family=family, scope="global")
+        q = reduce_suprema(samples, bounds, params, geom.n, 0.9, [(family, eps)], "global")[0]
         values[family] = harnack_constant(q, _constant_alpha(params), params.b)
     assert values["first"] == pytest.approx(values["second"], rel=1e-12)
     assert values["first"] > 0

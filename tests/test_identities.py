@@ -5,7 +5,7 @@ from harnacklab.fields import Grid, ScalarField, convergence_order, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
                                    TermTable, bochner_residual, harnack_evolution_residual,
-                                   inequality_margin, pressure_equation_residual,
+                                   inequality_rhs, pressure_equation_residual,
                                    quotient_rule_residual)
 from harnacklab.jets import d_r, d_t
 from harnacklab.params import AlphaBeta, HarnackParams
@@ -209,7 +209,7 @@ def test_op_lpv_constant_and_linearity(euclid3, bump_profile):
     rr, tt = v.grid.mesh()
     for part in (lambda w: diff(w, "d_t").values,
                  lambda w: phi_laplacian_eval(euclid3, rr, tt, diff(w, "d_r").values,
-                                              diff(w, "d_rr").values)):
+                                              diff(diff(w, "d_r"), "d_r").values)):
         lhs = part(combo)
         rhs = 2.0 * part(w1) - 0.5 * part(w2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
@@ -376,9 +376,8 @@ def _margin_setup(geom, prof, p=2.5, alpha=2.0, beta=0.0):
 def test_inequality_margins_nonnegative(stage, bump_profile, conformal_gaussian):
     params, nl, bounds = _margin_setup(conformal_gaussian, bump_profile)
     r, t = sample_points()
-    marg, table = inequality_margin(stage, AnalyticSolution(bump_profile),
-                                    conformal_gaussian, params, nl,
-                                    bounds=bounds, r=r, t=t)
+    table = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl, r=r, t=t)
+    marg = inequality_rhs(stage, table, bounds=bounds) - table.LpvF
     scale = max(1.0, np.max(np.abs(table.LpvF)))
     assert np.min(marg) >= -1e-6 * scale
 
@@ -390,8 +389,8 @@ def test_inequality_margin_barenblatt():
     bounds = extract_bounds(geom, Cylinder(1e18, 1.0, 2.0))
     r, t = sample_points(r_max=1.6, t_lo=1.0, t_hi=2.0)
     for stage in ("pointwise", "quadratic", "bounded"):
-        marg, table = inequality_margin(stage, AnalyticSolution(prof), geom, params,
-                                        Nonlinearity(), bounds=bounds, r=r, t=t)
+        table = TermTable(AnalyticSolution(prof), geom, params, Nonlinearity(), r=r, t=t)
+        marg = inequality_rhs(stage, table, bounds=bounds) - table.LpvF
         scale = max(1.0, np.max(np.abs(table.LpvF)))
         assert np.min(marg) >= -1e-6 * scale
 
@@ -399,18 +398,15 @@ def test_inequality_margin_barenblatt():
 def test_sharper_static_factor_still_nonnegative(bump_profile, gaussian2):
     params, nl, bounds = _margin_setup(gaussian2, bump_profile)
     r, t = sample_points()
-    marg, table = inequality_margin("pointwise", AnalyticSolution(bump_profile),
-                                    gaussian2, params, nl, bounds=bounds, r=r, t=t,
-                                    sharper_static=True)
+    table = TermTable(AnalyticSolution(bump_profile), gaussian2, params, nl, r=r, t=t)
+    marg = inequality_rhs("pointwise", table, bounds=bounds, sharper_static=True) - table.LpvF
     scale = max(1.0, np.max(np.abs(table.LpvF)))
     assert np.min(marg) >= -1e-6 * scale
+    evolving = make_geometry("euclidean", n=2, conformal="exp(t/5)")
+    table = TermTable(AnalyticSolution(bump_profile), evolving, params_for(evolving, p=2.5),
+                      manufactured_forcing(bump_profile, evolving, 2.5), r=r, t=t)
     with pytest.raises(IdentityError):
-        inequality_margin("pointwise", AnalyticSolution(bump_profile),
-                          make_geometry("euclidean", n=2, conformal="exp(t/5)"),
-                          params_for(make_geometry("euclidean", n=2, conformal="exp(t/5)"), p=2.5),
-                          manufactured_forcing(bump_profile,
-                                               make_geometry("euclidean", n=2, conformal="exp(t/5)"), 2.5),
-                          r=r, t=t, sharper_static=True)
+        inequality_rhs("pointwise", table, sharper_static=True)
 
 
 def test_alpha_equal_one_limit_drops_square_exactly(bump_profile, euclid3):
@@ -440,8 +436,8 @@ def test_inequality_margins_grid_mode():
     bounds = extract_bounds(geom, Cylinder(1e18, 1.0, 2.0))
     sol = GridSolution(result.v)
     for stage in ("pointwise", "quadratic", "bounded"):
-        marg, table = inequality_margin(stage, sol, geom, params, Nonlinearity(),
-                                        bounds=bounds)
+        table = TermTable(sol, geom, params, Nonlinearity())
+        marg = inequality_rhs(stage, table, bounds=bounds) - table.LpvF
         rr, tt = grid.mesh()
         window = (rr >= 0.15) & (rr <= 1.6) & (tt >= 1.1) & (tt <= 1.9)
         scale = max(1.0, np.max(np.abs(table.LpvF[window])))

@@ -92,8 +92,6 @@ UNREAD_ALLOWED = {
     "estimates.NonlinearityConditions.consistent": "the same ledger line reads it",
     "estimates.CutoffProfile.certify": "the hypotheses ledger's cutoff line",
     "params.preset_ode_residuals": "the hypotheses ledger's preset line",
-    "identities.inequality_margin": "perfbench's trace shim wraps it",
-    "estimates.sup_quantities": "perfbench's trace shim counts its calls",
     "estimates.SupNodes.whole": "test seam: the blocks' one-piece reference",
     "estimates.VerificationReport.passed": "test seam: a report's verdict",
 }

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (VARIANTS, SupSamples, rhs_bound, sup_quantities,
+from harnacklab.estimates import (VARIANTS, SupSamples, reduce_suprema, rhs_bound,
                                   variant_kind)
 from harnacklab.geometry import GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
@@ -115,8 +115,7 @@ def test_sup_quantities_match_reference(family):
     for trial in range(40):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                           family=family, scope="local")
+        q = reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], "local")[0]
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         for key in ("q0", "q1", "q2", "q3", "q4"):
             assert q[key] == pytest.approx(ref[key], rel=1e-13, abs=1e-13), (trial, key)
@@ -130,8 +129,7 @@ def test_local_rhs_matches_reference(variant):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
         tau_eval = rng.uniform(0.1, 1.0, 3)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                           family=family, scope="local")
+        q = reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], "local")[0]
         got = rhs_bound(variant, q, bounds, params, radius, tau_eval)
         ref = reference_quantities(params, bounds, samples, n_dim, radius, eps, family)
         want = reference_rhs(variant, ref, params, bounds, tau_eval, radius)
@@ -143,8 +141,7 @@ def test_global_rhs_drops_radius_term_in_leading_constant():
     rng = np.random.default_rng(999)
     params, bounds, samples, n_dim, radius = synthetic_setup(rng)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                       family="first", scope="global")
+    q = reduce_suprema(samples, bounds, params, n_dim, radius, [("first", eps)], "global")[0]
     s = samples
     b = params.b
     K_global = 2 * math.pi * bounds.k_lo
@@ -159,8 +156,7 @@ def test_harnack_constant_matches_reference(family):
     for trial in range(25):
         params, bounds, samples, n_dim, radius = synthetic_setup(rng, constant_alpha=True)
         eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
-        q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                           family=family, scope="global")
+        q = reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], "global")[0]
         alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
         b = params.b
         H = harnack_constant(q, alpha, b)
@@ -176,8 +172,7 @@ def test_harnack_bound_matches_reference():
     rng = np.random.default_rng(577)
     params, bounds, samples, n_dim, radius = synthetic_setup(rng, constant_alpha=True)
     eps = 0.4 * params.eps_ceiling(samples.tau, "first")
-    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                       family="first", scope="global")
+    q = reduce_suprema(samples, bounds, params, n_dim, radius, [("first", eps)], "global")[0]
     energy, v_inf, t1, t2 = 0.7, 0.4, 0.3, 0.9
     alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
     H = harnack_constant(q, alpha, params.b)
@@ -238,8 +233,7 @@ def family_rhs(variant, setup, fraction, tau):
     family, scope = variant_kind(variant)
     eps = (None if variant.startswith("static")
            else fraction * params.eps_ceiling(samples.tau, family))
-    q = sup_quantities(samples, bounds, params, n_dim, radius, eps,
-                       family=family, scope=scope)
+    q = reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], scope)[0]
     return q, rhs_bound(variant, q, bounds, params, radius, tau)
 
 
