@@ -54,7 +54,7 @@ def _write_summary(out: Path, lines, payload):
 
 
 # rows formatted per write: bounds the row text held in memory at once
-_CSV_CHUNK_ROWS = 4096
+_CSV_CHUNK_ROWS = 1024
 
 
 class _Blocks:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symfun
 from .geometry import Cylinder, GeometryBounds, WarpedGeometry, extract_bounds
 from .params import HarnackParams, family_weight
 from .solver import Nonlinearity
@@ -202,14 +201,18 @@ class SupSamples:
         yield self
 
 
+# nodes per block of the sup reductions and the LHS: the Python work of each
+# block's requests is paid once per block, so smaller blocks cost time
+_BLOCK_NODES = 4096
+
+
 def _node_blocks(mask):
-    """Consecutive blocks of at most ``symfun._BLOCK_NODES`` of the nodes
-    ``mask`` selects: the mesh indices of each and its slice of the selected
-    nodes, in mask order."""
+    """Consecutive blocks of at most ``_BLOCK_NODES`` of the nodes ``mask``
+    selects: the mesh indices of each and its slice of the selected nodes, in
+    mask order."""
     index = np.flatnonzero(mask)
-    size = symfun._BLOCK_NODES
-    for start in range(0, index.size, size):
-        part = slice(start, start + size)
+    for start in range(0, index.size, _BLOCK_NODES):
+        part = slice(start, start + _BLOCK_NODES)
         yield np.unravel_index(index[part], mask.shape), part
 
 
@@ -218,7 +221,7 @@ class SupNodes:
 
     The nodes are those ``mask`` selects of the mesh (rr, tt).  The other
     :class:`SupSamples` fields are evaluated a block of at most
-    ``symfun._BLOCK_NODES`` nodes at a time, so the data held beyond tau and
+    ``_BLOCK_NODES`` nodes at a time, so the data held beyond tau and
     v does not grow with the sup density.
     """
 

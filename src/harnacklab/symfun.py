@@ -117,9 +117,10 @@ def compile_expression(text: str):
 # jet lengths beyond the nr + 1 coefficients a pole value needs: each
 # cancelled 0/0 quotient uses coefficients up, and a shortfall retries once
 _POLE_EXTRA = (3, 11)
-# nodes per series evaluation in Profile.table: bounds the coefficient arrays
-# held at once (a (2, 0) table of a closure forcing holds about 0.5 kB a node)
-_BLOCK_NODES = 4096
+# node-coefficients per series evaluation in Profile.table: a block holds
+# this many coefficients over all its arrays, so a series of more arrays runs
+# fewer nodes at once (a closure forcing's (2, 0) table, 10 arrays, runs 2048)
+_BLOCK_COEFFS = 20480
 
 
 class Profile:
@@ -185,27 +186,31 @@ class Profile:
         """Every (i, j) partial with i <= nr and j <= nt at broadcast arrays
         r, t: an array of shape (nr + 1, nt + 1, *shape).
 
-        Series at more than ``_BLOCK_NODES`` nodes are evaluated over
-        consecutive blocks of that many nodes of the raveled (r, t), each
-        written into the output, so the coefficients held at once do not grow
-        with the node count.  A quotient's zero tests reduce over the nodes of one
-        block, so a block (say, of pole nodes only) may cancel by another
-        branch than the whole would; on every shipped profile each partition
-        gives the same bits.  Pole nodes whose partials are not finite are
-        then evaluated again together, from the series about r = 0.
+        A series of (nr + 1 + kr) x (nt + 1 + kt) coefficient arrays (kr, kt
+        the :attr:`orders`) is evaluated over consecutive blocks of
+        ``_BLOCK_COEFFS`` // that many nodes of the raveled (r, t), each
+        written into the output, so the coefficients held at once grow with
+        neither the node count nor the orders.  A quotient's zero tests
+        reduce over the nodes of one block, so a block (say, of pole nodes
+        only) may cancel by another branch than the whole would; on every
+        shipped profile each partition gives the same bits.  Pole nodes
+        whose partials are not finite are then evaluated again together,
+        from the series about r = 0.
         """
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(r.shape, t.shape)
         out = np.empty((nr + 1, nt + 1, *shape))
         size = math.prod(shape)
+        kr, kt = self.orders
+        nodes = max(1, _BLOCK_COEFFS // ((nr + 1 + kr) * (nt + 1 + kt)))
         # one block, or a value that builds no series: the nodes as they are
-        if size <= _BLOCK_NODES or (nr, nt) == (0, 0) == self.orders:
+        if size <= nodes or (nr, nt) == (0, 0) == self.orders:
             self._partials(nr, nt, r, t, out)
         else:
             flat = out.reshape(nr + 1, nt + 1, size)
             r_all, t_all = np.broadcast_to(r, shape).flat, np.broadcast_to(t, shape).flat
-            for start in range(0, size, _BLOCK_NODES):
-                block = slice(start, start + _BLOCK_NODES)
+            for start in range(0, size, nodes):
+                block = slice(start, start + nodes)
                 self._partials(nr, nt, r_all[block], t_all[block], flat[:, :, block])
         bad = ~np.all(np.isfinite(out), axis=(0, 1))
         if np.any(bad):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab import symfun
+from harnacklab import estimates
 from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, EstimateScope, SupSamples,
                                   aggregates, collect_sup_samples, eps_scan, estimate_lhs,
                                   metric_aggregate, nonlinearity_conditions, reduce_suprema,
@@ -206,11 +206,21 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
                                                 ver["eps_fractions"])]]
         reference = [reduce_suprema(whole, scope.bounds, params, sc.geom.n, cyl.radius,
                                     [request], name)[0] for request in requests]
+        blocks, samples = [], nodes._samples
+
+        def counted(mesh_nodes, part):
+            blocks.append(part)
+            return samples(mesh_nodes, part)
+
+        assert nodes.v.size > 7  # so the 1- and 7-node partitions run several blocks
         for size in (1, 7, nodes.v.size):
+            blocks.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(symfun, "_BLOCK_NODES", size)
+                patch.setattr(estimates, "_BLOCK_NODES", size)
+                patch.setattr(nodes, "_samples", counted)
                 streamed = reduce_suprema(nodes, scope.bounds, params, sc.geom.n,
                                           cyl.radius, requests, name)
+            assert len(blocks) == -(-nodes.v.size // size), (name, size)
             for (family, eps), q, ref in zip(requests, streamed, reference):
                 assert q == ref, (name, size, family, eps)
                 for variant in variants:

@@ -107,13 +107,19 @@ def test_r_partials_match_symbolic_differentiation():
     r = rng.uniform(0.5, 3.0, 400)
     t = rng.uniform(0.2, 1.5, 400)
     for name, prof in _oracle_profiles().items():
+        exprs, expr_t = [], sym(prof)
         for nt in range(3):
-            expr = sp.diff(sym(prof), T, nt)
+            expr = expr_t = sp.diff(expr_t, T) if nt else expr_t
             for nr in range(5):
                 expr = sp.diff(expr, R) if nr else expr
-                ref = sp.lambdify((R, T), expr, modules="numpy")(r, t) * np.ones_like(r)
-                err = np.abs(prof.at(nr, nt, r, t) - ref) / np.maximum(1.0, np.abs(ref))
-                assert err.max() <= 1e-12, (name, nr, nt, err.max())
+                exprs.append(expr)
+        # one lambdify of the 15 partials, each repeated subtree printed once
+        refs = sp.lambdify((R, T), exprs, modules="numpy", cse=True, docstring_limit=0)(r, t)
+        table = prof.table(4, 2, r, t)
+        for (nt, nr), ref in zip(np.ndindex(3, 5), refs):
+            ref = ref * np.ones_like(r)
+            err = np.abs(table[nr, nt] - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= 1e-12, (name, nr, nt, err.max())
 
 
 def test_one_compile_serves_every_partial(monkeypatch):
@@ -266,24 +272,45 @@ def _block_cases():
     return cases
 
 
+def _block_sizes(monkeypatch, prof):
+    """The list that collects the node count of each block ``prof.table``
+    evaluates, the second pass over pole nodes (at the scalar r = 0) left out."""
+    sizes, partials = [], prof._partials
+
+    def recording(nr, nt, r, t, into, extra=0):
+        if np.ndim(r):
+            sizes.append(np.broadcast(r, t).size)
+        return partials(nr, nt, r, t, into, extra)
+
+    monkeypatch.setattr(prof, "_partials", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("prof, r, t", _block_cases())
 def test_table_is_bit_equal_under_any_block_partition(monkeypatch, prof, r, t):
     # one node per block (each pole node alone), 4 nodes (blocks that split
     # the pole row from the next), one t-row per block (the first block holds
-    # exactly the r = 0 nodes of a pole grid) and every node in one block
+    # exactly the r = 0 nodes of a pole grid) and every node in one block; a
+    # (2, 1) table holds (3 + kr) x (2 + kt) coefficient arrays a node
+    kr, kt = prof.orders
+    arrays, size = (3 + kr) * (2 + kt), r.size * t.size
+    sizes = _block_sizes(monkeypatch, prof)
     tables = {}
-    for nodes in (1, 4, t.size, r.size * t.size):
-        monkeypatch.setattr(symfun, "_BLOCK_NODES", nodes)
+    for nodes in (1, 4, t.size, size):
+        monkeypatch.setattr(symfun, "_BLOCK_COEFFS", nodes * arrays)
+        sizes.clear()
         tables[nodes] = prof.table(2, 1, r, t)
-    whole = tables.pop(r.size * t.size)
+        assert sum(sizes) == size and len(sizes) == -(-size // nodes), (nodes, sizes)
+    whole = tables.pop(size)
     assert whole.shape == (3, 2, r.size, t.size) and np.all(np.isfinite(whole))
     for nodes, table in tables.items():
         assert np.array_equal(table, whole, equal_nan=True), nodes
 
 
 def test_table_evaluates_blocks_of_bounded_size(monkeypatch):
-    # the nodes of a (3, 10) grid evaluated 4 at a time: three blocks of the
-    # raveled (r, t), in order, the last one short
+    # the nodes of a (3, 10) grid under a budget of 48 coefficients: blocks
+    # of the raveled (r, t), in order, the last one short, with fewer nodes
+    # the more coefficient arrays the table's series holds
     prof = Profile("r**2*t + sin(r)")
     seen = []
     jet = prof.jet
@@ -292,30 +319,39 @@ def test_table_evaluates_blocks_of_bounded_size(monkeypatch):
         seen.append(np.array(r.c[0] if hasattr(r, "c") else r))
         return jet(r, t)
 
-    monkeypatch.setattr(symfun, "_BLOCK_NODES", 12)
+    monkeypatch.setattr(symfun, "_BLOCK_COEFFS", 48)
     monkeypatch.setattr(prof, "jet", recording)
     r, t = np.linspace(0.1, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 10)
-    table = prof.table(1, 1, r, t)
-    assert [block.size for block in seen] == [12, 12, 6]
-    assert np.array_equal(np.concatenate(seen), np.broadcast_to(r, (3, 10)).ravel())
-    assert table.shape == (2, 2, 3, 10)
-    assert np.array_equal(table[0, 0], r**2 * t + np.sin(r))
+    for nr, nt, blocks in [(1, 1, [12, 12, 6]),  # 4 arrays: 48 // 4 = 12 nodes a block
+                           (1, 0, [24, 6]),  # 2 arrays
+                           (0, 1, [24, 6]),
+                           (2, 1, [8, 8, 8, 6])]:  # 6 arrays
+        seen.clear()
+        table = prof.table(nr, nt, r, t)
+        assert [block.size for block in seen] == blocks, (nr, nt)
+        assert np.array_equal(np.concatenate(seen), np.broadcast_to(r, (3, 10)).ravel())
+        assert table.shape == (nr + 1, nt + 1, 3, 10)
+        assert np.array_equal(table[0, 0], r**2 * t + np.sin(r))
 
 
-def test_forcing_table_memory_is_bounded():
+def test_forcing_table_memory_is_bounded(monkeypatch):
     # forcing.table(2, 0) on the solve grid of configs/numeric-gaussian.json
     # (257 x 128 nodes): evaluated in one piece its series peaked 16.6 MB
     # above the start under tracemalloc (CPython 3.11), and the forcing's
-    # value alone 9.1 MB; in 4096-node blocks the (2, 0) table peaks at 2.9 MB
+    # value alone 9.1 MB; in 4096-node blocks the (2, 0) table peaked at
+    # 2.9 MB, and under the coefficient budget (10 arrays a node, so 2048-node
+    # blocks) it peaks at 1.8 MB, the 0.8 MB table included
     sc = load_scenario(ROOT / "configs" / "numeric-gaussian.json")
     forcing, grid = sc.nonlinearity.forcing, sc.grid
     r, t = grid.r[:, None], grid.t[:-1]
     forcing.table(2, 0, r[:2], t[:2])  # compile and warm the code paths
+    sizes = _block_sizes(monkeypatch, forcing)
     tracemalloc.start()
     try:
         table = forcing.table(2, 0, r, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert forcing.orders == (2, 1) and sizes == [2048] * 16 + [128]
     assert table.shape == (3, 1, 257, 128) and np.all(np.isfinite(table))
-    assert peak <= 9.1 * 2**20 / 3
+    assert peak <= 2.0 * 2**20
