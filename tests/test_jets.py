@@ -63,7 +63,8 @@ KT = 2
 def _bivariate_series_coeffs(expr):
     """Coefficients of (r - R0)^i (t - t0)^j, i < K and j < KT, with t0 =
     TS[T_ORACLE]: the r-series of d^j expr/dt^j by sympy.series, over j!.
-    (t^2 coefficients are covered by test_symfun's sympy.diff oracle.)"""
+    (t^2 coefficients are covered by test_symfun's symbolic-differentiation
+    oracle.)"""
     return np.array([_series_coeffs(sp.diff(sym(expr), T, j)) for j in range(KT)]).T / [
         math.factorial(j) for j in range(KT)]
 

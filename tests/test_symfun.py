@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -87,7 +88,6 @@ def _oracle_profiles():
     closed form (by the symbolic route)."""
     fields = _catalog()
     pair = preset_alpha_beta("coth", 0.7, 2 / 3)
-    # the oracle's sympy.diff takes 3-5 s on a bump forcing, 0.1-1.3 s on these
     forcings = {
         f"forcing({field}, {kind})": profile_of(
             symbolic_closure(sym(fields[field]), make_geometry(kind, **kw), 2.5))
@@ -98,28 +98,77 @@ def _oracle_profiles():
             "beta(coth)": pair.beta, **forcings}
 
 
+# each function the oracle profiles apply, with its derivative
+_DERIVATIVES = {sp.exp: sp.exp, sp.sin: sp.cos, sp.cos: lambda u: -sp.sin(u),
+                sp.sinh: sp.cosh, sp.cosh: sp.sinh}
+
+
+def _ring_partials(expr, nr, nt, r, t):
+    """Every (i <= nr, j <= nt) partial of the sympy expression ``expr`` at
+    arrays r, t, of shape (nr + 1, nt + 1, r.size), by exact differentiation
+    in a sparse polynomial ring over the rationals.
+
+    The ring's generators are R, T, every function application (with the one
+    its derivative brings in) and the reciprocal of every base of a negative
+    power.  A derivation acts on a generator by the chain rule: sympy.diff
+    of the argument times the function's derivative, and (1/b)' = -b'/b**2.
+    Unlike sympy.diff on the whole expression, it builds no expression
+    trees, whose construction (assumption queries) took seconds."""
+    expr = expr.replace(sp.coth, lambda u: sp.cosh(u) / sp.sinh(u))
+    expr = expr.xreplace({x: sp.Rational(float(x)) for x in expr.atoms(sp.Float)})
+    funcs = expr.atoms(sp.Function)
+    funcs = list(funcs | {_DERIVATIVES[f.func](*f.args).atoms(sp.Function).pop() for f in funcs})
+    bases = list({p.base for p in expr.atoms(sp.Pow)
+                  if p.exp.is_negative and not p.base.is_number})
+    f_names, w_names = {f: sp.Dummy() for f in funcs}, {b: sp.Dummy() for b in bases}
+    ring, *gens = sp.ring([R, T, *f_names.values(), *w_names.values()], sp.QQ)
+    f_gens, w_gens = gens[2:2 + len(funcs)], gens[2 + len(funcs):]
+
+    def to_ring(e):
+        e = e.xreplace({p: w_names[p.base] ** -p.exp for p in e.atoms(sp.Pow)
+                        if p.base in w_names})
+        return ring(e.xreplace(f_names))
+
+    def derive(poly, rule):
+        return sum((poly.diff(g) * rule[g] for g in gens if rule[g]), ring(0))
+
+    rules = {}
+    for x in (R, T):
+        rule = {gens[0]: ring(int(x == R)), gens[1]: ring(int(x == T))}
+        rule.update({g: to_ring(sp.diff(f.args[0], x) * _DERIVATIVES[f.func](f.args[0]))
+                     for f, g in zip(funcs, f_gens)})
+        rule.update(dict.fromkeys(w_gens, ring(0)))
+        rule.update({g: -derive(to_ring(b), rule) * g**2 for b, g in zip(bases, w_gens)})
+        rules[x] = rule
+    values = [r, t, *[sp.lambdify((R, T), f)(r, t) for f in funcs],
+              *[1.0 / sp.lambdify((R, T), b)(r, t) for b in bases]]
+    table = np.empty((nr + 1, nt + 1, r.size))
+    poly_t = to_ring(expr)
+    for j in range(nt + 1):
+        poly = poly_t
+        for i in range(nr + 1):
+            table[i, j] = sum(float(c) * math.prod(v**k for v, k in zip(values, m) if k)
+                              for m, c in poly.terms())
+            if i < nr:
+                poly = derive(poly, rules[R])
+        if j < nt:
+            poly_t = derive(poly_t, rules[T])
+    return table
+
+
 def test_r_partials_match_symbolic_differentiation():
-    # sympy.diff and a numpy lambdify, the route the series replaced, as the
-    # oracle.  Near the pole the forcings' coth(r) and 1/r terms cancel in both
-    # routes, which differ there by up to 3e-10 scaled (r = 0.05); the nodes
-    # stay at r >= 0.5, where they differ by under 5e-14
+    # exact differentiation in a polynomial ring, not the series, as the
+    # oracle.  The nodes stay at r >= 0.5, away from the pole, where the
+    # forcings' 1/r terms cancel; there the routes differ by under 6e-14
+    # on the forcings and by 4.2e-13 on alpha(coth), whose numerator cancels
+    # at small t
     rng = np.random.default_rng(5)
     r = rng.uniform(0.5, 3.0, 400)
     t = rng.uniform(0.2, 1.5, 400)
     for name, prof in _oracle_profiles().items():
-        exprs, expr_t = [], sym(prof)
-        for nt in range(3):
-            expr = expr_t = sp.diff(expr_t, T) if nt else expr_t
-            for nr in range(5):
-                expr = sp.diff(expr, R) if nr else expr
-                exprs.append(expr)
-        # one lambdify of the 15 partials, each repeated subtree printed once
-        refs = sp.lambdify((R, T), exprs, modules="numpy", cse=True, docstring_limit=0)(r, t)
-        table = prof.table(4, 2, r, t)
-        for (nt, nr), ref in zip(np.ndindex(3, 5), refs):
-            ref = ref * np.ones_like(r)
-            err = np.abs(table[nr, nt] - ref) / np.maximum(1.0, np.abs(ref))
-            assert err.max() <= 1e-12, (name, nr, nt, err.max())
+        ref = _ring_partials(sym(prof), 4, 2, r, t)
+        err = np.max(np.abs(prof.table(4, 2, r, t) - ref) / np.maximum(1.0, np.abs(ref)), axis=2)
+        assert np.all(err <= 1e-12), (name, np.unravel_index(np.argmax(err), err.shape), err.max())
 
 
 def test_one_compile_serves_every_partial(monkeypatch):
