@@ -1,6 +1,9 @@
 """Command-line interface: scenario commands and parameter sweeps.
 
-Exit codes: 0 all checks passed, 1 at least one inequality violation,
+Each command writes its CSV file and returns its summary lines, its summary
+payload and its failure count; :func:`main` writes ``summary.txt`` and
+``summary.json`` from them.  Exit codes: 0 all checks passed, 1 the failure
+count is positive (at least one inequality violation or failed gate),
 2 configuration error, 3 numerical failure (including arithmetic errors),
 4 I/O failure, 5 internal error (an unexpected exception, reported in one line).
 """
@@ -90,36 +93,23 @@ def _csv_text(value) -> str:
     return buf.getvalue()[:-3]  # less the empty field's "," and "\r\n"
 
 
-def _csv_cells(values: list, texts: dict) -> list:
-    """The csv text of each of ``values``, made once per distinct object.
-    ``texts`` maps ``id`` to (object, text): keyed by id, 0.0 and -0.0 stay
-    apart, and holding the object keeps its id from being reused."""
-    for key, value in dict(zip(map(id, values), values)).items():
-        if key not in texts:
-            texts[key] = value, _csv_text(value)
-    return [texts[key][1] for key in map(id, values)]
-
-
 def _write_csv(path: Path, header, rows):
     """Write ``rows``, a :class:`_Blocks`, as CSV under ``header``.
 
     A float64 array prints as ``%.12g``, which is what ``_fmt`` gives a float.
-    Any other cell is ``_fmt``-ed and quoted once: a repeated value once per
-    block, an array's cells once per distinct object in the write.  Rows are
+    Any other cell is ``_fmt``-ed and quoted by :func:`_csv_text`: a repeated
+    value once per block, an object array's cells one by one.  Rows are
     formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the text held at
     once does not grow with the row count.  They go to ``path`` only once all
     are written: a block that fails to be made (check-estimate makes each
     report as it is written) leaves no file behind.
     """
-    texts = [{} for _ in header]
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", newline="") as fh:
             csv.writer(fh).writerow(header)
             for n, columns in rows:
-                arrays = [(col, text) for col, text in zip(columns, texts)
-                          if isinstance(col, np.ndarray)]
                 row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")
                                       if isinstance(col, np.ndarray)
                                       else _csv_text(col).replace("%", "%%")
@@ -127,8 +117,8 @@ def _write_csv(path: Path, header, rows):
                 for start in range(0, n, _CSV_CHUNK_ROWS):
                     stop = min(n, start + _CSV_CHUNK_ROWS)
                     cells = [col[start:stop].tolist() if col.dtype == np.float64
-                             else _csv_cells(col[start:stop].tolist(), text)
-                             for col, text in arrays]
+                             else list(map(_csv_text, col[start:stop].tolist()))
+                             for col in columns if isinstance(col, np.ndarray)]
                     fh.write("".join(map(row_format.__mod__,
                                          zip(*cells) if cells else [()] * (stop - start))))
         partial.replace(path)
@@ -140,7 +130,7 @@ def _write_csv(path: Path, header, rows):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_solve(sc: Scenario, out: Path) -> int:
+def cmd_solve(sc: Scenario, out: Path):
     result = sc.run_solver()
     grid = sc.grid
     rr, tt = grid.mesh()
@@ -165,8 +155,7 @@ def cmd_solve(sc: Scenario, out: Path) -> int:
         drift = abs(m1 - m0) / max(abs(m0), 1e-300)
         lines.append(f"weighted-mass relative drift: {drift:.3e}")
         payload["mass_drift"] = drift
-    _write_summary(out, lines, payload)
-    return EXIT_OK
+    return lines, payload, 0
 
 
 def _identity_sample(sc: Scenario):
@@ -178,17 +167,19 @@ def _identity_sample(sc: Scenario):
     return r, t
 
 
-def cmd_check_identities(sc: Scenario, out: Path) -> int:
+def cmd_check_identities(sc: Scenario, out: Path):
     if sc.solution_kind == "numeric":
         raise ConfigError("solution.kind", "identity checks need a closed-form pressure field")
     sol = sc.analytic_handle()
     geom, params, nl = sc.geom, sc.params, sc.nonlinearity
     r, t = _identity_sample(sc)
-    checks = []
+    # (name, value, mean, scale, threshold): a residual row gates its max
+    # from above and carries its mean, a margin row its min from below and ""
+    rows = []
 
     def residual_row(name, res, scale=1.0, threshold=1e-9):
         res = np.abs(np.asarray(res))
-        checks.append((name, float(np.max(res)), float(np.mean(res)), scale, threshold))
+        rows.append((name, float(np.max(res)), float(np.mean(res)), scale, threshold))
 
     residual_row("pressure-equation",
                  pressure_equation_residual(sc.v_profile, geom, params.p, nl, r, t))
@@ -202,64 +193,54 @@ def cmd_check_identities(sc: Scenario, out: Path) -> int:
     resid, table = harnack_evolution_residual(sol, geom, params, nl, r=r, t=t)
     lpv_scale = max(1.0, float(np.max(np.abs(table.LpvF))))
     residual_row("harnack-evolution-identity", resid, scale=lpv_scale)
+    residual_row("weighted-bochner", bochner_residual(sc.v_profile, geom, r, t))
+    if not geom.metric_static:
+        residual_row("evolving-metric-commutator",
+                     commutator_residual(sc.v_profile, geom, r, t))
 
     bounds = extract_bounds(geom, Cylinder.whole_domain(sc.t0, sc.t_hi))
     stages = [(f"evolution-inequality[{stage}]", stage, False)
               for stage in ("pointwise", "quadratic", "bounded")]
     if geom.metric_static:
         stages.append(("evolution-inequality[pointwise,sharp-static]", "pointwise", True))
-    margin_rows = []
     for name, stage, sharp in stages:
         marg = inequality_rhs(stage, table, bounds=bounds, sharper_static=sharp) - table.LpvF
-        margin_rows.append((name, float(np.min(marg)), lpv_scale, -1e-6))
-
-    residual_row("weighted-bochner", bochner_residual(sc.v_profile, geom, r, t))
-    if not geom.metric_static:
-        residual_row("evolving-metric-commutator",
-                     commutator_residual(sc.v_profile, geom, r, t))
+        rows.append((name, float(np.min(marg)), "", lpv_scale, -1e-6))
 
     lines = [f"scenario: {sc.name}", "command: check-identities",
              f"geometry: {geom.name} ({geom.family}, n={geom.n}, m={geom.m:g})"]
-    status = []
-    for name, value, mean, scale, thresh in checks:
-        status.append("pass" if value <= thresh * scale else "FAIL")
-        lines.append(f"  {name:42s} max residual {value:.3e} (mean {mean:.3e}, "
-                     f"scale {scale:.3g})  {status[-1]}")
-    for name, value, scale, thresh in margin_rows:
-        status.append("pass" if value >= thresh * scale else "FAIL")
-        lines.append(f"  {name:42s} min margin {value:+.3e} (scale {scale:.3g})  {status[-1]}")
+    checks, status = [], []
+    for name, value, mean, scale, thresh in rows:
+        residual = mean != ""
+        passed = value <= thresh * scale if residual else value >= thresh * scale
+        status.append("pass" if passed else "FAIL")
+        measured = {"max": value, "mean": mean} if residual else {"min_margin": value}
+        text = (f"max residual {value:.3e} (mean {mean:.3e}, " if residual
+                else f"min margin {value:+.3e} (")
+        lines.append(f"  {name:42s} {text}scale {scale:.3g})  {status[-1]}")
+        checks.append({"name": name, **measured, "scale": scale, "threshold": thresh})
     failed = status.count("FAIL")
 
-    header = ("check", "max", "mean", "scale", "threshold", "status")
-    gated = [(n, v, s, th) for n, v, _, s, th in checks] + margin_rows
-    names, maxima, scales, thresholds = zip(*gated)
-    means = [mu for _, _, mu, _, _ in checks] + [""] * len(margin_rows)
-    columns = (_objects(names), np.array(maxima, dtype=float), _objects(means),
+    names, values, means, scales, thresholds = zip(*rows)
+    columns = (_objects(names), np.array(values, dtype=float), _objects(means),
                np.array(scales, dtype=float), np.array(thresholds, dtype=float),
                _objects(status))
-    _write_csv(out / "residuals.csv", header, _Blocks([(len(status), columns)]))
-    payload = {
-        "scenario": sc.name, "command": "check-identities",
-        "checks": ([{"name": n, "max": v, "mean": mu, "scale": s, "threshold": th}
-                    for n, v, mu, s, th in checks]
-                   + [{"name": n, "min_margin": v, "scale": s, "threshold": th}
-                      for n, v, s, th in margin_rows]),
-        "failed": failed,
-    }
-    _write_summary(out, lines, payload)
-    return EXIT_OK if failed == 0 else EXIT_VIOLATION
+    _write_csv(out / "residuals.csv", ("check", "max", "mean", "scale", "threshold", "status"),
+               _Blocks([(len(rows), columns)]))
+    return lines, {"scenario": sc.name, "command": "check-identities", "checks": checks,
+                   "failed": failed}, failed
 
 
-def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) -> int:
+def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False):
     ver = sc.verification
     reports = []
 
     def rows():
         # each report's rows are written as it is made; only its summary stays
         for rep in estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0):
-            reports.append(rep.summary())
-            yield rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps,
-                                    rep.r, rep.t_abs, rep.lhs, rep.rhs, rep.margin)
+            reports.append(rep.summary)
+            yield rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps, rep.scope.r,
+                                    rep.scope.t_abs, rep.scope.lhs, rep.rhs, rep.margin)
 
     header = ("variant", "eps", "r", "t", "lhs", "rhs", "margin")
     _write_csv(out / "report.csv", header, _Blocks(rows()))
@@ -271,17 +252,15 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
              f"sup sampling density: {ver['sup_density']}"]
     if negative_control:
         lines.append("NEGATIVE CONTROL: right-hand sides scaled by 0.5")
-    best = {}
     eps_text = lambda eps: "limit" if eps is None else f"{eps:.5g}"
     for rep in reports:
         tag = f"{rep['variant']:22s} eps={eps_text(rep['eps'])}"
         lines.append(f"  {tag:44s} min margin {rep['min_margin']:+.6e} at "
                      f"(r={rep['argmin_r']:.4g}, tau={rep['argmin_tau']:.4g})  "
                      f"violations {rep['violations']}")
-        prev = best.get(rep["variant"])
-        if prev is None or rep["min_margin"] > prev["min_margin"]:
-            best[rep["variant"]] = rep
-    for variant, rep in best.items():
+    for variant in dict.fromkeys(rep["variant"] for rep in reports):
+        rep = max((rep for rep in reports if rep["variant"] == variant),
+                  key=lambda rep: rep["min_margin"])
         lines.append(f"  best eps for {variant}: {eps_text(rep['eps'])} "
                      f"(min margin {rep['min_margin']:+.6e})")
     lines.append(f"total violations: {total_violations}")
@@ -291,11 +270,10 @@ def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False) 
         "reports": reports,
         "violations": total_violations,
     }
-    _write_summary(out, lines, payload)
-    return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
+    return lines, payload, total_violations
 
 
-def cmd_check_harnack(sc: Scenario, out: Path) -> int:
+def cmd_check_harnack(sc: Scenario, out: Path):
     sol = sc.solution_handle()
     geom, params = sc.geom, sc.params
     if not params.coeffs.alpha.time_independent:
@@ -323,24 +301,22 @@ def cmd_check_harnack(sc: Scenario, out: Path) -> int:
         family = q["family"]
         rep = verify_harnack(sol, geom, params, q, pairs, sc.t0, v_inf,
                              tolerance_factor=ver["harnack_tolerance_factor"])
-        worst, worst_log = float(np.min(rep["margin"])), float(np.min(rep["log_integral_margin"]))
-        log_viol = rep["log_integral_violations"]
-        violations += rep["violations"] + log_viol
-        lines.append(f"  family {family:6s}: H = {rep['H']:.6g}, "
-                     f"violations {rep['violations']}, worst margin {worst:+.6e}, "
-                     f"worst log-integral margin {worst_log:+.6e}")
-        payload["families"][family] = {
+        entry = payload["families"][family] = {
             "H": rep["H"], "violations": rep["violations"],
-            "worst_margin": worst, "worst_log_integral_margin": worst_log,
-            "log_integral_violations": log_viol,
+            "worst_margin": float(np.min(rep["margin"])),
+            "worst_log_integral_margin": float(np.min(rep["log_integral_margin"])),
+            "log_integral_violations": rep["log_integral_violations"],
         }
+        violations += entry["violations"] + entry["log_integral_violations"]
+        lines.append("  family {family:6s}: H = {H:.6g}, violations {violations}, "
+                     "worst margin {worst_margin:+.6e}, worst log-integral margin "
+                     "{worst_log_integral_margin:+.6e}".format(family=family, **entry))
         blocks.append((len(pairs), (family, *(rep[name] for name in header[1:-1]),
                                     np.where(rep["passed"], "pass", "FAIL").astype(object))))
     _write_csv(out / "pairs.csv", header, _Blocks(blocks))
     lines.append(f"total violations: {violations}")
     payload["violations"] = violations
-    _write_summary(out, lines, payload)
-    return EXIT_OK if violations == 0 else EXIT_VIOLATION
+    return lines, payload, violations
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +334,7 @@ def _set_path(doc: dict, dotted: str, value):
     node[parts[-1]] = value
 
 
-def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
+def run_sweep(sweep_doc: dict, out: Path, workers: int = 1):
     _check_keys(sweep_doc, ("template", "axes", "cap", "command"), "sweep")
     template = sweep_doc.get("template")
     if not isinstance(template, dict):
@@ -408,8 +384,7 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1) -> int:
                "combinations": len(combos), "violations": total_violations,
                "rows": [{"combo": list(c), "min_margin": m, "violations": v}
                         for c, m, v, _ in results]}
-    _write_summary(out, lines, payload)
-    return EXIT_OK if total_violations == 0 else EXIT_VIOLATION
+    return lines, payload, total_violations
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +418,20 @@ def main(argv=None) -> int:
         if args.seed is not None:
             read_number(args.seed, "--seed", integer=True, at_least=0)
         if args.command == "sweep":
-            return run_sweep(read_config(args.config), out, workers=args.workers)
-        sc = load_scenario(args.config)
-        if args.seed is not None:
-            sc.seed = args.seed
-        if args.command == "solve":
-            return cmd_solve(sc, out)
-        if args.command == "check-identities":
-            return cmd_check_identities(sc, out)
-        if args.command == "check-estimate":
-            return cmd_check_estimate(sc, out, negative_control=args.negative_control)
-        if args.command == "check-harnack":
-            return cmd_check_harnack(sc, out)
-        raise ConfigError("command", f"unknown command {args.command!r}")
+            config = read_config(args.config)
+        else:
+            config = load_scenario(args.config)
+            if args.seed is not None:
+                config.seed = args.seed
+        # built per call, so a command replaced on this module is the one run
+        command = {"solve": cmd_solve, "check-identities": cmd_check_identities,
+                   "check-estimate": cmd_check_estimate, "check-harnack": cmd_check_harnack,
+                   "sweep": run_sweep}[args.command]
+        options = {name: value for name, value in vars(args).items()
+                   if name in ("negative_control", "workers")}
+        lines, payload, failures = command(config, out, **options)
+        _write_summary(out, lines, payload)
+        return EXIT_VIOLATION if failures > 0 else EXIT_OK
     except (SolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

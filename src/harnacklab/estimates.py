@@ -420,52 +420,17 @@ def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackPara
 
 @dataclass
 class VerificationReport:
-    """Per-node margins of one estimate variant at one eps."""
+    """Per-node margins of one estimate variant at one eps on its scope's
+    verification nodes; ``summary`` is the record summary.json keeps."""
 
     variant: str
     eps: object
-    radius: float
-    clock: str
-    r: np.ndarray
-    t_abs: np.ndarray
-    tau: np.ndarray
-    lhs: np.ndarray
+    scope: EstimateScope
     rhs: np.ndarray
     margin: np.ndarray
-    tolerance: float
-    scale: float
     violations: int
     min_margin: float
-    argmin: tuple
-    constants: dict
-    v_sup: float
-    v_inf: float
-    flags: tuple = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def summary(self) -> dict:
-        return {
-            "variant": self.variant,
-            "eps": None if self.eps is None else float(self.eps),
-            "radius": self.radius,
-            "clock": self.clock,
-            "nodes": int(self.margin.size),
-            "min_margin": self.min_margin,
-            "argmin_r": self.argmin[0],
-            "argmin_tau": self.argmin[1],
-            "violations": self.violations,
-            "tolerance": self.tolerance,
-            "scale": self.scale,
-            "v_sup": self.v_sup,
-            "v_inf": self.v_inf,
-            "flags": list(self.flags),
-            "constants": {kk: (None if isinstance(vv, float) and math.isinf(vv) else vv)
-                          for kk, vv in self.constants.items()
-                          if isinstance(vv, (int, float, str, type(None)))},
-        }
+    summary: dict
 
 
 def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
@@ -549,40 +514,40 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     """
     family, _ = variant_kind(variant)
     params, cyl, bounds, samples = scope.params, scope.cyl, scope.bounds, scope.samples
-    r_in, tau_in, lhs = scope.r, scope.tau, scope.lhs
     # rhs_bound refuses quantities of a scope the variant is not checked on
     quantities, = scope.quantities([(family, eps)])
-    rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, tau_in) * rhs_scale
-    margin = rhs - lhs
-    scale = max(1.0, float(np.max(np.abs(lhs))))
+    rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, scope.tau) * rhs_scale
+    margin = rhs - scope.lhs
+    scale = max(1.0, float(np.max(np.abs(scope.lhs))))
     tol = tolerance_factor * scale
     imin = int(np.argmin(margin))
-    density = scope.density
+    violations, min_margin = int(np.count_nonzero(margin < -tol)), float(margin[imin])
+    eps_value = None if eps is None else float(eps)
     constants = {
         "b": params.b,
-        "eps": None if eps is None else float(eps),
+        "eps": eps_value,
         **bounds.as_dict(),
         "c1": CUTOFF.c1, "c2": CUTOFF.c2,
         "v_sup": samples.v_sup,
-        "q0": quantities["q0"], "q1": quantities["q1"], "q2": quantities["q2"],
-        "q3": quantities["q3"], "q4": quantities["q4"],
+        **{name: quantities[name] for name in ("q0", "q1", "q2", "q3", "q4")},
         "sup_cylinder": f"radius={'domain' if scope.name == 'global' else 2 * cyl.radius}, "
                         f"t=[{cyl.t_lo:g},{cyl.t_hi:g}]",
-        "sup_density": f"{density[0]}x{density[1]}",
+        "sup_density": "{}x{}".format(*scope.density),
     }
     flags = ["truncated-global"] if scope.name == "global" else []
     if rhs_scale != 1.0:
         flags.append(f"negative-control(rhs_scale={rhs_scale:g})")
-    return VerificationReport(
-        variant=variant, eps=eps, radius=cyl.radius,
-        clock=f"t0={scope.t0_clock:g}",
-        r=r_in, t_abs=scope.t_abs, tau=tau_in, lhs=lhs, rhs=rhs, margin=margin,
-        tolerance=tol, scale=scale, violations=int(np.count_nonzero(margin < -tol)),
-        min_margin=float(margin[imin]),
-        argmin=(float(r_in[imin]), float(tau_in[imin])),
-        constants=constants, v_sup=samples.v_sup, v_inf=samples.v_inf,
-        flags=tuple(flags),
-    )
+    summary = {
+        "variant": variant, "eps": eps_value, "radius": cyl.radius,
+        "clock": f"t0={scope.t0_clock:g}", "nodes": int(margin.size),
+        "min_margin": min_margin, "argmin_r": float(scope.r[imin]),
+        "argmin_tau": float(scope.tau[imin]), "violations": violations,
+        "tolerance": tol, "scale": scale, "v_sup": samples.v_sup, "v_inf": samples.v_inf,
+        "flags": flags,
+        "constants": {name: None if isinstance(value, float) and math.isinf(value) else value
+                      for name, value in constants.items()},
+    }
+    return VerificationReport(variant, eps, scope, rhs, margin, violations, min_margin, summary)
 
 
 def estimate_matrix(sc, rhs_scale: float = 1.0):

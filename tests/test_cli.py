@@ -477,7 +477,8 @@ def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(estimates, "verify_estimate", recorded)
     sc = parse_scenario(barenblatt_doc())
-    assert cmd_check_estimate(sc, tmp_path / "out") == EXIT_OK
+    _, _, failures = cmd_check_estimate(sc, tmp_path / "out")
+    assert failures == 0
     assert calls == {"extract_bounds": 2, "collect_sup_samples": 2, "reduce_suprema": 2}
     assert len(reports) == 12
 
@@ -502,7 +503,8 @@ def test_check_identities_builds_one_term_table(tmp_path, monkeypatch):
         _init(self, *args, **kwargs)
 
     monkeypatch.setattr(identities.TermTable, "__init__", counted)
-    assert cmd_check_identities(parse_scenario(barenblatt_doc()), tmp_path / "out") == EXIT_OK
+    _, _, failures = cmd_check_identities(parse_scenario(barenblatt_doc()), tmp_path / "out")
+    assert failures == 0
     assert len(builds) == 1
 
 
@@ -590,6 +592,29 @@ def test_cli_estimate_pass_and_negative_control(tmp_path):
     payload = json.loads((tmp_path / "nc" / "summary.json").read_text())
     assert payload["violations"] > 0
     assert payload["negative_control"] is True
+
+
+@pytest.mark.parametrize("case, count", [
+    ("solve barenblatt", None),
+    ("check-identities barenblatt", "failed"),
+    ("check-estimate barenblatt", "violations"),
+    ("check-estimate negative-control --negative-control", "violations"),
+    ("check-harnack barenblatt", "violations"),
+    ("sweep sweep-p-alpha", "violations"),
+])
+def test_exit_code_follows_the_summary_failure_count(tmp_path, case, count):
+    # one rule for every command: exit 1 exactly when the failure count that
+    # summary.json records is positive (solve counts none)
+    command, config, *flags = case.split()
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), *flags]
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    payload = json.loads((out / "summary.json").read_text())
+    failures = 0 if count is None else payload[count]
+    assert isinstance(failures, int)
+    assert code == (EXIT_VIOLATION if failures > 0 else EXIT_OK)
+    if flags == ["--negative-control"]:
+        assert code == EXIT_VIOLATION
 
 
 def test_violation_counts_match_report_rows(tmp_path):
@@ -945,8 +970,8 @@ def test_check_estimate_memory_is_bounded(tmp_path, monkeypatch):
             written.append(n)
 
     monkeypatch.setattr(cli, "_write_csv", drain)
-    peak, code = _traced_peak(cmd_check_estimate, sc, tmp_path / "out")
-    assert code == EXIT_OK and sum(written) == 241_920
+    peak, (_, _, failures) = _traced_peak(cmd_check_estimate, sc, tmp_path / "out")
+    assert failures == 0 and sum(written) == 241_920
     assert peak <= 16.1 * 2**20 / 2
 
 
@@ -957,6 +982,6 @@ def test_check_harnack_memory_is_bounded(tmp_path):
     # pass over the sup blocks peaks at 3.5 MB
     sc = load_scenario(CONFIGS / "numeric-gaussian.json")
     sc.run_solver()
-    peak, code = _traced_peak(cli.cmd_check_harnack, sc, tmp_path / "out")
-    assert code == EXIT_OK
+    peak, (_, _, failures) = _traced_peak(cli.cmd_check_harnack, sc, tmp_path / "out")
+    assert failures == 0
     assert peak <= 7.9 * 2**20 / 2

@@ -395,7 +395,7 @@ def test_verify_estimate_barenblatt_all_variants():
             scope = EstimateScope(sol, geom, params, Nonlinearity(), cyl, 1.0,
                                   variant_kind(variant)[1]).with_nodes()
             rep = verify_estimate(scope, variant, eps=eps)
-            assert rep.passed
+            assert rep.violations == 0
             assert rep.min_margin > 0
 
 
@@ -408,11 +408,10 @@ def test_verify_estimate_negative_control():
     eps = 0.5 * params.eps_ceiling(np.linspace(0.05, 9.0, 64), "first")
     scope = EstimateScope(sol, geom, params, Nonlinearity(), cyl, 1.0, "global").with_nodes()
     honest = verify_estimate(scope, "first-global", eps=eps)
-    assert honest.passed
+    assert honest.violations == 0
     control = verify_estimate(scope, "first-global", eps=eps, rhs_scale=0.5)
-    assert not control.passed
     assert control.violations >= 1
-    assert any("negative-control" in f for f in control.flags)
+    assert any("negative-control" in f for f in control.summary["flags"])
 
 
 def test_verify_estimate_deterministic():
@@ -437,7 +436,7 @@ def test_constant_in_space_solution_positive_margin():
     cyl = Cylinder(0.9, 0.5, 1.5)
     rep = verify_estimate(EstimateScope(sol, geom, params, nl, cyl, 0.5, "global").with_nodes(),
                           "first-global", eps=0.1)
-    assert rep.passed and rep.min_margin > 0
+    assert rep.violations == 0 and rep.min_margin > 0
 
 
 def test_truncated_global_flagged():
@@ -447,7 +446,7 @@ def test_truncated_global_flagged():
     scope = EstimateScope(AnalyticSolution(prof), geom, params, Nonlinearity(),
                           Cylinder(0.9, 1.0, 2.0), 1.0, "global").with_nodes()
     rep = verify_estimate(scope, "first-global", eps=0.1)
-    assert "truncated-global" in rep.flags
+    assert "truncated-global" in rep.summary["flags"]
     # a local variant must not be checked with the whole-domain constants
     with pytest.raises(EstimateError):
         verify_estimate(scope, "first-local", eps=0.1)
@@ -585,7 +584,7 @@ def test_static_variants_verify_on_power_law_scenario():
         scope = EstimateScope(sol, geom, params, nl, cyl, 1.0,
                               variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=None)
-        assert rep.passed and rep.min_margin > 0
+        assert rep.violations == 0 and rep.min_margin > 0
 
 
 def test_static_variants_refuse_x_dependent_forcing(bump_profile):
@@ -645,7 +644,7 @@ def test_verify_estimate_evolving_warp_exercises_speed_gradient():
         scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
                               variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
-        assert rep.passed, (variant, rep.min_margin)
+        assert rep.violations == 0, (variant, rep.min_margin)
 
 
 def test_verify_estimate_nonzero_beta_and_time_dependent_alpha():
@@ -665,7 +664,7 @@ def test_verify_estimate_nonzero_beta_and_time_dependent_alpha():
         scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
                               variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
-        assert rep.passed, (variant, rep.min_margin)
+        assert rep.violations == 0, (variant, rep.min_margin)
 
 
 def test_barenblatt_saturates_classical_level():
@@ -705,7 +704,7 @@ def test_verify_estimate_sphere_cap():
         scope = EstimateScope(sol, geom, params, nl, cyl, 0.5,
                               variant_kind(variant)[1]).with_nodes()
         rep = verify_estimate(scope, variant, eps=eps)
-        assert rep.passed
+        assert rep.violations == 0
 
 
 def test_extracted_bounds_stable_under_refinement():
@@ -726,7 +725,7 @@ def test_report_records_sampling_density():
     scope = EstimateScope(AnalyticSolution(prof), geom, params, Nonlinearity(),
                           Cylinder(0.9, 1.0, 2.0), 1.0, "global", density=(97, 49)).with_nodes()
     rep = verify_estimate(scope, "first-global", eps=0.1)
-    assert rep.constants["sup_density"] == "97x49"
+    assert rep.summary["constants"]["sup_density"] == "97x49"
 
 
 def test_x_dependent_forcing_activates_gradient_quantities():

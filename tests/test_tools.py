@@ -93,7 +93,6 @@ UNREAD_ALLOWED = {
     "estimates.CutoffProfile.certify": "the hypotheses ledger's cutoff line",
     "params.preset_ode_residuals": "the hypotheses ledger's preset line",
     "estimates.SupNodes.whole": "test seam: the blocks' one-piece reference",
-    "estimates.VerificationReport.passed": "test seam: a report's verdict",
 }
 
 
