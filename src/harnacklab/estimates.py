@@ -479,8 +479,8 @@ class EstimateScope:
 
     def with_nodes(self, eval_density=(65, 33)) -> "EstimateScope":
         """This scope with the verification nodes :func:`verify_estimate`
-        checks, at ``eval_density`` and positive clock time, and the left-hand
-        side on them."""
+        checks, at ``eval_density`` and positive clock time, the left-hand
+        side on them and its tolerance scale max(1, max |lhs|)."""
         eval_cyl = self.cyl if self.name == "local" else self.sup_cyl
         rr, tt, mask = self.solution.sample(eval_cyl, self.geom, eval_density)
         mask = mask & (tt - self.t0_clock > 1e-12)
@@ -490,6 +490,7 @@ class EstimateScope:
         self.tau = self.t_abs - self.t0_clock
         self.lhs = estimate_lhs(self.solution, self.geom, self.params, self.nl, rr, tt, mask,
                                 self.t0_clock)
+        self.scale = max(1.0, float(np.max(np.abs(self.lhs))))
         return self
 
     def quantities(self, requests) -> list[dict]:
@@ -518,8 +519,7 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     quantities, = scope.quantities([(family, eps)])
     rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, scope.tau) * rhs_scale
     margin = rhs - scope.lhs
-    scale = max(1.0, float(np.max(np.abs(scope.lhs))))
-    tol = tolerance_factor * scale
+    tol = tolerance_factor * scope.scale
     imin = int(np.argmin(margin))
     violations, min_margin = int(np.count_nonzero(margin < -tol)), float(margin[imin])
     eps_value = None if eps is None else float(eps)
@@ -542,7 +542,7 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
         "clock": f"t0={scope.t0_clock:g}", "nodes": int(margin.size),
         "min_margin": min_margin, "argmin_r": float(scope.r[imin]),
         "argmin_tau": float(scope.tau[imin]), "violations": violations,
-        "tolerance": tol, "scale": scale, "v_sup": samples.v_sup, "v_inf": samples.v_inf,
+        "tolerance": tol, "scale": scope.scale, "v_sup": samples.v_sup, "v_inf": samples.v_inf,
         "flags": flags,
         "constants": {name: None if isinstance(value, float) and math.isinf(value) else value
                       for name, value in constants.items()},

@@ -1,55 +1,53 @@
-"""Fingerprint every shipped CLI output of a checkout, one line per command.
+"""Write the golden record of every shipped CLI output, ``tests/golden/``.
 
-Usage (from anywhere)::
+Usage (from anywhere): ``python3 tools/output_manifest.py``
 
-    python3 tools/output_manifest.py OUT_DIR > manifest.txt
+Runs each line of :func:`commands` through ``harnacklab.cli.main`` in this
+interpreter, from the repository root, and rewrites ``tests/golden/`` with one
+directory per line: the line's ``exit_code``, ``stdout`` and ``stderr``; every
+output file of 256 KB or less, verbatim but for the sweep's ``runtime_s``
+column (wall time by design), which reads ``*``; and for each larger output
+file (the ``solution.csv`` and ``report.csv`` files) ``<name>.digest.json``:
+its row count, header, least and greatest cell of each column, and sha256.
 
-Runs, each in a fresh interpreter with ``PYTHONPATH=src``,
-``PYTHONHASHSEED=0`` and one BLAS thread:
+The lines are the four scenario commands on every config in ``configs/``, the
+sweep on ``configs/sweep-p-alpha.json``, and: the negative control under
+``--negative-control``; barenblatt's check-harnack at ``--seed 40``, whose
+Harnack bound overflows ``exp`` on some pairs; check-estimate and
+check-identities on ``perfbench/inputs/hyperbolic-bump.json``, the pole values
+of a curved warp under the identity residual gates; the wide sweep, serial and
+with ``--workers 2``, both held to the serial line's entry; and check-estimate
+and check-harnack on gaussian-conformal at alpha = 3, where the second
+family's weight w = alpha does not scale exactly in floating point, as it does
+at every shipped config's alpha = 2.
 
-* ``solve``, ``check-identities``, ``check-estimate`` and ``check-harnack``
-  on every scenario in ``configs/``;
-* ``check-estimate --negative-control`` on ``configs/negative-control.json``;
-* ``check-harnack --seed 40`` on ``configs/barenblatt.json``, a seed whose
-  Harnack bound overflows ``exp`` on some pairs;
-* ``sweep`` on ``configs/sweep-p-alpha.json``;
-* ``check-estimate`` and ``check-identities`` on
-  ``perfbench/inputs/hyperbolic-bump.json``, the pole values of a curved warp
-  under the identity residual gates;
-* ``sweep`` on ``perfbench/inputs/sweep-p-alpha-wide.json``, once serial and
-  once with ``--workers 2`` (the thread-pool path; its out-dir digest must
-  equal the serial line's);
-* ``check-estimate`` and ``check-harnack`` on ``configs/gaussian-conformal.json``
-  with ``harnack.alpha`` set to 3.  Every shipped config has alpha = 2, where
-  the second estimate family's weight w = alpha scales exactly in floating
-  point; at alpha = 3 it does not.  The derived config is written to
-  ``OUT_DIR/gaussian-conformal-alpha3.json``.
-
-Each command writes into its own directory under OUT_DIR.  The printed line
-holds the command's label, its exit code, the sha256 of its stdout and of its
-stderr, and the digest of its out dir (``perfbench/run.py``'s
-``output_digest``, which masks the sweep's ``runtime_s`` column).  The same
-lines are written to ``OUT_DIR/manifest.txt``.
-
-To check that a change keeps every output byte-identical, run the script in
-a second checkout of the parent commit and in the change, then ``diff`` the
-two manifests.  Where a change is meant to move numbers only,
-``tools/compare_outputs.py`` on the two OUT_DIRs measures by how much.
+``tests/test_golden.py`` runs the same lines and compares them with the record
+exactly.  A change meant to move an output reruns this script; the diff of
+``tests/golden/`` is then the declared change.  The record is for one machine
+type: outputs print ``%.12g``, and a libm that differs in the last ulp can
+move a printed digit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
-import subprocess
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
+GOLDEN = ROOT / "tests" / "golden"
+VERBATIM_BYTES = 256 * 1024
+DIGEST = ".digest.json"
+sys.path.insert(0, str(ROOT / "src"))
 
-from run import CHILD_BLAS_THREADS, CHILD_HASH_SEED, output_digest  # noqa: E402
+from harnacklab import cli  # noqa: E402
 
 SCENARIO_COMMANDS = ("solve", "check-identities", "check-estimate", "check-harnack")
 
@@ -92,29 +90,81 @@ def commands(alpha3: Path):
     return out
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def entry_name(label: str) -> str:
+    """The record directory of a line; the thread pool must not change an
+    output, so the ``--workers 2`` sweep shares the serial line's."""
+    return label.removesuffix(" --workers 2").replace(":", ".").replace(" ", "_")
+
+
+def _masked(path: Path) -> bytes:
+    if path.name != "sweep.csv":
+        return path.read_bytes()
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    col = header.index("runtime_s")
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [row[:col] + ["*"] + row[col + 1:] for row in rows])
+    return buf.getvalue().encode()
+
+
+def record(args: list[str], out: Path) -> dict:
+    """Run one command line in this interpreter, writing into ``out``, and
+    return its record: file name -> bytes, or -> the path of an output file
+    larger than VERBATIM_BYTES, whose recorded bytes are its :func:`digest`."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main([*args, "--out", str(out)])
+    entry = {"exit_code": f"{rc}\n".encode(), "stdout": stdout.getvalue().encode(),
+             "stderr": stderr.getvalue().encode()}
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        if path.stat().st_size > VERBATIM_BYTES:
+            entry[path.name + DIGEST] = path
+        else:
+            entry[path.name] = _masked(path)
+    return entry
+
+
+def _key(cell: str):
+    try:
+        return 0, float(cell), cell
+    except ValueError:
+        return 1, 0.0, cell
+
+
+def digest(path: Path) -> bytes:
+    """A large CSV's record: its row count, header, the least and greatest
+    cell of each column (numbers by value, before any text) and sha256."""
+    rows, low, high = 0, None, None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        for rows, row in enumerate(reader, start=1):
+            keys = list(map(_key, row))
+            low = keys if low is None else list(map(min, low, keys))
+            high = keys if high is None else list(map(max, high, keys))
+    doc = {"rows": rows, "header": header,
+           "min": {name: key[2] for name, key in zip(header, low)},
+           "max": {name: key[2] for name, key in zip(header, high)},
+           "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return (json.dumps(doc, indent=1) + "\n").encode()
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: output_manifest.py OUT_DIR", file=sys.stderr)
+    if argv:
+        print("usage: output_manifest.py", file=sys.stderr)
         return 2
-    base = Path(argv[0]).resolve()
-    base.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=CHILD_HASH_SEED,
-               **CHILD_BLAS_THREADS)
-    lines = []
-    for label, args in commands(derived_config(base)):
-        out = base / label.replace(":", ".").replace(" ", "_")
-        out.mkdir(parents=True, exist_ok=True)
-        proc = subprocess.run([sys.executable, "-m", "harnacklab.cli", *args,
-                               "--out", str(out)],
-                              cwd=ROOT, env=env, capture_output=True)
-        lines.append(f"{label}  rc={proc.returncode}  stdout={_sha(proc.stdout)}  "
-                     f"stderr={_sha(proc.stderr)}  out={output_digest(out)}")
-        print(lines[-1], flush=True)
-    (base / "manifest.txt").write_text("".join(line + "\n" for line in lines))
+    os.chdir(ROOT)
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        for i, (label, args) in enumerate(commands(derived_config(base))):
+            entry = GOLDEN / entry_name(label)
+            if entry.exists():
+                continue
+            entry.mkdir(parents=True)
+            for name, value in record(args, base / str(i)).items():
+                (entry / name).write_bytes(value if isinstance(value, bytes) else digest(value))
+            print(entry.relative_to(ROOT))
     return 0
 
 
