@@ -28,8 +28,7 @@ from .identities import (bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual)
 from .params import ParamError
-from .scenarios import (ConfigError, Scenario, _check_keys, load_scenario, read_config,
-                        read_number)
+from .scenarios import ConfigError, Scenario, Section, load_scenario, read_config, read_number
 from .solver import SolverError, weighted_mass
 from .symfun import Profile
 
@@ -335,20 +334,21 @@ def _set_path(doc: dict, dotted: str, value):
 
 
 def run_sweep(sweep_doc: dict, out: Path, workers: int = 1):
-    _check_keys(sweep_doc, ("template", "axes", "cap", "command"), "sweep")
-    template = sweep_doc.get("template")
+    sweep = Section(sweep_doc, "sweep")
+    template = sweep.get("template", None)
     if not isinstance(template, dict):
         raise ConfigError("sweep.template", "missing scenario template")
-    command = sweep_doc.get("command", "check-estimate")
+    command = sweep.get("command", "check-estimate")
     if command != "check-estimate":
         raise ConfigError("sweep.command", f"sweeps only drive check-estimate, got {command!r}")
-    axes = sweep_doc.get("axes", {})
+    axes = sweep.get("axes", {})
     if not isinstance(axes, dict) or not axes:
         raise ConfigError("sweep.axes", f"need an object of at least one axis, got {axes!r}")
     for name, values in axes.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.axes.{name}", "axis must be a non-empty list")
-    cap = read_number(sweep_doc.get("cap", 64), "sweep.cap", integer=True, at_least=1)
+    cap = sweep.number("cap", 64, integer=True, at_least=1)
+    sweep.close()
     names = list(axes.keys())
     combos = list(itertools.product(*(axes[n] for n in names)))
     if len(combos) > cap:

@@ -79,6 +79,48 @@ def test_parse_rejects_unknown_nested_key():
     assert "geometry.warp_typo" in str(err.value)
 
 
+def test_first_fault_the_parse_reads_is_reported_before_an_unread_key():
+    # unread keys are refused once the reads are done, so a bad value read
+    # later in the document is reported first
+    doc = barenblatt_doc()
+    doc["harnack"]["alpha_typo"] = 2.0
+    doc["pde"]["p"] = 0.5
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "pde.p"
+
+
+def test_top_level_key_path_has_no_leading_dot():
+    # an unknown top-level key, and a missing required section
+    missing = barenblatt_doc()
+    del missing["geometry"]
+    for doc, path in ((barenblatt_doc(nme="typo"), "nme"), (missing, "geometry")):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(doc)
+        assert err.value.path == path
+
+
+@pytest.mark.parametrize("solution, path", [
+    ({"kind": "barenblatt", "expr": "2 + r**2"}, "solution.expr"),
+    ({"kind": "barenblatt", "catalog": "bump"}, "solution.catalog"),
+    ({"kind": "barenblatt", "base": "barenblatt"}, "solution.base"),
+    ({"kind": "manufactured", "catalog": "bump", "mass_const": 1.0}, "solution.mass_const"),
+    ({"kind": "manufactured", "expr": "2 + r**2", "base": "manufactured"}, "solution.base"),
+    ({"kind": "manufactured", "expr": "2 + r**2", "catalog": "bump"}, "solution.catalog"),
+], ids=json.dumps)
+def test_solution_key_its_kind_does_not_read_rejected(tmp_path, capsys, solution, path):
+    # barenblatt reads mass_const, manufactured expr or else catalog, numeric
+    # base; any other key would be silently ignored
+    key = path.split(".")[1]
+    parse_scenario(barenblatt_doc(solution={k: v for k, v in solution.items() if k != key}))
+    doc = barenblatt_doc(solution=solution)
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"configuration error: {path}: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_bad_variant():
     doc = barenblatt_doc()
     doc["verification"]["variants"] = ["third-local"]
@@ -333,6 +375,13 @@ def test_sweep_cap_must_be_an_integer(tmp_path):
     with pytest.raises(ConfigError) as err:
         run_sweep(doc, tmp_path)
     assert err.value.path == "sweep.cap"
+
+
+def test_sweep_key_no_read_asks_for_rejected(tmp_path):
+    # the sweep document goes through the scenario's reader
+    with pytest.raises(ConfigError) as err:
+        run_sweep({**sweep_doc(), "cpa": 4}, tmp_path)
+    assert err.value.path == "sweep.cpa"
 
 
 @pytest.mark.parametrize("change, key", [
