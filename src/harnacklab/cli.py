@@ -23,7 +23,7 @@ import numpy as np
 
 from .estimates import EstimateScope, estimate_matrix
 from .geometry import Cylinder, extract_bounds
-from .harnack import Pcg64, sample_pairs, verify_harnack
+from .harnack import sample_pairs, verify_harnack
 from .identities import (bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual)
@@ -41,9 +41,7 @@ EXIT_INTERNAL = 5
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _write_summary(out: Path, lines, payload):
@@ -285,8 +283,7 @@ def cmd_check_harnack(sc: Scenario, out: Path):
     v_inf = scope.samples.v_inf
     quantities = scope.quantities([(family, 0.5 * params.eps_ceiling(scope.samples.tau, family))
                                    for family in ("first", "second")])
-    pairs = sample_pairs(Pcg64(sc.seed), ver["pairs"], geom.r_max,
-                         sc.duration / 64, sc.duration)
+    pairs = sample_pairs(sc.seed, ver["pairs"], geom.r_max, sc.duration / 64, sc.duration)
 
     lines = [f"scenario: {sc.name}", "command: check-harnack",
              f"pairs: {len(pairs)} (seed {sc.seed})", f"inf v: {v_inf:.6g}"]

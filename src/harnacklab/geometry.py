@@ -142,10 +142,7 @@ class WarpedGeometry:
 # ---------------------------------------------------------------------------
 
 def _pole_mask(geom, r):
-    r = np.asarray(r, dtype=float)
-    if geom.mode != "pole":
-        return np.zeros(np.shape(r), dtype=bool)
-    return r == 0.0
+    return (np.asarray(r, dtype=float) == 0.0) & (geom.mode == "pole")
 
 
 def _check_domain(geom, r):

@@ -1,6 +1,6 @@
 """Integrated Harnack inequalities: path energies, the comparison constant,
-seeded space-time pairs, pairwise verification and the intermediate
-log-integral inequality.
+a seeded Kronecker design of space-time pairs, pairwise verification and the
+intermediate log-integral inequality.
 
 The comparison bound for a positive pressure field v reads
 
@@ -85,105 +85,36 @@ def harnack_log_bound(H: float, alpha: float, b: float, energy, v_inf: float, t1
 
 
 # ---------------------------------------------------------------------------
-# seeded pairs
+# the pair design
 # ---------------------------------------------------------------------------
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-# the 128-bit multiplier of PCG64's LCG
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _seed_hash(init: int, mult: int):
-    """SeedSequence's 32-bit hash: each call xors in the hash constant, then
-    multiplies by the constant's next power of ``mult`` and folds in the
-    high half."""
-    const = init
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _seed_mix(x: int, y: int) -> int:
-    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
-    x = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
-    return x ^ x >> 16
-
-
-class Pcg64:
-    """The stream of ``numpy.random.default_rng(seed).uniform``, in Python,
-    so drawing the pairs does not import ``numpy.random``.
-
-    numpy's SeedSequence hashes the seed's 32-bit words into a pool of four
-    and draws from it PCG64's 128-bit state and increment; each 64-bit
-    output is the XSL-RR permutation of the next LCG state (O'Neill,
-    HMC-CS-2014-0905, 2014), and a double is its top 53 bits times 2^-53.
-    """
-
-    def __init__(self, seed: int):
-        if seed < 0:
-            raise HarnackError(f"the seed must be a non-negative integer, got {seed}")
-        words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-        hash_a = _seed_hash(0x43b0d7e5, 0x931e8875)
-        pool = [hash_a(words[i] if i < len(words) else 0) for i in range(4)]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _seed_mix(pool[dst], hash_a(pool[src]))
-        for word in words[4:]:
-            for dst in range(4):
-                pool[dst] = _seed_mix(pool[dst], hash_a(word))
-        hash_b = _seed_hash(0x8b51f9dd, 0x58f38ded)
-        half = [hash_b(pool[i % 4]) for i in range(8)]
-        w0, w1, w2, w3 = (half[i] | half[i + 1] << 32 for i in range(0, 8, 2))
-        self.inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        # PCG's set-seed: state 0, one step, add the initial state, one step
-        self.state = ((self.inc + (w0 << 64 | w1)) * _PCG_MULT + self.inc) & _MASK128
-
-    def uniform(self, low: float, high: float, size: int) -> list:
-        """The next ``size`` draws of ``Generator.uniform(low, high, size)``."""
-        span, out = high - low, []
-        for _ in range(size):
-            self.state = state = (self.state * _PCG_MULT + self.inc) & _MASK128
-            x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-            x = (x >> rot | x << (64 - rot)) & _MASK64
-            out.append(low + span * ((x >> 11) * 2.0**-53))
-        return out
-
-
-# draws allowed for one pair before its time window is refused
-PAIR_DRAWS = 1000
-
-
-def sample_pairs(rng, n_pairs: int, r_max: float,
+def sample_pairs(seed: int, n_pairs: int, r_max: float,
                  tau_lo: float, tau_hi: float, min_gap: float = 1e-3):
-    """Seeded random space-time pairs with strictly increasing times, drawn
-    from ``rng``: a :class:`Pcg64` or anything else with
-    ``uniform(low, high, size)``, such as a numpy Generator.
-
-    A pair whose times are less than ``min_gap`` apart is drawn again, at
-    most ``PAIR_DRAWS`` times per pair: a window only just wider than the gap
-    is refused instead of drawn from for minutes.
-    """
-    window = f"no two pair times in [{tau_lo:g}, {tau_hi:g}] are {min_gap:g} apart"
+    """(n_pairs, 4) rows (r1, tau1, r2, tau2): pair k of ``seed`` maps the R4
+    Kronecker point x_i = frac(j phi^-i), i = 1..4, j = seed 2^32 + k + 1, phi
+    the real root of x^5 = x + 1 (Niederreiter, SIAM 1992), to r_max x1,
+    tau_lo + (tau_hi - tau_lo - min_gap) x3, r_max x2 and
+    tau1 + min_gap + (tau_hi - tau1 - min_gap) x4, so no pair is redrawn.  Each
+    x_i is the top 53 bits of the fraction in integer arithmetic as wide as j
+    needs: the same on every machine, and two seeds read disjoint blocks."""
     if not tau_hi - tau_lo > min_gap:
-        raise HarnackError(f"{window}: the time window is too short")
-    pairs = []
-    for _ in range(n_pairs):
-        for _ in range(PAIR_DRAWS):
-            r1, r2 = rng.uniform(0.0, r_max, size=2)
-            ta, tb = rng.uniform(tau_lo, tau_hi, size=2)
-            t1, t2 = min(ta, tb), max(ta, tb)
-            if t2 - t1 >= min_gap:
-                pairs.append((float(r1), float(t1), float(r2), float(t2)))
-                break
-        else:
-            raise HarnackError(f"{window} in {PAIR_DRAWS} draws: the time window is too short")
-    return pairs
+        raise HarnackError(f"no two pair times in [{tau_lo:g}, {tau_hi:g}] are "
+                           f"{min_gap:g} apart: the time window is too short")
+    first = seed << 32
+    bits = (first + n_pairs).bit_length() + 128
+    # y = 2^bits / phi: Newton's method from above on the convex y^5 + y^4 = 1
+    one = y = 1 << bits
+    while (step := (((y**5 >> 4 * bits) + (y**4 >> 3 * bits) - one) << bits)
+            // ((5 * y**4 >> 3 * bits) + (4 * y**3 >> 2 * bits))) > 0:
+        y -= step
+    mask, steps = one - 1, [y**i >> (i - 1) * bits for i in range(1, 5)]
+    x = np.array([[((first + k) * g & mask) >> (bits - 53) for g in steps]
+                  for k in range(1, n_pairs + 1)], dtype=float).reshape(-1, 4) * 2.0**-53
+    tau1 = tau_lo + (tau_hi - tau_lo - min_gap) * x[:, 2]
+    tau2 = tau1 + min_gap + (tau_hi - tau1 - min_gap) * x[:, 3]
+    # the rounded sum can fall one ulp short of the gap
+    tau2 = np.where(tau2 - tau1 < min_gap, np.nextafter(tau2, np.inf), tau2)
+    return np.column_stack([r_max * x[:, 0], tau1, r_max * x[:, 1], tau2])
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,8 @@ class Scenario:
 def parse_scenario(doc: dict) -> Scenario:
     top = Section(doc, "")
     name = top.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ConfigError("name", f"expected a string, got {name!r}")
     seed = top.number("seed", 20260809, integer=True, at_least=0)
 
     harnack = top.section("harnack", {})
@@ -449,4 +451,7 @@ def read_config(path):
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(read_config(path))
+    doc = read_config(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(str(path), f"expected a JSON object, got {type(doc).__name__}")
+    return parse_scenario(doc)

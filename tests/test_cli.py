@@ -220,8 +220,9 @@ BAD_VALUES = [
     ("pde.nonlinearity.A", [float("inf")]), ("pde.nonlinearity.B", [-float("inf")]),
     ("pde.nonlinearity.b", [float("nan")]), ("pde.nonlinearity.b", [1e999]),
     ("pde.nonlinearity.a", [2.0]), ("pde.nonlinearity", {"form": "power-sum"}),
-    # the Harnack pairs' generator is seeded by a non-negative integer
-    ("seed", -3),
+    # a seed picks a block of the Harnack pairs' sequence by a non-negative
+    # integer, and the scenario's name is a string
+    ("seed", -3), ("name", ["a", {"b": 1}]), ("name", 3),
     # the pressure of a manufactured field is positive where the oracle reads it
     ("solution.expr", -1), ("solution.expr", "1 - r**2"),
 ]
@@ -397,6 +398,18 @@ def test_sweep_document_of_the_wrong_shape_names_its_key(tmp_path, capsys, chang
     cfg.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"configuration error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack"])
+@pytest.mark.parametrize("text", ["[]", "3", '"x"', "null"])
+def test_scenario_that_is_not_an_object_names_its_file(tmp_path, capsys, command, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {cfg}: expected a JSON object, got ")
     assert not (tmp_path / "out").exists()
 
 
@@ -739,19 +752,26 @@ def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["short-clock", "near-gap-clock", "negative-seed"])
 def test_cli_harnack_refuses_pairs_it_cannot_draw(tmp_path, capsys, case):
-    # on a clock no longer than the pairs' least time gap the draws would
-    # never end, and on one only just longer they would take minutes; a
-    # negative seed seeds no generator
-    if case != "negative-seed":
-        doc = json.loads((CONFIGS / "barenblatt.json").read_text())
-        doc["time"]["duration"] = 0.001 if case == "short-clock" else 0.00102
-        args, message = ["--config", write_config(tmp_path, doc)], "no two pair times"
-    else:
+    # a clock no longer than the pairs' least time gap holds no pair, and a
+    # negative seed picks no block of the sequence; a clock only just longer
+    # holds pairs, each at least the gap apart, and none is redrawn
+    doc = json.loads((CONFIGS / "barenblatt.json").read_text())
+    doc["time"]["duration"] = 0.001 if case == "short-clock" else 0.00102
+    args, message = ["--config", write_config(tmp_path, doc)], "no two pair times"
+    if case == "negative-seed":
         args, message = ["--config", str(CONFIGS / "barenblatt.json"), "--seed", "-3"], "--seed: "
+    out = tmp_path / "out"
     started = time.perf_counter()
-    code = main(["check-harnack", *args, "--out", str(tmp_path / "out")])
-    assert code == EXIT_CONFIG and time.perf_counter() - started < 5.0
-    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    code = main(["check-harnack", *args, "--out", str(out)])
+    assert time.perf_counter() - started < 5.0
+    if case == "near-gap-clock":
+        assert code in (EXIT_OK, EXIT_VIOLATION)
+        with open(out / "pairs.csv") as fh:
+            assert all(float(row["tau2"]) - float(row["tau1"]) >= 1e-3
+                       for row in csv.DictReader(fh))
+    else:
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
 
 
 def test_cli_solve_writes_solution(tmp_path):
@@ -965,7 +985,8 @@ def test_cli_solve_and_numeric_check_never_load_scipy(tmp_path):
 
 def test_cli_commands_never_load_sympy(tmp_path):
     # expressions are compiled from their strings and the Harnack pairs are
-    # drawn by harnack.Pcg64: sympy and numpy.random are test oracles only.
+    # a Kronecker design in integer arithmetic: sympy and numpy.random are
+    # test oracles only.
     # The thread pool is imported by a sweep with --workers > 1 only.
     modules = ["sympy", "numpy.random", "concurrent.futures"]
     runs = [["check-estimate", "--config", str(CONFIGS / "gaussian-conformal.json")],

@@ -1,13 +1,16 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnacklab.estimates import collect_sup_samples, reduce_suprema
 from harnacklab.geometry import Cylinder, extract_bounds
 from harnacklab import harnack
-from harnacklab.harnack import (HarnackError, Pcg64, _constant_alpha, harnack_constant,
+from harnacklab.harnack import (HarnackError, _constant_alpha, harnack_constant,
                                 harnack_log_bound, log_integral_margin, path_energy,
                                 sample_pairs, verify_harnack)
 from harnacklab.identities import AnalyticSolution
@@ -56,7 +59,7 @@ def test_pair_arrays_match_single_pairs():
     # on an evolving conformal factor each pair's entry of the array route
     # is, bit for bit, the value of the same call on that pair alone
     geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
-    pairs = sample_pairs(np.random.default_rng(3), 40, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(3, 40, geom.r_max, 0.05, 1.0)
     r1, tau1, r2, tau2 = np.array(pairs).T
     log_ratio = np.linspace(-0.5, 0.5, len(pairs))
     energy = path_energy(geom, r1, tau1 + 1.0, r2, tau2 + 1.0)
@@ -80,7 +83,7 @@ def test_conformal_bound_margin_within_log_integral_margin():
     eps = 0.5 * params.eps_ceiling(np.linspace(0.01, 1.0, 64), "first")
     q, = reduce_suprema(samples, extract_bounds(geom, full), params, geom.n, 0.9,
                         [("first", eps)], "global")
-    pairs = sample_pairs(np.random.default_rng(31), 60, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(31, 60, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, float(np.min(samples.v)))
     assert np.all(rep["margin"] <= rep["log_integral_margin"] + 1e-12)
 
@@ -160,8 +163,7 @@ def test_harnack_bound_validation():
 @pytest.mark.parametrize("family", ["first", "second"])
 def test_verify_harnack_barenblatt(family):
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities(family=family)
-    rng = np.random.default_rng(2026)
-    pairs = sample_pairs(rng, 120, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(2026, 120, geom.r_max, 0.05, 1.0)
     rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
     assert rep["violations"] == 0
     assert rep["passed"].shape == (len(pairs),) and np.all(rep["passed"])
@@ -172,7 +174,7 @@ def test_verify_harnack_rows_carry_log_integral_margin(monkeypatch):
     # once at all second endpoints, and every column entry is, bit for bit,
     # what the scalar route gives on that pair alone
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
-    pairs = sample_pairs(np.random.default_rng(5), 30, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(5, 30, geom.r_max, 0.05, 1.0)
     calls = []
 
     def counted(r, t, _value=sol.value):
@@ -205,7 +207,7 @@ def test_verify_harnack_profile_evaluations_do_not_grow_with_pairs(monkeypatch, 
     params = HarnackParams(p=2.2, m=4.0, coeffs=constant_alpha_beta(2.0))
     sol = AnalyticSolution(prof)
     q = {"q0": 0.1, "q1": 0.1, "q2": 0.1, "q3": 0.1, "q4": 0.1, "family": "first"}
-    pairs = sample_pairs(np.random.default_rng(7), n_pairs, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(7, n_pairs, geom.r_max, 0.05, 1.0)
     tables = []
     table = Profile.table
 
@@ -222,7 +224,7 @@ def test_verify_harnack_profile_evaluations_do_not_grow_with_pairs(monkeypatch, 
 def test_verify_harnack_computes_constants_once(monkeypatch):
     # H and alpha do not depend on the pair: one evaluation per call
     geom, prof, params, sol, q, v_inf = _barenblatt_quantities()
-    pairs = sample_pairs(np.random.default_rng(5), 30, geom.r_max, 0.05, 1.0)
+    pairs = sample_pairs(5, 30, geom.r_max, 0.05, 1.0)
     calls = {"harnack_constant": 0, "_constant_alpha": 0}
 
     def counting(name):
@@ -297,46 +299,75 @@ def test_log_integral_constant_solution():
 
 
 def test_sampled_pairs_are_reproducible():
-    p1 = sample_pairs(np.random.default_rng(9), 50, 2.0, 0.1, 1.0)
-    p2 = sample_pairs(np.random.default_rng(9), 50, 2.0, 0.1, 1.0)
-    assert p1 == p2
-    assert all(t1 < t2 for _, t1, _, t2 in p1)
-
-
-def test_pcg64_is_numpys_default_rng_stream():
-    # one to five 32-bit seed words: the pool of four is padded, filled or
-    # mixed on
-    for seed in [*range(201), 2**32 - 1, 2**32, 2**64, 3 * 2**128 + 12345]:
-        ours, numpys = Pcg64(seed), np.random.default_rng(seed)
-        for k in range(40):
-            lo, hi = 0.01 * k, 1.0 + 2.5 * k
-            assert ours.uniform(lo, hi, 2) == numpys.uniform(lo, hi, size=2).tolist(), seed
+    # the same seed gives the same bits, and another seed other pairs
+    p1, p2 = (sample_pairs(9, 50, 2.0, 0.1, 1.0) for _ in range(2))
+    assert p1.shape == (50, 4) and p1.tobytes() == p2.tobytes()
+    assert not np.any(p1 == sample_pairs(10, 50, 2.0, 0.1, 1.0))
 
 
 @pytest.mark.parametrize("config", sorted(
     path for path in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
     if not path.name.startswith("sweep")), ids=lambda path: path.stem)
 @pytest.mark.parametrize("seed", [None, 40])
-def test_sample_pairs_match_numpy_at_shipped_seeds(config, seed):
-    # the pairs check-harnack draws, at the config's seed and at seed 40
+def test_sample_pairs_lie_in_the_window_at_shipped_seeds(config, seed):
+    # the pairs check-harnack checks, at the config's seed and at seed 40
     sc = load_scenario(config)
-    seed = sc.seed if seed is None else seed
-    args = (sc.verification["pairs"], sc.geom.r_max, sc.duration / 64, sc.duration)
-    assert sample_pairs(Pcg64(seed), *args) == sample_pairs(np.random.default_rng(seed), *args)
+    lo, hi = sc.duration / 64, sc.duration
+    r1, tau1, r2, tau2 = sample_pairs(sc.seed if seed is None else seed,
+                                      sc.verification["pairs"], sc.geom.r_max, lo, hi).T
+    assert len(r1) == sc.verification["pairs"]
+    assert np.all((0 <= r1) & (r1 < sc.geom.r_max) & (0 <= r2) & (r2 < sc.geom.r_max))
+    assert np.all((lo <= tau1) & (tau2 <= hi) & (tau2 - tau1 >= 1e-3))
+
+
+def test_sample_pairs_keep_the_gap_in_a_window_just_wider_than_it():
+    # tau1 + gap rounds, and can fall one ulp short of the gap; the pair is
+    # then moved up by that ulp, which can take tau2 one ulp past tau_hi
+    for seed in range(200):
+        lo, gap = 0.1 + seed / 300, 10.0 ** -(seed % 6 + 1)
+        hi = lo + gap
+        for _ in range(seed % 3 + 1):
+            hi = np.nextafter(hi, np.inf)
+        _, tau1, _, tau2 = sample_pairs(seed, 120, 1.0, lo, hi, min_gap=gap).T
+        assert np.all((lo <= tau1) & (tau2 <= np.nextafter(hi, np.inf)) & (tau2 - tau1 >= gap))
+
+
+def test_sample_pairs_are_the_r4_kronecker_points():
+    # x_i is the top 53 bits of frac(j phi^-i), phi the real root of
+    # x^5 = x + 1, at j = seed 2^32 + k + 1; on the unit window with no gap
+    # r1, r2 and tau1 are x1, x2 and x3 exactly.  Seeds far apart share no
+    # pair: two seeds read disjoint blocks of the sequence.
+    seeds = [0, 1, 2**40, 10**30]
+    with mpmath.workprec(400):
+        phi = mpmath.findroot(lambda x: x**5 - x - 1, mpmath.mpf("1.17"))
+        for seed in seeds:
+            pairs = sample_pairs(seed, 20, 1.0, 0.0, 1.0, min_gap=0.0)
+            for k, (r1, tau1, r2, _) in enumerate(pairs):
+                j = seed * 2**32 + k + 1
+                assert [r1, r2, tau1] == [
+                    int(mpmath.floor(mpmath.frac(j / phi**i) * 2**53)) * 2.0**-53
+                    for i in (1, 2, 3)], (seed, k)
+    rows = [sample_pairs(seed, 120, 2.0, 1 / 64, 1.0) for seed in seeds]
+    assert all(np.all(np.isfinite(pairs)) for pairs in rows)
+    assert len({tuple(pair) for pairs in rows for pair in pairs}) == 120 * len(seeds)
 
 
 def test_sample_pairs_refuses_a_window_no_wider_than_the_gap():
-    # no two times in the window are min_gap apart: refused before any draw,
-    # where the rejection loop would never end
-    class NoDraws:
-        def uniform(self, low, high, size):
-            raise AssertionError("drew from the generator")
-
     for tau_hi in (1e-3, 0.5e-3):
         with pytest.raises(HarnackError, match="too short"):
-            sample_pairs(NoDraws(), 10, 1.0, 0.0, tau_hi, min_gap=1e-3)
-    with pytest.raises(HarnackError, match="non-negative"):
-        Pcg64(-3)
+            sample_pairs(0, 10, 1.0, 0.0, tau_hi, min_gap=1e-3)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**40), v_inf=st.floats(1e-3, 1e3), H=st.floats(0.0, 1e3),
+       scale=st.floats(1.0, 1e3), alpha=st.floats(1.01, 8.0), b=st.floats(0.0, 2.0))
+def test_harnack_log_bound_monotone_on_design_pairs(seed, v_inf, H, scale, alpha, b):
+    # nonincreasing in the infimum of v, nondecreasing in H, at every pair
+    r1, tau1, r2, tau2 = sample_pairs(seed, 30, 2.0, 1 / 64, 1.0).T
+    energy = (r2 - r1) ** 2
+    at = lambda H, v_inf: harnack_log_bound(H, alpha, b, energy, v_inf, tau1, tau2)
+    assert np.all(at(H, v_inf * scale) <= at(H, v_inf))
+    assert np.all(at(H * scale, v_inf) >= at(H, v_inf))
 
 
 def test_harnack_harness_can_fail():
@@ -377,8 +408,7 @@ def test_harnack_follows_global_estimate_same_constants():
         samples = collect_sup_samples(sol, geom, params, nl, full, 1.0)
         q, = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [(family, eps)],
                             "global")
-        rng = np.random.default_rng(31)
-        pairs = sample_pairs(rng, 60, geom.r_max, 0.05, 1.0)
+        pairs = sample_pairs(31, 60, geom.r_max, 0.05, 1.0)
         rep = verify_harnack(sol, geom, params, q, pairs, 1.0,
                              float(np.min(samples.v)))
         assert rep["violations"] == 0

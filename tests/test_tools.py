@@ -1,4 +1,5 @@
 import ast
+import re
 import shutil
 from collections import defaultdict
 from pathlib import Path
@@ -122,3 +123,13 @@ def test_unused_import_guard_flags_an_added_import(tmp_path):
     line = len((tmp_path / "tests" / "test_params.py").read_text().splitlines())
     assert unused_imports(tmp_path / d.name for d in IMPORT_DIRS) == {
         ("test_params.py", line, "_never_read")}
+
+
+# ---------------------------------------------------------------------------
+# declared dependencies
+# ---------------------------------------------------------------------------
+
+def test_declared_numpy_floor_has_trapezoid():
+    # harnack.log_integral_margin calls np.trapezoid, which numpy 2.0 added
+    floor = re.search(r'"numpy>=(\d+)', (ROOT / "pyproject.toml").read_text())
+    assert floor and int(floor.group(1)) >= 2

@@ -13,7 +13,9 @@ its row count, header, least and greatest cell of each column, and sha256.
 The lines are the four scenario commands on every config in ``configs/``, the
 sweep on ``configs/sweep-p-alpha.json``, and: the negative control under
 ``--negative-control``; barenblatt's check-harnack at ``--seed 40``, whose
-Harnack bound overflows ``exp`` on some pairs; check-estimate and
+block of the pair design holds one pair, 1.5e-3 apart in time and 1.81 in
+r, whose Harnack bound overflows ``exp`` and reads ``inf`` in each family's
+rows of ``pairs.csv``; check-estimate and
 check-identities on ``perfbench/inputs/hyperbolic-bump.json``, the pole values
 of a curved warp under the identity residual gates; the wide sweep, serial and
 with ``--workers 2``, both held to the serial line's entry; and check-estimate
