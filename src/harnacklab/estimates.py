@@ -69,9 +69,9 @@ class CutoffProfile:
         out = -(math.pi**2 / 2.0) * np.cos(2.0 * th)
         return np.where((s <= 1.0) | (s >= 2.0), 0.0, out)
 
-    def certify(self, n: int = 20001) -> dict:
+    def certify(self) -> dict:
         """Dense-grid confirmation that (c1, c2) dominate the profile."""
-        s = np.linspace(0.0, 2.5, n)
+        s = np.linspace(0.0, 2.5, 20001)
         eta = self.value(s)
         d1 = self.slope(s)
         d2 = self.curvature(s)
@@ -506,9 +506,10 @@ class EstimateScope:
 
 
 def verify_estimate(scope: EstimateScope, variant: str, eps=None,
-                    tolerance_factor: float = 1e-6,
                     rhs_scale: float = 1.0) -> VerificationReport:
-    """Check one variant at one eps on its scope; margins = rhs - lhs >= -tol.
+    """Check one variant at one eps on its scope; margins = rhs - lhs >= -tol,
+    with tol = 1e-6 times the scope's scale.  A margin that is not finite
+    raises FloatingPointError: it is neither a pass nor a violation.
 
     ``rhs_scale`` != 1 is the negative-control hook: scaling the right side
     down must produce violations on honest scenarios.
@@ -519,7 +520,9 @@ def verify_estimate(scope: EstimateScope, variant: str, eps=None,
     quantities, = scope.quantities([(family, eps)])
     rhs = rhs_bound(variant, quantities, bounds, params, cyl.radius, scope.tau) * rhs_scale
     margin = rhs - scope.lhs
-    tol = tolerance_factor * scope.scale
+    if not np.all(np.isfinite(margin)):
+        raise FloatingPointError(f"check-estimate {variant} eps={eps}: margin is not finite")
+    tol = 1e-6 * scope.scale
     imin = int(np.argmin(margin))
     violations, min_margin = int(np.count_nonzero(margin < -tol)), float(margin[imin])
     eps_value = None if eps is None else float(eps)
@@ -579,9 +582,7 @@ def estimate_matrix(sc, rhs_scale: float = 1.0):
             scope.quantities([(variant_kind(v)[0], eps) for v in on_scope
                               for eps in eps_of[v]])
         for eps in eps_of[variant]:
-            yield verify_estimate(
-                scopes[name], variant, eps=eps,
-                tolerance_factor=ver["tolerance_factor"], rhs_scale=rhs_scale)
+            yield verify_estimate(scopes[name], variant, eps=eps, rhs_scale=rhs_scale)
 
 
 def eps_scan(params: HarnackParams, tau, family: str, fractions=(0.1, 0.5, 0.9)):
@@ -609,10 +610,10 @@ class NonlinearityConditions:
                 and (not self.convexity_exponents or self.convexity_scan))
 
 
-def nonlinearity_conditions(nl: Nonlinearity, p: float, alpha: float,
-                            v_grid=None, tol: float = 1e-12) -> NonlinearityConditions:
-    """Exponent ranges and a numeric scan for the two structure conditions on
-    the power sum of ``nl`` (its forcing is never evaluated).
+def nonlinearity_conditions(nl: Nonlinearity, p: float, alpha: float) -> NonlinearityConditions:
+    """Exponent ranges and a numeric scan, on v in [0.1, 10] and to a relative
+    1e-12, for the two structure conditions on the power sum of ``nl`` (its
+    forcing is never evaluated).
 
     Condition 1: dG/dv <= 0.  Condition 2:
     alpha (p-1) v G_vv - (alpha-1)(G/v - G_v) >= 0.
@@ -625,10 +626,10 @@ def nonlinearity_conditions(nl: Nonlinearity, p: float, alpha: float,
     cap = (1.0 - alpha) / (alpha * (p - 1.0))
     convex_exp = all(ex <= cap for ex in a_active) and all(0.0 <= ex <= 1.0 for ex in b_active)
 
-    v = np.asarray(v_grid if v_grid is not None else np.geomspace(0.1, 10.0, 181), dtype=float)
+    v = np.geomspace(0.1, 10.0, 181)
     G, G_v, G_vv = (np.zeros_like(v) if part is None else part
                     for part in (nl.G_vpart(v, k) for k in range(3)))
-    slope_scan = bool(np.all(G_v <= tol * np.maximum(1.0, np.abs(G_v).max())))
+    slope_scan = bool(np.all(G_v <= 1e-12 * np.maximum(1.0, np.abs(G_v).max())))
     expr = alpha * (p - 1) * v * G_vv - (alpha - 1) * (G / v - G_v)
-    convex_scan = bool(np.all(expr >= -tol * np.maximum(1.0, np.abs(expr).max())))
+    convex_scan = bool(np.all(expr >= -1e-12 * np.maximum(1.0, np.abs(expr).max())))
     return NonlinearityConditions(slope_exp, convex_exp, slope_scan, convex_scan)

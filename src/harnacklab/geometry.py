@@ -83,10 +83,11 @@ class WarpedGeometry:
     def is_static(self) -> bool:
         return self.metric_static and self.potential.time_independent
 
-    def validate_on(self, t_lo: float, t_hi: float, samples: int = 33):
-        """Sampled positivity and regularity checks on [0, r_max] x [t_lo, t_hi]."""
-        ts = np.linspace(t_lo, t_hi, samples)
-        rs = np.linspace(self.r_max / samples, self.r_max, samples)
+    def validate_on(self, t_lo: float, t_hi: float):
+        """Sampled positivity and regularity checks on [0, r_max] x [t_lo, t_hi],
+        at 33 radii and 33 times."""
+        ts = np.linspace(t_lo, t_hi, 33)
+        rs = np.linspace(self.r_max / 33, self.r_max, 33)
         rr, tt = np.meshgrid(rs, ts, indexing="ij")
         psi = self.warp(rr, tt)
         if np.any(psi <= 0):
@@ -278,9 +279,10 @@ class Cylinder:
         inside_t = (t >= self.t_lo - 1e-12) & (t <= self.t_hi + 1e-12)
         return (a * r <= self.radius * (1 + 1e-12)) & inside_t
 
-    def coordinate_reach(self, geom: WarpedGeometry, samples: int = 65) -> float:
-        """Largest coordinate radius the cylinder touches over its window."""
-        ts = np.linspace(self.t_lo, self.t_hi, samples)
+    def coordinate_reach(self, geom: WarpedGeometry) -> float:
+        """Largest coordinate radius the cylinder touches over its window,
+        sampled at 65 times."""
+        ts = np.linspace(self.t_lo, self.t_hi, 65)
         a = geom.conformal(np.zeros_like(ts), ts)
         return float(self.radius / np.min(a))
 

@@ -88,18 +88,18 @@ def harnack_log_bound(H: float, alpha: float, b: float, energy, v_inf: float, t1
 # the pair design
 # ---------------------------------------------------------------------------
 
-def sample_pairs(seed: int, n_pairs: int, r_max: float,
-                 tau_lo: float, tau_hi: float, min_gap: float = 1e-3):
+def sample_pairs(seed: int, n_pairs: int, r_max: float, tau_lo: float, tau_hi: float):
     """(n_pairs, 4) rows (r1, tau1, r2, tau2): pair k of ``seed`` maps the R4
     Kronecker point x_i = frac(j phi^-i), i = 1..4, j = seed 2^32 + k + 1, phi
     the real root of x^5 = x + 1 (Niederreiter, SIAM 1992), to r_max x1,
-    tau_lo + (tau_hi - tau_lo - min_gap) x3, r_max x2 and
-    tau1 + min_gap + (tau_hi - tau1 - min_gap) x4, so no pair is redrawn.  Each
-    x_i is the top 53 bits of the fraction in integer arithmetic as wide as j
-    needs: the same on every machine, and two seeds read disjoint blocks."""
-    if not tau_hi - tau_lo > min_gap:
-        raise HarnackError(f"no two pair times in [{tau_lo:g}, {tau_hi:g}] are "
-                           f"{min_gap:g} apart: the time window is too short")
+    tau_lo + (tau_hi - tau_lo - gap) x3, r_max x2 and
+    tau1 + gap + (tau_hi - tau1 - gap) x4, so no pair is redrawn.  The least
+    time gap is gap = 1e-3 tau_hi, so the design scales with the clock; the
+    window [tau_lo, tau_hi] is wider than it (check-harnack's is
+    [tau_hi/64, tau_hi]).  Each x_i is the top 53 bits of the fraction in
+    integer arithmetic as wide as j needs: the same on every machine, and two
+    seeds read disjoint blocks."""
+    gap = 1e-3 * tau_hi
     first = seed << 32
     bits = (first + n_pairs).bit_length() + 128
     # y = 2^bits / phi: Newton's method from above on the convex y^5 + y^4 = 1
@@ -110,10 +110,10 @@ def sample_pairs(seed: int, n_pairs: int, r_max: float,
     mask, steps = one - 1, [y**i >> (i - 1) * bits for i in range(1, 5)]
     x = np.array([[((first + k) * g & mask) >> (bits - 53) for g in steps]
                   for k in range(1, n_pairs + 1)], dtype=float).reshape(-1, 4) * 2.0**-53
-    tau1 = tau_lo + (tau_hi - tau_lo - min_gap) * x[:, 2]
-    tau2 = tau1 + min_gap + (tau_hi - tau1 - min_gap) * x[:, 3]
+    tau1 = tau_lo + (tau_hi - tau_lo - gap) * x[:, 2]
+    tau2 = tau1 + gap + (tau_hi - tau1 - gap) * x[:, 3]
     # the rounded sum can fall one ulp short of the gap
-    tau2 = np.where(tau2 - tau1 < min_gap, np.nextafter(tau2, np.inf), tau2)
+    tau2 = np.where(tau2 - tau1 < gap, np.nextafter(tau2, np.inf), tau2)
     return np.column_stack([r_max * x[:, 0], tau1, r_max * x[:, 1], tau2])
 
 
@@ -122,18 +122,18 @@ def sample_pairs(seed: int, n_pairs: int, r_max: float,
 # ---------------------------------------------------------------------------
 
 def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
-                   quantities: dict, pairs, t0_clock: float, v_inf: float,
-                   tolerance_factor: float = 1e-8):
+                   quantities: dict, pairs, t0_clock: float, v_inf: float):
     """Check v(x1,t1) <= bound * v(x2,t2) and the log-integral step at every
     pair (r1, tau1, r2, tau2) of ``pairs`` at once.
 
     Margins are in log space: margin = log_bound - [log v1 - log v2],
-    passed where margin >= -tolerance_factor * max(1, |log v1 - log v2|).
-    A log-integral margin below -tolerance_factor (unscaled) is a
-    log-integral violation.  ``bound`` is exp(log_bound), saturated to inf
-    where that overflows.  The result holds the ``pairs.csv`` columns as
-    arrays over the pairs, the ``passed`` mask, both violation counts, H and
-    v_inf.
+    passed where margin >= -1e-8 * max(1, |log v1 - log v2|).  A
+    log-integral margin below -1e-8 (unscaled) is a log-integral violation.
+    An H, margin or log-integral margin that is not finite raises
+    FloatingPointError: it is neither a pass nor a violation.  ``bound`` is
+    exp(log_bound), saturated to inf where that overflows.  The result holds
+    the ``pairs.csv`` columns as arrays over the pairs, the ``passed`` mask,
+    both violation counts, H and v_inf.
     """
     if v_inf <= 0:
         raise HarnackError("the bound needs a positive infimum of v")
@@ -153,14 +153,18 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
         raise HarnackError("v must be positive at both ends of every pair")
     log_ratio = np.log(v1) - np.log(v2)
     margin = log_bound - log_ratio
-    ok = margin >= -tolerance_factor * np.maximum(1.0, np.abs(log_ratio))
     log_margin = log_integral_margin(log_ratio, geom, alpha, b, H, v_inf,
                                      r1, tau1, r2, tau2, t0_clock)
+    for name, values in (("H", H), ("margin", margin), ("log-integral margin", log_margin)):
+        if not np.all(np.isfinite(values)):
+            raise FloatingPointError(f"check-harnack {quantities['family']} family: "
+                                     f"{name} is not finite")
+    ok = margin >= -1e-8 * np.maximum(1.0, np.abs(log_ratio))
     return {"r1": r1, "tau1": tau1, "r2": r2, "tau2": tau2, "energy": energy,
             "ratio": v1 / v2, "bound": bound, "margin": margin,
             "log_integral_margin": log_margin, "passed": ok,
             "violations": int(np.count_nonzero(~ok)),
-            "log_integral_violations": int(np.count_nonzero(log_margin < -tolerance_factor)),
+            "log_integral_violations": int(np.count_nonzero(log_margin < -1e-8)),
             "H": H, "v_inf": v_inf}
 
 

@@ -10,7 +10,6 @@ the rest of the document leaves unread fails loudly.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 
@@ -142,8 +141,8 @@ MANUFACTURED_CATALOG = {
 }
 
 
-def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometry:
-    geo = Section(doc, path)
+def parse_geometry(doc: dict, m: float) -> WarpedGeometry:
+    geo = Section(doc, "geometry")
     n = geo.number("n", integer=True, at_least=2)
     r_max = geo.number("r_max", above=0)
     preset = geo.get("preset", None)
@@ -155,21 +154,9 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
     label = " ".join([preset or "custom", *(f"{key}={rate:g}" for key, rate in rates.items()
                                             if rate)])
     if preset is not None:
-        # parameterized spellings: conformal-exp(rate), linear-warp(rate) set
-        # the matching rate key on the euclidean preset
-        match = re.fullmatch(r"(conformal-exp|linear-warp)\(([-+]?(?:\d+\.?\d*|\.\d+)"
-                             r"(?:[eE][-+]?\d+)?)\)", preset)
-        if match:
-            key = {"conformal-exp": "conformal_rate", "linear-warp": "warp_rate"}[match.group(1)]
-            if key in rates:
-                raise ConfigError(geo.where(key), f"the preset {preset} already sets it")
-            # a rate such as 1e999 overflows to inf; read_number refuses it
-            rates[key] = read_number(float(match.group(2)), geo.where("preset"))
-            preset = "euclidean"
         if preset not in GEOMETRY_PRESETS:
             raise ConfigError(geo.where("preset"),
-                              f"unknown preset; choose from {sorted(GEOMETRY_PRESETS)} "
-                              "or conformal-exp(rate) / linear-warp(rate)")
+                              f"unknown preset; choose from {sorted(GEOMETRY_PRESETS)}")
         if "warp" in geo:
             raise ConfigError(geo.where("warp"), "a preset fixes the warp; give one of them")
         warp = Profile(GEOMETRY_PRESETS[preset]["warp"], "warp")
@@ -204,7 +191,7 @@ def parse_geometry(doc: dict, m: float, path: str = "geometry") -> WarpedGeometr
             r_max=r_max, family=family, mode=mode, name=label,
         )
     except ValueError as exc:
-        raise ConfigError(path, str(exc))
+        raise ConfigError("geometry", str(exc))
 
 
 def parse_alpha_beta(harnack: Section, b: float) -> AlphaBeta:
@@ -368,9 +355,8 @@ def parse_scenario(doc: dict) -> Scenario:
     base = sol_doc.choice("base", setups, "manufactured") if kind == "numeric" else kind
     v_profile, oracle_u, nl = setups[base]()
 
-    floor_frac = pde_doc.number("floor_fraction", 1e-6)
-    u0 = oracle_u(grid.r, t0)
-    floor = max(floor_frac * float(np.max(u0)), 1e-300)
+    # the solver's positivity floor: a millionth of the initial peak of u
+    floor = max(1e-6 * float(np.max(oracle_u(grid.r, t0))), 1e-300)
     boundary = pde_doc.choice("boundary", BOUNDARY_POLICIES, "dirichlet-oracle")
     try:
         pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
@@ -388,9 +374,6 @@ def parse_scenario(doc: dict) -> Scenario:
     verification = {
         "variants": variants,
         "radius": ver_doc.number("radius", 0.45 * geom.r_max, above=0),
-        "tolerance_factor": ver_doc.number("tolerance_factor", 1e-6, at_least=0),
-        "harnack_tolerance_factor": ver_doc.number("harnack_tolerance_factor", 1e-8,
-                                                   at_least=0),
         "pairs": ver_doc.number("pairs", 120, integer=True, at_least=1),
         "sup_density": _read_density(ver_doc, "sup_density", [129, 65]),
         "eval_density": _read_density(ver_doc, "eval_density", [65, 33]),
@@ -454,4 +437,6 @@ def load_scenario(path) -> Scenario:
     doc = read_config(path)
     if not isinstance(doc, dict):
         raise ConfigError(str(path), f"expected a JSON object, got {type(doc).__name__}")
+    if "template" in doc:
+        raise ConfigError("template", "this is a sweep document; run it with the sweep command")
     return parse_scenario(doc)

@@ -341,9 +341,9 @@ def step(u: np.ndarray, params: PdeParams, grid: Grid, t: float, dt: float,
     return u_new, int(np.count_nonzero(clamped))
 
 
-def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
-          clamp_warn_fraction: float = 0.01) -> SolveResult:
-    """March the semi-implicit scheme across the grid's time nodes."""
+def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid) -> SolveResult:
+    """March the semi-implicit scheme across the grid's time nodes; the meta
+    data warn when more than 1% of the updates were clamped to the floor."""
     r = grid.r
     t_nodes = grid.t
     u = np.asarray(initial(r, t_nodes[0]) if callable(initial) else initial, dtype=float).copy()
@@ -374,7 +374,7 @@ def solve(initial, geom: WarpedGeometry, params: PdeParams, grid: Grid,
         "scheme": "semi-implicit lagged-coefficient finite volume",
         "clamp_events": clamps,
         "clamp_fraction": frac,
-        "clamp_warning": frac > clamp_warn_fraction,
+        "clamp_warning": frac > 0.01,
         "substeps": params.substeps,
     }
     u_field = ScalarField(U, grid, parity="even", positive=True)

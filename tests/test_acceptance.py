@@ -207,7 +207,7 @@ def test_criterion_4_estimate_matrix():
             for eps in eps_scan(sc.params, tau_probe, family, (0.1, 0.5, 0.9)):
                 scope = EstimateScope(sol, sc.geom, sc.params, sc.nonlinearity, cyl,
                                       sc.t0, variant_kind(variant)[1]).with_nodes()
-                rep = verify_estimate(scope, variant, eps=eps, tolerance_factor=1e-6)
+                rep = verify_estimate(scope, variant, eps=eps)
                 n_checks += 1
                 worst = min(worst, rep.min_margin)
                 assert rep.violations == 0, (doc["name"], variant, eps, rep.min_margin)
@@ -294,8 +294,7 @@ def test_criterion_6_harnack_pairs():
         for family in ("first", "second"):
             eps = 0.5 * params.eps_ceiling(tau_probe, family)
             q, = reduce_suprema(samples, bounds, params, geom.n, 0.9, [(family, eps)], "global")
-            rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf,
-                                 tolerance_factor=1e-8)
+            rep = verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
             assert rep["violations"] == 0, (name, family)
             assert np.min(rep["log_integral_margin"]) >= -1e-8, (name, family)
             total += len(pairs)

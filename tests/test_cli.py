@@ -179,7 +179,12 @@ BAD_VALUES = [
     ("harnack.eps_fractions", [-0.5]), ("verification.eps_fractions", [0.5]),
     ("verification.sup_density", [1, 1]), ("verification.sup_density", 65),
     ("verification.eval_density", [1, 1]), ("verification.eval_density", 65),
+    # settings that are constants of their checks, and preset spellings of the
+    # rate keys, are unknown, at any value
     ("verification.tolerance_factor", -1), ("verification.harnack_tolerance_factor", -1),
+    ("verification.tolerance_factor", 1e-6), ("verification.harnack_tolerance_factor", 1e-8),
+    ("pde.floor_fraction", 1e-6), ("geometry.preset", "linear-warp(0.2)"),
+    ("geometry.preset", "conformal-exp(0.1)"),
     # preset pairs read from tau = 0, where exp and linear start at alpha = 1
     # and coth (alpha) and linear (beta) are singular
     ("harnack.alpha", {"preset": "exp", "gamma": 1}),
@@ -187,8 +192,7 @@ BAD_VALUES = [
     ("harnack.alpha", {"preset": "linear", "gamma": 1}),
     # at gamma 0 the exp preset is alpha == 1 on every clock
     ("harnack.alpha", {"preset": "exp", "gamma": 0, "clock_offset": 0.5}),
-    # a preset rate that is not a number, or overflows to inf, and a preset that
-    # is not a string
+    # presets that are not names of a preset, and one that is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
     ("geometry.preset", 5),
     # a choice or an expression of the wrong type, and expression strings that
@@ -274,10 +278,7 @@ def test_field_without_pole_series_names_its_key(tmp_path, capsys, command):
     ({"preset": "euclidean", "warp": "r"}, "geometry.warp"),
     ({"preset": "euclidean", "conformal": "exp(t/10)", "conformal_rate": 0.1},
      "geometry.conformal"),
-    ({"preset": "conformal-exp(0.1)", "conformal": "exp(t)"}, "geometry.conformal"),
     ({"warp": "1 + r", "warp_rate": 0.2}, "geometry.warp_rate"),
-    ({"preset": "conformal-exp(0.1)", "conformal_rate": 0.2}, "geometry.conformal_rate"),
-    ({"preset": "linear-warp(0.2)", "warp_rate": 0.1}, "geometry.warp_rate"),
     ({"preset": "hyperbolic", "warp_rate": 0.2}, "geometry.warp_rate"),
 ], ids=lambda x: json.dumps(x))
 def test_geometry_key_another_would_replace_rejected(tmp_path, capsys, geometry, key):
@@ -301,11 +302,11 @@ def test_harnack_beta_beside_preset_alpha_rejected(tmp_path, capsys, beta):
 
 
 @pytest.mark.parametrize("geometry, name", [
-    ({"preset": "linear-warp(0.2)"}, "linear-warp(0.2)"),
+    ({"preset": "euclidean", "warp_rate": 0.2}, "euclidean warp_rate=0.2"),
     ({"preset": "gaussian-weight", "conformal_rate": 0.1, "potential_drift": 0.1},
      "gaussian-weight conformal_rate=0.1 potential_drift=0.1"),
     ({"preset": "gaussian-weight", "warp_rate": 0.2, "potential_drift": 0}, "gaussian-weight warp_rate=0.2"),
-    ({"preset": "conformal-exp(0.1)"}, "conformal-exp(0.1)"),
+    ({"preset": "euclidean", "conformal_rate": 0.1}, "euclidean conformal_rate=0.1"),
     ({"warp": "sinh(r)", "conformal_rate": 0.05}, "custom conformal_rate=0.05"),
 ], ids=lambda x: json.dumps(x))
 def test_geometry_named_as_the_config_spells_it(geometry, name):
@@ -365,9 +366,9 @@ def test_commands_make_no_symbolic_derivatives(tmp_path, monkeypatch):
     assert main(["check-estimate", "--config", str(CONFIGS / "gaussian-conformal.json"),
                  "--out", str(tmp_path / "estimate")]) == EXIT_OK
     assert calls == []
-    # the geometry is named by the preset spelling the config gave
+    # the geometry is named by its preset and the rate keys the config gave
     lines = (out / "summary.txt").read_text().splitlines()
-    assert lines[2] == "geometry: linear-warp(0.2) (evolving-warp, n=3, m=4)"
+    assert lines[2] == "geometry: euclidean warp_rate=0.2 (evolving-warp, n=3, m=4)"
 
 
 def test_sweep_cap_must_be_an_integer(tmp_path):
@@ -552,8 +553,7 @@ def test_check_estimate_computes_scope_constants_once(tmp_path, monkeypatch):
             sc.solution_handle(), sc.geom, sc.params, sc.nonlinearity, cyl, sc.t0,
             estimates.variant_kind(rep.variant)[1], density=ver["sup_density"],
         ).with_nodes(ver["eval_density"])
-        alone = estimates.verify_estimate(scope, rep.variant, eps=rep.eps,
-                                          tolerance_factor=ver["tolerance_factor"])
+        alone = estimates.verify_estimate(scope, rep.variant, eps=rep.eps)
         assert np.array_equal(rep.margin, alone.margin), (rep.variant, rep.eps)
 
 
@@ -750,28 +750,55 @@ def test_cli_harnack_bound_overflow_exits_by_verdict(tmp_path, capsys, case):
         assert any(row["bound"] == "inf" for row in csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("case", ["short-clock", "near-gap-clock", "negative-seed"])
+@pytest.mark.parametrize("case", ["negative-seed"])
 def test_cli_harnack_refuses_pairs_it_cannot_draw(tmp_path, capsys, case):
-    # a clock no longer than the pairs' least time gap holds no pair, and a
-    # negative seed picks no block of the sequence; a clock only just longer
-    # holds pairs, each at least the gap apart, and none is redrawn
+    # a negative seed picks no block of the sequence
+    code = main(["check-harnack", "--config", str(CONFIGS / "barenblatt.json"),
+                 "--seed", "-3", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: --seed: ")
+
+
+@pytest.mark.parametrize("case", ["short-clock", "near-gap-clock"])
+def test_cli_harnack_pairs_follow_the_clock(tmp_path, case):
+    # the least time gap is 1e-3 of the clock, so a clock of any length holds
+    # pairs, each at least the gap apart, and none is redrawn
     doc = json.loads((CONFIGS / "barenblatt.json").read_text())
-    doc["time"]["duration"] = 0.001 if case == "short-clock" else 0.00102
-    args, message = ["--config", write_config(tmp_path, doc)], "no two pair times"
-    if case == "negative-seed":
-        args, message = ["--config", str(CONFIGS / "barenblatt.json"), "--seed", "-3"], "--seed: "
+    duration = doc["time"]["duration"] = 0.001 if case == "short-clock" else 0.00102
     out = tmp_path / "out"
     started = time.perf_counter()
-    code = main(["check-harnack", *args, "--out", str(out)])
+    code = main(["check-harnack", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert time.perf_counter() - started < 5.0
-    if case == "near-gap-clock":
-        assert code in (EXIT_OK, EXIT_VIOLATION)
-        with open(out / "pairs.csv") as fh:
-            assert all(float(row["tau2"]) - float(row["tau1"]) >= 1e-3
-                       for row in csv.DictReader(fh))
-    else:
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert code in (EXIT_OK, EXIT_VIOLATION)
+    with open(out / "pairs.csv") as fh:
+        gaps = [float(row["tau2"]) - float(row["tau1"]) for row in csv.DictReader(fh)]
+    assert len(gaps) == 240 and min(gaps) >= 1e-3 * duration
+
+
+def test_non_finite_identity_row_exits_numerical(tmp_path, capsys):
+    # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is 1e-218
+    # and its square underflows: a NaN residual is neither a pass nor a
+    # violation
+    doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
+    doc["time"]["duration"] = 1000
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["check-identities", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: check-identities harnack-evolution-identity: value nan")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack"])
+def test_sweep_document_refused_by_scenario_commands(tmp_path, capsys, command):
+    code = main([command, "--config", str(CONFIGS / "sweep-p-alpha.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == ("configuration error: template: this is a sweep "
+                                       "document; run it with the sweep command\n")
 
 
 def test_cli_solve_writes_solution(tmp_path):
@@ -884,7 +911,7 @@ def test_sweep_cap_enforced(tmp_path):
 
 def test_parameterized_geometry_presets():
     doc = barenblatt_doc(
-        geometry={"preset": "conformal-exp(0.1)", "n": 2, "r_max": 2.0},
+        geometry={"preset": "euclidean", "conformal_rate": 0.1, "n": 2, "r_max": 2.0},
         solution={"kind": "manufactured", "catalog": "bump"},
         verification={"radius": 0.5},
     )
@@ -892,7 +919,7 @@ def test_parameterized_geometry_presets():
     sc = parse_scenario(doc)
     assert sc.geom.family == "conformal-evolving"
     doc2 = barenblatt_doc(
-        geometry={"preset": "linear-warp(0.2)", "n": 3, "r_max": 2.0},
+        geometry={"preset": "euclidean", "warp_rate": 0.2, "n": 3, "r_max": 2.0},
         harnack={"m": 3.0, "alpha": 2.0},
         solution={"kind": "manufactured", "catalog": "bump"},
         verification={"radius": 0.4},

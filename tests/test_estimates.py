@@ -414,6 +414,22 @@ def test_verify_estimate_negative_control():
     assert any("negative-control" in f for f in control.summary["flags"])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_margin_is_a_numerical_failure(value):
+    # a NaN margin fails no "margin < -tol" test; it is neither a pass nor a
+    # violation, and names the check
+    geom = make_geometry("euclidean", n=2)
+    params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
+    scope = EstimateScope(AnalyticSolution(barenblatt_pressure_profile(2, 2.0, 1.0)), geom,
+                          params, Nonlinearity(), Cylinder(0.9, 1.0, 2.0), 1.0,
+                          "global").with_nodes()
+    assert verify_estimate(scope, "first-global", eps=0.1).violations == 0
+    scope.lhs = scope.lhs.copy()
+    scope.lhs[5] = value
+    with pytest.raises(FloatingPointError, match="check-estimate first-global eps=0.1: margin"):
+        verify_estimate(scope, "first-global", eps=0.1)
+
+
 def test_verify_estimate_deterministic():
     geom = make_geometry("euclidean", n=2)
     prof = barenblatt_pressure_profile(2, 2.0, 1.0)

@@ -148,6 +148,22 @@ def test_harnack_bound_overflow_stays_in_log_space(monkeypatch):
     assert rep["margin"][0] == pytest.approx(expect - math.log(rep["ratio"][0]), rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["H", "margin", "log-integral margin"])
+def test_non_finite_harnack_value_is_a_numerical_failure(monkeypatch, name):
+    # an H, margin or log-integral margin that is not finite is neither a pass
+    # nor a violation, and names the check; an infinite bound is not gated
+    geom, _, params, sol, q, v_inf = _barenblatt_quantities()
+    pairs = [(0.3, 0.5, 0.6, 0.9)]
+    if name == "H":
+        q = {**q, "q0": math.nan}
+    elif name == "margin":
+        monkeypatch.setattr(harnack, "path_energy", lambda *args: np.array([math.inf]))
+    else:
+        monkeypatch.setattr(harnack, "log_integral_margin", lambda *args: np.array([math.nan]))
+    with pytest.raises(FloatingPointError, match=f"check-harnack first family: {name} is not"):
+        verify_harnack(sol, geom, params, q, pairs, 1.0, v_inf)
+
+
 def test_harnack_bound_validation():
     geom, _, params, sol, q, v_inf = _barenblatt_quantities()
     with pytest.raises(HarnackError):
@@ -317,45 +333,42 @@ def test_sample_pairs_lie_in_the_window_at_shipped_seeds(config, seed):
                                       sc.verification["pairs"], sc.geom.r_max, lo, hi).T
     assert len(r1) == sc.verification["pairs"]
     assert np.all((0 <= r1) & (r1 < sc.geom.r_max) & (0 <= r2) & (r2 < sc.geom.r_max))
-    assert np.all((lo <= tau1) & (tau2 <= hi) & (tau2 - tau1 >= 1e-3))
+    assert np.all((lo <= tau1) & (tau2 <= hi) & (tau2 - tau1 >= 1e-3 * hi))
 
 
 def test_sample_pairs_keep_the_gap_in_a_window_just_wider_than_it():
-    # tau1 + gap rounds, and can fall one ulp short of the gap; the pair is
-    # then moved up by that ulp, which can take tau2 one ulp past tau_hi
+    # the gap is 1e-3 tau_hi; tau1 + gap rounds, and can fall one ulp short of
+    # the gap; the pair is then moved up by that ulp, which can take tau2 one
+    # ulp past tau_hi
     for seed in range(200):
-        lo, gap = 0.1 + seed / 300, 10.0 ** -(seed % 6 + 1)
-        hi = lo + gap
+        hi = (1.0 + seed / 300) * 10.0 ** (seed % 7 - 3)
+        gap = 1e-3 * hi
+        lo = hi - gap
         for _ in range(seed % 3 + 1):
-            hi = np.nextafter(hi, np.inf)
-        _, tau1, _, tau2 = sample_pairs(seed, 120, 1.0, lo, hi, min_gap=gap).T
+            lo = np.nextafter(lo, -np.inf)
+        _, tau1, _, tau2 = sample_pairs(seed, 120, 1.0, lo, hi).T
         assert np.all((lo <= tau1) & (tau2 <= np.nextafter(hi, np.inf)) & (tau2 - tau1 >= gap))
 
 
 def test_sample_pairs_are_the_r4_kronecker_points():
     # x_i is the top 53 bits of frac(j phi^-i), phi the real root of
-    # x^5 = x + 1, at j = seed 2^32 + k + 1; on the unit window with no gap
-    # r1, r2 and tau1 are x1, x2 and x3 exactly.  Seeds far apart share no
-    # pair: two seeds read disjoint blocks of the sequence.
+    # x^5 = x + 1, at j = seed 2^32 + k + 1; on the unit window r1 and r2 are
+    # x1 and x2 exactly, and tau1 is x3 times the window less the gap, 0.999.
+    # Seeds far apart share no pair: two seeds read disjoint blocks of the
+    # sequence.
     seeds = [0, 1, 2**40, 10**30]
     with mpmath.workprec(400):
         phi = mpmath.findroot(lambda x: x**5 - x - 1, mpmath.mpf("1.17"))
         for seed in seeds:
-            pairs = sample_pairs(seed, 20, 1.0, 0.0, 1.0, min_gap=0.0)
+            pairs = sample_pairs(seed, 20, 1.0, 0.0, 1.0)
             for k, (r1, tau1, r2, _) in enumerate(pairs):
                 j = seed * 2**32 + k + 1
-                assert [r1, r2, tau1] == [
-                    int(mpmath.floor(mpmath.frac(j / phi**i) * 2**53)) * 2.0**-53
-                    for i in (1, 2, 3)], (seed, k)
+                x = [int(mpmath.floor(mpmath.frac(j / phi**i) * 2**53)) * 2.0**-53
+                     for i in (1, 2, 3)]
+                assert [r1, r2, tau1] == [x[0], x[1], (1.0 - 1e-3) * x[2]], (seed, k)
     rows = [sample_pairs(seed, 120, 2.0, 1 / 64, 1.0) for seed in seeds]
     assert all(np.all(np.isfinite(pairs)) for pairs in rows)
     assert len({tuple(pair) for pairs in rows for pair in pairs}) == 120 * len(seeds)
-
-
-def test_sample_pairs_refuses_a_window_no_wider_than_the_gap():
-    for tau_hi in (1e-3, 0.5e-3):
-        with pytest.raises(HarnackError, match="too short"):
-            sample_pairs(0, 10, 1.0, 0.0, tau_hi, min_gap=1e-3)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

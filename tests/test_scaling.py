@@ -1,0 +1,147 @@
+"""The parabolic scaling group as an exact oracle.
+
+Slow diffusion and the estimates' hypotheses are invariant under x -> lam x
+(g -> lam^2 g), t -> mu t, v -> (lam^2/mu) v and G -> (lam^2/mu^2) G.  The
+bounds move by their units (k -> k/lam^2; k_lo, k_hi -> ./mu; k2, l2 ->
+./(lam mu); l1 -> ./lam), the cylinder radius by lam and beta by 1/mu, and
+alpha and eps stay.  Every left-hand side scales by 1/mu, so a covariant
+right-hand side, every margin and H scale by 1/mu, and the Harnack log
+margins do not move.  With lam and mu powers of two each floating-point
+operation commutes with the map, so a config's scaled twin reproduces its
+margins to the bit: the check needs no slack, no tolerance and no second
+transcription, and it runs the whole pipeline (parse, jets, bound
+extraction, sup sampling and the right-hand sides).
+
+The twin is written as expressions: the warp lam f(r/lam, t/mu), the
+potential and the conformal factor at (r/lam, t/mu), the pressure
+(lam^2/mu) v(r/lam, t/mu), each power-sum coefficient A_j times
+lam^(2 - 2 a_j) mu^(a_j - 2), and r_max, the radius, t0 and the duration
+scaled.
+"""
+
+import dataclasses
+import functools
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from harnacklab import cli, estimates
+from harnacklab.estimates import estimate_matrix
+from harnacklab.scenarios import load_scenario, parse_scenario
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCALES = [(2.0, 4.0), (1.0, 2.0)]
+# the shipped configs whose bounds have k2 = 0
+COVARIANT = ["gaussian-conformal", "hyperbolic-manufactured", "powerlaw-static"]
+# ulps of its own value each Harnack log margin of a twin may move by: at
+# lam^2 = mu the pressure keeps its values and the map is exact; at (1, 2) it
+# halves, and log(v/2) rounds apart from log v - log 2 (1 to 3 ulps measured)
+HARNACK_ULPS = {(2.0, 4.0): 0, (1.0, 2.0): 3}
+
+
+def scaled_twin(name: str, lam: float, mu: float) -> dict:
+    """The config ``configs/<name>.json`` with space scaled by lam, time by
+    mu and the pressure by lam^2/mu, its fields written as expressions."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    sc = parse_scenario(doc)
+
+    def at(profile) -> str:
+        scale = {"r": lam, "t": mu}
+        return re.sub(r"\b[rt]\b", lambda x: f"({x[0]}/{scale[x[0]]!r})", profile.source)
+
+    geom = sc.geom
+    doc["geometry"] = {"n": geom.n, "r_max": lam * geom.r_max, "mode": geom.mode,
+                       "warp": f"{lam!r}*({at(geom.warp)})",
+                       "potential": at(geom.potential), "conformal": at(geom.conformal)}
+    doc["solution"] = {"kind": "manufactured", "expr": f"{lam**2 / mu!r}*({at(sc.v_profile)})"}
+    doc["time"] = {"t0": mu * sc.t0, "duration": mu * sc.duration}
+    doc.setdefault("verification", {})["radius"] = lam * sc.verification["radius"]
+    if "beta" in doc["harnack"]:
+        doc["harnack"]["beta"] /= mu
+    power = doc["pde"].get("nonlinearity") or {}
+    for coef, expo in (("A", "a"), ("B", "b")):
+        if coef in power:
+            power[coef] = [c * lam ** (2 - 2 * e) * mu ** (e - 2)
+                           for c, e in zip(power[coef], power[expo])]
+    return doc
+
+
+def estimate_margins(sc) -> list:
+    return [(rep.variant, rep.eps, rep.margin) for rep in estimate_matrix(sc)]
+
+
+def harnack_reports(sc) -> list:
+    """The :func:`verify_harnack` result of each family that check-harnack checks."""
+    reports = []
+
+    def recorded(*args, _original=cli.verify_harnack):
+        reports.append(_original(*args))
+        return reports[-1]
+
+    original, cli.verify_harnack = cli.verify_harnack, recorded
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            cli.cmd_check_harnack(sc, Path(out))
+    finally:
+        cli.verify_harnack = original
+    return reports
+
+
+@functools.cache
+def shipped(name: str, command):
+    """``command`` run on the shipped config, once for every twin."""
+    return command(load_scenario(CONFIGS / f"{name}.json"))
+
+
+def assert_margins_scale(original, twin, mu):
+    assert [(variant, eps) for variant, eps, _ in twin] == [
+        (variant, eps) for variant, eps, _ in original]
+    for (variant, eps, margin), (_, _, twin_margin) in zip(original, twin):
+        assert np.array_equal(mu * twin_margin, margin), (variant, eps)
+
+
+@pytest.mark.parametrize("lam, mu", SCALES)
+@pytest.mark.parametrize("name", COVARIANT)
+def test_estimate_margins_scale_by_one_over_mu(name, lam, mu):
+    twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
+    assert_margins_scale(shipped(name, estimate_margins), twin, mu)
+
+
+@pytest.mark.parametrize("lam, mu", SCALES)
+@pytest.mark.parametrize("name", COVARIANT)
+def test_harnack_log_margins_are_invariant(name, lam, mu):
+    # the pair design scales with the clock, its least gap 1e-3 tau_hi included
+    original = shipped(name, harnack_reports)
+    twin = harnack_reports(parse_scenario(scaled_twin(name, lam, mu)))
+    assert len(twin) == len(original) == 2
+    ulps = HARNACK_ULPS[lam, mu]
+    for rep, twin_rep in zip(original, twin):
+        assert mu * twin_rep["H"] == rep["H"]
+        for key in ("margin", "log_integral_margin"):
+            moved = np.abs(twin_rep[key] - rep[key])
+            assert np.all(moved <= ulps * np.spacing(np.abs(rep[key]))), (key, np.max(moved))
+
+
+@pytest.mark.parametrize("lam, mu", SCALES)
+def test_evolving_warp_departs_only_by_its_k2_terms(monkeypatch, lam, mu):
+    # N's 2 (p-1) v_sup k2 scales as lam/mu against the other terms and M's
+    # 2 k2 / w as mu/lam; with k2 patched to 0 the margins scale exactly
+    name = "evolving-warp-identities"
+    original = shipped(name, estimate_margins)
+    twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
+    assert not all(np.array_equal(mu * twin_margin, margin)
+                   for (_, _, margin), (_, _, twin_margin) in zip(original, twin))
+
+    def without_k2(*args, _original=estimates.extract_bounds, **kwargs):
+        bounds = _original(*args, **kwargs)
+        assert bounds.k2 > 0
+        return dataclasses.replace(bounds, k2=0.0)
+
+    monkeypatch.setattr(estimates, "extract_bounds", without_k2)
+    original = estimate_margins(load_scenario(CONFIGS / f"{name}.json"))
+    twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
+    assert_margins_scale(original, twin, mu)

@@ -423,7 +423,7 @@ def _scalar_face_densities_and_masses(J, grid, t):
 @pytest.mark.parametrize("label", ["euclidean", "gaussian", "linear-warp"])
 def test_volume_density_quadrature_matches_scalar_form(label):
     if label == "linear-warp":
-        geom = parse_geometry({"preset": "linear-warp(0.2)", "n": 3, "r_max": 2.0,
+        geom = parse_geometry({"preset": "euclidean", "warp_rate": 0.2, "n": 3, "r_max": 2.0,
                                "potential": "r**2*(1 + t/9)/2"}, 4.0)
     else:
         geom = make_geometry(label, n=2, m=4 if label == "gaussian" else None)

@@ -80,11 +80,110 @@ def test_unread_definition_guard_flags_an_added_def(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# unused-import guard
+# unset-parameter guard
 # ---------------------------------------------------------------------------
 
 ROOT = SRC.parent.parent
 IMPORT_DIRS = (SRC, ROOT / "tests", ROOT / "tools")
+
+# defaulted parameters of src/ functions that no call in src/, tests/ or
+# tools/ sets, each with its reason
+UNSET_ALLOWED = {
+    "cli.cmd_check_estimate(negative_control)": "main sets it from --negative-control "
+                                                "through **options",
+    "cli.run_sweep(workers)": "main sets it from --workers through **options",
+}
+
+
+def _defaulted(fn, method: bool) -> dict:
+    """Each defaulted parameter of ``fn`` -> its position in a call's
+    arguments (past ``self`` for a method), or None when keyword-only."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    skip = 1 if method else 0
+    first = len(positional) - len(args.defaults)
+    out = {name: i - skip for i, name in enumerate(positional) if i >= first}
+    out.update((a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None)
+    return out
+
+
+def unset_parameters(src: Path, dirs) -> set:
+    """``module.qualname(param)`` of each defaulted parameter of a ``def`` in
+    ``src/*.py`` that no call in ``dirs/*.py`` sets.  A call is matched to
+    every ``def`` of its callee's name (a class name reaches ``__init__``), and
+    sets a parameter by keyword, by position, through ``*args`` (every
+    positional one) or through ``**kwargs`` (every one)."""
+    defs = []                       # (qualified name, call name, defaulted)
+
+    def collect(node, prefix, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                collect(child, f"{prefix}.{child.name}", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                call = cls if child.name == "__init__" else child.name
+                defs.append((f"{prefix}.{child.name}", call,
+                             _defaulted(child, cls is not None and not static)))
+                collect(child, f"{prefix}.{child.name}", None)
+            elif isinstance(child, _BLOCKS):
+                collect(child, prefix, cls)
+
+    for path in sorted(src.glob("*.py")):
+        collect(ast.parse(path.read_text(), str(path)), path.stem, None)
+    by_call = defaultdict(list)
+    for qualified, call, defaulted in defs:
+        by_call[call].append((qualified, defaulted))
+        if qualified.endswith(".__init__"):
+            by_call["__init__"].append((qualified, defaulted))
+    unset = {f"{qualified}({name})" for qualified, _, defaulted in defs for name in defaulted}
+    for path in sorted(p for d in dirs for p in d.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if type(node) is not ast.Call:
+                continue
+            func = node.func
+            call = (func.id if type(func) is ast.Name
+                    else func.attr if type(func) is ast.Attribute else None)
+            keywords = {k.arg for k in node.keywords}
+            starred = any(type(a) is ast.Starred for a in node.args)
+            for qualified, defaulted in by_call.get(call, ()):
+                for name, position in defaulted.items():
+                    if (name in keywords or None in keywords or position is not None
+                            and (starred or position < len(node.args))):
+                        unset.discard(f"{qualified}({name})")
+    return unset
+
+
+def test_src_has_no_unset_parameters():
+    unset = unset_parameters(SRC, IMPORT_DIRS)
+    assert unset - set(UNSET_ALLOWED) == set(), "a default no call in src/, tests/ or tools/ sets"
+    assert set(UNSET_ALLOWED) - unset == set(), "allowed as unset but set by some call"
+
+
+def test_unset_parameter_guard_flags_an_added_default(tmp_path):
+    # by is set by position, plus through *, again by keyword, y through **
+    # and the class's own scale by its name; shift by nothing
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "def _scaled(x, by=2.0, plus=0.0, *, shift=0.0, again=1.0):\n"
+        "    return by * x + plus + shift + again\n\n\n"
+        "def _kw(x, y=1.0):\n    return x + y\n\n\n"
+        "class Box:\n    def __init__(self, scale=1.0):\n        self.scale = scale\n")
+    (tmp_path / "use.py").write_text(
+        "def uses(args, kwargs):\n"
+        "    return _scaled(1.0, 2.0, again=3.0) + _scaled(*args) + _kw(1.0, **kwargs)\n\n\n"
+        "box = Box(2.0)\n")
+    assert unset_parameters(tmp_path / "src", [tmp_path]) == {"mod._scaled(shift)"}
+    (tmp_path / "use.py").write_text("box = Box()\n")
+    assert unset_parameters(tmp_path / "src", [tmp_path]) == {
+        f"mod.{name}" for name in ("_scaled(by)", "_scaled(plus)", "_scaled(shift)",
+                                   "_scaled(again)", "_kw(y)", "Box.__init__(scale)")}
+
+
+# ---------------------------------------------------------------------------
+# unused-import guard
+# ---------------------------------------------------------------------------
 
 
 def unused_imports(dirs) -> set:
