@@ -2,7 +2,7 @@
 inequalities for weighted slow diffusion on rotationally symmetric smooth
 metric measure spaces."""
 
-from .fields import Grid, ScalarField, convergence_order, diff
+from .fields import Grid, ScalarField, diff
 from .geometry import (Cylinder, GeometryBounds, WarpedGeometry, bakry_emery_eigs,
                        curvature_eigs, extract_bounds, metric_speed_eigs)
 from .params import AlphaBeta, HarnackParams, constant_alpha_beta, preset_alpha_beta

@@ -289,18 +289,15 @@ def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: Harn
              np.sqrt(cst["F"]) * quad]
     if eps is None:
         # the static forms divide the last sup by sqrt(w) and weight it by
-        # b sqrt(w); the local scope adds the cutoff slope
-        b, p, m = params.b, params.p, params.m
+        # b sqrt(w); their slope adds K, which at k_lo = 0 (as they require)
+        # is the local scope's cutoff slope and 0 on the global scope
+        p, m = params.p, params.m
         al, alp = s.alpha, s.alpha_p
         drift = 2.0 * al * (p - 1) * v_sup * (m - 1) * bounds.k - alp
         last = (((al / 2.0) * (s.G / s.v - s.G_v)
                  - al**2 * (p - 1) / (2.0 * (al - 1.0)) * s.v * s.G_vv
                  + drift / (2.0 * (al - 1.0))) / np.sqrt(family_weight(family, al)))
-        static_slope = _family_slope(family, s)
-        if scope == "local":
-            static_slope = static_slope + (b * al**2 * p**2 * v_sup * CUTOFF.c1**2
-                                           / (2.0 * (al - 1.0) * radius**2))
-        terms += [s.G_x_norm, static_slope, last]
+        terms += [s.G_x_norm, _family_slope(family, s) + cst["K"], last]
     return np.array([np.max(x) for x in terms])
 
 

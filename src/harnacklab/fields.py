@@ -1,4 +1,4 @@
-"""Uniform space-time grids, finite-difference stencils and convergence orders.
+"""Uniform space-time grids and finite-difference stencils.
 
 The first-derivative stencils are second order: centered in the interior,
 one-sided three-point at boundaries, and symmetry-based at the pole.  A second
@@ -107,17 +107,3 @@ def diff(fld: ScalarField, which: str) -> ScalarField:
         return ScalarField(vals, g, parity=fld.parity)
     vals = _d1(fld.values, g.dr, 0, pole=g.pole, parity=fld.parity)
     return ScalarField(vals, g, parity="odd" if fld.parity == "even" else "even")
-
-
-def convergence_order(samples) -> float:
-    """Least-squares slope of log(err) against log(h)."""
-    samples = list(samples)
-    if len(samples) < 3:
-        raise FieldError("need at least 3 (h, err) samples")
-    h = np.asarray([s[0] for s in samples], dtype=float)
-    e = np.asarray([s[1] for s in samples], dtype=float)
-    if np.any(np.diff(h) >= 0):
-        raise FieldError("h must be strictly decreasing")
-    if np.any(e <= 0):
-        raise FieldError("errors must be positive")
-    return float(np.polyfit(np.log(h), np.log(e), 1)[0])

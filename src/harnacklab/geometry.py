@@ -2,8 +2,8 @@
 
 The spatial slice is a warped product ``dr^2 + psi(r,t)^2 g_sphere`` of
 dimension ``n``, optionally scaled by a conformal factor ``a(t)^2``, with
-weighted measure ``exp(-phi) dv_g``.  Three evolution families are
-supported:
+weighted measure ``exp(-phi) dv_g``.  The profile that evolves decides
+which of three evolution families a geometry belongs to:
 
 * ``static-warp``      -- metric time independent (``a`` constant, ``psi(r)``)
 * ``conformal-evolving`` -- ``g(t) = a(t)^2 g_0`` with ``psi`` time independent
@@ -24,7 +24,6 @@ import numpy as np
 from .jets import d_r, exp
 from .symfun import Profile
 
-FAMILIES = ("static-warp", "conformal-evolving", "evolving-warp")
 MODES = ("pole", "annulus")
 
 
@@ -46,8 +45,7 @@ class WarpedGeometry:
     conformal: Profile
     potential: Profile
     r_max: float
-    family: str
-    mode: str = "pole"
+    mode: str | None = None         # None: the annulus if the warp evolves, else the pole
     name: str = ""
 
     def __post_init__(self):
@@ -55,8 +53,9 @@ class WarpedGeometry:
             raise GeometryError(f"dimension n must be an integer >= 2, got {self.n}")
         if self.m < self.n:
             raise GeometryError(f"synthetic dimension m = {self.m} must be >= n = {self.n}")
-        if self.family not in FAMILIES:
-            raise GeometryError(f"unknown family {self.family!r}")
+        if self.mode is None:
+            object.__setattr__(self, "mode",
+                               "annulus" if self.family == "evolving-warp" else "pole")
         if self.mode not in MODES:
             raise GeometryError(f"unknown mode {self.mode!r}")
         if self.r_max <= 0:
@@ -65,16 +64,17 @@ class WarpedGeometry:
             raise GeometryError("m == n requires a constant potential")
         if "r" in self.conformal.coords:
             raise GeometryError("conformal factor must depend on t only")
-        if self.family == "conformal-evolving" and not self.warp.time_independent:
-            raise GeometryError("conformal-evolving family requires a static warp")
         if self.family == "evolving-warp":
             if not (self.conformal.is_constant() and abs(self.conformal(0.0, 0.0) - 1.0) < 1e-15):
-                raise GeometryError("evolving-warp family requires a == 1")
-        if self.family == "static-warp":
-            if not (self.warp.time_independent and self.conformal.time_independent):
-                raise GeometryError("static-warp family requires time-independent metric data")
+                raise GeometryError("an evolving warp requires a == 1")
 
     # -- basic structure ----------------------------------------------------
+    @property
+    def family(self) -> str:
+        """The evolution family: which profile evolves."""
+        return ("evolving-warp" if not self.warp.time_independent else
+                "static-warp" if self.conformal.time_independent else "conformal-evolving")
+
     @property
     def metric_static(self) -> bool:
         return self.family == "static-warp"

@@ -366,8 +366,6 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
 def evolution_identity_rhs(tt: TermTable):
     """Right-hand side of the exact evolution identity for F."""
     p = tt.params.p
-    m = tt.params.m
-    n = tt.geom.n
     al, alp = tt.alpha, tt.alpha_p
     rhs = (
         -((p - 1) * tt.lap_v) ** 2
@@ -398,10 +396,11 @@ def harnack_evolution_residual(solution, geom, params, nonlinearity, r=None, t=N
 
 
 def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool = False):
-    """Upper bounds for L[F]: raw curvature stage, completed-square stage in
-    F, and the stage with the geometric bounds substituted."""
+    """Upper bounds for L[F]: the identity's right side with two steps
+    added (pointwise), the completed square in F (quadratic), and that
+    square with the geometric bounds substituted (bounded)."""
     p, m, n = tt.params.p, tt.params.m, tt.geom.n
-    al, alp, b = tt.alpha, tt.alpha_p, tt.b
+    al, b = tt.alpha, tt.b
     if np.any(al < 1.0):
         raise IdentityError("inequality stages require alpha >= 1")
     if stage == "pointwise":
@@ -410,22 +409,14 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
             if not tt.geom.metric_static:
                 raise IdentityError("sharper quadratic factor is only valid for static metrics")
             factor = (2 + m * (p - 1)) / (m * (p - 1))
-        return (
-            -factor * ((p - 1) * tt.lap_v) ** 2
-            + (2 / tt.v) * (al - 1) * tt.h_vv
-            - 2 * (p - 1) * tt.ric_m_vv
-            + 2 * p * tt.gradF_pair
-            + (p - 1) * al**2 * tt.h_norm2
-            + al * (p - 1) * tt.divh_pair
-            + al * (p - 1) * tt.phit_pair
-            + (2 / tt.v) * (1 - al) * tt.gradG_pair
-            - al * (p - 1) * tt.lap_G_full
-            - 2 * al * (p - 1) * tt.h_phi_pair
-            + (al - 1) * (tt.grad2 / tt.v) * (tt.G / tt.v)
-            + alp * tt.G / tt.v
-            - alp * tt.v_t / tt.v
-            - tt.beta_p
-        )
+        # the identity plus two steps, each >= 0: the Hessian step by the
+        # m-trace inequality, with Young's inequality absorbing the metric
+        # speed's pairing, and the dropped square
+        hessian_step = ((1 - factor) * ((p - 1) * tt.lap_v) ** 2
+                        + 2 * (p - 1) * (tt.hess2 + tt.sharp_pair)
+                        + (p - 1) * al * (al * tt.h_norm2 - 2 * tt.h_hess))
+        dropped_square = (al - 1) * (tt.v_t / tt.v - tt.G / tt.v) ** 2
+        return evolution_identity_rhs(tt) + hessian_step + dropped_square
     # the completed square in F over the estimate's brackets: with the metric's
     # pointwise terms, or with the aggregates of the bounds (v for sup v)
     if stage == "quadratic":

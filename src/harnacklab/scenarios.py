@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimates import VARIANTS
+from .estimates import VARIANTS, variant_kind
 from .fields import Grid
-from .geometry import MODES, GeometryError, WarpedGeometry
+from .geometry import MODES, Cylinder, GeometryError, WarpedGeometry
 from .identities import AnalyticSolution, GridSolution
 from .jets import PoleEvaluationError
 from .params import (AlphaBeta, HarnackParams, ParamError, constant_alpha_beta,
@@ -181,14 +181,12 @@ def parse_geometry(doc: dict, m: float) -> WarpedGeometry:
                           "the warp; it goes only with a preset whose warp is r")
     if rate := rates.get("warp_rate"):
         warp = Profile(f"1 + (1 + {rate!r}*t)*r", "warp")
-    family = ("evolving-warp" if not warp.time_independent
-              else "conformal-evolving" if not conformal.time_independent else "static-warp")
-    mode = geo.choice("mode", MODES, "annulus" if family == "evolving-warp" else "pole")
+    mode = geo.choice("mode", MODES) if "mode" in geo else None
     geo.close()
     try:
         return WarpedGeometry(
             n=n, m=float(m), warp=warp, conformal=conformal, potential=potential,
-            r_max=r_max, family=family, mode=mode, name=label,
+            r_max=r_max, mode=mode, name=label,
         )
     except ValueError as exc:
         raise ConfigError("geometry", str(exc))
@@ -388,6 +386,12 @@ def parse_scenario(doc: dict) -> Scenario:
         geom.validate_on(t0, t0 + duration)
     except GeometryError as exc:
         raise ConfigError(f"geometry.{exc.key}" if exc.key else "geometry", str(exc))
+    # a local variant samples its constants on the cylinder of twice the radius
+    if any(variant_kind(v)[1] == "local" for v in variants):
+        try:
+            Cylinder(verification["radius"], t0, t0 + duration).require_inside(geom, 2.0)
+        except GeometryError as exc:
+            raise ConfigError(ver_doc.where("radius"), str(exc))
     # the estimates read the pair from tau = 0, the first sup-sample time
     try:
         coeffs.check_admissible(np.linspace(0.0, duration, 65))

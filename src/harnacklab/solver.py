@@ -211,8 +211,7 @@ def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
 def _flat_geometry(n: int) -> WarpedGeometry:
     return WarpedGeometry(
         n=n, m=float(n), warp=Profile("r", "psi"), conformal=constant_profile(1.0, "a"),
-        potential=constant_profile(0.0, "phi"), r_max=1e9, family="static-warp",
-        mode="pole", name="flat",
+        potential=constant_profile(0.0, "phi"), r_max=1e9, name="flat",
     )
 
 

@@ -31,21 +31,12 @@ def make_geometry(kind, n=2, m=None, r_max=2.0, conformal="1", potential=None,
     }
     if potential is None:
         potential = "r**2/2" if kind == "gaussian" else "0"
-    conf, phi = Profile(conformal, "a"), Profile(potential, "phi")
-    if kind == "warp":
-        family = "evolving-warp"
-        mode = mode or "annulus"
-    elif not conf.time_independent:
-        family = "conformal-evolving"
-        mode = mode or "pole"
-    else:
-        family = "static-warp"
-        mode = mode or "pole"
+    phi = Profile(potential, "phi")
     if m is None:
         m = float(n) if phi.is_constant() else float(n + 2)
     return WarpedGeometry(
-        n=n, m=float(m), warp=Profile(warps[kind], "psi"), conformal=conf,
-        potential=phi, r_max=r_max, family=family, mode=mode, name=kind,
+        n=n, m=float(m), warp=Profile(warps[kind], "psi"), conformal=Profile(conformal, "a"),
+        potential=phi, r_max=r_max, mode=mode, name=kind,
     )
 
 
@@ -93,6 +84,20 @@ def sample_points(r_max=1.8, include_pole=True, n_r=16, n_t=7, t_lo=0.5, t_hi=1.
     r = np.linspace(0.0 if include_pole else 0.05, r_max, n_r)[:, None]
     t = np.linspace(t_lo, t_hi, n_t)[None, :]
     return r, t
+
+
+def convergence_order(samples) -> float:
+    """Least-squares slope of log(err) against log(h)."""
+    samples = list(samples)
+    if len(samples) < 3:
+        raise ValueError("need at least 3 (h, err) samples")
+    h = np.asarray([s[0] for s in samples], dtype=float)
+    e = np.asarray([s[1] for s in samples], dtype=float)
+    if np.any(np.diff(h) >= 0):
+        raise ValueError("h must be strictly decreasing")
+    if np.any(e <= 0):
+        raise ValueError("errors must be positive")
+    return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
 # ---------------------------------------------------------------------------

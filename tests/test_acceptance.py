@@ -13,7 +13,7 @@ from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
 from harnacklab.estimates import (EstimateScope, aggregates, collect_sup_samples, eps_scan,
                                   metric_aggregate, reduce_suprema, rhs_bound, variant_kind,
                                   verify_estimate)
-from harnacklab.fields import Grid, convergence_order
+from harnacklab.fields import Grid
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.harnack import sample_pairs, verify_harnack
 from harnacklab.identities import (AnalyticSolution, GridSolution, bochner_residual,
@@ -26,7 +26,7 @@ from harnacklab.solver import (Nonlinearity, PdeParams, barenblatt_oracle,
                                pressure_inverse, solve, validate_barenblatt, weighted_mass)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import adjudicate_commutator, make_geometry, variant_label
+from conftest import adjudicate_commutator, convergence_order, make_geometry, variant_label
 
 
 def report(criterion, ok, detail):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -778,15 +779,18 @@ def test_cli_harnack_pairs_follow_the_clock(tmp_path, case):
 def test_non_finite_identity_row_exits_numerical(tmp_path, capsys):
     # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is 1e-218
     # and its square underflows: a NaN residual is neither a pass nor a
-    # violation
+    # violation, and the run says so in one line, with no numpy warning
     doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
     doc["time"]["duration"] = 1000
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["check-identities", "--config", write_config(tmp_path, doc),
                      "--out", str(out)])
     assert code == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith(
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(
         "numerical failure: check-identities harnack-evolution-identity: value nan")
     assert not out.exists()
 
@@ -940,6 +944,26 @@ def test_static_variant_guard_maps_to_config_exit(tmp_path):
     code = main(["check-estimate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["check-estimate", "check-harnack", "check-identities"])
+def test_local_cylinder_that_does_not_fit_refused_at_radius(tmp_path, capsys, command):
+    # a local variant samples Q_2R, which at radius 1.2 reaches past r_max = 2
+    doc = json.loads((CONFIGS / "barenblatt.json").read_text())
+    doc["verification"]["radius"] = 1.2
+    code = main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: verification.radius: cylinder of radius 2.4 reaches "
+        "coordinate radius 2.4 > r_max = 2.0\n")
+
+
+def test_global_variants_need_no_doubled_cylinder(tmp_path):
+    doc = barenblatt_doc(verification={"radius": 1.2, "variants": ["first-global"]})
+    code = main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
 
 
 def test_preset_alpha_scenario_with_clock_offset(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab.fields import Grid, convergence_order, diff
+from harnacklab.fields import Grid, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  WarpedGeometry, angular_drift_product,
                                  bakry_emery_eigs, curvature_eigs, extract_bounds,
@@ -9,7 +9,7 @@ from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  potential_radial_slope)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import field_from_function, make_geometry
+from conftest import convergence_order, field_from_function, make_geometry
 
 
 def test_flat_space_is_ricci_flat():
@@ -158,8 +158,8 @@ def test_metric_speed_conformal_exponential():
 
 def test_metric_speed_evolving_warp_table():
     geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
-                          constant_profile(1.0), constant_profile(0.0),
-                          2.0, "evolving-warp", mode="annulus")
+                          constant_profile(1.0), constant_profile(0.0), 2.0)
+    assert (geom.family, geom.mode) == ("evolving-warp", "annulus")
     rad, ang, gh = metric_speed_eigs(geom, 1.0, 0.0)
     assert rad == 0.0
     assert ang == pytest.approx(0.1, rel=1e-13)
@@ -221,20 +221,28 @@ def test_empty_cylinder_rejected():
 
 
 def test_family_validation():
-    with pytest.raises(GeometryError):
-        WarpedGeometry(2, 2.0, Profile("sinh(r)"), Profile("exp(t)"),
-                       constant_profile(0.0), 2.0, "static-warp")
+    # the profile that evolves decides the family and the default mode
+    for warp, conformal, family, mode in [
+            ("sinh(r)", "1", "static-warp", "pole"),
+            ("sinh(r)", "exp(t)", "conformal-evolving", "pole"),
+            ("1 + r*(1 + t)", "1", "evolving-warp", "annulus")]:
+        geom = WarpedGeometry(2, 2.0, Profile(warp), Profile(conformal),
+                              constant_profile(0.0), 2.0)
+        assert (geom.family, geom.mode) == (family, mode)
+    with pytest.raises(GeometryError, match="an evolving warp requires a == 1"):
+        WarpedGeometry(2, 2.0, Profile("1 + r*(1 + t)"), Profile("exp(t)"),
+                       constant_profile(0.0), 2.0)
     with pytest.raises(GeometryError):
         WarpedGeometry(1, 1.0, Profile("r"), constant_profile(1.0),
-                       constant_profile(0.0), 2.0, "static-warp")
+                       constant_profile(0.0), 2.0)
 
 
 def test_pole_regularity_validation():
     geom = WarpedGeometry(2, 2.0, Profile("sinh(r)"), constant_profile(1.0),
-                          constant_profile(0.0), 2.0, "static-warp", mode="pole")
+                          constant_profile(0.0), 2.0, mode="pole")
     geom.validate_on(0.0, 1.0)
     bad = WarpedGeometry(2, 2.0, Profile("2*r"), constant_profile(1.0),
-                         constant_profile(0.0), 2.0, "static-warp", mode="pole")
+                         constant_profile(0.0), 2.0, mode="pole")
     with pytest.raises(GeometryError):
         bad.validate_on(0.0, 1.0)
 
@@ -242,6 +250,6 @@ def test_pole_regularity_validation():
 def test_pole_mode_evolving_warp_speed_rejected_at_pole():
     geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
                           constant_profile(1.0), constant_profile(0.0),
-                          2.0, "evolving-warp", mode="pole")
+                          2.0, mode="pole")
     with pytest.raises(GeometryError):
         metric_speed_eigs(geom, np.array([0.0, 0.5]), 0.5)

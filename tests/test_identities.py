@@ -1,7 +1,11 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import sympy as sp
 
-from harnacklab.fields import Grid, ScalarField, convergence_order, diff
+from harnacklab.fields import Grid, ScalarField, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
                                    TermTable, bochner_residual, harnack_evolution_residual,
@@ -14,8 +18,8 @@ from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import (G_jet, adjudicate_commutator, commutator_variant_residuals,
-                      field_from_function, make_geometry, params_for, sample_points,
-                      variant_label)
+                      convergence_order, field_from_function, make_geometry, params_for,
+                      sample_points, variant_label)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +423,31 @@ def test_alpha_equal_one_limit_drops_square_exactly(bump_profile, euclid3):
     table = TermTable(AnalyticSolution(bump_profile), euclid3, params, nl, r=r, t=t)
     dropped = (1 - table.alpha) * (table.v_t / table.v - table.G / table.v) ** 2
     assert np.max(np.abs(dropped)) == 0.0
+
+
+def test_quadratic_stage_is_the_pointwise_stage_in_a_function_field():
+    # with G independent of x and alpha a constant, the quadratic stage only
+    # rewrites the pointwise one in F: with F's definition and the pressure
+    # equation substituted, the two are the same rational function over QQ
+    # of the remaining terms, each free: alpha', beta and beta' at a point and
+    # the metric's terms, so the metric may evolve
+    metric = ("ric_m_vv", "h_vv", "h_hess", "h_phi_pair", "divh_pair", "h_norm2", "phit_pair")
+    K, *gens = sp.field(["p", "m", "v", "lap_v", "grad2", "grad_norm", "G", "G_v", "G_vv",
+                         "alpha_p", "beta", "beta_p", "gradF_pair", "hess2", "sharp_pair",
+                         *metric], sp.QQ)
+    p, m, v, lap_v, grad2, grad_norm, G, G_v, G_vv, alpha_p, beta, beta_p, *rest = gens
+    al, zero = Fraction(3, 2), K.zero
+    v_t = (p - 1) * v * lap_v + grad2 + G
+    b = m * (p - 1) / (1 + m * (p - 1))
+    table = SimpleNamespace(
+        params=SimpleNamespace(p=p, m=m, b=b), geom=SimpleNamespace(n=2), b=b,
+        alpha=al, alpha_p=alpha_p, beta=beta, beta_p=beta_p,
+        v=v, v_t=v_t, lap_v=lap_v, grad2=grad2, grad_norm=grad_norm,
+        F=grad2 / v - al * v_t / v + al * G / v - beta,
+        G=G, G_v=G_v, G_vv=G_vv, G_x_norm=zero, lap_Gx=zero,
+        gradG_pair=G_v * grad2, lap_G_full=G_vv * grad2 + G_v * lap_v,
+        **dict(zip(("gradF_pair", "hess2", "sharp_pair", *metric), rest)))
+    assert inequality_rhs("quadratic", table) - inequality_rhs("pointwise", table) == 0
 
 
 def test_inequality_margins_grid_mode():

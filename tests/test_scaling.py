@@ -19,8 +19,10 @@ lam^(2 - 2 a_j) mu^(a_j - 2), and r_max, the radius, t0 and the duration
 scaled.
 """
 
+import copy
 import dataclasses
 import functools
+import inspect
 import json
 import re
 import tempfile
@@ -31,7 +33,8 @@ import pytest
 
 from harnacklab import cli, estimates
 from harnacklab.estimates import estimate_matrix
-from harnacklab.scenarios import load_scenario, parse_scenario
+from harnacklab.scenarios import parse_scenario
+from harnacklab.solver import barenblatt_pressure_profile
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SCALES = [(2.0, 4.0), (1.0, 2.0)]
@@ -41,12 +44,30 @@ COVARIANT = ["gaussian-conformal", "hyperbolic-manufactured", "powerlaw-static"]
 # lam^2 = mu the pressure keeps its values and the map is exact; at (1, 2) it
 # halves, and log(v/2) rounds apart from log v - log 2 (1 to 3 ulps measured)
 HARNACK_ULPS = {(2.0, 4.0): 0, (1.0, 2.0): 3}
+# configs derived from a shipped one: its name and the top-level keys replaced
+DERIVED = {
+    # the self-similar pressure as a manufactured field, as its twin is
+    "barenblatt-manufactured": ("barenblatt", {"solution": {
+        "kind": "manufactured", "expr": barenblatt_pressure_profile(2, 2.0, 1.0).source}}),
+    # a closure forcing that depends on x, with a power sum of G_vv != 0 whose
+    # integer exponent makes each coefficient scale, lam^4 / mu^3, a power of two
+    "hyperbolic-power-sum": ("hyperbolic-manufactured", {"pde": {
+        "p": 2.5, "nonlinearity": {"form": "power-sum", "A": [0.25], "a": [-1]}}}),
+}
+
+
+def config(name: str) -> dict:
+    """The document of ``configs/<name>.json`` or of a :data:`DERIVED` config."""
+    if name in DERIVED:
+        base, keys = DERIVED[name]
+        return {**config(base), **copy.deepcopy(keys)}
+    return json.loads((CONFIGS / f"{name}.json").read_text())
 
 
 def scaled_twin(name: str, lam: float, mu: float) -> dict:
-    """The config ``configs/<name>.json`` with space scaled by lam, time by
+    """The config :func:`config` ``name`` with space scaled by lam, time by
     mu and the pressure by lam^2/mu, its fields written as expressions."""
-    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc = config(name)
     sc = parse_scenario(doc)
 
     def at(profile) -> str:
@@ -93,8 +114,8 @@ def harnack_reports(sc) -> list:
 
 @functools.cache
 def shipped(name: str, command):
-    """``command`` run on the shipped config, once for every twin."""
-    return command(load_scenario(CONFIGS / f"{name}.json"))
+    """``command`` run on the config ``name``, once for every twin."""
+    return command(parse_scenario(config(name)))
 
 
 def assert_margins_scale(original, twin, mu):
@@ -105,7 +126,7 @@ def assert_margins_scale(original, twin, mu):
 
 
 @pytest.mark.parametrize("lam, mu", SCALES)
-@pytest.mark.parametrize("name", COVARIANT)
+@pytest.mark.parametrize("name", COVARIANT + list(DERIVED))
 def test_estimate_margins_scale_by_one_over_mu(name, lam, mu):
     twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
     assert_margins_scale(shipped(name, estimate_margins), twin, mu)
@@ -142,6 +163,38 @@ def test_evolving_warp_departs_only_by_its_k2_terms(monkeypatch, lam, mu):
         return dataclasses.replace(bounds, k2=0.0)
 
     monkeypatch.setattr(estimates, "extract_bounds", without_k2)
-    original = estimate_margins(load_scenario(CONFIGS / f"{name}.json"))
+    original = estimate_margins(parse_scenario(config(name)))
     twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
     assert_margins_scale(original, twin, mu)
+
+
+def mutant(function: str, original: str, replacement: str):
+    """The function ``estimates.<function>`` with the text ``original`` of its
+    source, which must occur once, replaced."""
+    source = inspect.getsource(getattr(estimates, function))
+    assert source.count(original) == 1
+    namespace = dict(vars(estimates))
+    exec(source.replace(original, replacement), namespace)
+    return namespace[function]
+
+
+# mutants that change a term's units, each with the twin and scale that see
+# it: a factor 1/R in the localization by lam, which gaussian-conformal's
+# local variants see at (2, 4); a factor v in a bracket by lam^2/mu, hidden at
+# (2, 4), which moves a margin of the power-sum twin at (1, 2) by more than
+# 1% (2.2% and 7.8%; G_vv is 0 on every shipped config)
+@pytest.mark.parametrize("function, original, replacement, name, lam, mu", [
+    ("_localization_term", "(v_sup / radius**2)", "(v_sup / radius)",
+     "gaussian-conformal", 2.0, 4.0),
+    ("estimate_brackets", "al * (p - 1) * s.v * s.G_vv", "al * (p - 1) * s.G_vv",
+     "hyperbolic-power-sum", 1.0, 2.0),
+    ("estimate_brackets", "al * (p - 1) * s.lap_Gx", "al * (p - 1) * s.v * s.lap_Gx",
+     "hyperbolic-power-sum", 1.0, 2.0),
+])
+def test_a_twin_kills_each_mutant_of_the_units(monkeypatch, function, original, replacement,
+                                               name, lam, mu):
+    monkeypatch.setattr(estimates, function, mutant(function, original, replacement))
+    margins = estimate_margins(parse_scenario(config(name)))
+    twin = estimate_margins(parse_scenario(scaled_twin(name, lam, mu)))
+    assert max(np.max(np.abs(mu * twin_margin / margin - 1.0))
+               for (_, _, margin), (_, _, twin_margin) in zip(margins, twin)) > 0.01

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab.fields import Grid, convergence_order
+from harnacklab.fields import Grid
 from harnacklab.geometry import phi_laplacian_eval
 from harnacklab.solver import (Nonlinearity, PdeParams, SolverError,
                                barenblatt_exponents, barenblatt_oracle,
@@ -13,7 +13,7 @@ from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
 
-from conftest import G_jet, make_geometry
+from conftest import G_jet, convergence_order, make_geometry
 
 
 def test_pressure_examples_and_roundtrip():
