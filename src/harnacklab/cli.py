@@ -187,11 +187,8 @@ def cmd_check_identities(sc: Scenario, out: Path):
     residual_row("operator-quotient-rule",
                  quotient_rule_residual(f, g, sc.v_profile, geom, params.p, r, t))
 
-    # one term table serves the identity and every inequality stage; where
-    # the pressure underflows its quotients are 0/0, and the NaN row is
-    # refused below
-    with np.errstate(invalid="ignore"):
-        resid, table = harnack_evolution_residual(sol, geom, params, nl, r=r, t=t)
+    # one term table serves the identity and every inequality stage
+    resid, table = harnack_evolution_residual(sol, geom, params, nl, r=r, t=t)
     lpv_scale = max(1.0, float(np.max(np.abs(table.LpvF))))
     residual_row("harnack-evolution-identity", resid, scale=lpv_scale)
     residual_row("weighted-bochner", bochner_residual(sc.v_profile, geom, r, t))

@@ -126,9 +126,9 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
     """Check v(x1,t1) <= bound * v(x2,t2) and the log-integral step at every
     pair (r1, tau1, r2, tau2) of ``pairs`` at once.
 
-    Margins are in log space: margin = log_bound - [log v1 - log v2],
-    passed where margin >= -1e-8 * max(1, |log v1 - log v2|).  A
-    log-integral margin below -1e-8 (unscaled) is a log-integral violation.
+    Margins are in log space: margin = log_bound - log(v1/v2), passed
+    where margin >= -1e-8 * max(1, |log(v1/v2)|).  A log-integral margin
+    below -1e-8 (unscaled) is a log-integral violation.
     An H, margin or log-integral margin that is not finite raises
     FloatingPointError: it is neither a pass nor a violation.  ``bound`` is
     exp(log_bound), saturated to inf where that overflows.  The result holds
@@ -151,7 +151,8 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
     v1, v2 = solution.value(r1, t1_abs), solution.value(r2, t2_abs)
     if np.any(v1 <= 0) or np.any(v2 <= 0):
         raise HarnackError("v must be positive at both ends of every pair")
-    log_ratio = np.log(v1) - np.log(v2)
+    ratio = v1 / v2
+    log_ratio = np.log(ratio)
     margin = log_bound - log_ratio
     log_margin = log_integral_margin(log_ratio, geom, alpha, b, H, v_inf,
                                      r1, tau1, r2, tau2, t0_clock)
@@ -161,7 +162,7 @@ def verify_harnack(solution, geom: WarpedGeometry, params: HarnackParams,
                                      f"{name} is not finite")
     ok = margin >= -1e-8 * np.maximum(1.0, np.abs(log_ratio))
     return {"r1": r1, "tau1": tau1, "r2": r2, "tau2": tau2, "energy": energy,
-            "ratio": v1 / v2, "bound": bound, "margin": margin,
+            "ratio": ratio, "bound": bound, "margin": margin,
             "log_integral_margin": log_margin, "passed": ok,
             "violations": int(np.count_nonzero(~ok)),
             "log_integral_violations": int(np.count_nonzero(log_margin < -1e-8)),
@@ -176,7 +177,7 @@ def log_integral_margin(log_ratio, geom: WarpedGeometry, alpha: float, b: float,
     f(x1,t1) - f(x2,t2) <= int alpha |dgamma/dt|^2 / (4 m_inf) dt
                            + int h(t)/alpha dt,   h(t) = b alpha^2/t + H,
     along the straight radial path traversed over [t1, t2]; ``log_ratio``
-    is the left side, log v(x1,t1) - log v(x2,t2).  The caller checks
+    is the left side, log(v(x1,t1) / v(x2,t2)).  The caller checks
     0 < tau1 < tau2 and v_inf > 0.
     """
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)

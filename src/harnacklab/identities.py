@@ -179,19 +179,24 @@ class _RadialTerms:
             self.h_norm2 = (n - 1) * (psi_t / psi) ** 2
 
 
+def harnack_quantity(v, grad2, v_t, G, alpha, beta):
+    """F = |grad v|^2 / v - alpha v_t / v + alpha G / v - beta, on arrays or
+    on series."""
+    return grad2 / v - alpha * v_t / v + alpha * G / v - beta
+
+
 class TermTable(_RadialTerms):
     """All pointwise quantities entering the identities, on one point set.
 
-    In analytic mode the derivatives of the Harnack quantity F are composed
-    from the solution's partial table with explicit product/quotient rules.
+    F is written once, by :func:`harnack_quantity`, and differentiated: in
+    analytic mode its partials are read off the series of F, in grid mode
+    off the stencils of the F field.
     """
 
     def __init__(self, solution, geom: WarpedGeometry, params: HarnackParams,
                  nonlinearity: Nonlinearity, r=None, t=None):
         self.geom = geom
         self.params = params
-        self.nl = nonlinearity
-        self.solution = solution
         rr, tt = solution.points(r, t)
         self.r, self.t = rr, tt
         n, m, p = geom.n, params.m, params.p
@@ -199,8 +204,7 @@ class TermTable(_RadialTerms):
             raise IdentityError(
                 f"params.m = {m} disagrees with the geometry's m = {geom.m}")
 
-        # the chain rule reads partials up to (3, 0), (2, 1) and (0, 2)
-        part = self.partials = solution.table(3, 2, rr, tt)
+        part = solution.table(2, 1, rr, tt)
         self.v = part[0, 0]
         if np.any(self.v <= 0):
             raise IdentityError("pressure field not positive on the requested points")
@@ -228,61 +232,32 @@ class TermTable(_RadialTerms):
         self.beta_p = coeffs.beta_prime_at(tt)
         self.b = params.b
 
-        self.F = (self.grad2 / self.v - self.alpha * self.v_t / self.v
-                  + self.alpha * self.G / self.v - self.beta)
-        self._assemble_F_derivatives()
-
-    # -- F derivatives -------------------------------------------------------
-    def _assemble_F_derivatives(self):
-        if isinstance(self.solution, GridSolution):
-            grid = self.solution.field.grid
-            F_field = ScalarField(self.F, grid, parity="even")
+        if isinstance(solution, GridSolution):
+            self.F = harnack_quantity(self.v, self.grad2, self.v_t, self.G, self.alpha, self.beta)
+            F_field = ScalarField(self.F, solution.field.grid, parity="even")
             F_r = diff(F_field, "d_r")
-            self.F_r = F_r.values
+            self.F_r, F_rr = F_r.values, diff(F_r, "d_r").values
             self.F_t = diff(F_field, "d_t").values
-            self.lap_F = phi_laplacian_eval(self.geom, self.r, self.t, self.F_r,
-                                            diff(F_r, "d_r").values)
         else:
-            self._chain_rule_F()
-        self.LpvF = self.F_t - (self.params.p - 1) * self.v * self.lap_F
+            F = _series_of_F(solution.profile, geom.conformal, coeffs,
+                             nonlinearity).table(2, 1, rr, tt)
+            self.F, self.F_t, self.F_r, F_rr = F[0, 0], F[0, 1], F[1, 0], F[2, 0]
+        self.lap_F = phi_laplacian_eval(geom, rr, tt, self.F_r, F_rr)
+        self.LpvF = self.F_t - (p - 1) * self.v * self.lap_F
         self.gradF_pair = self.F_r * self.v_r / self.a2
 
-    def _chain_rule_F(self):
-        """F_r, F_t, F_rr from the solution's partial table.
 
-        With W = |grad v|^2 and the composed forcing value G(t, x, v(x,t)),
-        F = W/v - alpha v_t/v + alpha G/v - beta; all derivatives below are
-        total derivatives of that composition.
-        """
-        rr, tt = self.r, self.t
-        part = self.partials
-        v, v_r, v_rr, v_t = self.v, self.v_r, self.v_rr, self.v_t
-        v_rt, v_tt, v_rrr, v_rrt = part[1, 1], part[0, 2], part[3, 0], part[2, 1]
-        a, a2 = self.a, self.a2
-        a_rate = self.geom.conformal.at(0, 1, rr, tt) / a
-        nl = self.nl
-        G, G_v = self.G, self.G_v
-        C_r = self.G_x + G_v * v_r
-        C_t = nl.G_t(tt, rr, v) + G_v * v_t
-        C_rr = self.G_xx + self.G_vv * v_r**2 + G_v * v_rr
-        W = self.grad2
-        W_r = 2 * v_r * v_rr / a2
-        W_rr = 2 * (v_rr**2 + v_r * v_rrr) / a2
-        W_t = 2 * v_r * v_rt / a2 - 2 * a_rate * W
-        al, alp = self.alpha, self.alpha_p
-        self.F_t = (W_t / v - W * v_t / v**2
-                    - alp * v_t / v - al * v_tt / v + al * v_t**2 / v**2
-                    + alp * G / v + al * C_t / v - al * G * v_t / v**2
-                    - self.beta_p)
-        self.F_r = (W_r / v - W * v_r / v**2
-                    - al * v_rt / v + al * v_t * v_r / v**2
-                    + al * C_r / v - al * G * v_r / v**2)
-        F_rr = (W_rr / v - 2 * W_r * v_r / v**2 - W * v_rr / v**2 + 2 * W * v_r**2 / v**3
-                - al * v_rrt / v + 2 * al * v_rt * v_r / v**2
-                + al * v_t * v_rr / v**2 - 2 * al * v_t * v_r**2 / v**3
-                + al * C_rr / v - 2 * al * C_r * v_r / v**2
-                - al * G * v_rr / v**2 + 2 * al * G * v_r**2 / v**3)
-        self.lap_F = phi_laplacian_eval(self.geom, rr, tt, self.F_r, F_rr)
+def _series_of_F(v: Profile, a: Profile, coeffs, nl: Nonlinearity) -> Profile:
+    """F as a profile, by arithmetic on the series of v, the conformal factor
+    a, alpha, beta and the composed forcing G(t, x, v)."""
+    def series(r, t):
+        V = v.jet(r, t)
+        return harnack_quantity(V, d_r(V) ** 2 / a.jet(r, t) ** 2, d_t(V), nl.G_jet(t, r, V),
+                                coeffs.alpha.jet(r, t), coeffs.beta.jet(r, t))
+
+    orders = [prof.orders for prof in (a, coeffs.alpha, coeffs.beta, nl.forcing) if prof]
+    return Profile.of_jets(series, np.max([np.add(v.orders, (1, 1)), *orders], axis=0),
+                           "harnack_quantity")
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +338,18 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
 # evolution identity and inequality chain for F
 # ---------------------------------------------------------------------------
 
+def geometry_terms(tt: TermTable):
+    """The evolution identity's terms in the Bakry-Emery Ricci tensor, the
+    metric speed h and the potential's speed, which the quadratic stage
+    keeps as they are."""
+    p, al = tt.params.p, tt.alpha
+    return ((2 / tt.v) * (al - 1) * tt.h_vv
+            - 2 * (p - 1) * tt.ric_m_vv
+            + al * (p - 1) * tt.divh_pair
+            + al * (p - 1) * tt.phit_pair
+            - 2 * al * (p - 1) * tt.h_phi_pair)
+
+
 def evolution_identity_rhs(tt: TermTable):
     """Right-hand side of the exact evolution identity for F."""
     p = tt.params.p
@@ -371,14 +358,10 @@ def evolution_identity_rhs(tt: TermTable):
         -((p - 1) * tt.lap_v) ** 2
         + 2 * p * tt.gradF_pair
         - 2 * (p - 1) * tt.hess2
-        - 2 * (p - 1) * tt.ric_m_vv
         - 2 * (p - 1) * tt.sharp_pair
-        + (2 / tt.v) * (al - 1) * tt.h_vv
+        + geometry_terms(tt)
         + 2 * al * (p - 1) * tt.h_hess
-        + al * (p - 1) * tt.divh_pair
-        + al * (p - 1) * tt.phit_pair
         - tt.beta_p
-        - 2 * al * (p - 1) * tt.h_phi_pair
         - alp * tt.v_t / tt.v
         + (1 - al) * (tt.v_t / tt.v - tt.G / tt.v) ** 2
         + (2 / tt.v) * (1 - al) * tt.gradG_pair
@@ -421,9 +404,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     # pointwise terms, or with the aggregates of the bounds (v for sup v)
     if stage == "quadratic":
         agg = {}
-        metric = ((2 / tt.v) * (al - 1) * tt.h_vv + (p - 1) * al**2 * tt.h_norm2
-                  - 2 * (p - 1) * tt.ric_m_vv + al * (p - 1) * tt.divh_pair
-                  + al * (p - 1) * tt.phit_pair - 2 * al * (p - 1) * tt.h_phi_pair)
+        metric = geometry_terms(tt) + (p - 1) * al**2 * tt.h_norm2
     elif stage != "bounded":
         raise IdentityError(f"unknown inequality stage {stage!r}")
     elif bounds is None:

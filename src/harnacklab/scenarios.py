@@ -344,6 +344,12 @@ def parse_scenario(doc: dict) -> Scenario:
         # the oracle turns the pressure back into u, which needs it positive
         if not np.all(profile(grid.r, t0) > 0):
             raise ConfigError(path, f"the pressure must be positive, and is not at t0 = {t0:g}")
+        # positive at t0, the pressure may turn negative or underflow to 0 later
+        v_end = profile(grid.r, end := grid.t[-1])
+        if np.any(v_end < 0):
+            raise ConfigError(path, f"the pressure must be positive, and is not at t = {end:g}")
+        if np.any(v_end == 0):
+            raise FloatingPointError(f"time.duration: the pressure underflows to 0 at t = {end:g}")
         oracle = lambda r, t: pressure_inverse(profile(np.asarray(r, dtype=float),
                                                        np.asarray(t, dtype=float)), p)
         return profile, oracle, forcing

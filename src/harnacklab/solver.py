@@ -66,9 +66,9 @@ class Nonlinearity:
 
     G is the rescaled forcing entering the pressure equation
     d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G; ``G_v``, ``G_vv`` are its
-    v-partials (the power sum's) and ``G_t`` its explicit time partial at
-    frozen (x, v) (the forcing's).  ``G_vpart(v)`` is the power sum (on
-    arrays or jets) and ``G_xpart(t, r)`` the forcing, None where absent.
+    v-partials (the power sum's) and ``G_jet(t, r, v)`` G on series in r and
+    t.  ``G_vpart(v)`` is the power sum (on arrays or jets) and
+    ``G_xpart(t, r)`` the forcing, None where absent.
     ``G_x_partials`` gives G with its coordinate r-partials G_x, G_xx at
     frozen v (callers convert to metric norms) and the weighted Laplacian
     ``lap_phi_Gx`` of the frozen-v spatial slice, all from one evaluation.
@@ -111,8 +111,8 @@ class Nonlinearity:
     def G_vv(self, t, r, v):
         return _sum(self.G_vpart(v, 2), None, t, r, v)
 
-    def G_t(self, t, r, v):
-        return _sum(None, None, t, r, v) if self.forcing is None else self.forcing.at(0, 1, r, t)
+    def G_jet(self, t, r, v):
+        return _sum(self.G_vpart(v), None if self.forcing is None else self.forcing.jet(r, t), 0.0)
 
     def G_x_partials(self, t, r, v):
         """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""

@@ -8,7 +8,6 @@ from harnacklab.fields import ScalarField
 from harnacklab.geometry import WarpedGeometry
 from harnacklab.identities import commutator_terms
 from harnacklab.params import HarnackParams, constant_alpha_beta
-from harnacklab.solver import _sum
 from harnacklab.symfun import Profile
 
 # the oracle's coordinates: sympy reads the same expression strings as the code
@@ -125,13 +124,6 @@ def profile_of(expr, name=""):
     so each Float is first written as the rational it equals exactly."""
     exact = expr.xreplace({x: sp.Rational(float(x)) for x in expr.atoms(sp.Float)})
     return Profile(str(exact), name)
-
-
-def G_jet(nl, t, r, v):
-    """G of the Nonlinearity ``nl`` on series, at the jet ``v``; it takes at
-    most the forcing's orders of r- and t-derivatives."""
-    xpart = None if nl.forcing is None else nl.forcing.jet(r, t)
-    return 0.0 if xpart is None and not nl.terms else _sum(nl.G_vpart(v), xpart)
 
 
 def field_from_function(fun, grid, parity="even", positive=False):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -776,22 +777,66 @@ def test_cli_harnack_pairs_follow_the_clock(tmp_path, case):
     assert len(gaps) == 240 and min(gaps) >= 1e-3 * duration
 
 
-def test_non_finite_identity_row_exits_numerical(tmp_path, capsys):
-    # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is 1e-218
-    # and its square underflows: a NaN residual is neither a pass nor a
-    # violation, and the run says so in one line, with no numpy warning
-    doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
-    doc["time"]["duration"] = 1000
+def test_non_finite_identity_row_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a NaN residual is neither a pass nor a violation, and the run says so
+    # in one line, with no numpy warning
+    def nan_residual(*args, _original=cli.harnack_evolution_residual, **kwargs):
+        resid, table = _original(*args, **kwargs)
+        return np.full_like(resid, np.nan), table
+
+    monkeypatch.setattr(cli, "harnack_evolution_residual", nan_residual)
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["check-identities", "--config", write_config(tmp_path, doc),
+        code = main(["check-identities", "--config", str(CONFIGS / "powerlaw-static.json"),
                      "--out", str(out)])
     assert code == EXIT_NUMERICAL
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(
         "numerical failure: check-identities harnack-evolution-identity: value nan")
+    assert not out.exists()
+
+
+def _powerlaw_static(tmp_path, duration):
+    doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
+    doc["time"]["duration"] = duration
+    return write_config(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", ["check-identities", "check-estimate", "check-harnack"])
+def test_tiny_pressure_passes_with_finite_summaries(tmp_path, command):
+    # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is near
+    # 1e-217 and its square underflows; no check divides by that square
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", _powerlaw_static(tmp_path, 1000), "--out", str(out)])
+    assert code == EXIT_OK
+    numbers = [float(x) for x in re.findall(r"[-+]?\d+\.\d+e[-+]\d+",
+                                            (out / "summary.txt").read_text())]
+    assert numbers and np.all(np.isfinite(numbers))
+    json.loads((out / "summary.json").read_text(),
+               parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+
+
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack"])
+@pytest.mark.parametrize("keys, code, err", [
+    # the pressure 2 exp(-t/2) underflows to 0 by the last time
+    ({"duration": 2000}, EXIT_NUMERICAL,
+     "numerical failure: time.duration: the pressure underflows to 0 at t = 2001\n"),
+    ({"duration": 2.0, "expr": "2 - t"}, EXIT_CONFIG,
+     "configuration error: solution.expr: the pressure must be positive, and is not at t = 3\n"),
+], ids=["underflow", "negative"])
+def test_pressure_at_the_last_time_is_refused_at_its_key(tmp_path, capsys, command, keys,
+                                                         code, err):
+    doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
+    doc["time"]["duration"] = keys["duration"]
+    doc["solution"]["expr"] = keys.get("expr", doc["solution"]["expr"])
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 

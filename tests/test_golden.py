@@ -95,7 +95,7 @@ def test_every_output_matches_the_record(tmp_path, monkeypatch):
     """Each line, run in this interpreter, writes exactly its record; the
     ``--workers 2`` sweep is held to the serial line's entry."""
     monkeypatch.chdir(manifest.ROOT)
-    lines = manifest.commands(manifest.derived_config(tmp_path))
+    lines = manifest.commands(manifest.derived_configs(tmp_path))
     assert {p.name for p in manifest.GOLDEN.iterdir()} == {
         manifest.entry_name(label) for label, _ in lines}
     moved = [f"{label}: {m}" for i, (label, args) in enumerate(lines)

@@ -284,7 +284,7 @@ def test_degenerate_pair_reduces_to_time_ratio():
 
 
 def _log_ratio(sol, r1, t1, r2, t2):
-    return np.log(sol.value(r1, t1)) - np.log(sol.value(r2, t2))
+    return np.log(sol.value(r1, t1) / sol.value(r2, t2))
 
 
 def test_log_integral_examples():

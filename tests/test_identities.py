@@ -9,15 +9,14 @@ from harnacklab.fields import Grid, ScalarField, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
                                    TermTable, bochner_residual, harnack_evolution_residual,
-                                   inequality_rhs, pressure_equation_residual,
+                                   harnack_quantity, inequality_rhs, pressure_equation_residual,
                                    quotient_rule_residual)
-from harnacklab.jets import d_r, d_t
 from harnacklab.params import AlphaBeta, HarnackParams
 from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
                                manufactured_forcing, pressure_inverse, PdeParams, solve)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import (G_jet, adjudicate_commutator, commutator_variant_residuals,
+from conftest import (adjudicate_commutator, commutator_variant_residuals,
                       convergence_order, field_from_function, make_geometry, params_for,
                       sample_points, variant_label)
 
@@ -314,35 +313,6 @@ def test_evolution_identity_spatially_constant():
     assert np.max(np.abs(res)) <= 1e-9
 
 
-def _jet_route(v, geom, params, nl, r, t):
-    """F_r and L[F] with F built by arithmetic on the series of v, a, alpha,
-    beta and G and its partials read off: an oracle for the chain rule."""
-    a, coeffs = geom.conformal, params.coeffs
-
-    def harnack_quantity(r, t):
-        V, al = v.jet(r, t), coeffs.alpha.jet(r, t)
-        return (d_r(V) ** 2 / (a.jet(r, t) ** 2 * V) - al * d_t(V) / V
-                + al * G_jet(nl, t, r, V) / V - coeffs.beta.jet(r, t))
-
-    forcing_orders = (0, 0) if nl.forcing is None else nl.forcing.orders
-    F = Profile.of_jets(harnack_quantity, np.maximum(np.add(v.orders, (1, 1)), forcing_orders),
-                        "harnack_quantity")
-    rr, tt = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    F_part = F.table(1, 1, rr, tt)
-    lap_F = geom.phi_laplacian(F)(rr, tt)
-    return F_part[1, 0], F_part[0, 1] - (params.p - 1) * v(rr, tt) * lap_F
-
-
-def test_chain_rule_matches_jet_route(bump_profile, conformal_gaussian):
-    params = params_for(conformal_gaussian, p=2.5)
-    nl = _mixed_nl(bump_profile, conformal_gaussian, params.p)
-    r, t = sample_points(include_pole=False)
-    chain = TermTable(AnalyticSolution(bump_profile), conformal_gaussian, params, nl, r=r, t=t)
-    jet_F_r, jet_LpvF = _jet_route(bump_profile, conformal_gaussian, params, nl, r, t)
-    assert np.max(np.abs(chain.LpvF - jet_LpvF)) <= 1e-10
-    assert np.max(np.abs(chain.F_r - jet_F_r)) <= 1e-12
-
-
 def _numeric_residual(n_r, n_t, prof, geom, params, nl):
     oracle = lambda r, t: pressure_inverse(prof(r, t), params.p)
     grid = Grid(n_r=n_r, n_t=n_t, r_max=2.0, t0=0.5, duration=1.0)
@@ -443,7 +413,7 @@ def test_quadratic_stage_is_the_pointwise_stage_in_a_function_field():
         params=SimpleNamespace(p=p, m=m, b=b), geom=SimpleNamespace(n=2), b=b,
         alpha=al, alpha_p=alpha_p, beta=beta, beta_p=beta_p,
         v=v, v_t=v_t, lap_v=lap_v, grad2=grad2, grad_norm=grad_norm,
-        F=grad2 / v - al * v_t / v + al * G / v - beta,
+        F=harnack_quantity(v, grad2, v_t, G, al, beta),
         G=G, G_v=G_v, G_vv=G_vv, G_x_norm=zero, lap_Gx=zero,
         gradG_pair=G_v * grad2, lap_G_full=G_vv * grad2 + G_v * lap_v,
         **dict(zip(("gradF_pair", "hess2", "sharp_pair", *metric), rest)))

@@ -13,7 +13,7 @@ from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
 
-from conftest import G_jet, convergence_order, make_geometry
+from conftest import convergence_order, make_geometry
 
 
 def test_pressure_examples_and_roundtrip():
@@ -69,8 +69,8 @@ def _same(a, b):
 ], ids=["none", "terms", "forcing", "both"])
 def test_nonlinearity_is_its_present_parts(terms, with_forcing, form):
     # G and each partial are the parts present evaluated on their own, an
-    # absent part left out rather than added as zeros: the forcing and its
-    # t-partial are -0.0 at the pole, which an added +0.0 would flip
+    # absent part left out rather than added as zeros: the forcing is -0.0
+    # at the pole, which an added +0.0 would flip
     geom = make_geometry("gaussian", n=2, m=4)
     f = Profile("-sin(r)*exp(t) - r**2/3", "f") if with_forcing else None
     nl = Nonlinearity(**terms, forcing=f, geom=geom if with_forcing else None)
@@ -95,12 +95,11 @@ def test_nonlinearity_is_its_present_parts(terms, with_forcing, form):
     assert _same(G, both(power(v), fx[0]))
     assert _same(G_x, fx[1]) and _same(G_xx, fx[2])
     assert _same(lap, phi_laplacian_eval(geom, r, t, fx[1], fx[2]) if with_forcing else zero)
-    assert _same(nl.G_t(t, r, v), f.at(0, 1, r, t) if with_forcing else zero)
     xpart = nl.G_xpart(t, r)
     assert _same(xpart, f(r, t)) if with_forcing else xpart is None
     assert _same(nl.source(u, p, xpart), both(power(pressure(u, p)), xpart) * u ** (2.0 - p) / p)
     V = Profile("1.5 + cos(r + t)", "v")
-    got = Profile.of_jets(lambda r, t: V.jet(r, t) + G_jet(nl, t, r, V.jet(r, t)), (0, 0), "got")
+    got = Profile.of_jets(lambda r, t: V.jet(r, t) + nl.G_jet(t, r, V.jet(r, t)), (0, 0), "got")
     want = Profile.of_jets(lambda r, t: V.jet(r, t) + both(
         power(V.jet(r, t)), f.jet(r, t) if with_forcing else None, 0.0), (0, 0), "want")
     assert _same(got.table(1, 1, r, t), want.table(1, 1, r, t))

@@ -18,10 +18,14 @@ r, whose Harnack bound overflows ``exp`` and reads ``inf`` in each family's
 rows of ``pairs.csv``; check-estimate and
 check-identities on ``perfbench/inputs/hyperbolic-bump.json``, the pole values
 of a curved warp under the identity residual gates; the wide sweep, serial and
-with ``--workers 2``, both held to the serial line's entry; and check-estimate
-and check-harnack on gaussian-conformal at alpha = 3, where the second
-family's weight w = alpha does not scale exactly in floating point, as it does
-at every shipped config's alpha = 2.
+with ``--workers 2``, both held to the serial line's entry; and the lines of
+:data:`DERIVED`: check-estimate and check-harnack on gaussian-conformal at
+alpha = 3, where the second family's weight w = alpha does not scale exactly
+in floating point, as it does at every shipped config's alpha = 2;
+check-identities on powerlaw-static at duration 1000, where the pressure is
+near 1e-217 and its square underflows; and check-estimate on powerlaw-static
+at duration 2000, where the pressure underflows to 0 and the config is refused
+as a numerical failure naming ``time.duration``.
 
 ``tests/test_golden.py`` runs the same lines and compares them with the record
 exactly.  A change meant to move an output reruns this script; the diff of
@@ -54,18 +58,35 @@ from harnacklab import cli  # noqa: E402
 SCENARIO_COMMANDS = ("solve", "check-identities", "check-estimate", "check-harnack")
 
 
-def derived_config(base: Path) -> Path:
-    """Write gaussian-conformal at alpha = 3 under ``base`` and return its path."""
-    doc = json.loads((ROOT / "configs" / "gaussian-conformal.json").read_text())
-    doc["harnack"]["alpha"] = 3.0
-    path = base / "gaussian-conformal-alpha3.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path
+# each derived document: its label, the config it copies, the key path and
+# value it replaces, and the commands run on it
+DERIVED = (
+    ("gaussian-conformal alpha=3", "gaussian-conformal", ("harnack", "alpha"), 3.0,
+     ("check-estimate", "check-harnack")),
+    ("powerlaw-static duration=1000", "powerlaw-static", ("time", "duration"), 1000,
+     ("check-identities",)),
+    ("powerlaw-static duration=2000", "powerlaw-static", ("time", "duration"), 2000,
+     ("check-estimate",)),
+)
 
 
-def commands(alpha3: Path):
+def derived_configs(base: Path) -> dict[str, Path]:
+    """Write each :data:`DERIVED` document under ``base``; its label -> its path."""
+    paths = {}
+    for label, stem, (*parents, key), value, _ in DERIVED:
+        doc = json.loads((ROOT / "configs" / f"{stem}.json").read_text())
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        path = paths[label] = base / f"{label.replace(' ', '_')}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    return paths
+
+
+def commands(derived: dict[str, Path]):
     """(label, cli arguments) of every command, config paths relative to ROOT
-    but for ``alpha3``, the path of the derived alpha = 3 config."""
+    but for the derived documents, at the paths ``derived`` gives."""
     out = []
     for path in sorted((ROOT / "configs").glob("*.json")):
         rel = str(path.relative_to(ROOT))
@@ -87,8 +108,9 @@ def commands(alpha3: Path):
     out.append(("sweep:sweep-p-alpha-wide --workers 2",
                 ["sweep", "--config", "perfbench/inputs/sweep-p-alpha-wide.json",
                  "--workers", "2"]))
-    for sub in ("check-estimate", "check-harnack"):
-        out.append((f"{sub}:gaussian-conformal alpha=3", [sub, "--config", str(alpha3)]))
+    for label, *_, subs in DERIVED:
+        for sub in subs:
+            out.append((f"{sub}:{label}", [sub, "--config", str(derived[label])]))
     return out
 
 
@@ -159,7 +181,7 @@ def main(argv: list[str]) -> int:
     shutil.rmtree(GOLDEN, ignore_errors=True)
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
-        for i, (label, args) in enumerate(commands(derived_config(base))):
+        for i, (label, args) in enumerate(commands(derived_configs(base))):
             entry = GOLDEN / entry_name(label)
             if entry.exists():
                 continue
