@@ -234,8 +234,9 @@ class SupNodes:
     def _samples(self, nodes, part: slice) -> SupSamples:
         """The samples at the mesh ``nodes``, entries ``part`` of tau and v."""
         r, t, tau, v = self.rr[nodes], self.tt[nodes], self.tau[part], self.v[part]
-        coeffs, nl = self.params.coeffs, self.nl
+        nl = self.nl
         G, G_x, _, lap_Gx = nl.G_x_partials(t, r, v)
+        alpha, alpha_p, beta, beta_p = self.params.coeffs.at(tau)
         return SupSamples(
             r=r, t_abs=t, tau=tau, v=v,
             G=G,
@@ -243,10 +244,7 @@ class SupNodes:
             G_vv=nl.G_vv(t, r, v),
             G_x_norm=np.abs(G_x) / self.geom.conformal(r, t),
             lap_Gx=lap_Gx,
-            alpha=coeffs.alpha_at(tau),
-            alpha_p=coeffs.alpha_prime_at(tau),
-            beta=coeffs.beta_at(tau),
-            beta_p=coeffs.beta_prime_at(tau),
+            alpha=alpha, alpha_p=alpha_p, beta=beta, beta_p=beta_p,
         )
 
     def blocks(self):
@@ -329,6 +327,10 @@ def reduce_suprema(samples, bounds: GeometryBounds, params: HarnackParams, n_dim
         sups = terms if sups is None else list(map(np.maximum, sups, terms))
     out = []
     for (family, eps), terms in zip(requests, sups):
+        # checked before the clamps, as max(0.0, nan) is 0.0
+        if not np.all(np.isfinite(terms)):
+            raise FloatingPointError(f"sup quantities of the {family} family at eps={eps}: "
+                                     "a maximum is not finite")
         q0, sup1, sup2, sup3, sup4, *static = terms.tolist()
         q = {"q0": q0, "q1": max(0.0, sup1),
              # a vanishing grad bracket needs no Young coefficient, even an infinite one
@@ -430,21 +432,24 @@ class VerificationReport:
     summary: dict
 
 
+def harnack_quantity(v, grad2, v_t, G, alpha, beta):
+    """F = |grad v|^2 / v - alpha v_t / v + alpha G / v - beta, on arrays or
+    on series."""
+    return grad2 / v - alpha * v_t / v + alpha * G / v - beta
+
+
 def estimate_lhs(solution, geom, params, nl, rr, tt, mask, t0_clock):
-    """|grad v|^2/(alpha v) - v_t/v + G/v - beta/alpha at the nodes of the
-    mesh (rr, tt) that ``mask`` selects, on the clock tau = t - t0_clock,
-    evaluated a block of nodes at a time."""
+    """F / alpha = |grad v|^2/(alpha v) - v_t/v + G/v - beta/alpha at the
+    nodes of the mesh (rr, tt) that ``mask`` selects, on the clock
+    tau = t - t0_clock, evaluated a block of nodes at a time."""
     lhs = np.empty(np.count_nonzero(mask))
     for nodes, part in _node_blocks(mask):
         r, t_abs = rr[nodes], tt[nodes]
-        tau = t_abs - t0_clock
         table = solution.table(1, 1, rr, tt, nodes)
         v, v_r, v_t = table[0, 0], table[1, 0], table[0, 1]
-        a2 = geom.conformal(r, t_abs) ** 2
-        al = params.coeffs.alpha_at(tau)
-        be = params.coeffs.beta_at(tau)
-        G = nl.G(t_abs, r, v)
-        lhs[part] = v_r**2 / (a2 * al * v) - v_t / v + G / v - be / al
+        al, _, be, _ = params.coeffs.at(t_abs - t0_clock)
+        grad2 = v_r**2 / geom.conformal(r, t_abs) ** 2
+        lhs[part] = harnack_quantity(v, grad2, v_t, nl.G(t_abs, r, v), al, be) / al
     return lhs
 
 

@@ -102,6 +102,11 @@ class WarpedGeometry:
             if np.max(np.abs(p2)) > 1e-12:
                 raise GeometryError("pole mode requires a warp odd in r: psi_rr(0,t) = 0, "
                                     f"not up to {np.max(np.abs(p2)):.6g}", key="warp")
+            # and an even potential, whose slope phi_r vanishes at the pole
+            phi_r = np.max(np.abs(self.potential.at(1, 0, np.zeros_like(ts), ts)))
+            if phi_r > 1e-12:
+                raise GeometryError("pole mode requires a potential even in r: phi_r(0,t) = 0, "
+                                    f"not up to {phi_r:.6g}", key="potential")
         else:
             floor = self.warp(np.zeros_like(ts), ts)
             if np.any(floor <= 0):
@@ -168,15 +173,6 @@ def angular_drift_product(geom: WarpedGeometry, r, t, f_r, f_rr):
     return np.where(pole, f_rr, out)
 
 
-def potential_radial_slope(geom: WarpedGeometry, r, t, order_t: int = 0):
-    """d(phi)/dr (or its time derivative), zero at the pole by evenness."""
-    r = np.asarray(r, dtype=float)
-    pole = _pole_mask(geom, r)
-    r_safe = np.where(pole, 0.5 * geom.r_max, r)
-    vals = geom.potential.at(1, order_t, r_safe, t)
-    return np.where(pole, 0.0, vals)
-
-
 def phi_laplacian_eval(geom: WarpedGeometry, r, t, w_r, w_rr):
     """Weighted Laplacian of an even radial field from its radial partials.
 
@@ -187,7 +183,7 @@ def phi_laplacian_eval(geom: WarpedGeometry, r, t, w_r, w_rr):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     ang = angular_drift_product(geom, r, t, w_r, w_rr)
-    phi_r = potential_radial_slope(geom, r, t)
+    phi_r = geom.potential.at(1, 0, r, t)
     return (w_rr + (geom.n - 1) * ang - phi_r * w_r) / geom.conformal(r, t) ** 2
 
 
@@ -217,32 +213,33 @@ def bakry_emery_eigs(geom: WarpedGeometry, r, t):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     a2 = geom.conformal(r, t) ** 2
-    phi_r = potential_radial_slope(geom, r, t)
+    phi_r = geom.potential.at(1, 0, r, t)
     phi_rr = geom.potential.at(2, 0, r, t)
     hess_ang = angular_drift_product(geom, r, t, phi_r, phi_rr)
-    # phi_r vanishes at the pole, and so does the sharp term
+    # an even potential's phi_r vanishes at the pole, and so does the sharp term
     sharp = np.zeros_like(phi_rr) if geom.m == geom.n else phi_r**2 / (geom.m - geom.n)
     return rad + (phi_rr - sharp) / a2, ang + hess_ang / a2
 
 
-def metric_speed_eigs(geom: WarpedGeometry, r, t):
-    """Eigenvalues (radial, angular) of h = (dg/dt)/2 relative to g, plus |grad h|."""
+def metric_speed(geom: WarpedGeometry, r, t):
+    """h = (dg/dt)/2 at each node: its eigenvalues (radial, angular) relative
+    to g, |grad h|, and the radial component of 2 div h - grad tr h, which is
+    nonzero only on an evolving warp."""
     r = _check_domain(geom, r)
     t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(np.shape(r), np.shape(t))
-    zeros = np.zeros(shape)
+    zeros = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)))
     if geom.family == "static-warp":
-        return zeros, zeros.copy(), zeros.copy()
+        return zeros, zeros, zeros, zeros
     if geom.family == "conformal-evolving":
         rate = geom.conformal.at(0, 1, r, t) / geom.conformal(r, t)
-        return rate, rate.copy(), zeros
-    if geom.mode == "pole" and np.any(np.asarray(r) == 0.0):
+        return rate, rate, zeros, zeros
+    if geom.mode == "pole" and np.any(r == 0.0):
         raise GeometryError("evolving-warp metric speed is singular at the pole; use annulus mode")
     (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, r, t)
-    ang = psi_t / psi
     cross = psi_r * psi_t / psi
     grad_h = np.sqrt((geom.n - 1) * ((psi_rt - cross) ** 2 + 2.0 * cross**2)) / psi
-    return zeros, ang, grad_h
+    div = -(geom.n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi)
+    return zeros, psi_t / psi, grad_h, div
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +291,13 @@ class Cylinder:
                 f"{reach:.6g} > r_max = {geom.r_max}"
             )
 
+    def sample(self, geom: WarpedGeometry, r_nodes, t_nodes):
+        """The mesh (rr, tt) of the nodes, as read-only broadcast views of the
+        node arrays, and the mask of the nodes inside the cylinder."""
+        mask = self.mask(r_nodes, t_nodes, geom)
+        return (np.broadcast_to(r_nodes[:, None], mask.shape),
+                np.broadcast_to(t_nodes[None, :], mask.shape), mask)
+
     def sample_nodes(self, geom: WarpedGeometry, n_r: int, n_t: int):
         # fixed domain-wide radial nodes (the cylinder mask selects inside);
         # enlarging a cylinder on the same density then only adds nodes, so
@@ -333,26 +337,20 @@ class GeometryBounds:
 
 def extract_bounds(geom: WarpedGeometry, cyl: Cylinder, grid_density=(129, 65)) -> GeometryBounds:
     """Grid suprema of the six geometric bound constants over a cylinder."""
-    n_r, n_t = grid_density
-    r_nodes, t_nodes = cyl.sample_nodes(geom, n_r, n_t)
-    mask = cyl.mask(r_nodes, t_nodes, geom)
+    rr, tt, mask = cyl.sample(geom, *cyl.sample_nodes(geom, *grid_density))
     if not np.any(mask):
         raise GeometryError("cylinder does not intersect the sampling grid")
-    rr = np.broadcast_to(r_nodes[:, None], mask.shape)
-    tt = np.broadcast_to(t_nodes[None, :], mask.shape)
     r_in, t_in = rr[mask], tt[mask]
 
     be_rad, be_ang = bakry_emery_eigs(geom, r_in, t_in)
     k = max(0.0, float(np.max(-np.minimum(be_rad, be_ang))) / (geom.m - 1))
 
-    h_rad, h_ang, grad_h = metric_speed_eigs(geom, r_in, t_in)
-    h_min = np.minimum(h_rad, h_ang)
-    h_max = np.maximum(h_rad, h_ang)
-    k_lo = max(0.0, float(np.max(-h_min)))
-    k_hi = max(0.0, float(np.max(h_max)))
+    h_rad, h_ang, grad_h, _ = metric_speed(geom, r_in, t_in)
+    k_lo = max(0.0, float(np.max(-np.minimum(h_rad, h_ang))))
+    k_hi = max(0.0, float(np.max(np.maximum(h_rad, h_ang))))
     k2 = float(np.max(grad_h))
 
     a = geom.conformal(r_in, t_in)
-    l1 = float(np.max(np.abs(potential_radial_slope(geom, r_in, t_in)) / a))
-    l2 = float(np.max(np.abs(potential_radial_slope(geom, r_in, t_in, order_t=1)) / a))
+    l1 = float(np.max(np.abs(geom.potential.at(1, 0, r_in, t_in)) / a))
+    l2 = float(np.max(np.abs(geom.potential.at(1, 1, r_in, t_in)) / a))
     return GeometryBounds(k=k, k_lo=k_lo, k_hi=k_hi, k2=k2, l1=l1, l2=l2)

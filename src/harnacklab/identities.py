@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, diff
-from .estimates import aggregates, estimate_brackets, metric_aggregate
-from .geometry import (Cylinder, WarpedGeometry, angular_drift_product,
-                       bakry_emery_eigs, curvature_eigs, phi_laplacian_eval,
-                       potential_radial_slope)
+from .estimates import aggregates, estimate_brackets, harnack_quantity, metric_aggregate
+from .geometry import (Cylinder, WarpedGeometry, angular_drift_product, bakry_emery_eigs,
+                       curvature_eigs, metric_speed, phi_laplacian_eval)
 from .jets import d_r, d_t
 from .params import HarnackParams
 from .solver import Nonlinearity, pressure_equation_residual  # noqa: F401  (re-exported)
@@ -51,13 +50,8 @@ class _SolutionHandle:
     """
 
     def sample(self, cyl: Cylinder, geom: WarpedGeometry, density):
-        """Mesh (rr, tt) of the nodes ``cyl`` is sampled on, as read-only
-        broadcast views of the node arrays, and the mask of the nodes inside
-        it."""
-        r_nodes, t_nodes = self.nodes(cyl, geom, density)
-        mask = cyl.mask(r_nodes, t_nodes, geom)
-        return (np.broadcast_to(r_nodes[:, None], mask.shape),
-                np.broadcast_to(t_nodes[None, :], mask.shape), mask)
+        """:meth:`Cylinder.sample` on the nodes this field samples ``cyl`` on."""
+        return cyl.sample(geom, *self.nodes(cyl, geom, density))
 
 
 class AnalyticSolution(_SolutionHandle):
@@ -158,31 +152,18 @@ class _RadialTerms:
         self.lap_plain = (v_rr + (n - 1) * ang_v) / self.a2
         self.hess2 = (v_rr**2 + (n - 1) * ang_v**2) / self.a2**2
 
-        phi_r = potential_radial_slope(geom, rr, tt)
-        phi_rt = potential_radial_slope(geom, rr, tt, order_t=1)
+        phi_r, phi_rt = (geom.potential.at(1, k, rr, tt) for k in (0, 1))
         self.phi_pair = phi_r * v_r / self.a2            # <grad phi, grad v>
         self.phit_pair = phi_rt * v_r / self.a2          # <grad d(phi)/dt, grad v>
         self.lap_v = self.lap_plain - self.phi_pair
 
-        zero = np.zeros_like(self.grad2)  # the metric speed's terms on a static metric
-        self.h_vv = self.h_hess = self.h_phi_pair = self.divh_pair = self.h_norm2 = zero
-        if geom.family == "conformal-evolving":
-            rate = geom.conformal.at(0, 1, rr, tt) / self.a
-            self.h_vv = rate * self.grad2
-            self.h_hess = rate * self.lap_plain
-            self.h_phi_pair = rate * self.phi_pair
-            self.h_norm2 = n * rate**2
-        elif geom.family == "evolving-warp":
-            (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, rr, tt)
-            self.h_hess = (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r
-            self.divh_pair = -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r
-            self.h_norm2 = (n - 1) * (psi_t / psi) ** 2
-
-
-def harnack_quantity(v, grad2, v_t, G, alpha, beta):
-    """F = |grad v|^2 / v - alpha v_t / v + alpha G / v - beta, on arrays or
-    on series."""
-    return grad2 / v - alpha * v_t / v + alpha * G / v - beta
+        # the metric speed h = (dg/dt)/2 contracted against v
+        h_rad, h_ang, _, h_div = metric_speed(geom, rr, tt)
+        self.h_vv = h_rad * self.grad2
+        self.h_hess = (h_rad * v_rr + (n - 1) * h_ang * ang_v) / self.a2
+        self.h_phi_pair = h_rad * self.phi_pair
+        self.divh_pair = h_div * v_r / self.a2
+        self.h_norm2 = h_rad**2 + (n - 1) * h_ang**2
 
 
 class TermTable(_RadialTerms):
@@ -218,7 +199,7 @@ class TermTable(_RadialTerms):
 
         # nonlinearity values and partials; coordinate x-partials are converted
         # to metric pairings here
-        self.G, self.G_x, self.G_xx, self.lap_Gx = nonlinearity.G_x_partials(tt, rr, self.v)
+        self.G, self.G_x, _, self.lap_Gx = nonlinearity.G_x_partials(tt, rr, self.v)
         self.G_v = nonlinearity.G_v(tt, rr, self.v)
         self.G_vv = nonlinearity.G_vv(tt, rr, self.v)
         self.G_x_norm = np.abs(self.G_x) / self.a
@@ -226,10 +207,7 @@ class TermTable(_RadialTerms):
         self.lap_G_full = self.lap_Gx + self.G_vv * self.grad2 + self.G_v * self.lap_v
 
         coeffs = params.coeffs
-        self.alpha = coeffs.alpha_at(tt)
-        self.alpha_p = coeffs.alpha_prime_at(tt)
-        self.beta = coeffs.beta_at(tt)
-        self.beta_p = coeffs.beta_prime_at(tt)
+        self.alpha, self.alpha_p, self.beta, self.beta_p = coeffs.at(tt)
         self.b = params.b
 
         if isinstance(solution, GridSolution):

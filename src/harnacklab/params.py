@@ -25,29 +25,25 @@ class AlphaBeta:
     def alpha_at(self, t):
         return self.alpha(np.zeros_like(np.asarray(t, dtype=float)), t)
 
-    def alpha_prime_at(self, t):
-        return self.alpha.at(0, 1, np.zeros_like(np.asarray(t, dtype=float)), t)
-
-    def beta_at(self, t):
-        return self.beta(np.zeros_like(np.asarray(t, dtype=float)), t)
-
-    def beta_prime_at(self, t):
-        return self.beta.at(0, 1, np.zeros_like(np.asarray(t, dtype=float)), t)
+    def at(self, t):
+        """(alpha, alpha', beta, beta') at the times t, each coefficient and its
+        t-derivative off one series; one not finite there is refused by name."""
+        r = np.zeros_like(np.asarray(t, dtype=float))
+        out = []
+        for name, prof in (("alpha", self.alpha), ("beta", self.beta)):
+            try:
+                out.extend(prof.table(0, 1, r, t)[0])
+            except (PoleEvaluationError, FloatingPointError):
+                raise ParamError(f"{name} is not finite on the window") from None
+        return out
 
     def check_admissible(self, t):
         """Refuse a pair that is not finite at the times t (with its
         t-derivatives), or whose alpha does not exceed 1 or decreases."""
-        values = {}
-        for name, at in (("alpha", self.alpha_at), ("alpha'", self.alpha_prime_at),
-                         ("beta", self.beta_at), ("beta'", self.beta_prime_at)):
-            try:
-                values[name] = at(t)
-            except (PoleEvaluationError, FloatingPointError):
-                raise ParamError(f"{name} is not finite on the window") from None
-        a = values["alpha"]
+        a, a_t, _, _ = self.at(t)
         if np.any(a <= 1.0):
             raise ParamError(f"alpha must exceed 1 on the window (min {np.min(a):.6g})")
-        if np.any(values["alpha'"] < -1e-12):
+        if np.any(a_t < -1e-12):
             raise ParamError("alpha must be nondecreasing")
 
     def shifted(self, t0: float) -> "AlphaBeta":
@@ -105,10 +101,7 @@ def preset_ode_residuals(pair: AlphaBeta, which: str, b: float, t) -> dict[str, 
     if np.any(t <= 0) and which in ("coth", "linear"):
         raise ParamError("coth/linear presets are singular at t = 0")
     g = pair.gamma if pair.gamma is not None else 0.0
-    a = pair.alpha_at(t)
-    ap = pair.alpha_prime_at(t)
-    be = pair.beta_at(t)
-    bp = pair.beta_prime_at(t)
+    a, ap, be, bp = pair.at(t)
 
     def entry(residual, *terms):
         scale = np.maximum(1.0, sum(np.abs(x) for x in terms))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -250,7 +250,6 @@ class Scenario:
     verification: dict
     t0: float
     duration: float
-    _solve_cache: SolveResult | None = field(default=None, repr=False)
 
     @property
     def t_hi(self) -> float:
@@ -260,9 +259,7 @@ class Scenario:
         return AnalyticSolution(self.v_profile)
 
     def run_solver(self) -> SolveResult:
-        if self._solve_cache is None:
-            self._solve_cache = solve(self.oracle_u, self.geom, self.pde, self.grid)
-        return self._solve_cache
+        return solve(self.oracle_u, self.geom, self.pde, self.grid)
 
     def solution_handle(self):
         if self.solution_kind == "numeric":
@@ -348,8 +345,10 @@ def parse_scenario(doc: dict) -> Scenario:
         v_end = profile(grid.r, end := grid.t[-1])
         if np.any(v_end < 0):
             raise ConfigError(path, f"the pressure must be positive, and is not at t = {end:g}")
-        if np.any(v_end == 0):
-            raise FloatingPointError(f"time.duration: the pressure underflows to 0 at t = {end:g}")
+        if np.any(v_end < np.finfo(float).tiny):
+            below = "to 0" if np.any(v_end == 0) else "below the least normal float"
+            raise FloatingPointError(f"time.duration: the pressure underflows {below} "
+                                     f"at t = {end:g}")
         oracle = lambda r, t: pressure_inverse(profile(np.asarray(r, dtype=float),
                                                        np.asarray(t, dtype=float)), p)
         return profile, oracle, forcing

@@ -93,11 +93,14 @@ class Nonlinearity:
                              if present) or "zero"
 
     def G_vpart(self, v, shift: int = 0):
-        """The shift-th v-partial of the power sum at v; None without terms."""
+        """The shift-th v-partial of the power sum at v; None without terms.
+        A term whose falling factorial is 0 is left out, as its power of v may
+        overflow (0 * inf is NaN); with every term left out, 0 in v's shape."""
         if not self.terms:
             return None
-        return sum(coef * math.prod(ex - j for j in range(shift)) * v ** (ex - shift)
-                   for coef, ex in self.terms)
+        parts = [coef * fall * v ** (ex - shift) for coef, ex in self.terms
+                 if (fall := math.prod(ex - j for j in range(shift)))]
+        return sum(parts) if parts else 0.0 * v
 
     def G_xpart(self, t, r):
         return None if self.forcing is None else self.forcing(r, t)

@@ -249,7 +249,7 @@ def test_criterion_5_static_consistency():
                              G=power.G(0, 0, v), G_v=power.G_v(0, 0, v),
                              G_vv=power.G_vv(0, 0, v), G_x_norm=zeros, lap_Gx=zeros,
                              alpha=coeffs.alpha_at(tau_nodes),
-                             alpha_p=coeffs.alpha_prime_at(tau_nodes),
+                             alpha_p=coeffs.at(tau_nodes)[1],
                              beta=zeros, beta_p=zeros)
         radius = rng.uniform(0.5, 2.0)
         tau_eval = np.array([rng.uniform(0.1, 1.0)])

@@ -19,6 +19,7 @@ from harnacklab.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK,
 from harnacklab.geometry import Cylinder
 from harnacklab.scenarios import (GEOMETRY_PRESETS, ConfigError, load_scenario, parse_geometry,
                                   parse_scenario)
+from harnacklab.solver import Nonlinearity
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -324,6 +325,21 @@ def test_pole_warp_not_odd_at_the_pole_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.startswith("configuration error: geometry.warp: ") and "psi_rr(0,t) = 0" in err
+
+
+@pytest.mark.parametrize("potential, code", [("r", EXIT_CONFIG), ("cosh(r)", EXIT_OK)])
+def test_pole_potential_must_be_even(tmp_path, capsys, potential, code):
+    # phi = |x| = r is not smooth at the pole: phi_r(0, t) = 1 + t/10 under
+    # the config's drift; an even drifting potential still runs
+    doc = json.loads((CONFIGS / "gaussian-conformal.json").read_text())
+    doc["geometry"]["potential"] = potential
+    assert main(["check-identities", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_CONFIG:
+        assert err.startswith("configuration error: geometry.potential: ") and "phi_r(0,t)" in err
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("preset", sorted(GEOMETRY_PRESETS))
@@ -804,20 +820,50 @@ def _powerlaw_static(tmp_path, duration):
     return write_config(tmp_path, doc)
 
 
-@pytest.mark.parametrize("command", ["check-identities", "check-estimate", "check-harnack"])
-def test_tiny_pressure_passes_with_finite_summaries(tmp_path, command):
-    # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is near
-    # 1e-217 and its square underflows; no check divides by that square
+def _passes_clean(tmp_path, command, duration):
+    """Run ``command`` on powerlaw-static at ``duration`` with numpy warnings
+    as errors; it must exit 0 and write finite summaries."""
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([command, "--config", _powerlaw_static(tmp_path, 1000), "--out", str(out)])
+        code = main([command, "--config", _powerlaw_static(tmp_path, duration), "--out", str(out)])
     assert code == EXIT_OK
     numbers = [float(x) for x in re.findall(r"[-+]?\d+\.\d+e[-+]\d+",
                                             (out / "summary.txt").read_text())]
     assert numbers and np.all(np.isfinite(numbers))
     json.loads((out / "summary.json").read_text(),
                parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+
+
+@pytest.mark.parametrize("command", ["check-identities", "check-estimate", "check-harnack"])
+def test_tiny_pressure_passes_with_finite_summaries(tmp_path, command):
+    # at duration 1000 the pressure 2 exp(-t/2) of powerlaw-static is near
+    # 1e-217 and its square underflows; no check divides by that square
+    _passes_clean(tmp_path, command, 1000)
+
+
+@pytest.mark.parametrize("command", ["check-identities", "check-estimate", "check-harnack"])
+def test_pressure_near_the_least_normal_float_passes_clean(tmp_path, command):
+    # at duration 1400 the pressure is near 1e-304, above the least normal
+    # float, below which the parse refuses it
+    _passes_clean(tmp_path, command, 1400)
+
+
+def test_non_finite_supremum_exits_numerical(tmp_path, capsys, monkeypatch):
+    # a sup bracket's maximum is checked before the clamp max(0.0, .), which
+    # would read a NaN as 0.0 and pass
+    def nan_at_one_node(self, t, r, v, _original=Nonlinearity.G_vv):
+        out = np.array(_original(self, t, r, v))
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(Nonlinearity, "G_vv", nan_at_one_node)
+    code = main(["check-estimate", "--config", str(CONFIGS / "powerlaw-static.json"),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.count("\n") == 1 and err.startswith(
+        "numerical failure: sup quantities of the first family at eps=")
 
 
 @pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
@@ -828,7 +874,11 @@ def test_tiny_pressure_passes_with_finite_summaries(tmp_path, command):
      "numerical failure: time.duration: the pressure underflows to 0 at t = 2001\n"),
     ({"duration": 2.0, "expr": "2 - t"}, EXIT_CONFIG,
      "configuration error: solution.expr: the pressure must be positive, and is not at t = 3\n"),
-], ids=["underflow", "negative"])
+    # ... and is subnormal by the last time, where 2 / v overflows
+    ({"duration": 1450}, EXIT_NUMERICAL,
+     "numerical failure: time.duration: the pressure underflows below the least normal "
+     "float at t = 1451\n"),
+], ids=["underflow", "negative", "subnormal"])
 def test_pressure_at_the_last_time_is_refused_at_its_key(tmp_path, capsys, command, keys,
                                                          code, err):
     doc = json.loads((CONFIGS / "powerlaw-static.json").read_text())
@@ -1126,7 +1176,8 @@ def test_check_estimate_memory_is_bounded(tmp_path, monkeypatch):
     # tracing its 241,920 formatted rows takes ten seconds; its own memory
     # is bounded by test_write_csv_streams_in_chunks.)
     sc = load_scenario(CONFIGS / "numeric-gaussian.json")
-    sc.run_solver()
+    solved = sc.run_solver()
+    monkeypatch.setattr(sc, "run_solver", lambda: solved)
     written = []
 
     def drain(path, header, rows):
@@ -1141,13 +1192,14 @@ def test_check_estimate_memory_is_bounded(tmp_path, monkeypatch):
     assert peak <= 16.1 * 2**20 / 2
 
 
-def test_check_harnack_memory_is_bounded(tmp_path):
+def test_check_harnack_memory_is_bounded(tmp_path, monkeypatch):
     # On configs/numeric-gaussian.json, after the solve, check-harnack held
     # the global scope's sup samples whole: it peaked at 7.9 MB under
     # tracemalloc (CPython 3.11), and reducing both families' suprema in one
     # pass over the sup blocks peaks at 3.5 MB
     sc = load_scenario(CONFIGS / "numeric-gaussian.json")
-    sc.run_solver()
+    solved = sc.run_solver()
+    monkeypatch.setattr(sc, "run_solver", lambda: solved)
     peak, (_, _, failures) = _traced_peak(cli.cmd_check_harnack, sc, tmp_path / "out")
     assert failures == 0
     assert peak <= 7.9 * 2**20 / 2

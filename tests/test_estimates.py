@@ -286,8 +286,7 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
             v=rng.uniform(0.3, 2.5, n_nodes), G=rng.normal(0, 0.5, n_nodes),
             G_v=rng.normal(0, 0.5, n_nodes), G_vv=rng.normal(0, 0.5, n_nodes),
             G_x_norm=rng.uniform(0, 0.5, n_nodes), lap_Gx=rng.normal(0, 0.5, n_nodes),
-            alpha=coeffs.alpha_at(nodes), alpha_p=coeffs.alpha_prime_at(nodes),
-            beta=coeffs.beta_at(nodes), beta_p=coeffs.beta_prime_at(nodes),
+            **dict(zip(("alpha", "alpha_p", "beta", "beta_p"), coeffs.at(nodes))),
         )
         radius = rng.uniform(0.4, 1.5)
         for variant in (v for v in VARIANTS if not v.startswith("static")):
@@ -365,7 +364,7 @@ def test_static_consistency_vanishing_eps():
             G=power.G(0, 0, v), G_v=power.G_v(0, 0, v), G_vv=power.G_vv(0, 0, v),
             G_x_norm=zeros, lap_Gx=zeros,
             alpha=params.coeffs.alpha_at(tau_nodes),
-            alpha_p=params.coeffs.alpha_prime_at(tau_nodes),
+            alpha_p=params.coeffs.at(tau_nodes)[1],
             beta=zeros, beta_p=zeros,
         )
         radius = rng.uniform(0.5, 2.0)
@@ -536,8 +535,7 @@ def localized_diagnostic(solution, geom, params, nl, radius, cyl, t0_clock, dens
     part = solution.table(1, 1, rr, tt)
     v, v_r, v_t = part[0, 0], part[1, 0], part[0, 1]
     a = geom.conformal(rr, tt)
-    al = params.coeffs.alpha_at(tau)
-    be = params.coeffs.beta_at(tau)
+    al, _, be, _ = params.coeffs.at(tau)
     G = nl.G(tt, rr, v)
     F = v_r**2 / (a**2 * v) - al * v_t / v + al * G / v - be
     rho = a * rr

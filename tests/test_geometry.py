@@ -5,8 +5,7 @@ from harnacklab.fields import Grid, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  WarpedGeometry, angular_drift_product,
                                  bakry_emery_eigs, curvature_eigs, extract_bounds,
-                                 metric_speed_eigs, phi_laplacian_eval,
-                                 potential_radial_slope)
+                                 metric_speed, phi_laplacian_eval)
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import convergence_order, field_from_function, make_geometry
@@ -110,7 +109,7 @@ def test_drift_examples():
     ang = angular_drift_product(geom, 2.0, 0.0, 1.0, 0.0)
     assert (geom.n - 1) * ang == pytest.approx(1.0, rel=1e-14)
     gauss = make_geometry("gaussian", n=2, m=4)
-    drift = angular_drift_product(gauss, 1.0, 0.0, 1.0, 0.0) - potential_radial_slope(gauss, 1.0, 0.0)
+    drift = angular_drift_product(gauss, 1.0, 0.0, 1.0, 0.0) - gauss.potential.at(1, 0, 1.0, 0.0)
     assert drift == pytest.approx(0.0, abs=1e-14)
     hyp = make_geometry("hyperbolic", n=2)
     assert angular_drift_product(hyp, 1.0, 0.0, 1.0, 0.0) == pytest.approx(np.cosh(1) / np.sinh(1),
@@ -144,13 +143,13 @@ def test_phi_laplacian_stencil_and_table_routes_agree(kind, m, bump_profile):
 
 def test_metric_speed_static():
     geom = make_geometry("hyperbolic", n=2)
-    rad, ang, gh = metric_speed_eigs(geom, 0.5, 0.3)
+    rad, ang, gh, _ = metric_speed(geom, 0.5, 0.3)
     assert rad == 0.0 and ang == 0.0 and gh == 0.0
 
 
 def test_metric_speed_conformal_exponential():
     geom = make_geometry("euclidean", n=3, conformal="exp(t)")
-    rad, ang, gh = metric_speed_eigs(geom, 0.5, 0.3)
+    rad, ang, gh, _ = metric_speed(geom, 0.5, 0.3)
     assert rad == pytest.approx(1.0, rel=1e-13)
     assert ang == pytest.approx(1.0, rel=1e-13)
     assert gh == 0.0
@@ -160,7 +159,7 @@ def test_metric_speed_evolving_warp_table():
     geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
                           constant_profile(1.0), constant_profile(0.0), 2.0)
     assert (geom.family, geom.mode) == ("evolving-warp", "annulus")
-    rad, ang, gh = metric_speed_eigs(geom, 1.0, 0.0)
+    rad, ang, gh, _ = metric_speed(geom, 1.0, 0.0)
     assert rad == 0.0
     assert ang == pytest.approx(0.1, rel=1e-13)
     # closed-form |grad h| for psi = r (1 + t/10) at t = 0
@@ -252,4 +251,4 @@ def test_pole_mode_evolving_warp_speed_rejected_at_pole():
                           constant_profile(1.0), constant_profile(0.0),
                           2.0, mode="pole")
     with pytest.raises(GeometryError):
-        metric_speed_eigs(geom, np.array([0.0, 0.5]), 0.5)
+        metric_speed(geom, np.array([0.0, 0.5]), 0.5)

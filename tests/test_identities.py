@@ -8,7 +8,7 @@ import sympy as sp
 from harnacklab.fields import Grid, ScalarField, diff
 from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
-                                   TermTable, bochner_residual, harnack_evolution_residual,
+                                   TermTable, _RadialTerms, bochner_residual, harnack_evolution_residual,
                                    harnack_quantity, inequality_rhs, pressure_equation_residual,
                                    quotient_rule_residual)
 from harnacklab.params import AlphaBeta, HarnackParams
@@ -290,6 +290,31 @@ def test_evolution_identity_evolving_families(bump_profile, conformal_gaussian, 
                                                 params, nl, r=r, t=t)
         scale = max(1.0, np.max(np.abs(table.LpvF)))
         assert np.max(np.abs(res)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("fixture, family", [("conformal_gaussian", "conformal-evolving"),
+                                             ("evolving_warp", "evolving-warp")])
+def test_metric_speed_terms_match_each_family_formula(request, fixture, family, bump_profile):
+    # the five terms of h, contracted from the geometry's metric speed, against
+    # the formulas each evolution family had for them
+    geom = request.getfixturevalue(fixture)
+    assert geom.family == family
+    rr, tt = np.meshgrid(np.linspace(0.1, 1.9, 13), np.linspace(0.5, 1.5, 7), indexing="ij")
+    _, v_r, v_rr = bump_profile.table(2, 0, rr, tt)[:, 0]
+    h, n, zero = _RadialTerms(geom, rr, tt, v_r, v_rr), geom.n, np.zeros_like(rr)
+    if family == "conformal-evolving":
+        rate = geom.conformal.at(0, 1, rr, tt) / h.a
+        want = {"h_vv": rate * h.grad2, "h_hess": rate * h.lap_plain,
+                "h_phi_pair": rate * h.phi_pair, "divh_pair": zero, "h_norm2": n * rate**2}
+    else:
+        (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, rr, tt)
+        want = {"h_vv": zero, "h_hess": (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r,
+                "h_phi_pair": zero,
+                "divh_pair": -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r,
+                "h_norm2": (n - 1) * (psi_t / psi) ** 2}
+    for name, expect in want.items():
+        ulps = np.abs(getattr(h, name) - expect) / np.spacing(np.max(np.abs(expect)))
+        assert np.max(ulps, initial=0.0) <= 4, name
 
 
 def test_evolution_identity_barenblatt():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab.params import (HarnackParams, ParamError, constant_alpha_beta,
+from harnacklab.params import (PRESETS, HarnackParams, ParamError, constant_alpha_beta,
                                preset_alpha_beta, preset_ode_residuals)
 
 
@@ -67,3 +67,21 @@ def test_shifted_clock():
     shifted = pair.shifted(1.0)
     t = np.linspace(1.0, 2.0, 7)
     assert np.allclose(shifted.alpha_at(t), pair.alpha_at(t - 1.0))
+
+
+@pytest.mark.parametrize("which", PRESETS)
+def test_at_reads_each_coefficient_and_its_rate_off_one_series(which):
+    # against each profile's own partial, on a clock with an offset
+    pair = preset_alpha_beta(which, 0.7, 0.6).shifted(-0.25)
+    t = np.linspace(0.0, 2.0, 33)
+    r = np.zeros_like(t)
+    values = pair.at(t)
+    for got, (prof, order) in zip(values, [(pair.alpha, 0), (pair.alpha, 1),
+                                           (pair.beta, 0), (pair.beta, 1)]):
+        want = prof.at(0, order, r, t)
+        if (which, prof, order) == ("coth", pair.beta, 0):
+            # the series of coth is cosh/sinh, its value alone 1/tanh: the
+            # two part by up to 2 ulps of beta
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        else:
+            assert got.tobytes() == want.tobytes()

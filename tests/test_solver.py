@@ -53,6 +53,15 @@ def test_power_sum_validation_and_partials():
     assert np.allclose(nl.G_vv(0, 0, v), 4 * v**-3 + 0.75 * v**-1.5)
 
 
+def test_power_sum_partial_leaves_out_terms_whose_factor_is_zero():
+    # b = 1 has falling factorial 0 at shift 2, so its v^-1 is never taken: a
+    # subnormal v gives 0 in v's shape, not 0 * inf = NaN; the term b = 3 stays
+    v = np.array([5e-324, 1e-310, 1.0])
+    with np.errstate(all="raise"):
+        assert _same(Nonlinearity(B=[-0.5], b=[1.0]).G_vpart(v, 2), np.zeros(3))
+        assert _same(Nonlinearity(B=[-0.5, -1.0], b=[1.0, 3.0]).G_vpart(v, 2), -6.0 * v)
+
+
 TERMS = {"A": [2.0], "a": [-1.0], "B": [-3.0], "b": [0.5]}
 
 

@@ -188,6 +188,56 @@ def test_unset_parameter_guard_flags_an_added_default(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# unread-attribute guard
+# ---------------------------------------------------------------------------
+
+# attributes src/ assigns on self that nothing reads, each with its reason
+UNREAD_ATTRIBUTES_ALLOWED = {}
+
+
+def unread_attributes(src: Path, dirs) -> dict:
+    """``module.name`` -> first line of each ``self.<name> = ...`` in
+    ``src/*.py`` (a target of a tuple or augmented assignment included) whose
+    name no file in ``dirs/*.py`` reads, as an attribute in any context but a
+    store, or as a string constant (``getattr``)."""
+    assigned = {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (type(node) is ast.Attribute and type(node.ctx) is ast.Store
+                    and type(node.value) is ast.Name and node.value.id == "self"):
+                assigned.setdefault(f"{path.stem}.{node.attr}", node.lineno)
+    reads = set()
+    for path in sorted(p for d in dirs for p in d.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if type(node) is ast.Attribute and type(node.ctx) is not ast.Store:
+                reads.add(node.attr)
+            elif type(node) is ast.Constant and type(node.value) is str:
+                reads.add(node.value)
+    return {name: line for name, line in assigned.items()
+            if name.partition(".")[2] not in reads}
+
+
+def test_src_has_no_unread_attributes():
+    unread = unread_attributes(SRC, IMPORT_DIRS)
+    assert set(unread) - set(UNREAD_ATTRIBUTES_ALLOWED) == set(), f"never read: {unread}"
+    assert set(UNREAD_ATTRIBUTES_ALLOWED) - set(unread) == set(), "allowed as unread but read"
+
+
+def test_unread_attribute_guard_flags_an_added_attribute(tmp_path):
+    copy = tmp_path / "harnacklab"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    # stores, plain or augmented, are no reads; an attribute read and a
+    # getattr by name are
+    with open(copy / "estimates.py", "a") as fh:
+        fh.write("\n\nclass _Box:\n    def __init__(self):\n"
+                 "        self._assigned_only = self._read = self._by_name = 1\n"
+                 "        self._assigned_only += self._read + getattr(self, '_by_name')\n")
+    line = len((copy / "estimates.py").read_text().splitlines()) - 1
+    dirs = [copy, *IMPORT_DIRS[1:]]
+    assert unread_attributes(copy, dirs) == {"estimates._assigned_only": line}
+
+
+# ---------------------------------------------------------------------------
 # unused-import guard
 # ---------------------------------------------------------------------------
 

@@ -46,8 +46,7 @@ def synthetic_setup(rng, constant_alpha=False):
         G_vv=rng.normal(0, 0.5, n_nodes),
         G_x_norm=rng.uniform(0, 0.5, n_nodes),
         lap_Gx=rng.normal(0, 0.5, n_nodes),
-        alpha=coeffs.alpha_at(tau), alpha_p=coeffs.alpha_prime_at(tau),
-        beta=coeffs.beta_at(tau), beta_p=coeffs.beta_prime_at(tau),
+        **dict(zip(("alpha", "alpha_p", "beta", "beta_p"), coeffs.at(tau))),
     )
     n_dim = int(rng.integers(2, 4))
     radius = rng.uniform(0.4, 1.5)

@@ -23,9 +23,11 @@ with ``--workers 2``, both held to the serial line's entry; and the lines of
 alpha = 3, where the second family's weight w = alpha does not scale exactly
 in floating point, as it does at every shipped config's alpha = 2;
 check-identities on powerlaw-static at duration 1000, where the pressure is
-near 1e-217 and its square underflows; and check-estimate on powerlaw-static
-at duration 2000, where the pressure underflows to 0 and the config is refused
-as a numerical failure naming ``time.duration``.
+near 1e-217 and its square underflows; check-identities on powerlaw-static at
+duration 1450, where the pressure is subnormal by the last time; and
+check-estimate on powerlaw-static at duration 2000, where the pressure
+underflows to 0.  The last two configs are refused as numerical failures
+naming ``time.duration``.
 
 ``tests/test_golden.py`` runs the same lines and compares them with the record
 exactly.  A change meant to move an output reruns this script; the diff of
@@ -64,6 +66,8 @@ DERIVED = (
     ("gaussian-conformal alpha=3", "gaussian-conformal", ("harnack", "alpha"), 3.0,
      ("check-estimate", "check-harnack")),
     ("powerlaw-static duration=1000", "powerlaw-static", ("time", "duration"), 1000,
+     ("check-identities",)),
+    ("powerlaw-static duration=1450", "powerlaw-static", ("time", "duration"), 1450,
      ("check-identities",)),
     ("powerlaw-static duration=2000", "powerlaw-static", ("time", "duration"), 2000,
      ("check-estimate",)),
