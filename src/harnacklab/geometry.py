@@ -9,9 +9,10 @@ which of three evolution families a geometry belongs to:
 * ``conformal-evolving`` -- ``g(t) = a(t)^2 g_0`` with ``psi`` time independent
 * ``evolving-warp``    -- ``psi(r,t)`` evolves, ``a == 1``
 
-For these families every curvature quantity appearing in the estimates has a
-closed form in ``psi``, ``a``, ``phi`` and their derivatives, so suprema of
-geometric bounds can be extracted at machine precision on sampled cylinders.
+For these families every curvature quantity appearing in the estimates is
+arithmetic on the series of ``psi``, ``a`` and ``phi``, the pole included, so
+suprema of geometric bounds can be extracted at machine precision on sampled
+cylinders.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .jets import d_r, exp
+from .jets import d_r, d_t, exp
 from .symfun import Profile
 
 MODES = ("pole", "annulus")
@@ -97,7 +98,8 @@ class WarpedGeometry:
         if self.mode == "pole":
             p0, p1, p2 = self.warp.table(2, 0, np.zeros_like(ts), ts)[:, 0]
             if np.max(np.abs(p0)) > 1e-12 or np.max(np.abs(p1 - 1.0)) > 1e-12:
-                raise GeometryError("pole mode requires psi(0,t) = 0 and psi_r(0,t) = 1")
+                raise GeometryError("pole mode requires psi(0,t) = 0 and psi_r(0,t) = 1",
+                                    key="warp")
             # an even extension of the fields needs an odd warp
             if np.max(np.abs(p2)) > 1e-12:
                 raise GeometryError("pole mode requires a warp odd in r: psi_rr(0,t) = 0, "
@@ -107,10 +109,8 @@ class WarpedGeometry:
             if phi_r > 1e-12:
                 raise GeometryError("pole mode requires a potential even in r: phi_r(0,t) = 0, "
                                     f"not up to {phi_r:.6g}", key="potential")
-        else:
-            floor = self.warp(np.zeros_like(ts), ts)
-            if np.any(floor <= 0):
-                raise GeometryError("annulus mode requires psi bounded below by a positive constant")
+        elif np.any(self.warp(np.zeros_like(ts), ts) <= 0):
+            raise GeometryError("annulus mode requires psi bounded below by a positive constant")
 
     # -- derived fields, by jet arithmetic ------------------------------------
     def phi_laplacian_jet(self, w, r, t):
@@ -130,6 +130,49 @@ class WarpedGeometry:
         return Profile.of_jets(lambda r, t: self.phi_laplacian_jet(w.jet(r, t), r, t),
                                np.add(w.orders, (2, 0)), f"lap_phi({w.name})")
 
+    def bakry_emery(self, m: float) -> tuple[Profile, Profile]:
+        """The radial and angular eigenvalues of the m-Bakry-Emery Ricci
+        tensor Ric + Hess phi - d(phi)^2 / (m - n) relative to g, as profiles
+        (Ric + Hess phi at m = inf, Ric with a constant potential) whose series
+        divisions by psi give their values at the pole."""
+        n, psi, phi, a = self.n, self.warp, self.potential, self.conformal
+
+        def radial(r, t):
+            P, phi_r = psi.jet(r, t), d_r(phi.jet(r, t))
+            sharp = phi_r**2 / (m - n) if m > n else 0.0
+            return (-(n - 1) * d_r(d_r(P)) / P + d_r(phi_r) - sharp) / a.jet(r, t) ** 2
+
+        def angular(r, t):
+            P, phi_r = psi.jet(r, t), d_r(phi.jet(r, t))
+            P_r = d_r(P)
+            return (((P_r * phi_r - d_r(P_r)) / P + (n - 2) * (1.0 - P_r**2) / P**2)
+                    / a.jet(r, t) ** 2)
+
+        return (Profile.of_jets(radial, (2, 0), "bakry_emery_radial"),
+                Profile.of_jets(angular, (2, 0), "bakry_emery_angular"))
+
+    def warp_speed(self) -> tuple[Profile, Profile, Profile]:
+        """On an evolving warp, h's angular eigenvalue psi_t/psi, |grad h|^2 and the
+        radial part of 2 div h - grad tr h, as profiles, the pole included."""
+        n, psi = self.n, self.warp
+
+        def h_angular(r, t):
+            P = psi.jet(r, t)
+            return d_t(P) / P
+
+        def grad_h2(r, t):
+            P = psi.jet(r, t)
+            cross = d_r(P) * d_t(P) / P
+            return (n - 1) * ((d_t(d_r(P)) - cross) ** 2 + 2.0 * cross**2) / P**2
+
+        def div(r, t):
+            P = psi.jet(r, t)
+            return -(n - 1) * (d_r(P) * d_t(P) / P**2 + d_t(d_r(P)) / P)
+
+        return (Profile.of_jets(h_angular, (0, 1), "h_angular"),
+                Profile.of_jets(grad_h2, (1, 1), "grad_h_sq"),
+                Profile.of_jets(div, (1, 1), "h_divergence"))
+
     @cached_property
     def volume_density(self) -> Profile:
         """J with d(mu) = J dr dOmega; J = a^n psi^(n-1) exp(-phi).
@@ -147,10 +190,6 @@ class WarpedGeometry:
 # pointwise geometric quantities (vectorized over r, t arrays)
 # ---------------------------------------------------------------------------
 
-def _pole_mask(geom, r):
-    return (np.asarray(r, dtype=float) == 0.0) & (geom.mode == "pole")
-
-
 def _check_domain(geom, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(r > geom.r_max * (1 + 1e-12)):
@@ -159,18 +198,12 @@ def _check_domain(geom, r):
 
 
 def angular_drift_product(geom: WarpedGeometry, r, t, f_r, f_rr):
-    """(psi_r / psi) f_r for an even radial field f, with pole limit f_rr.
-
-    This is the only coordinate-singular building block of the radial
-    operators; for even fields the product extends continuously to the pole
-    with value f_rr(0, t).
-    """
-    r = np.asarray(r, dtype=float)
-    pole = _pole_mask(geom, r)
-    r_safe = np.where(pole, 0.5 * geom.r_max, r)
-    psi, psi_r = geom.warp.table(1, 0, r_safe, t)[:, 0]
-    out = psi_r * f_r / psi
-    return np.where(pole, f_rr, out)
+    """(psi_r / psi) f_r for an even radial field f given as arrays (off a
+    table or stencils), which no series division reaches: at the pole the
+    product takes its limit f_rr(0, t)."""
+    psi, psi_r = geom.warp.table(1, 0, r, t)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((np.asarray(r) == 0.0) & (geom.mode == "pole"), f_rr, psi_r * f_r / psi)
 
 
 def phi_laplacian_eval(geom: WarpedGeometry, r, t, w_r, w_rr):
@@ -180,45 +213,17 @@ def phi_laplacian_eval(geom: WarpedGeometry, r, t, w_r, w_rr):
     limits built in.  The partials may come from a derivative table or from
     stencils; this is the one numeric transcription of Delta_phi.
     """
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
     ang = angular_drift_product(geom, r, t, w_r, w_rr)
     phi_r = geom.potential.at(1, 0, r, t)
     return (w_rr + (geom.n - 1) * ang - phi_r * w_r) / geom.conformal(r, t) ** 2
 
 
-def curvature_eigs(geom: WarpedGeometry, r, t):
-    """Eigenvalues (radial, angular) of Ric relative to g."""
-    r = _check_domain(geom, r)
-    t = np.asarray(t, dtype=float)
-    pole = _pole_mask(geom, r)
-    r_safe = np.where(pole, 0.5 * geom.r_max, r)
-    psi, psi_r, psi_rr = geom.warp.table(2, 0, r_safe, t)[:, 0]
-    if np.any(psi <= 0):
-        raise GeometryError("warp non-positive inside domain")
-    a2 = geom.conformal(r, t) ** 2
-    rad = -(geom.n - 1) * psi_rr / psi
-    ang = -psi_rr / psi + (geom.n - 2) * (1.0 - psi_r**2) / psi**2
-    if np.any(pole):
-        psi3 = geom.warp.at(3, 0, np.zeros_like(r), t)
-        limit = -(geom.n - 1) * psi3
-        rad = np.where(pole, limit, rad)
-        ang = np.where(pole, limit, ang)
-    return rad / a2, ang / a2
-
-
 def bakry_emery_eigs(geom: WarpedGeometry, r, t):
     """Eigenvalues (radial, angular) of the m-Bakry-Emery Ricci tensor relative to g."""
-    rad, ang = curvature_eigs(geom, r, t)
-    r = np.asarray(r, dtype=float)
-    t = np.asarray(t, dtype=float)
-    a2 = geom.conformal(r, t) ** 2
-    phi_r = geom.potential.at(1, 0, r, t)
-    phi_rr = geom.potential.at(2, 0, r, t)
-    hess_ang = angular_drift_product(geom, r, t, phi_r, phi_rr)
-    # an even potential's phi_r vanishes at the pole, and so does the sharp term
-    sharp = np.zeros_like(phi_rr) if geom.m == geom.n else phi_r**2 / (geom.m - geom.n)
-    return rad + (phi_rr - sharp) / a2, ang + hess_ang / a2
+    r = _check_domain(geom, r)
+    if np.any((geom.warp(r, t) <= 0) & ((r > 0) | (geom.mode == "annulus"))):
+        raise GeometryError("warp non-positive inside domain")
+    return tuple(prof(r, t) for prof in geom.bakry_emery(geom.m))
 
 
 def metric_speed(geom: WarpedGeometry, r, t):
@@ -226,20 +231,14 @@ def metric_speed(geom: WarpedGeometry, r, t):
     to g, |grad h|, and the radial component of 2 div h - grad tr h, which is
     nonzero only on an evolving warp."""
     r = _check_domain(geom, r)
-    t = np.asarray(t, dtype=float)
     zeros = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)))
     if geom.family == "static-warp":
         return zeros, zeros, zeros, zeros
     if geom.family == "conformal-evolving":
         rate = geom.conformal.at(0, 1, r, t) / geom.conformal(r, t)
         return rate, rate, zeros, zeros
-    if geom.mode == "pole" and np.any(r == 0.0):
-        raise GeometryError("evolving-warp metric speed is singular at the pole; use annulus mode")
-    (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, r, t)
-    cross = psi_r * psi_t / psi
-    grad_h = np.sqrt((geom.n - 1) * ((psi_rt - cross) ** 2 + 2.0 * cross**2)) / psi
-    div = -(geom.n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi)
-    return zeros, psi_t / psi, grad_h, div
+    h_ang, grad_h2, div = (prof(r, t) for prof in geom.warp_speed())
+    return zeros, h_ang, np.sqrt(grad_h2), div
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 
 from .fields import ScalarField, diff
 from .estimates import aggregates, estimate_brackets, harnack_quantity, metric_aggregate
-from .geometry import (Cylinder, WarpedGeometry, angular_drift_product, bakry_emery_eigs,
-                       curvature_eigs, metric_speed, phi_laplacian_eval)
+from .geometry import (Cylinder, WarpedGeometry, angular_drift_product, metric_speed,
+                       phi_laplacian_eval)
 from .jets import d_r, d_t
 from .params import HarnackParams
 from .solver import Nonlinearity, pressure_equation_residual  # noqa: F401  (re-exported)
@@ -193,8 +193,7 @@ class TermTable(_RadialTerms):
 
         super().__init__(geom, rr, tt, self.v_r, self.v_rr)
         self.grad_norm = np.abs(self.v_r) / self.a
-        be_rad, _ = bakry_emery_eigs(geom, rr, tt)
-        self.ric_m_vv = be_rad * self.grad2
+        self.ric_m_vv = geom.bakry_emery(m)[0](rr, tt) * self.grad2
         self.sharp_pair = (self.phi_pair**2 / (m - n)) if m > n else np.zeros_like(self.v)
 
         # nonlinearity values and partials; coordinate x-partials are converted
@@ -306,10 +305,7 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
     _, w_r, w_rr = w.table(2, 0, rr, tt)[:, 0]
     terms = _RadialTerms(geom, rr, tt, w_r, w_rr)
     pair = w_r * geom.phi_laplacian(w).at(1, 0, rr, tt) / terms.a2
-
-    ric_rad, _ = curvature_eigs(geom, rr, tt)
-    ric_phi_rad = ric_rad + geom.potential.at(2, 0, rr, tt) / terms.a2
-    return half_lap_grad2 - pair - terms.hess2 - ric_phi_rad * terms.grad2
+    return half_lap_grad2 - pair - terms.hess2 - geom.bakry_emery(np.inf)[0](rr, tt) * terms.grad2
 
 
 # ---------------------------------------------------------------------------

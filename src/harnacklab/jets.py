@@ -142,8 +142,9 @@ def _divide(a, b) -> Jet:
     for i in range(min(len(a), len(b))):
         q.append((a[i] - sum(q[j] * b[i - j] for j in range(i))) / b[0])
     if len(q) > 1:
-        # nodes where both leading coefficients vanish take the shifted quotient
-        cancel = ((_magnitude(b[0]) <= _ZERO_RTOL * _scale(b))
+        # nodes where both leading coefficients vanish, but not the whole divisor
+        # (a t-series at the pole, left nan for the r-level), take the shifted quotient
+        cancel = ((_magnitude(b[0]) <= _ZERO_RTOL * (b_scale := _scale(b))) & (b_scale > 0)
                   & (_magnitude(a[0]) <= _ZERO_RTOL * scale))
         if np.any(cancel):
             shifted = _divide(a[1:], b[1:]).c
@@ -204,15 +205,18 @@ def _log(u: Jet) -> Jet:
     return Jet(v)
 
 
-def _sin_cos(u: Jet, sign: int):
-    """(sin u, cos u) for sign -1, (sinh u, cosh u) for sign +1."""
+def _sin_cos(u: Jet, sign: int, scaled: bool = False):
+    """(sin u, cos u) for sign -1, (sinh u, cosh u) for sign +1, ``scaled`` over
+    cosh u0: their quotients then lead with np.tanh(u0) and outlive the overflow."""
     if not u.c:
         return u, u
     u0 = u.c[0]
     if isinstance(u0, Jet):
-        s, c = ([a] for a in _sin_cos(u0, sign))
+        s, c = ([a] for a in _sin_cos(u0, sign, scaled))
     elif sign < 0:
         s, c = [np.sin(u0)], [np.cos(u0)]
+    elif scaled:
+        s, c = [np.tanh(u0)], [np.ones_like(u0)]
     else:
         s, c = [np.sinh(u0)], [np.cosh(u0)]
     for k in range(1, len(u)):
@@ -240,8 +244,9 @@ JET_FUNCTIONS = {
     "cos": _rule(np.cos, lambda u: _sin_cos(u, -1)[1]),
     "sinh": _rule(np.sinh, lambda u: _sin_cos(u, 1)[0]),
     "cosh": _rule(np.cosh, lambda u: _sin_cos(u, 1)[1]),
-    "tanh": _rule(np.tanh, lambda u: operator.truediv(*_sin_cos(u, 1))),
-    "coth": _rule(lambda x: 1.0 / np.tanh(x), lambda u: operator.truediv(*_sin_cos(u, 1)[::-1])),
+    "tanh": _rule(np.tanh, lambda u: operator.truediv(*_sin_cos(u, 1, True))),
+    "coth": _rule(lambda x: 1.0 / np.tanh(x),
+                  lambda u: operator.truediv(*_sin_cos(u, 1, True)[::-1])),
     "sech": _rule(lambda x: 1.0 / np.cosh(x), lambda u: 1.0 / _sin_cos(u, 1)[1]),
     "csch": _rule(lambda x: 1.0 / np.sinh(x), lambda u: 1.0 / _sin_cos(u, 1)[0]),
 }

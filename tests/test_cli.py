@@ -327,6 +327,19 @@ def test_pole_warp_not_odd_at_the_pole_rejected(tmp_path, capsys):
     assert err.startswith("configuration error: geometry.warp: ") and "psi_rr(0,t) = 0" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack"])
+def test_pole_warp_with_moving_slope_rejected_at_the_warp(tmp_path, capsys, command):
+    # psi = r (1 + t/10) vanishes at the pole, but psi_r(0, t) = 1 + t/10
+    doc = json.loads((CONFIGS / "evolving-warp-pole.json").read_text())
+    doc["geometry"]["warp"] = "r*(1 + t/10)"
+    code = main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("configuration error: geometry.warp: ") and "psi_r(0,t) = 1" in err
+
+
 @pytest.mark.parametrize("potential, code", [("r", EXIT_CONFIG), ("cosh(r)", EXIT_OK)])
 def test_pole_potential_must_be_even(tmp_path, capsys, potential, code):
     # phi = |x| = r is not smooth at the pole: phi_r(0, t) = 1 + t/10 under

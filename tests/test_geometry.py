@@ -4,8 +4,8 @@ import pytest
 from harnacklab.fields import Grid, diff
 from harnacklab.geometry import (Cylinder, GeometryBounds, GeometryError,
                                  WarpedGeometry, angular_drift_product,
-                                 bakry_emery_eigs, curvature_eigs, extract_bounds,
-                                 metric_speed, phi_laplacian_eval)
+                                 bakry_emery_eigs, extract_bounds, metric_speed,
+                                 phi_laplacian_eval)
 from harnacklab.symfun import Profile, constant_profile
 
 from conftest import convergence_order, field_from_function, make_geometry
@@ -13,21 +13,21 @@ from conftest import convergence_order, field_from_function, make_geometry
 
 def test_flat_space_is_ricci_flat():
     geom = make_geometry("euclidean", n=3)
-    rad, ang = curvature_eigs(geom, 1.0, 0.0)
+    rad, ang = bakry_emery_eigs(geom, 1.0, 0.0)
     assert rad == pytest.approx(0.0, abs=1e-14)
     assert ang == pytest.approx(0.0, abs=1e-14)
 
 
 def test_hyperbolic_eigenvalues_closed_form():
     geom = make_geometry("hyperbolic", n=3)
-    rad, ang = curvature_eigs(geom, 0.7, 0.0)
+    rad, ang = bakry_emery_eigs(geom, 0.7, 0.0)
     assert rad == pytest.approx(-2.0, rel=1e-12)
     assert ang == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_sphere_eigenvalues():
     geom = make_geometry("sphere", n=2, r_max=1.4)
-    rad, ang = curvature_eigs(geom, 0.5, 0.0)
+    rad, ang = bakry_emery_eigs(geom, 0.5, 0.0)
     assert rad == pytest.approx(1.0, rel=1e-12)
     assert ang == pytest.approx(1.0, rel=1e-12)
 
@@ -39,7 +39,7 @@ def test_constant_curvature_at_every_sample_point(kind, value):
     for n in (2, 3, 4):
         geom = make_geometry(kind, n=n, r_max=r_max)
         r = np.linspace(0.0, 0.95 * r_max, 40)
-        rad, ang = curvature_eigs(geom, r, 0.0)
+        rad, ang = bakry_emery_eigs(geom, r, 0.0)
         expect = value * (n - 1)
         scale = max(1.0, abs(expect))
         assert np.max(np.abs(rad - expect)) <= 1e-10 * scale
@@ -55,7 +55,7 @@ def test_curvature_matches_finite_differences_of_warp():
     d1 = (psi(r + h) - psi(r - h)) / (2 * h)
     rad_o = -(geom.n - 1) * d2 / psi(r)
     ang_o = -d2 / psi(r) + (geom.n - 2) * (1 - d1**2) / psi(r) ** 2
-    rad, ang = curvature_eigs(geom, r, 0.0)
+    rad, ang = bakry_emery_eigs(geom, r, 0.0)
     assert rad == pytest.approx(rad_o, rel=1e-6)
     assert ang == pytest.approx(ang_o, rel=1e-6)
 
@@ -77,13 +77,14 @@ def test_bakry_emery_zero_potential_any_m():
     base = make_geometry("hyperbolic", n=2)
     geom = make_geometry("hyperbolic", n=2, m=5)
     r = np.linspace(0.1, 1.9, 9)
-    assert np.allclose(bakry_emery_eigs(geom, r, 0.0), curvature_eigs(base, r, 0.0))
+    assert np.allclose(bakry_emery_eigs(geom, r, 0.0), bakry_emery_eigs(base, r, 0.0))
 
 
 def test_bakry_emery_constant_potential_m_equals_n():
     geom = make_geometry("euclidean", n=3, m=3, potential="2")
+    twin = make_geometry("euclidean", n=3, m=3)
     r = np.linspace(0.1, 1.9, 9)
-    assert np.allclose(bakry_emery_eigs(geom, r, 0.0), curvature_eigs(geom, r, 0.0))
+    assert np.allclose(bakry_emery_eigs(geom, r, 0.0), bakry_emery_eigs(twin, r, 0.0))
 
 
 def test_bakry_emery_monotone_in_m():
@@ -246,9 +247,76 @@ def test_pole_regularity_validation():
         bad.validate_on(0.0, 1.0)
 
 
-def test_pole_mode_evolving_warp_speed_rejected_at_pole():
-    geom = WarpedGeometry(3, 3.0, Profile("r*(1 + t/10)", "psi"),
-                          constant_profile(1.0), constant_profile(0.0),
-                          2.0, mode="pole")
-    with pytest.raises(GeometryError):
-        metric_speed(geom, np.array([0.0, 0.5]), 0.5)
+def test_bakry_emery_refuses_a_warp_that_vanishes_off_the_pole():
+    # psi = r - r^3/2 vanishes at r = sqrt(2) < r_max; its zero at the pole
+    # is the coordinate's, and there the Ricci eigenvalues are -(n-1) psi_rrr = 3
+    geom = WarpedGeometry(2, 2.0, Profile("r - r**3/2"), constant_profile(1.0),
+                          constant_profile(0.0), 2.0, mode="pole")
+    assert bakry_emery_eigs(geom, 0.0, 0.0) == pytest.approx((3.0, 3.0), rel=1e-14)
+    with pytest.raises(GeometryError, match="warp non-positive"):
+        bakry_emery_eigs(geom, np.array([0.0, 1.5]), 0.0)
+
+
+# an odd warp whose curvature varies: psi = r + r^3/10, psi_rrr(0) = 3/5
+CUBIC_WARP = "r + r**3/10"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ricci_at_the_pole_is_minus_n_minus_one_psi_rrr(n):
+    # the series division gives the limit -(n-1) psi_rrr(0) / a^2 of both
+    # eigenvalues, in a block with other radii and on the pole alone
+    geom = WarpedGeometry(n, float(n), Profile(CUBIC_WARP, "psi"), Profile("exp(t/4)", "a"),
+                          constant_profile(0.0), 2.0, mode="pole")
+    t = np.array([0.0, 0.5, 1.0])
+    want = -(n - 1) * 0.6 / np.exp(t / 4) ** 2
+    for r in (np.zeros(3), np.array([0.0, 0.8, 0.0])):
+        rad, ang = bakry_emery_eigs(geom, r, t)
+        pole = r == 0.0
+        assert rad[pole] == pytest.approx(want[pole], rel=1e-14)
+        assert ang[pole] == pytest.approx(want[pole], rel=1e-14)
+    # and the curvature is continuous there
+    rad, ang = bakry_emery_eigs(geom, 1e-4, 0.0)
+    assert (rad, ang) == pytest.approx((-(n - 1) * 0.6,) * 2, rel=1e-6)
+
+
+def test_bakry_emery_angular_eigenvalue_at_the_pole_picks_up_phi_rr():
+    # for an even potential psi_r phi_r / psi -> phi_rr(0, t), so both
+    # eigenvalues gain phi_rr(0, t) / a^2 = (1 + t/9) exp(-t/2) over the
+    # constant-potential twin
+    phi, a = Profile("r**2*(1 + t/9)/2 + r**4", "phi"), Profile("exp(t/4)", "a")
+    geom = WarpedGeometry(3, 5.0, Profile(CUBIC_WARP, "psi"), a, phi, 2.0, mode="pole")
+    twin = WarpedGeometry(3, 3.0, Profile(CUBIC_WARP, "psi"), a, constant_profile(0.0), 2.0,
+                          mode="pole")
+    r, t = np.array([0.0, 0.5, 0.0]), np.array([0.0, 0.3, 0.9])
+    rad, ang = bakry_emery_eigs(geom, r, t)
+    ric_rad, ric_ang = bakry_emery_eigs(twin, r, t)
+    pole, a2 = r == 0.0, np.exp(t / 2)
+    want = (1 + t / 9) / a2
+    assert ang[pole] - ric_ang[pole] == pytest.approx(want[pole], rel=1e-14)
+    assert rad[pole] - ric_rad[pole] == pytest.approx(want[pole], rel=1e-14)
+    # away from the pole the drift product is psi_r phi_r / psi, and the
+    # radial one loses phi_r^2 / (m - n)
+    x, s = 0.5, 0.3
+    psi, psi_r = x + x**3 / 10, 1 + 3 * x**2 / 10
+    phi_r, phi_rr = x * (1 + s / 9) + 4 * x**3, (1 + s / 9) + 12 * x**2
+    assert ang[1] - ric_ang[1] == pytest.approx(psi_r * phi_r / psi / a2[1], rel=1e-13)
+    assert rad[1] - ric_rad[1] == pytest.approx((phi_rr - phi_r**2 / 2) / a2[1], rel=1e-13)
+
+
+def test_evolving_warp_speed_is_finite_at_the_pole():
+    # on psi = r + t r^3/10 the three warp terms of h vanish at r = 0; near it
+    # psi_t/psi = r^2/10 and |grad h|^2 = (n-1)(1/25 + 2/100) r^2 differ from
+    # those values by O(r^2), and the radial component of 2 div h - grad tr h,
+    # odd in r, is -(n-1)(psi_r psi_t/psi^2 + psi_rt/psi) = -(n-1) 2r/5 + O(r^3)
+    geom = WarpedGeometry(3, 3.0, Profile("r + t*r**3/10", "psi"), constant_profile(1.0),
+                          constant_profile(0.0), 2.0, mode="pole")
+    geom.validate_on(0.5, 1.5)
+    t = np.array([0.5, 1.0, 1.5])
+    for r in (np.zeros(3), np.array([0.0, 0.7, 0.0])):
+        h_rad, h_ang, grad_h, div = metric_speed(geom, r, t)
+        assert np.all(np.abs([h_rad, h_ang, grad_h, div])[:, r == 0.0] == 0.0)
+    r = 1e-3
+    _, h_ang, grad_h, div = metric_speed(geom, np.full(3, r), t)
+    assert h_ang == pytest.approx(np.full(3, r**2 / 10), rel=1e-5)
+    assert grad_h**2 == pytest.approx(np.full(3, 2 * 0.06 * r**2), rel=1e-5)
+    assert div / r == pytest.approx(np.full(3, -2 * 2 / 5), rel=1e-5)

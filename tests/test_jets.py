@@ -118,6 +118,20 @@ def test_numbers_and_arrays_take_the_numpy_rules():
         assert rule(TS) == pytest.approx(numeric(TS), rel=1e-15)
 
 
+@pytest.mark.parametrize("name", ["tanh", "coth"])
+def test_tanh_and_coth_series_lead_with_the_value_past_the_overflow(name):
+    # the series divides sinh by cosh over cosh of the constant term, so it
+    # leads with the value's own np.tanh bit for bit, and stays finite where
+    # sinh and cosh overflow (past 710)
+    prof = Profile(f"{name}(t*(1 + r))", name)
+    t = np.array([0.3, 2.0, 700.0, 720.0, -800.0])
+    table = prof.table(2, 2, 0.5, t)
+    assert table[0, 0].tobytes() == prof(0.5, t).tobytes()
+    assert np.all(np.isfinite(table))
+    # d/dt tanh(t (1 + r)) = (1 + r) (1 - tanh^2), and so for coth
+    assert table[0, 1] == pytest.approx(1.5 * (1 - table[0, 0] ** 2), rel=1e-13, abs=1e-300)
+
+
 @pytest.mark.parametrize("expr, values", [
     # value, first and second r-derivative at r = 0
     pytest.param("sinh(r)/r", (1.0, 0.0, 1 / 3), id="expr0-values0"),
@@ -177,6 +191,20 @@ def test_pole_node_among_others_cancels_at_that_node(bump_profile):
     assert value[:3] == pytest.approx(forcing(np.zeros(3), TS), rel=1e-14, abs=1e-15)
     assert forcing.table(2, 1, r, t)[..., :3] == pytest.approx(
         forcing.table(2, 1, np.zeros(3), TS), rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("expr", ["t*r**2/(r + t*r**3/10)",
+                                  "exp(-t)*r**2*(1 + 3*t*r**2/10)/(r + t*r**3/10)"], ids=str)
+def test_quotient_of_t_series_over_a_block_with_the_pole_matches_each_node(expr):
+    # the divisor's r-coefficients are series in t, and at the pole node its
+    # leading one is identically zero while at the other radii it is not: the
+    # t-level quotient must leave that node to the r-level cancellation
+    prof = Profile(expr, "quotient")
+    r, t = np.array([0.0, 0.5, 0.0, 1.0]), np.array([0.5, 0.5, 1.5, 1.0])
+    block = prof.table(2, 2, r, t)
+    for k in range(len(r)):
+        alone = prof.table(2, 2, r[k:k + 1], t[k:k + 1])[..., 0]
+        assert block[..., k] == pytest.approx(alone, rel=1e-13, abs=1e-14)
 
 
 @pytest.mark.parametrize("expr", ["1/r", "cos(r)/r", "log(r)"], ids=str)
