@@ -105,16 +105,16 @@ def _young(v_sup, eps) -> float:
     return math.inf if eps is None else (1.5) ** 1.5 * v_sup / math.sqrt(eps)
 
 
-def aggregates(bounds: GeometryBounds, params: HarnackParams, v_sup, radius: float, al,
-               eps, family: str = "first", scope: str = "local") -> dict:
-    """The five aggregate coefficients K, L, E, F and N at the values ``al``
-    of alpha; the sixth, M, is :func:`metric_aggregate`.
+def aggregates(bounds: GeometryBounds, params: HarnackParams, n_dim: int, v_sup, radius: float,
+               al, eps, family: str = "first", scope: str = "local") -> dict:
+    """The aggregate coefficients K, L, F, N and M at the values ``al`` of
+    alpha; M carries the metric speed into the clamped zeroth-order block.
 
     ``eps`` may be None for the vanishing-eps limit, in which case the
     Young-inequality coefficient attached to the forcing-gradient block
-    (``E``) is infinite and callers must check that its bracket vanishes.
-    Any other eps is taken as admissible: :func:`reduce_suprema` checks it
-    against the ceiling on every node's clock time.
+    (:func:`_young`) is infinite and callers must check that its bracket
+    vanishes.  Any other eps is taken as admissible: :func:`reduce_suprema`
+    checks it against the ceiling on every node's clock time.
     """
     if scope not in ("local", "global"):
         raise EstimateError(f"unknown scope {scope!r}")
@@ -133,20 +133,13 @@ def aggregates(bounds: GeometryBounds, params: HarnackParams, v_sup, radius: flo
     L = al * (p - 1) * bounds.l2 / 2.0 + al * (p - 1) * bounds.k_lo * bounds.l1
     young = 0.0 if eps is None else 2.0 * eps * b * al**2 * w
     return {
-        "K": K, "L": L, "E": _young(v_sup, eps),
+        "K": K, "L": L,
         "F": b * al**2 * w / (4.0 * (al - 1.0) ** 2 - young),
         "N": (2.0 * (p - 1) * v_sup * ((m - 1) * bounds.k + w * bounds.k2)
               + 2.0 * (al - 1.0) * bounds.k_hi) / w,
+        "M": al**2 / w * (p - 1) * n_dim * ((bounds.k_lo + bounds.k_hi) ** 2
+                                            + 2.0 * bounds.k2 / w),
     }
-
-
-def metric_aggregate(bounds: GeometryBounds, params: HarnackParams, n_dim: int, al,
-                     family: str = "first"):
-    """Metric-speed aggregate M entering the clamped zeroth-order block, at
-    the values ``al`` of alpha."""
-    w = family_weight(family, al)
-    return al**2 / w * (params.p - 1) * n_dim * ((bounds.k_lo + bounds.k_hi) ** 2
-                                                 + 2.0 * bounds.k2 / w)
 
 
 def _family_slope(family: str, s):
@@ -154,19 +147,19 @@ def _family_slope(family: str, s):
     return s.G_v + s.alpha_p / s.alpha if family == "first" else s.G_v
 
 
-def estimate_brackets(s, params: HarnackParams, family: str, L=0.0, N=0.0, M=0.0):
+def estimate_brackets(s, params: HarnackParams, family: str, agg: dict):
     """The brackets (slope, grad, const, quad) of the completed square in F,
     pointwise on sup samples or a term table ``s``, with the aggregates L, N
-    and M of the extracted bounds (zero by default)."""
+    and M of ``agg`` (:func:`aggregates` of the extracted bounds, or zeros)."""
     b, p = params.b, params.p
     al, alp, be = s.alpha, s.alpha_p, s.beta
     w = family_weight(family, al)
     slope = _family_slope(family, s) - 2.0 * be / (b * al**2)
-    grad = ((al - 1.0) * s.G_x_norm / s.v + L) / w
+    grad = ((al - 1.0) * s.G_x_norm / s.v + agg["L"]) / w
     const = (be * s.G_v - al * (p - 1) * s.lap_Gx
-             + (be / al) * (alp - be / (b * al)) - s.beta_p) / w + M
+             + (be / al) * (alp - be / (b * al)) - s.beta_p) / w + agg["M"]
     quad = ((al - 1.0) * (s.G / s.v - s.G_v) - al * (p - 1) * s.v * s.G_vv
-            - 2.0 * (al - 1.0) * be / (b * al**2) - alp / al) / w + N
+            - 2.0 * (al - 1.0) * be / (b * al**2) - alp / al) / w + agg["N"]
     return slope, grad, const, quad
 
 
@@ -279,10 +272,8 @@ def _sup_terms(s: SupSamples, v_sup: float, bounds: GeometryBounds, params: Harn
     """The maxima over the nodes of ``s`` that the quantities of (family,
     scope, eps) are made of, before any clamping; at eps None also those of
     the static forms: sup |G_x|, the slope and the last bracket."""
-    cst = aggregates(bounds, params, v_sup, radius, s.alpha, eps, family, scope)
-    slope, grad, const, quad = estimate_brackets(
-        s, params, family, cst["L"], cst["N"],
-        metric_aggregate(bounds, params, n_dim, s.alpha, family))
+    cst = aggregates(bounds, params, n_dim, v_sup, radius, s.alpha, eps, family, scope)
+    slope, grad, const, quad = estimate_brackets(s, params, family, cst)
     terms = [s.beta - s.alpha * s.G / s.v, slope + cst["K"], grad, const,
              np.sqrt(cst["F"]) * quad]
     if eps is None:
@@ -367,6 +358,13 @@ def variant_kind(variant: str) -> tuple[str, str]:
             "global" if variant.endswith("global") else "local")
 
 
+def sup_part(q: dict, b: float, al):
+    """b al q1 + sqrt(b w) sqrt(q2^(4/3) + q3 + q4^2) at the values ``al`` of alpha,
+    to which the evolving right sides add b al / tau; H is q0 + alpha sup_part."""
+    agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
+    return b * al * q["q1"] + np.sqrt(b * family_weight(q["family"], al)) * np.sqrt(agg)
+
+
 def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackParams,
               radius: float, tau):
     """Estimate right-hand side at clock times tau > 0.
@@ -383,34 +381,24 @@ def rhs_bound(variant: str, q: dict, bounds: GeometryBounds, params: HarnackPara
     if np.any(tau <= 0):
         raise EstimateError("the estimate right side requires tau > 0")
     b = params.b
-    p, m = params.p, params.m
-    family = q["family"]
     al = params.coeffs.alpha_at(tau)
-    base = b * al / tau
-    v_sup = q["v_sup"]
-    k = bounds.k
-    local = q["scope"] == "local"
-
     if not variant.startswith("static"):
-        agg = q["q2"] ** (4.0 / 3.0) + q["q3"] + q["q4"] ** 2
-        rhs = base + b * al * q["q1"] + np.sqrt(b * family_weight(family, al)) * np.sqrt(agg)
-        if local:
-            rhs = rhs + _localization_term(params, al, v_sup, radius, k, m)
-        return rhs
-
-    # static-geometry forms (vanishing-eps limits with zeroed evolution data);
-    # they are only sound for x-independent forcing on static data, so refuse
-    # scenarios that carry either kind of extra structure
-    if q["eps"] is not None:
-        raise EstimateError(f"{variant!r} takes the sup quantities of the vanishing-eps limit")
-    if q["G_x_sup"] > 0:
-        raise EstimateError("static estimate forms require x-independent forcing")
-    if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
-        raise EstimateError("static estimate forms require zero evolution bounds")
-    rhs = base + b * al * q["static_slope"]
-    if local:
-        rhs = rhs + _localization_term(params, al, v_sup, radius, k, m)
-    return rhs + b * np.sqrt(family_weight(family, al)) * q["static_last"]
+        part = sup_part(q, b, al)
+    else:
+        # the vanishing-eps limits with zeroed evolution data are only sound for
+        # x-independent forcing on static data: refuse either kind of structure
+        if q["eps"] is not None:
+            raise EstimateError(f"{variant!r} takes the sup quantities of the vanishing-eps limit")
+        if q["G_x_sup"] > 0:
+            raise EstimateError("static estimate forms require x-independent forcing")
+        if max(bounds.k_lo, bounds.k_hi, bounds.k2, bounds.l2) > 0:
+            raise EstimateError("static estimate forms require zero evolution bounds")
+        part = (b * al * q["static_slope"]
+                + b * np.sqrt(family_weight(q["family"], al)) * q["static_last"])
+    rhs = b * al / tau + part
+    if q["scope"] == "local":
+        rhs = rhs + _localization_term(params, al, q["v_sup"], radius, bounds.k, params.m)
+    return rhs
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,21 @@ The comparison bound for a positive pressure field v reads
     v(x1, t1) <= v(x2, t2) * exp[ alpha L(x1,x2) / (4 m_inf (t2-t1))
                                   + H (t2-t1)/alpha ] * (t2/t1)^(b alpha)
 
-for constant alpha > 1, where m_inf = inf v, H aggregates the sup-quantities
-of the corresponding global gradient estimate and L is the infimum of path
-energies with the metric evaluated along the traversed interval [t1, t2],
-in closed form for two points on one ray (``path_energy``).  H and alpha are
-evaluated once per ``verify_harnack`` call, which checks all its pairs as
-arrays.
+for constant alpha > 1, where m_inf = inf v, H = q0 + alpha sup_part of the
+global gradient estimate (``estimates.sup_part``: its right side less the
+clock term b alpha / t) and L is the infimum of path energies with the metric
+along the traversed interval [t1, t2], in closed form for two points on one
+ray (``path_energy``).  H and alpha are evaluated once per ``verify_harnack``
+call, which checks all its pairs as arrays.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .estimates import sup_part
 from .geometry import WarpedGeometry
-from .params import HarnackParams, family_weight
+from .params import HarnackParams
 
 
 class HarnackError(ValueError):
@@ -71,10 +70,9 @@ def _constant_alpha(params: HarnackParams) -> float:
 
 
 def harnack_constant(quantities: dict, alpha: float, b: float) -> float:
-    """H from the sup-quantities of the matching global estimate."""
-    agg = quantities["q2"] ** (4.0 / 3.0) + quantities["q3"] + quantities["q4"] ** 2
-    root = math.sqrt(b * family_weight(quantities["family"], alpha))
-    return quantities["q0"] + b * alpha**2 * quantities["q1"] + alpha * root * math.sqrt(agg)
+    """H = q0 + alpha sup_part: the matching global estimate's right side less
+    its clock term b alpha / tau, at constant alpha (:func:`estimates.sup_part`)."""
+    return float(quantities["q0"] + alpha * sup_part(quantities, b, alpha))
 
 
 def harnack_log_bound(H: float, alpha: float, b: float, energy, v_inf: float, t1, t2):
@@ -187,5 +185,5 @@ def log_integral_margin(log_ratio, geom: WarpedGeometry, alpha: float, b: float,
     # the path runs along one ray at constant speed, and a depends on t only
     speed2 = geom.conformal(0.0, taus + t0_clock) ** 2 * rdot**2
     kinetic = np.trapezoid(alpha * speed2 / (4.0 * v_inf), taus, axis=-1)
-    clock = b * alpha * np.log(tau2 / tau1) + H * (tau2 - tau1) / alpha
-    return kinetic + clock - log_ratio
+    # the bound's clock and H terms: its log at zero energy
+    return kinetic + harnack_log_bound(H, alpha, b, 0.0, v_inf, tau1, tau2) - log_ratio

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, diff
-from .estimates import aggregates, estimate_brackets, harnack_quantity, metric_aggregate
+from .estimates import aggregates, estimate_brackets, harnack_quantity
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product, metric_speed,
                        phi_laplacian_eval)
 from .jets import d_r, d_t
@@ -138,20 +138,25 @@ class _Stencils:
 # pointwise term table
 # ---------------------------------------------------------------------------
 
-class _RadialTerms:
-    """The metric's pointwise terms against a radial field v, from v_r and
-    v_rr on broadcast arrays (rr, tt): the parts of the evolution identity
-    that the commutator and Bochner checks share."""
+class _HessianTerms:
+    """|grad v|^2, Delta v and |Hess v|^2 of a radial field v from v_r and
+    v_rr on broadcast arrays (rr, tt): what the Bochner check reads."""
 
     def __init__(self, geom: WarpedGeometry, rr, tt, v_r, v_rr):
         n = geom.n
         self.a = geom.conformal(rr, tt)
         self.a2 = self.a**2
         self.grad2 = v_r**2 / self.a2
-        ang_v = angular_drift_product(geom, rr, tt, v_r, v_rr)
-        self.lap_plain = (v_rr + (n - 1) * ang_v) / self.a2
-        self.hess2 = (v_rr**2 + (n - 1) * ang_v**2) / self.a2**2
+        self.ang_v = angular_drift_product(geom, rr, tt, v_r, v_rr)
+        self.lap_plain = (v_rr + (n - 1) * self.ang_v) / self.a2
+        self.hess2 = (v_rr**2 + (n - 1) * self.ang_v**2) / self.a2**2
 
+
+class _RadialTerms(_HessianTerms):
+    """With the potential's and metric speed's pairings, which the commutator shares."""
+
+    def __init__(self, geom: WarpedGeometry, rr, tt, v_r, v_rr):
+        super().__init__(geom, rr, tt, v_r, v_rr)
         phi_r, phi_rt = (geom.potential.at(1, k, rr, tt) for k in (0, 1))
         self.phi_pair = phi_r * v_r / self.a2            # <grad phi, grad v>
         self.phit_pair = phi_rt * v_r / self.a2          # <grad d(phi)/dt, grad v>
@@ -160,10 +165,10 @@ class _RadialTerms:
         # the metric speed h = (dg/dt)/2 contracted against v
         h_rad, h_ang, _, h_div = metric_speed(geom, rr, tt)
         self.h_vv = h_rad * self.grad2
-        self.h_hess = (h_rad * v_rr + (n - 1) * h_ang * ang_v) / self.a2
+        self.h_hess = (h_rad * v_rr + (geom.n - 1) * h_ang * self.ang_v) / self.a2
         self.h_phi_pair = h_rad * self.phi_pair
         self.divh_pair = h_div * v_r / self.a2
-        self.h_norm2 = h_rad**2 + (n - 1) * h_ang**2
+        self.h_norm2 = h_rad**2 + (geom.n - 1) * h_ang**2
 
 
 class TermTable(_RadialTerms):
@@ -303,7 +308,7 @@ def bochner_residual(w: Profile, geom: WarpedGeometry, r, t):
                             np.add(w.orders, (1, 0)), "grad_w_sq")
     half_lap_grad2 = 0.5 * geom.phi_laplacian(grad2)(rr, tt)
     _, w_r, w_rr = w.table(2, 0, rr, tt)[:, 0]
-    terms = _RadialTerms(geom, rr, tt, w_r, w_rr)
+    terms = _HessianTerms(geom, rr, tt, w_r, w_rr)
     pair = w_r * geom.phi_laplacian(w).at(1, 0, rr, tt) / terms.a2
     return half_lap_grad2 - pair - terms.hess2 - geom.bakry_emery(np.inf)[0](rr, tt) * terms.grad2
 
@@ -377,17 +382,16 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     # the completed square in F over the estimate's brackets: with the metric's
     # pointwise terms, or with the aggregates of the bounds (v for sup v)
     if stage == "quadratic":
-        agg = {}
+        agg = dict.fromkeys("LNM", 0.0)
         metric = geometry_terms(tt) + (p - 1) * al**2 * tt.h_norm2
     elif stage != "bounded":
         raise IdentityError(f"unknown inequality stage {stage!r}")
     elif bounds is None:
         raise IdentityError("bounded stage needs extracted geometry bounds")
     else:
-        cst = aggregates(bounds, tt.params, tt.v, 0.0, al, None, scope="global")
-        agg = {"L": cst["L"], "N": cst["N"], "M": metric_aggregate(bounds, tt.params, n, al)}
+        agg = aggregates(bounds, tt.params, n, tt.v, 0.0, al, None, scope="global")
         metric = 0.0
-    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", **agg)
+    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", agg)
     y = tt.grad2 / tt.v
     return (
         -tt.F**2 / (b * al**2)

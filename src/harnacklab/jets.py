@@ -225,6 +225,15 @@ def _sin_cos(u: Jet, sign: int, scaled: bool = False):
     return Jet(s), Jet(c)
 
 
+def _reciprocal(u: Jet, k: int) -> Jet:
+    """csch u (k = 0) or sech u (k = 1): sech of u's innermost constant term over
+    the scaled sinh or cosh, so it leads with the value rule's bits past the overflow."""
+    u0 = u
+    while isinstance(u0, Jet) and u0.c:
+        u0 = u0.c[0]
+    return u if not u.c else (1.0 / np.cosh(u0)) / _sin_cos(u, 1, True)[k]
+
+
 def _rule(numeric, series):
     """A function of a Jet (by ``series``) or of numbers and arrays (by ``numeric``)."""
     def apply(x):
@@ -247,8 +256,8 @@ JET_FUNCTIONS = {
     "tanh": _rule(np.tanh, lambda u: operator.truediv(*_sin_cos(u, 1, True))),
     "coth": _rule(lambda x: 1.0 / np.tanh(x),
                   lambda u: operator.truediv(*_sin_cos(u, 1, True)[::-1])),
-    "sech": _rule(lambda x: 1.0 / np.cosh(x), lambda u: 1.0 / _sin_cos(u, 1)[1]),
-    "csch": _rule(lambda x: 1.0 / np.sinh(x), lambda u: 1.0 / _sin_cos(u, 1)[0]),
+    "sech": _rule(lambda x: 1.0 / np.cosh(x), lambda u: _reciprocal(u, 1)),
+    "csch": _rule(lambda x: 1.0 / np.cosh(x) / np.tanh(x), lambda u: _reciprocal(u, 0)),
 }
 
 # every name an expression may use besides r and t: the rules and two constants

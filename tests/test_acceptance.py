@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from harnacklab.cli import EXIT_OK, EXIT_VIOLATION, main
-from harnacklab.estimates import (EstimateScope, aggregates, collect_sup_samples, eps_scan,
-                                  metric_aggregate, reduce_suprema, rhs_bound, variant_kind,
+from harnacklab.estimates import (EstimateScope, _young, aggregates, collect_sup_samples,
+                                  eps_scan, reduce_suprema, rhs_bound, variant_kind,
                                   verify_estimate)
 from harnacklab.fields import Grid
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
@@ -338,13 +338,12 @@ def test_criterion_8_sup_quantity_collapse():
         eps = 0.2 * params.eps_ceiling(samples.tau, family)
         q = reduce_suprema(samples, bounds, params, geom.n, 0.6, [(family, eps)])[0]
         al = params.coeffs.alpha_at(samples.tau)
-        cst = aggregates(bounds, params, samples.v_sup, 0.6, al, eps, family=family)
-        M_term = metric_aggregate(bounds, params, geom.n, al, family=family)
+        cst = aggregates(bounds, params, geom.n, samples.v_sup, 0.6, al, eps, family=family)
         L_eff = cst["L"] if family == "first" else cst["L"] / al
         targets = {
             "q1": float(np.max(cst["K"])),
-            "q2": float(np.sqrt(cst["E"]) * np.max(L_eff)),
-            "q3": float(np.max(M_term)),
+            "q2": float(np.sqrt(_young(samples.v_sup, eps)) * np.max(L_eff)),
+            "q3": float(np.max(cst["M"])),
             "q4": float(np.max(np.sqrt(cst["F"]) * cst["N"])),
         }
         for key, target in targets.items():

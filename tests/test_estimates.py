@@ -8,8 +8,8 @@ import pytest
 
 from harnacklab import estimates
 from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, EstimateScope, SupSamples,
-                                  aggregates, collect_sup_samples, eps_scan, estimate_lhs,
-                                  metric_aggregate, nonlinearity_conditions, reduce_suprema,
+                                  _young, aggregates, collect_sup_samples, eps_scan,
+                                  estimate_lhs, nonlinearity_conditions, reduce_suprema,
                                   rhs_bound, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
@@ -53,26 +53,23 @@ def test_cutoff_certification():
 
 def test_constant_K_example():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cst = aggregates(ZERO_BOUNDS, params, v_sup=1.0, radius=1.0,
+    cst = aggregates(ZERO_BOUNDS, params, n_dim=2, v_sup=1.0, radius=1.0,
                      al=params.coeffs.alpha_at(np.array([0.7])), eps=0.5)
     # pi^2 * (2/3) * 4 * 4 * 1 / (2 * 1 * 1)
     assert cst["K"][0] == pytest.approx(16 * math.pi**2 / 3, rel=1e-12)
 
 
 def test_constant_E_example():
-    params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
-    cst = aggregates(ZERO_BOUNDS, params, v_sup=1.0, radius=1.0,
-                     al=params.coeffs.alpha_at(np.array([0.7])), eps=0.5)
-    assert cst["E"] == pytest.approx(1.5**1.5 / math.sqrt(0.5), rel=1e-12)
+    assert _young(1.0, 0.5) == pytest.approx(1.5**1.5 / math.sqrt(0.5), rel=1e-12)
+    assert _young(1.0, None) == math.inf
 
 
 def test_constants_vanish_with_zero_data():
     params = HarnackParams(p=2.0, m=2.0, coeffs=constant_alpha_beta(2.0))
     al = params.coeffs.alpha_at(np.array([0.5]))
-    cst = aggregates(ZERO_BOUNDS, params, v_sup=0.0, radius=1.0, al=al, eps=0.1)
+    cst = aggregates(ZERO_BOUNDS, params, 2, v_sup=0.0, radius=1.0, al=al, eps=0.1)
     assert cst["K"][0] == 0.0 and np.all(cst["L"] == 0.0) and np.all(cst["N"] == 0.0)
-    M = metric_aggregate(ZERO_BOUNDS, params, 2, al)
-    assert np.all(M == 0.0)
+    assert np.all(cst["M"] == 0.0)
 
 
 def test_full_formula_cross_check():
@@ -83,7 +80,7 @@ def test_full_formula_cross_check():
     b = m * (p - 1) / (1 + m * (p - 1))
     v_sup, radius, eps = 1.7, 0.8, 0.05
     alpha = params.coeffs.alpha_at(np.array([1.0]))
-    cst = aggregates(b_geo, params, v_sup, radius, alpha, eps)
+    cst = aggregates(b_geo, params, 2, v_sup, radius, alpha, eps)
     c1 = math.pi
     assert cst["K"][0] == pytest.approx(
         2 * c1 * 0.2 + c1**2 * b * al**2 * p**2 * v_sup / (2 * (al - 1) * radius**2))
@@ -91,14 +88,12 @@ def test_full_formula_cross_check():
     assert cst["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 + 0.1)
                                         + 2 * (al - 1) * 0.5)
     assert cst["F"][0] == pytest.approx(b * al**2 / (4 * (al - 1) ** 2 - 2 * eps * b * al**2))
-    tilde = aggregates(b_geo, params, v_sup, radius, alpha, eps, family="second")
+    tilde = aggregates(b_geo, params, 2, v_sup, radius, alpha, eps, family="second")
     assert tilde["F"][0] == pytest.approx(b * al**3 / (4 * (al - 1) ** 2 - 2 * eps * b * al**3))
     assert tilde["N"][0] == pytest.approx(2 * (p - 1) * v_sup * ((m - 1) * 0.3 / al + 0.1)
                                           + 2 * (al - 1) * 0.5 / al)
-    M1 = metric_aggregate(b_geo, params, 2, alpha)
-    assert M1[0] == pytest.approx(al**2 * (p - 1) * 2 * ((0.2 + 0.5) ** 2 + 2 * 0.1))
-    M2 = metric_aggregate(b_geo, params, 2, alpha, family="second")
-    assert M2[0] == pytest.approx((p - 1) * 2 * (al * (0.2 + 0.5) ** 2 + 2 * 0.1))
+    assert cst["M"][0] == pytest.approx(al**2 * (p - 1) * 2 * ((0.2 + 0.5) ** 2 + 2 * 0.1))
+    assert tilde["M"][0] == pytest.approx((p - 1) * 2 * (al * (0.2 + 0.5) ** 2 + 2 * 0.1))
 
 
 def test_inadmissible_eps_names_bound():
@@ -133,14 +128,13 @@ def test_sup_quantity_collapse_zero_forcing(family):
     radius = 0.9
     q = reduce_suprema(samples, bounds, params, geom.n, radius, [(family, eps)])[0]
     al = params.coeffs.alpha_at(samples.tau)
-    cst = aggregates(bounds, params, samples.v_sup, radius, al, eps, family=family)
-    M_term = metric_aggregate(bounds, params, geom.n, al, family=family)
+    cst = aggregates(bounds, params, geom.n, samples.v_sup, radius, al, eps, family=family)
     assert q["q0"] == pytest.approx(0.0, abs=1e-15)
     assert q["q1"] == pytest.approx(float(np.max(cst["K"])), rel=1e-12)
     L_eff = cst["L"] if family == "first" else cst["L"] / al
-    expected_q2 = math.sqrt(cst["E"]) * float(np.max(L_eff))
+    expected_q2 = math.sqrt(_young(samples.v_sup, eps)) * float(np.max(L_eff))
     assert q["q2"] == pytest.approx(expected_q2, rel=1e-12, abs=1e-15)
-    assert q["q3"] == pytest.approx(float(np.max(M_term)), rel=1e-12, abs=1e-15)
+    assert q["q3"] == pytest.approx(float(np.max(cst["M"])), rel=1e-12, abs=1e-15)
     assert q["q4"] == pytest.approx(float(np.max(np.sqrt(cst["F"]) * cst["N"])),
                                     rel=1e-12, abs=1e-15)
 
@@ -634,7 +628,7 @@ def test_admissible_power_family_dominated_by_aggregates():
     samples = collect_sup_samples(sol, geom, params, nl, cyl.scaled(2.0), 1.0)
     eps = 0.3 * params.eps_ceiling(samples.tau, "first")
     q = reduce_suprema(samples, bounds, params, geom.n, cyl.radius, [("first", eps)])[0]
-    cst = aggregates(bounds, params, samples.v_sup, cyl.radius,
+    cst = aggregates(bounds, params, geom.n, samples.v_sup, cyl.radius,
                      params.coeffs.alpha_at(samples.tau), eps)
     assert q["q1"] <= float(np.max(cst["K"])) + 1e-14
     assert q["q4"] <= float(np.max(np.sqrt(cst["F"]) * cst["N"])) + 1e-14

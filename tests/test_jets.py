@@ -118,18 +118,24 @@ def test_numbers_and_arrays_take_the_numpy_rules():
         assert rule(TS) == pytest.approx(numeric(TS), rel=1e-15)
 
 
-@pytest.mark.parametrize("name", ["tanh", "coth"])
+# each function's u-derivative from its value f and tanh u
+SLOPES = {"tanh": lambda f, th: 1 - f**2, "coth": lambda f, th: 1 - f**2,
+          "sech": lambda f, th: -f * th, "csch": lambda f, th: -f / th}
+
+
+@pytest.mark.parametrize("name", ["tanh", "coth", "sech", "csch"])
 def test_tanh_and_coth_series_lead_with_the_value_past_the_overflow(name):
-    # the series divides sinh by cosh over cosh of the constant term, so it
-    # leads with the value's own np.tanh bit for bit, and stays finite where
-    # sinh and cosh overflow (past 710)
+    # the series divides sinh or cosh by cosh of the constant term (sech and
+    # csch then scale by its sech), so it leads with the value rule's bits,
+    # and stays finite where sinh and cosh overflow (past 710)
     prof = Profile(f"{name}(t*(1 + r))", name)
     t = np.array([0.3, 2.0, 700.0, 720.0, -800.0])
     table = prof.table(2, 2, 0.5, t)
     assert table[0, 0].tobytes() == prof(0.5, t).tobytes()
     assert np.all(np.isfinite(table))
-    # d/dt tanh(t (1 + r)) = (1 + r) (1 - tanh^2), and so for coth
-    assert table[0, 1] == pytest.approx(1.5 * (1 - table[0, 0] ** 2), rel=1e-13, abs=1e-300)
+    # d/dt f(t (1 + r)) = (1 + r) f'(t (1 + r))
+    want = 1.5 * SLOPES[name](table[0, 0], np.tanh(1.5 * t))
+    assert table[0, 1] == pytest.approx(want, rel=1e-13, abs=1e-300)
 
 
 @pytest.mark.parametrize("expr, values", [

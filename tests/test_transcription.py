@@ -8,16 +8,19 @@ with every input active (all six bounds positive, beta != 0, alpha' != 0,
 forcing with x- and v-structure), and require exact agreement.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (VARIANTS, SupSamples, reduce_suprema, rhs_bound,
-                                  variant_kind)
-from harnacklab.geometry import GeometryBounds
+from harnacklab.estimates import (VARIANTS, EstimateScope, SupSamples, reduce_suprema,
+                                  rhs_bound, variant_kind)
+from harnacklab.geometry import Cylinder, GeometryBounds
 from harnacklab.harnack import harnack_constant, harnack_log_bound
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
+from harnacklab.scenarios import load_scenario
 from harnacklab.solver import Nonlinearity
 from harnacklab.symfun import Profile
 
@@ -180,6 +183,47 @@ def test_harnack_bound_matches_reference():
                      + H * (t2 - t1) / alpha)
             * (t2 / t1) ** (params.b * alpha))
     assert math.exp(log_bound) == pytest.approx(want, rel=1e-13)
+
+
+def assert_H_is_the_global_rhs_less_its_clock(q, params, bounds, tau):
+    """H = q0 + alpha (rhs - b alpha / tau) of the quantities' global form,
+    at each clock time of ``tau`` (the radius is not read globally)."""
+    alpha = float(params.coeffs.alpha_at(np.array([0.0]))[0])
+    b = params.b
+    rhs = rhs_bound(f"{q['family']}-global", q, bounds, params, 1.0, tau)
+    H = harnack_constant(q, alpha, b)
+    np.testing.assert_allclose(q["q0"] + alpha * (rhs - b * alpha / tau), H, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("family", ["first", "second"])
+def test_harnack_constant_is_the_global_rhs_less_its_clock_on_synthetic_data(family):
+    rng = np.random.default_rng(1414)
+    for trial in range(25):
+        params, bounds, samples, n_dim, radius = synthetic_setup(rng, constant_alpha=True)
+        eps = rng.uniform(0.05, 0.95) * params.eps_ceiling(samples.tau, family)
+        q = reduce_suprema(samples, bounds, params, n_dim, radius, [(family, eps)], "global")[0]
+        assert_H_is_the_global_rhs_less_its_clock(q, params, bounds, rng.uniform(0.01, 5.0, 4))
+
+
+CLOSED_FORM_CONFIGS = sorted(
+    path for path in (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
+    if not path.name.startswith("sweep")
+    and json.loads(path.read_text())["solution"]["kind"] != "numeric")
+
+
+@pytest.mark.parametrize("config", CLOSED_FORM_CONFIGS, ids=lambda path: path.stem)
+def test_harnack_constant_is_the_global_rhs_less_its_clock_on_shipped_configs(config):
+    # the global quantities check-harnack reads, at half of each family's ceiling
+    sc = load_scenario(config)
+    ver = sc.verification
+    scope = EstimateScope(sc.solution_handle(), sc.geom, sc.params, sc.nonlinearity,
+                          Cylinder(ver["radius"], sc.t0, sc.t_hi), sc.t0, "global",
+                          ver["sup_density"])
+    for family in ("first", "second"):
+        eps = 0.5 * sc.params.eps_ceiling(scope.samples.tau, family)
+        q, = scope.quantities([(family, eps)])
+        tau = np.array([sc.duration / 64, 0.3 * sc.duration, sc.duration])
+        assert_H_is_the_global_rhs_less_its_clock(q, sc.params, scope.bounds, tau)
 
 
 # ---------------------------------------------------------------------------

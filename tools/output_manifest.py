@@ -32,8 +32,12 @@ naming ``time.duration``.
 ``tests/test_golden.py`` runs the same lines and compares them with the record
 exactly.  A change meant to move an output reruns this script; the diff of
 ``tests/golden/`` is then the declared change.  The record is for one machine
-type: outputs print ``%.12g``, and a libm that differs in the last ulp can
-move a printed digit.
+type (x86-64 Linux, CPython 3.11, numpy 2.4, with numpy dispatching its
+AVX-512 kernels): outputs print ``%.12g``, and a libm or SIMD kernel that
+differs in the last ulp can move a printed digit.  Without AVX-512
+(``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``) numpy's exp,
+log, power and hyperbolic functions give other bits, and the record's test
+fails on last-digit moves.
 """
 
 from __future__ import annotations
