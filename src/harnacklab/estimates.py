@@ -149,8 +149,8 @@ def _family_slope(family: str, s):
 
 def estimate_brackets(s, params: HarnackParams, family: str, agg: dict):
     """The brackets (slope, grad, const, quad) of the completed square in F,
-    pointwise on sup samples or a term table ``s``, with the aggregates L, N
-    and M of ``agg`` (:func:`aggregates` of the extracted bounds, or zeros)."""
+    pointwise on the :class:`SupSamples` ``s``, with the aggregates L, N and M
+    of ``agg`` (:func:`aggregates` of the extracted bounds, or zeros)."""
     b, p = params.b, params.p
     al, alp, be = s.alpha, s.alpha_p, s.beta
     w = family_weight(family, al)
@@ -169,13 +169,14 @@ def estimate_brackets(s, params: HarnackParams, family: str, agg: dict):
 
 @dataclass
 class SupSamples:
-    """Flattened per-node data over the sup cylinder (metric-normalized)."""
+    """What the brackets read at a set of nodes: the clock time and pressure,
+    G with its partials (G_x the coordinate one, G_x_norm its metric norm)
+    and the coefficient pair."""
 
-    r: np.ndarray
-    t_abs: np.ndarray
     tau: np.ndarray
     v: np.ndarray
     G: np.ndarray
+    G_x: np.ndarray
     G_v: np.ndarray
     G_vv: np.ndarray
     G_x_norm: np.ndarray
@@ -192,6 +193,17 @@ class SupSamples:
     def blocks(self):
         """The samples as one block (see :meth:`SupNodes.blocks`)."""
         yield self
+
+
+def node_samples(geom: WarpedGeometry, params: HarnackParams, nl: Nonlinearity,
+                 r, t, tau, v) -> SupSamples:
+    """The :class:`SupSamples` at the nodes (r, t), with clock times tau and
+    pressure v there."""
+    G, G_x, lap_Gx, G_v, G_vv = nl.partials(t, r, v)
+    alpha, alpha_p, beta, beta_p = params.coeffs.at(tau)
+    return SupSamples(tau=tau, v=v, G=G, G_x=G_x, G_v=G_v, G_vv=G_vv,
+                      G_x_norm=np.abs(G_x) / geom.conformal(r, t), lap_Gx=lap_Gx,
+                      alpha=alpha, alpha_p=alpha_p, beta=beta, beta_p=beta_p)
 
 
 # nodes per block of the sup reductions and the LHS: the Python work of each
@@ -224,30 +236,11 @@ class SupNodes:
         self.rr, self.tt, self.mask, self.tau, self.v = rr, tt, mask, tau, v
         self.v_sup, self.v_inf = float(np.max(v)), float(np.min(v))
 
-    def _samples(self, nodes, part: slice) -> SupSamples:
-        """The samples at the mesh ``nodes``, entries ``part`` of tau and v."""
-        r, t, tau, v = self.rr[nodes], self.tt[nodes], self.tau[part], self.v[part]
-        nl = self.nl
-        G, G_x, _, lap_Gx = nl.G_x_partials(t, r, v)
-        alpha, alpha_p, beta, beta_p = self.params.coeffs.at(tau)
-        return SupSamples(
-            r=r, t_abs=t, tau=tau, v=v,
-            G=G,
-            G_v=nl.G_v(t, r, v),
-            G_vv=nl.G_vv(t, r, v),
-            G_x_norm=np.abs(G_x) / self.geom.conformal(r, t),
-            lap_Gx=lap_Gx,
-            alpha=alpha, alpha_p=alpha_p, beta=beta, beta_p=beta_p,
-        )
-
     def blocks(self):
         """The :class:`SupSamples` of consecutive blocks of the nodes."""
         for nodes, part in _node_blocks(self.mask):
-            yield self._samples(nodes, part)
-
-    def whole(self) -> SupSamples:
-        """The samples of every node in one piece."""
-        return self._samples(self.mask, slice(None))
+            yield node_samples(self.geom, self.params, self.nl, self.rr[nodes],
+                               self.tt[nodes], self.tau[part], self.v[part])
 
 
 def collect_sup_samples(solution, geom: WarpedGeometry, params: HarnackParams,

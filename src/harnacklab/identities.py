@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ScalarField, diff
-from .estimates import aggregates, estimate_brackets, harnack_quantity
+from .estimates import aggregates, estimate_brackets, harnack_quantity, node_samples
 from .geometry import (Cylinder, WarpedGeometry, angular_drift_product, metric_speed,
                        phi_laplacian_eval)
 from .jets import d_r, d_t
@@ -201,27 +201,21 @@ class TermTable(_RadialTerms):
         self.ric_m_vv = geom.bakry_emery(m)[0](rr, tt) * self.grad2
         self.sharp_pair = (self.phi_pair**2 / (m - n)) if m > n else np.zeros_like(self.v)
 
-        # nonlinearity values and partials; coordinate x-partials are converted
-        # to metric pairings here
-        self.G, self.G_x, _, self.lap_Gx = nonlinearity.G_x_partials(tt, rr, self.v)
-        self.G_v = nonlinearity.G_v(tt, rr, self.v)
-        self.G_vv = nonlinearity.G_vv(tt, rr, self.v)
-        self.G_x_norm = np.abs(self.G_x) / self.a
-        self.gradG_pair = (self.G_x + self.G_v * self.v_r) * self.v_r / self.a2
-        self.lap_G_full = self.lap_Gx + self.G_vv * self.grad2 + self.G_v * self.lap_v
-
-        coeffs = params.coeffs
-        self.alpha, self.alpha_p, self.beta, self.beta_p = coeffs.at(tt)
+        # G with its partials and the coefficient pair, on the clock t, as the
+        # brackets read them; G's pairings with v are taken here
+        s = self.samples = node_samples(geom, params, nonlinearity, rr, tt, tt, self.v)
+        self.gradG_pair = (s.G_x + s.G_v * self.v_r) * self.v_r / self.a2
+        self.lap_G_full = s.lap_Gx + s.G_vv * self.grad2 + s.G_v * self.lap_v
         self.b = params.b
 
         if isinstance(solution, GridSolution):
-            self.F = harnack_quantity(self.v, self.grad2, self.v_t, self.G, self.alpha, self.beta)
+            self.F = harnack_quantity(self.v, self.grad2, self.v_t, s.G, s.alpha, s.beta)
             F_field = ScalarField(self.F, solution.field.grid, parity="even")
             F_r = diff(F_field, "d_r")
             self.F_r, F_rr = F_r.values, diff(F_r, "d_r").values
             self.F_t = diff(F_field, "d_t").values
         else:
-            F = _series_of_F(solution.profile, geom.conformal, coeffs,
+            F = _series_of_F(solution.profile, geom.conformal, params.coeffs,
                              nonlinearity).table(2, 1, rr, tt)
             self.F, self.F_t, self.F_r, F_rr = F[0, 0], F[0, 1], F[1, 0], F[2, 0]
         self.lap_F = phi_laplacian_eval(geom, rr, tt, self.F_r, F_rr)
@@ -321,7 +315,7 @@ def geometry_terms(tt: TermTable):
     """The evolution identity's terms in the Bakry-Emery Ricci tensor, the
     metric speed h and the potential's speed, which the quadratic stage
     keeps as they are."""
-    p, al = tt.params.p, tt.alpha
+    p, al = tt.params.p, tt.samples.alpha
     return ((2 / tt.v) * (al - 1) * tt.h_vv
             - 2 * (p - 1) * tt.ric_m_vv
             + al * (p - 1) * tt.divh_pair
@@ -331,8 +325,8 @@ def geometry_terms(tt: TermTable):
 
 def evolution_identity_rhs(tt: TermTable):
     """Right-hand side of the exact evolution identity for F."""
-    p = tt.params.p
-    al, alp = tt.alpha, tt.alpha_p
+    p, s = tt.params.p, tt.samples
+    al, alp = s.alpha, s.alpha_p
     rhs = (
         -((p - 1) * tt.lap_v) ** 2
         + 2 * p * tt.gradF_pair
@@ -340,13 +334,13 @@ def evolution_identity_rhs(tt: TermTable):
         - 2 * (p - 1) * tt.sharp_pair
         + geometry_terms(tt)
         + 2 * al * (p - 1) * tt.h_hess
-        - tt.beta_p
+        - s.beta_p
         - alp * tt.v_t / tt.v
-        + (1 - al) * (tt.v_t / tt.v - tt.G / tt.v) ** 2
+        + (1 - al) * (tt.v_t / tt.v - s.G / tt.v) ** 2
         + (2 / tt.v) * (1 - al) * tt.gradG_pair
         - al * (p - 1) * tt.lap_G_full
-        + (al - 1) * (tt.grad2 / tt.v) * (tt.G / tt.v)
-        + alp * tt.G / tt.v
+        + (al - 1) * (tt.grad2 / tt.v) * (s.G / tt.v)
+        + alp * s.G / tt.v
     )
     return rhs
 
@@ -362,7 +356,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     added (pointwise), the completed square in F (quadratic), and that
     square with the geometric bounds substituted (bounded)."""
     p, m, n = tt.params.p, tt.params.m, tt.geom.n
-    al, b = tt.alpha, tt.b
+    al, b = tt.samples.alpha, tt.b
     if np.any(al < 1.0):
         raise IdentityError("inequality stages require alpha >= 1")
     if stage == "pointwise":
@@ -377,7 +371,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
         hessian_step = ((1 - factor) * ((p - 1) * tt.lap_v) ** 2
                         + 2 * (p - 1) * (tt.hess2 + tt.sharp_pair)
                         + (p - 1) * al * (al * tt.h_norm2 - 2 * tt.h_hess))
-        dropped_square = (al - 1) * (tt.v_t / tt.v - tt.G / tt.v) ** 2
+        dropped_square = (al - 1) * (tt.v_t / tt.v - tt.samples.G / tt.v) ** 2
         return evolution_identity_rhs(tt) + hessian_step + dropped_square
     # the completed square in F over the estimate's brackets: with the metric's
     # pointwise terms, or with the aggregates of the bounds (v for sup v)
@@ -391,7 +385,7 @@ def inequality_rhs(stage: str, tt: TermTable, bounds=None, sharper_static: bool 
     else:
         agg = aggregates(bounds, tt.params, n, tt.v, 0.0, al, None, scope="global")
         metric = 0.0
-    slope, grad, const, quad = estimate_brackets(tt, tt.params, "first", agg)
+    slope, grad, const, quad = estimate_brackets(tt.samples, tt.params, "first", agg)
     y = tt.grad2 / tt.v
     return (
         -tt.F**2 / (b * al**2)

@@ -427,7 +427,7 @@ def _check_pole_series(v: Profile, nl: Nonlinearity, r, t0: float, path: str):
     overflow) still raises its FloatingPointError."""
     try:
         v.table(2, 1, r, t0)
-        nl.G_x_partials(t0, r, v(r, t0))
+        nl.partials(t0, r, v(r, t0))
     except PoleEvaluationError as exc:
         raise ConfigError(path, f"no series at the pole r = 0: {exc}")
 

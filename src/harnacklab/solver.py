@@ -65,14 +65,13 @@ class Nonlinearity:
     and B_j <= 0: a power sum in v plus a forcing profile f (None: absent).
 
     G is the rescaled forcing entering the pressure equation
-    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G; ``G_v``, ``G_vv`` are its
-    v-partials (the power sum's) and ``G_jet(t, r, v)`` G on series in r and
-    t.  ``G_vpart(v)`` is the power sum (on arrays or jets) and
-    ``G_xpart(t, r)`` the forcing, None where absent.
-    ``G_x_partials`` gives G with its coordinate r-partials G_x, G_xx at
-    frozen v (callers convert to metric norms) and the weighted Laplacian
-    ``lap_phi_Gx`` of the frozen-v spatial slice, all from one evaluation.
-    G is separable, so its mixed x-v partial vanishes.
+    d(v)/dt = (p-1) v Delta_phi v + |grad v|^2 + G; ``G_jet(t, r, v)`` is G
+    on series in r and t.  ``G_vpart(v)`` is the power sum (on arrays or jets)
+    and ``G_xpart(t, r)`` the forcing, None where absent.  ``partials`` gives G
+    with its coordinate r-partial G_x at frozen v (callers convert it to a
+    metric norm), the weighted Laplacian of the frozen-v spatial slice and
+    the v-partials G_v, G_vv (the power sum's), all from one table of the
+    forcing.  G is separable, so its mixed x-v partial vanishes.
     ``form`` names the parts present: "zero", "power-sum", "separable-x" or
     "power-sum+separable-x".
     """
@@ -108,23 +107,18 @@ class Nonlinearity:
     def G(self, t, r, v):
         return _sum(self.G_vpart(v), self.G_xpart(t, r), t, r, v)
 
-    def G_v(self, t, r, v):
-        return _sum(self.G_vpart(v, 1), None, t, r, v)
-
-    def G_vv(self, t, r, v):
-        return _sum(self.G_vpart(v, 2), None, t, r, v)
-
     def G_jet(self, t, r, v):
         return _sum(self.G_vpart(v), None if self.forcing is None else self.forcing.jet(r, t), 0.0)
 
-    def G_x_partials(self, t, r, v):
-        """(G, G_x, G_xx, lap_phi_Gx) at frozen v."""
+    def partials(self, t, r, v):
+        """(G, G_x, lap_phi_Gx, G_v, G_vv) at (t, r, v)."""
+        G_v, G_vv = (_sum(self.G_vpart(v, k), None, t, r, v) for k in (1, 2))
         if self.forcing is None:
             zero = _sum(None, None, t, r, v)
-            return self.G(t, r, v), zero, zero, zero
+            return self.G(t, r, v), zero, zero, G_v, G_vv
         f, f_x, f_xx = self.forcing.table(2, 0, r, t)[:, 0]
-        return (_sum(self.G_vpart(v), f), f_x, f_xx,
-                phi_laplacian_eval(self.geom, r, t, f_x, f_xx))
+        return (_sum(self.G_vpart(v), f), f_x, phi_laplacian_eval(self.geom, r, t, f_x, f_xx),
+                G_v, G_vv)
 
     def source(self, u, p: float, xpart):
         """Source form N = G u^(2-p) / p, with G the power sum at

@@ -245,9 +245,10 @@ def test_criterion_5_static_consistency():
         power = Nonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
                              B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
         zeros = np.zeros(n_nodes)
-        samples = SupSamples(r=zeros, t_abs=tau_nodes, tau=tau_nodes, v=v,
-                             G=power.G(0, 0, v), G_v=power.G_v(0, 0, v),
-                             G_vv=power.G_vv(0, 0, v), G_x_norm=zeros, lap_Gx=zeros,
+        samples = SupSamples(tau=tau_nodes, v=v,
+                             **dict(zip(("G", "G_x", "lap_Gx", "G_v", "G_vv"),
+                                        power.partials(0, 0, v))),
+                             G_x_norm=zeros,
                              alpha=coeffs.alpha_at(tau_nodes),
                              alpha_p=coeffs.at(tau_nodes)[1],
                              beta=zeros, beta_p=zeros)

@@ -865,12 +865,13 @@ def test_pressure_near_the_least_normal_float_passes_clean(tmp_path, command):
 def test_non_finite_supremum_exits_numerical(tmp_path, capsys, monkeypatch):
     # a sup bracket's maximum is checked before the clamp max(0.0, .), which
     # would read a NaN as 0.0 and pass
-    def nan_at_one_node(self, t, r, v, _original=Nonlinearity.G_vv):
-        out = np.array(_original(self, t, r, v))
-        out.flat[0] = np.nan
-        return out
+    def nan_at_one_node(self, t, r, v, _original=Nonlinearity.partials):
+        *parts, G_vv = _original(self, t, r, v)
+        G_vv = np.array(G_vv)
+        G_vv.flat[0] = np.nan
+        return (*parts, G_vv)
 
-    monkeypatch.setattr(Nonlinearity, "G_vv", nan_at_one_node)
+    monkeypatch.setattr(Nonlinearity, "partials", nan_at_one_node)
     code = main(["check-estimate", "--config", str(CONFIGS / "powerlaw-static.json"),
                  "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err

@@ -9,8 +9,8 @@ import pytest
 from harnacklab import estimates
 from harnacklab.estimates import (CUTOFF, VARIANTS, EstimateError, EstimateScope, SupSamples,
                                   _young, aggregates, collect_sup_samples, eps_scan,
-                                  estimate_lhs, nonlinearity_conditions, reduce_suprema,
-                                  rhs_bound, variant_kind, verify_estimate)
+                                  estimate_lhs, node_samples, nonlinearity_conditions,
+                                  reduce_suprema, rhs_bound, variant_kind, verify_estimate)
 from harnacklab.geometry import Cylinder, GeometryBounds, extract_bounds
 from harnacklab.identities import AnalyticSolution
 from harnacklab.params import HarnackParams, constant_alpha_beta
@@ -23,6 +23,12 @@ from conftest import make_geometry, params_for
 
 ROOT = Path(__file__).resolve().parent.parent
 ZERO_BOUNDS = GeometryBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def whole(nodes):
+    """The samples of every sup node in one piece."""
+    return node_samples(nodes.geom, nodes.params, nodes.nl, nodes.rr[nodes.mask],
+                        nodes.tt[nodes.mask], nodes.tau, nodes.v)
 
 
 # ---------------------------------------------------------------------------
@@ -193,25 +199,26 @@ def test_streamed_suprema_match_whole_array_reference(monkeypatch, config, alpha
         scope = EstimateScope(sc.solution_handle(), sc.geom, params, sc.nonlinearity, cyl,
                               sc.t0, name, density=ver["sup_density"])
         scope.with_nodes(ver["eval_density"])
-        nodes, whole = scope.samples, scope.samples.whole()
-        assert nodes.v_sup == whole.v_sup and nodes.v_inf == float(np.min(whole.v))
+        nodes = scope.samples
+        one_piece = whole(nodes)
+        assert nodes.v_sup == one_piece.v_sup and nodes.v_inf == float(np.min(one_piece.v))
         requests = [(family, eps) for family in ("first", "second")
                     for eps in [None, *eps_scan(params, nodes.tau, family,
                                                 ver["eps_fractions"])]]
-        reference = [reduce_suprema(whole, scope.bounds, params, sc.geom.n, cyl.radius,
+        reference = [reduce_suprema(one_piece, scope.bounds, params, sc.geom.n, cyl.radius,
                                     [request], name)[0] for request in requests]
-        blocks, samples = [], nodes._samples
+        blocks = []
 
-        def counted(mesh_nodes, part):
-            blocks.append(part)
-            return samples(mesh_nodes, part)
+        def counted(*args, _samples=node_samples):
+            blocks.append(args)
+            return _samples(*args)
 
         assert nodes.v.size > 7  # so the 1- and 7-node partitions run several blocks
         for size in (1, 7, nodes.v.size):
             blocks.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(estimates, "_BLOCK_NODES", size)
-                patch.setattr(nodes, "_samples", counted)
+                patch.setattr(estimates, "node_samples", counted)
                 streamed = reduce_suprema(nodes, scope.bounds, params, sc.geom.n,
                                           cyl.radius, requests, name)
             assert len(blocks) == -(-nodes.v.size // size), (name, size)
@@ -276,7 +283,8 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
         n_nodes = 16
         nodes = np.sort(rng.uniform(0.05, 1.0, n_nodes))
         samples = SupSamples(
-            r=rng.uniform(0, 1, n_nodes), t_abs=nodes, tau=nodes,
+            # G_x, which no reduction reads, takes the draw of the old r field
+            G_x=rng.uniform(0, 1, n_nodes), tau=nodes,
             v=rng.uniform(0.3, 2.5, n_nodes), G=rng.normal(0, 0.5, n_nodes),
             G_v=rng.normal(0, 0.5, n_nodes), G_vv=rng.normal(0, 0.5, n_nodes),
             G_x_norm=rng.uniform(0, 0.5, n_nodes), lap_Gx=rng.normal(0, 0.5, n_nodes),
@@ -351,12 +359,11 @@ def test_static_consistency_vanishing_eps():
         tau_nodes = rng.uniform(0.05, 1.0, n_nodes)
         power = Nonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
                              B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
-        from harnacklab.estimates import SupSamples
         zeros = np.zeros(n_nodes)
         samples = SupSamples(
-            r=zeros, t_abs=tau_nodes, tau=tau_nodes, v=v,
-            G=power.G(0, 0, v), G_v=power.G_v(0, 0, v), G_vv=power.G_vv(0, 0, v),
-            G_x_norm=zeros, lap_Gx=zeros,
+            tau=tau_nodes, v=v,
+            **dict(zip(("G", "G_x", "lap_Gx", "G_v", "G_vv"), power.partials(0, 0, v))),
+            G_x_norm=zeros,
             alpha=params.coeffs.alpha_at(tau_nodes),
             alpha_p=params.coeffs.at(tau_nodes)[1],
             beta=zeros, beta_p=zeros,
@@ -750,7 +757,7 @@ def test_x_dependent_forcing_activates_gradient_quantities():
     assert q["q2"] > 0  # |G_x| enters
     assert q["q3"] > 0  # Delta_phi G^x enters
     # brute-force cross-check of q2 against per-node evaluation
-    s = samples.whole()
+    s = whole(samples)
     brute = float(np.sqrt((1.5) ** 1.5 * s.v_sup / np.sqrt(eps))
                   * np.max((s.alpha - 1) * s.G_x_norm / s.v
                            + s.alpha * (params.p - 1) * bounds.l2 / 2

@@ -225,7 +225,7 @@ def test_op_lpv_on_exact_solution_recovers_sources(bump_profile, euclid3):
     for n_r, n_t in ((49, 25), (97, 97)):
         v = _grid_field(lambda r, t: bump_profile(r, t), n_r=n_r, n_t=n_t)
         table = _grid_table(v, euclid3, params_for(euclid3, p=p), nl)
-        res = table.v_t - (p - 1) * table.v * table.lap_v - table.grad2 - table.G
+        res = table.v_t - (p - 1) * table.v * table.lap_v - table.grad2 - table.samples.G
         inner = (slice(3, -3), slice(3, -3))
         errs.append((v.grid.dr, np.max(np.abs(res[inner]))))
     assert errs[1][1] < errs[0][1] / 2.5
@@ -246,7 +246,7 @@ def test_harnack_quantity_affine_structure(euclid3, bump_profile):
     params = params_for(euclid3, p=2.0, alpha=2.0, beta=0.3)
     table = _grid_table(v, euclid3, params)
     grad_ratio, time_ratio = table.grad2 / table.v, table.v_t / table.v
-    forcing_ratio = table.G / table.v
+    forcing_ratio = table.samples.G / table.v
     rebuilt = (grad_ratio - 2.0 * time_ratio + 2.0 * forcing_ratio - 0.3)
     assert np.allclose(rebuilt, table.F, atol=1e-13)
     doubled = grad_ratio - 4.0 * time_ratio + 4.0 * forcing_ratio - 0.3
@@ -416,7 +416,7 @@ def test_alpha_equal_one_limit_drops_square_exactly(bump_profile, euclid3):
     nl = manufactured_forcing(bump_profile, euclid3, params.p)
     r, t = sample_points()
     table = TermTable(AnalyticSolution(bump_profile), euclid3, params, nl, r=r, t=t)
-    dropped = (1 - table.alpha) * (table.v_t / table.v - table.G / table.v) ** 2
+    dropped = (1 - table.samples.alpha) * (table.v_t / table.v - table.samples.G / table.v) ** 2
     assert np.max(np.abs(dropped)) == 0.0
 
 
@@ -436,10 +436,10 @@ def test_quadratic_stage_is_the_pointwise_stage_in_a_function_field():
     b = m * (p - 1) / (1 + m * (p - 1))
     table = SimpleNamespace(
         params=SimpleNamespace(p=p, m=m, b=b), geom=SimpleNamespace(n=2), b=b,
-        alpha=al, alpha_p=alpha_p, beta=beta, beta_p=beta_p,
+        samples=SimpleNamespace(alpha=al, alpha_p=alpha_p, beta=beta, beta_p=beta_p, v=v,
+                                G=G, G_v=G_v, G_vv=G_vv, G_x_norm=zero, lap_Gx=zero),
         v=v, v_t=v_t, lap_v=lap_v, grad2=grad2, grad_norm=grad_norm,
         F=harnack_quantity(v, grad2, v_t, G, al, beta),
-        G=G, G_v=G_v, G_vv=G_vv, G_x_norm=zero, lap_Gx=zero,
         gradG_pair=G_v * grad2, lap_G_full=G_vv * grad2 + G_v * lap_v,
         **dict(zip(("gradF_pair", "hess2", "sharp_pair", *metric), rest)))
     assert inequality_rhs("quadratic", table) - inequality_rhs("pointwise", table) == 0

@@ -49,8 +49,9 @@ def test_power_sum_validation_and_partials():
     nl = Nonlinearity(A=[2.0], a=[-1.0], B=[-3.0], b=[0.5])
     v = np.array([0.5, 1.0, 2.0])
     assert np.allclose(nl.G(0, 0, v), 2 * v**-1 - 3 * v**0.5)
-    assert np.allclose(nl.G_v(0, 0, v), -2 * v**-2 - 1.5 * v**-0.5)
-    assert np.allclose(nl.G_vv(0, 0, v), 4 * v**-3 + 0.75 * v**-1.5)
+    *_, G_v, G_vv = nl.partials(0, 0, v)
+    assert np.allclose(G_v, -2 * v**-2 - 1.5 * v**-0.5)
+    assert np.allclose(G_vv, 4 * v**-3 + 0.75 * v**-1.5)
 
 
 def test_power_sum_partial_leaves_out_terms_whose_factor_is_zero():
@@ -100,9 +101,12 @@ def test_nonlinearity_is_its_present_parts(terms, with_forcing, form):
 
     fx = f.table(2, 0, r, t)[:, 0] if with_forcing else (None, zero, zero)
     assert _same(nl.G(t, r, v), both(power(v), f(r, t) if with_forcing else None))
-    G, G_x, G_xx, lap = nl.G_x_partials(t, r, v)
+    G, G_x, lap, G_v, G_vv = nl.partials(t, r, v)
     assert _same(G, both(power(v), fx[0]))
-    assert _same(G_x, fx[1]) and _same(G_xx, fx[2])
+    assert _same(G_x, fx[1])
+    # the forcing never enters the v-partials
+    for got, shift in ((G_v, 1), (G_vv, 2)):
+        assert _same(got, nl.G_vpart(v, shift) if terms else zero)
     assert _same(lap, phi_laplacian_eval(geom, r, t, fx[1], fx[2]) if with_forcing else zero)
     xpart = nl.G_xpart(t, r)
     assert _same(xpart, f(r, t)) if with_forcing else xpart is None

@@ -16,7 +16,6 @@ UNREAD_ALLOWED = {
     "estimates.NonlinearityConditions.consistent": "the same ledger line reads it",
     "estimates.CutoffProfile.certify": "the hypotheses ledger's cutoff line",
     "params.preset_ode_residuals": "the hypotheses ledger's preset line",
-    "estimates.SupNodes.whole": "test seam: the blocks' one-piece reference",
 }
 
 

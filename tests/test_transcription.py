@@ -43,7 +43,8 @@ def synthetic_setup(rng, constant_alpha=False):
     tau = np.sort(rng.uniform(0.05, 1.0, n_nodes))
     v = rng.uniform(0.3, 2.5, n_nodes)
     samples = SupSamples(
-        r=rng.uniform(0, 1, n_nodes), t_abs=tau, tau=tau, v=v,
+        # G_x, which no reduction reads, takes the draw of the old r field
+        G_x=rng.uniform(0, 1, n_nodes), tau=tau, v=v,
         G=rng.normal(0, 0.5, n_nodes),
         G_v=rng.normal(0, 0.5, n_nodes),
         G_vv=rng.normal(0, 0.5, n_nodes),
@@ -257,7 +258,8 @@ def family_setup(rng, static, alpha_p=0.0, k2=0.0):
     v = rng.uniform(0.3, 2.5, n_nodes)
     full = lambda value: np.full(n_nodes, value)
     samples = SupSamples(
-        r=rng.uniform(0, 1, n_nodes), t_abs=tau, tau=tau, v=v,
+        # G_x, which no reduction reads, takes the draw of the old r field
+        G_x=rng.uniform(0, 1, n_nodes), tau=tau, v=v,
         G=nl.G_vpart(v) + rng.normal(0, 0.5, n_nodes),
         G_v=nl.G_vpart(v, 1), G_vv=nl.G_vpart(v, 2),
         G_x_norm=evolving * rng.uniform(0, 0.5, n_nodes),
