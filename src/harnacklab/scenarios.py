@@ -144,6 +144,9 @@ MANUFACTURED_CATALOG = {
 def parse_geometry(doc: dict, m: float) -> WarpedGeometry:
     geo = Section(doc, "geometry")
     n = geo.number("n", integer=True, at_least=2)
+    if m < n:
+        raise ConfigError("harnack.m", f"the synthetic dimension must be >= geometry.n = {n} "
+                                       f"(got {m:g})")
     r_max = geo.number("r_max", above=0)
     preset = geo.get("preset", None)
     if preset is not None and not isinstance(preset, str):
@@ -283,23 +286,16 @@ def parse_scenario(doc: dict) -> Scenario:
     p = pde_doc.number("p", above=1)
 
     coeffs = parse_alpha_beta(harnack, b=m * (p - 1) / (1 + m * (p - 1)))
-    try:
-        params = HarnackParams(p=p, m=m, coeffs=coeffs)
-    except ValueError as exc:
-        raise ConfigError("harnack", str(exc))
+    params = HarnackParams(p=p, m=m, coeffs=coeffs)
 
     time_doc = top.section("time", {})
     duration = time_doc.number("duration", 1.0, above=0)
     t0 = time_doc.number("t0", 1.0, at_least=0)
 
     grid_doc = pde_doc.section("grid", {})
-    n_r = grid_doc.number("n_r", 257, integer=True)
-    n_t = grid_doc.number("n_t", 129, integer=True)
-    try:
-        grid = Grid(n_r=n_r, n_t=n_t, r_max=geom.r_max, t0=t0, duration=duration,
-                    pole=(geom.mode == "pole"))
-    except ValueError as exc:
-        raise ConfigError(grid_doc.path, str(exc))
+    grid = Grid(n_r=grid_doc.number("n_r", 257, integer=True, at_least=8),
+                n_t=grid_doc.number("n_t", 129, integer=True, at_least=4),
+                r_max=geom.r_max, t0=t0, duration=duration, pole=(geom.mode == "pole"))
 
     power = parse_nonlinearity(pde_doc)
 
@@ -361,12 +357,9 @@ def parse_scenario(doc: dict) -> Scenario:
     # the solver's positivity floor: a millionth of the initial peak of u
     floor = max(1e-6 * float(np.max(oracle_u(grid.r, t0))), 1e-300)
     boundary = pde_doc.choice("boundary", BOUNDARY_POLICIES, "dirichlet-oracle")
-    try:
-        pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor,
-                        outer_boundary=boundary, oracle=oracle_u,
-                        substeps=pde_doc.number("substeps", 1, integer=True))
-    except Exception as exc:
-        raise ConfigError("pde", str(exc))
+    pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor, outer_boundary=boundary,
+                    oracle=oracle_u, substeps=pde_doc.number("substeps", 1, integer=True,
+                                                             at_least=1))
 
     ver_doc = top.section("verification", {})
     variants = ver_doc.list("variants", ["first-local", "first-global", "second-local",

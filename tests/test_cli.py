@@ -232,6 +232,10 @@ BAD_VALUES = [
     ("seed", -3), ("name", ["a", {"b": 1}]), ("name", 3),
     # the pressure of a manufactured field is positive where the oracle reads it
     ("solution.expr", -1), ("solution.expr", "1 - r**2"),
+    # each range refusal names its key: the solver's substeps and grid sizes,
+    # and a synthetic dimension below the geometry's n = 2
+    ("pde.substeps", "abc"), ("pde.substeps", 0), ("pde.grid.n_r", 5), ("pde.grid.n_t", 3),
+    ("harnack.m", 1.5),
 ]
 
 # the terms of a power-sum: every key but "a", which is set on the default
@@ -263,6 +267,15 @@ def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert err.startswith(f"configuration error: {key}: ")
     assert "Traceback" not in err
+
+
+def test_synthetic_dimension_below_n_names_its_key():
+    # n = 3 on this config, so m = 2 passes the parameters' own m >= 2
+    doc = json.loads((CONFIGS / "evolving-warp-identities.json").read_text())
+    doc["harnack"]["m"] = 2.0
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(doc)
+    assert err.value.path == "harnack.m"
 
 
 @pytest.mark.parametrize("command", ["check-estimate", "check-identities"])
