@@ -317,6 +317,99 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
             assert q_up["q2"] >= q["q2"] and np.all(rhs(q_up) >= rhs(q)), variant
 
 
+def test_static_rhs_nondecreasing_in_each_of_its_sups():
+    # the static forms read the static slope and last sups, and the local
+    # ones v_sup through the localization term: raising any one of them
+    # never lowers the right side at any tau
+    from harnacklab.params import AlphaBeta
+
+    rng = np.random.default_rng(716)
+    tau = np.linspace(0.01, 1.0, 40)
+    keys = ("static_slope", "static_last", "v_sup")
+    for _ in range(12):
+        coeffs = AlphaBeta(Profile(f"{rng.uniform(1.1, 3.0)!r} + {rng.uniform(0, 0.5)!r}*t",
+                                   "alpha"),
+                           Profile(f"{rng.uniform(-0.4, 0.6)!r}", "beta"))
+        params = HarnackParams(p=rng.uniform(1.2, 3.5), m=rng.uniform(2.0, 6.0), coeffs=coeffs)
+        # x-independent forcing and zero evolution bounds, as the static forms require
+        bounds = GeometryBounds(k=rng.uniform(0.0, 0.8), k_lo=0.0, k_hi=0.0, k2=0.0,
+                                l1=rng.uniform(0.0, 0.8), l2=0.0)
+        n_nodes = 16
+        nodes = np.sort(rng.uniform(0.05, 1.0, n_nodes))
+        v = rng.uniform(0.3, 2.5, n_nodes)
+        power = Nonlinearity(A=[rng.uniform(0, 1)], a=[rng.uniform(-2, 0)],
+                             B=[-rng.uniform(0, 1)], b=[rng.uniform(0, 1)])
+        samples = SupSamples(
+            tau=nodes, v=v, G_x_norm=np.zeros(n_nodes),
+            **dict(zip(("G", "G_x", "lap_Gx", "G_v", "G_vv"), power.partials(0, 0, v))),
+            **dict(zip(("alpha", "alpha_p", "beta", "beta_p"), coeffs.at(nodes))),
+        )
+        radius = rng.uniform(0.4, 1.5)
+        for variant in (v for v in VARIANTS if v.startswith("static")):
+            family, scope = variant_kind(variant)
+            q = reduce_suprema(samples, bounds, params, 2, radius, [(family, None)], scope)[0]
+
+            def rhs(q):
+                return rhs_bound(variant, q, bounds, params, radius, tau)
+
+            # the sampled sups, and sups at, near and far from zero
+            points = [q] + [{**q, **dict(zip(keys, rng.choice([0.0, 1e-3, 0.3, 5.0], 3)))}
+                            for _ in range(3)]
+            for point in points:
+                base = rhs(point)
+                for key in keys:
+                    for step in (1e-9, rng.uniform(0, 2)):
+                        out = rhs({**point, key: point[key] + step})
+                        assert np.all(out >= base), (variant, key, point)
+
+
+def test_enlarging_the_sup_cylinder_never_lowers_q1():
+    # at a fixed radius R of the localization, a larger sup cylinder holds
+    # every node of a smaller one (the nodes are one mesh of the domain), so
+    # the slope bracket's sup and v_sup, which the local K carries, only
+    # grow; G_v = 2v and v grow with r, so q1 grows strictly here
+    from harnacklab.params import AlphaBeta
+
+    geom = make_geometry("gaussian", n=2, m=4, conformal="exp(t/10)")
+    prof = Profile("2 + r**2*exp(-t)/4", "v")
+    params = HarnackParams(p=2.0, m=4.0, coeffs=AlphaBeta(Profile("2 + t/4", "alpha"),
+                                                          Profile("0.3", "beta")))
+    nl = manufactured_forcing(prof, geom, params.p, Nonlinearity(A=[1.0], a=[2.0]))
+    sol = AnalyticSolution(prof)
+    for family in ("first", "second"):
+        for scope in ("local", "global"):
+            q1 = []
+            for radius in (0.4, 0.6, 0.8, 1.2):
+                cyl = Cylinder(radius, 0.5, 1.5)
+                bounds = extract_bounds(geom, cyl, grid_density=(257, 33))
+                samples = collect_sup_samples(sol, geom, params, nl, cyl, 0.5,
+                                              density=(257, 33))
+                eps = 0.5 * params.eps_ceiling(samples.tau, family)
+                q, = reduce_suprema(samples, bounds, params, geom.n, 0.4, [(family, eps)], scope)
+                q1.append(q["q1"])
+            assert q1 == sorted(q1) and q1[-1] > q1[0] > 0, (family, scope, q1)
+
+
+def test_rhs_scale_below_the_slack_gives_a_violation():
+    # on every report of a config with slack s = max lhs/rhs > 0, scaling the
+    # right side to below s by more than the margin tolerance at the node
+    # that attains s makes that node violate
+    sc = parse_scenario(json.loads((ROOT / "configs" / "barenblatt.json").read_text()))
+    checked = 0
+    for rep in estimates.estimate_matrix(sc):
+        assert rep.violations == 0
+        ratio = rep.scope.lhs / rep.rhs
+        i = int(np.argmax(ratio))
+        if not ratio[i] > 0:
+            continue
+        tol = rep.summary["tolerance"]
+        scale = ratio[i] - 2.0 * tol / rep.rhs[i]
+        control = verify_estimate(rep.scope, rep.variant, eps=rep.eps, rhs_scale=scale)
+        assert control.violations >= 1, (rep.variant, rep.eps, ratio[i])
+        checked += 1
+    assert checked > 0
+
+
 def test_static_rhs_formula_cross_check():
     # independent transcription of the static-first local display at one point
     geom, prof, params, sol, cyl, bounds, samples = _barenblatt_setup()
