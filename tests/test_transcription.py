@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harnacklab.estimates import (VARIANTS, EstimateScope, SupSamples, reduce_suprema,
-                                  rhs_bound, variant_kind)
+from harnacklab.estimates import (VARIANTS, EstimateScope, SupSamples, harnack_quantity,
+                                  reduce_suprema, rhs_bound, variant_kind)
 from harnacklab.geometry import Cylinder, GeometryBounds
-from harnacklab.harnack import harnack_constant, harnack_log_bound
+from harnacklab.harnack import harnack_constant, harnack_log_bound, sample_pairs, verify_harnack
 from harnacklab.params import AlphaBeta, HarnackParams, constant_alpha_beta
-from harnacklab.scenarios import load_scenario
+from harnacklab.scenarios import load_scenario, parse_scenario
 from harnacklab.solver import Nonlinearity
 from harnacklab.symfun import Profile
 
@@ -225,6 +225,96 @@ def test_harnack_constant_is_the_global_rhs_less_its_clock_on_shipped_configs(co
         q, = scope.quantities([(family, eps)])
         tau = np.array([sc.duration / 64, 0.3 * sc.duration, sc.duration])
         assert_H_is_the_global_rhs_less_its_clock(q, sc.params, scope.bounds, tau)
+
+
+# ---------------------------------------------------------------------------
+# the Harnack margin, split exactly by step
+# ---------------------------------------------------------------------------
+
+# gaussian-conformal at beta = -0.3 has q1 = -2 beta / (b alpha^2) > 0, which no
+# shipped config has, so H's b alpha^2 q1 term enters
+SPLIT_CASES = [(path, {}) for path in CLOSED_FORM_CONFIGS] + [
+    (CLOSED_FORM_CONFIGS[0].parent / "gaussian-conformal.json", {"beta": -0.3})]
+
+
+def simpson(f, tau1, tau2):
+    """Composite Simpson's rule along the last axis of ``f``, whose row k is
+    sampled at an odd number of equispaced nodes from tau1[k] to tau2[k]."""
+    weights = np.ones(f.shape[-1])
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return (tau2 - tau1) / (3.0 * (f.shape[-1] - 1)) * (f @ weights)
+
+
+def harnack_split(sc, bounds, q, v_inf, pairs, nodes=513):
+    """The four step slacks of each pair's Harnack margin, at ``nodes``
+    equispaced clock times from tau1 to tau2 (one row per pair).
+
+    Along a path r(tau) on one ray, -d/dtau log v = F/alpha - |grad v|^2/(alpha v)
+    - G/v + beta/alpha - v_r r'/v.  Completing the square in v_r, and with
+    RHS + q0/alpha = b alpha/tau + H/alpha, it is b alpha/tau + H/alpha
+    + alpha a^2 r'^2/(4 v_inf) less the four slacks:
+      the estimate slack RHS - F/alpha,
+      the forcing sup q0/alpha - (beta/alpha - G/v),
+      the completed square (v_r/a + alpha a r'/2)^2/(alpha v),
+      the inf step alpha a^2 r'^2 (1/(4 v_inf) - 1/(4 v)).
+    On the path r' proportional to a^-2 the kinetic term integrates to the
+    bound's energy term, so the four integrals sum to the pair margin.
+    """
+    params, geom = sc.params, sc.geom
+    r1, tau1, r2, tau2 = (column[:, None] for column in pairs.T)
+    taus = tau1 + np.linspace(0.0, 1.0, nodes) * (tau2 - tau1)
+    # int a^-2 dtau from tau1 to each node, by Simpson's rule on each interval
+    inv_a2 = geom.conformal(0.0, taus + sc.t0) ** -2.0
+    mid = geom.conformal(0.0, 0.5 * (taus[:, 1:] + taus[:, :-1]) + sc.t0) ** -2.0
+    panels = (inv_a2[:, :-1] + 4.0 * mid + inv_a2[:, 1:]) / 6.0 * np.diff(taus, axis=1)
+    reach = np.concatenate([np.zeros_like(tau1), np.cumsum(panels, axis=1)], axis=1)
+    r = r1 + (r2 - r1) * reach / reach[:, -1:]
+    rdot = (r2 - r1) * inv_a2 / reach[:, -1:]
+    a, t_abs = inv_a2**-0.5, taus + sc.t0
+    table = sc.v_profile.table(1, 1, r, t_abs)
+    v, v_r, v_t = table[0, 0], table[1, 0], table[0, 1]
+    G = sc.nonlinearity.G(t_abs, r, v)
+    alpha, _, beta, _ = params.coeffs.at(taus)
+    F = harnack_quantity(v, v_r**2 / a**2, v_t, G, alpha, beta)
+    # the radius is not read globally
+    rhs = rhs_bound(f"{q['family']}-global", q, bounds, params, 1.0, taus.ravel())
+    return (rhs.reshape(taus.shape) - F / alpha,
+            q["q0"] / alpha - (beta / alpha - G / v),
+            (v_r / a + alpha * a * rdot / 2) ** 2 / (alpha * v),
+            alpha * a**2 * rdot**2 * (1 / (4 * v_inf) - 1 / (4 * v)))
+
+
+@pytest.mark.parametrize("config, harnack", SPLIT_CASES, ids=[
+    path.stem + "".join(f"_{key}={value}" for key, value in harnack.items())
+    for path, harnack in SPLIT_CASES])
+def test_harnack_margin_is_the_sum_of_its_four_step_slacks(config, harnack):
+    # check-harnack's margins, from H, against the integrated slacks, from
+    # rhs_bound: the two are tied with no second transcription of either
+    doc = json.loads(config.read_text())
+    doc["harnack"].update(harnack)
+    sc = parse_scenario(doc)
+    ver = sc.verification
+    scope = EstimateScope(sc.solution_handle(), sc.geom, sc.params, sc.nonlinearity,
+                          Cylinder(ver["radius"], sc.t0, sc.t_hi), sc.t0, "global",
+                          ver["sup_density"])
+    v_inf = scope.samples.v_inf
+    pairs = sample_pairs(sc.seed, ver["pairs"], sc.geom.r_max, sc.duration / 64, sc.duration)
+    tau1, tau2 = pairs[:, 1], pairs[:, 3]
+    for family in ("first", "second"):
+        q, = scope.quantities([(family, 0.5 * sc.params.eps_ceiling(scope.samples.tau, family))])
+        rep = verify_harnack(sc.solution_handle(), sc.geom, sc.params, q, pairs, sc.t0, v_inf)
+        slacks = harnack_split(sc, scope.bounds, q, v_inf, pairs)
+        fine = np.array([simpson(e, tau1, tau2) for e in slacks])
+        coarse = np.array([simpson(e[:, ::2], tau1, tau2) for e in slacks])
+        # Simpson's error at 513 nodes is about 1/15 of its change from 257;
+        # 64 ulps of the magnitudes summed bound the roundoff
+        log_ratio = np.log(rep["ratio"])
+        tol = (np.abs(fine.sum(axis=0) - coarse.sum(axis=0))
+               + 64 * np.finfo(float).eps * (np.abs(fine).sum(axis=0) + np.abs(log_ratio)
+                                             + np.abs(rep["margin"] + log_ratio)))
+        assert np.all(np.abs(fine.sum(axis=0) - rep["margin"]) <= tol), family
+        for slack in slacks:
+            assert np.all(slack >= -tol[:, None]), family
 
 
 # ---------------------------------------------------------------------------
