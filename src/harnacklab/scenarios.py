@@ -357,9 +357,9 @@ def parse_scenario(doc: dict) -> Scenario:
     # the solver's positivity floor: a millionth of the initial peak of u
     floor = max(1e-6 * float(np.max(oracle_u(grid.r, t0))), 1e-300)
     boundary = pde_doc.choice("boundary", BOUNDARY_POLICIES, "dirichlet-oracle")
+    substeps = pde_doc.number("substeps", 1, integer=True, at_least=1)
     pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor, outer_boundary=boundary,
-                    oracle=oracle_u, substeps=pde_doc.number("substeps", 1, integer=True,
-                                                             at_least=1))
+                    oracle=oracle_u, substeps=substeps)
 
     ver_doc = top.section("verification", {})
     variants = ver_doc.list("variants", ["first-local", "first-global", "second-local",

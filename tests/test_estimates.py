@@ -283,7 +283,7 @@ def test_rhs_nondecreasing_in_each_sup_quantity():
         n_nodes = 16
         nodes = np.sort(rng.uniform(0.05, 1.0, n_nodes))
         samples = SupSamples(
-            # G_x, which no reduction reads, takes the draw of the old r field
+            # no reduction reads G_x; its draw keeps the seeded data after it
             G_x=rng.uniform(0, 1, n_nodes), tau=nodes,
             v=rng.uniform(0.3, 2.5, n_nodes), G=rng.normal(0, 0.5, n_nodes),
             G_v=rng.normal(0, 0.5, n_nodes), G_vv=rng.normal(0, 0.5, n_nodes),

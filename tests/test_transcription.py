@@ -43,7 +43,7 @@ def synthetic_setup(rng, constant_alpha=False):
     tau = np.sort(rng.uniform(0.05, 1.0, n_nodes))
     v = rng.uniform(0.3, 2.5, n_nodes)
     samples = SupSamples(
-        # G_x, which no reduction reads, takes the draw of the old r field
+        # no reduction reads G_x; its draw keeps the seeded data after it
         G_x=rng.uniform(0, 1, n_nodes), tau=tau, v=v,
         G=rng.normal(0, 0.5, n_nodes),
         G_v=rng.normal(0, 0.5, n_nodes),
@@ -348,7 +348,7 @@ def family_setup(rng, static, alpha_p=0.0, k2=0.0):
     v = rng.uniform(0.3, 2.5, n_nodes)
     full = lambda value: np.full(n_nodes, value)
     samples = SupSamples(
-        # G_x, which no reduction reads, takes the draw of the old r field
+        # no reduction reads G_x; its draw keeps the seeded data after it
         G_x=rng.uniform(0, 1, n_nodes), tau=tau, v=v,
         G=nl.G_vpart(v) + rng.normal(0, 0.5, n_nodes),
         G_v=nl.G_vpart(v, 1), G_vv=nl.G_vpart(v, 2),
