@@ -345,7 +345,7 @@ def test_static_rhs_nondecreasing_in_each_of_its_sups():
             **dict(zip(("alpha", "alpha_p", "beta", "beta_p"), coeffs.at(nodes))),
         )
         radius = rng.uniform(0.4, 1.5)
-        for variant in (v for v in VARIANTS if v.startswith("static")):
+        for variant in (name for name in VARIANTS if name.startswith("static")):
             family, scope = variant_kind(variant)
             q = reduce_suprema(samples, bounds, params, 2, radius, [(family, None)], scope)[0]
 

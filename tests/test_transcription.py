@@ -263,14 +263,14 @@ def harnack_split(sc, bounds, q, v_inf, pairs, nodes=513):
     params, geom = sc.params, sc.geom
     r1, tau1, r2, tau2 = (column[:, None] for column in pairs.T)
     taus = tau1 + np.linspace(0.0, 1.0, nodes) * (tau2 - tau1)
+    t_abs = taus + sc.t0
+    a = geom.conformal(0.0, t_abs)
     # int a^-2 dtau from tau1 to each node, by Simpson's rule on each interval
-    inv_a2 = geom.conformal(0.0, taus + sc.t0) ** -2.0
-    mid = geom.conformal(0.0, 0.5 * (taus[:, 1:] + taus[:, :-1]) + sc.t0) ** -2.0
-    panels = (inv_a2[:, :-1] + 4.0 * mid + inv_a2[:, 1:]) / 6.0 * np.diff(taus, axis=1)
+    mid = geom.conformal(0.0, 0.5 * (t_abs[:, 1:] + t_abs[:, :-1])) ** -2.0
+    panels = (a[:, :-1] ** -2.0 + 4.0 * mid + a[:, 1:] ** -2.0) / 6.0 * np.diff(taus, axis=1)
     reach = np.concatenate([np.zeros_like(tau1), np.cumsum(panels, axis=1)], axis=1)
     r = r1 + (r2 - r1) * reach / reach[:, -1:]
-    rdot = (r2 - r1) * inv_a2 / reach[:, -1:]
-    a, t_abs = inv_a2**-0.5, taus + sc.t0
+    rdot = (r2 - r1) * a**-2.0 / reach[:, -1:]
     table = sc.v_profile.table(1, 1, r, t_abs)
     v, v_r, v_t = table[0, 0], table[1, 0], table[0, 1]
     G = sc.nonlinearity.G(t_abs, r, v)
