@@ -4,8 +4,9 @@ Each command writes its CSV file and returns its summary lines, its summary
 payload and its failure count; :func:`main` writes ``summary.txt`` and
 ``summary.json`` from them.  Exit codes: 0 all checks passed, 1 the failure
 count is positive (at least one inequality violation or failed gate),
-2 configuration error, 3 numerical failure (including arithmetic errors),
-4 I/O failure, 5 internal error (an unexpected exception, reported in one line).
+2 configuration error (one of the package's refusals of an input), 3 numerical
+failure (including arithmetic errors), 4 I/O failure, 5 internal error (any
+other exception, a bare ValueError included, reported in one line).
 """
 
 from __future__ import annotations
@@ -21,16 +22,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimates import EstimateScope, estimate_matrix
-from .geometry import Cylinder, extract_bounds
-from .harnack import sample_pairs, verify_harnack
-from .identities import (bochner_residual, commutator_residual,
+from .estimates import EstimateError, EstimateScope, estimate_matrix
+from .fields import FieldError
+from .geometry import Cylinder, GeometryError, extract_bounds
+from .harnack import HarnackError, sample_pairs, verify_harnack
+from .identities import (IdentityError, bochner_residual, commutator_residual,
                          harnack_evolution_residual, inequality_rhs,
                          pressure_equation_residual, quotient_rule_residual)
+from .jets import PoleEvaluationError
 from .params import ParamError
 from .scenarios import ConfigError, Scenario, Section, load_scenario, read_config, read_number
 from .solver import SolverError, weighted_mass
-from .symfun import Profile
+from .symfun import ExpressionError, Profile
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -438,9 +441,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, ParamError, ValueError) as exc:
-        # domain errors from the computational layers (geometry, estimates,
-        # identities, fields) are configuration problems at the CLI surface
+    except (ConfigError, ParamError, GeometryError, EstimateError, IdentityError, HarnackError,
+            FieldError, ExpressionError, PoleEvaluationError) as exc:
+        # the package's refusals of an input, in any layer, are configuration
+        # problems at the CLI surface; any other ValueError is internal
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:

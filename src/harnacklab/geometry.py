@@ -7,7 +7,7 @@ which of three evolution families a geometry belongs to:
 
 * ``static-warp``      -- metric time independent (``a`` constant, ``psi(r)``)
 * ``conformal-evolving`` -- ``g(t) = a(t)^2 g_0`` with ``psi`` time independent
-* ``evolving-warp``    -- ``psi(r,t)`` evolves, ``a == 1``
+* ``evolving-warp``    -- ``psi(r,t)`` evolves, under a constant or moving ``a(t)``
 
 For these families every curvature quantity appearing in the estimates is
 arithmetic on the series of ``psi``, ``a`` and ``phi``, the pole included, so
@@ -65,9 +65,6 @@ class WarpedGeometry:
             raise GeometryError("m == n requires a constant potential")
         if "r" in self.conformal.coords:
             raise GeometryError("conformal factor must depend on t only")
-        if self.family == "evolving-warp":
-            if not (self.conformal.is_constant() and abs(self.conformal(0.0, 0.0) - 1.0) < 1e-15):
-                raise GeometryError("an evolving warp requires a == 1")
 
     # -- basic structure ----------------------------------------------------
     @property
@@ -79,10 +76,6 @@ class WarpedGeometry:
     @property
     def metric_static(self) -> bool:
         return self.family == "static-warp"
-
-    @property
-    def is_static(self) -> bool:
-        return self.metric_static and self.potential.time_independent
 
     def validate_on(self, t_lo: float, t_hi: float):
         """Sampled positivity and regularity checks on [0, r_max] x [t_lo, t_hi],
@@ -151,25 +144,32 @@ class WarpedGeometry:
         return (Profile.of_jets(radial, (2, 0), "bakry_emery_radial"),
                 Profile.of_jets(angular, (2, 0), "bakry_emery_angular"))
 
-    def warp_speed(self) -> tuple[Profile, Profile, Profile]:
-        """On an evolving warp, h's angular eigenvalue psi_t/psi, |grad h|^2 and the
-        radial part of 2 div h - grad tr h, as profiles, the pole included."""
-        n, psi = self.n, self.warp
+    def metric_speed(self) -> tuple[Profile, Profile, Profile, Profile]:
+        """h = (dg/dt)/2 as profiles, the pole included: its eigenvalues a_t/a and
+        a_t/a + psi_t/psi (radial, angular) relative to g, |grad h|^2 and the radial
+        part of 2 div h - grad tr h.  As (a_t/a) g is parallel, these two are the
+        warp's: |grad h|^2 divided by a^2, the 1-form as it is."""
+        n, psi, a = self.n, self.warp, self.conformal
+
+        def h_radial(r, t):
+            A = a.jet(r, t)
+            return d_t(A) / A
 
         def h_angular(r, t):
             P = psi.jet(r, t)
-            return d_t(P) / P
+            return h_radial(r, t) + d_t(P) / P
 
         def grad_h2(r, t):
             P = psi.jet(r, t)
             cross = d_r(P) * d_t(P) / P
-            return (n - 1) * ((d_t(d_r(P)) - cross) ** 2 + 2.0 * cross**2) / P**2
+            return (n - 1) * ((d_t(d_r(P)) - cross) ** 2 + 2.0 * cross**2) / (P * a.jet(r, t)) ** 2
 
         def div(r, t):
             P = psi.jet(r, t)
             return -(n - 1) * (d_r(P) * d_t(P) / P**2 + d_t(d_r(P)) / P)
 
-        return (Profile.of_jets(h_angular, (0, 1), "h_angular"),
+        return (Profile.of_jets(h_radial, (0, 1), "h_radial"),
+                Profile.of_jets(h_angular, (0, 1), "h_angular"),
                 Profile.of_jets(grad_h2, (1, 1), "grad_h_sq"),
                 Profile.of_jets(div, (1, 1), "h_divergence"))
 
@@ -229,16 +229,12 @@ def bakry_emery_eigs(geom: WarpedGeometry, r, t):
 def metric_speed(geom: WarpedGeometry, r, t):
     """h = (dg/dt)/2 at each node: its eigenvalues (radial, angular) relative
     to g, |grad h|, and the radial component of 2 div h - grad tr h, which is
-    nonzero only on an evolving warp."""
+    nonzero only on an evolving warp; exact zeros on a static metric."""
     r = _check_domain(geom, r)
-    zeros = np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t)))
-    if geom.family == "static-warp":
-        return zeros, zeros, zeros, zeros
-    if geom.family == "conformal-evolving":
-        rate = geom.conformal.at(0, 1, r, t) / geom.conformal(r, t)
-        return rate, rate, zeros, zeros
-    h_ang, grad_h2, div = (prof(r, t) for prof in geom.warp_speed())
-    return zeros, h_ang, np.sqrt(grad_h2), div
+    if geom.metric_static:
+        return (np.zeros(np.broadcast_shapes(np.shape(r), np.shape(t))),) * 4
+    h_rad, h_ang, grad_h2, div = (prof(r, t) for prof in geom.metric_speed())
+    return h_rad, h_ang, np.sqrt(grad_h2), div
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +346,6 @@ def extract_bounds(geom: WarpedGeometry, cyl: Cylinder, grid_density=(129, 65)) 
     k2 = float(np.max(grad_h))
 
     a = geom.conformal(r_in, t_in)
-    l1 = float(np.max(np.abs(geom.potential.at(1, 0, r_in, t_in)) / a))
-    l2 = float(np.max(np.abs(geom.potential.at(1, 1, r_in, t_in)) / a))
+    phi_r, phi_rt = np.abs(geom.potential.table(1, 1, r_in, t_in)[1]) / a
+    l1, l2 = float(np.max(phi_r)), float(np.max(phi_rt))
     return GeometryBounds(k=k, k_lo=k_lo, k_hi=k_hi, k2=k2, l1=l1, l2=l2)

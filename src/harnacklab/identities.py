@@ -157,7 +157,7 @@ class _RadialTerms(_HessianTerms):
 
     def __init__(self, geom: WarpedGeometry, rr, tt, v_r, v_rr):
         super().__init__(geom, rr, tt, v_r, v_rr)
-        phi_r, phi_rt = (geom.potential.at(1, k, rr, tt) for k in (0, 1))
+        phi_r, phi_rt = geom.potential.table(1, 1, rr, tt)[1]
         self.phi_pair = phi_r * v_r / self.a2            # <grad phi, grad v>
         self.phit_pair = phi_rt * v_r / self.a2          # <grad d(phi)/dt, grad v>
         self.lap_v = self.lap_plain - self.phi_pair

@@ -25,7 +25,7 @@ import numpy as np
 from .fields import Grid, ScalarField
 from .geometry import WarpedGeometry, phi_laplacian_eval
 from .jets import d_r, d_t
-from .symfun import Profile, constant_profile
+from .symfun import Profile
 
 
 class SolverError(RuntimeError):
@@ -182,19 +182,6 @@ def barenblatt_support_radius(n: int, p: float, mass_const: float, t):
     return np.sqrt(mass_const / kk) * np.asarray(t, dtype=float) ** beta
 
 
-def validate_barenblatt(n: int, p: float, mass_const: float) -> float:
-    """Max residual of the oracle in the flat pressure equation.
-
-    The oracle is only trusted after this substitution check; callers assert
-    the returned residual is at machine-precision level.
-    """
-    rr, tt = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.5, 2.0, 9), indexing="ij")
-    inside = rr < barenblatt_support_radius(n, p, mass_const, tt)
-    vals = pressure_equation_residual(barenblatt_pressure_profile(n, p, mass_const),
-                                      _flat_geometry(n), p, Nonlinearity(), rr, tt)
-    return float(np.max(np.abs(vals[inside])))
-
-
 def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
                                nonlinearity: Nonlinearity, r, t):
     """L[v] - |grad v|^2 - G, which vanishes on exact pressure solutions."""
@@ -203,13 +190,6 @@ def pressure_equation_residual(v: Profile, geom: WarpedGeometry, p: float,
     grad2 = v_r**2 / geom.conformal(rr, tt) ** 2
     lhs = v_t - (p - 1) * vv * phi_laplacian_eval(geom, rr, tt, v_r, v_rr)
     return lhs - grad2 - nonlinearity.G(tt, rr, vv)
-
-
-def _flat_geometry(n: int) -> WarpedGeometry:
-    return WarpedGeometry(
-        n=n, m=float(n), warp=Profile("r", "psi"), conformal=constant_profile(1.0, "a"),
-        potential=constant_profile(0.0, "phi"), r_max=1e9, name="flat",
-    )
 
 
 # ---------------------------------------------------------------------------

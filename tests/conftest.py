@@ -8,6 +8,8 @@ from harnacklab.fields import ScalarField
 from harnacklab.geometry import WarpedGeometry
 from harnacklab.identities import commutator_terms
 from harnacklab.params import HarnackParams, constant_alpha_beta
+from harnacklab.solver import (Nonlinearity, barenblatt_pressure_profile,
+                               barenblatt_support_radius, pressure_equation_residual)
 from harnacklab.symfun import Profile
 
 # the oracle's coordinates: sympy reads the same expression strings as the code
@@ -27,6 +29,7 @@ def make_geometry(kind, n=2, m=None, r_max=2.0, conformal="1", potential=None,
         "sphere": "sin(r)",
         "gaussian": "r",
         "warp": "1 + r*(1 + t/5)",
+        "pole-warp": "r + t*r**3/10",
     }
     if potential is None:
         potential = "r**2/2" if kind == "gaussian" else "0"
@@ -66,6 +69,12 @@ def evolving_warp():
 
 
 @pytest.fixture(scope="session")
+def conformal_warp():
+    return make_geometry("warp", n=3, m=4, conformal="exp(t/10)",
+                         potential="r**2*(1 + t/9)/2")
+
+
+@pytest.fixture(scope="session")
 def bump_profile():
     return Profile("2 + exp(-t)*exp(-r**2/4) + r**2*exp(-2*t)/8", "v")
 
@@ -73,6 +82,16 @@ def bump_profile():
 @pytest.fixture(scope="session")
 def cosh_bump_profile():
     return Profile("2 + exp(-t)*(3 + cosh(r))/8", "v")
+
+
+def barenblatt_substitution_residual(n, p, mass_const):
+    """Max residual of the self-similar oracle in the pressure equation on
+    flat space, at 17 x 9 points of [0, 1] x [0.5, 2] inside its support."""
+    rr, tt = np.meshgrid(np.linspace(0.0, 1.0, 17), np.linspace(0.5, 2.0, 9), indexing="ij")
+    inside = rr < barenblatt_support_radius(n, p, mass_const, tt)
+    vals = pressure_equation_residual(barenblatt_pressure_profile(n, p, mass_const),
+                                      make_geometry("euclidean", n=n), p, Nonlinearity(), rr, tt)
+    return float(np.max(np.abs(vals[inside])))
 
 
 def params_for(geom, p=2.5, alpha=2.0, beta=0.0):

@@ -23,10 +23,11 @@ from harnacklab.params import (AlphaBeta, HarnackParams, constant_alpha_beta,
                                preset_alpha_beta, preset_ode_residuals)
 from harnacklab.solver import (Nonlinearity, PdeParams, barenblatt_oracle,
                                barenblatt_pressure_profile, manufactured_forcing,
-                               pressure_inverse, solve, validate_barenblatt, weighted_mass)
+                               pressure_inverse, solve, weighted_mass)
 from harnacklab.symfun import Profile, constant_profile
 
-from conftest import adjudicate_commutator, convergence_order, make_geometry, variant_label
+from conftest import (adjudicate_commutator, barenblatt_substitution_residual,
+                      convergence_order, make_geometry, variant_label)
 
 
 def report(criterion, ok, detail):
@@ -123,7 +124,7 @@ def test_criterion_2_evolution_identity():
 def test_criterion_3_solver():
     started = time.time()
     geom = make_geometry("euclidean", n=2)
-    assert validate_barenblatt(2, 2.0, 1.0) <= 1e-10
+    assert barenblatt_substitution_residual(2, 2.0, 1.0) <= 1e-10
     oracle = lambda r, t: barenblatt_oracle(2, 2.0, 1.0, r, t)
     errs = []
     for n_r, n_t in ((33, 9), (65, 33), (129, 129)):

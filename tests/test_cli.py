@@ -195,6 +195,8 @@ BAD_VALUES = [
     ("harnack.alpha", {"preset": "linear", "gamma": 1}),
     # at gamma 0 the exp preset is alpha == 1 on every clock
     ("harnack.alpha", {"preset": "exp", "gamma": 0, "clock_offset": 0.5}),
+    # a rate whose double prints as inf, which the preset's expression cannot hold
+    ("harnack.alpha", {"preset": "exp", "gamma": 1e308}),
     # presets that are not names of a preset, and one that is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
     ("geometry.preset", 5),
@@ -461,11 +463,14 @@ def test_scenario_that_is_not_an_object_names_its_file(tmp_path, capsys, command
 @pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
                                      "check-harnack", "sweep"])
 def test_malformed_config_json_is_a_config_error(tmp_path, capsys, command):
-    # every command reads its file through one loader, which names the file
+    # every command reads its file through one loader, which names the file;
+    # bytes that are not UTF-8 (a UTF-16 byte order mark) are invalid JSON too
     cfg = tmp_path / "config.json"
-    cfg.write_text('{"template": ')
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: invalid JSON")
+    for payload in (b'{"template": ', b"\xff\xfe\x00"):
+        cfg.write_bytes(payload)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"configuration error: {cfg}: invalid JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -661,17 +666,19 @@ def test_cli_io_error_exit(tmp_path):
 
 
 def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
-    # an unexpected exception is exit 5 with one line on stderr, not a traceback
-    def broken(sc, out):
-        raise RuntimeError("boom")
+    # an unexpected exception is exit 5 with one line on stderr, not a
+    # traceback; a ValueError that is none of the package's refusals included
+    for exc in (RuntimeError("boom"), ValueError("boom")):
+        def broken(sc, out):
+            raise exc
 
-    monkeypatch.setattr(cli, "cmd_check_harnack", broken)
-    code = main(["check-harnack", "--config", write_config(tmp_path, barenblatt_doc()),
-                 "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == EXIT_INTERNAL == 5
-    assert err == "internal error: RuntimeError: boom\n"
-    assert "Traceback" not in err
+        monkeypatch.setattr(cli, "cmd_check_harnack", broken)
+        code = main(["check-harnack", "--config", write_config(tmp_path, barenblatt_doc()),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INTERNAL == 5
+        assert err == f"internal error: {type(exc).__name__}: boom\n"
+        assert "Traceback" not in err
 
 
 def test_cli_arithmetic_error_is_numerical_failure(tmp_path, capsys):
@@ -1054,6 +1061,31 @@ def test_parameterized_geometry_presets():
     sc2 = parse_scenario(doc2)
     assert sc2.geom.family == "evolving-warp"
     assert sc2.geom.mode == "annulus"
+
+
+@pytest.mark.parametrize("command", ["solve", "check-identities", "check-estimate",
+                                     "check-harnack"])
+def test_warp_evolving_under_a_moving_conformal_factor_passes_clean(tmp_path, command):
+    # evolving-warp-identities under a(t) = exp(t/10), with numpy warnings as
+    # errors; check-identities' commutator and evolution rows pass at roundoff
+    doc = json.loads((CONFIGS / "evolving-warp-identities.json").read_text())
+    doc["geometry"]["conformal_rate"] = 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+
+
+def test_barenblatt_oracle_is_not_refused_by_roundoff(tmp_path):
+    # at n = 5, p = 1.5 and mass_const = 1e6 the pressure is near 3e6 and its
+    # equation's residual is roundoff near 1e-9, which check-identities gates
+    doc = barenblatt_doc(geometry={"preset": "euclidean", "n": 5, "r_max": 2.0},
+                         harnack={"m": 5.0, "alpha": 2.0})
+    doc["pde"]["p"] = 1.5
+    doc["solution"]["mass_const"] = 1e6
+    assert main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
 def test_static_variant_guard_maps_to_config_exit(tmp_path):

@@ -6,9 +6,10 @@ import pytest
 import sympy as sp
 
 from harnacklab.fields import Grid, ScalarField, diff
-from harnacklab.geometry import Cylinder, extract_bounds, phi_laplacian_eval
+from harnacklab.geometry import Cylinder, extract_bounds, metric_speed, phi_laplacian_eval
 from harnacklab.identities import (AnalyticSolution, GridSolution, IdentityError,
-                                   TermTable, _RadialTerms, bochner_residual, harnack_evolution_residual,
+                                   TermTable, _RadialTerms, bochner_residual,
+                                   commutator_residual, harnack_evolution_residual,
                                    harnack_quantity, inequality_rhs, pressure_equation_residual,
                                    quotient_rule_residual)
 from harnacklab.params import AlphaBeta, HarnackParams
@@ -293,28 +294,60 @@ def test_evolution_identity_evolving_families(bump_profile, conformal_gaussian, 
 
 
 @pytest.mark.parametrize("fixture, family", [("conformal_gaussian", "conformal-evolving"),
-                                             ("evolving_warp", "evolving-warp")])
+                                             ("evolving_warp", "evolving-warp"),
+                                             ("conformal_warp", "evolving-warp")])
 def test_metric_speed_terms_match_each_family_formula(request, fixture, family, bump_profile):
     # the five terms of h, contracted from the geometry's metric speed, against
-    # the formulas each evolution family had for them
+    # the formulas each evolution family had for them, and against h's closed
+    # form where the warp and the conformal factor both evolve
     geom = request.getfixturevalue(fixture)
     assert geom.family == family
     rr, tt = np.meshgrid(np.linspace(0.1, 1.9, 13), np.linspace(0.5, 1.5, 7), indexing="ij")
     _, v_r, v_rr = bump_profile.table(2, 0, rr, tt)[:, 0]
     h, n, zero = _RadialTerms(geom, rr, tt, v_r, v_rr), geom.n, np.zeros_like(rr)
+    rate = geom.conformal.at(0, 1, rr, tt) / h.a
+    (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, rr, tt)
     if family == "conformal-evolving":
-        rate = geom.conformal.at(0, 1, rr, tt) / h.a
         want = {"h_vv": rate * h.grad2, "h_hess": rate * h.lap_plain,
                 "h_phi_pair": rate * h.phi_pair, "divh_pair": zero, "h_norm2": n * rate**2}
-    else:
-        (psi, psi_t), (psi_r, psi_rt) = geom.warp.table(1, 1, rr, tt)
+    elif geom.conformal.is_constant():
         want = {"h_vv": zero, "h_hess": (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r,
                 "h_phi_pair": zero,
                 "divh_pair": -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r,
                 "h_norm2": (n - 1) * (psi_t / psi) ** 2}
+    else:
+        # h = (a_t/a) g plus the warp's part a^2 psi psi_t g_sphere: eigenvalues
+        # a_t/a and a_t/a + psi_t/psi; |grad h| is the warp's over a, and the
+        # radial part of 2 div h - grad tr h the warp's as it is
+        cross = psi_r * psi_t / psi
+        want = {"h_vv": rate * h.grad2,
+                "h_hess": (rate * h.lap_plain
+                           + (psi_t / psi) * (n - 1) * (psi_r / psi) * v_r / h.a2),
+                "h_phi_pair": rate * h.phi_pair,
+                "divh_pair": -(n - 1) * (psi_r * psi_t / psi**2 + psi_rt / psi) * v_r / h.a2,
+                "h_norm2": rate**2 + (n - 1) * (rate + psi_t / psi) ** 2,
+                "grad_h": np.sqrt((n - 1) * ((psi_rt - cross) ** 2 + 2 * cross**2)) / (psi * h.a)}
+    got = {**vars(h), "grad_h": metric_speed(geom, rr, tt)[2]}
     for name, expect in want.items():
-        ulps = np.abs(getattr(h, name) - expect) / np.spacing(np.max(np.abs(expect)))
+        ulps = np.abs(got[name] - expect) / np.spacing(np.max(np.abs(expect)))
         assert np.max(ulps, initial=0.0) <= 4, name
+
+
+@pytest.mark.parametrize("kind, mode", [("warp", "annulus"), ("pole-warp", "pole")])
+def test_identities_on_a_warp_evolving_under_a_moving_conformal_factor(kind, mode, bump_profile):
+    # the commutator and the evolution identity contract every term of h, and
+    # hold at roundoff where the warp and a(t) = exp(t/10) both evolve
+    geom = make_geometry(kind, n=3, m=4, conformal="exp(t/10)",
+                         potential="r**2*(1 + t/9)/2", mode=mode)
+    geom.validate_on(0.5, 1.5)
+    assert geom.family == "evolving-warp"
+    r, t = sample_points(include_pole=mode == "pole")
+    assert np.max(np.abs(commutator_residual(bump_profile, geom, r, t))) <= 1e-12
+    pair = AlphaBeta(Profile("1 + exp(t)/2", "alpha"), Profile("sin(t)/3", "beta"))
+    params = HarnackParams(p=2.2, m=geom.m, coeffs=pair)
+    res, table = harnack_evolution_residual(AnalyticSolution(bump_profile), geom, params,
+                                            _mixed_nl(bump_profile, geom, params.p), r=r, t=t)
+    assert np.max(np.abs(res)) <= 1e-12 * max(1.0, np.max(np.abs(table.LpvF)))
 
 
 def test_evolution_identity_barenblatt():

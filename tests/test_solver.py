@@ -7,13 +7,12 @@ from harnacklab.solver import (Nonlinearity, PdeParams, SolverError,
                                barenblatt_exponents, barenblatt_oracle,
                                barenblatt_support_radius, manufactured_forcing,
                                pressure, pressure_inverse, _cell_masses, _step_geometry,
-                               _tridiagonal_solve, solve, step, validate_barenblatt,
-                               weighted_mass)
+                               _tridiagonal_solve, solve, step, weighted_mass)
 from harnacklab.scenarios import parse_geometry
 from harnacklab import symfun
 from harnacklab.symfun import Profile, compile_expression
 
-from conftest import convergence_order, make_geometry
+from conftest import barenblatt_substitution_residual, convergence_order, make_geometry
 
 
 def test_pressure_examples_and_roundtrip():
@@ -131,7 +130,7 @@ def test_barenblatt_exponents_and_values():
 
 @pytest.mark.parametrize("n,p", [(2, 2.0), (3, 2.0), (2, 3.0), (4, 1.5)])
 def test_barenblatt_oracle_validated_by_substitution(n, p):
-    assert validate_barenblatt(n, p, 1.0) <= 1e-10
+    assert barenblatt_substitution_residual(n, p, 1.0) <= 1e-10
 
 
 def test_manufactured_forcing_closes_the_equation(bump_profile):

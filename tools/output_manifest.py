@@ -24,10 +24,12 @@ alpha = 3, where the second family's weight w = alpha does not scale exactly
 in floating point, as it does at every shipped config's alpha = 2;
 check-identities on powerlaw-static at duration 1000, where the pressure is
 near 1e-217 and its square underflows; check-identities on powerlaw-static at
-duration 1450, where the pressure is subnormal by the last time; and
+duration 1450, where the pressure is subnormal by the last time;
 check-estimate on powerlaw-static at duration 2000, where the pressure
-underflows to 0.  The last two configs are refused as numerical failures
-naming ``time.duration``.
+underflows to 0 (the configs at 1450 and 2000 are refused as numerical
+failures naming ``time.duration``); and the four scenario commands on
+evolving-warp-pole at conformal_rate 0.1, whose warp evolves under a moving
+conformal factor.
 
 ``tests/test_golden.py`` runs the same lines and compares them with the record
 exactly.  A change meant to move an output reruns this script; the diff of
@@ -75,6 +77,8 @@ DERIVED = (
      ("check-identities",)),
     ("powerlaw-static duration=2000", "powerlaw-static", ("time", "duration"), 2000,
      ("check-estimate",)),
+    ("evolving-warp-pole conformal_rate=0.1", "evolving-warp-pole",
+     ("geometry", "conformal_rate"), 0.1, SCENARIO_COMMANDS),
 )
 
 
