@@ -42,6 +42,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
+# report.csv keeps, per report, this many least-margin and largest-lhs/rhs nodes
+_REPORT_NODES = 8
+
 
 def _fmt(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
@@ -60,27 +63,6 @@ def _write_summary(out: Path, lines, payload):
 _CSV_CHUNK_ROWS = 1024
 
 
-class _Blocks:
-    """The data rows of a CSV file as column blocks, for :func:`_write_csv`.
-
-    A block is ``(n, columns)``: a row count and one column per header name,
-    each a float64 array, an object array or one value repeated down the
-    block.  The blocks are read once, as they are written, so a generator
-    may make each when it is needed.  ``len`` is the number of rows written.
-    """
-
-    def __init__(self, blocks):
-        self.blocks, self.rows = blocks, 0
-
-    def __len__(self):
-        return self.rows
-
-    def __iter__(self):
-        for n, columns in self.blocks:
-            yield n, columns
-            self.rows += n
-
-
 def _objects(values) -> np.ndarray:
     """An object array holding each of ``values`` as it is, a list included."""
     return np.fromiter(values, dtype=object)
@@ -93,34 +75,30 @@ def _csv_text(value) -> str:
     return buf.getvalue()[:-3]  # less the empty field's "," and "\r\n"
 
 
-def _write_csv(path: Path, header, rows):
-    """Write ``rows``, a :class:`_Blocks`, as CSV under ``header``.
+def _write_csv(path: Path, rows):
+    """Write ``rows``, a numpy record array, as CSV under its field names.
 
-    A float64 array prints as ``%.12g``, which is what ``_fmt`` gives a float.
-    Any other cell is ``_fmt``-ed and quoted by :func:`_csv_text`: a repeated
-    value once per block, an object array's cells one by one.  Rows are
-    formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the text held at
-    once does not grow with the row count.  They go to ``path`` only once all
-    are written: a block that fails to be made (check-estimate makes each
-    report as it is written) leaves no file behind.
+    A float64 field prints as ``%.12g``, which is what ``_fmt`` gives a float;
+    any other field's cells are ``_fmt``-ed and quoted by :func:`_csv_text`.
+    Rows are formatted and written ``_CSV_CHUNK_ROWS`` at a time, so the text
+    held at once does not grow with the row count.  They go to a ``.partial``
+    file that becomes ``path`` only once all are written, so an error during
+    the write leaves no truncated file behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(path.name + ".partial")
+    names = rows.dtype.names
+    floats = [rows.dtype[name] == np.float64 for name in names]
+    row_format = ",".join("%.12g" if is_float else "%s" for is_float in floats) + "\r\n"
     try:
         with open(partial, "w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            for n, columns in rows:
-                row_format = ",".join(("%.12g" if col.dtype == np.float64 else "%s")
-                                      if isinstance(col, np.ndarray)
-                                      else _csv_text(col).replace("%", "%%")
-                                      for col in columns) + "\r\n"
-                for start in range(0, n, _CSV_CHUNK_ROWS):
-                    stop = min(n, start + _CSV_CHUNK_ROWS)
-                    cells = [col[start:stop].tolist() if col.dtype == np.float64
-                             else list(map(_csv_text, col[start:stop].tolist()))
-                             for col in columns if isinstance(col, np.ndarray)]
-                    fh.write("".join(map(row_format.__mod__,
-                                         zip(*cells) if cells else [()] * (stop - start))))
+            csv.writer(fh).writerow(names)
+            for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+                chunk = rows[start:start + _CSV_CHUNK_ROWS]
+                cells = [chunk[name].tolist() if is_float
+                         else list(map(_csv_text, chunk[name].tolist()))
+                         for name, is_float in zip(names, floats)]
+                fh.write("".join(map(row_format.__mod__, zip(*cells))))
         partial.replace(path)
     finally:
         partial.unlink(missing_ok=True)
@@ -135,7 +113,7 @@ def cmd_solve(sc: Scenario, out: Path):
     grid = sc.grid
     rr, tt = grid.mesh()
     columns = [values.ravel() for values in (rr, tt, result.u.values, result.v.values)]
-    _write_csv(out / "solution.csv", ("r", "t", "u", "v"), _Blocks([(rr.size, columns)]))
+    _write_csv(out / "solution.csv", np.rec.fromarrays(columns, names=("r", "t", "u", "v")))
 
     lines = [f"scenario: {sc.name}", "command: solve",
              f"grid: {grid.n_r} x {grid.n_t}  dr={grid.dr:.6g}  dt={grid.dt:.6g}",
@@ -229,25 +207,28 @@ def cmd_check_identities(sc: Scenario, out: Path):
     columns = (_objects(names), np.array(values, dtype=float), _objects(means),
                np.array(scales, dtype=float), np.array(thresholds, dtype=float),
                _objects(status))
-    _write_csv(out / "residuals.csv", ("check", "max", "mean", "scale", "threshold", "status"),
-               _Blocks([(len(rows), columns)]))
+    _write_csv(out / "residuals.csv", np.rec.fromarrays(
+        columns, names=("check", "max", "mean", "scale", "threshold", "status")))
     return lines, {"scenario": sc.name, "command": "check-identities", "checks": checks,
                    "failed": failed}, failed
 
 
 def cmd_check_estimate(sc: Scenario, out: Path, negative_control: bool = False):
     ver = sc.verification
-    reports = []
-
-    def rows():
-        # each report's rows are written as it is made; only its summary stays
-        for rep in estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0):
-            reports.append(rep.summary)
-            yield rep.margin.size, (rep.variant, "" if rep.eps is None else rep.eps, rep.scope.r,
-                                    rep.scope.t_abs, rep.scope.lhs, rep.rhs, rep.margin)
-
-    header = ("variant", "eps", "r", "t", "lhs", "rhs", "margin")
-    _write_csv(out / "report.csv", header, _Blocks(rows()))
+    reports, kept = [], []
+    for rep in estimate_matrix(sc, rhs_scale=0.5 if negative_control else 1.0):
+        reports.append(rep.summary)
+        # the report's least margins and largest lhs/rhs, in node order
+        keep = np.zeros(rep.margin.size, dtype=bool)
+        for order in (rep.margin, -rep.scope.lhs / rep.rhs):
+            keep[np.argsort(order, kind="stable")[:_REPORT_NODES]] = True
+        n, eps = np.count_nonzero(keep), "" if rep.eps is None else rep.eps
+        kept.append((_objects([rep.variant] * n), _objects([eps] * n),
+                     *(values[keep] for values in (rep.scope.r, rep.scope.t_abs, rep.scope.lhs,
+                                                   rep.rhs, rep.margin))))
+    _write_csv(out / "report.csv", np.rec.fromarrays(
+        [np.concatenate(column) for column in zip(*kept)],
+        names=("variant", "eps", "r", "t", "lhs", "rhs", "margin")))
 
     total_violations = sum(rep["violations"] for rep in reports)
     lines = [f"scenario: {sc.name}", "command: check-estimate",
@@ -298,7 +279,7 @@ def cmd_check_harnack(sc: Scenario, out: Path):
                "pairs": len(pairs), "v_inf": v_inf, "families": {}}
     header = ("family", "r1", "tau1", "r2", "tau2", "energy", "ratio", "bound",
               "margin", "log_integral_margin", "status")
-    blocks = []
+    columns = []
     violations = 0
     for q in quantities:
         family = q["family"]
@@ -313,9 +294,10 @@ def cmd_check_harnack(sc: Scenario, out: Path):
         lines.append("  family {family:6s}: H = {H:.6g}, violations {violations}, "
                      "worst margin {worst_margin:+.6e}, worst log-integral margin "
                      "{worst_log_integral_margin:+.6e}".format(family=family, **entry))
-        blocks.append((len(pairs), (family, *(rep[name] for name in header[1:-1]),
-                                    np.where(rep["passed"], "pass", "FAIL").astype(object))))
-    _write_csv(out / "pairs.csv", header, _Blocks(blocks))
+        columns.append((_objects([family] * len(pairs)), *(rep[name] for name in header[1:-1]),
+                        np.where(rep["passed"], "pass", "FAIL").astype(object)))
+    _write_csv(out / "pairs.csv", np.rec.fromarrays(
+        [np.concatenate(column) for column in zip(*columns)], names=header))
     lines.append(f"total violations: {violations}")
     payload["violations"] = violations
     return lines, payload, violations
@@ -379,7 +361,7 @@ def run_sweep(sweep_doc: dict, out: Path, workers: int = 1):
     combo_rows, margins, viols, runtimes = zip(*results)
     columns = (*map(_objects, zip(*combo_rows)), np.array(margins, dtype=float),
                _objects(viols), _objects(f"{runtime:.3f}" for runtime in runtimes))
-    _write_csv(out / "sweep.csv", header, _Blocks([(len(results), columns)]))
+    _write_csv(out / "sweep.csv", np.rec.fromarrays(columns, names=header))
     total_violations = sum(viols)
     lines = ["command: sweep", f"axes: {names}", f"combinations: {len(combos)}",
              f"total violations: {total_violations}"]

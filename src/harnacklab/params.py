@@ -77,6 +77,10 @@ def preset_alpha_beta(which: str, gamma: float, b: float) -> AlphaBeta:
     if gamma <= 0:
         raise ParamError(f"{which} preset requires gamma > 0")
     g, b = float(gamma), float(b)
+    # the coefficients the expressions below print, each a finite number
+    printed = {"exp": [2 * g], "coth": [g, b * g], "linear": [2 * g / 3, b, g, g * g / 3]}
+    if not np.all(np.isfinite(printed[which])):
+        raise ParamError(f"{which} preset: gamma = {g!r} overflows its coefficients")
     if which == "exp":
         alpha = Profile(f"exp({2 * g!r}*t)", "alpha")
         beta = constant_profile(0.0, "beta")

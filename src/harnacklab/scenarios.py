@@ -249,6 +249,7 @@ class Scenario:
     solution_kind: str            # "barenblatt" | "manufactured" | "numeric"
     v_profile: Profile            # closed form of the pressure
     oracle_u: object              # u(r, t) callable
+    u_key: str                    # the key whose value sets u, named where u overflows
     pde: PdeParams
     verification: dict
     t0: float
@@ -262,6 +263,8 @@ class Scenario:
         return AnalyticSolution(self.v_profile)
 
     def run_solver(self) -> SolveResult:
+        if not np.isfinite(self.pde.positivity_floor):
+            raise FloatingPointError(f"{self.u_key}: u at t0 = {self.t0:g} is not finite")
         return solve(self.oracle_u, self.geom, self.pde, self.grid)
 
     def solution_handle(self):
@@ -317,7 +320,8 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ConfigError("solution.mass_const",
                               f"support radius {support:.4g} at t0 must exceed r_max")
         oracle = lambda r, t: barenblatt_oracle(geom.n, p, C, r, t)
-        return barenblatt_pressure_profile(geom.n, p, C), oracle, Nonlinearity()
+        return (barenblatt_pressure_profile(geom.n, p, C), oracle, Nonlinearity(),
+                sol_doc.where("mass_const"))
 
     def _manufactured():
         # the closure forcing makes the profile an exact solution; a given
@@ -344,15 +348,17 @@ def parse_scenario(doc: dict) -> Scenario:
                                      f"at t = {end:g}")
         oracle = lambda r, t: pressure_inverse(profile(np.asarray(r, dtype=float),
                                                        np.asarray(t, dtype=float)), p)
-        return profile, oracle, forcing
+        return profile, oracle, forcing, path
 
     setups = {"barenblatt": _barenblatt, "manufactured": _manufactured}
     # a numeric solve starts from the closed form of its base
     base = sol_doc.choice("base", setups, "manufactured") if kind == "numeric" else kind
-    v_profile, oracle_u, nl = setups[base]()
+    v_profile, oracle_u, nl, u_key = setups[base]()
 
-    # the solver's positivity floor: a millionth of the initial peak of u
-    floor = max(1e-6 * float(np.max(oracle_u(grid.r, t0))), 1e-300)
+    # the solver's positivity floor: a millionth of the initial peak of u; a
+    # peak that overflows is refused by the solve, the checks read only v
+    with np.errstate(over="ignore"):
+        floor = max(1e-6 * float(np.max(oracle_u(grid.r, t0))), 1e-300)
     boundary = pde_doc.choice("boundary", BOUNDARY_POLICIES, "dirichlet-oracle")
     substeps = pde_doc.number("substeps", 1, integer=True, at_least=1)
     pde = PdeParams(p=p, nonlinearity=nl, positivity_floor=floor, outer_boundary=boundary,
@@ -397,7 +403,7 @@ def parse_scenario(doc: dict) -> Scenario:
                                            "is positive")
     return Scenario(
         name=name, seed=seed, geom=geom, params=params, nonlinearity=nl,
-        grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u,
+        grid=grid, solution_kind=kind, v_profile=v_profile, oracle_u=oracle_u, u_key=u_key,
         pde=pde, verification=verification, t0=t0, duration=duration,
     )
 

@@ -195,8 +195,9 @@ BAD_VALUES = [
     ("harnack.alpha", {"preset": "linear", "gamma": 1}),
     # at gamma 0 the exp preset is alpha == 1 on every clock
     ("harnack.alpha", {"preset": "exp", "gamma": 0, "clock_offset": 0.5}),
-    # a rate whose double prints as inf, which the preset's expression cannot hold
+    # rates whose coefficients overflow: 2 gamma for exp, gamma**2 / 3 for linear
     ("harnack.alpha", {"preset": "exp", "gamma": 1e308}),
+    ("harnack.alpha", {"preset": "linear", "gamma": 1e200, "clock_offset": 0.5}),
     # presets that are not names of a preset, and one that is not a string
     ("geometry.preset", "conformal-exp(1e)"), ("geometry.preset", "linear-warp(1e999)"),
     ("geometry.preset", 5),
@@ -269,6 +270,15 @@ def test_bad_config_value_rejected_with_key_path(tmp_path, capsys, key, value):
     assert code == EXIT_CONFIG
     assert err.startswith(f"configuration error: {key}: ")
     assert "Traceback" not in err
+
+
+def test_overflowing_preset_rate_is_refused_as_gamma(tmp_path, capsys):
+    # not as the expression 'inf' that the preset would print
+    doc = barenblatt_doc(harnack={"m": 2.0, "alpha": {"preset": "exp", "gamma": 1e308}})
+    assert main(["check-estimate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "gamma" in err and "'inf'" not in err
 
 
 def test_synthetic_dimension_below_n_names_its_key():
@@ -492,62 +502,42 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     special = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e16, 0.1, 1 / 3, 123456789012.5]
     drawn = rng.uniform(-10, 10, n) * 10.0 ** rng.integers(-20, 21, n)
     floats = (special + drawn.tolist())[:n]
-    # 0.0 and -0.0, or 1 and True, are equal keys but print differently
-    others = [1, 0, True, False, "", -0.0, 0.0, 2.5, np.nan, "a,b", 'say "hi"',
-              "two\nlines", "cr\rhere", "evolution-inequality[pointwise,sharp-static]",
+    # 0.0 and -0.0, or 1 and True, are equal keys but print differently; a
+    # "%" in a cell is text, not a format
+    others = [1, 0, True, False, "", -0.0, 0.0, 2.5, np.nan, "a,b", 'say "hi"', 'say "x,y"',
+              "100%", "two\nlines", "cr\rhere", "evolution-inequality[pointwise,sharp-static]",
               "pass", None]
     labels = [others[i % len(others)] for i in range(n)]
     mixed = [float(i) / 7 if i % 3 else i for i in range(n)]
     header = ("x", "label", "y", "mixed, quoted")
-    columns = (np.array(floats), cli._objects(labels), np.array(floats[::-1]), cli._objects(mixed))
-    # two blocks, split off the chunk grid, share the writer's text of each object
-    split = cli._CSV_CHUNK_ROWS + 903
-    rows = cli._Blocks([(split, [col[:split] for col in columns]),
-                        (n - split, [col[split:] for col in columns])])
-    cli._write_csv(tmp_path / "new.csv", header, rows)
+    rows = np.rec.fromarrays([np.array(floats), cli._objects(labels), np.array(floats[::-1]),
+                              cli._objects(mixed)], names=header)
+    cli._write_csv(tmp_path / "new.csv", rows)
     assert len(rows) == n
     _per_cell_csv(tmp_path / "old.csv", header, zip(floats, labels, floats[::-1], mixed))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
-def test_write_csv_report_blocks_match_per_cell_writer(tmp_path):
-    # report.csv's shape: each block repeats its labels down its rows, and the
-    # nodes' arrays may be shared by several blocks
-    r = np.array([0.0, -0.0, 0.5, np.nan, 1e-300, -2.5, 1 / 3])
-    lhs = np.array([-0.0, 0.0, np.nan, np.inf, 7.0, 1e16, -1e-7])
-    blocks = [(7, ("first-local", 0.25, r, lhs)),
-              (7, ("first-global", "", r, lhs[::-1].copy())),
-              (0, ("empty", 1.0, r[:0], lhs[:0])),
-              (3, ('say "x,y"', -0.0, r[2:5], lhs[:3])),
-              (2, ("100%", 0.0, r[:2], lhs[5:])),
-              (2, ("nan", np.nan, lhs[:2], r[:2])),
-              (2, (True, 1, r[3:5], r[5:]))]
-    header = ("variant", "eps", "r", "lhs")
-    rows = cli._Blocks(blocks)
-    cli._write_csv(tmp_path / "new.csv", header, rows)
-    assert len(rows) == 23
-    expanded = [(variant, eps, x, y) for n, (variant, eps, xs, ys) in blocks
-                for x, y in zip(xs.tolist(), ys.tolist())]
-    _per_cell_csv(tmp_path / "old.csv", header, expanded)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    # a table of no rows is its header
+    cli._write_csv(tmp_path / "empty.csv", rows[:0])
+    assert (tmp_path / "empty.csv").read_bytes() == b'x,label,y,"mixed, quoted"\r\n'
 
 
 def test_write_csv_streams_in_chunks(tmp_path):
-    # One block of 24,000 rows: two repeated labels, three float columns and
-    # an object column cycling through values that are equal as keys but
-    # print apart.  Under tracemalloc (CPython 3.11) this writer peaks at
-    # 0.3 MB in 1,024-row chunks, 4,096-row chunks at 1.2 MB, 16,384-row
-    # chunks at 4.7 MB and the whole block at once at 6.8 MB.
+    # 24,000 rows: a label and an eps column that repeat one value, three
+    # float columns and an object column cycling through values that are
+    # equal as keys but print apart.  Under tracemalloc (CPython 3.11) the
+    # writer peaked at 0.3 MB in 1,024-row chunks, 4,096-row chunks at
+    # 1.2 MB, 16,384-row chunks at 4.7 MB and all rows at once at 6.8 MB.
     n = 24_000
     rng = np.random.default_rng(3)
     x, y, z = (rng.standard_normal(n) for _ in range(3))
     cycle = [0.0, -0.0, 1, True, "a,b"]
     mixed = cli._objects(cycle[i % len(cycle)] for i in range(n))
     header = ("variant", "x", "eps", "y", "z", "mixed")
-    rows = cli._Blocks([(n, ("first-global", x, 0.25, y, z, mixed))])
+    rows = np.rec.fromarrays([cli._objects(["first-global"] * n), x, np.full(n, 0.25), y, z,
+                              mixed], names=header)
     tracemalloc.start()
     try:
-        cli._write_csv(tmp_path / "table.csv", header, rows)
+        cli._write_csv(tmp_path / "table.csv", rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -557,6 +547,23 @@ def test_write_csv_streams_in_chunks(tmp_path):
     assert len(written) == n + 1
     assert [row[1] for row in written[1:]] == [f"{value:.12g}" for value in x.tolist()]
     assert [row[-1] for row in written[1:]] == [cli._fmt(value) for value in mixed]
+
+
+def test_write_csv_error_leaves_no_file(tmp_path):
+    # a cell of the second chunk fails to print: neither the file nor its
+    # .partial stays behind
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("unprintable cell")
+
+    n = 2 * cli._CSV_CHUNK_ROWS
+    labels = ["ok"] * n
+    labels[cli._CSV_CHUNK_ROWS + 5] = Unprintable()
+    rows = np.rec.fromarrays([np.arange(n, dtype=float), cli._objects(labels)],
+                             names=("x", "label"))
+    with pytest.raises(RuntimeError, match="unprintable cell"):
+        cli._write_csv(tmp_path / "table.csv", rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -732,34 +739,66 @@ def test_exit_code_follows_the_summary_failure_count(tmp_path, case, count):
 
 def test_violation_counts_match_report_rows(tmp_path):
     # every node below -tolerance counts, not only the first 200 of a report
+    cfg = CONFIGS / "negative-control.json"
     out = tmp_path / "nc"
-    code = main(["check-estimate", "--config", str(CONFIGS / "negative-control.json"),
-                 "--out", str(out), "--negative-control"])
+    code = main(["check-estimate", "--config", str(cfg), "--out", str(out),
+                 "--negative-control"])
     assert code == EXIT_VIOLATION
     payload = json.loads((out / "summary.json").read_text())
-    with open(out / "report.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     counts = []
-    for rep in payload["reports"]:
-        key = (rep["variant"], "" if rep["eps"] is None else cli._fmt(rep["eps"]))
-        counts.append(sum(1 for row in rows if (row["variant"], row["eps"]) == key
-                          and float(row["margin"]) < -rep["tolerance"]))
+    for rep, made in zip(payload["reports"], estimates.estimate_matrix(load_scenario(cfg),
+                                                                       rhs_scale=0.5),
+                         strict=True):
+        counts.append(int(np.count_nonzero(made.margin < -made.summary["tolerance"])))
         assert rep["violations"] == counts[-1]
     assert payload["violations"] == sum(counts) > 200 * len(counts)
     summary = (out / "summary.txt").read_text()
     assert f"total violations: {sum(counts)}" in summary
 
 
+@pytest.mark.parametrize("config", ["barenblatt", "numeric-gaussian"])
+def test_report_rows_are_each_reports_worst_nodes(tmp_path, config):
+    # report.csv keeps, in node order, the union of each report's 8 least
+    # margins and 8 largest lhs/rhs, ties broken toward the earlier node
+    out = tmp_path / "out"
+    cfg = CONFIGS / f"{config}.json"
+    assert main(["check-estimate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "summary.json").read_text())
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fmt = cli._fmt
+    seen = 0
+    for rep, made in zip(payload["reports"], estimates.estimate_matrix(load_scenario(cfg)),
+                         strict=True):
+        key = (rep["variant"], "" if rep["eps"] is None else fmt(rep["eps"]))
+        kept = [row for row in rows if (row["variant"], row["eps"]) == key]
+        seen += len(kept)
+        k = cli._REPORT_NODES
+        worst = np.union1d(np.argsort(made.margin, kind="stable")[:k],
+                           np.argsort(-made.scope.lhs / made.rhs, kind="stable")[:k])
+        assert k <= len(kept) == len(worst) <= 2 * k == 16
+        scope = made.scope
+        assert [[row[name] for name in ("r", "t", "lhs", "rhs", "margin")] for row in kept] == \
+            [[fmt(values[i]) for values in (scope.r, scope.t_abs, scope.lhs, made.rhs,
+                                             made.margin)] for i in worst.tolist()]
+        imin = int(np.argmin(made.margin))
+        least = min(kept, key=lambda row: float(row["margin"]))
+        assert (least["r"], least["margin"]) == (fmt(rep["argmin_r"]), fmt(rep["min_margin"]))
+        assert (least["t"], fmt(rep["argmin_tau"])) == (fmt(scope.t_abs[imin]),
+                                                        fmt(scope.tau[imin]))
+    assert seen == len(rows)
+
+
 def test_check_estimate_error_after_a_written_report_leaves_no_report(tmp_path, capsys):
-    # reports are written as they are made; the static form, refused on
-    # x-dependent forcing, fails after the first report's rows went out
+    # report.csv is written once every report is made; the static form,
+    # refused on x-dependent forcing, fails after the first report was made
     doc = json.loads((CONFIGS / "gaussian-conformal.json").read_text())
     doc["verification"]["variants"] = ["first-local", "static-first-local"]
     out = tmp_path / "out"
     code = main(["check-estimate", "--config", write_config(tmp_path, doc), "--out", str(out)])
     assert code == EXIT_CONFIG
     assert "static estimate forms require x-independent forcing" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not (out / "report.csv").exists() and not (out / "report.csv.partial").exists()
 
 
 def test_cli_identities(tmp_path):
@@ -1077,6 +1116,25 @@ def test_warp_evolving_under_a_moving_conformal_factor_passes_clean(tmp_path, co
     assert code == EXIT_OK
 
 
+def test_overflowing_u_is_reported_by_the_solve_alone(tmp_path, capsys):
+    # at n = m = 3 and p = 1.01, u = (...)^100 overflows at t0 while the
+    # pressure stays finite: the parse warns nothing, and only the solve,
+    # which reads u, is refused, naming the key; check-identities' exit 1 is
+    # its pressure row at 3.2e-9, roundoff at a pressure near 1e8
+    doc = json.loads((CONFIGS / "barenblatt.json").read_text())
+    doc["geometry"]["n"], doc["harnack"]["m"], doc["pde"]["p"] = 3, 3.0, 1.01
+    doc["solution"]["mass_const"] = 1e6
+    cfg = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = {command: main([command, "--config", cfg, "--out", str(tmp_path / command)])
+                 for command in ("solve", "check-identities", "check-estimate", "check-harnack")}
+    assert codes == {"solve": EXIT_NUMERICAL, "check-identities": EXIT_VIOLATION,
+                     "check-estimate": EXIT_OK, "check-harnack": EXIT_OK}
+    assert capsys.readouterr().err == \
+        "numerical failure: solution.mass_const: u at t0 = 1 is not finite\n"
+
+
 def test_barenblatt_oracle_is_not_refused_by_roundoff(tmp_path):
     # at n = 5, p = 1.5 and mass_const = 1e6 the pressure is near 3e6 and its
     # equation's residual is roundoff near 1e-9, which check-identities gates
@@ -1229,25 +1287,16 @@ def _traced_peak(command, *args):
 def test_check_estimate_memory_is_bounded(tmp_path, monkeypatch):
     # On configs/numeric-gaussian.json, after the solve, holding every sup
     # sample and every report until report.csv was written peaked at 16.1 MB
-    # under tracemalloc (CPython 3.11) with this stand-in writer; reducing
-    # the suprema block by block and writing each report as it is made
-    # peaks at 6.2 MB.  (With the real writer: 16.1 against 6.6 MB, but
-    # tracing its 241,920 formatted rows takes ten seconds; its own memory
-    # is bounded by test_write_csv_streams_in_chunks.)
+    # under tracemalloc (CPython 3.11) with a stand-in writer that formatted
+    # no rows; reducing the suprema block by block and keeping only each
+    # report's worst nodes peaks at 5.2 MB with the real writer.
     sc = load_scenario(CONFIGS / "numeric-gaussian.json")
     solved = sc.run_solver()
     monkeypatch.setattr(sc, "run_solver", lambda: solved)
-    written = []
-
-    def drain(path, header, rows):
-        # read each block as the writer does, keeping only its row count
-        for n, columns in rows:
-            assert len(columns) == len(header)
-            written.append(n)
-
-    monkeypatch.setattr(cli, "_write_csv", drain)
-    peak, (_, _, failures) = _traced_peak(cmd_check_estimate, sc, tmp_path / "out")
-    assert failures == 0 and sum(written) == 241_920
+    peak, (_, payload, failures) = _traced_peak(cmd_check_estimate, sc, tmp_path / "out")
+    with open(tmp_path / "out" / "report.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert failures == 0 and len(written) == 2 * cli._REPORT_NODES * len(payload["reports"])
     assert peak <= 16.1 * 2**20 / 2
 
 

@@ -7,8 +7,9 @@ interpreter, from the repository root, and rewrites ``tests/golden/`` with one
 directory per line: the line's ``exit_code``, ``stdout`` and ``stderr``; every
 output file of 256 KB or less, verbatim but for the sweep's ``runtime_s``
 column (wall time by design), which reads ``*``; and for each larger output
-file (the ``solution.csv`` and ``report.csv`` files) ``<name>.digest.json``:
-its row count, header, least and greatest cell of each column, and sha256.
+file ``<name>.digest.json``: its row count, header, least and greatest cell
+of each column, and sha256.  Only the ``solution.csv`` files are that large;
+``report.csv`` keeps at most 16 rows per report and is kept verbatim.
 
 The lines are the four scenario commands on every config in ``configs/``, the
 sweep on ``configs/sweep-p-alpha.json``, and: the negative control under
